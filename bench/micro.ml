@@ -286,7 +286,11 @@ let scan_fixture n =
   let scope = Fm.enter_scope funcs in
   { Eval.catalog; funcs; scope }
 
-(* [(name, seconds, matching rows)] for the three engines. *)
+(* [(name, seconds, matching rows)] for the three engines, then the
+   grouped A/B: GROUP BY the dictionary-coded [grp] with COUNT, SUM and
+   AVG, through the row engine's compiled Group over the heap and
+   through the grouped VSCAN over the PAX segment ("matches" is the
+   COUNT summed over the groups). *)
 let scan_section () =
   let n = scan_rows () in
   let env = scan_fixture n in
@@ -323,6 +327,8 @@ let scan_section () =
         every = false;
         minus = [];
         pred = Some pred;
+        by = [];
+        having = None;
         aggregates
       }
   in
@@ -343,14 +349,52 @@ let scan_section () =
       end
     | _ -> -1
   in
-  let time name f =
+  let by = [ Ast.Path ("s", [ "grp" ]) ] in
+  let grouped_row_plan =
+    Jplan.Group
+      { source =
+          Jplan.Bind { class_name = "ScanBench"; var = "s"; every = false; minus = [] };
+        by;
+        having = None;
+        aggregates
+      }
+  in
+  let grouped_vscan_plan =
+    Jplan.Vscan
+      { class_name = "ScanBench";
+        var = "s";
+        every = false;
+        minus = [];
+        pred = None;
+        by;
+        having = None;
+        aggregates
+      }
+  in
+  let grouped_count_of (result : Executor.result) =
+    List.fold_left
+      (fun acc row ->
+        match List.assoc_opt "#agg" row with
+        | Some { Mood_algebra.Collection.value = Value.Tuple fields; _ } -> begin
+            match List.assoc_opt "COUNT(*)" fields with
+            | Some (Value.Int c) -> acc + c
+            | _ -> acc
+          end
+        | Some _ | None -> acc)
+      0 result.Executor.rows
+  in
+  let time ?(count = count_of) name f =
     let t0 = Unix.gettimeofday () in
-    let c = count_of (f ()) in
+    let c = count (f ()) in
     (name, Unix.gettimeofday () -. t0, c)
   in
   [ time "row_interpreted" (fun () -> Executor.run ~mode:Executor.Interpreted env row_plan);
     time "row_compiled" (fun () -> Executor.run env row_plan);
-    time "pax_vectorized" (fun () -> Executor.run env vscan_plan)
+    time "pax_vectorized" (fun () -> Executor.run env vscan_plan);
+    time ~count:grouped_count_of "grouped_row_compiled" (fun () ->
+        Executor.run env grouped_row_plan);
+    time ~count:grouped_count_of "grouped_pax_vectorized" (fun () ->
+        Executor.run env grouped_vscan_plan)
   ]
 
 (* ---------------- drivers ---------------- *)
@@ -393,15 +437,18 @@ let run_benchmarks () =
   | Some x -> Printf.printf "sort-merge vs nested loop:               %8.1fx\n" x
   | None -> ());
   heading
-    (Printf.sprintf "Scan engine: %d-row filtered aggregate, row heap vs PAX"
+    (Printf.sprintf "Scan engine: %d-row filtered aggregate and GROUP BY, row heap vs PAX"
        (scan_rows ()));
   let scans = scan_section () in
   List.iter
     (fun (name, secs, matches) ->
       Printf.printf "%-20s %10.1f ms  %9d matches\n" name (secs *. 1000.) matches)
     scans;
-  match join_speedup scans ~slow:"row_interpreted" ~fast:"pax_vectorized" with
+  (match join_speedup scans ~slow:"row_interpreted" ~fast:"pax_vectorized" with
   | Some x -> Printf.printf "\npax vectorized vs row interpreted:       %8.1fx\n" x
+  | None -> ());
+  match join_speedup scans ~slow:"grouped_row_compiled" ~fast:"grouped_pax_vectorized" with
+  | Some x -> Printf.printf "grouped pax vs row compiled:             %8.1fx\n" x
   | None -> ()
 
 (* JSON without a JSON library: names are fixed ASCII benchmark labels,
@@ -465,7 +512,9 @@ let run_json ?(path = "BENCH_micro.json") () =
           ~fast:"funcmgr: compiled+linked invoke" );
       ("grace_vs_nested_speedup", join_speedup timings ~slow:"nested_loop" ~fast:"grace_hash");
       ("sort_merge_vs_nested_speedup", join_speedup timings ~slow:"nested_loop" ~fast:"sort_merge");
-      ("pax_vs_row_speedup", join_speedup scans ~slow:"row_interpreted" ~fast:"pax_vectorized")
+      ("pax_vs_row_speedup", join_speedup scans ~slow:"row_interpreted" ~fast:"pax_vectorized");
+      ( "grouped_pax_vs_row_speedup",
+        join_speedup scans ~slow:"grouped_row_compiled" ~fast:"grouped_pax_vectorized" )
     ]
   in
   List.iteri

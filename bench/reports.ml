@@ -215,6 +215,11 @@ let clause_order () =
     | Plan.Join { left; _ } -> "WHERE(join)" :: spine left
     | Plan.Ind_sel { source; _ } -> "WHERE(indsel)" :: spine source
     | Plan.Path_ind_sel _ -> [ "WHERE(path index); FROM" ]
+    | Plan.Vscan ({ by = _ :: _; _ } as v) ->
+        (* A fused GROUP BY: the clauses it absorbed, in paper order. *)
+        (if v.having <> None then [ "HAVING" ] else [])
+        @ [ "GROUP BY" ]
+        @ spine (Plan.Vscan { v with by = []; having = None; aggregates = [] })
     | Plan.Vscan { pred = Some _; _ } -> [ "WHERE(vscan); FROM" ]
     | Plan.Vscan { pred = None; _ } | Plan.Bind _ | Plan.Named_obj _ -> [ "FROM" ]
   in

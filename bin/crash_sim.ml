@@ -29,8 +29,9 @@
    cycles (default 200): the vectorized batch engine over PAX and
    transient-batched row classes against the row engine on the same
    queries, with DML and ANALYZE interleaved so segment invalidation
-   and re-encoding are in every cycle, plus a sabotaged null-bitmap
-   negative control that must be caught. Every
+   and re-encoding are in every cycle. GROUP BY queries are also
+   compared in order against the unfused plan. A sabotaged null-bitmap
+   negative control must be caught, on grouped queries too. Every
    violation prints the cycle's seed so the failure reproduces exactly
    with
 
@@ -193,20 +194,27 @@ let () =
         violations);
   (* Negative control: with null bitmaps zeroed at encode time, NULLs
      decode as 0 / "" on the columnar side only — the oracle must
-     catch the mismatch, or it has no teeth. *)
+     catch the mismatch, on GROUP BY queries too, or it has no teeth. *)
   if scan_quota > 0 then begin
     let sab =
       Mood_sim.Scan_oracle.run ~sabotage:true ~quota:(min 5 scan_quota)
         ~base_seed ()
     in
-    if sab.Mood_sim.Scan_oracle.sr_violations = [] then begin
+    let grouped = sab.Mood_sim.Scan_oracle.sr_grouped_violations in
+    if grouped = 0 then begin
       failed := true;
       Printf.printf
-        "SCAN ORACLE TOOTHLESS: sabotaged null bitmaps produced no violations\n"
+        "SCAN ORACLE TOOTHLESS: sabotaged null bitmaps produced %d violation(s), %d on \
+         grouped queries\n"
+        (List.length sab.Mood_sim.Scan_oracle.sr_violations)
+        grouped
     end
     else
-      Format.printf "mood_sim: scan oracle negative control caught %d violation(s)@."
+      Format.printf
+        "mood_sim: scan oracle negative control caught %d violation(s), %d on grouped \
+         queries@."
         (List.length sab.Mood_sim.Scan_oracle.sr_violations)
+        grouped
   end;
   if !failed then begin
     Printf.printf

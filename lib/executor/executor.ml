@@ -177,7 +177,9 @@ and cop =
       minus : string list;
       pred : Ast.predicate option;  (** bound to column arrays per batch *)
       row_pred : Compile.pred_fn option;  (** row-engine fallback *)
+      keys : Vectorize.key_spec list;
       aggs : Vectorize.agg_spec list;
+      having : Compile.pred_fn option;  (** over the group rows *)
     }
 
 (* The operator skeleton: one entry per compiled node, in pre-order,
@@ -265,8 +267,8 @@ let label_of (node : Plan.node) =
           (String.concat ", " (List.map Ast.expr_to_string by))
   | Plan.Sort _ -> "SORT"
   | Plan.Union _ -> "UNION"
-  | Plan.Vscan { class_name; var; every; minus; pred; aggregates } ->
-      Printf.sprintf "VSCAN(%s%s%s, %s%s%s)"
+  | Plan.Vscan { class_name; var; every; minus; pred; by; having; aggregates } ->
+      Printf.sprintf "VSCAN(%s%s%s, %s%s%s%s%s)"
         (if every then "EVERY " else "")
         class_name
         (String.concat "" (List.map (fun m -> " - " ^ m) minus))
@@ -274,10 +276,16 @@ let label_of (node : Plan.node) =
         (match pred with
         | Some p -> ", " ^ Ast.predicate_to_string p
         | None -> "")
+        (match by with
+        | [] -> ""
+        | es -> ", BY " ^ String.concat ", " (List.map Ast.expr_to_string es))
         (match aggregates with
         | [] -> ""
         | es ->
             ", [" ^ String.concat ", " (List.map Ast.expr_to_string es) ^ "]")
+        (match having with
+        | Some h -> ", HAVING " ^ Ast.predicate_to_string h
+        | None -> "")
 
 (* Allocate the node's pre-order id and skeleton row, then build the
    operator (children number themselves after their parent). *)
@@ -357,7 +365,7 @@ let rec compile_node ctx ~depth (node : Plan.node) : cnode =
             }
       | Plan.Union nodes ->
           CUnion (List.map (compile_node ctx ~depth:(depth + 1)) nodes)
-      | Plan.Vscan { class_name; var; every; minus; pred; aggregates } ->
+      | Plan.Vscan { class_name; var; every; minus; pred; by; having; aggregates } ->
           CVscan
             { class_name;
               var;
@@ -365,6 +373,9 @@ let rec compile_node ctx ~depth (node : Plan.node) : cnode =
               minus;
               pred;
               row_pred = Option.map lower.lpred pred;
+              keys =
+                List.map (fun e -> { Vectorize.k_expr = e; k_row = lower.lexpr e }) by;
+              having = Option.map lower.lpred having;
               aggs =
                 List.map
                   (fun agg ->
@@ -571,8 +582,14 @@ and eval_op tr env (op : cop) : Eval.row list =
   | CUnion nodes ->
       let all = List.concat_map (rows_of tr env) nodes in
       dedup_rows all
-  | CVscan { class_name; var; every; minus; pred; row_pred; aggs } ->
-      Vectorize.scan env ~class_name ~var ~every ~minus ~pred ~row_pred ~aggs
+  | CVscan { class_name; var; every; minus; pred; row_pred; keys; aggs; having } -> begin
+      let rows =
+        Vectorize.scan env ~class_name ~var ~every ~minus ~pred ~row_pred ~keys ~aggs
+      in
+      match having with
+      | None -> rows
+      | Some pred -> List.filter (fun row -> pred env row) rows
+    end
 
 (* One aggregate value over a group's member rows. NULL inner values do
    not contribute; empty inputs give COUNT 0 and NULL for the rest. *)

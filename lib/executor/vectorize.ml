@@ -8,14 +8,15 @@ module Batch = Mood_column.Batch
 module Pax_store = Mood_column.Pax_store
 module M = Mood_column.Scan_metrics
 
-(* The vectorized scan: predicates and fused aggregates evaluated over
-   a batch's column arrays. Every fast path below reproduces the row
-   engine's semantics bit-for-bit — the same Int32-range guard as
+(* The vectorized scan: predicates and the fused GROUP BY evaluated
+   over a batch's column arrays. Every fast path below reproduces the
+   row engine's semantics bit-for-bit — the same Int32-range guard as
    [Compile], NULL comparing false, arithmetic NULL propagation, the
-   interpreter's float-based numeric comparison outside the guard —
-   because the differential oracle diffs this path against the row
-   engine on the same data. A batch whose shapes cannot be bound falls
-   back to boxed row evaluation (counted in [scan.fallback_rows]). *)
+   interpreter's float-based numeric comparison outside the guard, the
+   row engine's group equality and group order — because the
+   differential oracle diffs this path against the row engine on the
+   same data. A batch whose shapes cannot be bound falls back to boxed
+   row evaluation (counted in [scan.fallback_rows]). *)
 
 let in32 x = x >= -2147483648 && x <= 2147483647
 
@@ -268,7 +269,7 @@ and bind_cmp_generic ~var b cmp x y =
   | _, _ -> None
 
 (* ------------------------------------------------------------------ *)
-(* Fused ungrouped aggregation                                         *)
+(* Fused aggregation: accumulators                                     *)
 
 type agg_spec = {
   g_key : string;  (** the [#agg] field label *)
@@ -277,11 +278,15 @@ type agg_spec = {
   g_row_arg : Compile.expr_fn option;  (** row-engine fallback *)
 }
 
-(* One accumulator per aggregate, shared across batches and classes.
-   Integer SUM runs unboxed until a non-Int value (or the row engine's
-   Int64 widening rule) forces the Operand representation; the switch
-   preserves the running dtype so the final Int-vs-Long shape matches
-   the interpreter's fold. *)
+(* A GROUP BY key: bound to column arrays per batch, with its row
+   lowering for fallback rows. *)
+type key_spec = { k_expr : Ast.expr; k_row : Compile.expr_fn }
+
+(* One accumulator per aggregate and group, shared across batches and
+   classes. Integer SUM runs unboxed until a non-Int value (or the row
+   engine's Int64 widening rule) forces the Operand representation; the
+   switch preserves the running dtype so the final Int-vs-Long shape
+   matches the interpreter's fold. *)
 type accum = {
   spec : agg_spec;
   mutable a_n : int;  (* COUNT, and AVG's denominator *)
@@ -380,42 +385,44 @@ let final_value acc =
   | Ast.Min | Ast.Max -> (
       match acc.a_best with Some v -> v | None -> Value.Null)
 
-(* Per-batch push closure for one accumulator: unboxed column loops for
+(* Per-batch push closure for one aggregate, applied to the
+   accumulator of the row's group: unboxed column loops for
    COUNT/SUM/AVG over numeric minipages, boxed getter otherwise. *)
-let bind_push ~var (b : Batch.t) acc : (int -> unit) option =
-  match acc.spec.g_arg with
-  | None -> Some (fun _ -> push_value acc (Value.Int 1))
-  | Some e -> begin
+let bind_push ~var (b : Batch.t) (spec : agg_spec) : (accum -> int -> unit) option =
+  match spec.g_arg, spec.g_fn with
+  | None, Ast.Count -> Some (fun acc _ -> acc.a_n <- acc.a_n + 1)
+  | None, _ -> Some (fun acc _ -> push_value acc (Value.Int 1))
+  | Some e, fn -> begin
       let fast =
-        match e, acc.spec.g_fn with
+        match e, fn with
         | Ast.Path (v, [ attr ]), (Ast.Count | Ast.Sum | Ast.Avg)
           when String.equal v var -> begin
             match Batch.column b attr with
             | Some ({ Batch.data = Batch.Ints arr; _ } as col) ->
                 Some
-                  (match acc.spec.g_fn with
+                  (match fn with
                   | Ast.Count ->
-                      fun i ->
+                      fun acc i ->
                         if not (Batch.is_null col i) then acc.a_n <- acc.a_n + 1
                   | Ast.Sum ->
-                      fun i ->
+                      fun acc i ->
                         if not (Batch.is_null col i) then push_sum_int acc arr.(i)
                   | Ast.Avg ->
-                      fun i ->
+                      fun acc i ->
                         if not (Batch.is_null col i) then begin
                           acc.a_fsum <- acc.a_fsum +. float_of_int arr.(i);
                           acc.a_n <- acc.a_n + 1
                         end
                   | Ast.Min | Ast.Max -> assert false)
             | Some ({ Batch.data = Batch.Floats arr; _ } as col) -> begin
-                match acc.spec.g_fn with
+                match fn with
                 | Ast.Count ->
                     Some
-                      (fun i ->
+                      (fun acc i ->
                         if not (Batch.is_null col i) then acc.a_n <- acc.a_n + 1)
                 | Ast.Avg ->
                     Some
-                      (fun i ->
+                      (fun acc i ->
                         if not (Batch.is_null col i) then begin
                           acc.a_fsum <- acc.a_fsum +. arr.(i);
                           acc.a_n <- acc.a_n + 1
@@ -430,10 +437,134 @@ let bind_push ~var (b : Batch.t) acc : (int -> unit) option =
       | Some f -> Some f
       | None ->
           Option.map
-            (fun g i ->
+            (fun g acc i ->
               match g i with Value.Null -> () | v -> push_value acc v)
             (bind_expr ~var b e)
     end
+
+let bind_pushes ~var b specs =
+  let rec go bound i =
+    if i < 0 then Some (Array.of_list bound)
+    else
+      match bind_push ~var b specs.(i) with
+      | Some p -> go (p :: bound) (i - 1)
+      | None -> None
+  in
+  go [] (Array.length specs - 1)
+
+(* ------------------------------------------------------------------ *)
+(* Fused aggregation: the group table                                  *)
+
+(* Group identity is the row engine's: [Value.equal] over the key list,
+   under which Int, Long and Float compare by numeric value. The hash
+   must agree with it, so a numeric hashes by its float value
+   ([Hashtbl.hash] on a float folds -0.0 into 0.0 and all NaNs
+   together, as [Float.compare] does). *)
+let mix h x = ((h * 31) + x) land max_int
+
+let rec hash_value (v : Value.t) =
+  match v with
+  | Value.Null -> 0
+  | Value.Int i -> Hashtbl.hash (float_of_int i)
+  | Value.Long l -> Hashtbl.hash (Int64.to_float l)
+  | Value.Float f -> Hashtbl.hash f
+  | Value.Str s -> Hashtbl.hash s
+  | Value.Char c -> mix 3 (Char.code c)
+  | Value.Bool b -> mix 4 (Bool.to_int b)
+  | Value.Tuple fields ->
+      List.fold_left
+        (fun h (name, x) -> mix (mix h (Hashtbl.hash name)) (hash_value x))
+        5 fields
+  | Value.Set xs -> List.fold_left (fun h x -> mix h (hash_value x)) 6 xs
+  | Value.List xs -> List.fold_left (fun h x -> mix h (hash_value x)) 7 xs
+  | Value.Ref o -> mix 8 (Oid.hash o)
+
+let hash_key key = List.fold_left (fun h v -> mix h (hash_value v)) 0 key
+
+module Key_table = Hashtbl.Make (struct
+  type t = Value.t list
+
+  let equal = List.equal Value.equal
+  let hash = hash_key
+end)
+
+type group = {
+  mutable g_rep : Eval.row;  (* first member in scan order; [] until one arrives *)
+  g_accs : accum array;  (* one per aggregate *)
+}
+
+type table = {
+  t_specs : agg_spec array;
+  t_index : group Key_table.t;
+  mutable t_groups : group list;  (* newest first *)
+}
+
+let create_table aggs =
+  { t_specs = Array.of_list aggs; t_index = Key_table.create 16; t_groups = [] }
+
+(* [t_groups] keeps groups in order of first appearance (newest
+   first), so the output order is the row engine's [Group] over the
+   same scan. *)
+let find_group tbl key =
+  match Key_table.find_opt tbl.t_index key with
+  | Some g -> g
+  | None ->
+      let g = { g_rep = []; g_accs = Array.map fresh_accum tbl.t_specs } in
+      Key_table.add tbl.t_index key g;
+      tbl.t_groups <- g :: tbl.t_groups;
+      g
+
+(* Per-batch binding of row index to group. No keys: the one group,
+   found once. A single dictionary-coded string key: codes map to
+   groups through an array filled on first sight. Dictionaries are
+   page-local (a plain minipage is an identity "dictionary" with
+   duplicate entries), so the array lives for this batch only and is
+   filled through the string value. Every other key shape — boxed
+   columns from MVCC patching and transient batches included — goes
+   through the table with boxed key values. *)
+let bind_group ~var (b : Batch.t) tbl (keys : key_spec list) : (int -> group) option =
+  let single_column =
+    match keys with
+    | [ { k_expr = Ast.Path (v, [ attr ]); _ } ] when String.equal v var ->
+        Batch.column b attr
+    | _ -> None
+  in
+  match keys, single_column with
+  | [], _ ->
+      let g = find_group tbl [] in
+      Some (fun _ -> g)
+  | _, Some ({ Batch.data = Batch.Strs { codes; dict }; _ } as col) ->
+      let by_code = Array.make (Array.length dict) None in
+      let null_group = lazy (find_group tbl [ Value.Null ]) in
+      Some
+        (fun i ->
+          if Batch.is_null col i then Lazy.force null_group
+          else begin
+            let c = codes.(i) in
+            match by_code.(c) with
+            | Some g -> g
+            | None ->
+                let g = find_group tbl [ Value.Str dict.(c) ] in
+                by_code.(c) <- Some g;
+                g
+          end)
+  | _, _ ->
+      let getters = List.filter_map (fun k -> bind_expr ~var b k.k_expr) keys in
+      if List.compare_lengths getters keys <> 0 then None
+      else Some (fun i -> find_group tbl (List.map (fun g -> g i) getters))
+
+let table_rows tbl =
+  let no_aggs = Array.length tbl.t_specs = 0 in
+  List.rev_map
+    (fun g ->
+      if no_aggs then g.g_rep
+      else
+        let fields =
+          Array.to_list
+            (Array.map (fun acc -> (acc.spec.g_key, final_value acc)) g.g_accs)
+        in
+        g.g_rep @ [ ("#agg", { Collection.oid = None; value = Value.Tuple fields }) ])
+    tbl.t_groups
 
 (* ------------------------------------------------------------------ *)
 (* The scan driver                                                     *)
@@ -449,23 +580,17 @@ let transient_batch_rows = 1024
 
 let scan (env : Eval.env) ~class_name ~var ~every ~minus
     ~(pred : Ast.predicate option) ~(row_pred : Compile.pred_fn option)
-    ~(aggs : agg_spec list) : Eval.row list =
+    ~(keys : key_spec list) ~(aggs : agg_spec list) : Eval.row list =
   let catalog = env.Eval.catalog in
   ignore every;
   (* IS-A: like the row engine's bind, subclass instances are always in
      scope — the AST's EVERY flag is display-only; [minus] excludes. *)
   let classes = Catalog.classes_in_scope catalog ~every:true ~minus class_name in
-  let accs = List.map fresh_accum aggs in
-  let fused = accs <> [] in
-  let rep = ref None in
+  let grouping = keys <> [] || aggs <> [] in
+  let tbl = create_table aggs in
+  (* The zero-key group exists even when no row arrives. *)
+  if grouping && keys = [] then ignore (find_group tbl []);
   let out = ref [] in
-  let keep_row b i ~class_id =
-    M.m.M.rows_after_filter <- M.m.M.rows_after_filter + 1;
-    if fused then begin
-      if !rep = None then rep := Some (mk_row ~var ~class_id b i)
-    end
-    else out := mk_row ~var ~class_id b i :: !out
-  in
   let fallback_batch ~class_id (b : Batch.t) =
     M.m.M.fallback_rows <- M.m.M.fallback_rows + b.Batch.n;
     for i = 0 to b.Batch.n - 1 do
@@ -473,9 +598,10 @@ let scan (env : Eval.env) ~class_name ~var ~every ~minus
       let ok = match row_pred with None -> true | Some p -> p env row in
       if ok then begin
         M.m.M.rows_after_filter <- M.m.M.rows_after_filter + 1;
-        if fused then begin
-          if !rep = None then rep := Some row;
-          List.iter
+        if grouping then begin
+          let g = find_group tbl (List.map (fun k -> k.k_row env row) keys) in
+          (match g.g_rep with [] -> g.g_rep <- row | _ :: _ -> ());
+          Array.iter
             (fun acc ->
               match acc.spec.g_row_arg with
               | None -> push_value acc (Value.Int 1)
@@ -484,7 +610,7 @@ let scan (env : Eval.env) ~class_name ~var ~every ~minus
                   | Value.Null -> ()
                   | v -> push_value acc v
                 end)
-            accs
+            g.g_accs
         end
         else out := row :: !out
       end
@@ -497,28 +623,38 @@ let scan (env : Eval.env) ~class_name ~var ~every ~minus
       | None -> Some (fun _ -> true)
       | Some p -> bind_pred ~var b p
     in
-    let pushes =
-      if fused then
-        List.fold_left
-          (fun acc_opt acc ->
-            match acc_opt with
-            | None -> None
-            | Some ps -> (
-                match bind_push ~var b acc with
-                | Some p -> Some (p :: ps)
-                | None -> None))
-          (Some []) accs
-      else Some []
-    in
-    match vp, pushes with
-    | Some keep, Some pushes ->
-        for i = 0 to b.Batch.n - 1 do
-          if keep i then begin
-            keep_row b i ~class_id;
-            if fused then List.iter (fun push -> push i) pushes
-          end
-        done
-    | _, _ -> fallback_batch ~class_id b
+    let kept = ref 0 in
+    begin
+      match vp with
+      | None -> fallback_batch ~class_id b
+      | Some keep when not grouping ->
+          for i = 0 to b.Batch.n - 1 do
+            if keep i then begin
+              incr kept;
+              out := mk_row ~var ~class_id b i :: !out
+            end
+          done
+      | Some keep -> begin
+          match bind_group ~var b tbl keys, bind_pushes ~var b tbl.t_specs with
+          | Some group_of, Some pushes ->
+              let npush = Array.length pushes in
+              for i = 0 to b.Batch.n - 1 do
+                if keep i then begin
+                  incr kept;
+                  let g = group_of i in
+                  (match g.g_rep with
+                  | [] -> g.g_rep <- mk_row ~var ~class_id b i
+                  | _ :: _ -> ());
+                  let accs = g.g_accs in
+                  for j = 0 to npush - 1 do
+                    pushes.(j) accs.(j) i
+                  done
+                end
+              done
+          | _, _ -> fallback_batch ~class_id b
+        end
+    end;
+    M.m.M.rows_after_filter <- M.m.M.rows_after_filter + !kept
   in
   List.iter
     (fun cls ->
@@ -549,11 +685,4 @@ let scan (env : Eval.env) ~class_name ~var ~every ~minus
               flush ()
         end)
     classes;
-  if fused then begin
-    let fields = List.map (fun acc -> (acc.spec.g_key, final_value acc)) accs in
-    let representative = match !rep with Some r -> r | None -> [] in
-    [ representative
-      @ [ ("#agg", { Collection.oid = None; value = Value.Tuple fields }) ]
-    ]
-  end
-  else List.rev !out
+  if grouping then table_rows tbl else List.rev !out

@@ -105,6 +105,37 @@ let pointer_join_est env scope ~k_l ~k_r lv path rv =
           k_l *. fan_product *. retained)
         (fans lcls path)
 
+(* Rows out of a GROUP BY over [input] rows whose variables range over
+   [scope]: one group without keys; otherwise the product of the
+   grouping attributes' distinct counts, capped by the input size
+   (unresolvable keys contribute nothing, so the cap applies). HAVING
+   then keeps its selectivity's share. *)
+let group_estimate env scope ~input by having =
+  let groups =
+    if by = [] then Float.min 1. input
+    else begin
+      let dist_of = function
+        | Ast.Path (v, [ attr ]) -> begin
+            match List.assoc_opt v scope with
+            | None -> None
+            | Some cls ->
+                Option.map
+                  (fun (s : Stats.attr_stats) -> float_of_int (max 1 s.Stats.dist))
+                  (Stats.attr_stats env.Dicts.stats ~cls ~attr)
+          end
+        | _ -> None
+      in
+      let product =
+        List.fold_left
+          (fun acc e -> match dist_of e with Some d -> acc *. d | None -> acc)
+          1. by
+      in
+      Float.min input product
+    end
+  in
+  let having_sel = match having with None -> 1. | Some p -> pred_sel env scope p in
+  groups *. having_sel
+
 let rec estimate env (node : Plan.node) =
   match node with
   | Plan.Bind { class_name; minus; _ } ->
@@ -113,16 +144,18 @@ let rec estimate env (node : Plan.node) =
       let excluded = List.fold_left (fun acc m -> acc +. card env m) 0. minus in
       Float.max 0. (card env class_name -. excluded)
   | Plan.Named_obj _ -> 1.
-  | Plan.Vscan { class_name; var; minus; pred; aggregates; every = _ } ->
+  | Plan.Vscan { class_name; var; minus; pred; by; having; aggregates; every = _ } ->
       let excluded = List.fold_left (fun acc m -> acc +. card env m) 0. minus in
       let base = Float.max 0. (card env class_name -. excluded) in
+      let scope = [ (var, class_name) ] in
       let filtered =
         match pred with
         | None -> base
-        | Some p -> base *. pred_sel env [ (var, class_name) ] p
+        | Some p -> base *. pred_sel env scope p
       in
-      (* Fused ungrouped aggregation collapses to one row. *)
-      if aggregates = [] then filtered else Float.min 1. filtered
+      (* A fused GROUP BY takes the Group estimate over the filter. *)
+      if by = [] && aggregates = [] then filtered
+      else group_estimate env scope ~input:filtered by having
   | Plan.Ind_sel { source; preds } ->
       let scope = bindings source [] in
       let sel (p : Plan.indexed_pred) =
@@ -157,37 +190,5 @@ let rec estimate env (node : Plan.node) =
     end
   | Plan.Project { source; _ } | Plan.Sort { source; _ } -> estimate env source
   | Plan.Group { source; by; having; aggregates = _ } ->
-      let input = estimate env source in
-      let groups =
-        if by = [] then Float.min 1. input
-        else begin
-          (* Expected group count: the product of the grouping
-             attributes' distinct counts, capped by the input size;
-             unresolvable keys contribute nothing (cap applies). *)
-          let scope = bindings source [] in
-          let dist_of = function
-            | Ast.Path (v, [ attr ]) -> begin
-                match List.assoc_opt v scope with
-                | None -> None
-                | Some cls ->
-                    Option.map
-                      (fun (s : Stats.attr_stats) -> float_of_int (max 1 s.Stats.dist))
-                      (Stats.attr_stats env.Dicts.stats ~cls ~attr)
-              end
-            | _ -> None
-          in
-          let product =
-            List.fold_left
-              (fun acc e -> match dist_of e with Some d -> acc *. d | None -> acc)
-              1. by
-          in
-          Float.min input product
-        end
-      in
-      let having_sel =
-        match having with
-        | None -> 1.
-        | Some p -> pred_sel env (bindings source []) p
-      in
-      groups *. having_sel
+      group_estimate env (bindings source []) ~input:(estimate env source) by having
   | Plan.Union nodes -> List.fold_left (fun acc n -> acc +. estimate env n) 0. nodes

@@ -709,30 +709,40 @@ let try_vscan env node =
             ~pax
         with
         | Mood_cost.Scan_cost.Vectorized, _ ->
-            Some (Plan.Vscan { class_name; var; every; minus; pred; aggregates = [] })
+            Some
+              (Plan.Vscan
+                 { class_name; var; every; minus; pred; by = []; having = None; aggregates = [] })
         | Mood_cost.Scan_cost.Row_scan, _ -> None
       end
 
 (* Fuse eligible (Group over)? (Select over)? Bind cores into Vscan,
    descending only through the shaping wrappers the row engine keeps
-   (projection, sort, union, grouping). *)
+   (projection, sort, union). A Group fuses when its keys and
+   aggregates are vectorizable; HAVING needs no check, since it runs
+   over the group rows. A Group with neither keys nor aggregates (a
+   bare HAVING) has no fused form and stays above the scan. *)
 let rec vectorize env node =
   match node with
   | Plan.Sort s -> Plan.Sort { s with source = vectorize env s.source }
   | Plan.Project p -> Plan.Project { p with source = vectorize env p.source }
   | Plan.Union nodes -> Plan.Union (List.map (vectorize env) nodes)
-  | Plan.Group { source; by = []; having = None; aggregates }
-    when aggregates <> [] -> begin
-      match scan_core source with
-      | Some (_, var, _, _, _)
-        when List.for_all (vectorizable_agg ~var) aggregates -> begin
-          match try_vscan env source with
-          | Some (Plan.Vscan v) -> Plan.Vscan { v with aggregates }
-          | Some _ | None -> node
-        end
-      | Some _ | None -> node
+  | Plan.Group { source; by; having; aggregates } -> begin
+      let fused =
+        match scan_core source with
+        | Some (_, var, _, _, _)
+          when (by <> [] || aggregates <> [])
+               && List.for_all (vectorizable_expr ~var) by
+               && List.for_all (vectorizable_agg ~var) aggregates -> begin
+            match try_vscan env source with
+            | Some (Plan.Vscan v) -> Some (Plan.Vscan { v with by; having; aggregates })
+            | Some _ | None -> None
+          end
+        | Some _ | None -> None
+      in
+      match fused with
+      | Some v -> v
+      | None -> Plan.Group { source = vectorize env source; by; having; aggregates }
     end
-  | Plan.Group g -> Plan.Group { g with source = vectorize env g.source }
   | other -> ( match try_vscan env other with Some v -> v | None -> other)
 
 (* ------------------------------------------------------------------ *)
@@ -768,10 +778,25 @@ let optimize env (q : Ast.query) =
     | [ only ] -> only
     | plans -> Plan.Union plans
   in
+  (* Each aggregate once, in first-occurrence order: its label is the
+     [#agg] field every reference reads, so a repeat (the same COUNT in
+     SELECT and HAVING) would only be computed twice. *)
   let aggregates =
     List.concat_map (fun (i : Ast.select_item) -> Ast.aggregates_in i.Ast.expr) q.Ast.select
     @ (match q.Ast.having with Some h -> Ast.predicate_aggregates h | None -> [])
     @ List.concat_map (fun (e, _) -> Ast.aggregates_in e) q.Ast.order_by
+  in
+  let aggregates =
+    let seen = Hashtbl.create 8 in
+    List.filter
+      (fun agg ->
+        let label = Ast.expr_to_string agg in
+        if Hashtbl.mem seen label then false
+        else begin
+          Hashtbl.replace seen label ();
+          true
+        end)
+      aggregates
   in
   let grouped =
     if q.Ast.group_by = [] && q.Ast.having = None && aggregates = [] then unioned

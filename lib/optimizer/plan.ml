@@ -27,6 +27,8 @@ type node =
       every : bool;
       minus : string list;
       pred : Ast.predicate option;
+      by : Ast.expr list;
+      having : Ast.predicate option;
       aggregates : Ast.expr list;
     }
   | Join of {
@@ -128,19 +130,25 @@ let rec render_node ~indent ~name node =
       Printf.sprintf "%sSELECT(%s, %s)" pad
         (String.trim (render_node ~indent:0 ~name source))
         (pred_str pred)
-  | Vscan { class_name; var; every; minus; pred; aggregates } ->
+  | Vscan { class_name; var; every; minus; pred; by; having; aggregates } ->
       let scope =
         (if every then "EVERY " else "")
         ^ class_name
         ^ String.concat "" (List.map (fun m -> " - " ^ m) minus)
       in
       let filter = match pred with Some p -> ", " ^ pred_str p | None -> "" in
+      let keys =
+        match by with
+        | [] -> ""
+        | es -> ", BY " ^ String.concat ", " (List.map expr_str es)
+      in
       let aggs =
         match aggregates with
         | [] -> ""
         | es -> ", [" ^ String.concat ", " (List.map expr_str es) ^ "]"
       in
-      Printf.sprintf "%sVSCAN(%s, %s%s%s)" pad scope var filter aggs
+      let having = match having with Some h -> ", HAVING " ^ pred_str h | None -> "" in
+      Printf.sprintf "%sVSCAN(%s, %s%s%s%s%s)" pad scope var filter keys aggs having
   | Join { left; right; method_; pred } ->
       Printf.sprintf "%sJOIN(\n%s,\n%s,\n%s%s,\n%s%s )" pad
         (render_left ~indent:(indent + 2) ~name left)

@@ -44,12 +44,18 @@ type node =
       every : bool;
       minus : string list;
       pred : Mood_sql.Ast.predicate option;
+      by : Mood_sql.Ast.expr list;
+      having : Mood_sql.Ast.predicate option;
       aggregates : Mood_sql.Ast.expr list;
     }
       (** vectorized batch scan: decode the class's PAX segment (or
           batch the row heap under a forced hint) and run the compiled
-          filter — and, when [aggregates] is non-empty, the fused
-          ungrouped aggregation — over column arrays *)
+          filter over column arrays. When [by] or [aggregates] is
+          non-empty the node also runs the fused GROUP BY: hash
+          aggregation over the batches into one row per group (one
+          group when [by] is empty), filtered by [having]. The rows
+          have [Group]'s shape — first member plus [#agg] — in order
+          of first appearance. *)
   | Join of {
       left : node;
       right : node;

@@ -9,6 +9,14 @@
    hints mid-cycle, so the derived-cache machinery is on the hook for
    every comparison, not just the first scan.
 
+   Grouped queries select only their keys and aggregates: any other
+   item takes its group's first member, and the first member in scan
+   order differs between a heap scan and a PAX scan. Each grouped
+   query is also checked row for row, order included, against a
+   hand-built [Group] over the ungrouped [Vscan] of the same plan, so
+   the fused aggregation must reproduce the row engine's group order
+   and representatives, not just its multiset.
+
    [sabotage] re-runs the battery with null bitmaps zeroed at encode
    time ([Pax.sabotage_null_bitmap]): NULLs come back as 0 / "" from
    the columnar side only, which the oracle must catch. *)
@@ -18,6 +26,8 @@ module Catalog = Mood_catalog.Catalog
 module Value = Mood_model.Value
 module Oid = Mood_model.Oid
 module Executor = Mood_executor.Executor
+module Plan = Mood_optimizer.Plan
+module Optimizer = Mood_optimizer.Optimizer
 module Collection = Mood_algebra.Collection
 module Scan_cost = Mood_cost.Scan_cost
 module Pax = Mood_column.Pax
@@ -28,6 +38,8 @@ type report = {
   sr_queries : int;
   sr_checks : int;
   sr_oracle_rows : int;
+  sr_grouped_checks : int;
+  sr_grouped_violations : int;
   sr_violations : (int * string) list;
 }
 
@@ -70,34 +82,78 @@ let gen_sub_row rng =
   | Value.Tuple fields -> Value.Tuple (fields @ [ ("extra", Value.Int (zipf rng ~bound:5)) ])
   | _ -> assert false
 
+type kind =
+  | Plain
+  | Grouped  (** also checked in order against the unfused plan *)
+  | Grouped_clean of { analyze : bool }
+      (** as [Grouped], over unpatched PAX pages (versions collected
+          first), after a forced ANALYZE when [analyze] *)
+
+(* The string-key GROUP BY opens the battery, before the cycle's forced
+   ANALYZE, and closes it after: the dictionary hints move from the
+   per-page [Auto] choice to the ANALYZE verdict. Both runs collect
+   versions first, so no batch arrives MVCC-patched (boxed) and the
+   key is read from string minipages. Over seeds 1..200, 52 cycles
+   group it from plain and from dictionary minipages. *)
+let string_group = "SELECT s.cstr, COUNT(*), SUM(s.aint), MIN(s.lng) FROM ScanC s GROUP BY s.cstr"
+
 (* The battery: plain scans, every comparison family the batch
    compiler specializes (int/float/string/generic, both operand
-   orders, arithmetic, IS NULL, AND/OR), fused aggregates, and scope
-   shapes (EVERY, minus, mixed PAX + row subclass). *)
+   orders, arithmetic, IS NULL, AND/OR), fused aggregates, scope
+   shapes (EVERY, minus, mixed PAX + row subclass), and GROUP BY over
+   every key shape the grouped scan binds differently: dictionary
+   string, int with HAVING, Float + Int, out-of-int32 LongInteger, a
+   boxed Set, arithmetic, NULL-bearing keys, EVERY / minus scopes and
+   the row-layout subclass's transient batches. *)
 let variants rng =
   let k = zipf rng ~bound:10 and m = zipf rng ~bound:3 in
-  [ "SELECT s FROM ScanC s";
-    Printf.sprintf "SELECT s FROM ScanC s WHERE s.aint > %d" k;
-    Printf.sprintf "SELECT s FROM ScanC s WHERE %d >= s.aint" k;
-    Printf.sprintf "SELECT s.cstr, s.aint FROM ScanC s WHERE s.dlow = %d" m;
-    "SELECT s FROM ScanC s WHERE s.cstr = 'sa'";
-    "SELECT s FROM ScanC s WHERE s.cstr = ''";
-    Printf.sprintf "SELECT s FROM ScanC s WHERE s.cstr >= 'sb' AND s.aint <= %d" k;
-    Printf.sprintf "SELECT s FROM ScanC s WHERE s.bflt < %d.5 OR s.aint IS NULL" k;
-    Printf.sprintf "SELECT s FROM ScanC s WHERE s.aint + 1 > %d" k;
-    Printf.sprintf "SELECT s FROM ScanC s WHERE NOT (s.aint = %d)" k;
-    "SELECT s FROM ScanC s WHERE s.cstr IS NOT NULL";
-    "SELECT s FROM ScanC s WHERE s.eset = s.eset";
-    Printf.sprintf "SELECT s FROM ScanC s WHERE s.lng > 4999999999 OR s.dlow <> %d" m;
-    "SELECT MIN(s.lng), MAX(s.lng), SUM(s.lng) FROM ScanC s";
-    Printf.sprintf "SELECT COUNT(*) FROM ScanC s WHERE s.aint > %d" k;
-    "SELECT COUNT(s.aint), SUM(s.aint), AVG(s.bflt), MIN(s.cstr), MAX(s.aint) FROM ScanC s";
-    "SELECT SUM(s.aint) FROM ScanC s WHERE s.cstr = 'sa'";
-    "SELECT AVG(s.dlow) FROM ScanC s WHERE s.bflt IS NOT NULL";
-    "SELECT e FROM EVERY ScanC e";
-    Printf.sprintf "SELECT x FROM ScanC - ScanSub x WHERE x.aint >= %d" k;
-    "SELECT u.extra FROM ScanSub u WHERE u.extra > 1"
-  ]
+  let plain =
+    [ "SELECT s FROM ScanC s";
+      Printf.sprintf "SELECT s FROM ScanC s WHERE s.aint > %d" k;
+      Printf.sprintf "SELECT s FROM ScanC s WHERE %d >= s.aint" k;
+      Printf.sprintf "SELECT s.cstr, s.aint FROM ScanC s WHERE s.dlow = %d" m;
+      "SELECT s FROM ScanC s WHERE s.cstr = 'sa'";
+      "SELECT s FROM ScanC s WHERE s.cstr = ''";
+      Printf.sprintf "SELECT s FROM ScanC s WHERE s.cstr >= 'sb' AND s.aint <= %d" k;
+      Printf.sprintf "SELECT s FROM ScanC s WHERE s.bflt < %d.5 OR s.aint IS NULL" k;
+      Printf.sprintf "SELECT s FROM ScanC s WHERE s.aint + 1 > %d" k;
+      Printf.sprintf "SELECT s FROM ScanC s WHERE NOT (s.aint = %d)" k;
+      "SELECT s FROM ScanC s WHERE s.cstr IS NOT NULL";
+      "SELECT s FROM ScanC s WHERE s.eset = s.eset";
+      Printf.sprintf "SELECT s FROM ScanC s WHERE s.lng > 4999999999 OR s.dlow <> %d" m;
+      "SELECT MIN(s.lng), MAX(s.lng), SUM(s.lng) FROM ScanC s";
+      Printf.sprintf "SELECT COUNT(*) FROM ScanC s WHERE s.aint > %d" k;
+      "SELECT COUNT(s.aint), SUM(s.aint), AVG(s.bflt), MIN(s.cstr), MAX(s.aint) FROM ScanC s";
+      "SELECT SUM(s.aint) FROM ScanC s WHERE s.cstr = 'sa'";
+      "SELECT AVG(s.dlow) FROM ScanC s WHERE s.bflt IS NOT NULL";
+      "SELECT e FROM EVERY ScanC e";
+      Printf.sprintf "SELECT x FROM ScanC - ScanSub x WHERE x.aint >= %d" k;
+      "SELECT u.extra FROM ScanSub u WHERE u.extra > 1"
+    ]
+  in
+  let grouped =
+    [ Printf.sprintf
+        "SELECT s.aint, COUNT(*), AVG(s.bflt) FROM ScanC s WHERE s.dlow <> %d GROUP BY \
+         s.aint HAVING COUNT(*) > 1"
+        m;
+      "SELECT s.bflt, s.dlow, COUNT(*), MAX(s.cstr) FROM ScanC s GROUP BY s.bflt, s.dlow";
+      "SELECT s.lng, COUNT(*), SUM(s.aint) FROM ScanC s GROUP BY s.lng";
+      "SELECT s.eset, COUNT(*), MIN(s.aint) FROM ScanC s GROUP BY s.eset";
+      Printf.sprintf
+        "SELECT s.aint * 2 - s.dlow, COUNT(*), SUM(s.lng) FROM ScanC s WHERE s.aint <> %d \
+         GROUP BY s.aint * 2 - s.dlow"
+        k;
+      "SELECT s.cstr, s.aint FROM ScanC s GROUP BY s.cstr, s.aint";
+      "SELECT s.cstr, s.bflt, COUNT(*), SUM(s.dlow) FROM ScanC s WHERE s.aint IS NULL \
+       GROUP BY s.cstr, s.bflt";
+      "SELECT e.dlow, COUNT(*), SUM(e.aint) FROM EVERY ScanC e GROUP BY e.dlow";
+      "SELECT x.cstr, COUNT(*), AVG(x.aint) FROM ScanC - ScanSub x GROUP BY x.cstr";
+      "SELECT u.extra, COUNT(*), MAX(u.lng) FROM ScanSub u GROUP BY u.extra"
+    ]
+  in
+  ((Grouped_clean { analyze = false }, string_group) :: List.map (fun q -> (Plain, q)) plain)
+  @ List.map (fun q -> (Grouped, q)) grouped
+  @ [ (Grouped_clean { analyze = true }, string_group) ]
 
 let row_repr (row : (string * Collection.item) list) =
   String.concat "|"
@@ -125,10 +181,49 @@ let first_diff got want =
   in
   go got want
 
+(* The same plan with every fused GROUP BY lifted back out of its
+   VSCAN: the row engine's [Group] over the ungrouped scan. *)
+let rec unfuse (node : Plan.node) =
+  match node with
+  | Plan.Vscan ({ by; having; aggregates; _ } as v) when by <> [] || aggregates <> [] ->
+      Plan.Group
+        { source = Plan.Vscan { v with by = []; having = None; aggregates = [] };
+          by;
+          having;
+          aggregates
+        }
+  | Plan.Sort s -> Plan.Sort { s with source = unfuse s.source }
+  | Plan.Project p -> Plan.Project { p with source = unfuse p.source }
+  | Plan.Union nodes -> Plan.Union (List.map unfuse nodes)
+  | other -> other
+
+let rec has_grouped_vscan (node : Plan.node) =
+  match node with
+  | Plan.Vscan { by; aggregates; _ } -> by <> [] || aggregates <> []
+  | Plan.Sort { source; _ } | Plan.Project { source; _ } -> has_grouped_vscan source
+  | Plan.Union nodes -> List.exists has_grouped_vscan nodes
+  | _ -> false
+
+(* Ordered comparison of the fused plan against its unfused twin, run
+   through the executor directly. The binding rows are compared, so a
+   group's representative (its first member's OID and value) must
+   match too, not only the projected keys. [None] when they agree. *)
+let ordered_diff db src =
+  let fused = (Db.optimize db src).Optimizer.plan in
+  if not (has_grouped_vscan fused) then Some "no grouped VSCAN under SCAN_FORCE VECTOR"
+  else begin
+    let env = Db.executor_env db in
+    let ordered plan = List.map row_repr (Executor.run env plan).Executor.rows in
+    let got = ordered fused and want = ordered (unfuse fused) in
+    if got = want then None else Some (first_diff got want)
+  end
+
 type cycle_out = {
   c_queries : int;
   c_checks : int;
   c_rows : int;
+  c_grouped_checks : int;
+  c_grouped_violations : int;
   c_violations : (int * string) list;
 }
 
@@ -153,13 +248,18 @@ let run_cycle ~seed () =
     else ignore (Catalog.insert_object cat ~class_name:"ScanC" (gen_row rng))
   done;
   let queries = ref 0 and checks = ref 0 and rows = ref 0 in
+  let grouped_checks = ref 0 and grouped_violations = ref 0 in
   let violations = ref [] in
+  let violation ~grouped message =
+    if grouped then incr grouped_violations;
+    violations := (seed, message) :: !violations
+  in
   let saved = !Scan_cost.forced in
   Fun.protect
     ~finally:(fun () -> Scan_cost.forced := saved)
     (fun () ->
       List.iter
-        (fun src ->
+        (fun (kind, src) ->
           incr queries;
           (* DML between queries: dirty pages so rebuilds interleave
              with scans; occasional ANALYZE flips dictionary hints. *)
@@ -177,7 +277,15 @@ let run_cycle ~seed () =
                       (zipf rng ~bound:10)))
           | 2 -> ignore (Catalog.insert_object cat ~class_name:"ScanC" (gen_row rng))
           | _ -> ());
-          if Prng.int rng ~bound:5 = 0 then Db.analyze db;
+          let forced_analyze =
+            match kind with
+            | Grouped_clean { analyze } ->
+                Db.gc_versions db;
+                analyze
+            | Plain | Grouped -> false
+          in
+          if Prng.int rng ~bound:5 = 0 || forced_analyze then Db.analyze db;
+          let grouped = kind <> Plain in
           ignore (exec db "SET SCAN_FORCE ROW");
           let oracle = multiset (Db.query db src) in
           rows := !rows + List.length oracle;
@@ -185,15 +293,21 @@ let run_cycle ~seed () =
           incr checks;
           let got = multiset (Db.query db src) in
           if got <> oracle then
-            violations :=
-              ( seed,
-                Printf.sprintf "%s: %d rows, oracle %d (%s)" src (List.length got)
-                  (List.length oracle) (first_diff got oracle) )
-              :: !violations)
+            violation ~grouped
+              (Printf.sprintf "%s: %d rows, oracle %d (%s)" src (List.length got)
+                 (List.length oracle) (first_diff got oracle));
+          if grouped then begin
+            incr grouped_checks;
+            match ordered_diff db src with
+            | None -> ()
+            | Some d -> violation ~grouped (Printf.sprintf "%s: ordered vs unfused, %s" src d)
+          end)
         (variants rng));
   { c_queries = !queries;
     c_checks = !checks;
     c_rows = !rows;
+    c_grouped_checks = !grouped_checks;
+    c_grouped_violations = !grouped_violations;
     c_violations = List.rev !violations
   }
 
@@ -209,6 +323,8 @@ let run ?(sabotage = false) ?(quota = 200) ~base_seed () =
             sr_queries = 0;
             sr_checks = 0;
             sr_oracle_rows = 0;
+            sr_grouped_checks = 0;
+            sr_grouped_violations = 0;
             sr_violations = []
           }
       in
@@ -219,12 +335,16 @@ let run ?(sabotage = false) ?(quota = 200) ~base_seed () =
             sr_queries = !acc.sr_queries + c.c_queries;
             sr_checks = !acc.sr_checks + c.c_checks;
             sr_oracle_rows = !acc.sr_oracle_rows + c.c_rows;
+            sr_grouped_checks = !acc.sr_grouped_checks + c.c_grouped_checks;
+            sr_grouped_violations = !acc.sr_grouped_violations + c.c_grouped_violations;
             sr_violations = !acc.sr_violations @ c.c_violations
           }
       done;
       !acc)
 
 let pp_report ppf r =
-  Format.fprintf ppf "cycles=%d queries=%d checks=%d oracle_rows=%d violations=%d"
-    r.sr_cycles r.sr_queries r.sr_checks r.sr_oracle_rows
-    (List.length r.sr_violations)
+  Format.fprintf ppf
+    "cycles=%d queries=%d checks=%d oracle_rows=%d grouped_checks=%d violations=%d \
+     (grouped %d)"
+    r.sr_cycles r.sr_queries r.sr_checks r.sr_oracle_rows r.sr_grouped_checks
+    (List.length r.sr_violations) r.sr_grouped_violations

@@ -7,9 +7,11 @@
     attributes — and run a battery of scan/aggregate queries twice:
     once forced onto the row engine ([SET SCAN_FORCE ROW], the oracle)
     and once forced onto the vectorized batch engine. Result multisets
-    must match. DML and ANALYZE run between queries so page
-    invalidation, lazy rebuilds and hint changes are part of every
-    cycle. Wired as a [crash_sim] phase ([MOOD_SIM_SCAN_QUOTA], default
+    must match. GROUP BY queries must in addition match, row for row
+    and in order, the same plan with the fused aggregation lifted back
+    into a row-engine [Group] over the ungrouped scan. DML and ANALYZE
+    run between queries so page invalidation, lazy rebuilds and hint
+    changes are part of every cycle. Wired as a [crash_sim] phase ([MOOD_SIM_SCAN_QUOTA], default
     200 seeds) and as a 5-seed fast test in [test_column]. *)
 
 type report = {
@@ -17,8 +19,13 @@ type report = {
   sr_queries : int;      (** distinct queries diffed *)
   sr_checks : int;       (** vectorized runs compared to the row oracle *)
   sr_oracle_rows : int;  (** total oracle result rows compared *)
+  sr_grouped_checks : int;
+      (** GROUP BY queries also compared in order against the unfused
+          plan (a [Group] over the ungrouped [Vscan]) *)
+  sr_grouped_violations : int;  (** violations raised by GROUP BY queries *)
   sr_violations : (int * string) list;
-      (** (seed, message): any multiset mismatch — reproduce with the
+      (** (seed, message): any multiset mismatch, or an ordered
+          mismatch against the unfused plan — reproduce with the
           printed seed *)
 }
 

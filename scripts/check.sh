@@ -28,6 +28,14 @@ grep -q '"join"' BENCH_micro.json || { echo "BENCH_micro.json: no join section";
 grep -q '"scan"' BENCH_micro.json || { echo "BENCH_micro.json: no scan section"; exit 1; }
 grep -q '"pax_vs_row_speedup"' BENCH_micro.json \
   || { echo "BENCH_micro.json: no pax_vs_row_speedup"; exit 1; }
+grep -q '"grouped_pax_vs_row_speedup"' BENCH_micro.json \
+  || { echo "BENCH_micro.json: no grouped_pax_vs_row_speedup"; exit 1; }
+
+echo "== perfbench selftest =="
+# The end-to-end benchmark's own tests: the rendered-row parser, the
+# answer oracle with its negative controls, and the exact-count test
+# of the counter repetition. They fork servers (about 30 s).
+dune build @perfbench/test/selftest
 
 echo "== crash/recover harness =="
 # MOOD_SIM_QUOTA seeded workload/crash/recover/check cycles plus
@@ -129,6 +137,14 @@ grep -q "VSCAN" /tmp/mood_scan.$$ \
   || { echo "columnar smoke: no VSCAN in the plan"; exit 1; }
 grep -q "vectorized:" /tmp/mood_scan.$$ \
   || { echo "columnar smoke: no batch totals"; exit 1; }
+# The GROUP BY fuses into the scan: one VSCAN line carrying BY.
+./_build/default/bin/mood_cli.exe sql "127.0.0.1:$SPORT" \
+  "EXPLAIN ANALYZE SELECT p.tag, COUNT(*) FROM PaxSmoke p GROUP BY p.tag" \
+  > /tmp/mood_scan.$$
+grep -q "VSCAN.*BY" /tmp/mood_scan.$$ \
+  || { echo "columnar smoke: GROUP BY not fused into the VSCAN"; exit 1; }
+grep -q "vectorized:" /tmp/mood_scan.$$ \
+  || { echo "columnar smoke: no batch totals for the GROUP BY"; exit 1; }
 rm -f /tmp/mood_scan.$$
 ./_build/default/bin/mood_cli.exe sql "127.0.0.1:$SPORT" \
   "SET SCAN_FORCE DEFAULT" > /dev/null

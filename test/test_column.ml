@@ -14,6 +14,9 @@ module Batch = Mood_column.Batch
 module Scan_metrics = Mood_column.Scan_metrics
 module Heap_file = Mood_storage.Heap_file
 module Scan_oracle = Mood_sim.Scan_oracle
+module Vectorize = Mood_executor.Vectorize
+module Plan = Mood_optimizer.Plan
+module Optimizer = Mood_optimizer.Optimizer
 module Prng = Mood_util.Prng
 
 let contains s sub =
@@ -303,12 +306,153 @@ let test_pax_end_to_end () =
   | _ -> Alcotest.fail "count after switch back"
 
 (* ------------------------------------------------------------------ *)
+(* Grouped aggregation in the vectorized scan                          *)
+
+(* The group table's hash must agree with the row engine's group
+   equality ([Value.equal] over the key list). *)
+let test_group_hash_agrees_with_equal () =
+  let tbl = Vectorize.create_table [] in
+  let same what a b =
+    Alcotest.(check bool) (what ^ ": equal") true (List.equal Value.equal a b);
+    Alcotest.(check int) (what ^ ": hash") (Vectorize.hash_key a) (Vectorize.hash_key b);
+    Alcotest.(check bool) (what ^ ": one group") true
+      (Vectorize.find_group tbl a == Vectorize.find_group tbl b)
+  in
+  same "Int/Long" [ Value.Int 3 ] [ Value.Long 3L ];
+  same "Int/Float" [ Value.Int 3 ] [ Value.Float 3.0 ];
+  same "-0.0/0.0" [ Value.Float (-0.0) ] [ Value.Float 0.0 ];
+  same "NULL" [ Value.Null ] [ Value.Null ];
+  same "two-part" [ Value.Float 2.0; Value.Str "x" ] [ Value.Long 2L; Value.Str "x" ];
+  same "set"
+    [ Value.set [ Value.Int 1; Value.Int 2 ] ]
+    [ Value.set [ Value.Float 2.; Value.Long 1L ] ];
+  Alcotest.(check bool) "Str/Char: two groups" true
+    (Vectorize.find_group tbl [ Value.Str "a" ] != Vectorize.find_group tbl [ Value.Char 'a' ]);
+  Alcotest.(check bool) "NULL/0: two groups" true
+    (Vectorize.find_group tbl [ Value.Null ] != Vectorize.find_group tbl [ Value.Int 0 ]);
+  (* Random numeric keys: equal under [Value.equal] implies equal hash. *)
+  let rng = Prng.create ~seed:5 in
+  let numeric () =
+    let x = Prng.int rng ~bound:7 - 3 in
+    match Prng.int rng ~bound:3 with
+    | 0 -> Value.Int x
+    | 1 -> Value.Long (Int64.of_int x)
+    | _ -> Value.Float (float_of_int x)
+  in
+  for _ = 1 to 500 do
+    let a = [ numeric (); numeric () ] and b = [ numeric (); numeric () ] in
+    if List.equal Value.equal a b then
+      Alcotest.(check int) "random equal keys hash alike" (Vectorize.hash_key a)
+        (Vectorize.hash_key b)
+  done
+
+let rec plan_nodes (node : Plan.node) =
+  node
+  ::
+  (match node with
+  | Plan.Sort { source; _ } | Plan.Project { source; _ } | Plan.Group { source; _ }
+  | Plan.Select { source; _ } | Plan.Ind_sel { source; _ } ->
+      plan_nodes source
+  | Plan.Join { left; right; _ } -> plan_nodes left @ plan_nodes right
+  | Plan.Union nodes -> List.concat_map plan_nodes nodes
+  | Plan.Bind _ | Plan.Named_obj _ | Plan.Path_ind_sel _ | Plan.Vscan _ -> [])
+
+let count_nodes f node = List.length (List.filter f (plan_nodes node))
+
+let is_group = function Plan.Group _ -> true | _ -> false
+
+let is_grouped_vscan = function
+  | Plan.Vscan { by; _ } -> by <> []
+  | _ -> false
+
+let plan_aggregates node =
+  List.concat_map
+    (function
+      | Plan.Group { aggregates; _ } | Plan.Vscan { aggregates; _ } -> aggregates
+      | _ -> [])
+    (plan_nodes node)
+
+let company_db () =
+  let db = Db.create () in
+  ignore
+    (ok db "CREATE CLASS Firm TUPLE (name String(16), location String(12), staff Integer) LAYOUT PAX");
+  ignore (ok db "CREATE CLASS Shop TUPLE (city String(12), size Integer)");
+  ignore (ok db "DEFINE METHOD Firm::band () Integer { return staff / 10; }");
+  let cities = [| "Ankara"; "Izmir"; "Bursa"; "Seoul"; "Tokyo" |] in
+  for i = 1 to 400 do
+    ignore
+      (ok db
+         (Printf.sprintf "new Firm <'f%d', '%s', %d>" i cities.((i * i) mod 5) (i mod 37)));
+    if i mod 4 = 0 then
+      ignore (ok db (Printf.sprintf "new Shop <'%s', %d>" cities.(i mod 5) i))
+  done;
+  Db.analyze db;
+  db
+
+let benchmark_group_by =
+  "SELECT c.location, COUNT(*) FROM Firm c GROUP BY c.location HAVING COUNT(*) > 70 \
+   ORDER BY c.location"
+
+(* The benchmark's Company GROUP BY: one VSCAN carrying BY and HAVING,
+   no GROUP node, the count computed once although SELECT and HAVING
+   both name it, and the same ordered answer from both engines. *)
+let test_grouped_fusion_plan () =
+  let db = company_db () in
+  ignore (ok db "SET SCAN_FORCE VECTOR");
+  let plan = (Db.optimize db benchmark_group_by).Optimizer.plan in
+  Alcotest.(check int) "one grouped VSCAN" 1 (count_nodes is_grouped_vscan plan);
+  Alcotest.(check int) "no GROUP node" 0 (count_nodes is_group plan);
+  Alcotest.(check (list string)) "COUNT once" [ "COUNT(*)" ]
+    (List.map Mood_sql.Ast.expr_to_string (plan_aggregates plan));
+  let explained = Db.explain db benchmark_group_by in
+  Alcotest.(check bool) "EXPLAIN shows BY and HAVING" true
+    (contains explained "VSCAN(Firm, c, BY c.location, [COUNT(*)], HAVING COUNT(*) > 70)");
+  let vector = Mood_executor.Executor.result_values (Db.query db benchmark_group_by) in
+  ignore (ok db "SET SCAN_FORCE ROW");
+  let row_plan = (Db.optimize db benchmark_group_by).Optimizer.plan in
+  Alcotest.(check (list string)) "row plan: COUNT once" [ "COUNT(*)" ]
+    (List.map Mood_sql.Ast.expr_to_string (plan_aggregates row_plan));
+  let row = Mood_executor.Executor.result_values (Db.query db benchmark_group_by) in
+  ignore (ok db "SET SCAN_FORCE DEFAULT");
+  Alcotest.(check (list string)) "same ordered answer"
+    (List.map Value.to_string row) (List.map Value.to_string vector);
+  Alcotest.(check bool) "HAVING filtered some groups" true
+    (List.length vector > 0 && List.length vector < 5)
+
+(* Shapes the vectorized scan cannot group keep the row engine's
+   GROUP: a row-layout class, a method-call key, a method-call
+   aggregate argument. *)
+let test_grouped_fusion_limits () =
+  let db = company_db () in
+  let keeps_group src =
+    let plan = (Db.optimize db src).Optimizer.plan in
+    Alcotest.(check int) (src ^ ": GROUP kept") 1 (count_nodes is_group plan);
+    Alcotest.(check int) (src ^ ": no grouped VSCAN") 0 (count_nodes is_grouped_vscan plan)
+  in
+  keeps_group "SELECT s.city, COUNT(*) FROM Shop s GROUP BY s.city";
+  keeps_group "SELECT c.band(), COUNT(*) FROM Firm c GROUP BY c.band()";
+  keeps_group "SELECT c.location, SUM(c.band()) FROM Firm c GROUP BY c.location";
+  (* Forced onto vectors, the row-layout class groups over transient
+     batches, and both engines agree. *)
+  let src = "SELECT s.city, COUNT(*), SUM(s.size) FROM Shop s GROUP BY s.city ORDER BY s.city" in
+  let row = Mood_executor.Executor.result_values (Db.query db src) in
+  ignore (ok db "SET SCAN_FORCE VECTOR");
+  Alcotest.(check int) "forced: grouped VSCAN" 1
+    (count_nodes is_grouped_vscan (Db.optimize db src).Optimizer.plan);
+  let vector = Mood_executor.Executor.result_values (Db.query db src) in
+  ignore (ok db "SET SCAN_FORCE DEFAULT");
+  Alcotest.(check (list string)) "transient batches agree"
+    (List.map Value.to_string row) (List.map Value.to_string vector)
+
+(* ------------------------------------------------------------------ *)
 (* Differential oracle                                                 *)
 
 let test_differential_oracle () =
   let r = Scan_oracle.run ~quota:5 ~base_seed:2026 () in
   Alcotest.(check int) "cycles" 5 r.Scan_oracle.sr_cycles;
   Alcotest.(check bool) "compared real rows" true (r.Scan_oracle.sr_oracle_rows > 0);
+  Alcotest.(check bool) "compared grouped plans in order" true
+    (r.Scan_oracle.sr_grouped_checks > 0);
   match r.Scan_oracle.sr_violations with
   | [] -> ()
   | (seed, msg) :: _ -> Alcotest.failf "seed %d: %s" seed msg
@@ -316,7 +460,9 @@ let test_differential_oracle () =
 let test_oracle_catches_sabotage () =
   let r = Scan_oracle.run ~sabotage:true ~quota:2 ~base_seed:2026 () in
   Alcotest.(check bool) "sabotaged null bitmap caught" true
-    (r.Scan_oracle.sr_violations <> [])
+    (r.Scan_oracle.sr_violations <> []);
+  Alcotest.(check bool) "caught on a grouped query" true
+    (r.Scan_oracle.sr_grouped_violations > 0)
 
 let suites =
   [ ( "column",
@@ -327,6 +473,10 @@ let suites =
         Alcotest.test_case "torn page heals" `Quick test_torn_page_heals;
         Alcotest.test_case "analyze dict chooser" `Quick test_dict_chooser;
         Alcotest.test_case "pax end to end" `Quick test_pax_end_to_end;
+        Alcotest.test_case "group hash agrees with equal" `Quick
+          test_group_hash_agrees_with_equal;
+        Alcotest.test_case "grouped fusion plan" `Quick test_grouped_fusion_plan;
+        Alcotest.test_case "grouped fusion limits" `Quick test_grouped_fusion_limits;
         Alcotest.test_case "differential oracle" `Quick test_differential_oracle;
         Alcotest.test_case "oracle catches sabotage" `Quick test_oracle_catches_sabotage
       ] )
