@@ -522,36 +522,85 @@ let refs_of_value v =
   | Value.Char _ | Value.Bool _ | Value.Tuple _ ->
       []
 
-let maintain_indexes_on t ~add class_name oid value =
+let add_index_entries t class_name oid value =
   List.iter
     (fun (attr, ix) ->
       match Value.tuple_get value attr with
-      | Some v when v <> Value.Null ->
-          if add then index_insert ix v oid else index_delete ix v oid
+      | Some v when v <> Value.Null -> index_insert ix v oid
       | Some _ | None -> ())
     (covering_indexes t class_name);
   List.iter
     (fun (attr, jx) ->
       match Value.tuple_get value attr with
       | Some v ->
-          List.iter
-            (fun target ->
-              if add then Join_index.Binary.add jx ~c:oid ~d:target
-              else ignore (Join_index.Binary.remove jx ~c:oid ~d:target))
-            (refs_of_value v)
+          List.iter (fun target -> Join_index.Binary.add jx ~c:oid ~d:target) (refs_of_value v)
       | None -> ())
     (covering_join_indexes t class_name)
 
-(* Posting removals are deferred through the version store so snapshot
-   readers can still reach superseded versions via the index (the
-   executor rechecks indexed predicates against the view-resolved
+let index_has ix key oid =
+  let postings =
+    match ix with
+    | Btree_index bt -> Btree.search bt ~key
+    | Hash_index h -> Hash.search h ~key
+  in
+  List.exists (Oid.equal oid) postings
+
+(* Index maintenance after an UPDATE (the object's value went from [old]
+   to [next]) or a DELETE ([next = None]). Only attributes whose value
+   changed are touched: an unchanged key's posting is the live one.
+   New postings and join-index edges go in at once, unless the index
+   already holds them — the removal of the same pair may still be
+   pending (a key that goes A -> B -> A inside one transaction).
+
+   Old postings and edges are removed through the version store so
+   snapshot readers can still reach superseded versions via the index
+   (the executor rechecks indexed predicates against the view-resolved
    value, filtering the resulting false positives). The removal runs
-   once every snapshot that could need the old posting has closed —
-   immediately when none is open — and is dropped if the writing
-   transaction aborts. *)
-let remove_index_entries t ?txn class_name oid value =
-  Version_store.defer_removal (Store.versions t.st) ?txn (fun () ->
-      maintain_indexes_on t ~add:false class_name oid value)
+   once every snapshot that could need them has closed — immediately
+   when none is open — and is dropped if the writing transaction
+   aborts. When it runs it re-reads the object's current heap value and
+   keeps every posting and edge that value still has. *)
+let reindex_object t ?txn class_name ext oid ~old ~next =
+  let field v attr = Option.bind v (fun v -> Value.tuple_get v attr) in
+  let key v attr =
+    match field v attr with Some k when k <> Value.Null -> Some k | Some _ | None -> None
+  in
+  let refs v attr = match field v attr with Some v -> refs_of_value v | None -> [] in
+  let changed (attr, _) = not (Option.equal Value.equal (field (Some old) attr) (field next attr)) in
+  let indexes = List.filter changed (covering_indexes t class_name)
+  and join_indexes = List.filter changed (covering_join_indexes t class_name) in
+  List.iter
+    (fun (attr, ix) ->
+      match key next attr with
+      | Some k when not (index_has ix k oid) -> index_insert ix k oid
+      | Some _ | None -> ())
+    indexes;
+  List.iter
+    (fun (attr, jx) ->
+      let linked = Join_index.Binary.forward jx ~c:oid in
+      List.iter
+        (fun d -> if not (List.exists (Oid.equal d) linked) then Join_index.Binary.add jx ~c:oid ~d)
+        (refs next attr))
+    join_indexes;
+  if indexes <> [] || join_indexes <> [] then
+    Version_store.defer_removal (Store.versions t.st) ?txn (fun () ->
+        let current = Extent.raw_get ext (Oid.slot oid) in
+        List.iter
+          (fun (attr, ix) ->
+            match key (Some old) attr with
+            | Some k when not (Option.equal Value.equal (key current attr) (Some k)) ->
+                index_delete ix k oid
+            | Some _ | None -> ())
+          indexes;
+        List.iter
+          (fun (attr, jx) ->
+            let kept = refs current attr in
+            List.iter
+              (fun d ->
+                if not (List.exists (Oid.equal d) kept) then
+                  ignore (Join_index.Binary.remove jx ~c:oid ~d))
+              (refs (Some old) attr))
+          join_indexes)
 
 let insert_object t ?txn ~class_name value =
   let e = entry t class_name in
@@ -559,7 +608,7 @@ let insert_object t ?txn ~class_name value =
   let ext = own_extent t class_name in
   let slot = Extent.insert ext ?txn normalized in
   let oid = Oid.make ~class_id:e.id ~slot in
-  maintain_indexes_on t ~add:true class_name oid normalized;
+  add_index_entries t class_name oid normalized;
   oid
 
 let get_object t oid =
@@ -585,10 +634,7 @@ let update_object t ?txn oid value =
           | Some old ->
               let normalized = normalize t e.name value in
               let ok = Extent.update ext ?txn ~slot:(Oid.slot oid) normalized in
-              if ok then begin
-                remove_index_entries t ?txn e.name oid old;
-                maintain_indexes_on t ~add:true e.name oid normalized
-              end;
+              if ok then reindex_object t ?txn e.name ext oid ~old ~next:(Some normalized);
               ok
         end
     end
@@ -604,7 +650,7 @@ let delete_object t ?txn oid =
           | None -> false
           | Some old ->
               let ok = Extent.delete ext ?txn (Oid.slot oid) in
-              if ok then remove_index_entries t ?txn e.name oid old;
+              if ok then reindex_object t ?txn e.name ext oid ~old ~next:None;
               ok
         end
     end

@@ -163,6 +163,10 @@ val insert_object : t -> ?txn:int -> class_name:string -> Mood_model.Value.t -> 
 val get_object : t -> Mood_model.Oid.t -> Mood_model.Value.t option
 
 val update_object : t -> ?txn:int -> Mood_model.Oid.t -> Mood_model.Value.t -> bool
+(** Replaces the object's value (normalized as by [insert_object]).
+    Index postings and join-index edges change only for attributes whose
+    value changed; superseded ones are removed once no open snapshot can
+    still need them, keeping whatever the object's value then has. *)
 
 val delete_object : t -> ?txn:int -> Mood_model.Oid.t -> bool
 

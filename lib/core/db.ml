@@ -75,13 +75,26 @@ type session_txn = {
   mutable stxn_open : bool;
   stxn_view : Version_store.view option;
       (* snapshot captured at BEGIN (when MVCC reads are on): every
-         SELECT in the transaction reads this view — repeatable,
-         lock-free — plus the transaction's own pending writes *)
+         read in the transaction (SELECT, EXPLAIN ANALYZE) sees this
+         view — repeatable, lock-free — plus the transaction's own
+         pending writes *)
   mutable stxn_prepared : int option;
       (* the coordinator's gid once PREPAREd: the transaction is frozen
          (no further statements, survives client disconnect) until a
          DECIDE resolves it *)
 }
+
+type txn_error =
+  | Txn_busy
+  | Txn_deadlock
+  | Txn_fail of string
+  | Txn_redirect of string
+
+(* Where a statement runs: on its own, or inside a session transaction.
+   The only things that differ are who owns the extent locks and when
+   they are released, which snapshot a read uses, and whether DML
+   carries a transaction id. *)
+type context = Statement | Session of session_txn
 
 type t = {
   st : Store.t;
@@ -361,57 +374,15 @@ let optimize t source =
   let q = Parser.parse_query source in
   Optimizer.optimize (optimizer_env t) q
 
-let exec_statement t ?txn stmt =
-  Typecheck.check_statement ~catalog:t.cat stmt;
-  match stmt with
-  | Ast.Select q ->
-      let optimized = Optimizer.optimize (optimizer_env t) q in
-      Rows (Executor.run (executor_env t) optimized.Optimizer.plan)
-  | Ast.Create_class { cc_name; cc_supers; cc_attrs; cc_methods; cc_layout } ->
-      exec_create_class t ~cc_name ~cc_supers ~cc_attrs ~cc_methods ~cc_layout
-  | Ast.Alter_class_layout { al_class; al_layout } ->
-      let layout = catalog_layout al_layout in
-      Catalog.set_layout t.cat al_class layout;
-      Layout_altered (al_class, layout_name layout)
-  | Ast.Create_index { ci_class; ci_attr; ci_kind } ->
-      ignore
-        (Catalog.create_index t.cat ~class_name:ci_class ~attr:ci_attr ~kind:ci_kind ());
-      Index_created (ci_class, ci_attr)
-  | Ast.New_object { no_class; no_values } -> exec_new t ?txn ~no_class ~no_values ()
-  | Ast.Update { up_class; up_var; up_set; up_where } ->
-      exec_update t ?txn ~up_class ~up_var ~up_set ~up_where ()
-  | Ast.Delete { de_class; de_var; de_where } -> exec_delete t ?txn ~de_class ~de_var ~de_where ()
-  | Ast.Define_method { dm_class; dm_decl; dm_body } ->
-      Fm.define t.funcs ~class_name:dm_class ~signature:(method_signature dm_decl)
-        (Fm.Moodc dm_body);
-      Method_defined (dm_class, dm_decl.Ast.m_name)
-  | Ast.Drop_method { xm_class; xm_name } ->
-      Fm.drop t.funcs ~class_name:xm_class ~function_name:xm_name;
-      Method_dropped (xm_class, xm_name)
-  | Ast.Name_object { nm_name; nm_query } -> begin
-      let optimized = Optimizer.optimize (optimizer_env t) nm_query in
-      let result = Executor.run (executor_env t) optimized.Optimizer.plan in
-      match Executor.result_oids result with
-      | [ oid ] ->
-          Catalog.name_object t.cat ~name:nm_name oid;
-          Object_named (nm_name, oid)
-      | [] -> failwith "NAME: the query selected no object"
-      | _ :: _ :: _ -> failwith "NAME: the query selected more than one object"
-    end
-  | Ast.Drop_name name ->
-      ignore (Catalog.drop_name t.cat name);
-      Name_dropped name
-
-(* Statement-granularity two-phase locking: a SELECT shares the extents
-   it ranges over, DML takes them exclusively; everything is released
-   when the statement finishes. Single-session use never conflicts with
-   itself — conflicts surface against administrative locks (or the
-   Function Manager's shared-object rebuilds, which use the same lock
-   manager). *)
+(* Statement-granularity two-phase locking: a read shares the extents
+   it ranges over, DML takes them exclusively. Single-session use never
+   conflicts with itself — conflicts surface against other sessions'
+   transactions, administrative locks or the Function Manager's
+   shared-object rebuilds, which use the same lock manager. *)
 let statement_locks t stmt =
   let deep cls = cls :: Catalog.descendants t.cat cls in
   match stmt with
-  | Ast.Select q | Ast.Name_object { nm_query = q; _ } ->
+  | Ast.Select q | Ast.Explain { ex_query = q; _ } | Ast.Name_object { nm_query = q; _ } ->
       List.concat_map
         (fun (item : Ast.from_item) ->
           if item.Ast.named then []
@@ -425,79 +396,97 @@ let statement_locks t stmt =
   | Ast.Alter_class_layout { al_class; _ } ->
       List.map (fun c -> (c, Lock.Exclusive)) (deep al_class)
   | Ast.Create_class _ | Ast.Create_index _ | Ast.Define_method _ | Ast.Drop_method _
-  | Ast.Drop_name _ ->
+  | Ast.Drop_name _ | Ast.Set _ ->
       []
 
-(* MVCC read path: capture the commit clock, run the statement under
-   the ambient view (every extent access resolves through version
-   visibility), then release the snapshot so GC can advance. Zero
-   lock-manager traffic. *)
 let versions t = Store.versions t.st
 
 let set_snapshot_reads t on = t.snapshot_reads <- on
 
 let snapshot_reads_enabled t = t.snapshot_reads
 
-let with_snapshot t ?txn run =
-  let vs = versions t in
-  let view = Version_store.open_snapshot vs ?txn () in
-  Fun.protect
-    ~finally:(fun () ->
-      Version_store.close_snapshot vs view;
-      Version_store.drain_removals vs)
-    (fun () ->
-      Version_store.note_read vs;
-      Version_store.with_view vs view run)
+let context_txn = function Statement -> None | Session s -> Some s.stxn_id
 
-let with_statement_locks t stmt run =
-  let locks = Store.locks t.st in
-  let wanted = statement_locks t stmt in
-  if wanted = [] then run ()
+(* The one place extent locks are taken. A [Statement] takes a lock
+   transaction of its own and releases it when the statement ends,
+   however it ends. A [Session] grows the session's lock transaction,
+   held until commit/abort (strict 2PL); a conflict leaves the locks
+   granted so far in place — incremental acquisition is what makes a
+   cross-session deadlock detectable. [Txn_busy]: retry the statement;
+   [Txn_deadlock]: this transaction is the victim. *)
+let with_locks t ctx wanted run =
+  if wanted = [] then Ok (run ())
   else begin
-    let txn = Lock.begin_txn locks in
-    let release () = Lock.release_all locks txn in
-    let granted =
-      List.for_all
-        (fun (cls, mode) ->
-          match Lock.acquire locks txn ("extent:" ^ cls) mode with
-          | Lock.Granted -> true
-          | Lock.Would_block | Lock.Deadlock -> false)
-        wanted
+    let locks = Store.locks t.st in
+    let owner, release =
+      match ctx with
+      | Session s -> (s.stxn_lock, ignore)
+      | Statement ->
+          let txn = Lock.begin_txn locks in
+          (txn, fun () -> Lock.release_all locks txn)
     in
-    if not granted then begin
-      release ();
-      failwith "extent is locked by another transaction"
-    end;
-    match run () with
-    | result ->
-        release ();
-        result
-    | exception e ->
-        release ();
-        raise e
+    let rec acquire = function
+      | [] -> Ok (run ())
+      | (cls, mode) :: rest -> (
+          match Lock.acquire locks owner ("extent:" ^ cls) mode with
+          | Lock.Granted -> acquire rest
+          | Lock.Would_block -> Error Txn_busy
+          | Lock.Deadlock -> Error Txn_deadlock)
+    in
+    Fun.protect ~finally:release (fun () -> acquire wanted)
   end
+
+(* How a read sees the data; the first that applies wins:
+   - the session's BEGIN snapshot: repeatable for the transaction's
+     lifetime, plus its own pending writes, and never [Txn_busy];
+   - a snapshot of its own when MVCC reads are on: it captures the
+     commit clock, resolves every extent access through version
+     visibility, and is closed afterwards so GC can advance;
+   - shared statement locks (the pre-MVCC baseline). *)
+let read t ctx stmt run =
+  let vs = versions t in
+  match ctx with
+  | Session { stxn_view = Some view; _ } ->
+      Version_store.note_read vs;
+      Ok (Version_store.with_view vs view run)
+  | (Statement | Session _) when t.snapshot_reads ->
+      let view = Version_store.open_snapshot vs ?txn:(context_txn ctx) () in
+      Fun.protect
+        ~finally:(fun () ->
+          Version_store.close_snapshot vs view;
+          Version_store.drain_removals vs)
+        (fun () ->
+          Version_store.note_read vs;
+          Ok (Version_store.with_view vs view run))
+  | Statement | Session _ -> with_locks t ctx (statement_locks t stmt) run
+
+(* What a statement may touch, and how. Plain EXPLAIN and SET read no
+   data. Everything else writes: on a replica (or a fenced ex-primary)
+   it is refused with the primary's address — a retryable routing
+   outcome, nothing executed or locked. [NAME ... AS SELECT] reads to
+   find its object but writes the name table, so it counts as a write. *)
+let access t ctx stmt run =
+  match stmt with
+  | Ast.Select _ | Ast.Explain { ex_analyze = true; _ } -> read t ctx stmt run
+  | Ast.Explain { ex_analyze = false; _ } | Ast.Set _ -> Ok (run ())
+  | Ast.Create_class _ | Ast.Alter_class_layout _ | Ast.Create_index _
+  | Ast.New_object _ | Ast.Update _ | Ast.Delete _ | Ast.Define_method _
+  | Ast.Drop_method _ | Ast.Name_object _ | Ast.Drop_name _ -> (
+      match t.role with
+      | Replica addr | Fenced addr -> Error (Txn_redirect addr)
+      | Primary -> with_locks t ctx (statement_locks t stmt) run)
 
 (* ------------------------------------------------------------------ *)
 (* The compile-once hot path                                           *)
 
-(* Typecheck + optimize + closure-compile one SELECT: everything a
-   repeated execution can skip. *)
+(* Optimize + closure-compile one checked SELECT: everything a repeated
+   execution can skip. *)
 let build_plan t q =
-  Typecheck.check_statement ~catalog:t.cat (Ast.Select q);
   let optimized = Optimizer.optimize (optimizer_env t) q in
   { cp_query = q;
     cp_optimized = optimized;
     cp_prepared = Executor.prepare optimized.Optimizer.plan
   }
-
-(* Standalone SELECTs: a snapshot when MVCC reads are on, shared
-   statement locks in baseline mode. *)
-let with_read_path t stmt run =
-  if t.snapshot_reads then with_snapshot t run else with_statement_locks t stmt run
-
-let run_cached t entry =
-  with_read_path t (Ast.Select entry.cp_query) (fun () ->
-      Rows (Executor.run_prepared (executor_env t) entry.cp_prepared))
 
 (* Only SELECT texts are worth a cache probe; everything else would
    just pollute the miss counters (and DDL must not be cached anyway).
@@ -530,14 +519,7 @@ let error_of_exn = function
   | Failure m -> Some m
   | _ -> None
 
-let protect f =
-  match f () with
-  | result -> Ok result
-  | exception e -> (
-      match error_of_exn e with Some m -> Error m | None -> raise e)
-
-let explain t source =
-  let optimized = optimize t source in
+let render_plan optimized =
   let buf = Buffer.create 512 in
   Buffer.add_string buf (Plan.render ~label_joins:true optimized.Optimizer.plan);
   Buffer.add_string buf "\n\nImmSelInfo:\n";
@@ -561,16 +543,18 @@ let explain t source =
        optimized.Optimizer.trace.Optimizer.t_est_cost);
   Buffer.contents buf
 
+let explain t source = render_plan (optimize t source)
+
 (* ------------------------------------------------------------------ *)
 (* EXPLAIN ANALYZE                                                      *)
 
-(* Plan with per-node cardinality estimates, execute traced, and pair
-   the optimizer output with the per-operator reports and run totals.
-   Deliberately outside the plan cache: a traced plan carries skeleton
-   estimates computed against the statistics of the moment, which is
-   the point of the exercise. Callers hold the statement locks. *)
+(* Plan a checked SELECT with per-node cardinality estimates, execute
+   it traced, and pair the optimizer output with the per-operator
+   reports and run totals. Deliberately outside the plan cache: a
+   traced plan carries skeleton estimates computed against the
+   statistics of the moment, which is the point of the exercise.
+   Callers arrange the read ([read]). *)
 let analyzed_core t q =
-  Typecheck.check_statement ~catalog:t.cat (Ast.Select q);
   let env = optimizer_env t in
   let optimized = Optimizer.optimize env q in
   let prepared =
@@ -606,86 +590,46 @@ let render_analyzed (optimized, result, reports, wall, io, (batches, vrows)) =
     (Executor.render_reports reports)
     rows (wall *. 1000.) io optimized.Optimizer.trace.Optimizer.t_est_cost vec
 
-let analyze_query t source =
-  let q = Parser.parse_query source in
-  with_statement_locks t (Ast.Select q) (fun () ->
-      let _, result, reports, _, _, _ = analyzed_core t q in
-      (result, reports))
-
-let explain_analyze t source =
-  let q = Parser.parse_query source in
-  with_statement_locks t (Ast.Select q) (fun () -> render_analyzed (analyzed_core t q))
-
 (* ------------------------------------------------------------------ *)
 (* Statement entry points                                               *)
 
-(* [EXPLAIN] / [EXPLAIN ANALYZE] prefix of a normalized statement;
-   returns the statement text behind the keyword. *)
-let strip_keyword_ci kw s =
-  let lk = String.length kw in
-  if
-    String.length s > lk
-    && String.uppercase_ascii (String.sub s 0 lk) = kw
-    && s.[lk] = ' '
-  then Some (String.sub s (lk + 1) (String.length s - lk - 1))
-  else None
-
-(* [SET JOIN_FORCE <method|DEFAULT>] / [SET JOIN_MEM <bytes>]: the
-   value-join knobs the differential oracle and the smoke tests drive.
-   Both invalidate cached plans (the choice is part of planning) by
-   bumping the statistics epoch. Returns the acknowledgment text, or
-   [None] when the statement is not a knob. *)
-let set_knob t key =
-  let clean s =
-    let s = match String.index_opt s ';' with Some i -> String.sub s 0 i | None -> s in
-    String.trim s
+(* [SET JOIN_FORCE <method|DEFAULT>], [SET SCAN_FORCE <ROW|VECTOR|DEFAULT>]
+   and [SET JOIN_MEM <bytes>]: the planner knobs the differential
+   oracles and the smoke tests drive. Each invalidates cached plans
+   (the choice is part of planning) by bumping the statistics epoch.
+   Returns the acknowledgment text. *)
+let apply_setting t name value =
+  let default = String.uppercase_ascii value = "DEFAULT" in
+  let ack =
+    match String.uppercase_ascii name with
+    | "JOIN_FORCE" when default ->
+        Join_cost.forced_method := None;
+        "JOIN_FORCE=DEFAULT"
+    | "JOIN_FORCE" -> (
+        match Join_cost.method_of_string value with
+        | Some m ->
+            Join_cost.forced_method := Some m;
+            Format.asprintf "JOIN_FORCE=%a" Join_cost.pp_method m
+        | None -> failwith ("unknown join method: " ^ value))
+    | "SCAN_FORCE" when default ->
+        Scan_cost.forced := None;
+        "SCAN_FORCE=DEFAULT"
+    | "SCAN_FORCE" -> (
+        match Scan_cost.choice_of_string value with
+        | Some c ->
+            Scan_cost.forced := Some c;
+            Format.asprintf "SCAN_FORCE=%a" Scan_cost.pp_choice c
+        | None -> failwith ("unknown scan choice: " ^ value))
+    | "JOIN_MEM" -> (
+        match int_of_string_opt value with
+        | Some bytes when bytes > 0 ->
+            Join_cost.join_mem_bytes := bytes;
+            Printf.sprintf "JOIN_MEM=%d" bytes
+        | Some _ | None -> failwith ("JOIN_MEM expects a positive byte count, got: " ^ value))
+    | _ -> failwith ("unknown setting: " ^ name)
   in
-  match strip_keyword_ci "SET" key with
-  | None -> None
-  | Some rest -> (
-      match strip_keyword_ci "JOIN_FORCE" rest with
-      | Some m -> (
-          let m = clean m in
-          if String.uppercase_ascii m = "DEFAULT" then begin
-            Join_cost.forced_method := None;
-            t.stats_epoch <- t.stats_epoch + 1;
-            Some "JOIN_FORCE=DEFAULT"
-          end
-          else
-            match Join_cost.method_of_string m with
-            | Some mc ->
-                Join_cost.forced_method := Some mc;
-                t.stats_epoch <- t.stats_epoch + 1;
-                Some (Format.asprintf "JOIN_FORCE=%a" Join_cost.pp_method mc)
-            | None -> failwith ("unknown join method: " ^ m))
-      | None -> (
-          match strip_keyword_ci "SCAN_FORCE" rest with
-          | Some m -> (
-              let m = clean m in
-              if String.uppercase_ascii m = "DEFAULT" then begin
-                Scan_cost.forced := None;
-                t.stats_epoch <- t.stats_epoch + 1;
-                Some "SCAN_FORCE=DEFAULT"
-              end
-              else
-                match Scan_cost.choice_of_string m with
-                | Some c ->
-                    Scan_cost.forced := Some c;
-                    t.stats_epoch <- t.stats_epoch + 1;
-                    Some (Format.asprintf "SCAN_FORCE=%a" Scan_cost.pp_choice c)
-                | None -> failwith ("unknown scan choice: " ^ m))
-          | None -> (
-              match strip_keyword_ci "JOIN_MEM" rest with
-              | None -> None
-              | Some n -> (
-                  match int_of_string_opt (clean n) with
-                  | Some bytes when bytes > 0 ->
-                      Join_cost.join_mem_bytes := bytes;
-                      t.stats_epoch <- t.stats_epoch + 1;
-                      Some (Printf.sprintf "JOIN_MEM=%d" bytes)
-                  | Some _ | None ->
-                      failwith
-                        ("JOIN_MEM expects a positive byte count, got: " ^ clean n)))))
+  t.stats_epoch <- t.stats_epoch + 1;
+  ack
 
 let rec take n = function
   | [] -> []
@@ -704,7 +648,7 @@ let timed_slow t ~key f =
       let wall = Unix.gettimeofday () -. t0 in
       Metrics.observe t.counters.h_latency wall;
       (match result with
-      | Rows r when wall >= threshold ->
+      | Ok (Rows r) when wall >= threshold ->
           let entry =
             { sq_key = key;
               sq_epoch = plan_epoch t;
@@ -740,59 +684,133 @@ let notify_ddl t source r =
   if is_ddl_result r then
     match t.on_ddl with Some hook -> hook source | None -> ()
 
-let exec ?(cache = true) t source =
+(* Runs one checked statement under the access [access] arranged; DML
+   inside a session is WAL-logged under its transaction id. [hit] is
+   the plan-cache entry a SELECT was found under; a missed SELECT is
+   planned here and, when [cache], kept for the next run. *)
+let execute t ctx ~cache ~key stmt hit =
+  let txn = context_txn ctx in
+  match stmt with
+  | Ast.Select q ->
+      let entry =
+        match hit with
+        | Some entry -> entry
+        | None ->
+            let entry = build_plan t q in
+            if cache then Plan_cache.add t.plans ~epoch:(plan_epoch t) key entry;
+            entry
+      in
+      Rows (Executor.run_prepared (executor_env t) entry.cp_prepared)
+  | Ast.Explain { ex_analyze = true; ex_query } ->
+      Explained (render_analyzed (analyzed_core t ex_query))
+  | Ast.Explain { ex_analyze = false; ex_query } ->
+      Explained (render_plan (Optimizer.optimize (optimizer_env t) ex_query))
+  | Ast.Set { set_name; set_value } -> Explained (apply_setting t set_name set_value)
+  | Ast.Create_class { cc_name; cc_supers; cc_attrs; cc_methods; cc_layout } ->
+      exec_create_class t ~cc_name ~cc_supers ~cc_attrs ~cc_methods ~cc_layout
+  | Ast.Alter_class_layout { al_class; al_layout } ->
+      let layout = catalog_layout al_layout in
+      Catalog.set_layout t.cat al_class layout;
+      Layout_altered (al_class, layout_name layout)
+  | Ast.Create_index { ci_class; ci_attr; ci_kind } ->
+      ignore
+        (Catalog.create_index t.cat ~class_name:ci_class ~attr:ci_attr ~kind:ci_kind ());
+      Index_created (ci_class, ci_attr)
+  | Ast.New_object { no_class; no_values } -> exec_new t ?txn ~no_class ~no_values ()
+  | Ast.Update { up_class; up_var; up_set; up_where } ->
+      exec_update t ?txn ~up_class ~up_var ~up_set ~up_where ()
+  | Ast.Delete { de_class; de_var; de_where } -> exec_delete t ?txn ~de_class ~de_var ~de_where ()
+  | Ast.Define_method { dm_class; dm_decl; dm_body } ->
+      Fm.define t.funcs ~class_name:dm_class ~signature:(method_signature dm_decl)
+        (Fm.Moodc dm_body);
+      Method_defined (dm_class, dm_decl.Ast.m_name)
+  | Ast.Drop_method { xm_class; xm_name } ->
+      Fm.drop t.funcs ~class_name:xm_class ~function_name:xm_name;
+      Method_dropped (xm_class, xm_name)
+  | Ast.Name_object { nm_name; nm_query } -> begin
+      let optimized = Optimizer.optimize (optimizer_env t) nm_query in
+      let result = Executor.run (executor_env t) optimized.Optimizer.plan in
+      match Executor.result_oids result with
+      | [ oid ] ->
+          Catalog.name_object t.cat ~name:nm_name oid;
+          Object_named (nm_name, oid)
+      | [] -> failwith "NAME: the query selected no object"
+      | _ :: _ :: _ -> failwith "NAME: the query selected more than one object"
+    end
+  | Ast.Drop_name name ->
+      ignore (Catalog.drop_name t.cat name);
+      Name_dropped name
+
+(* The one statement pipeline behind [exec] and [exec_in_txn]; the
+   context decides who owns the locks, which snapshot a read uses and
+   whether DML carries a transaction id. SELECT text probes the plan
+   cache before the parser, so a hit skips parse, typecheck and
+   optimize; anything else is parsed and checked, then dispatched once
+   on the statement. *)
+let run_statement t ctx ~cache source =
   purge_stale_plans t;
+  let key = Plan_cache.normalize source in
+  let cache = cache && looks_like_select key in
   let result =
-    protect (fun () ->
-        let key = Plan_cache.normalize source in
-        match set_knob t key with
-        | Some ack -> Explained ack
-        | None ->
-        match strip_keyword_ci "EXPLAIN" key with
-        | Some rest -> begin
-            match strip_keyword_ci "ANALYZE" rest with
-            | Some body -> Explained (explain_analyze t body)
-            | None -> Explained (explain t rest)
-          end
-        | None ->
-            let cache = cache && looks_like_select key in
-            timed_slow t ~key (fun () ->
-                let hit =
-                  if cache then Plan_cache.find t.plans ~epoch:(plan_epoch t) key
-                  else None
-                in
-                match hit with
-                | Some entry -> run_cached t entry
-                | None -> begin
-                    let stmt = Parser.parse source in
-                    match stmt with
-                    | Ast.Select q when cache ->
-                        let entry = build_plan t q in
-                        Plan_cache.add t.plans ~epoch:(plan_epoch t) key entry;
-                        run_cached t entry
-                    | Ast.Select _ ->
-                        with_read_path t stmt (fun () -> exec_statement t stmt)
-                    | _ ->
-                        (match t.role with
-                        | Primary -> ()
-                        | Replica addr | Fenced addr ->
-                            failwith
-                              ("NOT_PRIMARY: this node is read-only; retry at " ^ addr));
-                        with_statement_locks t stmt (fun () -> exec_statement t stmt)
-                  end))
+    timed_slow t ~key (fun () ->
+        match
+          let hit =
+            if cache then Plan_cache.find t.plans ~epoch:(plan_epoch t) key else None
+          in
+          let stmt =
+            match hit with
+            | Some entry -> Ast.Select entry.cp_query
+            | None ->
+                let stmt = Parser.parse source in
+                Typecheck.check_statement ~catalog:t.cat stmt;
+                stmt
+          in
+          access t ctx stmt (fun () -> execute t ctx ~cache ~key stmt hit)
+        with
+        | result -> result
+        | exception e -> (
+            match error_of_exn e with Some m -> Error (Txn_fail m) | None -> raise e))
   in
   (match result with
   | Ok r ->
       count_ok t r;
       notify_ddl t source r
-  | Error _ -> Metrics.incr t.counters.c_error);
+  | Error (Txn_fail _) -> Metrics.incr t.counters.c_error
+  | Error (Txn_busy | Txn_deadlock | Txn_redirect _) ->
+      (* Lock conflicts are retried and redirects are routing, not
+         failures: they show up as [locks.waits]/[locks.deadlocks] and
+         the server's redirect count, not as statement errors. *)
+      ());
   result
+
+let statement_error = function
+  | Txn_fail m -> m
+  | Txn_busy | Txn_deadlock -> "extent is locked by another transaction"
+  | Txn_redirect addr -> "NOT_PRIMARY: this node is read-only; retry at " ^ addr
+
+let exec ?(cache = true) t source =
+  Result.map_error statement_error (run_statement t Statement ~cache source)
 
 let query ?cache t source =
   match exec ?cache t source with
   | Ok (Rows r) -> r
   | Ok _ -> failwith "query: not a SELECT statement"
   | Error m -> failwith m
+
+(* EXPLAIN ANALYZE's programmatic faces read the way [exec] reads the
+   statement form. *)
+let analyzed t source =
+  let q = Parser.parse_query source in
+  Typecheck.check_statement ~catalog:t.cat (Ast.Select q);
+  match read t Statement (Ast.Select q) (fun () -> analyzed_core t q) with
+  | Ok analyzed -> analyzed
+  | Error e -> failwith (statement_error e)
+
+let analyze_query t source =
+  let _, result, reports, _, _, _ = analyzed t source in
+  (result, reports)
+
+let explain_analyze t source = render_analyzed (analyzed t source)
 
 let insert t ?txn ~class_name value = Catalog.insert_object t.cat ?txn ~class_name value
 
@@ -1006,26 +1024,8 @@ let compensate t txn =
 (* ------------------------------------------------------------------ *)
 (* Session transactions: the server's BEGIN/COMMIT/ABORT surface.
    (The [session_txn] type itself is declared above [t] so the db can
-   carry the 2PC prepared-transaction registry.) *)
-
-type txn_error =
-  | Txn_busy
-  | Txn_deadlock
-  | Txn_fail of string
-  | Txn_redirect of string
-
-(* Read-only routing: on a replica (or a fenced ex-primary) everything
-   that mutates data or schema is refused with the primary's address —
-   a retryable routing outcome, not a statement error. [NAME ... AS
-   SELECT] reads to find its object but writes the name table, so it
-   counts as a write. *)
-let check_writable t stmt =
-  match stmt with
-  | Ast.Select _ -> Ok ()
-  | _ -> (
-      match t.role with
-      | Primary -> Ok ()
-      | Replica addr | Fenced addr -> Error (Txn_redirect addr))
+   carry the 2PC prepared-transaction registry, and the statement
+   pipeline above runs statements in its context.) *)
 
 let begin_session_txn t =
   let txn = t.next_txn in
@@ -1142,129 +1142,11 @@ let decide_txn t ~gid ~commit =
 
 let indoubt_txns t = List.map (fun (gid, s) -> (gid, s.stxn_id)) t.prepared
 
-(* Strict 2PL growth: statement locks go to the session's lock
-   transaction and stay held until commit/abort. A conflict leaves the
-   locks granted so far in place (incremental acquisition — that is
-   what makes a cross-session deadlock detectable) and reports
-   [Txn_busy]; the caller retries the statement without rolling back.
-   A waits-for cycle makes this transaction the victim: [Txn_deadlock],
-   and the caller must [abort_session_txn]. *)
-let acquire_txn_locks t s stmt =
-  let locks = Store.locks t.st in
-  let rec go = function
-    | [] -> Ok ()
-    | (cls, mode) :: rest -> (
-        match Lock.acquire locks s.stxn_lock ("extent:" ^ cls) mode with
-        | Lock.Granted -> go rest
-        | Lock.Would_block -> Error Txn_busy
-        | Lock.Deadlock -> Error Txn_deadlock)
-  in
-  go (statement_locks t stmt)
-
-let exec_in_txn ?(cache = true) t s source =
+let exec_in_txn t s source =
   if not s.stxn_open then Error (Txn_fail "transaction is not open")
   else if s.stxn_prepared <> None then
     Error (Txn_fail "transaction is prepared: awaiting coordinator decision")
-  else begin
-    purge_stale_plans t;
-    let protect_txn f =
-      match protect f with Ok r -> Ok r | Error m -> Error (Txn_fail m)
-    in
-    let key = Plan_cache.normalize source in
-    let result =
-      match protect (fun () -> set_knob t key) with
-      | Error m -> Error (Txn_fail m)
-      | Ok (Some ack) -> Ok (Explained ack)
-      | Ok None ->
-      match strip_keyword_ci "EXPLAIN" key with
-      | Some rest -> begin
-          match strip_keyword_ci "ANALYZE" rest with
-          | None ->
-              (* Planning only — touches no extents, needs no locks. *)
-              protect_txn (fun () -> Explained (explain t rest))
-          | Some body -> (
-              match protect (fun () -> Parser.parse_query body) with
-              | Error m -> Error (Txn_fail m)
-              | Ok q -> (
-                  (* Executes like the underlying SELECT, so it locks
-                     like one — through the session's lock transaction,
-                     not a fresh statement txn, or it would conflict
-                     with this transaction's own exclusive locks. *)
-                  match acquire_txn_locks t s (Ast.Select q) with
-                  | Error _ as e -> e
-                  | Ok () ->
-                      protect_txn (fun () ->
-                          Explained (render_analyzed (analyzed_core t q)))))
-        end
-      | None -> (
-          let cache = cache && looks_like_select key in
-          let hit =
-            if cache then Plan_cache.find t.plans ~epoch:(plan_epoch t) key else None
-          in
-          (* In-transaction SELECTs read the BEGIN snapshot when one was
-             captured: no lock acquisition, so a read can never return
-             [Txn_busy] (reads bypass the server's parking entirely) and
-             results are repeatable for the transaction's lifetime. *)
-          let run_select run =
-            match s.stxn_view with
-            | Some view ->
-                let vs = versions t in
-                Version_store.note_read vs;
-                protect_txn (fun () -> Version_store.with_view vs view run)
-            | None -> protect_txn run
-          in
-          match hit with
-          | Some entry -> (
-              match
-                if s.stxn_view <> None then Ok ()
-                else acquire_txn_locks t s (Ast.Select entry.cp_query)
-              with
-              | Error _ as e -> e
-              | Ok () ->
-                  run_select (fun () ->
-                      timed_slow t ~key (fun () ->
-                          Rows (Executor.run_prepared (executor_env t) entry.cp_prepared))))
-          | None -> (
-              match protect (fun () -> Parser.parse source) with
-              | Error m -> Error (Txn_fail m)
-              | Ok stmt -> (
-                  let snapshot_select =
-                    match stmt with Ast.Select _ -> s.stxn_view <> None | _ -> false
-                  in
-                  match
-                    match check_writable t stmt with
-                    | Error _ as e -> e
-                    | Ok () ->
-                        if snapshot_select then Ok () else acquire_txn_locks t s stmt
-                  with
-                  | Error _ as e -> e
-                  | Ok () -> (
-                      match stmt with
-                      | Ast.Select q when cache ->
-                          run_select (fun () ->
-                              timed_slow t ~key (fun () ->
-                                  let entry = build_plan t q in
-                                  Plan_cache.add t.plans ~epoch:(plan_epoch t) key entry;
-                                  Rows (Executor.run_prepared (executor_env t) entry.cp_prepared)))
-                      | Ast.Select _ ->
-                          run_select (fun () -> exec_statement t ~txn:s.stxn_id stmt)
-                      | _ ->
-                          protect_txn (fun () -> exec_statement t ~txn:s.stxn_id stmt)))))
-    in
-    (match result with
-    | Ok r ->
-        count_ok t r;
-        notify_ddl t source r
-    | Error (Txn_fail _) -> Metrics.incr t.counters.c_error
-    | Error (Txn_busy | Txn_deadlock) ->
-        (* Lock conflicts are retried, not failed: they show up as
-           [locks.waits]/[locks.deadlocks], not statement errors. *)
-        ()
-    | Error (Txn_redirect _) ->
-        (* Routing, not failure: the client retries at the primary. *)
-        ());
-    result
-  end
+  else run_statement t (Session s) ~cache:true source
 
 let transaction t f =
   let s = begin_session_txn t in
@@ -1411,7 +1293,14 @@ let recover t =
   let files = class_files t in
   Hashtbl.iter
     (fun txn gid ->
-      let lock = Lock.begin_txn (Store.locks t.st) in
+      let s =
+        { stxn_id = txn;
+          stxn_lock = Lock.begin_txn (Store.locks t.st);
+          stxn_open = true;
+          stxn_view = None;
+          stxn_prepared = Some gid
+        }
+      in
       let undo = Wal.undo_records wal txn in
       let classes =
         List.sort_uniq compare
@@ -1426,11 +1315,8 @@ let recover t =
                | _ -> None)
              undo)
       in
-      List.iter
-        (fun cls ->
-          ignore
-            (Lock.acquire (Store.locks t.st) lock ("extent:" ^ cls) Lock.Exclusive))
-        classes;
+      ignore
+        (with_locks t (Session s) (List.map (fun cls -> (cls, Lock.Exclusive)) classes) ignore);
       (* Re-chain the MVCC pre-images: the redo pass ran without
          version tracking, so the in-doubt after-images sit in the
          heap with no chain — a snapshot SELECT would read data whose
@@ -1456,14 +1342,6 @@ let recover t =
               mint ~file ~slot (Some value)
           | _ -> ())
         (List.rev undo);
-      let s =
-        { stxn_id = txn;
-          stxn_lock = lock;
-          stxn_open = true;
-          stxn_view = None;
-          stxn_prepared = Some gid
-        }
-      in
       t.prepared <- (gid, s) :: t.prepared;
       t.active_txns <- txn :: t.active_txns;
       Metrics.incr t.counters.c_indoubt_recovered)

@@ -82,10 +82,20 @@ val gc_versions : t -> unit
     every [checkpoint] and opportunistically as versions accumulate). *)
 
 val exec : ?cache:bool -> t -> string -> (exec_result, string) result
-(** Parses, checks, optimizes and executes one MOODSQL statement.
-    Returns [Error message] for parse/type/schema/run-time errors
+(** Parses, checks, optimizes and executes one MOODSQL statement on its
+    own. Returns [Error message] for parse/type/schema/run-time errors
     (the kernel's Exception class behaviour: failures are reported, the
-    server survives).
+    server survives), for a lock conflict ("extent is locked by another
+    transaction") and, for a write on a replica, "NOT_PRIMARY: ...".
+    Only the first kind counts in [stmt.error].
+
+    [exec] and {!exec_in_txn} are two contexts of one statement
+    pipeline. Standalone, a statement takes extent locks on a lock
+    transaction of its own and releases them when it ends; a read uses
+    a snapshot of its own when snapshot reads are on, shared locks
+    otherwise. Writes are not WAL-logged. [SET name value] and
+    [EXPLAIN [ANALYZE] SELECT ...] are statements like any other;
+    EXPLAIN ANALYZE reads the way its SELECT reads.
 
     SELECT statements go through the {e compile-once hot path}: the
     parsed, typechecked, optimized and closure-compiled plan is cached
@@ -111,21 +121,25 @@ val plan_cache_stats : t -> Plan_cache.stats
 val explain : t -> string -> string
 (** The optimizer's output for a SELECT: the access plan (with the
     paper's T-labelled join temporaries) followed by the ImmSelInfo and
-    PathSelInfo dictionaries. [exec] reaches this via the
-    [EXPLAIN SELECT ...] statement form. *)
+    PathSelInfo dictionaries. The [EXPLAIN SELECT ...] statement
+    renders the same text once its query typechecks. *)
 
 val explain_analyze : t -> string -> string
 (** Plans the SELECT with per-node cardinality estimates
     ([Mood_optimizer.Card_est]), executes it with per-operator tracing,
     and renders the est-vs-actual operator tree (rows, loops, wall
     time, page-level I/O and buffer charges per node) followed by run
-    totals. [exec] reaches this via [EXPLAIN ANALYZE SELECT ...].
-    Always plans fresh — never served from the plan cache. *)
+    totals — the text [exec] returns for [EXPLAIN ANALYZE SELECT ...].
+    Reads the way a standalone SELECT reads (a snapshot of its own when
+    snapshot reads are on, shared locks otherwise). Always plans fresh —
+    never served from the plan cache. Raises [Failure] on a lock
+    conflict, [Parse_error]/[Type_error] on a bad query. *)
 
 val analyze_query :
   t -> string -> Mood_executor.Executor.result * Mood_executor.Executor.op_report list
-(** The structured form of [explain_analyze]: the query result plus the
-    raw per-operator reports, for programmatic assertions. *)
+(** The structured form of [explain_analyze], read the same way: the
+    query result plus the raw per-operator reports, for programmatic
+    assertions. *)
 
 val optimize : t -> string -> Mood_optimizer.Optimizer.optimized
 (** The raw optimizer result for a SELECT source text. *)
@@ -208,13 +222,17 @@ val session_txn_id : session_txn -> int
 
 val session_txn_open : session_txn -> bool
 
-val exec_in_txn : ?cache:bool -> t -> session_txn -> string -> (exec_result, txn_error) result
-(** [exec] within a session transaction: SELECTs share the compiled
+val exec_in_txn : t -> session_txn -> string -> (exec_result, txn_error) result
+(** {!exec}'s pipeline in the session context, once the transaction is
+    checked to be open and not prepared. SELECTs share the compiled
     plan cache (prepared-statement reuse across sessions and
     statements); DML is WAL-logged under the transaction's id so
     [abort_session_txn] compensates it. Statement locks are acquired on
     the session's lock transaction and {e not} released when the
-    statement finishes. *)
+    statement finishes. A read (SELECT or EXPLAIN ANALYZE) uses the
+    BEGIN snapshot when one was captured — no locks, never
+    [Txn_busy] — else a snapshot of its own when snapshot reads are on,
+    else shared locks. *)
 
 val commit_session_txn : t -> session_txn -> unit
 (** Appends [Commit], forces the log, and releases every lock. Raises

@@ -25,8 +25,8 @@ val optimize : Dicts.env -> Mood_sql.Ast.query -> optimized
 (** Raises [Mood_sql.Typecheck.Type_error] on ill-typed queries. *)
 
 val optimize_statement : Dicts.env -> Mood_sql.Ast.statement -> optimized option
-(** [Some] for SELECT statements, [None] for DDL/DML (executed without
-    planning). *)
+(** [Some] for SELECT and EXPLAIN statements, [None] for DDL/DML and
+    SET (executed without planning). *)
 
 val fresh_var_name : taken:string list -> string -> string
 (** Variable naming for generated binds: the first letter of the

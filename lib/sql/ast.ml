@@ -102,6 +102,11 @@ type statement =
       (** [NAME president AS SELECT ...]: names the query's single
           result object *)
   | Drop_name of string
+  | Set of { set_name : string; set_value : string }
+      (** [SET JOIN_FORCE HASH_JOIN]: a planner setting; the value is an
+          identifier or an integer, as written *)
+  | Explain of { ex_analyze : bool; ex_query : query }
+      (** [EXPLAIN [ANALYZE] SELECT ...] *)
 
 (* ------------------------------------------------------------------ *)
 (* Printers                                                            *)

@@ -710,6 +710,27 @@ let parse_name st =
   let nm_query = parse_query_toks st in
   Ast.Name_object { nm_name; nm_query }
 
+let parse_set st =
+  advance st (* SET *);
+  let set_name = ident st in
+  let set_value =
+    match peek st with
+    | Lexer.Ident v ->
+        advance st;
+        v
+    | Lexer.Int n ->
+        advance st;
+        string_of_int n
+    | _ -> parse_error "SET %s expects an identifier or an integer" set_name
+  in
+  Ast.Set { set_name; set_value }
+
+let parse_explain st =
+  advance st (* EXPLAIN *);
+  let ex_analyze = at_keyword st "ANALYZE" in
+  if ex_analyze then advance st;
+  Ast.Explain { ex_analyze; ex_query = parse_query_toks st }
+
 (* ------------------------------------------------------------------ *)
 (* Entry points                                                        *)
 
@@ -755,6 +776,8 @@ let parse source =
           | Some "NEW" -> parse_new st
           | Some "UPDATE" -> parse_update st
           | Some "DELETE" -> parse_delete st
+          | Some "SET" -> parse_set st
+          | Some "EXPLAIN" -> parse_explain st
           | Some other -> parse_error "unknown statement %s" other
           | None -> parse_error "empty statement"
         in
@@ -766,7 +789,7 @@ let parse_query source =
   | Ast.Select q -> q
   | Ast.Create_class _ | Ast.Create_index _ | Ast.New_object _ | Ast.Update _
   | Ast.Delete _ | Ast.Define_method _ | Ast.Drop_method _ | Ast.Name_object _
-  | Ast.Drop_name _ | Ast.Alter_class_layout _ ->
+  | Ast.Drop_name _ | Ast.Alter_class_layout _ | Ast.Set _ | Ast.Explain _ ->
       parse_error "expected a SELECT statement"
 
 let parse_predicate source =

@@ -12,6 +12,8 @@
     DELETE FROM Class [v] [WHERE p]
     DEFINE METHOD Class::name ( p Type, ... ) RetType { body }
     DROP METHOD Class::name
+    SET name value
+    EXPLAIN [ANALYZE] SELECT ...
     v}
     Clauses after FROM may appear in any order (the paper's grammar
     lists GROUP BY before WHERE; both readings parse). *)

@@ -197,7 +197,8 @@ let check_query ~catalog (q : Ast.query) =
 
 let check_statement ~catalog stmt =
   match stmt with
-  | Ast.Select q -> ignore (check_query ~catalog q)
+  | Ast.Select q | Ast.Explain { ex_query = q; _ } -> ignore (check_query ~catalog q)
+  | Ast.Set _ -> ()
   | Ast.Create_class { cc_name; cc_supers; _ } ->
       if Catalog.find_class catalog cc_name <> None then
         type_error "class %s already exists" cc_name;

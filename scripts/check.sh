@@ -37,6 +37,17 @@ echo "== perfbench selftest =="
 # of the counter repetition. They fork servers (about 30 s).
 dune build @perfbench/test/selftest
 
+echo "== oltp answer-oracle smoke =="
+# Keyed reads after UPDATEs inside session transactions, over the wire
+# (about 5 s): every reply is checked against the benchmark's own
+# oracle. A wrong or failed answer fails the gate.
+OLTP_RESULT="$(python3 perfbench/run.py --workload oltp --seed 7 --seconds 3 --trace 0 \
+  | tail -n 1)"
+echo "$OLTP_RESULT" | grep -q '"correct": true' \
+  || { echo "oltp smoke: wrong answers: $OLTP_RESULT"; exit 1; }
+echo "$OLTP_RESULT" | grep -q '"failed": 0,' \
+  || { echo "oltp smoke: failed operations: $OLTP_RESULT"; exit 1; }
+
 echo "== crash/recover harness =="
 # MOOD_SIM_QUOTA seeded workload/crash/recover/check cycles plus
 # MOOD_SIM_MVCC_QUOTA snapshot-visibility cycles and

@@ -615,6 +615,144 @@ let test_slow_query_log () =
   ignore (ok db "SELECT i FROM Item i");
   Alcotest.(check int) "disarmed logs nothing" 0 (List.length (Db.slow_queries db))
 
+(* ------------------------------------------------------------------ *)
+(* One statement pipeline: the standalone and session contexts          *)
+
+let txn_result db s src =
+  match Db.exec_in_txn db s src with
+  | Ok r -> r
+  | Error Db.Txn_busy -> Alcotest.failf "%S: BUSY" src
+  | Error Db.Txn_deadlock -> Alcotest.failf "%S: deadlock" src
+  | Error (Db.Txn_fail m) -> Alcotest.failf "%S: %s" src m
+  | Error (Db.Txn_redirect _) -> Alcotest.failf "%S: redirected" src
+
+let row_count = function
+  | Db.Rows r -> List.length r.Executor.rows
+  | _ -> Alcotest.fail "not a row result"
+
+let reports_rows n = function
+  | Db.Explained text -> contains text (Printf.sprintf "actual rows: %d," n)
+  | _ -> false
+
+(* A snapshot transaction's EXPLAIN ANALYZE reads its BEGIN view, as
+   its SELECT does: another session's later commit shows in neither. *)
+let test_explain_analyze_reads_begin_snapshot () =
+  let db = analyze_db () in
+  let q = "SELECT i FROM Item i" in
+  let reader = Db.begin_session_txn db in
+  let writer = Db.begin_session_txn db in
+  ignore (txn_result db writer "new Item <5>");
+  Db.commit_session_txn db writer;
+  Alcotest.(check int) "SELECT reads the BEGIN snapshot" 4 (row_count (txn_result db reader q));
+  Alcotest.(check bool) "EXPLAIN ANALYZE reads it too" true
+    (reports_rows 4 (txn_result db reader ("EXPLAIN ANALYZE " ^ q)));
+  Db.commit_session_txn db reader
+
+(* Another session's insert is uncommitted and holds the Item extent
+   exclusively. EXPLAIN ANALYZE reads like the SELECT — a snapshot —
+   standalone, inside a transaction and through the programmatic API,
+   instead of bouncing off the writer's lock. *)
+let test_explain_analyze_reads_past_writer () =
+  let db = analyze_db () in
+  let q = "SELECT i FROM Item i" in
+  let writer = Db.begin_session_txn db in
+  ignore (txn_result db writer "new Item <5>");
+  Alcotest.(check int) "standalone SELECT" 4 (row_count (ok db q));
+  (match Db.exec db ("EXPLAIN ANALYZE " ^ q) with
+  | Ok r -> Alcotest.(check bool) "standalone EXPLAIN ANALYZE" true (reports_rows 4 r)
+  | Error m -> Alcotest.failf "standalone EXPLAIN ANALYZE: %s" m);
+  Alcotest.(check int) "analyze_query" 4
+    (List.length (fst (Db.analyze_query db q)).Executor.rows);
+  let reader = Db.begin_session_txn db in
+  Alcotest.(check int) "SELECT in a transaction" 4 (row_count (txn_result db reader q));
+  Alcotest.(check bool) "EXPLAIN ANALYZE in a transaction" true
+    (reports_rows 4 (txn_result db reader ("EXPLAIN ANALYZE " ^ q)));
+  Db.commit_session_txn db reader;
+  Db.abort_session_txn db writer
+
+(* With the slow-query log armed, a statement is timed in either
+   context: DML inside a session transaction feeds stmt.latency_s. *)
+let test_slow_log_times_both_contexts () =
+  let db = analyze_db () in
+  Db.set_slow_query_threshold db (Some 0.);
+  let observed () = snap_value db "stmt.latency_s.count" in
+  let update = "UPDATE Item i SET n = i.n + 1" in
+  ignore (ok db update);
+  Alcotest.(check int) "standalone UPDATE timed" 1 (observed ());
+  let s = Db.begin_session_txn db in
+  ignore (txn_result db s update);
+  Db.commit_session_txn db s;
+  Alcotest.(check int) "in-transaction UPDATE timed" 2 (observed ())
+
+(* Words with a decimal point and a digit in EXPLAIN text are timings,
+   estimates and modeled costs; they are masked so plan shapes and row
+   counts compare. *)
+let mask_decimals text =
+  let is_digit c = c >= '0' && c <= '9' in
+  String.split_on_char ' ' text
+  |> List.map (fun w -> if String.contains w '.' && String.exists is_digit w then "#" else w)
+  |> String.concat " "
+
+let render = function
+  | Error m -> "error: " ^ m
+  | Ok (Db.Rows r) -> String.concat "; " (List.map Value.to_string (Executor.result_values r))
+  | Ok (Db.Explained text) -> mask_decimals text
+  | Ok (Db.Object_created oid) -> "oid " ^ Oid.to_string oid
+  | Ok (Db.Updated n) -> Printf.sprintf "updated %d" n
+  | Ok (Db.Deleted n) -> Printf.sprintf "deleted %d" n
+  | Ok (Db.Class_created c) -> "class " ^ c
+  | Ok _ -> Alcotest.fail "unexpected result kind"
+
+(* The same script through [exec] on one database and through
+   [exec_in_txn], one committed transaction per statement, on an
+   identical one: the same rendered results and the same statement and
+   plan-cache counters. The planner knobs are process-global, so the
+   runs go one after the other and the script ends on DEFAULT. *)
+let test_contexts_share_one_pipeline () =
+  let script =
+    [ "SELECT i.n FROM Item i WHERE i.n > 1";
+      "SELECT i.n FROM Item i WHERE i.n > 1";
+      "new Item <7>";
+      "UPDATE Item i SET n = i.n * 10 WHERE i.n = 7";
+      "DELETE FROM Item i WHERE i.n = 70";
+      "CREATE CLASS Extra TUPLE (x Integer)";
+      "SET SCAN_FORCE ROW";
+      "SET SCAN_FORCE DEFAULT";
+      "EXPLAIN SELECT i FROM Item i WHERE i.n > 2";
+      "EXPLAIN ANALYZE SELECT i FROM Item i WHERE i.n > 2";
+      "SELEKT i FROM Item i";
+      "SELECT z FROM Nope z"
+    ]
+  in
+  let counters db =
+    List.filter
+      (fun (name, _) ->
+        String.starts_with ~prefix:"stmt." name
+        || String.starts_with ~prefix:"plan_cache." name)
+      (Db.metrics_snapshot db)
+  in
+  let standalone = analyze_db () in
+  let alone = List.map (fun src -> render (Db.exec standalone src)) script in
+  let session = analyze_db () in
+  let in_txn =
+    List.map
+      (fun src ->
+        let s = Db.begin_session_txn session in
+        let r =
+          match Db.exec_in_txn session s src with
+          | Ok r -> Ok r
+          | Error (Db.Txn_fail m) -> Error m
+          | Error (Db.Txn_busy | Db.Txn_deadlock | Db.Txn_redirect _) ->
+              Alcotest.failf "%S: lock conflict or redirect" src
+        in
+        Db.commit_session_txn session s;
+        render r)
+      script
+  in
+  Alcotest.(check (list string)) "rendered results" alone in_txn;
+  Alcotest.(check (list (pair string int)))
+    "stmt.* and plan_cache.* counters" (counters standalone) (counters session)
+
 let suites =
   [ ( "core.db",
       [ Alcotest.test_case "DDL/DML roundtrip" `Quick test_ddl_dml_roundtrip;
@@ -647,5 +785,15 @@ let suites =
         Alcotest.test_case "EXPLAIN statement forms" `Quick test_explain_statement_forms;
         Alcotest.test_case "statement counters" `Quick test_statement_counters;
         Alcotest.test_case "slow-query log" `Quick test_slow_query_log
+      ] );
+    ( "core.pipeline",
+      [ Alcotest.test_case "EXPLAIN ANALYZE reads the BEGIN snapshot" `Quick
+          test_explain_analyze_reads_begin_snapshot;
+        Alcotest.test_case "EXPLAIN ANALYZE reads past a writer" `Quick
+          test_explain_analyze_reads_past_writer;
+        Alcotest.test_case "slow log times both contexts" `Quick
+          test_slow_log_times_both_contexts;
+        Alcotest.test_case "contexts share one pipeline" `Quick
+          test_contexts_share_one_pipeline
       ] )
   ]

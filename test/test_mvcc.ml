@@ -8,6 +8,9 @@ module Db = Mood.Db
 module Executor = Mood_executor.Executor
 module Value = Mood_model.Value
 module Prng = Mood_util.Prng
+module Catalog = Mood_catalog.Catalog
+module Btree = Mood_storage.Btree
+module Join_index = Mood_storage.Join_index
 
 let ok db src =
   match Db.exec db src with
@@ -364,8 +367,101 @@ let test_differential_oracle () =
     oracle_cycle ~seed
   done
 
+(* ------------------------------------------------------------------ *)
+(* Index postings across UPDATE: an unchanged key keeps exactly its one
+   posting, whatever deferral the removal of the old version took. *)
+
+let postings db ~class_name ~attr key =
+  match Catalog.find_index (Db.catalog db) ~class_name ~attr with
+  | Some (Catalog.Btree_index bt) -> List.length (Btree.search bt ~key:(Value.Int key))
+  | Some (Catalog.Hash_index _) | None -> Alcotest.failf "no B+-tree on %s.%s" class_name attr
+
+let indexed_accounts () =
+  let db = Db.create () in
+  ignore (ok db "CREATE CLASS Acct TUPLE (id Integer, bal Integer)");
+  ignore (ok db "CREATE BTREE INDEX ON Acct (id)");
+  for id = 1 to 20 do
+    ignore (ok db (Printf.sprintf "new Acct <%d, %d>" id (100 * id)))
+  done;
+  Db.analyze db;
+  db
+
+let keyed_read db = ints db "SELECT a.bal FROM Acct a WHERE a.id = 7"
+
+(* A session transaction updates a non-key attribute of a keyed row:
+   the indexed read must still find it. *)
+let test_update_keeps_unchanged_posting () =
+  let db = indexed_accounts () in
+  let w = Db.begin_session_txn db in
+  txn_exec db w "UPDATE Acct a SET bal = a.bal + 1 WHERE a.id = 7";
+  Db.commit_session_txn db w;
+  Alcotest.(check int) "one posting under id 7" 1 (postings db ~class_name:"Acct" ~attr:"id" 7);
+  Alcotest.(check (list int)) "indexed read finds the row" [ 701 ] (keyed_read db)
+
+(* The same UPDATE standalone while a snapshot is open defers the old
+   posting's removal to the snapshot's close. *)
+let test_standalone_update_under_snapshot () =
+  let db = indexed_accounts () in
+  let r = Db.begin_session_txn db in
+  ignore (ok db "UPDATE Acct a SET bal = a.bal + 1 WHERE a.id = 7");
+  Alcotest.(check (list int))
+    "the open snapshot reads the old balance" [ 700 ]
+    (txn_ints db r "SELECT a.bal FROM Acct a WHERE a.id = 7");
+  Db.commit_session_txn db r;
+  Alcotest.(check int) "one posting under id 7" 1 (postings db ~class_name:"Acct" ~attr:"id" 7);
+  Alcotest.(check (list int)) "indexed read finds the row" [ 701 ] (keyed_read db)
+
+(* A key that goes A -> B -> A inside one transaction: the second move
+   finds A's posting still in place (its removal is pending) and adds
+   no duplicate; at commit the removals keep what the heap still has. *)
+let test_key_round_trip_in_one_txn () =
+  let db = indexed_accounts () in
+  let w = Db.begin_session_txn db in
+  txn_exec db w "UPDATE Acct a SET id = 70 WHERE a.id = 7";
+  txn_exec db w "UPDATE Acct a SET id = 7 WHERE a.id = 70";
+  Db.commit_session_txn db w;
+  Alcotest.(check int) "one posting under id 7" 1 (postings db ~class_name:"Acct" ~attr:"id" 7);
+  Alcotest.(check int) "none under id 70" 0 (postings db ~class_name:"Acct" ~attr:"id" 70);
+  Alcotest.(check (list int)) "indexed read finds the row" [ 700 ] (keyed_read db)
+
+(* A join-index edge whose reference did not change survives an UPDATE
+   of another attribute. *)
+let test_join_edge_kept_when_reference_unchanged () =
+  let db = Db.create () in
+  ignore (ok db "CREATE CLASS Maker TUPLE (name String(8))");
+  ignore (ok db "CREATE CLASS Car TUPLE (maker REFERENCE (Maker), w Integer)");
+  let maker =
+    Db.insert db ~class_name:"Maker" (Value.Tuple [ ("name", Value.Str "BMW") ])
+  in
+  let car =
+    Db.insert db ~class_name:"Car"
+      (Value.Tuple [ ("maker", Value.Ref maker); ("w", Value.Int 1) ])
+  in
+  ignore (Catalog.create_join_index (Db.catalog db) ~class_name:"Car" ~attr:"maker");
+  let w = Db.begin_session_txn db in
+  txn_exec db w "UPDATE Car c SET w = 2";
+  Db.commit_session_txn db w;
+  let jx =
+    match Catalog.find_join_index (Db.catalog db) ~class_name:"Car" ~attr:"maker" with
+    | Some jx -> jx
+    | None -> Alcotest.fail "no join index on Car.maker"
+  in
+  Alcotest.(check int) "one edge from the car" 1
+    (List.length (Join_index.Binary.forward jx ~c:car));
+  Alcotest.(check int) "one edge into the maker" 1
+    (List.length (Join_index.Binary.backward jx ~d:maker))
+
 let suites =
-  [ ( "mvcc",
+  [ ( "mvcc.index_postings",
+      [ Alcotest.test_case "update keeps an unchanged posting" `Quick
+          test_update_keeps_unchanged_posting;
+        Alcotest.test_case "standalone update under a snapshot" `Quick
+          test_standalone_update_under_snapshot;
+        Alcotest.test_case "key round trip in one txn" `Quick test_key_round_trip_in_one_txn;
+        Alcotest.test_case "join edge kept when reference unchanged" `Quick
+          test_join_edge_kept_when_reference_unchanged
+      ] );
+    ( "mvcc",
       [ Alcotest.test_case "no dirty reads" `Quick test_no_dirty_reads;
         Alcotest.test_case "read own writes" `Quick test_read_own_writes;
         Alcotest.test_case "repeatable snapshot" `Quick test_repeatable_snapshot;

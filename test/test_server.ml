@@ -570,6 +570,24 @@ let test_plan_cache_shared () =
       let after = (Db.plan_cache_stats (Server.db server)).Mood.Plan_cache.hits in
       Alcotest.(check bool) "second session hits the cache" true (after > before))
 
+(* Autocommit EXPLAIN ANALYZE reads the way an autocommit SELECT does,
+   on a snapshot: a second session's uncommitted insert, holding the
+   extent lock, neither blocks it nor shows in its actuals. *)
+let test_explain_analyze_past_writer () =
+  with_server ~setup:seed_accounts (fun _server port ->
+      let writer = Client.connect ~port () in
+      let reader = Client.connect ~port () in
+      expect_ok "begin" (Client.begin_txn writer);
+      expect_ok "uncommitted insert" (Client.exec writer "NEW Acct <7>");
+      let lines =
+        expect_rows "EXPLAIN ANALYZE" (Client.exec reader "EXPLAIN ANALYZE SELECT a FROM Acct a")
+      in
+      Alcotest.(check bool) "only the committed account" true
+        (List.exists (fun l -> contains l "actual rows: 1,") lines);
+      expect_ok "abort" (Client.abort writer);
+      Client.quit writer;
+      Client.quit reader)
+
 let test_stats_surface () =
   with_server ~setup:seed_accounts (fun _server port ->
       let c = Client.connect ~port () in
@@ -1116,6 +1134,8 @@ let suites =
         Alcotest.test_case "shutdown aborts open txn" `Quick
           test_shutdown_aborts_open_txn;
         Alcotest.test_case "plan cache shared" `Quick test_plan_cache_shared;
+        Alcotest.test_case "EXPLAIN ANALYZE past a writer" `Quick
+          test_explain_analyze_past_writer;
         Alcotest.test_case "STATS surface" `Quick test_stats_surface;
         Alcotest.test_case "group commit A/B" `Quick test_group_commit_modes
       ] );
