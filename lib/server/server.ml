@@ -14,7 +14,6 @@ type config = {
   queue_capacity : int;
   max_frame : int;
   lock_timeout : float;
-  lock_retry_delay : float;
   replica_of : string option;
   poll_interval : float;
   commit_latency : float;
@@ -29,7 +28,6 @@ let default_config =
     queue_capacity = 64;
     max_frame = Wire.default_max_frame;
     lock_timeout = 10.0;
-    lock_retry_delay = 0.002;
     replica_of = None;
     commit_latency = 0.;
     poll_interval = 0.05;

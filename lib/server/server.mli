@@ -57,12 +57,6 @@ type config = {
   max_frame : int;           (** request-frame size limit *)
   lock_timeout : float;      (** seconds a statement may wait for locks
                                  before its transaction is aborted *)
-  lock_retry_delay : float;  (** legacy re-admission tick; retained for
-                                 configuration compatibility. Parked
-                                 lock-waiters are now re-admitted by
-                                 wake-on-unlock, and the only timed
-                                 wait left is the lock-timeout
-                                 deadline itself *)
   replica_of : string option;
       (** [Some endpoint] starts the node as a streaming read replica
           of the primary at [endpoint] (HOST:PORT or unix:PATH): a

@@ -34,31 +34,10 @@ module Db = Mood.Db
 module Executor = Mood_executor.Executor
 module Value = Mood_model.Value
 
-type report = {
-  gr_cycles : int;
-  gr_rounds : int;
-  gr_commits : int;
-  gr_acked : int;
-  gr_batches : int;
-  gr_crashes : int;
-  gr_violations : (int * string * string) list;
-}
-
-type outcome = {
-  oc_seed : int;
-  oc_crash_point : string;
-  oc_violations : string list;
-  oc_rounds : int;
-  oc_commits : int;
-  oc_acked : int;
-  oc_batches : int;
-  oc_crashes : int;
-}
-
 (* Enough classes for the widest batch: committer slot j writes Gc<j>. *)
 let slots = 4
 
-let run_cycle ~sabotage ~seed () =
+let cycle ~sabotage ~seed =
   let rng = Prng.create ~seed in
   let db = Db.create ~metrics_enabled:false () in
   for j = 0 to slots - 1 do
@@ -151,51 +130,16 @@ let run_cycle ~sabotage ~seed () =
   if sabotage then
     crash ~site:"end of cycle: crash after unforced ACKs"
   else check ~site:"end of cycle";
-  {
-    oc_seed = seed;
-    oc_crash_point = !last_crash;
-    oc_violations = List.rev !violations;
-    oc_rounds = rounds;
-    oc_commits = !commits;
-    oc_acked = !acks;
-    oc_batches = !batches;
-    oc_crashes = !crashes;
+  { Phase.seed;
+    site = !last_crash;
+    counts =
+      [ ("rounds", rounds);
+        ("commits", !commits);
+        ("ACKed", !acks);
+        ("shared forces", !batches);
+        ("crashes", !crashes)
+      ];
+    violations = List.rev !violations
   }
 
-let run ?(sabotage = false) ?(quota = 200) ~base_seed () =
-  let empty =
-    {
-      gr_cycles = 0;
-      gr_rounds = 0;
-      gr_commits = 0;
-      gr_acked = 0;
-      gr_batches = 0;
-      gr_crashes = 0;
-      gr_violations = [];
-    }
-  in
-  let add r o =
-    {
-      gr_cycles = r.gr_cycles + 1;
-      gr_rounds = r.gr_rounds + o.oc_rounds;
-      gr_commits = r.gr_commits + o.oc_commits;
-      gr_acked = r.gr_acked + o.oc_acked;
-      gr_batches = r.gr_batches + o.oc_batches;
-      gr_crashes = r.gr_crashes + o.oc_crashes;
-      gr_violations =
-        r.gr_violations
-        @ List.map (fun m -> (o.oc_seed, o.oc_crash_point, m)) o.oc_violations;
-    }
-  in
-  let report = ref empty in
-  for seed = base_seed to base_seed + quota - 1 do
-    report := add !report (run_cycle ~sabotage ~seed ())
-  done;
-  !report
-
-let pp_report ppf r =
-  Format.fprintf ppf
-    "%d cycles: %d rounds, %d commits (%d ACKed), %d shared forces, %d \
-     crashes,@ %d violations"
-    r.gr_cycles r.gr_rounds r.gr_commits r.gr_acked r.gr_batches r.gr_crashes
-    (List.length r.gr_violations)
+let phase = { Phase.name = "group-commit"; cycle; caught = Phase.violated }

@@ -20,29 +20,11 @@
     {b crashed, unacknowledged} batch must be absent (its Commit record
     died with the tail, so recovery undoes it as a loser). Surviving
     seeds keep committing after recovery, so one cycle exercises
-    several crashes against accumulated history.
+    several crashes against accumulated history. *)
 
-    Wired as [crash_sim] phase 6 ([MOOD_SIM_GC_QUOTA], default 200
-    seeds), with a sabotaged negative control that acknowledges batches
-    without forcing them — lost-ACK violations — which must be caught. *)
-
-type report = {
-  gr_cycles : int;
-  gr_rounds : int;        (** commit batches attempted *)
-  gr_commits : int;       (** transactions committed (nodurable half) *)
-  gr_acked : int;         (** commits acknowledged after a covering force *)
-  gr_batches : int;       (** shared forces that actually hit the device *)
-  gr_crashes : int;       (** crashes injected before the shared force *)
-  gr_violations : (int * string * string) list;
-      (** seed, crash site, message — everything needed to reproduce *)
-}
-
-val run : ?sabotage:bool -> ?quota:int -> base_seed:int -> unit -> report
-(** Runs [quota] cycles at seeds [base_seed..base_seed+quota-1]. With
-    [sabotage] the log-writer is rigged to acknowledge every batch
-    {e without} forcing it and the fuse is forced to blow at the end of
-    the cycle — acknowledged commits die with the unpersisted tail and
-    the oracle is expected to report lost-ACK violations, proving it
-    can catch an ACK that outruns durability. *)
-
-val pp_report : Format.formatter -> report -> unit
+val phase : Phase.t
+(** Counts rounds, commits, ACKed commits, shared forces that hit the
+    device and injected crashes. Sabotage rigs the log-writer to
+    acknowledge every batch {e without} forcing it and blows the fuse
+    at the end of the cycle — acknowledged commits die with the
+    unpersisted tail, lost-ACK violations the oracle must catch. *)

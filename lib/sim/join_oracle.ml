@@ -11,7 +11,7 @@
    sort-merge spill paths are exercised, not just their in-memory fast
    paths.
 
-   [sabotage] re-runs the battery with the sort-merge duplicate-key
+   [sabotage] runs the battery with the sort-merge duplicate-key
    rewind disabled ([Value_join.sabotage_skip_rewind]) — the oracle
    must catch the classic missing-rewind bug, proving it has teeth. *)
 
@@ -29,15 +29,6 @@ module Join_cost = Mood_cost.Join_cost
 module Ast = Mood_sql.Ast
 module Prng = Mood_util.Prng
 module Collection = Mood_algebra.Collection
-
-type report = {
-  jr_cycles : int;
-  jr_queries : int;      (** join queries diffed against the oracle *)
-  jr_checks : int;       (** (query, algorithm) comparisons *)
-  jr_oracle_rows : int;  (** total oracle result rows compared *)
-  jr_spilled : int;      (** partitions spilled across the run *)
-  jr_violations : (int * string) list;  (** seed, message *)
-}
 
 let basic b = Mtype.Basic b
 
@@ -139,14 +130,10 @@ let first_diff got want =
   in
   go got want
 
-type cycle_out = {
-  c_queries : int;
-  c_checks : int;
-  c_rows : int;
-  c_violations : (int * string) list;
-}
+let spilled () =
+  Option.value ~default:0 (List.assoc_opt "join.partitions_spilled" (Value_join.metrics ()))
 
-let run_cycle ~seed () =
+let run_cycle ~seed =
   let rng = Prng.create ~seed in
   let store = Store.create ~buffer_capacity:64 () in
   let catalog = Catalog.create ~store in
@@ -162,6 +149,7 @@ let run_cycle ~seed () =
   let scope = Fm.enter_scope funcs in
   let env = { Eval.catalog; funcs; scope } in
   let saved_mem = !Join_cost.join_mem_bytes in
+  let spilled0 = spilled () in
   let queries = ref 0 and checks = ref 0 and rows = ref 0 in
   let violations = ref [] in
   Fun.protect
@@ -187,61 +175,35 @@ let run_cycle ~seed () =
               let got = multiset (Executor.run env (plan m)) in
               if got <> oracle then
                 violations :=
-                  ( seed,
-                    Format.asprintf "%s via %a: %d rows, oracle %d (%s) [mem=%d]" name
-                      Join_cost.pp_method m (List.length got) (List.length oracle)
-                      (first_diff got oracle) !Join_cost.join_mem_bytes )
+                  Format.asprintf "%s via %a: %d rows, oracle %d (%s) [mem=%d]" name
+                    Join_cost.pp_method m (List.length got) (List.length oracle)
+                    (first_diff got oracle) !Join_cost.join_mem_bytes
                   :: !violations)
             algorithms;
           if Store.live_temp_files store <> 0 then
             violations :=
-              ( seed,
-                Printf.sprintf "%s leaked %d temp files" name (Store.live_temp_files store) )
+              Printf.sprintf "%s leaked %d temp files" name (Store.live_temp_files store)
               :: !violations)
         (variants rng));
-  { c_queries = !queries; c_checks = !checks; c_rows = !rows; c_violations = List.rev !violations }
+  { Phase.seed;
+    site = Printf.sprintf "JoinL=%d JoinR=%d rows" n_l n_r;
+    counts =
+      [ ("queries", !queries);
+        ("checks", !checks);
+        ("oracle rows", !rows);
+        ("partitions spilled", spilled () - spilled0)
+      ];
+    violations = List.rev !violations
+  }
 
-let run ?(sabotage = false) ?(quota = 200) ~base_seed () =
-  let spills0 =
-    match List.assoc_opt "join.partitions_spilled" (Value_join.metrics ()) with
-    | Some n -> n
-    | None -> 0
-  in
-  let saved_sabotage = !Value_join.sabotage_skip_rewind in
-  Value_join.sabotage_skip_rewind := sabotage;
-  Fun.protect
-    ~finally:(fun () -> Value_join.sabotage_skip_rewind := saved_sabotage)
-    (fun () ->
-      let acc =
-        ref
-          { jr_cycles = 0;
-            jr_queries = 0;
-            jr_checks = 0;
-            jr_oracle_rows = 0;
-            jr_spilled = 0;
-            jr_violations = []
-          }
-      in
-      for i = 0 to quota - 1 do
-        let c = run_cycle ~seed:(base_seed + i) () in
-        acc :=
-          { !acc with
-            jr_cycles = !acc.jr_cycles + 1;
-            jr_queries = !acc.jr_queries + c.c_queries;
-            jr_checks = !acc.jr_checks + c.c_checks;
-            jr_oracle_rows = !acc.jr_oracle_rows + c.c_rows;
-            jr_violations = !acc.jr_violations @ c.c_violations
-          }
-      done;
-      let spills1 =
-        match List.assoc_opt "join.partitions_spilled" (Value_join.metrics ()) with
-        | Some n -> n
-        | None -> 0
-      in
-      { !acc with jr_spilled = spills1 - spills0 })
-
-let pp_report ppf r =
-  Format.fprintf ppf
-    "cycles=%d queries=%d checks=%d oracle_rows=%d partitions_spilled=%d violations=%d"
-    r.jr_cycles r.jr_queries r.jr_checks r.jr_oracle_rows r.jr_spilled
-    (List.length r.jr_violations)
+let phase =
+  { Phase.name = "join";
+    cycle =
+      (fun ~sabotage ~seed ->
+        let saved = !Value_join.sabotage_skip_rewind in
+        Value_join.sabotage_skip_rewind := sabotage;
+        Fun.protect
+          ~finally:(fun () -> Value_join.sabotage_skip_rewind := saved)
+          (fun () -> run_cycle ~seed));
+    caught = Phase.violated
+  }

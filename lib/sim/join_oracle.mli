@@ -7,26 +7,11 @@
     — nested loop, hash, Grace hash, sort-merge, fusion, each forced by
     plan hint — and diff result multisets against the interpreted
     nested-loop join. About half the queries run under a tiny random
-    memory budget so the spill paths are part of the contract. Wired as
-    a [crash_sim] phase ([MOOD_SIM_JOIN_QUOTA], default 200 seeds) and
-    as a 5-seed fast test in [test_executor]. *)
+    memory budget so the spill paths are part of the contract. A
+    violation is any multiset mismatch or temp-file leak. *)
 
-type report = {
-  jr_cycles : int;
-  jr_queries : int;      (** join queries diffed against the oracle *)
-  jr_checks : int;       (** (query, algorithm) comparisons *)
-  jr_oracle_rows : int;  (** total oracle result rows compared *)
-  jr_spilled : int;      (** partitions spilled across the run *)
-  jr_violations : (int * string) list;
-      (** (seed, message): any multiset mismatch or temp-file leak —
-          reproduce with the printed seed *)
-}
-
-val run : ?sabotage:bool -> ?quota:int -> base_seed:int -> unit -> report
-(** Runs [quota] cycles at seeds [base_seed..base_seed+quota-1]. With
-    [sabotage] the sort-merge duplicate-key rewind is disabled for the
-    duration ([Value_join.sabotage_skip_rewind]) — the oracle is
-    expected to report violations, proving it can catch a real
-    multiplicity bug. *)
-
-val pp_report : Format.formatter -> report -> unit
+val phase : Phase.t
+(** Counts queries, (query, algorithm) checks, oracle rows and
+    partitions spilled. Sabotage disables the sort-merge duplicate-key
+    rewind for the cycle ([Value_join.sabotage_skip_rewind]), a real
+    multiplicity bug the oracle must catch. *)

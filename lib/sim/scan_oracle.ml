@@ -17,7 +17,7 @@
    the fused aggregation must reproduce the row engine's group order
    and representatives, not just its multiset.
 
-   [sabotage] re-runs the battery with null bitmaps zeroed at encode
+   [sabotage] runs the battery with null bitmaps zeroed at encode
    time ([Pax.sabotage_null_bitmap]): NULLs come back as 0 / "" from
    the columnar side only, which the oracle must catch. *)
 
@@ -32,16 +32,6 @@ module Collection = Mood_algebra.Collection
 module Scan_cost = Mood_cost.Scan_cost
 module Pax = Mood_column.Pax
 module Prng = Mood_util.Prng
-
-type report = {
-  sr_cycles : int;
-  sr_queries : int;
-  sr_checks : int;
-  sr_oracle_rows : int;
-  sr_grouped_checks : int;
-  sr_grouped_violations : int;
-  sr_violations : (int * string) list;
-}
 
 (* Skewed small domain: duplicates dominate, so dictionary and RLE
    minipages are the norm and selection vectors stay dense. *)
@@ -218,21 +208,12 @@ let ordered_diff db src =
     if got = want then None else Some (first_diff got want)
   end
 
-type cycle_out = {
-  c_queries : int;
-  c_checks : int;
-  c_rows : int;
-  c_grouped_checks : int;
-  c_grouped_violations : int;
-  c_violations : (int * string) list;
-}
-
 let exec db src =
   match Db.exec db src with
   | Ok r -> r
   | Error m -> failwith (Printf.sprintf "scan oracle: %S failed: %s" src m)
 
-let run_cycle ~seed () =
+let run_cycle ~seed =
   let rng = Prng.create ~seed in
   let db = Db.create () in
   ignore
@@ -252,7 +233,7 @@ let run_cycle ~seed () =
   let violations = ref [] in
   let violation ~grouped message =
     if grouped then incr grouped_violations;
-    violations := (seed, message) :: !violations
+    violations := message :: !violations
   in
   let saved = !Scan_cost.forced in
   Fun.protect
@@ -303,48 +284,28 @@ let run_cycle ~seed () =
             | Some d -> violation ~grouped (Printf.sprintf "%s: ordered vs unfused, %s" src d)
           end)
         (variants rng));
-  { c_queries = !queries;
-    c_checks = !checks;
-    c_rows = !rows;
-    c_grouped_checks = !grouped_checks;
-    c_grouped_violations = !grouped_violations;
-    c_violations = List.rev !violations
+  { Phase.seed;
+    site = Printf.sprintf "%d rows loaded" n;
+    counts =
+      [ ("queries", !queries);
+        ("checks", !checks);
+        ("oracle rows", !rows);
+        ("grouped checks", !grouped_checks);
+        ("grouped violations", !grouped_violations)
+      ];
+    violations = List.rev !violations
   }
 
-let run ?(sabotage = false) ?(quota = 200) ~base_seed () =
-  let saved_sabotage = !Pax.sabotage_null_bitmap in
-  Pax.sabotage_null_bitmap := sabotage;
-  Fun.protect
-    ~finally:(fun () -> Pax.sabotage_null_bitmap := saved_sabotage)
-    (fun () ->
-      let acc =
-        ref
-          { sr_cycles = 0;
-            sr_queries = 0;
-            sr_checks = 0;
-            sr_oracle_rows = 0;
-            sr_grouped_checks = 0;
-            sr_grouped_violations = 0;
-            sr_violations = []
-          }
-      in
-      for i = 0 to quota - 1 do
-        let c = run_cycle ~seed:(base_seed + i) () in
-        acc :=
-          { sr_cycles = !acc.sr_cycles + 1;
-            sr_queries = !acc.sr_queries + c.c_queries;
-            sr_checks = !acc.sr_checks + c.c_checks;
-            sr_oracle_rows = !acc.sr_oracle_rows + c.c_rows;
-            sr_grouped_checks = !acc.sr_grouped_checks + c.c_grouped_checks;
-            sr_grouped_violations = !acc.sr_grouped_violations + c.c_grouped_violations;
-            sr_violations = !acc.sr_violations @ c.c_violations
-          }
-      done;
-      !acc)
-
-let pp_report ppf r =
-  Format.fprintf ppf
-    "cycles=%d queries=%d checks=%d oracle_rows=%d grouped_checks=%d violations=%d \
-     (grouped %d)"
-    r.sr_cycles r.sr_queries r.sr_checks r.sr_oracle_rows r.sr_grouped_checks
-    (List.length r.sr_violations) r.sr_grouped_violations
+(* The negative control must be caught on a GROUP BY query: proof
+   that the fused grouped aggregation reads the null bitmaps too. *)
+let phase =
+  { Phase.name = "scan";
+    cycle =
+      (fun ~sabotage ~seed ->
+        let saved = !Pax.sabotage_null_bitmap in
+        Pax.sabotage_null_bitmap := sabotage;
+        Fun.protect
+          ~finally:(fun () -> Pax.sabotage_null_bitmap := saved)
+          (fun () -> run_cycle ~seed));
+    caught = (fun o -> Phase.count o.Phase.counts "grouped violations" > 0)
+  }

@@ -11,29 +11,13 @@
     and in order, the same plan with the fused aggregation lifted back
     into a row-engine [Group] over the ungrouped scan. DML and ANALYZE
     run between queries so page invalidation, lazy rebuilds and hint
-    changes are part of every cycle. Wired as a [crash_sim] phase ([MOOD_SIM_SCAN_QUOTA], default
-    200 seeds) and as a 5-seed fast test in [test_column]. *)
+    changes are part of every cycle. *)
 
-type report = {
-  sr_cycles : int;
-  sr_queries : int;      (** distinct queries diffed *)
-  sr_checks : int;       (** vectorized runs compared to the row oracle *)
-  sr_oracle_rows : int;  (** total oracle result rows compared *)
-  sr_grouped_checks : int;
-      (** GROUP BY queries also compared in order against the unfused
-          plan (a [Group] over the ungrouped [Vscan]) *)
-  sr_grouped_violations : int;  (** violations raised by GROUP BY queries *)
-  sr_violations : (int * string) list;
-      (** (seed, message): any multiset mismatch, or an ordered
-          mismatch against the unfused plan — reproduce with the
-          printed seed *)
-}
-
-val run : ?sabotage:bool -> ?quota:int -> base_seed:int -> unit -> report
-(** Runs [quota] cycles at seeds [base_seed..base_seed+quota-1]. With
-    [sabotage] PAX pages encode with zeroed null bitmaps for the
-    duration ([Pax.sabotage_null_bitmap]) — NULLs resurface as zeros
-    and empty strings, and the oracle is expected to report violations,
-    proving it can catch a real corruption bug. *)
-
-val pp_report : Format.formatter -> report -> unit
+val phase : Phase.t
+(** Counts queries, vectorized runs compared to the row oracle, oracle
+    rows, GROUP BY queries also compared in order against the unfused
+    plan, and the violations those grouped queries raised. Sabotage
+    encodes PAX pages with zeroed null bitmaps for the cycle
+    ([Pax.sabotage_null_bitmap]) — NULLs resurface as zeros and empty
+    strings; the negative control must catch it on a GROUP BY
+    query. *)

@@ -28,35 +28,6 @@ module Buffer_pool = Mood_storage.Buffer_pool
 module Wal = Mood_storage.Wal
 module Lock = Mood_storage.Lock_manager
 
-type report = {
-  tr_cycles : int;
-  tr_steps : int;
-  tr_commits_1pc : int;
-  tr_commits_2pc : int;
-  tr_aborts : int;
-  tr_deadlocks : int;
-  tr_checkpoints : int;
-  tr_indoubt : int;
-  tr_resolved_commits : int;
-  tr_resolved_aborts : int;
-  tr_violations : (int * string * string) list;
-}
-
-type outcome = {
-  oc_seed : int;
-  oc_crash_point : string;
-  oc_violations : string list;
-  oc_steps : int;
-  oc_commits_1pc : int;
-  oc_commits_2pc : int;
-  oc_aborts : int;
-  oc_deadlocks : int;
-  oc_checkpoints : int;
-  oc_indoubt : int;
-  oc_resolved_commits : int;
-  oc_resolved_aborts : int;
-}
-
 exception Crash of string
 
 let shard_count = 3
@@ -68,7 +39,7 @@ let max_open_txns = 3
 type leg = { l_shard : int; l_txn : Lock.txn; mutable l_keys : int list }
 type gtxn = { g_id : int; mutable g_legs : leg list; mutable g_ops : int }
 
-let run_cycle ?(sabotage = false) ~seed () =
+let cycle ~sabotage ~seed =
   let root = Prng.create ~seed in
   let p_work = Prng.split root in
   let p_fault = Prng.split root in
@@ -353,68 +324,20 @@ let run_cycle ?(sabotage = false) ~seed () =
       mismatch @ !checks
     with e -> [ Printf.sprintf "recovery raised %s" (Printexc.to_string e) ]
   in
-  {
-    oc_seed = seed;
-    oc_crash_point = !crash_point;
-    oc_violations = violations;
-    oc_steps = !steps;
-    oc_commits_1pc = !commits_1pc;
-    oc_commits_2pc = !commits_2pc;
-    oc_aborts = !aborts;
-    oc_deadlocks = !deadlocks;
-    oc_checkpoints = !checkpoints;
-    oc_indoubt = !indoubt;
-    oc_resolved_commits = !resolved_commits;
-    oc_resolved_aborts = !resolved_aborts;
+  { Phase.seed;
+    site = !crash_point;
+    counts =
+      [ ("steps", !steps);
+        ("one-phase commits", !commits_1pc);
+        ("two-phase commits", !commits_2pc);
+        ("aborts", !aborts);
+        ("deadlock victims", !deadlocks);
+        ("checkpoints", !checkpoints);
+        ("in-doubt", !indoubt);
+        ("resolved commit", !resolved_commits);
+        ("resolved abort", !resolved_aborts)
+      ];
+    violations
   }
 
-let run ?(sabotage = false) ?(quota = 200) ~base_seed () =
-  let empty =
-    {
-      tr_cycles = 0;
-      tr_steps = 0;
-      tr_commits_1pc = 0;
-      tr_commits_2pc = 0;
-      tr_aborts = 0;
-      tr_deadlocks = 0;
-      tr_checkpoints = 0;
-      tr_indoubt = 0;
-      tr_resolved_commits = 0;
-      tr_resolved_aborts = 0;
-      tr_violations = [];
-    }
-  in
-  let add r o =
-    {
-      tr_cycles = r.tr_cycles + 1;
-      tr_steps = r.tr_steps + o.oc_steps;
-      tr_commits_1pc = r.tr_commits_1pc + o.oc_commits_1pc;
-      tr_commits_2pc = r.tr_commits_2pc + o.oc_commits_2pc;
-      tr_aborts = r.tr_aborts + o.oc_aborts;
-      tr_deadlocks = r.tr_deadlocks + o.oc_deadlocks;
-      tr_checkpoints = r.tr_checkpoints + o.oc_checkpoints;
-      tr_indoubt = r.tr_indoubt + o.oc_indoubt;
-      tr_resolved_commits = r.tr_resolved_commits + o.oc_resolved_commits;
-      tr_resolved_aborts = r.tr_resolved_aborts + o.oc_resolved_aborts;
-      tr_violations =
-        r.tr_violations
-        @ List.map
-            (fun m -> (o.oc_seed, o.oc_crash_point, m))
-            o.oc_violations;
-    }
-  in
-  let report = ref empty in
-  for seed = base_seed to base_seed + quota - 1 do
-    report := add !report (run_cycle ~sabotage ~seed ())
-  done;
-  !report
-
-let pp_report ppf r =
-  Format.fprintf ppf
-    "%d cycles: %d steps, %d one-phase commits, %d two-phase commits, %d \
-     aborts,@ %d deadlock victims, %d checkpoints, %d in-doubt (%d resolved \
-     commit, %d@ resolved abort), %d violations"
-    r.tr_cycles r.tr_steps r.tr_commits_1pc r.tr_commits_2pc r.tr_aborts
-    r.tr_deadlocks r.tr_checkpoints r.tr_indoubt r.tr_resolved_commits
-    r.tr_resolved_aborts
-    (List.length r.tr_violations)
+let phase = { Phase.name = "2pc"; cycle; caught = Phase.violated }

@@ -11,34 +11,13 @@
     its force, mid-delivery); recovery runs the ARIES-lite pass per
     shard and resolves in-doubt transactions from the coordinator's
     durable decision log. The union of recovered contents must equal
-    the oracle's committed bindings — commit point: decision durable.
+    the oracle's committed bindings — commit point: decision durable. *)
 
-    Wired as [crash_sim] phase 5 ([MOOD_SIM_2PC_QUOTA], default 200
-    seeds), with a sabotaged negative control that skips the
-    decision-log replay and must be caught. *)
-
-type report = {
-  tr_cycles : int;
-  tr_steps : int;
-  tr_commits_1pc : int;   (** single-shard commits (no 2PC needed) *)
-  tr_commits_2pc : int;   (** durable commit decisions *)
-  tr_aborts : int;
-  tr_deadlocks : int;
-  tr_checkpoints : int;
-  tr_indoubt : int;       (** prepared-undecided survivors at recovery *)
-  tr_resolved_commits : int;
-  tr_resolved_aborts : int;
-  tr_violations : (int * string * string) list;
-      (** seed, crash site, message — everything needed to reproduce *)
-}
-
-val run : ?sabotage:bool -> ?quota:int -> base_seed:int -> unit -> report
-(** Runs [quota] cycles at seeds [base_seed..base_seed+quota-1]. With
-    [sabotage] the crash fuse is rigged to blow immediately after a
-    commit decision turns durable (every delivery pending) and
-    recovery resolves all in-doubt transactions as presumed-abort,
-    ignoring the decision log — the oracle is expected to report
-    violations, proving it can catch a coordinator that forgets its
-    own decisions. *)
-
-val pp_report : Format.formatter -> report -> unit
+val phase : Phase.t
+(** Counts steps, one- and two-phase commits, aborts, deadlock
+    victims, checkpoints and in-doubt survivors with their
+    resolutions. Sabotage rigs the crash fuse to blow immediately
+    after a commit decision turns durable (every delivery pending) and
+    resolves all in-doubt transactions as presumed-abort, ignoring the
+    decision log — a coordinator that forgets its own decisions, which
+    the oracle must catch. *)

@@ -49,18 +49,25 @@ echo "$OLTP_RESULT" | grep -q '"failed": 0,' \
   || { echo "oltp smoke: failed operations: $OLTP_RESULT"; exit 1; }
 
 echo "== crash/recover harness =="
-# MOOD_SIM_QUOTA seeded workload/crash/recover/check cycles plus
-# MOOD_SIM_MVCC_QUOTA snapshot-visibility cycles and
-# MOOD_SIM_JOIN_QUOTA differential join-oracle cycles (fixed seeds, so
-# CI is deterministic). A violation fails the build and prints the
-# seed and crash point needed to reproduce it.
-MOOD_SIM_QUOTA="${MOOD_SIM_QUOTA:-200}" \
-MOOD_SIM_MVCC_QUOTA="${MOOD_SIM_MVCC_QUOTA:-200}" \
-MOOD_SIM_JOIN_QUOTA="${MOOD_SIM_JOIN_QUOTA:-200}" \
-MOOD_SIM_2PC_QUOTA="${MOOD_SIM_2PC_QUOTA:-200}" \
-MOOD_SIM_GC_QUOTA="${MOOD_SIM_GC_QUOTA:-200}" \
-MOOD_SIM_SCAN_QUOTA="${MOOD_SIM_SCAN_QUOTA:-200}" \
-  dune exec bin/crash_sim.exe
+# Every crash_sim phase (recovery, replication, MVCC snapshots, join
+# oracle, 2PC, group commit, scan oracle; listed in
+# lib/sim/phases.ml) runs MOOD_SIM_QUOTA seeded cycles from fixed
+# seeds, so CI is deterministic, then its negative control. A
+# violation or a toothless control fails the build and prints the
+# seed and crash site needed to reproduce it. Each phase must also
+# print exactly one caught negative control: a phase dropped from the
+# list, or left without a control, fails here.
+SIM_OUT="$(mktemp)"
+SIM_STATUS=0
+MOOD_SIM_QUOTA="${MOOD_SIM_QUOTA:-200}" dune exec bin/crash_sim.exe > "$SIM_OUT" \
+  || SIM_STATUS=$?
+cat "$SIM_OUT"
+[ "$SIM_STATUS" -eq 0 ] || { echo "crash_sim failed (exit $SIM_STATUS)"; exit 1; }
+SIM_CONTROLS="$(grep '^mood_sim: .* negative control caught' "$SIM_OUT" \
+  | sed 's/ negative control caught.*//' | sort -u | wc -l)"
+[ "$SIM_CONTROLS" -eq 7 ] \
+  || { echo "crash_sim: $SIM_CONTROLS phases caught their negative control, want 7"; exit 1; }
+rm -f "$SIM_OUT"
 
 echo "== EXPLAIN ANALYZE smoke =="
 # The est-vs-actual surface end to end: plan, trace, render. Greps for

@@ -448,21 +448,14 @@ let test_grouped_fusion_limits () =
 (* Differential oracle                                                 *)
 
 let test_differential_oracle () =
-  let r = Scan_oracle.run ~quota:5 ~base_seed:2026 () in
-  Alcotest.(check int) "cycles" 5 r.Scan_oracle.sr_cycles;
-  Alcotest.(check bool) "compared real rows" true (r.Scan_oracle.sr_oracle_rows > 0);
-  Alcotest.(check bool) "compared grouped plans in order" true
-    (r.Scan_oracle.sr_grouped_checks > 0);
-  match r.Scan_oracle.sr_violations with
-  | [] -> ()
-  | (seed, msg) :: _ -> Alcotest.failf "seed %d: %s" seed msg
+  let r = Test_sim.clean_sweep Scan_oracle.phase ~quota:5 ~base_seed:2026 in
+  Alcotest.(check int) "cycles" 5 r.cycles;
+  (* Real rows compared, and grouped plans compared in order. *)
+  Test_sim.exercised r [ "oracle rows"; "grouped checks" ]
 
 let test_oracle_catches_sabotage () =
-  let r = Scan_oracle.run ~sabotage:true ~quota:2 ~base_seed:2026 () in
-  Alcotest.(check bool) "sabotaged null bitmap caught" true
-    (r.Scan_oracle.sr_violations <> []);
-  Alcotest.(check bool) "caught on a grouped query" true
-    (r.Scan_oracle.sr_grouped_violations > 0)
+  let r = Test_sim.sabotaged_sweep Scan_oracle.phase ~quota:2 ~base_seed:2026 in
+  Test_sim.exercised r [ "grouped violations" ]
 
 let suites =
   [ ( "column",

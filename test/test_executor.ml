@@ -696,17 +696,13 @@ let join_report reports =
 (* Fast version of the crash_sim differential oracle: 5 seeds, every
    algorithm against the interpreted nested loop. *)
 let test_join_oracle_fast () =
-  let r = Join_oracle.run ~quota:5 ~base_seed:1 () in
-  Alcotest.(check int) "checks ran" (5 * 8 * 5) r.Join_oracle.jr_checks;
-  match r.Join_oracle.jr_violations with
-  | [] -> ()
-  | (seed, msg) :: _ -> Alcotest.failf "join oracle violation seed=%d: %s" seed msg
+  let r = Test_sim.clean_sweep Join_oracle.phase ~quota:5 ~base_seed:1 in
+  Alcotest.(check int) "checks ran" (5 * 8 * 5) (Mood_sim.Phase.count r.counts "checks")
 
 (* Negative control: with the sort-merge duplicate-key rewind sabotaged
    the oracle must report violations — otherwise it has no teeth. *)
 let test_join_oracle_catches_sabotage () =
-  let r = Join_oracle.run ~sabotage:true ~quota:5 ~base_seed:1 () in
-  Alcotest.(check bool) "sabotaged rewind caught" true (r.Join_oracle.jr_violations <> []);
+  ignore (Test_sim.sabotaged_sweep Join_oracle.phase ~quota:5 ~base_seed:1);
   Alcotest.(check bool) "sabotage restored" false !Value_join.sabotage_skip_rewind
 
 (* Crash mid-spill during a Grace hash join: the join must release every

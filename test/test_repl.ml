@@ -390,31 +390,18 @@ let test_server_replication_end_to_end () =
 (* Sim sweep                                                           *)
 
 let test_sim_repl_clean_sweep () =
-  let r = Harness.run_repl ~quota:60 ~base_seed:5000 () in
-  (match r.Harness.rr_violations with
-  | [] -> ()
-  | (seed, msg) :: _ -> Alcotest.failf "seed=%d: %s" seed msg);
-  Alcotest.(check bool) "commits happened" true (r.Harness.rr_commits > 0);
-  Alcotest.(check bool) "commits were applied" true (r.Harness.rr_applied_commits > 0);
-  Alcotest.(check bool) "replica crashes happened" true (r.Harness.rr_crashes > 0);
-  Alcotest.(check bool) "redeliveries happened" true (r.Harness.rr_redeliveries > 0);
-  Alcotest.(check bool) "bootstraps happened" true (r.Harness.rr_bootstraps > 0)
+  let r = Test_sim.clean_sweep Harness.replication ~quota:60 ~base_seed:5000 in
+  Test_sim.exercised r
+    [ "commits"; "applied on the replica"; "replica crashes"; "redeliveries"; "bootstraps" ]
 
 let test_sim_repl_deterministic () =
-  let a = Harness.run_repl_cycle ~seed:99 () in
-  let b = Harness.run_repl_cycle ~seed:99 () in
-  Alcotest.(check int) "same steps" a.Harness.ro_steps b.Harness.ro_steps;
-  Alcotest.(check int) "same commits" a.Harness.ro_commits b.Harness.ro_commits;
-  Alcotest.(check int) "same crashes" a.Harness.ro_crashes b.Harness.ro_crashes;
-  Alcotest.(check (list string)) "same verdict" a.Harness.ro_violations
-    b.Harness.ro_violations
+  Test_sim.check_reproducible Harness.replication ~quota:1 ~base_seed:99
 
 let test_sim_repl_detects_skipped_scrub () =
   (* Same seeds as the clean sweep, bootstrap deliberately broken (the
      in-flight transactions' effects stay in the installed image): the
      sweep must surface divergence. *)
-  let r = Harness.run_repl ~skip_scrub:true ~quota:60 ~base_seed:5000 () in
-  Alcotest.(check bool) "broken bootstrap caught" true (r.Harness.rr_violations <> [])
+  ignore (Test_sim.sabotaged_sweep Harness.replication ~quota:60 ~base_seed:5000)
 
 let suites =
   [ ( "repl.codec",

@@ -320,11 +320,7 @@ let test_nonblocking_wire () =
 (* ------------------------------------------------------------------ *)
 (* Server integration                                                  *)
 
-let base_config =
-  { Server.default_config with
-    Server.lock_timeout = 5.0;
-    Server.lock_retry_delay = 0.002
-  }
+let base_config = { Server.default_config with Server.lock_timeout = 5.0 }
 
 (* Starts a server over a fresh kernel, runs [f], then performs the
    graceful shutdown and insists the leak audit passes — every test

@@ -1,47 +1,79 @@
-(* Tests for Mood_sim: the deterministic crash–recovery harness.
+(* Tests for Mood_sim: the crash_sim phases and the harness pieces.
 
-   The positive runs must come back violation-free; the negative runs
-   prove the harness has teeth — a recovery with the undo pass
-   deliberately skipped is caught, both in a handcrafted scenario and
-   across a randomized sweep. *)
+   Every phase must reproduce from its seed, come back violation-free
+   on clean seeds, and have its negative control caught — the oracle
+   has teeth. The per-phase sweeps pin that each phase exercises the
+   machinery it exists to check; a recovery with the undo pass
+   deliberately skipped is also caught in a handcrafted scenario. *)
 
+module Phase = Mood_sim.Phase
 module Harness = Mood_sim.Harness
 module Table = Mood_sim.Table
 module Model = Mood_sim.Model
 module Store = Mood_storage.Store
 module Wal = Mood_storage.Wal
 
-let test_harness_clean_run () =
-  let r = Harness.run ~quota:60 ~base_seed:1000 () in
-  (match r.Harness.r_violations with
+(* Helpers shared with the phase tests in test_repl, test_column and
+   test_executor. *)
+
+(* Each of [quota] seeds from [base_seed], run twice, gives the same
+   outcome. *)
+let check_reproducible (phase : Phase.t) ~quota ~base_seed =
+  for seed = base_seed to base_seed + quota - 1 do
+    let a = phase.cycle ~sabotage:false ~seed in
+    let b = phase.cycle ~sabotage:false ~seed in
+    Alcotest.(check string) "same site" a.site b.site;
+    Alcotest.(check (list (pair string int))) "same counts" a.counts b.counts;
+    Alcotest.(check (list string)) "same violations" a.violations b.violations
+  done
+
+let clean_sweep (phase : Phase.t) ~quota ~base_seed =
+  let r = Phase.run phase ~quota ~base_seed in
+  (match r.violations with
   | [] -> ()
-  | (seed, crash, msg) :: _ ->
-      Alcotest.failf "seed=%d crash=[%s]: %s" seed crash msg);
-  (* The sweep must actually exercise the interesting machinery. *)
-  Alcotest.(check bool) "commits happened" true (r.Harness.r_commits > 0);
-  Alcotest.(check bool) "aborts happened" true (r.Harness.r_aborts > 0);
-  Alcotest.(check bool) "deadlock victims happened" true (r.Harness.r_deadlocks > 0);
-  Alcotest.(check bool) "checkpoints happened" true (r.Harness.r_checkpoints > 0);
-  Alcotest.(check bool) "dirty frames were lost" true (r.Harness.r_lost_frames > 0);
-  Alcotest.(check bool) "log tails were torn" true (r.Harness.r_lost_log > 0)
+  | (seed, site, msg) :: _ ->
+      Alcotest.failf "%s seed=%d crash=[%s]: %s" phase.name seed site msg);
+  r
+
+(* The sweep did some of the named work. *)
+let exercised (r : Phase.report) names =
+  List.iter
+    (fun name ->
+      Alcotest.(check bool) (name ^ " > 0") true (Phase.count r.counts name > 0))
+    names
+
+let sabotaged_sweep (phase : Phase.t) ~quota ~base_seed =
+  let r = Phase.run ~sabotage:true phase ~quota ~base_seed in
+  Alcotest.(check bool) (phase.name ^ " sabotage caught") true (r.violations <> []);
+  r
+
+(* The table-driven test: every phase in the list, checked the same
+   way. *)
+let test_phase (phase : Phase.t) () =
+  check_reproducible phase ~quota:1 ~base_seed:7;
+  ignore (clean_sweep phase ~quota:2 ~base_seed:11);
+  match Phase.control phase ~base_seed:11 with
+  | Some _ -> ()
+  | None -> Alcotest.failf "%s: negative control caught nothing" phase.name
+
+let test_harness_clean_run () =
+  let r = clean_sweep Harness.recovery ~quota:60 ~base_seed:1000 in
+  exercised r
+    [ "commits";
+      "aborts";
+      "deadlock victims";
+      "checkpoints";
+      "lost frames";
+      "lost log records"
+    ]
 
 let test_harness_deterministic () =
-  let a = Harness.run_cycle ~seed:77 () in
-  let b = Harness.run_cycle ~seed:77 () in
-  Alcotest.(check string) "same crash point" a.Harness.o_crash_point
-    b.Harness.o_crash_point;
-  Alcotest.(check int) "same steps" a.Harness.o_steps b.Harness.o_steps;
-  Alcotest.(check int) "same commits" a.Harness.o_commits b.Harness.o_commits;
-  Alcotest.(check int) "same aborts" a.Harness.o_aborts b.Harness.o_aborts;
-  Alcotest.(check (list string)) "same verdict" a.Harness.o_violations
-    b.Harness.o_violations
+  check_reproducible Harness.recovery ~quota:1 ~base_seed:77
 
 let test_harness_detects_skipped_undo () =
   (* Same seeds as the clean run, recovery broken: the sweep must
      surface violations. *)
-  let r = Harness.run ~skip_undo:true ~quota:60 ~base_seed:1000 () in
-  Alcotest.(check bool) "broken recovery caught" true
-    (r.Harness.r_violations <> [])
+  ignore (sabotaged_sweep Harness.recovery ~quota:60 ~base_seed:1000)
 
 let test_skip_undo_handcrafted () =
   (* Transaction 2 inserts, a checkpoint is taken while it is active
@@ -118,33 +150,17 @@ let test_table_abort_compensates () =
 module Two_pc = Mood_sim.Two_pc
 
 let test_two_pc_clean_run () =
-  let r = Two_pc.run ~quota:40 ~base_seed:500 () in
-  (match r.Two_pc.tr_violations with
-  | [] -> ()
-  | (seed, crash, msg) :: _ ->
-      Alcotest.failf "seed=%d crash=[%s]: %s" seed crash msg);
+  let r = clean_sweep Two_pc.phase ~quota:40 ~base_seed:500 in
   (* The sweep must actually cross shards and leave survivors in doubt. *)
-  Alcotest.(check bool) "2PC commits happened" true (r.Two_pc.tr_commits_2pc > 0);
-  Alcotest.(check bool) "1PC commits happened" true (r.Two_pc.tr_commits_1pc > 0);
-  Alcotest.(check bool) "aborts happened" true (r.Two_pc.tr_aborts > 0);
-  Alcotest.(check bool) "in-doubt transactions were resolved" true
-    (r.Two_pc.tr_indoubt > 0)
+  exercised r [ "two-phase commits"; "one-phase commits"; "aborts"; "in-doubt" ]
 
-let test_two_pc_deterministic () =
-  let a = Two_pc.run ~quota:3 ~base_seed:91 () in
-  let b = Two_pc.run ~quota:3 ~base_seed:91 () in
-  Alcotest.(check int) "same steps" a.Two_pc.tr_steps b.Two_pc.tr_steps;
-  Alcotest.(check int) "same 2PC commits" a.Two_pc.tr_commits_2pc
-    b.Two_pc.tr_commits_2pc;
-  Alcotest.(check int) "same in-doubt count" a.Two_pc.tr_indoubt b.Two_pc.tr_indoubt
+let test_two_pc_deterministic () = check_reproducible Two_pc.phase ~quota:3 ~base_seed:91
 
 let test_two_pc_sabotage_caught () =
   (* Resolving in-doubt participants while ignoring the coordinator's
      decision log must surface violations — otherwise the oracle could
      never catch a forgetful coordinator. *)
-  let r = Two_pc.run ~sabotage:true ~quota:5 ~base_seed:500 () in
-  Alcotest.(check bool) "skipped decision replay caught" true
-    (r.Two_pc.tr_violations <> [])
+  ignore (sabotaged_sweep Two_pc.phase ~quota:5 ~base_seed:500)
 
 (* ------------------------------------------------------------------ *)
 (* Group-commit cycles (crash_sim phase 6, fast subset)                *)
@@ -152,37 +168,27 @@ let test_two_pc_sabotage_caught () =
 module Group_commit = Mood_sim.Group_commit
 
 let test_group_commit_clean_run () =
-  let r = Group_commit.run ~quota:40 ~base_seed:300 () in
-  (match r.Group_commit.gr_violations with
-  | [] -> ()
-  | (seed, crash, msg) :: _ ->
-      Alcotest.failf "seed=%d crash=[%s]: %s" seed crash msg);
+  let r = clean_sweep Group_commit.phase ~quota:40 ~base_seed:300 in
   (* The sweep must actually batch forces and crash inside the window. *)
-  Alcotest.(check bool) "commits happened" true (r.Group_commit.gr_commits > 0);
+  exercised r [ "commits"; "crashes" ];
   Alcotest.(check bool) "batches shared a force" true
-    (r.Group_commit.gr_commits > r.Group_commit.gr_batches);
-  Alcotest.(check bool) "crashes happened" true (r.Group_commit.gr_crashes > 0)
+    (Phase.count r.counts "commits" > Phase.count r.counts "shared forces")
 
 let test_group_commit_deterministic () =
-  let a = Group_commit.run ~quota:3 ~base_seed:41 () in
-  let b = Group_commit.run ~quota:3 ~base_seed:41 () in
-  Alcotest.(check int) "same commits" a.Group_commit.gr_commits
-    b.Group_commit.gr_commits;
-  Alcotest.(check int) "same batches" a.Group_commit.gr_batches
-    b.Group_commit.gr_batches;
-  Alcotest.(check int) "same crashes" a.Group_commit.gr_crashes
-    b.Group_commit.gr_crashes
+  check_reproducible Group_commit.phase ~quota:3 ~base_seed:41
 
 let test_group_commit_sabotage_caught () =
   (* Acknowledging a batch the log-writer never forced must surface
      lost-ACK violations after the crash — otherwise the oracle could
      never catch an ACK that outruns durability. *)
-  let r = Group_commit.run ~sabotage:true ~quota:5 ~base_seed:300 () in
-  Alcotest.(check bool) "unforced ACKs caught" true
-    (r.Group_commit.gr_violations <> [])
+  ignore (sabotaged_sweep Group_commit.phase ~quota:5 ~base_seed:300)
 
 let suites =
-  [ ( "sim.harness",
+  [ ( "sim.phases",
+      List.map
+        (fun (phase : Phase.t) -> Alcotest.test_case phase.name `Quick (test_phase phase))
+        Mood_sim.Phases.all );
+    ( "sim.harness",
       [ Alcotest.test_case "60 seeded cycles, no violations" `Quick
           test_harness_clean_run;
         Alcotest.test_case "cycles reproduce from seed" `Quick
