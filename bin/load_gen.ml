@@ -9,8 +9,8 @@
    --ops for CI smoke runs. The exit code is non-zero on any protocol
    error or unexpected statement error — the acceptance bar is a
    zero-error run. ABORTED (deadlock victim / lock timeout) and BUSY
-   (admission control) replies are part of the protocol: they are
-   counted, retried and reported, not errors. *)
+   replies are part of the protocol: they are counted, retried and
+   reported, not errors. *)
 
 module Wire = Mood_server.Wire
 module Client = Mood_server.Client
@@ -288,7 +288,7 @@ let parse_endpoint spec =
         | None -> failwith ("--endpoint: bad port in " ^ spec))
 
 let run host port unix_path sessions ops seed write_pct txn_pct read_ratio endpoints
-    router insert_only baseline gc_baseline idle_sessions out =
+    router insert_only baseline idle_sessions out =
   let write_pct =
     match read_ratio with Some r -> max 0 (100 - r) | None -> write_pct
   in
@@ -428,12 +428,6 @@ let run host port unix_path sessions ops seed write_pct txn_pct read_ratio endpo
   if idle_sessions > 0 then
     Printf.printf "load_gen: %d idle session(s) held open (%d failed to connect)\n"
       (List.length idle_clients) idle_failed;
-  (match gc_baseline with
-  | Some base when base > 0. ->
-      Printf.printf
-        "load_gen: group-commit scaling vs baseline: %.0f / %.0f = %.2fx\n"
-        throughput base (throughput /. base)
-  | _ -> ());
   if n_eps > 1 then
     Array.iteri
       (fun i spec ->
@@ -600,16 +594,6 @@ let run host port unix_path sessions ops seed write_pct txn_pct read_ratio endpo
               (throughput /. base)
         | _ -> "")
   in
-  (* Group-commit A/B: "group_commit_scaling_x" = this run's throughput
-     over the --gc-baseline-req-s run (same workload, group commit off). *)
-  let gc_json =
-    match gc_baseline with
-    | Some base when base > 0. ->
-        Printf.sprintf
-          "  \"gc_baseline_req_s\": %.1f,\n  \"group_commit_scaling_x\": %.2f,\n"
-          base (throughput /. base)
-    | _ -> ""
-  in
   let oc = open_out out in
   Printf.fprintf oc
     {|{
@@ -627,7 +611,7 @@ let run host port unix_path sessions ops seed write_pct txn_pct read_ratio endpo
   "latency_ms": { "p50": %.3f, "p95": %.3f, "p99": %.3f, "max": %.3f },
   "latency_attempt_ms": { "p50": %.3f, "p95": %.3f, "p99": %.3f },
   "cluster_wide": { "samples": %d, "merged_nearest_rank": true, "latency_ms": { "p50": %.3f, "p95": %.3f, "p99": %.3f } },
-%s%s  "busy_retries": %d,
+%s  "busy_retries": %d,
   "busy_retries_read": %d,
   "busy_retries_write": %d,
   "txn_aborts": %d,
@@ -645,7 +629,6 @@ let run host port unix_path sessions ops seed write_pct txn_pct read_ratio endpo
     throughput (ms 50.) (ms 95.) (ms 99.) (ms 100.)
     (ams 50.) (ams 95.) (ams 99.)
     (Array.length latencies) (ms 50.) (ms 95.) (ms 99.)
-    gc_json
     router_json busy busy_read busy_write aborts deadlocks
     timeouts redirects errors
     (String.concat ", "
@@ -751,15 +734,6 @@ let baseline =
           "Single-shard baseline throughput to compare against; with \
            --router the JSON gains \"scaling_x\" = this run / baseline.")
 
-let gc_baseline =
-  Arg.(
-    value
-    & opt (some float) None
-    & info [ "gc-baseline-req-s" ] ~docv:"REQ_S"
-        ~doc:
-          "Throughput of the same workload with --no-group-commit; the JSON \
-           gains \"group_commit_scaling_x\" = this run / baseline.")
-
 let idle_sessions =
   Arg.(
     value
@@ -783,7 +757,7 @@ let cmd =
        ~doc:"Concurrent load generator for mood_server (VOODB-style multi-user bench)")
     Term.(
       const run $ host $ port $ unix_path $ sessions $ ops $ seed $ write_pct $ txn_pct
-      $ read_ratio $ endpoints $ router $ insert_only $ baseline $ gc_baseline
-      $ idle_sessions $ out)
+      $ read_ratio $ endpoints $ router $ insert_only $ baseline $ idle_sessions
+      $ out)
 
 let () = exit (Cmd.eval' cmd)

@@ -11,9 +11,8 @@
 module Db = Mood.Db
 module Server = Mood_server.Server
 
-let run host port unix_path workers queue demo demo_schema scale port_file
-    lock_timeout replica_of poll_interval no_snapshot_reads journal
-    commit_latency no_group_commit =
+let run host port unix_path demo demo_schema scale port_file lock_timeout
+    replica_of poll_interval no_snapshot_reads journal commit_latency =
   let db = Db.create () in
   if no_snapshot_reads then Db.set_snapshot_reads db false;
   (* A replica's schema and contents come from the primary's bootstrap
@@ -49,13 +48,10 @@ let run host port unix_path workers queue demo demo_schema scale port_file
       Server.host;
       port = Some port;
       unix_path;
-      workers;
-      queue_capacity = queue;
       lock_timeout;
       replica_of;
       poll_interval;
-      commit_latency;
-      group_commit = not no_group_commit
+      commit_latency
     }
   in
   let server = Server.start ~config db in
@@ -86,8 +82,8 @@ let run host port unix_path workers queue demo demo_schema scale port_file
   Option.iter Mood_server.Journal.detach jnl;
   let st = Server.stats server in
   Printf.eprintf
-    "mood_server: %d session(s) served, %d statement(s), %d busy, %d deadlock abort(s), %d disconnect abort(s), %d protocol error(s)\n%!"
-    st.Server.sessions_opened st.Server.statements st.Server.busy_rejections
+    "mood_server: %d session(s) served, %d statement(s), %d deadlock abort(s), %d disconnect abort(s), %d protocol error(s)\n%!"
+    st.Server.sessions_opened st.Server.statements
     st.Server.deadlock_aborts st.Server.disconnect_aborts st.Server.protocol_errors;
   match Server.audit server with
   | Ok () ->
@@ -113,16 +109,6 @@ let unix_path =
     value
     & opt (some string) None
     & info [ "unix" ] ~docv:"PATH" ~doc:"Also listen on a unix-domain socket at $(docv).")
-
-let workers =
-  Arg.(value & opt int 4 & info [ "workers" ] ~docv:"N" ~doc:"Worker-pool size (>= 2).")
-
-let queue =
-  Arg.(
-    value
-    & opt int 64
-    & info [ "queue" ] ~docv:"N"
-        ~doc:"Admission-control bound: requests queued beyond this get BUSY.")
 
 let demo =
   Arg.(value & flag & info [ "demo" ] ~doc:"Preload the paper's vehicle database.")
@@ -206,23 +192,13 @@ let commit_latency =
            the kernel. Makes CPU-trivial write workloads I/O-bound so \
            scaling experiments measure storage parallelism; 0 disables.")
 
-let no_group_commit =
-  Arg.(
-    value
-    & flag
-    & info [ "no-group-commit" ]
-        ~doc:
-          "Disable group commit: every COMMIT performs its own WAL force \
-           inside the kernel lock (the pre-batching behaviour). Baseline \
-           mode for the group-commit A/B experiments.")
-
 let cmd =
   Cmd.v
     (Cmd.info "mood_server" ~version:"1.0.0"
        ~doc:"MOOD network server: concurrent MOODSQL over the wire protocol")
     Term.(
-      const run $ host $ port $ unix_path $ workers $ queue $ demo $ demo_schema
-      $ scale $ port_file $ lock_timeout $ replica_of $ poll_interval
-      $ no_snapshot_reads $ journal $ commit_latency $ no_group_commit)
+      const run $ host $ port $ unix_path $ demo $ demo_schema $ scale $ port_file
+      $ lock_timeout $ replica_of $ poll_interval $ no_snapshot_reads $ journal
+      $ commit_latency)
 
 let () = exit (Cmd.eval' cmd)

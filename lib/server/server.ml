@@ -10,45 +10,42 @@ type config = {
   host : string;
   port : int option;
   unix_path : string option;
-  workers : int;
-  queue_capacity : int;
   max_frame : int;
   lock_timeout : float;
   replica_of : string option;
   poll_interval : float;
   commit_latency : float;
-  group_commit : bool;
 }
 
 let default_config =
   { host = "127.0.0.1";
     port = Some 0;
     unix_path = None;
-    workers = 4;
-    queue_capacity = 64;
     max_frame = Wire.default_max_frame;
     lock_timeout = 10.0;
     replica_of = None;
     commit_latency = 0.;
-    poll_interval = 0.05;
-    group_commit = true
+    poll_interval = 0.05
   }
 
 (* One connection as the reactor sees it: an explicit state machine.
 
    [`Reading]   the reactor owns the socket and selects on it; bytes
                 accumulate in [c_pending] until a whole frame arrives.
-   [`Executing] a fully-read request is in the worker queue (or parked
-                on a lock); the socket is in no readiness set at all —
-                an idle or slow peer costs nothing until the reply.
+   [`Executing] a fully-read request has not been answered yet: it is
+                parked on a lock, its commit awaits the log-writer's
+                force, or a PROMOTE runs on its own thread; the socket
+                is in no readiness set at all — an idle or slow peer
+                costs nothing until the reply.
    [`Writing]   a reply frame is draining through [c_out]; the socket
                 is in the write set only while the kernel buffer is
                 full.
    [`Closed]    torn down; the record is inert (it may still be
                 referenced by an in-flight completion).
 
-   Only the reactor thread touches a [conn] — workers hand replies
-   back through the completion list + wake pipe, never the socket. *)
+   Only the reactor thread touches a [conn] — replies finished on
+   another thread come back through the completion list + wake pipe,
+   never the socket. *)
 type conn = {
   c_session : Session.t;
   mutable c_state : [ `Reading | `Executing | `Writing | `Closed ];
@@ -58,30 +55,25 @@ type conn = {
   mutable c_close : bool;      (* tear down once [c_out] drains *)
 }
 
-(* A unit of admitted work. [jdeadline]/[jtxn] carry lock-wait state
-   across park/retry cycles: a statement whose lock is held elsewhere
-   is parked, not busy-waited, so a worker thread is never pinned down
-   by a lock conflict (blocking in the pool would let 4 waiters starve
-   the very commit that would release them — the classic convoy).
-   [jgen] is the lock-release generation observed when the attempt
-   began; see [park]. *)
+(* One request being executed. [jdeadline]/[jtxn] carry lock-wait
+   state across park/retry cycles: a statement whose lock is held
+   elsewhere is parked, not waited for, so the reactor is never pinned
+   down by a lock conflict (sleeping on the lock would starve the very
+   commit that would release it — the classic convoy). *)
 type job = {
   jconn : conn;
-  jsession : Session.t;
   jrequest : Wire.request;
   jdeadline : float;  (* give up (abort, reply ABORTED) past this *)
   mutable jtxn : Mood.Db.session_txn option;
       (* the autocommit transaction owned by this statement, kept
          across retries; [None] until first attempt or when the
          session transaction is used instead *)
-  mutable jgen : int;
 }
 
 type stats = {
   sessions_opened : int;
   sessions_active : int;
   statements : int;
-  busy_rejections : int;
   deadlock_aborts : int;
   timeout_aborts : int;
   disconnect_aborts : int;
@@ -93,34 +85,26 @@ type t = {
   database : Db.t;
   config : config;
   registry : Session.registry;
-  queue : job Bounded_queue.t;
   kernel : Mutex.t;  (* serializes every Db.t touch — see server.mli *)
-  parked_m : Mutex.t;
-  mutable parked : job list;  (* lock-waiters awaiting their next retry *)
-  release_gen : int Atomic.t;
-      (* bumped by the lock manager's release hook; closes the window
-         between a failed lock attempt and parking (lost wakeup) *)
+  mutable released : bool;
+      (* set by the lock manager's release hook. Every lock release
+         runs on the reactor (commits, aborts, teardowns, DECIDEs), and
+         the reactor clears it when it retries its parked statements *)
   mutable listeners : Unix.file_descr list;
   mutable tcp_port : int option;
   stop_r : Unix.file_descr;  (* self-pipe: shutdown -> reactor *)
   stop_w : Unix.file_descr;
-  wake_r : Unix.file_descr;  (* self-pipe: workers -> reactor (completions) *)
+  wake_r : Unix.file_descr;  (* self-pipe: log-writer/PROMOTE -> reactor *)
   wake_w : Unix.file_descr;
-  park_r : Unix.file_descr;  (* self-pipe: lock releases/shutdown -> parker *)
-  park_w : Unix.file_descr;
   comp_m : Mutex.t;
   mutable completions : (job * Wire.response) list;  (* newest first *)
   mutable reactor : Thread.t option;
-  mutable workers : Thread.t list;
-  mutable parker : Thread.t option;
-  mutable parker_stop : bool;
-  (* Group commit: a committing worker performs the logical commit,
-     hands the finished reply plus the Commit LSN (the ticket) to the
-     log-writer and returns to the pool; the log-writer turns all
-     tickets that arrived during the previous force into one force
-     and delivers the held replies once it covers them. No worker is
-     ever pinned by a durability wait, so the batch grows to the
-     number of concurrent committers, not the pool size. *)
+  (* Group commit: the reactor performs the logical commit, hands the
+     finished reply plus the Commit LSN (the ticket) to the log-writer
+     and moves on; the log-writer turns all tickets that arrived during
+     the previous force into one force and delivers the held replies
+     once it covers them. The reactor is never pinned by a durability
+     wait, so the batch grows to the number of concurrent committers. *)
   gc_m : Mutex.t;
   gc_work : Condition.t;   (* wakes the log-writer *)
   mutable gc_waiters : (job * Wire.response * int) list;
@@ -136,7 +120,6 @@ type t = {
   mutable log_writer : Thread.t option;
   mutable stopped : bool;
   c_statements : int Atomic.t;
-  c_busy : int Atomic.t;
   c_deadlock : int Atomic.t;
   c_timeout : int Atomic.t;
   c_disconnect : int Atomic.t;
@@ -203,57 +186,32 @@ let with_kernel t f =
       Mutex.unlock t.kernel;
       raise e
 
-(* Hand a finished job's reply to the reactor: workers never touch the
-   socket. The poke is a level trigger — a full pipe means the reactor
-   is already awake. *)
-let respond t job resp =
+(* The per-statement accounting, once for every executed request,
+   whichever thread finishes it. (The session fields are safe to touch
+   from the log-writer too: a session has at most one request in
+   flight, and this is its completion.) *)
+let account t job resp =
+  let session = job.jconn.c_session in
+  session.Session.statements <- session.Session.statements + 1;
+  (match resp with
+  | Wire.Rows rows ->
+      session.Session.rows_returned <- session.Session.rows_returned + List.length rows
+  | _ -> ());
+  Atomic.incr t.c_statements
+
+(* Hand a reply finished on another thread (a group-committed ACK, a
+   PROMOTE) to the reactor: only the reactor touches sockets. The poke
+   is a level trigger — a full pipe means the reactor is already
+   awake. *)
+let deliver t job resp =
+  account t job resp;
   Mutex.lock t.comp_m;
   t.completions <- (job, resp) :: t.completions;
   Mutex.unlock t.comp_m;
   poke t.wake_w
 
-(* [respond] plus the per-statement accounting — the completion path
-   for executed statements, whether the reply comes straight from a
-   worker or is released later by the log-writer. (The session fields
-   are safe to touch from either thread: a session has at most one
-   request in flight, and this is its completion.) *)
-let deliver t job resp =
-  job.jsession.Session.statements <- job.jsession.Session.statements + 1;
-  (match resp with
-  | Wire.Rows rows ->
-      job.jsession.Session.rows_returned <-
-        job.jsession.Session.rows_returned + List.length rows
-  | _ -> ());
-  Atomic.incr t.c_statements;
-  respond t job resp
-
 (* ------------------------------------------------------------------ *)
 (* Group commit (DESIGN.md §3k)                                        *)
-
-(* Publish a commit's ticket together with the reply it gates. Called
-   with the kernel lock NOT held — the log-writer takes it. The worker
-   returns to the pool immediately; the log-writer delivers [resp]
-   once a shared force covers [lsn]. *)
-let gc_enqueue t job resp lsn =
-  Mutex.lock t.gc_m;
-  t.gc_commits <- t.gc_commits + 1;
-  if lsn <= t.gc_durable then begin
-    (* A shared force raced ahead of this enqueue: between our kernel
-       release and here, a batch for earlier committers persisted the
-       whole WAL tail — our Commit record included (a checkpoint force
-       can advance the watermark the same way). Deliver now; parking
-       would sleep until the NEXT committer triggers a batch, which on
-       a quiescing server never comes. *)
-    t.gc_released <- t.gc_released + 1;
-    Mutex.unlock t.gc_m;
-    deliver t job resp
-  end
-  else begin
-    if lsn > t.gc_pending then t.gc_pending <- lsn;
-    t.gc_waiters <- (job, resp, lsn) :: t.gc_waiters;
-    Condition.signal t.gc_work;
-    Mutex.unlock t.gc_m
-  end
 
 (* The dedicated log-writer: while one force is in flight, every
    committer that arrives merely raises [gc_pending] and parks its
@@ -322,28 +280,35 @@ let log_writer_loop t =
   in
   loop ()
 
-(* Commit a session transaction. With group commit on, the logical
-   commit (Commit record appended, versions stamped, locks released)
-   happens under the kernel lock but the WAL force is delegated to the
-   log-writer; the reply is held until the shared force covers this
-   commit's LSN, so the ACK never outruns durability. Early lock
-   release is safe because the single log forces in order: no
-   dependent commit can become durable before this one. *)
+(* Commit a session transaction. The logical commit (Commit record
+   appended, versions stamped, locks released) happens under the
+   kernel lock but the WAL force is delegated to the log-writer: the
+   reply, published with the commit's LSN as its ticket, is held until
+   a shared force covers that LSN, so the ACK never outruns
+   durability. Early lock release is safe because the single log
+   forces in order: no dependent commit can become durable before this
+   one. *)
 let commit_txn t job txn resp =
-  if t.config.group_commit then begin
-    let lsn =
-      with_kernel t (fun () -> Db.commit_session_txn_nodurable t.database txn)
-    in
-    gc_enqueue t job resp lsn;
-    `Deferred
-  end
+  let lsn = with_kernel t (fun () -> Db.commit_session_txn_nodurable t.database txn) in
+  Mutex.lock t.gc_m;
+  t.gc_commits <- t.gc_commits + 1;
+  (* Between the kernel release above and here, the log-writer's force
+     for earlier committers may have persisted the whole WAL tail, this
+     Commit record included: reply now. Holding the reply would sleep
+     until the NEXT committer triggers a batch, which on a quiescing
+     server never comes. *)
+  let durable = lsn <= t.gc_durable in
+  if durable then t.gc_released <- t.gc_released + 1
   else begin
-    with_kernel t (fun () -> Db.commit_session_txn t.database txn);
-    `Reply resp
-  end
+    if lsn > t.gc_pending then t.gc_pending <- lsn;
+    t.gc_waiters <- (job, resp, lsn) :: t.gc_waiters;
+    Condition.signal t.gc_work
+  end;
+  Mutex.unlock t.gc_m;
+  if durable then `Reply resp else `Deferred
 
 (* ------------------------------------------------------------------ *)
-(* Statement execution (worker side)                                   *)
+(* Statement execution                                                 *)
 
 let render_rows r = Wire.Rows (List.map Value.to_string (Executor.result_values r))
 
@@ -368,15 +333,6 @@ let abort_txn t (session : Session.t) txn =
   session.Session.txn <- None;
   session.Session.aborts <- session.Session.aborts + 1
 
-(* One execution attempt of a Query/Exec job. [`Park] means a needed
-   lock is held by another live transaction: the worker must NOT wait —
-   it hands the job to the parking lot and serves someone else (the
-   blocker's own COMMIT may be right behind this job in the queue).
-   Locks granted so far stay with the transaction across retries.
-
-   [~query] = the Q opcode: the reply must be rows. A non-SELECT under
-   Q is refused; in autocommit its (WAL-logged) effects are rolled
-   back with the transaction. *)
 (* Placement enforcement: once a shard map is installed, an object
    creation this shard does not own is refused before anything runs —
    the reply carries the owner's index and address so the client (or
@@ -411,8 +367,17 @@ let prepared_frozen (session : Session.t) =
            "transaction is prepared: its fate belongs to the coordinator's DECIDE")
   | _ -> None
 
+(* One execution attempt of a Query/Exec job. [`Park] means a needed
+   lock is held by another live transaction: the reactor must NOT wait
+   — it parks the job and serves other connections (the blocker's own
+   COMMIT may be the next frame it reads). Locks granted so far stay
+   with the transaction across retries.
+
+   [~query] = the Q opcode: the reply must be rows. A non-SELECT under
+   Q is refused; in autocommit its (WAL-logged) effects are rolled
+   back with the transaction. *)
 let attempt_statement t job ~query sql =
-  let session = job.jsession in
+  let session = job.jconn.c_session in
   match wrong_shard t sql with
   | Some resp -> `Reply resp
   | None ->
@@ -520,7 +485,7 @@ let requires_v2 (session : Session.t) what =
             Wire.protocol_version))
 
 let execute t job =
-  let session = job.jsession in
+  let session = job.jconn.c_session in
   match job.jrequest with
   | Wire.Query sql -> attempt_statement t job ~query:true sql
   | Wire.Exec sql -> attempt_statement t job ~query:false sql
@@ -550,8 +515,8 @@ let execute t job =
               abort_txn t session txn;
               `Reply (Wire.Ok_result "ABORT")))
   | Wire.Stats ->
-      (* Admitted like any statement (same queue, same kernel lock), so
-         the counters it reports are a consistent cut: no statement is
+      (* Run like any statement (under the kernel lock), so the
+         counters it reports are a consistent cut: no statement is
          mid-flight in the kernel while the snapshot is taken. *)
       let kernel_rows = with_kernel t (fun () -> Db.metrics_snapshot t.database) in
       let gc_batches, gc_commits, gc_max_batch =
@@ -564,7 +529,6 @@ let execute t job =
         [ Printf.sprintf "server.sessions_active %d" (Session.count t.registry);
           Printf.sprintf "server.sessions_opened %d" (Session.total_opened t.registry);
           Printf.sprintf "server.statements %d" (Atomic.get t.c_statements);
-          Printf.sprintf "server.busy_rejections %d" (Atomic.get t.c_busy);
           Printf.sprintf "server.deadlock_aborts %d" (Atomic.get t.c_deadlock);
           Printf.sprintf "server.timeout_aborts %d" (Atomic.get t.c_timeout);
           Printf.sprintf "server.disconnect_aborts %d" (Atomic.get t.c_disconnect);
@@ -573,7 +537,6 @@ let execute t job =
           Printf.sprintf "server.prepares %d" (Atomic.get t.c_prepares);
           Printf.sprintf "server.decides %d" (Atomic.get t.c_decides);
           Printf.sprintf "server.wrong_shard_redirects %d" (Atomic.get t.c_wrong_shard);
-          Printf.sprintf "server.queue_forced %d" (Bounded_queue.forced t.queue);
           Printf.sprintf "server.gc_batches %d" gc_batches;
           Printf.sprintf "server.gc_commits %d" gc_commits;
           Printf.sprintf "server.gc_max_batch %d" gc_max_batch;
@@ -681,16 +644,25 @@ let execute t job =
                 (Wire.Ok_result
                    (Printf.sprintf "already primary at term %d" (Db.term t.database)))
           | _ -> `Reply (Wire.Err "no replication stream to promote"))
-      | Some repl -> (
-          (* [Replication.promote] joins the applier thread first —
-             this worker holds no kernel lock here, so the applier's
-             in-flight batch can finish and the join cannot deadlock. *)
-          match Replication.promote repl with
-          | Ok new_term ->
-              t.repl <- None;
-              `Reply
-                (Wire.Ok_result (Printf.sprintf "promoted: now primary at term %d" new_term))
-          | Error m -> `Reply (Wire.Err ("promotion failed: " ^ m))))
+      | Some repl ->
+          (* The one request that waits on the network: promotion joins
+             the applier thread and drains a possibly dead primary with
+             no timeout. It runs on a thread of its own, holding no
+             kernel lock (so the applier's in-flight batch can finish
+             and the join cannot deadlock), and hands its reply back
+             the way the log-writer does. *)
+          let promote () =
+            deliver t job
+              (match Replication.promote repl with
+              | Ok new_term ->
+                  t.repl <- None;
+                  Wire.Ok_result
+                    (Printf.sprintf "promoted: now primary at term %d" new_term)
+              | Error m -> Wire.Err ("promotion failed: " ^ m)
+              | exception e -> Wire.Err ("internal error: " ^ Printexc.to_string e))
+          in
+          ignore (Thread.create promote ());
+          `Deferred)
   | Wire.Fence { term; primary } ->
       `Reply
         (with_kernel t (fun () ->
@@ -707,88 +679,12 @@ let execute t job =
                  (Printf.sprintf "fenced at term %d; primary is %s" term primary)
              end))
 
-(* Park a lock-waiter — unless a lock was released since this attempt
-   began ([jgen] is stale), in which case the wakeup this job needs
-   may already have fired: re-admit immediately instead of parking.
-   At most one spurious retry per release, and no lost wakeup. *)
-let park t job =
-  Mutex.lock t.parked_m;
-  if Atomic.get t.release_gen <> job.jgen then begin
-    Mutex.unlock t.parked_m;
-    if not (Bounded_queue.push_force t.queue job) then
-      respond t job (Wire.Aborted "server shutting down")
-  end
-  else begin
-    t.parked <- job :: t.parked;
-    Mutex.unlock t.parked_m
-  end
-
-let take_parked t =
-  Mutex.lock t.parked_m;
-  let jobs = t.parked in
-  t.parked <- [];
-  Mutex.unlock t.parked_m;
-  List.rev jobs
-
-let worker_loop t =
-  let rec loop () =
-    match Bounded_queue.pop t.queue with
-    | None -> () (* closed and drained *)
-    | Some job ->
-        job.jgen <- Atomic.get t.release_gen;
-        (match
-           try execute t job with
-           | e -> `Reply (Wire.Err ("internal error: " ^ Printexc.to_string e))
-         with
-        | `Reply resp -> deliver t job resp
-        | `Deferred -> () (* the log-writer delivers once durable *)
-        | `Park -> park t job);
-        loop ()
-  in
-  loop ()
-
-(* Re-admits parked lock-waiters. Event-driven: the lock manager's
-   release hook pokes [park_w] whenever locks are freed and waiters
-   exist, so a blocked statement retries the instant its blocker
-   commits instead of on a fixed tick; when nothing is parked the
-   parker sleeps indefinitely. The only timed wait left is the
-   earliest [jdeadline] — the lock-timeout abort. Runs until shutdown
-   has joined the reactor, at which point no job can be outstanding,
-   so nothing is ever stranded in the lot. *)
-let parker_loop t =
-  let rec loop () =
-    let timeout =
-      Mutex.lock t.parked_m;
-      let tm =
-        match t.parked with
-        | [] -> -1.0
-        | jobs ->
-            let earliest =
-              List.fold_left (fun acc j -> Float.min acc j.jdeadline) infinity jobs
-            in
-            Float.max 0.0 (earliest -. Unix.gettimeofday ())
-      in
-      Mutex.unlock t.parked_m;
-      tm
-    in
-    (match Unix.select [ t.park_r ] [] [] timeout with
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-    | readable, _, _ -> if readable <> [] then drain_pipe t.park_r);
-    List.iter
-      (fun job ->
-        if not (Bounded_queue.push_force t.queue job) then
-          respond t job (Wire.Aborted "server shutting down"))
-      (take_parked t);
-    if not t.parker_stop then loop ()
-  in
-  loop ()
-
 (* ------------------------------------------------------------------ *)
 (* Connection teardown                                                 *)
 
 (* Abort the orphaned transaction of a dead/leaving session, release
-   its locks (a parked waiter is re-admitted at once via the release
-   hook), untrack it and close the socket. *)
+   its locks (the reactor retries its parked waiters before it next
+   sleeps), untrack it and close the socket. *)
 let teardown t (session : Session.t) =
   (match session.Session.txn with
   | Some txn when Db.session_txn_open txn ->
@@ -848,15 +744,17 @@ let listen_unix ~path =
 (* ------------------------------------------------------------------ *)
 (* The reactor                                                         *)
 
-(* One thread owns every client socket. Sessions move through the
-   [conn] state machine; the worker pool only ever sees fully-read
-   requests, so an idle connection costs one fd and ~100 bytes — no
-   thread, no stack, no timer. Wakeups are all edge events: new bytes
-   (select), finished jobs (wake pipe), shutdown (stop pipe). *)
+(* One thread owns every client socket and executes every request.
+   Sessions move through the [conn] state machine, so an idle
+   connection costs one fd and ~100 bytes — no thread, no stack, no
+   timer. Wakeups are all edge events: new bytes (select), replies
+   finished elsewhere (wake pipe), shutdown (stop pipe), and the
+   earliest lock-wait deadline (select timeout). *)
 let reactor_loop t =
   let conns : (Unix.file_descr, conn) Hashtbl.t = Hashtbl.create 64 in
   let rbuf = Bytes.create 65536 in
   let stop_seen = ref false in
+  let parked = ref [] in  (* lock-waiters, newest first *)
 
   let teardown_conn c =
     if c.c_state <> `Closed then begin
@@ -904,39 +802,42 @@ let reactor_loop t =
     end
   in
 
+  (* One attempt at a job. A reply is staged in [c_out]; the caller
+     flushes it. *)
+  let run job =
+    match
+      try execute t job
+      with e -> `Reply (Wire.Err ("internal error: " ^ Printexc.to_string e))
+    with
+    | `Reply resp ->
+        account t job resp;
+        set_out job.jconn resp
+    | `Deferred -> () (* the log-writer (or PROMOTE's thread) delivers *)
+    | `Park -> parked := job :: !parked
+  in
+
   let handle_frame c payload =
     match Wire.decode_request payload with
     | exception Wire.Protocol_error m -> protocol_fail c m
-    | Wire.Ping ->
-        (* Health checks skip the queue: a loaded server still pongs. *)
-        set_out c Wire.Pong
+    | Wire.Ping -> set_out c Wire.Pong
     | Wire.Quit ->
         c.c_close <- true;
         set_out c Wire.Bye
     | Wire.Hello v ->
-        (* Handshake skips the queue; a mismatch ends the session. *)
+        (* A version mismatch ends the session. *)
         let resp = hello_response t v in
         (match resp with
         | Wire.Ok_result _ -> c.c_session.Session.hello <- Some v
         | _ -> c.c_close <- true);
         set_out c resp
     | request ->
-        let job =
+        c.c_state <- `Executing;
+        run
           { jconn = c;
-            jsession = c.c_session;
             jrequest = request;
             jdeadline = Unix.gettimeofday () +. t.config.lock_timeout;
-            jtxn = None;
-            jgen = 0
+            jtxn = None
           }
-        in
-        if Bounded_queue.try_push t.queue job then c.c_state <- `Executing
-        else begin
-          Atomic.incr t.c_busy;
-          set_out c
-            (Wire.Busy
-               (Printf.sprintf "request queue full (%d)" t.config.queue_capacity))
-        end
   in
 
   (* Parse and dispatch as many complete frames as [c_pending] holds.
@@ -976,6 +877,37 @@ let reactor_loop t =
     done
   in
 
+  (* Write what a staged reply can, then serve frames that arrived
+     meanwhile — a pipelining client never waits for a read-set tick. *)
+  let resume c =
+    flush_out c;
+    if c.c_state = `Reading then pump c
+  in
+
+  (* Retry parked lock-waiters: all of them after a lock release,
+     otherwise only those whose deadline passed (they take the
+     lock-timeout abort). A pass that itself releases locks — a retried
+     statement committed or aborted — runs another, so no wakeup is
+     lost. *)
+  let rec retry_parked () =
+    let due, waiting =
+      if t.released then (!parked, [])
+      else
+        let now = Unix.gettimeofday () in
+        List.partition (fun j -> j.jdeadline <= now) !parked
+    in
+    t.released <- false;
+    if due <> [] then begin
+      parked := waiting;
+      List.iter
+        (fun job ->
+          run job;
+          resume job.jconn)
+        (List.rev due);
+      retry_parked ()
+    end
+  in
+
   let on_readable c =
     match Wire.read_nb c.c_session.Session.fd rbuf 0 (Bytes.length rbuf) with
     | `Data n ->
@@ -1005,10 +937,8 @@ let reactor_loop t =
       (fun (job, resp) ->
         let c = job.jconn in
         if c.c_state = `Executing then begin
-          if !stop_seen then c.c_close <- true;
           set_out c resp;
-          flush_out c;
-          if c.c_state = `Reading then pump c
+          resume c
         end)
       comps
   in
@@ -1050,8 +980,19 @@ let reactor_loop t =
           | `Writing -> wfds := fd :: !wfds
           | `Executing | `Closed -> ())
         conns;
-      match Unix.select !rfds !wfds [] (-1.0) with
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> main ()
+      (* Sleep until an event, or until the earliest lock-wait deadline;
+         with nothing parked an idle server makes no scheduled wakeup. *)
+      let timeout =
+        match !parked with
+        | [] -> -1.0
+        | jobs ->
+            let earliest =
+              List.fold_left (fun acc j -> Float.min acc j.jdeadline) infinity jobs
+            in
+            Float.max 0.0 (earliest -. Unix.gettimeofday ())
+      in
+      (match Unix.select !rfds !wfds [] timeout with
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
       | readable, writable, _ ->
           if (not !stop_seen) && List.mem t.stop_r readable then begin
             drain_pipe t.stop_r;
@@ -1076,21 +1017,27 @@ let reactor_loop t =
             List.iter
               (fun lfd -> if List.mem lfd readable then accept_loop lfd)
               t.listeners;
+          (* Parked waiters are retried after each connection's turn:
+             a request read after the blocker's COMMIT in the same round
+             cannot take the freed lock ahead of them. *)
           List.iter
             (fun fd ->
               match Hashtbl.find_opt conns fd with
-              | Some c when c.c_state = `Reading -> on_readable c
+              | Some c when c.c_state = `Reading ->
+                  on_readable c;
+                  retry_parked ()
               | _ -> ())
             readable;
           List.iter
             (fun fd ->
               match Hashtbl.find_opt conns fd with
               | Some c when c.c_state = `Writing ->
-                  flush_out c;
-                  if c.c_state = `Reading then pump c
+                  resume c;
+                  retry_parked ()
               | _ -> ())
-            writable;
-          main ()
+            writable);
+      retry_parked ();
+      main ()
     end
   in
   main ()
@@ -1104,8 +1051,7 @@ let start ?(config = default_config) database =
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
   let stop_r, stop_w = Unix.pipe () in
   let wake_r, wake_w = Unix.pipe () in
-  let park_r, park_w = Unix.pipe () in
-  List.iter Unix.set_nonblock [ stop_r; stop_w; wake_r; wake_w; park_r; park_w ];
+  List.iter Unix.set_nonblock [ stop_r; stop_w; wake_r; wake_w ];
   let tcp =
     match config.port with
     | Some port -> Some (listen_tcp ~host:config.host ~port)
@@ -1116,11 +1062,8 @@ let start ?(config = default_config) database =
     { database;
       config;
       registry = Session.create_registry ();
-      queue = Bounded_queue.create ~capacity:config.queue_capacity;
       kernel = Mutex.create ();
-      parked_m = Mutex.create ();
-      parked = [];
-      release_gen = Atomic.make 0;
+      released = false;
       listeners =
         (match tcp with Some (fd, _) -> [ fd ] | None -> [])
         @ (match unix_l with Some fd -> [ fd ] | None -> []);
@@ -1129,14 +1072,9 @@ let start ?(config = default_config) database =
       stop_w;
       wake_r;
       wake_w;
-      park_r;
-      park_w;
       comp_m = Mutex.create ();
       completions = [];
       reactor = None;
-      workers = [];
-      parker = None;
-      parker_stop = false;
       gc_m = Mutex.create ();
       gc_work = Condition.create ();
       gc_waiters = [];
@@ -1151,7 +1089,6 @@ let start ?(config = default_config) database =
       log_writer = None;
       stopped = false;
       c_statements = Atomic.make 0;
-      c_busy = Atomic.make 0;
       c_deadlock = Atomic.make 0;
       c_timeout = Atomic.make 0;
       c_disconnect = Atomic.make 0;
@@ -1164,20 +1101,10 @@ let start ?(config = default_config) database =
       shard_map = None
     }
   in
-  (* Wake-on-unlock: every lock release bumps the generation (closing
-     the attempt→park window) and pokes the parker when waiters exist.
-     The hook runs on the releasing thread inside the kernel section,
-     so it must stay this cheap. *)
-  Lock.set_release_hook
-    (Store.locks (Db.store database))
-    (fun () ->
-      Atomic.incr t.release_gen;
-      Mutex.lock t.parked_m;
-      let waiting = t.parked <> [] in
-      Mutex.unlock t.parked_m;
-      if waiting then poke t.park_w);
-  t.workers <- List.init (max 1 config.workers) (fun _ -> Thread.create worker_loop t);
-  t.parker <- Some (Thread.create parker_loop t);
+  (* Wake-on-unlock: the hook runs on the reactor (the one thread that
+     commits, aborts and tears down), so marking the release is enough —
+     the reactor retries its parked statements before it next sleeps. *)
+  Lock.set_release_hook (Store.locks (Db.store database)) (fun () -> t.released <- true);
   t.log_writer <- Some (Thread.create log_writer_loop t);
   t.reactor <- Some (Thread.create reactor_loop t);
   (match config.replica_of with
@@ -1197,7 +1124,6 @@ let stats t =
   { sessions_opened = Session.total_opened t.registry;
     sessions_active = Session.count t.registry;
     statements = Atomic.get t.c_statements;
-    busy_rejections = Atomic.get t.c_busy;
     deadlock_aborts = Atomic.get t.c_deadlock;
     timeout_aborts = Atomic.get t.c_timeout;
     disconnect_aborts = Atomic.get t.c_disconnect;
@@ -1209,16 +1135,17 @@ let shutdown t =
   if not t.stopped then begin
     t.stopped <- true;
     (* Retire the replication stream first: its thread takes the kernel
-       lock like any worker, and it must not race the teardown below. *)
+       lock like the reactor, and it must not race the teardown below. *)
     (match t.repl with
     | Some repl ->
         Replication.stop repl;
         t.repl <- None
     | None -> ());
     (* The reactor drains: idle sessions are torn down at once, busy
-       ones get their in-flight reply first. It exits when no
-       connection remains — the parker and pool are still live under
-       it, so parked jobs finish (or time out) normally. *)
+       ones get their in-flight reply first — a parked statement is
+       retried when the teardowns release its locks (or times out), and
+       the log-writer is still live to ACK deferred commits. It exits
+       when no connection remains. *)
     poke t.stop_w;
     Option.iter Thread.join t.reactor;
     t.reactor <- None;
@@ -1226,16 +1153,6 @@ let shutdown t =
     (match t.config.unix_path with
     | Some path -> ( try Unix.unlink path with Unix.Unix_error _ -> ())
     | None -> ());
-    (* Every job has been answered (the reactor is gone), so the
-       parking lot is empty and stays empty: retire the parker, then
-       drain the queue and retire the pool. *)
-    t.parker_stop <- true;
-    poke t.park_w;
-    Option.iter Thread.join t.parker;
-    t.parker <- None;
-    Bounded_queue.close t.queue;
-    List.iter Thread.join t.workers;
-    t.workers <- [];
     (* No committer can be waiting any more: stop the log-writer. *)
     Mutex.lock t.gc_m;
     t.gc_stop <- true;
@@ -1246,7 +1163,7 @@ let shutdown t =
     Lock.clear_release_hook (Store.locks (Db.store t.database));
     List.iter
       (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
-      [ t.stop_r; t.stop_w; t.wake_r; t.wake_w; t.park_r; t.park_w ]
+      [ t.stop_r; t.stop_w; t.wake_r; t.wake_w ]
   end
 
 let audit t =

@@ -15,7 +15,7 @@
                [D]ecide (gid, verdict) | shard map [T]
     Responses: o[K] message | [R]ows | [E]rror message |
                [A]borted message (transaction rolled back, retryable) |
-               bus[Y] message (admission control, retry later) |
+               bus[Y] message (refused before execution, retry later) |
                [P]ong | bye [X] | re[D]irect address | blob [T] |
                [W]rong shard (owner index, owner address)
 
@@ -48,7 +48,7 @@ type request =
   | Abort
   | Stats
       (** server/session/kernel counters as [Rows] of ["name value"]
-          lines: server admission and abort counters, the requesting
+          lines: server abort and group-commit counters, the requesting
           session's counters, and the kernel's full metrics snapshot *)
   | Ping
   | Quit
@@ -94,8 +94,10 @@ type response =
   | Aborted of string      (** the transaction was rolled back (deadlock
                                victim, lock timeout, disconnect) — safe
                                to retry from BEGIN *)
-  | Busy of string         (** admission control rejected the request
-                               before execution — retry after backoff *)
+  | Busy of string         (** the request was refused before
+                               execution — retry after backoff. Kept
+                               for clients; the server no longer
+                               sends it *)
   | Pong
   | Bye
   | Redirect of string     (** NOT_PRIMARY: this node cannot take writes;

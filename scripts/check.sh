@@ -9,6 +9,19 @@
 set -eu
 cd "$(dirname "$0")/.."
 
+# wait_port FILE PID NAME: wait up to 10 s for the daemon NAME, launched
+# in the background as PID, to publish its bound port in FILE; fail if
+# it dies first.
+wait_port() {
+  tries=0
+  while [ ! -s "$1" ]; do
+    tries=$((tries + 1))
+    [ "$tries" -le 100 ] || { echo "$3 never published its port"; exit 1; }
+    kill -0 "$2" 2>/dev/null || { echo "$3 died on startup"; exit 1; }
+    sleep 0.1
+  done
+}
+
 echo "== dune build @all =="
 dune build @all
 
@@ -93,13 +106,7 @@ rm -f BENCH_server.json
 ./_build/default/bin/mood_server.exe --demo --port 0 \
   --port-file "$SMOKE_PORT_FILE" &
 SERVER_PID=$!
-tries=0
-while [ ! -s "$SMOKE_PORT_FILE" ]; do
-  tries=$((tries + 1))
-  [ "$tries" -le 100 ] || { echo "server never published its port"; exit 1; }
-  kill -0 "$SERVER_PID" 2>/dev/null || { echo "server died on startup"; exit 1; }
-  sleep 0.1
-done
+wait_port "$SMOKE_PORT_FILE" "$SERVER_PID" server
 MOOD_LOAD_QUOTA="${MOOD_LOAD_QUOTA:-160}" ./_build/default/bin/load_gen.exe \
   --port "$(cat "$SMOKE_PORT_FILE")" --sessions 8
 # STATS over the wire while the daemon is still up: the one-shot
@@ -179,21 +186,16 @@ echo "== reactor smoke (hundreds of idle sessions, flat threads) =="
 # The session-scaling claim made cheap: 300 parked connections plus a
 # small active mix against one server. Idle connections are owned by
 # the single reactor thread — one fd each, no handler thread, no
-# timer — so the daemon's thread count must stay at the fixed pool
-# (reactor + parker + log-writer + workers + main), its memory must
-# stay flat, and the shutdown audit must still be clean with hundreds
-# of sockets to tear down.
+# timer — so the daemon's thread count must stay at its fixed four
+# (main, the OCaml runtime's tick thread, the reactor and the
+# log-writer; the bound leaves room for two more, not for a pool), its
+# memory must stay flat, and the shutdown audit must still be clean
+# with hundreds of sockets to tear down.
 IDLE_PORT_FILE="$(mktemp)"
 ./_build/default/bin/mood_server.exe --demo --port 0 \
   --port-file "$IDLE_PORT_FILE" &
 IDLE_PID=$!
-tries=0
-while [ ! -s "$IDLE_PORT_FILE" ]; do
-  tries=$((tries + 1))
-  [ "$tries" -le 100 ] || { echo "server never published its port"; exit 1; }
-  kill -0 "$IDLE_PID" 2>/dev/null || { echo "server died on startup"; exit 1; }
-  sleep 0.1
-done
+wait_port "$IDLE_PORT_FILE" "$IDLE_PID" server
 MOOD_LOAD_QUOTA="${MOOD_LOAD_QUOTA:-160}" ./_build/default/bin/load_gen.exe \
   --port "$(cat "$IDLE_PORT_FILE")" --sessions 4 --idle-sessions 300 &
 IDLE_LOAD_PID=$!
@@ -207,9 +209,10 @@ while kill -0 "$IDLE_LOAD_PID" 2>/dev/null \
   sleep 0.1
 done
 IDLE_THREADS="$(awk '$1 == "Threads:" { print $2 }' /proc/$IDLE_PID/status)"
-[ "$IDLE_THREADS" -le 32 ] \
+[ "$IDLE_THREADS" -le 6 ] \
   || { echo "reactor smoke: $IDLE_THREADS threads for 300 idle sessions"; exit 1; }
 IDLE_RSS="$(awk '$1 == "VmRSS:" { print $2 }' /proc/$IDLE_PID/status)"
+echo "reactor smoke: $IDLE_THREADS threads, ${IDLE_RSS}kB resident for 300 idle sessions"
 [ "$IDLE_RSS" -le 524288 ] \
   || { echo "reactor smoke: ${IDLE_RSS}kB resident for 300 idle sessions"; exit 1; }
 wait "$IDLE_LOAD_PID" || { echo "reactor smoke: load_gen failed"; exit 1; }
@@ -229,13 +232,7 @@ MVCC_PORT_FILE="$(mktemp)"
 ./_build/default/bin/mood_server.exe --demo --port 0 \
   --port-file "$MVCC_PORT_FILE" &
 MVCC_PID=$!
-tries=0
-while [ ! -s "$MVCC_PORT_FILE" ]; do
-  tries=$((tries + 1))
-  [ "$tries" -le 100 ] || { echo "server never published its port"; exit 1; }
-  kill -0 "$MVCC_PID" 2>/dev/null || { echo "server died on startup"; exit 1; }
-  sleep 0.1
-done
+wait_port "$MVCC_PORT_FILE" "$MVCC_PID" server
 MPORT="$(cat "$MVCC_PORT_FILE")"
 MOOD_LOAD_QUOTA="${MOOD_LOAD_QUOTA:-160}" ./_build/default/bin/load_gen.exe \
   --port "$MPORT" --sessions 8 --read-ratio 95
@@ -272,25 +269,13 @@ REPLICA_PORT_FILE="$(mktemp)"
 ./_build/default/bin/mood_server.exe --demo --port 0 \
   --port-file "$PRIMARY_PORT_FILE" &
 PRIMARY_PID=$!
-tries=0
-while [ ! -s "$PRIMARY_PORT_FILE" ]; do
-  tries=$((tries + 1))
-  [ "$tries" -le 100 ] || { echo "primary never published its port"; exit 1; }
-  kill -0 "$PRIMARY_PID" 2>/dev/null || { echo "primary died on startup"; exit 1; }
-  sleep 0.1
-done
+wait_port "$PRIMARY_PORT_FILE" "$PRIMARY_PID" primary
 PPORT="$(cat "$PRIMARY_PORT_FILE")"
 ./_build/default/bin/mood_server.exe --port 0 \
   --port-file "$REPLICA_PORT_FILE" \
   --replica-of "127.0.0.1:$PPORT" --poll-interval 0.02 &
 REPLICA_PID=$!
-tries=0
-while [ ! -s "$REPLICA_PORT_FILE" ]; do
-  tries=$((tries + 1))
-  [ "$tries" -le 100 ] || { echo "replica never published its port"; exit 1; }
-  kill -0 "$REPLICA_PID" 2>/dev/null || { echo "replica died on startup"; exit 1; }
-  sleep 0.1
-done
+wait_port "$REPLICA_PORT_FILE" "$REPLICA_PID" replica
 RPORT="$(cat "$REPLICA_PORT_FILE")"
 MOOD_LOAD_QUOTA="${MOOD_LOAD_QUOTA:-160}" ./_build/default/bin/load_gen.exe \
   --endpoint "127.0.0.1:$PPORT" --endpoint "127.0.0.1:$RPORT" \
@@ -364,12 +349,8 @@ for I in 0 1 2; do
   eval "SHARD${I}_PID=$!"
 done
 for I in 0 1 2; do
-  tries=0
-  while [ ! -s "$SHARD_DIR/shard$I.port" ]; do
-    tries=$((tries + 1))
-    [ "$tries" -le 100 ] || { echo "shard $I never published its port"; exit 1; }
-    sleep 0.1
-  done
+  eval "SPID=\$SHARD${I}_PID"
+  wait_port "$SHARD_DIR/shard$I.port" "$SPID" "shard $I"
   eval "SHARD${I}_PORT=\$(cat \"$SHARD_DIR/shard$I.port\")"
 done
 ./_build/default/bin/mood_router.exe --port 0 \
@@ -379,13 +360,7 @@ done
   --shard "127.0.0.1:$SHARD1_PORT" \
   --shard "127.0.0.1:$SHARD2_PORT" &
 ROUTER_PID=$!
-tries=0
-while [ ! -s "$SHARD_DIR/router.port" ]; do
-  tries=$((tries + 1))
-  [ "$tries" -le 100 ] || { echo "router never published its port"; exit 1; }
-  kill -0 "$ROUTER_PID" 2>/dev/null || { echo "router died on startup"; exit 1; }
-  sleep 0.1
-done
+wait_port "$SHARD_DIR/router.port" "$ROUTER_PID" router
 RTPORT="$(cat "$SHARD_DIR/router.port")"
 : > "$SHARD_DIR/acked"
 # Inserts hash-route to their owning shard; every 6th op is a scatter
@@ -403,13 +378,7 @@ for I in $(seq 1 24); do
       --port-file "$SHARD_DIR/shard1.port2" \
       --journal "$SHARD_DIR/shard1.journal" &
     SHARD1_PID=$!
-    tries=0
-    while [ ! -s "$SHARD_DIR/shard1.port2" ]; do
-      tries=$((tries + 1))
-      [ "$tries" -le 100 ] || { echo "shard 1 never came back"; exit 1; }
-      kill -0 "$SHARD1_PID" 2>/dev/null || { echo "shard 1 died on restart"; exit 1; }
-      sleep 0.1
-    done
+    wait_port "$SHARD_DIR/shard1.port2" "$SHARD1_PID" "restarted shard 1"
   fi
   if ./_build/default/bin/mood_cli.exe sql "127.0.0.1:$RTPORT" \
        "new VehicleEngine <$((9100 + I)), 4>" > /dev/null 2>&1; then

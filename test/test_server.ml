@@ -1,13 +1,12 @@
 (* Tests for the network front end: the wire codec and its defensive
-   framing, the admission-control queue, and full-stack server
-   integration — transactions over the wire, disconnect-triggered
-   aborts releasing locks to waiting sessions, deterministic deadlock
-   victim selection, malformed-frame teardown, and the post-shutdown
-   leak audit. *)
+   framing, the session registry, and full-stack server integration —
+   transactions over the wire, disconnect-triggered aborts releasing
+   locks to waiting sessions, deterministic deadlock victim selection,
+   lock timeouts, malformed-frame teardown, and the post-shutdown leak
+   audit. *)
 
 module Db = Mood.Db
 module Wire = Mood_server.Wire
-module Bq = Mood_server.Bounded_queue
 module Session = Mood_server.Session
 module Server = Mood_server.Server
 module Client = Mood_server.Client
@@ -230,42 +229,6 @@ let test_partial_delivery () =
       Thread.join feeder)
 
 (* ------------------------------------------------------------------ *)
-(* Bounded queue                                                       *)
-
-let test_queue_fifo () =
-  let q = Bq.create ~capacity:4 in
-  List.iter (fun i -> Alcotest.(check bool) "push" true (Bq.try_push q i)) [ 1; 2; 3 ];
-  Alcotest.(check (option int)) "pop 1" (Some 1) (Bq.pop q);
-  Alcotest.(check (option int)) "pop 2" (Some 2) (Bq.pop q);
-  Alcotest.(check int) "length" 1 (Bq.length q)
-
-let test_queue_admission () =
-  let q = Bq.create ~capacity:2 in
-  Alcotest.(check bool) "1st" true (Bq.try_push q 1);
-  Alcotest.(check bool) "2nd" true (Bq.try_push q 2);
-  Alcotest.(check bool) "full refuses" false (Bq.try_push q 3);
-  Alcotest.(check int) "no forced admissions yet" 0 (Bq.forced q);
-  (* Re-admission of already-admitted work must not be refusable. *)
-  Alcotest.(check bool) "force over capacity" true (Bq.push_force q 4);
-  Alcotest.(check int) "over capacity" 3 (Bq.length q);
-  Alcotest.(check int) "forced admission counted" 1 (Bq.forced q);
-  Bq.close q;
-  Alcotest.(check bool) "closed refuses force" false (Bq.push_force q 5);
-  Alcotest.(check (option int)) "drains 1" (Some 1) (Bq.pop q);
-  Alcotest.(check (option int)) "drains 2" (Some 2) (Bq.pop q);
-  Alcotest.(check (option int)) "drains forced" (Some 4) (Bq.pop q);
-  Alcotest.(check (option int)) "then closed" None (Bq.pop q)
-
-let test_queue_close_wakes_pop () =
-  let q = Bq.create ~capacity:2 in
-  let got = ref (Some 99) in
-  let consumer = Thread.create (fun () -> got := Bq.pop q) () in
-  Thread.delay 0.02;
-  Bq.close q;
-  Thread.join consumer;
-  Alcotest.(check (option int)) "woken with None" None !got
-
-(* ------------------------------------------------------------------ *)
 (* Session registry                                                    *)
 
 let test_registry_lifecycle () =
@@ -449,11 +412,10 @@ let test_disconnect_releases_locks () =
       Client.quit c2)
 
 (* Deterministic two-session deadlock: opposite lock orders on two
-   extents. One worker serializes execution, so exactly one session is
+   extents. The reactor serializes execution, so exactly one session is
    picked as the victim (retryable ABORTED) and the other commits. *)
 let test_deadlock_victim () =
-  let config = { base_config with Server.workers = 1 } in
-  with_server ~config ~setup:seed_accounts (fun server port ->
+  with_server ~setup:seed_accounts (fun server port ->
       let c1 = Client.connect ~port () in
       let c2 = Client.connect ~port () in
       expect_ok "c1 begin" (Client.begin_txn c1);
@@ -551,6 +513,75 @@ let test_shutdown_aborts_open_txn () =
       Alcotest.(check int) "rolled back" 100
         (cell_int (Mood_model.Value.to_string (List.hd vs))))
 
+let acct_balance server =
+  let r = Db.query (Server.db server) "SELECT a.n FROM Acct a" in
+  match Mood_executor.Executor.result_values r with
+  | [ v ] -> cell_int (Mood_model.Value.to_string v)
+  | vs -> Alcotest.failf "expected one account, got %d" (List.length vs)
+
+(* A statement parked on a lock that an open transaction holds gives up
+   at its deadline with a retryable ABORTED; while it waits, other
+   sessions are still answered, and the blocker keeps its transaction. *)
+let test_lock_timeout () =
+  let config = { base_config with Server.lock_timeout = 0.3 } in
+  with_server ~config ~setup:seed_accounts (fun server port ->
+      let c1 = Client.connect ~port () in
+      let c2 = Client.connect ~port () in
+      let c3 = Client.connect ~port () in
+      expect_ok "c1 begin" (Client.begin_txn c1);
+      expect_ok "c1 holds Acct" (Client.exec c1 "UPDATE Acct a SET n = a.n + 1");
+      let sent = Unix.gettimeofday () in
+      let c2_reply = ref None and waited = ref 0. in
+      let waiter =
+        Thread.create
+          (fun () ->
+            let r = Client.exec c2 "UPDATE Acct a SET n = 0" in
+            waited := Unix.gettimeofday () -. sent;
+            c2_reply := Some r)
+          ()
+      in
+      Thread.delay 0.05; (* let c2's statement park on c1's lock *)
+      (match expect_rows "c3 reads" (Client.query c3 "SELECT a.n FROM Audit a") with
+      | [ row ] -> Alcotest.(check int) "audit row" 0 (cell_int row)
+      | rows -> Alcotest.failf "bad rows: [%s]" (String.concat ";" rows));
+      Alcotest.(check bool) "c2 still parked when c3 is answered" true (!c2_reply = None);
+      Thread.join waiter;
+      (match !c2_reply with
+      | Some (Wire.Aborted m) ->
+          Alcotest.(check bool) "names the lock timeout" true (contains m "lock timeout")
+      | Some r -> Alcotest.failf "c2: expected ABORTED, got %s" (response_label r)
+      | None -> Alcotest.fail "c2 got no reply");
+      Alcotest.(check bool) "waited out the deadline" true (!waited >= 0.3);
+      Alcotest.(check int) "one timeout abort" 1 (Server.stats server).Server.timeout_aborts;
+      expect_ok "c1 still commits" (Client.commit c1);
+      Alcotest.(check int) "c1's write landed, c2's did not" 101 (acct_balance server);
+      List.iter Client.quit [ c1; c2; c3 ])
+
+(* Shutdown with a statement parked on an idle session's lock: the
+   blocker's teardown aborts its orphan and releases the lock, and the
+   waiter's statement completes and is answered before its connection
+   closes. [with_server] then checks the audit. *)
+let test_shutdown_answers_parked_waiter () =
+  with_server ~setup:seed_accounts (fun server port ->
+      let c1 = Client.connect ~port () in
+      let c2 = Client.connect ~port () in
+      expect_ok "c1 begin" (Client.begin_txn c1);
+      expect_ok "c1 holds Acct" (Client.exec c1 "UPDATE Acct a SET n = 0");
+      let c2_reply = ref Wire.Bye in
+      let waiter =
+        Thread.create
+          (fun () -> c2_reply := Client.exec c2 "UPDATE Acct a SET n = a.n + 1")
+          ()
+      in
+      Thread.delay 0.05; (* let c2's statement park on c1's lock *)
+      Server.shutdown server;
+      Thread.join waiter;
+      expect_ok "parked statement answered" !c2_reply;
+      Alcotest.(check int) "orphan aborted" 1 (Server.stats server).Server.disconnect_aborts;
+      Alcotest.(check int) "orphan rolled back, waiter applied" 101 (acct_balance server);
+      Client.close c1;
+      Client.close c2)
+
 (* Two sessions issuing the same SELECT text must share one compiled
    plan — the point of putting the plan cache behind the server. *)
 let test_plan_cache_shared () =
@@ -594,8 +625,9 @@ let test_stats_surface () =
       in
       let s0 = Client.stats c in
       Alcotest.(check int) "one session active" 1 (stat s0 "server.sessions_active");
-      Alcotest.(check bool) "admission counters present" true
-        (List.mem_assoc "server.busy_rejections" s0);
+      (* perfbench reads the group-commit rows *)
+      Alcotest.(check bool) "group-commit counters present" true
+        (List.mem_assoc "server.gc_commits" s0 && List.mem_assoc "server.gc_batches" s0);
       Alcotest.(check bool) "kernel counters included" true
         (List.mem_assoc "stmt.select" s0);
       Alcotest.(check bool) "plan cache included" true
@@ -622,42 +654,29 @@ let test_stats_surface () =
       Client.quit c2;
       Client.quit c)
 
-(* Group commit A/B: with batching on, every COMMIT's force goes
-   through the log-writer (the gc_* STATS rows advance and the ACK is
-   durable); with [group_commit = false] the legacy one-force-per-
-   commit path still works and the batching counters stay flat. *)
-let test_group_commit_modes () =
+(* Group commit: every COMMIT's force goes through the log-writer (the
+   gc_* STATS rows advance) and the ACK is durable. *)
+let test_group_commit () =
   let stat rows name =
     match List.assoc_opt name rows with
     | Some v -> v
     | None -> Alcotest.failf "STATS is missing %s" name
   in
-  let commit_some port =
-    let c = Client.connect ~port () in
-    expect_ok "autocommit write" (Client.exec c "UPDATE Acct a SET n = a.n + 1");
-    expect_ok "begin" (Client.begin_txn c);
-    expect_ok "txn write" (Client.exec c "UPDATE Acct a SET n = a.n + 1");
-    expect_ok "commit" (Client.commit c);
-    (match expect_rows "readback" (Client.query c "SELECT a.n FROM Acct a") with
-    | [ n ] -> Alcotest.(check int) "both commits visible" 102 (cell_int n)
-    | rows -> Alcotest.failf "expected one account, got %d" (List.length rows));
-    let s = Client.stats c in
-    Client.quit c;
-    s
-  in
   with_server ~setup:seed_accounts (fun _server port ->
-      let s = commit_some port in
+      let c = Client.connect ~port () in
+      expect_ok "autocommit write" (Client.exec c "UPDATE Acct a SET n = a.n + 1");
+      expect_ok "begin" (Client.begin_txn c);
+      expect_ok "txn write" (Client.exec c "UPDATE Acct a SET n = a.n + 1");
+      expect_ok "commit" (Client.commit c);
+      (match expect_rows "readback" (Client.query c "SELECT a.n FROM Acct a") with
+      | [ n ] -> Alcotest.(check int) "both commits visible" 102 (cell_int n)
+      | rows -> Alcotest.failf "expected one account, got %d" (List.length rows));
+      let s = Client.stats c in
+      Client.quit c;
       Alcotest.(check bool) "commits batched" true (stat s "server.gc_commits" >= 2);
       Alcotest.(check bool) "log-writer forced" true (stat s "server.gc_batches" >= 1);
       Alcotest.(check bool) "batch high-water mark" true
-        (stat s "server.gc_max_batch" >= 1));
-  with_server
-    ~config:{ base_config with Server.group_commit = false }
-    ~setup:seed_accounts
-    (fun _server port ->
-      let s = commit_some port in
-      Alcotest.(check int) "baseline bypasses the log-writer" 0
-        (stat s "server.gc_commits"))
+        (stat s "server.gc_max_batch" >= 1))
 
 (* ------------------------------------------------------------------ *)
 (* 2PC participant and sharding surface                                *)
@@ -1114,10 +1133,7 @@ let suites =
         Alcotest.test_case "partial delivery" `Quick test_partial_delivery
       ] );
     ( "server-queue",
-      [ Alcotest.test_case "fifo" `Quick test_queue_fifo;
-        Alcotest.test_case "admission control" `Quick test_queue_admission;
-        Alcotest.test_case "close wakes pop" `Quick test_queue_close_wakes_pop;
-        Alcotest.test_case "session registry" `Quick test_registry_lifecycle;
+      [ Alcotest.test_case "session registry" `Quick test_registry_lifecycle;
         Alcotest.test_case "nonblocking wire" `Quick test_nonblocking_wire
       ] );
     ( "server-integration",
@@ -1133,7 +1149,10 @@ let suites =
         Alcotest.test_case "EXPLAIN ANALYZE past a writer" `Quick
           test_explain_analyze_past_writer;
         Alcotest.test_case "STATS surface" `Quick test_stats_surface;
-        Alcotest.test_case "group commit A/B" `Quick test_group_commit_modes
+        Alcotest.test_case "group commit" `Quick test_group_commit;
+        Alcotest.test_case "lock timeout" `Quick test_lock_timeout;
+        Alcotest.test_case "shutdown answers a parked waiter" `Quick
+          test_shutdown_answers_parked_waiter
       ] );
     ( "server-sharding",
       [ Alcotest.test_case "old HELLO torn down" `Quick test_old_hello_torn_down;
