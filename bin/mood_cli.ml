@@ -294,8 +294,8 @@ let top_cmd =
        ~doc:
          "One-shot dump from a running mood_server or mood_router: the node's \
           role and term (from the HELLO handshake) followed by the STATS \
-          counters — server admission/abort counters, session counters and \
-          the kernel metrics snapshot")
+          counters — server statement, abort and group-commit counters, \
+          session counters and the kernel metrics snapshot")
     Term.(const run $ endpoint)
 
 let connect_to spec =

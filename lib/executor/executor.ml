@@ -770,27 +770,6 @@ and join tr env left right right_simple method_ pointer equi pred =
           nested_loop ()
     end
 
-(* Chase the reference chain [path] from the left variable; the last
-   hop's targets are matched against the right side. Intermediate hops
-   (for multi-attribute pointer predicates) are dereferenced. *)
-and chase env (item : Collection.item) path =
-  match path with
-  | [] -> [ item ]
-  | attr :: rest -> begin
-      match Value.tuple_get item.Collection.value attr with
-      | None -> []
-      | Some field ->
-          if rest = [] then
-            List.filter_map (item_of env) (refs_of_field field)
-          else
-            List.concat_map
-              (fun oid ->
-                match item_of env oid with
-                | Some next -> chase env next rest
-                | None -> [])
-              (refs_of_field field)
-    end
-
 (* OIDs reached from [item] along [path]'s last reference hop;
    intermediate hops are dereferenced (charging random reads), the
    final hop's identifiers are returned unfetched. *)
@@ -867,18 +846,15 @@ and bji_join env left_rows lv path rv s =
 and backward_join env left_rows lv path rv right_rows =
   (* Scan-and-compare: for each left object's reference set, compare
      against every right candidate (the k_c * fan * k_d comparisons of
-     Section 6.2). *)
+     Section 6.2). The last hop's OIDs are compared unfetched, as the
+     formula prices them; a dangling or invisible target matches no
+     right row, since those come from the visible extent. *)
   List.concat_map
     (fun l ->
       match List.assoc_opt lv l with
       | None -> []
       | Some item ->
-          let targets =
-            List.concat_map
-              (fun (t : Collection.item) ->
-                match t.Collection.oid with Some o -> [ o ] | None -> [])
-              (chase env item path)
-          in
+          let targets = last_hop_oids env item path in
           List.filter_map
             (fun r ->
               match List.assoc_opt rv r with

@@ -70,12 +70,27 @@ let chain_classes p cls path =
   | Some steps -> List.map fst steps
   | None -> []
 
-let conj = function
-  | [] -> Ast.Ptrue
-  | first :: rest -> List.fold_left (fun acc q -> Ast.And (acc, q)) first rest
-
 (* ------------------------------------------------------------------ *)
 (* Base access per range variable (Section 8.1)                        *)
+
+(* [source] read through the indexes [decision] chose, or scanned when
+   it chose none. *)
+let indexed_access source (decision : Atomic_order.decision) =
+  match decision.Atomic_order.indexed with
+  | [] -> source
+  | indexed ->
+      Plan.Ind_sel
+        { source;
+          preds =
+            List.map
+              (fun (e : Dicts.imm_entry) ->
+                { Plan.ip_attr = e.Dicts.i_attr;
+                  ip_cmp = e.Dicts.i_cmp;
+                  ip_constant = e.Dicts.i_constant;
+                  ip_kind = Option.value ~default:`Btree e.Dicts.i_index_kind
+                })
+              indexed
+        }
 
 let base_access p ~(from_item : Ast.from_item) imm_entries imm_methods others =
   let var = from_item.Ast.var in
@@ -91,22 +106,7 @@ let base_access p ~(from_item : Ast.from_item) imm_entries imm_methods others =
           minus = from_item.Ast.minus
         }
   in
-  let with_index =
-    if decision.Atomic_order.indexed = [] || from_item.Ast.named then bind
-    else
-      Plan.Ind_sel
-        { source = bind;
-          preds =
-            List.map
-              (fun (e : Dicts.imm_entry) ->
-                { Plan.ip_attr = e.Dicts.i_attr;
-                  ip_cmp = e.Dicts.i_cmp;
-                  ip_constant = e.Dicts.i_constant;
-                  ip_kind = Option.value ~default:`Btree e.Dicts.i_index_kind
-                })
-              decision.Atomic_order.indexed
-        }
-  in
+  let with_index = if from_item.Ast.named then bind else indexed_access bind decision in
   (* Residual immediate selections in ascending-selectivity order, then
      parameterless methods and other var-local predicates. *)
   let residual_preds =
@@ -119,7 +119,7 @@ let base_access p ~(from_item : Ast.from_item) imm_entries imm_methods others =
   let selected =
     match residual_preds @ extra_preds with
     | [] -> with_index
-    | preds -> Plan.Select { source = with_index; var; pred = conj preds }
+    | preds -> Plan.Select { source = with_index; var; pred = Ast.conj preds }
   in
   let cardinality = float_of_int (Stats.cardinality p.env.Dicts.stats cls) in
   let extra_sel =
@@ -160,21 +160,24 @@ let path_endpoints p ~var (entry : Dicts.path_entry) =
         let bind = Plan.Bind { class_name = target_cls; var = v; every = false; minus = [] } in
         let card = float_of_int (Stats.cardinality p.env.Dicts.stats target_cls) in
         if i = n - 1 then begin
-          (* Terminal class carries the atomic selection. *)
-          let pred =
-            Ast.Cmp
-              ( entry.Dicts.p_terminal_cmp,
-                Ast.Path (v, [ entry.Dicts.p_terminal_attr ]),
-                Ast.Const entry.Dicts.p_terminal_constant )
-          in
-          let fs =
-            Dicts.atomic_selectivity p.env ~cls:target_cls ~attr:entry.Dicts.p_terminal_attr
+          (* Terminal class carries the atomic selection, read through
+             an index when Section 8.1's rule prefers it to a scan. Its
+             k and its uncharged access are the same either way, so
+             join ordering and method choice do not change. *)
+          let terminal =
+            Dicts.imm_entry p.env ~var:v ~cls:target_cls ~attr:entry.Dicts.p_terminal_attr
               entry.Dicts.p_terminal_cmp entry.Dicts.p_terminal_constant
           in
-          { Join_order.e_plan = Plan.Select { source = bind; var = v; pred };
+          let e_plan =
+            match Atomic_order.decide p.env ~cls:target_cls [ terminal ] with
+            | { Atomic_order.indexed = []; _ } ->
+                Plan.Select { source = bind; var = v; pred = terminal.Dicts.i_pred }
+            | decision -> indexed_access bind decision
+          in
+          { Join_order.e_plan;
             e_var = v;
             e_cls = target_cls;
-            e_k = Float.max 1. (card *. fs);
+            e_k = Float.max 1. (card *. terminal.Dicts.i_selectivity);
             e_accessed = true;
             e_in_memory = false
           }
@@ -644,7 +647,7 @@ let plan_and_term env bindings (from_items : Ast.from_item list) term trace_sink
     match multi_var_others with
     | [] -> final.plan
     | preds ->
-        Plan.Select { source = final.plan; var = List.hd final.comp_vars; pred = conj preds }
+        Plan.Select { source = final.plan; var = List.hd final.comp_vars; pred = Ast.conj preds }
   in
   trace_sink p;
   (final_plan, p.cost)

@@ -197,5 +197,10 @@ let rec predicate_vars = function
   | Not p -> predicate_vars p
   | Ptrue | Pfalse -> []
 
+(** The left-nested conjunction of [preds]; [Ptrue] when empty. *)
+let conj = function
+  | [] -> Ptrue
+  | p :: rest -> List.fold_left (fun acc q -> And (acc, q)) p rest
+
 let mirror = function Eq -> Eq | Ne -> Ne | Lt -> Gt | Le -> Ge | Gt -> Lt | Ge -> Le
 (** The comparison with swapped operands: [a < b] iff [b > a]. *)

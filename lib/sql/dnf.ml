@@ -48,10 +48,6 @@ let of_predicate p =
   List.map dedup (go (push_not p))
 
 let to_predicate terms =
-  let conj = function
-    | [] -> Ast.Ptrue
-    | p :: rest -> List.fold_left (fun acc q -> Ast.And (acc, q)) p rest
-  in
   match terms with
   | [] -> Ast.Pfalse
-  | t :: rest -> List.fold_left (fun acc u -> Ast.Or (acc, conj u)) (conj t) rest
+  | t :: rest -> List.fold_left (fun acc u -> Ast.Or (acc, Ast.conj u)) (Ast.conj t) rest

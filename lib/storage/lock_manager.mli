@@ -37,11 +37,12 @@ val release_all : t -> txn -> unit
     fires the release hook (if any). *)
 
 val set_release_hook : t -> (unit -> unit) -> unit
-(** Called after every [release_all] — the server's parking lot hooks
-    this to wake parked lock-waiters the moment a blocker finishes,
-    instead of on a fixed retry tick. The hook runs on the releasing
-    thread and must be cheap and non-blocking (the server's writes a
-    byte to a wake pipe). *)
+(** Called after every [release_all] — the server hooks this to retry
+    parked lock-waiters the moment a blocker finishes, instead of on a
+    fixed retry tick. The hook runs on the releasing thread and must be
+    cheap and non-blocking (the server's only marks that a release
+    happened; its reactor, which also does the releasing, retries the
+    parked statements before it next sleeps). *)
 
 val clear_release_hook : t -> unit
 

@@ -50,16 +50,20 @@ echo "== perfbench selftest =="
 # of the counter repetition. They fork servers (about 30 s).
 dune build @perfbench/test/selftest
 
-echo "== oltp answer-oracle smoke =="
-# Keyed reads after UPDATEs inside session transactions, over the wire
-# (about 5 s): every reply is checked against the benchmark's own
-# oracle. A wrong or failed answer fails the gate.
-OLTP_RESULT="$(python3 perfbench/run.py --workload oltp --seed 7 --seconds 3 --trace 0 \
-  | tail -n 1)"
-echo "$OLTP_RESULT" | grep -q '"correct": true' \
-  || { echo "oltp smoke: wrong answers: $OLTP_RESULT"; exit 1; }
-echo "$OLTP_RESULT" | grep -q '"failed": 0,' \
-  || { echo "oltp smoke: failed operations: $OLTP_RESULT"; exit 1; }
+echo "== answer-oracle smokes (oltp, olap, htap) =="
+# Each workload over the wire for 3 s (about 25 s in all): every reply
+# is checked against the benchmark's own oracle. oltp runs keyed reads
+# after UPDATEs inside session transactions, olap the analytic suite
+# (path, join, aggregate and scan plans), htap writes before scans of
+# the same PAX classes. A wrong or failed answer fails the gate.
+for W in oltp olap htap; do
+  RESULT="$(python3 perfbench/run.py --workload "$W" --seed 7 --seconds 3 --trace 0 \
+    | tail -n 1)"
+  echo "$RESULT" | grep -q '"correct": true' \
+    || { echo "$W smoke: wrong answers: $RESULT"; exit 1; }
+  echo "$RESULT" | grep -q '"failed": 0,' \
+    || { echo "$W smoke: failed operations: $RESULT"; exit 1; }
+done
 
 echo "== crash/recover harness =="
 # Every crash_sim phase (recovery, replication, MVCC snapshots, join

@@ -15,11 +15,6 @@ let fresh () =
   let store = Store.create ~buffer_capacity:128 () in
   Catalog.create ~store
 
-let contains haystack needle =
-  let nh = String.length haystack and nn = String.length needle in
-  let rec go i = i + nn <= nh && (String.sub haystack i nn = needle || go (i + 1)) in
-  nn = 0 || go 0
-
 let vehicle_catalog () =
   let cat = fresh () in
   Mood_workload.Vehicle.define_schema cat;
@@ -312,7 +307,7 @@ let test_drop_class () =
   Alcotest.(check bool) "gone" true (Catalog.find_class cat "JapaneseAuto" = None);
   Alcotest.(check (list string)) "unhooked" [] (Catalog.subclasses cat "Automobile");
   Alcotest.(check bool) "rows purged" false
-    (contains (Catalog.render_system_catalog cat) "JapaneseAuto");
+    (Helpers.contains (Catalog.render_system_catalog cat) "JapaneseAuto");
   (* the name can be reused *)
   ignore (Catalog.define_class cat ~name:"JapaneseAuto" ~superclasses:[ "Automobile" ] ())
 
@@ -348,7 +343,7 @@ let test_system_catalog_rows () =
   let dump = Catalog.render_system_catalog cat in
   List.iter
     (fun needle ->
-      Alcotest.(check bool) (needle ^ " present") true (contains dump needle))
+      Alcotest.(check bool) (needle ^ " present") true (Helpers.contains dump needle))
     [ "MoodsType"; "MoodsAttribute"; "MoodsFunction"; "Vehicle"; "lbweight"; "drivetrain" ]
 
 (* ---------------- Statistics ---------------- *)

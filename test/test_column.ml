@@ -19,11 +19,6 @@ module Plan = Mood_optimizer.Plan
 module Optimizer = Mood_optimizer.Optimizer
 module Prng = Mood_util.Prng
 
-let contains s sub =
-  let n = String.length s and m = String.length sub in
-  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-  go 0
-
 let ok db src =
   match Db.exec db src with
   | Ok r -> r
@@ -260,7 +255,7 @@ let test_pax_end_to_end () =
   Db.analyze db;
   let plan = Db.explain db "SELECT COUNT(*) FROM Part p WHERE p.pid > 50" in
   Alcotest.(check bool) "optimizer picks the vectorized scan" true
-    (contains plan "VSCAN");
+    (Helpers.contains plan "VSCAN");
   let b0 = Scan_metrics.m.Scan_metrics.batches in
   let r = Db.query db "SELECT COUNT(*) FROM Part p WHERE p.pid > 50" in
   (match Mood_executor.Executor.result_values r with
@@ -277,12 +272,12 @@ let test_pax_end_to_end () =
   (* EXPLAIN ANALYZE carries the batch counts. *)
   let analyzed = Db.explain_analyze db "SELECT COUNT(*) FROM Part p" in
   Alcotest.(check bool) "explain analyze shows batches" true
-    (contains analyzed "vectorized:");
+    (Helpers.contains analyzed "vectorized:");
   (* The knob forces the row engine; the plan label changes back. *)
   ignore (ok db "SET SCAN_FORCE ROW");
   let plan_row = Db.explain db "SELECT COUNT(*) FROM Part p WHERE p.pid > 50" in
   Alcotest.(check bool) "forced row plan has no vscan" true
-    (not (contains plan_row "VSCAN"));
+    (not (Helpers.contains plan_row "VSCAN"));
   ignore (ok db "SET SCAN_FORCE DEFAULT");
   (* ALTER back to row layout drops the segment. *)
   (match ok db "ALTER CLASS Part SET LAYOUT ROW" with
@@ -406,7 +401,7 @@ let test_grouped_fusion_plan () =
     (List.map Mood_sql.Ast.expr_to_string (plan_aggregates plan));
   let explained = Db.explain db benchmark_group_by in
   Alcotest.(check bool) "EXPLAIN shows BY and HAVING" true
-    (contains explained "VSCAN(Firm, c, BY c.location, [COUNT(*)], HAVING COUNT(*) > 70)");
+    (Helpers.contains explained "VSCAN(Firm, c, BY c.location, [COUNT(*)], HAVING COUNT(*) > 70)");
   let vector = Mood_executor.Executor.result_values (Db.query db benchmark_group_by) in
   ignore (ok db "SET SCAN_FORCE ROW");
   let row_plan = (Db.optimize db benchmark_group_by).Optimizer.plan in

@@ -8,11 +8,6 @@ module Value = Mood_model.Value
 module Oid = Mood_model.Oid
 module Fm = Mood_funcmgr.Function_manager
 
-let contains s sub =
-  let n = String.length s and m = String.length sub in
-  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-  go 0
-
 let ok db src =
   match Db.exec db src with
   | Ok r -> r
@@ -100,11 +95,11 @@ let test_explain_contains_dictionaries () =
   Db.set_stats db (Mood_workload.Vehicle.paper_stats ());
   let text = Db.explain db Mood_workload.Vehicle.example_81 in
   List.iter
-    (fun needle -> Alcotest.(check bool) (needle ^ " present") true (contains text needle))
+    (fun needle -> Alcotest.(check bool) (needle ^ " present") true (Helpers.contains text needle))
     [ "HASH_PARTITION"; "FORWARD_TRAVERSAL"; "PathSelInfo"; "ImmSelInfo"; "estimated cost" ];
   (* an unclassifiable predicate lands in OtherSelInfo (Section 7) *)
   let text2 = Db.explain db "SELECT v FROM Vehicle v WHERE v.weight + 1 = 4" in
-  Alcotest.(check bool) "OtherSelInfo present" true (contains text2 "OtherSelInfo")
+  Alcotest.(check bool) "OtherSelInfo present" true (Helpers.contains text2 "OtherSelInfo")
 
 let test_transaction_commit_and_abort () =
   let db = fresh () in
@@ -528,24 +523,24 @@ let test_explain_analyze_oracle () =
   | _ -> Alcotest.fail "expected exactly 3 reports");
   let rendered = Executor.render_reports reports in
   Alcotest.(check bool) "rendered tree shows actuals" true
-    (contains rendered "rows=2");
+    (Helpers.contains rendered "rows=2");
   Alcotest.(check bool) "rendered tree shows estimates" true
-    (contains rendered "est=4.0")
+    (Helpers.contains rendered "est=4.0")
 
 let test_explain_statement_forms () =
   let db = analyze_db () in
   (* plain EXPLAIN: the optimizer plan, no execution *)
   (match ok db "EXPLAIN SELECT i FROM Item i WHERE i.n > 2" with
   | Db.Explained text ->
-      Alcotest.(check bool) "plan mentions BIND" true (contains text "BIND")
+      Alcotest.(check bool) "plan mentions BIND" true (Helpers.contains text "BIND")
   | _ -> Alcotest.fail "EXPLAIN did not return Explained");
   Alcotest.(check int) "plain EXPLAIN is not ANALYZE" 0
     (snap_value db "stmt.explain_analyze");
   (* EXPLAIN ANALYZE, case-insensitive, executes and reports actuals *)
   (match ok db "explain analyze select i from Item i where i.n > 2" with
   | Db.Explained text ->
-      Alcotest.(check bool) "per-node actuals" true (contains text "rows=");
-      Alcotest.(check bool) "run totals" true (contains text "actual rows: 2")
+      Alcotest.(check bool) "per-node actuals" true (Helpers.contains text "rows=");
+      Alcotest.(check bool) "run totals" true (Helpers.contains text "actual rows: 2")
   | _ -> Alcotest.fail "EXPLAIN ANALYZE did not return Explained");
   Alcotest.(check int) "counted" 1 (snap_value db "stmt.explain_analyze");
   (* never cached: no plan-cache traffic from EXPLAIN ANALYZE *)
@@ -555,7 +550,7 @@ let test_explain_statement_forms () =
   let s = Db.begin_session_txn db in
   (match Db.exec_in_txn db s "EXPLAIN ANALYZE SELECT i FROM Item i" with
   | Ok (Db.Explained text) ->
-      Alcotest.(check bool) "in-txn actuals" true (contains text "actual rows: 4")
+      Alcotest.(check bool) "in-txn actuals" true (Helpers.contains text "actual rows: 4")
   | Ok _ -> Alcotest.fail "in-txn EXPLAIN ANALYZE: wrong result"
   | Error _ -> Alcotest.fail "in-txn EXPLAIN ANALYZE failed");
   Db.commit_session_txn db s;
@@ -631,7 +626,7 @@ let row_count = function
   | _ -> Alcotest.fail "not a row result"
 
 let reports_rows n = function
-  | Db.Explained text -> contains text (Printf.sprintf "actual rows: %d," n)
+  | Db.Explained text -> Helpers.contains text (Printf.sprintf "actual rows: %d," n)
   | _ -> false
 
 (* A snapshot transaction's EXPLAIN ANALYZE reads its BEGIN view, as

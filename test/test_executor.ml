@@ -12,6 +12,9 @@ module Parser = Mood_sql.Parser
 module Ast = Mood_sql.Ast
 module Value = Mood_model.Value
 module Oid = Mood_model.Oid
+module Plan = Mood_optimizer.Plan
+module Join_cost = Mood_cost.Join_cost
+module Store = Mood_storage.Store
 
 (* One shared database: building it is the expensive part. *)
 let shared = lazy (
@@ -114,19 +117,41 @@ let test_minus_excludes_subclass () =
 
 (* ---------------- Forced join methods agree ---------------- *)
 
-let run_plan plan = Executor.run (Db.executor_env (db ())) plan
+let run_plan ?(d = db ()) plan = Executor.run (Db.executor_env d) plan
 
-let pointer_join_plan method_ =
-  (* JOIN(BIND(Vehicle,v), SELECT(BIND(Engine...)), method, ...) through
-     drivetrain.engine — a two-hop pointer predicate *)
-  let module Plan = Mood_optimizer.Plan in
-  let right =
-    Plan.Select
-      { source = Plan.Bind { class_name = "VehicleEngine"; var = "e"; every = false; minus = [] };
-        var = "e";
-        pred = Parser.parse_predicate "e.cylinders = 2"
-      }
-  in
+let pointer_methods =
+  [ Join_cost.Forward_traversal;
+    Join_cost.Hash_partition;
+    Join_cost.Backward_traversal;
+    Join_cost.Binary_join_index
+  ]
+
+let bind cls var = Plan.Bind { class_name = cls; var; every = false; minus = [] }
+
+(* [e.cylinders = 2] over VehicleEngine: filtered after a scan, or
+   probed through an index on [cylinders]. *)
+let engines_selected =
+  Plan.Select
+    { source = bind "VehicleEngine" "e";
+      var = "e";
+      pred = Parser.parse_predicate "e.cylinders = 2"
+    }
+
+let engines_indexed =
+  Plan.Ind_sel
+    { source = bind "VehicleEngine" "e";
+      preds =
+        [ { Plan.ip_attr = "cylinders";
+            ip_cmp = Ast.Eq;
+            ip_constant = Value.Int 2;
+            ip_kind = `Btree
+          }
+        ]
+    }
+
+let pointer_join_plan ?(right = engines_selected) method_ =
+  (* JOIN(BIND(Vehicle,v), right, method, ...) through drivetrain.engine
+     — a two-hop pointer predicate *)
   Plan.Join
     { left = Plan.Bind { class_name = "Vehicle"; var = "v"; every = true; minus = [] };
       right;
@@ -134,30 +159,80 @@ let pointer_join_plan method_ =
       pred = Ast.Cmp (Ast.Eq, Ast.Path ("v", [ "drivetrain"; "engine" ]), Ast.Path ("e", []))
     }
 
+(* The shared database's vehicles with a B+-tree on
+   VehicleEngine(cylinders), which [engines_indexed] probes; kept apart
+   so the shared database's indexes do not depend on test order. *)
+let indexed = lazy (
+  let d = Db.create ~buffer_capacity:512 () in
+  Mood_workload.Vehicle.define_schema (Db.catalog d);
+  ignore (Mood_workload.Vehicle.generate ~catalog:(Db.catalog d) ~scale:0.01 ());
+  (match Db.exec d "CREATE BTREE INDEX ON VehicleEngine (cylinders)" with
+  | Ok _ -> ()
+  | Error m -> failwith m);
+  d)
+
+let sorted_oids r = List.sort Oid.compare (Executor.result_oids r)
+
+let check_same_oids what expected actual =
+  Alcotest.(check int) (what ^ ": same cardinality") (List.length expected) (List.length actual);
+  Alcotest.(check bool) (what ^ ": same oids") true (List.for_all2 Oid.equal expected actual)
+
 let test_all_join_methods_agree () =
-  let methods =
-    [ Mood_cost.Join_cost.Forward_traversal;
-      Mood_cost.Join_cost.Hash_partition;
-      Mood_cost.Join_cost.Backward_traversal;
-      Mood_cost.Join_cost.Binary_join_index
-    ]
+  let agree ?d ?right label =
+    match
+      List.map (fun m -> sorted_oids (run_plan ?d (pointer_join_plan ?right m))) pointer_methods
+    with
+    | first :: rest ->
+        Alcotest.(check bool) (label ^ ": non-empty") true (first <> []);
+        List.iter (check_same_oids label first) rest;
+        first
+    | [] -> Alcotest.fail "no methods"
   in
-  let results =
-    List.map
-      (fun m ->
-        let r = run_plan (pointer_join_plan m) in
-        List.sort Oid.compare (Executor.result_oids r))
-      methods
+  ignore (agree "SELECT right side");
+  (* An index selection on the right: every method reads it through
+     the index and matches the targets against its rows. *)
+  let d = Lazy.force indexed in
+  let via_index = agree ~d ~right:engines_indexed "IND_SEL right side" in
+  check_same_oids "IND_SEL = SELECT" (agree ~d "SELECT right side, indexed database") via_index
+
+(* Backward traversal compares the last hop's OIDs unfetched: after a
+   cache drop, both extents are scanned and the join itself touches no
+   page, so it charges no random read. *)
+let test_backward_traversal_fetches_no_target () =
+  let d = db () in
+  let plan method_ =
+    Plan.Join
+      { left = Plan.Bind { class_name = "Vehicle"; var = "v"; every = true; minus = [] };
+        right = bind "Company" "c";
+        method_;
+        pred = Ast.Cmp (Ast.Eq, Ast.Path ("v", [ "company" ]), Ast.Path ("c", []))
+      }
   in
-  match results with
-  | first :: rest ->
-      Alcotest.(check bool) "non-empty" true (first <> []);
-      List.iter
-        (fun other ->
-          Alcotest.(check int) "same cardinality" (List.length first) (List.length other);
-          Alcotest.(check bool) "same oids" true (List.for_all2 Oid.equal first other))
-        rest
-  | [] -> Alcotest.fail "no methods"
+  let store = Db.store d in
+  Store.drop_cache store;
+  let result, reports =
+    Executor.run_analyzed ~disk:(Store.disk store) ~buffer:(Store.buffer store)
+      (Db.executor_env d) (Executor.prepare (plan Join_cost.Backward_traversal))
+  in
+  (match reports with
+  | [ join; left; right ] ->
+      Alcotest.(check bool) "both sides scanned from disk" true
+        (left.Executor.r_seq_reads > 0 && right.Executor.r_seq_reads > 0);
+      Alcotest.(check int) "no random read" 0 join.Executor.r_rnd_reads;
+      Alcotest.(check int) "no page access beyond the scans"
+        (left.Executor.r_buf_hits + left.Executor.r_buf_misses + right.Executor.r_buf_hits
+       + right.Executor.r_buf_misses)
+        (join.Executor.r_buf_hits + join.Executor.r_buf_misses)
+  | _ -> Alcotest.fail "expected a join over two scans");
+  let backward = sorted_oids result in
+  Alcotest.(check bool) "every vehicle joins its company" true (backward <> []);
+  List.iter
+    (fun m ->
+      check_same_oids
+        (Format.asprintf "%a" Join_cost.pp_method m)
+        backward
+        (sorted_oids (run_plan (plan m))))
+    pointer_methods
 
 (* ---------------- Methods in predicates ---------------- *)
 
@@ -236,12 +311,7 @@ let test_indexed_access_same_result () =
   Alcotest.(check int) "same count" (List.length scan_result) (List.length indexed_result);
   (* and the plan actually uses the index now *)
   let explained = Db.explain d "SELECT c FROM Company c WHERE c.name = 'BMW'" in
-  let contains s sub =
-    let n = String.length s and m = String.length sub in
-    let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-    go 0
-  in
-  Alcotest.(check bool) "INDSEL in plan" true (contains explained "INDSEL")
+  Alcotest.(check bool) "INDSEL in plan" true (Helpers.contains explained "INDSEL")
 
 let test_cross_product () =
   (* two unrelated FROM variables with no join predicate: the planner
@@ -520,12 +590,7 @@ let test_path_index_access () =
   Db.analyze d;
   let optimized = Db.optimize d src in
   let rendered = Mood_optimizer.Plan.render optimized.Mood_optimizer.Optimizer.plan in
-  let contains s sub =
-    let n = String.length s and m = String.length sub in
-    let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-    go 0
-  in
-  Alcotest.(check bool) "plan uses the path index" true (contains rendered "PATH_INDSEL");
+  Alcotest.(check bool) "plan uses the path index" true (Helpers.contains rendered "PATH_INDSEL");
   let after = List.sort Oid.compare (Executor.result_oids (Db.query d src)) in
   Alcotest.(check int) "same cardinality" (List.length before) (List.length after);
   Alcotest.(check bool) "same objects" true (List.for_all2 Oid.equal before after);
@@ -632,10 +697,8 @@ let test_projection_values () =
 
 (* ---------------- Value joins: Grace hash, sort-merge, fusion ---------------- *)
 
-module Join_cost = Mood_cost.Join_cost
 module Value_join = Mood_executor.Value_join
 module Join_oracle = Mood_sim.Join_oracle
-module Store = Mood_storage.Store
 module Disk = Mood_storage.Disk
 module Mtype = Mood_model.Mtype
 module Jplan = Mood_optimizer.Plan
@@ -948,6 +1011,8 @@ let suites =
       [ Alcotest.test_case "union dedup" `Quick test_union_deduplicates;
         Alcotest.test_case "minus subclass" `Quick test_minus_excludes_subclass;
         Alcotest.test_case "join methods agree" `Quick test_all_join_methods_agree;
+        Alcotest.test_case "backward traversal fetches no target" `Quick
+          test_backward_traversal_fetches_no_target;
         Alcotest.test_case "method predicate" `Quick test_method_in_predicate;
         Alcotest.test_case "method/attribute collision" `Quick
           test_method_attribute_name_collision;

@@ -12,11 +12,6 @@ module Rtree = Mood_storage.Rtree
 module Value = Mood_model.Value
 module Mtype = Mood_model.Mtype
 
-let contains s sub =
-  let n = String.length s and m = String.length sub in
-  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-  go 0
-
 let vehicle_view () =
   let db = Db.create () in
   Mood_workload.Vehicle.define_schema (Db.catalog db);
@@ -70,15 +65,15 @@ let test_schema_browser_renders_hierarchy () =
   let _, view = vehicle_view () in
   let text = Moodview.schema_browser view in
   List.iter
-    (fun needle -> Alcotest.(check bool) (needle ^ " shown") true (contains text needle))
+    (fun needle -> Alcotest.(check bool) (needle ^ " shown") true (Helpers.contains text needle))
     [ "[Vehicle]"; "[JapaneseAuto]"; "Vehicle |> Automobile" ];
-  Alcotest.(check bool) "system classes hidden" false (contains text "MoodsType")
+  Alcotest.(check bool) "system classes hidden" false (Helpers.contains text "MoodsType")
 
 let test_class_presentation () =
   let _, view = vehicle_view () in
   let text = Moodview.class_designer view "Vehicle" in
   List.iter
-    (fun needle -> Alcotest.(check bool) (needle ^ " shown") true (contains text needle))
+    (fun needle -> Alcotest.(check bool) (needle ^ " shown") true (Helpers.contains text needle))
     [ "Type Name  Vehicle"; "lbweight"; "drivetrain"; "Subclasses:   Automobile" ]
 
 (* ---------------- Object browser ---------------- *)
@@ -114,11 +109,11 @@ let test_object_graph_rendering () =
   let db, view, v, _, _ = populated_view () in
   let text = Moodview.object_browser view v in
   List.iter
-    (fun needle -> Alcotest.(check bool) (needle ^ " shown") true (contains text needle))
+    (fun needle -> Alcotest.(check bool) (needle ^ " shown") true (Helpers.contains text needle))
     [ "Vehicle"; "drivetrain ->"; "VehicleDriveTrain"; "VehicleEngine"; "cylinders : Integer = 6" ];
   (* depth limit cuts recursion *)
   let shallow = Object_browser.render_object ~max_depth:0 db v in
-  Alcotest.(check bool) "no engine at depth 0" false (contains shallow "VehicleEngine")
+  Alcotest.(check bool) "no engine at depth 0" false (Helpers.contains shallow "VehicleEngine")
 
 let test_dynamic_typechecked_update () =
   let db, _, v, _, engine = populated_view () in
@@ -178,13 +173,13 @@ let test_query_manager_history () =
   ignore db;
   let qm = Moodview.query_manager view in
   let out = Query_manager.run qm "SELECT v FROM Vehicle v" in
-  Alcotest.(check bool) "renders count" true (contains out "(0 rows)");
+  Alcotest.(check bool) "renders count" true (Helpers.contains out "(0 rows)");
   let out2 = Query_manager.run qm "SELEKT" in
-  Alcotest.(check bool) "error rendered" true (contains out2 "error:");
+  Alcotest.(check bool) "error rendered" true (Helpers.contains out2 "error:");
   Alcotest.(check int) "history" 2 (List.length (Query_manager.history qm));
   Alcotest.(check (option string)) "recall most recent" (Some "SELEKT") (Query_manager.recall qm 0);
   match Query_manager.rerun qm 1 with
-  | Some out3 -> Alcotest.(check bool) "rerun works" true (contains out3 "(0 rows)")
+  | Some out3 -> Alcotest.(check bool) "rerun works" true (Helpers.contains out3 "(0 rows)")
   | None -> Alcotest.fail "rerun lost history"
 
 (* ---------------- C++ import / export (the cfront path) ---------------- *)
@@ -226,7 +221,7 @@ let test_cpp_export_roundtrip () =
   ignore (Schema_tools.import_cpp db cpp_source);
   let header = Schema_tools.export_cpp db "Car" in
   List.iter
-    (fun needle -> Alcotest.(check bool) (needle ^ " exported") true (contains header needle))
+    (fun needle -> Alcotest.(check bool) (needle ^ " exported") true (Helpers.contains header needle))
     [ "class Car : public Engine"; "char name[32];"; "Engine* spare;"; "int horsepower();" ];
   (* exported header re-imports into a fresh catalog *)
   let db2 = Db.create () in
@@ -283,8 +278,8 @@ let test_editor_search_replace () =
 let test_editor_render () =
   let e = Text_editor.create ~contents:"a\nb\n" () in
   let panel = Text_editor.render ~cursor:1 e in
-  Alcotest.(check bool) "cursor marker" true (contains panel ">  2 | b");
-  Alcotest.(check bool) "status" true (contains panel "2 line(s)")
+  Alcotest.(check bool) "cursor marker" true (Helpers.contains panel ">  2 | b");
+  Alcotest.(check bool) "status" true (Helpers.contains panel "2 line(s)")
 
 let test_method_editing_workflow () =
   let db, view = vehicle_view () in
@@ -321,7 +316,7 @@ let test_admin_panel () =
   ignore (Mood_workload.Vehicle.generate ~catalog:(Db.catalog db) ~scale:0.005 ());
   let text = Moodview.admin_panel view in
   List.iter
-    (fun needle -> Alcotest.(check bool) (needle ^ " shown") true (contains text needle))
+    (fun needle -> Alcotest.(check bool) (needle ^ " shown") true (Helpers.contains text needle))
     [ "classes:"; "Vehicle"; "disk:"; "buffer:"; "log records:" ]
 
 let test_spatial_tool () =
@@ -333,14 +328,14 @@ let test_spatial_tool () =
       ~window:(r 0. 0. 3. 3.)
   in
   Alcotest.(check bool) "hits listed" true
-    (contains text "2 hit(s)" && contains text "ankara" && contains text "istanbul");
+    (Helpers.contains text "2 hit(s)" && Helpers.contains text "ankara" && Helpers.contains text "istanbul");
   Alcotest.(check bool) "tokyo excluded from hits" true
-    (not (contains text "2 hit(s): ankara, istanbul, tokyo"))
+    (not (Helpers.contains text "2 hit(s): ankara, istanbul, tokyo"))
 
 let test_initial_window () =
   let _, view = vehicle_view () in
   Alcotest.(check bool) "tools listed" true
-    (contains (Moodview.initial_window view) "[Query Manager]")
+    (Helpers.contains (Moodview.initial_window view) "[Query Manager]")
 
 let suites =
   [ ( "moodview.dag",

@@ -180,6 +180,86 @@ let test_index_snapshot_consistency () =
     "both ways" [ 10 ]
     (ints db "SELECT p.tag FROM Part p WHERE p.k = 2")
 
+(* Example 8.1 with its path terminal Company(name) indexed: the
+   optimizer probes the index for the terminal, and an explicit join on
+   the same edge reads the indexed side per join method. A rename that
+   is not committed stays invisible to other sessions, a snapshot taken
+   before it keeps its answer after the commit, and a fresh read sees
+   it — the same answers as the database without the index. *)
+let example_81 name =
+  Printf.sprintf
+    "SELECT v.id FROM Vehicle v WHERE v.company.name = '%s' AND \
+     v.drivetrain.engine.cylinders = 2"
+    name
+
+let company_join name =
+  Printf.sprintf "SELECT v.id FROM Vehicle v, Company c WHERE v.company = c AND c.name = '%s'" name
+
+let vehicle_db ~indexed =
+  let db = Db.create () in
+  Mood_workload.Vehicle.define_schema (Db.catalog db);
+  ignore (Mood_workload.Vehicle.generate ~catalog:(Db.catalog db) ~scale:0.01 ());
+  (* BMW makes a two-cylinder vehicle, so Example 8.1 has an answer. *)
+  (match
+     rows db "SELECT v.company.name FROM Vehicle v WHERE v.drivetrain.engine.cylinders = 2"
+   with
+  | Value.Tuple [ (_, Value.Str name) ] :: _ ->
+      ignore (ok db (Printf.sprintf "UPDATE Company c SET name = 'BMW' WHERE c.name = '%s'" name))
+  | _ -> Alcotest.fail "no two-cylinder vehicle");
+  if indexed then ignore (ok db "CREATE BTREE INDEX ON Company (name)");
+  Db.analyze db;
+  db
+
+(* Every query, for both names, under each pointer join method forced
+   on the explicit edge. *)
+let bmw_answers db read =
+  let methods =
+    [ "FORWARD_TRAVERSAL"; "BACKWARD_TRAVERSAL"; "HASH_PARTITION"; "BINARY_JOIN_INDEX" ]
+  in
+  Fun.protect
+    ~finally:(fun () -> ignore (ok db "SET JOIN_FORCE DEFAULT"))
+    (fun () ->
+      List.concat_map
+        (fun m ->
+          ignore (ok db ("SET JOIN_FORCE " ^ m));
+          List.concat_map
+            (fun name -> [ read (example_81 name); read (company_join name) ])
+            [ "BMW"; "VW" ])
+        methods)
+
+let rename_scenario db =
+  let before = bmw_answers db (ints db) in
+  let r = Db.begin_session_txn db in
+  let w = Db.begin_session_txn db in
+  txn_exec db w "UPDATE Company c SET name = 'VW' WHERE c.name = 'BMW'";
+  let uncommitted = bmw_answers db (ints db) in
+  Db.commit_session_txn db w;
+  let old_snapshot = bmw_answers db (txn_ints db r) in
+  Db.commit_session_txn db r;
+  let after = bmw_answers db (ints db) in
+  Alcotest.(check (list (list int))) "uncommitted rename invisible" before uncommitted;
+  Alcotest.(check (list (list int))) "old snapshot keeps its answers" before old_snapshot;
+  (before, after)
+
+let test_indexed_terminal_under_rename () =
+  let plain = vehicle_db ~indexed:false and indexed = vehicle_db ~indexed:true in
+  Alcotest.(check bool) "terminal probed through the index" true
+    (Helpers.contains (Db.explain indexed (example_81 "BMW")) "INDSEL");
+  let before, after = rename_scenario indexed in
+  (match before with
+  | bmw :: _ :: vw :: _ ->
+      Alcotest.(check bool) "BMW answers before the rename" true (bmw <> []);
+      Alcotest.(check (list int)) "no VW before the rename" [] vw
+  | _ -> Alcotest.fail "missing answers");
+  (match after with
+  | bmw :: _ :: vw :: _ ->
+      Alcotest.(check (list int)) "no BMW after the commit" [] bmw;
+      Alcotest.(check (list int)) "VW has BMW's vehicles" (List.hd before) vw
+  | _ -> Alcotest.fail "missing answers");
+  let plain_before, plain_after = rename_scenario plain in
+  Alcotest.(check (list (list int))) "same answers without the index, before" plain_before before;
+  Alcotest.(check (list (list int))) "same answers without the index, after" plain_after after
+
 (* Abort pops the pending versions: the chain ends where it started
    and the heap compensation is not re-tracked as a new version. *)
 let test_abort_restores () =
@@ -473,6 +553,8 @@ let suites =
         Alcotest.test_case "write skew permitted" `Quick test_write_skew_permitted;
         Alcotest.test_case "gc respects open snapshots" `Quick
           test_gc_respects_open_snapshots;
-        Alcotest.test_case "differential oracle" `Quick test_differential_oracle
+        Alcotest.test_case "differential oracle" `Quick test_differential_oracle;
+        Alcotest.test_case "indexed path terminal under a rename" `Quick
+          test_indexed_terminal_under_rename
       ] )
   ]

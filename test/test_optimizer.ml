@@ -237,6 +237,43 @@ let test_example_82_plan () =
   Alcotest.(check string) "Example 8.2 access plan" example82_expected
     (Plan.render ~label_joins:true optimized.Optimizer.plan)
 
+(* With a B+-tree on Company(name), Section 8.1's rule reads the first
+   path's terminal through the index. Only the terminal's access
+   changes: the join methods and the estimated cost stay the paper's. *)
+let example81_indexed_expected =
+  "T1 : JOIN(\n\
+  \  BIND(Vehicle, v),\n\
+  \  INDSEL(\n\
+  \    BIND(Company, c),\n\
+  \    name = \"BMW\" [B+-tree index] ),\n\
+  \  HASH_PARTITION,\n\
+  \  v.company = c.self )\n\
+   \n\
+   T2 : JOIN(\n\
+  \  T1,\n\
+  \  BIND(VehicleDriveTrain, d),\n\
+  \  FORWARD_TRAVERSAL,\n\
+  \  v.drivetrain = d.self )\n\
+   \n\
+   PROJECT(\n\
+  \  JOIN(\n\
+  \    T2,\n\
+  \    SELECT(BIND(VehicleEngine, e), e.cylinders = 2),\n\
+  \    FORWARD_TRAVERSAL,\n\
+  \    d.engine = e.self ),\n\
+  \  [v.self] )"
+
+let test_example_81_indexed_terminal () =
+  let plain = optimize (paper_env ()) Mood_workload.Vehicle.example_81 in
+  let env = paper_env () in
+  Stats.set_index env.Dicts.stats ~cls:"Company" ~attr:"name"
+    { Stats.order = 100; levels = 3; leaves = 2000; key_size = 16; unique = true };
+  let indexed = optimize env Mood_workload.Vehicle.example_81 in
+  Alcotest.(check string) "terminal probed through the index" example81_indexed_expected
+    (Plan.render ~label_joins:true indexed.Optimizer.plan);
+  Alcotest.(check (float 1e-9)) "estimated cost unchanged"
+    plain.Optimizer.trace.Optimizer.t_est_cost indexed.Optimizer.trace.Optimizer.t_est_cost
+
 let test_example_81_dictionary () =
   (* Table 16: P2 ordered before P1 *)
   let env = paper_env () in
@@ -365,7 +402,9 @@ let suites =
         Alcotest.test_case "Example 8.2 plan verbatim" `Quick test_example_82_plan;
         Alcotest.test_case "Table 16 dictionary" `Quick test_example_81_dictionary;
         Alcotest.test_case "conjunct-order invariance" `Quick
-          test_plan_invariant_under_conjunct_order
+          test_plan_invariant_under_conjunct_order;
+        Alcotest.test_case "Example 8.1 indexed terminal" `Quick
+          test_example_81_indexed_terminal
       ] );
     ( "optimizer.pipeline",
       [ Alcotest.test_case "OR -> UNION" `Quick test_or_produces_union;
