@@ -26,6 +26,21 @@ let refs_of = function
   | Value.Char _ | Value.Bool _ | Value.Tuple _ ->
       []
 
+(* A B+-tree's Table 9 entry. *)
+let index_entry (s : Btree.stats) =
+  { Stats.order = s.Btree.order;
+    levels = s.Btree.levels;
+    leaves = s.Btree.leaves;
+    key_size = s.Btree.key_size;
+    unique = s.Btree.unique
+  }
+
+let register_index stats catalog ~class_name ~attr =
+  match Catalog.find_index catalog ~class_name ~attr with
+  | Some (Catalog.Btree_index bt) ->
+      Stats.set_index stats ~cls:class_name ~attr (index_entry (Btree.stats bt))
+  | Some (Catalog.Hash_index _) | None -> ()
+
 let compute catalog =
   let stats = Stats.create () in
   let classes = Catalog.all_classes catalog in
@@ -119,44 +134,20 @@ let compute catalog =
           accs;
         (* Index statistics (Table 9). *)
         List.iter
-          (fun (attr, _ty) ->
-            match Catalog.find_index catalog ~class_name:name ~attr with
-            | Some (Catalog.Btree_index bt) ->
-                let s = Btree.stats bt in
-                Stats.set_index stats ~cls:name ~attr
-                  { Stats.order = s.Btree.order;
-                    levels = s.Btree.levels;
-                    leaves = s.Btree.leaves;
-                    key_size = s.Btree.key_size;
-                    unique = s.Btree.unique
-                  }
-            | Some (Catalog.Hash_index _) | None -> ())
+          (fun (attr, _ty) -> register_index stats catalog ~class_name:name ~attr)
           attrs;
         List.iter
           (fun (cls, path, px) ->
-            if String.equal cls name then begin
-              let s = Mood_storage.Join_index.Path.stats px in
+            if String.equal cls name then
               Stats.set_index stats ~cls:name ~attr:("#path:" ^ String.concat "." path)
-                { Stats.order = s.Btree.order;
-                  levels = s.Btree.levels;
-                  leaves = s.Btree.leaves;
-                  key_size = s.Btree.key_size;
-                  unique = s.Btree.unique
-                }
-            end)
+                (index_entry (Mood_storage.Join_index.Path.stats px)))
           (Catalog.path_indexes catalog);
         List.iter
           (fun (attr, _ty) ->
             match Catalog.find_join_index catalog ~class_name:name ~attr with
             | Some jx ->
-                let s = Mood_storage.Join_index.Binary.forward_stats jx in
                 Stats.set_index stats ~cls:name ~attr:("#join:" ^ attr)
-                  { Stats.order = s.Btree.order;
-                    levels = s.Btree.levels;
-                    leaves = s.Btree.leaves;
-                    key_size = s.Btree.key_size;
-                    unique = s.Btree.unique
-                  }
+                  (index_entry (Mood_storage.Join_index.Binary.forward_stats jx))
             | None -> ())
           attrs
       end)

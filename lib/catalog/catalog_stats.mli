@@ -12,3 +12,11 @@ val compute : Catalog.t -> Mood_cost.Stats.t
     subclasses' instances, matching how queries range over classes).
     The scan does charge the simulated disk — callers measuring query
     I/O should [Store.reset_io] afterwards. *)
+
+val register_index :
+  Mood_cost.Stats.t -> Catalog.t -> class_name:string -> attr:string -> unit
+(** Sets the Table 9 entry of the B+-tree index that [class_name.attr]
+    resolves to (the class's own or an inherited one), exactly as
+    {!compute} does for it; a hash index or no index sets nothing.
+    CREATE INDEX uses it to make a new B+-tree visible to the optimizer
+    before the next full statistics pass. *)

@@ -18,9 +18,14 @@ module M = Scan_metrics
    frame, so segment I/O is charged through the same buffer pool and
    simulated disk as everything else. A page whose image fails its
    checksum — or whose frame the simulated disk reports torn — is
-   rebuilt from the row heap on the spot: the layout self-heals. *)
+   rebuilt from the row heap on the spot: the layout self-heals.
 
-type page_state =
+   Upkeep is proportional to the write: the hook keeps each page's
+   live-slot array current, and a page whose decoded batch was cached
+   when a write landed keeps that batch, so its rebuild re-reads from
+   the heap only the slots written since. *)
+
+type state =
   | Absent
   | Built of {
       chunks : Heap_file.rid array;
@@ -31,6 +36,18 @@ type page_state =
              restart (or [drop_cached_batches]) forgets it, after which
              the image is re-read and re-verified. *)
     }
+  | Written of kept
+      (* image deleted by a write while its decoded view was cached *)
+
+(* What a write leaves of a cached page: [base] still holds every slot
+   not in [written] as the heap does, so the rebuild re-reads only
+   [written]. As volatile as the batch it keeps. *)
+and kept = { base : Batch.t; written : (int, unit) Hashtbl.t }
+
+type page = {
+  mutable live : int array;  (* live heap slots of the page, ascending *)
+  mutable state : state;
+}
 
 type t = {
   store : Store.t;
@@ -39,10 +56,7 @@ type t = {
   mutable schema : (string * Pax.akind) array;
   mutable hints : (string * Pax.enc_hint) list;
   mutable rows_per_page : int;
-  mutable pages : page_state array;
-  mutable groups : (int * int array) list option;
-      (* memoized [slot_groups] — the page-index partition of the
-         extent's live slots. Any extent mutation resets it. *)
+  mutable pages : page array;
   healed : (int * int, unit) Hashtbl.t;
       (* torn frames already consumed by a rebuild: the tear marker
          lives until the buffer pool rewrites the frame, and a rebuilt
@@ -63,81 +77,55 @@ let plan_rows_per_page store attrs =
 let schema_of attrs =
   Array.of_list (List.map (fun (attr, ty) -> (attr, Pax.kind_of_type ty)) attrs)
 
-let invalidate_page t idx =
-  if idx < Array.length t.pages then
-    match t.pages.(idx) with
-    | Absent -> ()
-    | Built { chunks; _ } ->
-        Array.iter (fun rid -> ignore (Heap_file.delete t.seg rid)) chunks;
-        t.pages.(idx) <- Absent
-
-let invalidate_all t =
-  t.pages <- [||];
-  Heap_file.clear t.seg;
-  Hashtbl.reset t.healed
-
-let on_mutate t = function
-  | None ->
-      t.groups <- None;
-      invalidate_all t
-  | Some slot ->
-      t.groups <- None;
-      let idx = slot / t.rows_per_page in
-      if idx < Array.length t.pages then invalidate_page t idx
-
-let create ~store ~extent ~attrs =
-  let t =
-    { store;
-      extent;
-      seg = Store.new_heap_file store ();
-      schema = schema_of attrs;
-      hints = [];
-      rows_per_page = plan_rows_per_page store attrs;
-      pages = [||];
-      groups = None;
-      healed = Hashtbl.create 8
-    }
+(* First index of the ascending [slots] holding a value >= [slot]. *)
+let lower_bound slots slot =
+  let rec go lo hi =
+    if lo >= hi then lo
+    else
+      let mid = (lo + hi) / 2 in
+      if slots.(mid) < slot then go (mid + 1) hi else go lo mid
   in
-  Extent.set_mutation_hook extent (Some (fun slot -> on_mutate t slot));
-  t
+  go 0 (Array.length slots)
 
-let detach t =
-  Extent.set_mutation_hook t.extent None;
-  invalidate_all t
-
-let rows_per_page t = t.rows_per_page
-
-let schema t = t.schema
-
-let attr_names t = Array.to_list (Array.map fst t.schema)
-
-let hints t = t.hints
-
-let set_hints t hints =
-  if hints <> t.hints then begin
-    t.hints <- hints;
-    invalidate_all t
-  end
-
-let refresh_schema t ~attrs =
-  t.schema <- schema_of attrs;
-  t.rows_per_page <- plan_rows_per_page t.store attrs;
-  t.groups <- None;
-  invalidate_all t
+(* The page map: one entry per page index up to the last live slot,
+   each with its live slots — built from the extent directory only
+   where the geometry is set, kept current by the hook afterwards. *)
+let map_pages t =
+  let slots = Array.of_list (Extent.slots t.extent) in
+  let n = Array.length slots in
+  let npages = if n = 0 then 0 else (slots.(n - 1) / t.rows_per_page) + 1 in
+  t.pages <- Array.init npages (fun _ -> { live = [||]; state = Absent });
+  let rec group start =
+    if start < n then begin
+      let idx = slots.(start) / t.rows_per_page in
+      let stop = lower_bound slots ((idx + 1) * t.rows_per_page) in
+      t.pages.(idx).live <- Array.sub slots start (stop - start);
+      group stop
+    end
+  in
+  group 0
 
 let ensure_page t idx =
-  if idx >= Array.length t.pages then begin
-    let fresh = Array.make (max 8 (2 * max idx (Array.length t.pages)) + 1) Absent in
-    Array.blit t.pages 0 fresh 0 (Array.length t.pages);
-    t.pages <- fresh
-  end
+  let len = Array.length t.pages in
+  if idx >= len then
+    t.pages <-
+      Array.init
+        (max 8 (2 * max idx len) + 1)
+        (fun i -> if i < len then t.pages.(i) else { live = [||]; state = Absent })
+
+let delete_chunks t chunks = Array.iter (fun rid -> ignore (Heap_file.delete t.seg rid)) chunks
+
+let invalidate_all t =
+  Array.iter (fun page -> page.state <- Absent) t.pages;
+  Heap_file.clear t.seg;
+  Hashtbl.reset t.healed
 
 (* ------------------------------------------------------------------ *)
 (* Page image storage: one logical PAX page = 1..k heap records        *)
 
 let chunk_capacity t = Store.page_capacity t.store - Page.slot_overhead
 
-let store_image t idx image =
+let store_image t page image =
   let cap = max 256 (chunk_capacity t) in
   let len = String.length image in
   let nchunks = max 1 ((len + cap - 1) / cap) in
@@ -146,8 +134,7 @@ let store_image t idx image =
         let pos = i * cap in
         Heap_file.insert t.seg (String.sub image pos (min cap (len - pos))))
   in
-  ensure_page t idx;
-  t.pages.(idx) <- Built { chunks; batch = None }
+  page.state <- Built { chunks; batch = None }
 
 (* An un-consumed tear on any of the page's chunk frames. *)
 let frame_torn t chunks =
@@ -163,14 +150,18 @@ let frame_torn t chunks =
 
 let drop_cached_batches t =
   Array.iter
-    (function Built b -> b.batch <- None | Absent -> ())
+    (fun page ->
+      match page.state with
+      | Built b -> b.batch <- None
+      | Written _ -> page.state <- Absent
+      | Absent -> ())
     t.pages
 
 type image = Missing | Torn | Image of string
 
-let load_image t idx =
-  match if idx < Array.length t.pages then t.pages.(idx) else Absent with
-  | Absent -> Missing
+let load_image t page =
+  match page.state with
+  | Absent | Written _ -> Missing
   | Built { chunks; _ } ->
       let seg_file = Heap_file.file_id t.seg in
       let torn = Disk.torn_pages (Store.disk t.store) in
@@ -201,28 +192,138 @@ let load_image t idx =
       end
 
 (* ------------------------------------------------------------------ *)
+(* Mutation hook                                                       *)
+
+(* The extent calls back once a write to [slot] is in place: the page's
+   live slots follow the directory, and its image goes. A decoded
+   batch the cache could still serve stays behind as the rebuild's
+   base, with the slot marked written; a page left without live slots
+   keeps nothing. *)
+let on_write t slot =
+  let idx = slot / t.rows_per_page in
+  ensure_page t idx;
+  let page = t.pages.(idx) in
+  let live = page.live in
+  let n = Array.length live in
+  let pos = lower_bound live slot in
+  (match pos < n && live.(pos) = slot, Extent.mem t.extent slot with
+  | false, true ->
+      let grown = Array.make (n + 1) slot in
+      Array.blit live 0 grown 0 pos;
+      Array.blit live pos grown (pos + 1) (n - pos);
+      page.live <- grown
+  | true, false ->
+      let shrunk = Array.make (n - 1) 0 in
+      Array.blit live 0 shrunk 0 pos;
+      Array.blit live (pos + 1) shrunk pos (n - pos - 1);
+      page.live <- shrunk
+  | true, true | false, false -> ());
+  (match page.state with
+  | Absent -> ()
+  | Written { written; _ } -> Hashtbl.replace written slot ()
+  | Built { chunks; batch } ->
+      let base = if frame_torn t chunks then None else batch in
+      delete_chunks t chunks;
+      page.state <-
+        (match base with
+        | Some base ->
+            let written = Hashtbl.create 8 in
+            Hashtbl.replace written slot ();
+            Written { base; written }
+        | None -> Absent));
+  if Array.length page.live = 0 then page.state <- Absent
+
+let on_mutate t = function
+  | None ->
+      invalidate_all t;
+      t.pages <- [||]
+  | Some slot -> on_write t slot
+
+let create ~store ~extent ~attrs =
+  let t =
+    { store;
+      extent;
+      seg = Store.new_heap_file store ();
+      schema = schema_of attrs;
+      hints = [];
+      rows_per_page = plan_rows_per_page store attrs;
+      pages = [||];
+      healed = Hashtbl.create 8
+    }
+  in
+  map_pages t;
+  Extent.set_mutation_hook extent (Some (fun slot -> on_mutate t slot));
+  t
+
+let detach t =
+  Extent.set_mutation_hook t.extent None;
+  on_mutate t None
+
+let rows_per_page t = t.rows_per_page
+
+let schema t = t.schema
+
+let attr_names t = Array.to_list (Array.map fst t.schema)
+
+let hints t = t.hints
+
+let set_hints t hints =
+  if hints <> t.hints then begin
+    t.hints <- hints;
+    invalidate_all t
+  end
+
+let refresh_schema t ~attrs =
+  t.schema <- schema_of attrs;
+  t.rows_per_page <- plan_rows_per_page t.store attrs;
+  invalidate_all t;
+  map_pages t
+
+(* ------------------------------------------------------------------ *)
 (* Build / decode                                                      *)
 
-let build_page t slots =
-  let rows =
-    Array.map
-      (fun slot ->
-        match Extent.raw_get t.extent slot with
-        | Some v -> v
-        | None -> Value.Null (* raced directory change; cannot happen single-threaded *))
-      slots
+(* The rows of the [live] slots: from the kept base where the slot was
+   not written since, from the heap otherwise. Encoding is
+   deterministic over (slots, rows), so either way the image is the
+   one a full rebuild would write. *)
+let build_page t live kept =
+  let reread slot =
+    M.m.M.rows_reread <- M.m.M.rows_reread + 1;
+    match Extent.raw_get t.extent slot with
+    | Some v -> v
+    | None -> Value.Null (* raced directory change; cannot happen single-threaded *)
   in
-  Pax.encode_page ~schema:t.schema ~hints:t.hints ~slots ~rows
+  let row =
+    match kept with
+    | None -> reread
+    | Some { base; written } ->
+        fun slot ->
+          let i = lower_bound base.Batch.slots slot in
+          if Hashtbl.mem written slot
+             || i >= Array.length base.Batch.slots
+             || base.Batch.slots.(i) <> slot
+          then reread slot
+          else Batch.row_value base i
+  in
+  Pax.encode_page ~schema:t.schema ~hints:t.hints ~slots:live ~rows:(Array.map row live)
 
 (* The batch always comes from decoding the stored image — a single
    code path, so metrics, corruption detection and the sabotage
    control all act on what the page actually holds. *)
-let batch_of_page t idx slots =
+let batch_of_page t page =
   let decode image = Pax.decode_page ~schema:t.schema image in
   let rebuild () =
-    invalidate_page t idx;
-    let image = build_page t slots in
-    store_image t idx image;
+    let kept =
+      match page.state with
+      | Built { chunks; _ } ->
+          delete_chunks t chunks;
+          None
+      | Written kept -> Some kept
+      | Absent -> None
+    in
+    page.state <- Absent;
+    let image = build_page t page.live kept in
+    store_image t page image;
     M.m.M.pages_built <- M.m.M.pages_built + 1;
     decode image
   in
@@ -231,22 +332,22 @@ let batch_of_page t idx slots =
      pool, an in-memory view is not re-verified against the durable
      bytes — checksums run whenever the image is actually (re)read,
      i.e. after a mutation, a tear, or a cache drop. *)
-  match if idx < Array.length t.pages then t.pages.(idx) else Absent with
+  match page.state with
   | Built { chunks; batch = Some batch }
     when (not (frame_torn t chunks))
-         && Array.length batch.Batch.slots = Array.length slots ->
+         && Array.length batch.Batch.slots = Array.length page.live ->
       M.m.M.batch_cache_hits <- M.m.M.batch_cache_hits + 1;
       batch
   | _ ->
       let batch =
-        match load_image t idx with
+        match load_image t page with
         | Missing -> rebuild ()
         | Torn ->
             M.m.M.pages_healed <- M.m.M.pages_healed + 1;
             rebuild ()
         | Image image -> (
             match decode image with
-            | batch when Array.length batch.Batch.slots = Array.length slots ->
+            | batch when Array.length batch.Batch.slots = Array.length page.live ->
                 M.m.M.pages_reused <- M.m.M.pages_reused + 1;
                 batch
             | _ ->
@@ -256,38 +357,32 @@ let batch_of_page t idx slots =
                 M.m.M.pages_healed <- M.m.M.pages_healed + 1;
                 rebuild ())
       in
-      (match if idx < Array.length t.pages then t.pages.(idx) else Absent with
+      (match page.state with
       | Built built -> built.batch <- Some batch
-      | Absent -> ());
+      | Absent | Written _ -> ());
       batch
 
 (* ------------------------------------------------------------------ *)
 (* Scanning                                                            *)
 
-let slot_groups t =
-  match t.groups with
-  | Some groups -> groups
-  | None ->
-      let slots = Extent.slots t.extent in
-      let rec group acc cur cur_idx = function
-        | [] ->
-            List.rev
-              (if cur = [] then acc
-               else (cur_idx, Array.of_list (List.rev cur)) :: acc)
-        | slot :: rest ->
-            let idx = slot / t.rows_per_page in
-            if cur = [] || idx = cur_idx then group acc (slot :: cur) idx rest
-            else group ((cur_idx, Array.of_list (List.rev cur)) :: acc) [ slot ] idx rest
-      in
-      let groups = group [] [] 0 slots in
-      t.groups <- Some groups;
-      groups
+(* Pages holding live slots, in page order — so batch rows come out in
+   slot order. Re-reads [t.pages] at each step: [f] may write. *)
+let iter_pages t f =
+  let rec go idx =
+    if idx < Array.length t.pages then begin
+      let page = t.pages.(idx) in
+      if Array.length page.live > 0 then f idx page;
+      go (idx + 1)
+    end
+  in
+  go 0
 
 (* Per-batch MVCC: batches decode from the heap-mirroring page images;
-   when a snapshot view is open and the version store holds history for
-   this extent's file, every row is resolved against the store and the
-   batch is re-columnarized from the visible values. The fast path —
-   no view, or no history for the file — touches nothing. *)
+   when a snapshot view is open and some slot of this extent's file
+   holds a current version the view cannot see, every row is resolved
+   against the store and the batch is re-columnarized from the visible
+   values. The fast path — no view, or nothing the view cannot see —
+   touches nothing. *)
 let patch_batch t vs view ~file batch =
   let kept = ref [] in
   for i = Array.length batch.Batch.slots - 1 downto 0 do
@@ -306,20 +401,18 @@ let iter_batches t ~f =
   let vs = Store.versions t.store in
   let view =
     match Version_store.active_view vs with
-    | Some _ when not (Version_store.has_file vs ~file) -> None
-    | v -> v
+    | Some view when Version_store.diverges vs view ~file -> Some view
+    | Some _ | None -> None
   in
-  List.iter
-    (fun (idx, slots) ->
-      let batch = batch_of_page t idx slots in
+  iter_pages t (fun _idx page ->
+      let batch = batch_of_page t page in
       let batch =
         match view with
         | None -> batch
         | Some view -> patch_batch t vs view ~file batch
       in
       M.m.M.batches <- M.m.M.batches + 1;
-      f batch)
-    (slot_groups t);
+      f batch);
   match view with
   | None -> ()
   | Some view -> (
@@ -334,23 +427,23 @@ let iter_batches t ~f =
 
 let materialize t = iter_batches t ~f:(fun _ -> ())
 
-(* Clean page images and their chunk placement, for the recovery sim
+(* Clean page images and their chunk placement, for the scan oracle
    (byte-identical rebuild) and the torn-page tests. *)
 let page_images t =
-  List.filter_map
-    (fun (idx, slots) ->
-      match load_image t idx with
-      | Image image -> Some (idx, image)
-      | Missing | Torn -> ignore slots; None)
-    (slot_groups t)
+  let images = ref [] in
+  iter_pages t (fun idx page ->
+      match load_image t page with
+      | Image image -> images := (idx, image) :: !images
+      | Missing | Torn -> ());
+  List.rev !images
 
 let chunk_rids t =
   List.concat
     (List.mapi
-       (fun idx state ->
-         match state with
-         | Absent -> []
-         | Built { chunks; _ } -> [ (idx, Array.to_list chunks) ])
+       (fun idx page ->
+         match page.state with
+         | Built { chunks; _ } -> [ (idx, Array.to_list chunks) ]
+         | Absent | Written _ -> [])
        (Array.to_list t.pages))
 
 let segment t = t.seg

@@ -3,10 +3,13 @@
     The row heap stays authoritative; this store keeps one encoded PAX
     page per fixed run of heap slots, persisted (chunked to the page
     frame) in its own heap file so segment I/O flows through the buffer
-    pool and simulated disk. Pages invalidate through the extent's
-    mutation hook and rebuild lazily; corrupt or torn images self-heal
-    from the row heap. [iter_batches] applies MVCC snapshot visibility
-    per batch. *)
+    pool and simulated disk. The extent's mutation hook keeps each
+    page's live slots current and drops the written page's image; the
+    next scan rebuilds it, re-reading from the heap only the rows
+    written since its decoded batch was cached. Corrupt or torn images
+    self-heal from the row heap. [iter_batches] applies MVCC snapshot
+    visibility per batch when the reader's view diverges from the
+    heap. *)
 
 type t
 
@@ -39,24 +42,29 @@ val rows_per_page : t -> int
 
 val iter_batches : t -> f:(Batch.t -> unit) -> unit
 (** Scan the class batch-at-a-time: decode (building or healing as
-    needed) each PAX page, resolve MVCC visibility, and hand the batch
-    to [f]. Batch rows are in slot order; a trailing batch carries
+    needed) each PAX page with live slots, resolve MVCC visibility if
+    the reader's view diverges from the heap, and hand the batch to
+    [f]. Batch rows are in slot order; a trailing batch carries
     snapshot-visible rows the heap no longer holds. *)
 
 val materialize : t -> unit
 (** Build every page now (bench setup, recovery sim). *)
 
 val invalidate_all : t -> unit
+(** Drop every page image and kept batch (the page map stays): the
+    next scan rebuilds each page wholly from the heap. *)
 
 val drop_cached_batches : t -> unit
 (** Forget the in-memory decoded views (they are volatile — a restart
     loses them) so the next scan re-reads and re-verifies the stored
-    images. Fault-injection tests use this to model tears that happen
-    while the image is out of memory. *)
+    images, and rebuilds written pages wholly from the heap.
+    Fault-injection tests use this to model tears that happen while
+    the image is out of memory. *)
 
 val page_images : t -> (int * string) list
-(** Clean encoded page images by page index — the recovery sim compares
-    these byte-for-byte across a crash/rebuild cycle. *)
+(** Clean encoded page images of the pages with live slots, by page
+    index — the scan oracle compares these byte-for-byte with a full
+    re-encode of the heap. *)
 
 val chunk_rids : t -> (int * Mood_storage.Heap_file.rid list) list
 (** Chunk placement per built page, for torn-page fault tests. *)

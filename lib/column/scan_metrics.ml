@@ -10,6 +10,7 @@ type t = {
   mutable rle_runs : int;
   mutable bytes_decoded : int;
   mutable pages_built : int;
+  mutable rows_reread : int;
   mutable pages_reused : int;
   mutable batch_cache_hits : int;
   mutable pages_healed : int;
@@ -25,6 +26,7 @@ let m =
     rle_runs = 0;
     bytes_decoded = 0;
     pages_built = 0;
+    rows_reread = 0;
     pages_reused = 0;
     batch_cache_hits = 0;
     pages_healed = 0;
@@ -40,6 +42,7 @@ let metrics () =
     ("scan.rle_runs", m.rle_runs);
     ("scan.bytes_decoded", m.bytes_decoded);
     ("scan.pages_built", m.pages_built);
+    ("scan.rows_reread", m.rows_reread);
     ("scan.pages_reused", m.pages_reused);
     ("scan.batch_cache_hits", m.batch_cache_hits);
     ("scan.pages_healed", m.pages_healed);
@@ -55,6 +58,7 @@ let reset () =
   m.rle_runs <- 0;
   m.bytes_decoded <- 0;
   m.pages_built <- 0;
+  m.rows_reread <- 0;
   m.pages_reused <- 0;
   m.batch_cache_hits <- 0;
   m.pages_healed <- 0;

@@ -10,6 +10,7 @@ type t = {
   mutable rle_runs : int;         (** RLE runs expanded during decode *)
   mutable bytes_decoded : int;    (** PAX page bytes decoded *)
   mutable pages_built : int;      (** PAX pages (re)encoded from the row heap *)
+  mutable rows_reread : int;      (** heap rows read by page (re)builds *)
   mutable pages_reused : int;     (** clean PAX pages served from the segment *)
   mutable batch_cache_hits : int; (** scans served from the decoded-batch cache *)
   mutable pages_healed : int;     (** corrupt/torn pages detected and rebuilt *)

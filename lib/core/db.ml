@@ -715,6 +715,14 @@ let execute t ctx ~cache ~key stmt hit =
   | Ast.Create_index { ci_class; ci_attr; ci_kind } ->
       ignore
         (Catalog.create_index t.cat ~class_name:ci_class ~attr:ci_attr ~kind:ci_kind ());
+      (* The new B+-tree enters the live statistics for the class and
+         the subclasses it covers, so the optimizer can pick it before
+         the next [analyze]. The catalog epoch the index bumped already
+         retires plans cached without it. *)
+      List.iter
+        (fun cls ->
+          Catalog_stats.register_index t.statistics t.cat ~class_name:cls ~attr:ci_attr)
+        (ci_class :: Catalog.descendants t.cat ci_class);
       Index_created (ci_class, ci_attr)
   | Ast.New_object { no_class; no_values } -> exec_new t ?txn ~no_class ~no_values ()
   | Ast.Update { up_class; up_var; up_set; up_where } ->

@@ -17,6 +17,11 @@
    the fused aggregation must reproduce the row engine's group order
    and representatives, not just its multiset.
 
+   After every vectorized query the segment's page images are also
+   checked byte for byte against a full re-encode of the heap
+   ([image_mismatches]): incremental page rebuilds must write what a
+   rebuild from scratch would.
+
    [sabotage] runs the battery with null bitmaps zeroed at encode
    time ([Pax.sabotage_null_bitmap]): NULLs come back as 0 / "" from
    the columnar side only, which the oracle must catch. *)
@@ -31,6 +36,8 @@ module Optimizer = Mood_optimizer.Optimizer
 module Collection = Mood_algebra.Collection
 module Scan_cost = Mood_cost.Scan_cost
 module Pax = Mood_column.Pax
+module Pax_store = Mood_column.Pax_store
+module Extent = Mood_storage.Extent
 module Prng = Mood_util.Prng
 
 (* Skewed small domain: duplicates dominate, so dictionary and RLE
@@ -208,6 +215,41 @@ let ordered_diff db src =
     if got = want then None else Some (first_diff got want)
   end
 
+(* Every page image of [ps] against [Pax.encode_page] over the heap
+   rows of its page's live slots, the pages taken from the extent
+   directory: one message per page that differs, is missing, or has
+   no live slot. The segment must be fully built (scan it first). *)
+let image_mismatches ps ext =
+  let rows_per_page = Pax_store.rows_per_page ps in
+  let want =
+    List.fold_left
+      (fun acc slot ->
+        let idx = slot / rows_per_page in
+        match acc with
+        | (i, slots) :: rest when i = idx -> (i, slot :: slots) :: rest
+        | _ -> (idx, [ slot ]) :: acc)
+      [] (Extent.slots ext)
+    |> List.rev_map (fun (idx, slots) ->
+           let slots = Array.of_list (List.rev slots) in
+           let rows =
+             Array.map
+               (fun slot -> Option.value ~default:Value.Null (Extent.raw_get ext slot))
+               slots
+           in
+           ( idx,
+             Pax.encode_page ~schema:(Pax_store.schema ps) ~hints:(Pax_store.hints ps)
+               ~slots ~rows ))
+  in
+  let got = Pax_store.page_images ps in
+  List.filter_map
+    (fun idx ->
+      match List.assoc_opt idx got, List.assoc_opt idx want with
+      | Some g, Some w when String.equal g w -> None
+      | Some _, Some _ -> Some (Printf.sprintf "page %d: image differs from a full re-encode" idx)
+      | Some _, None -> Some (Printf.sprintf "page %d: image without live slots" idx)
+      | None, _ -> Some (Printf.sprintf "page %d: no image" idx))
+    (List.sort_uniq compare (List.map fst got @ List.map fst want))
+
 let exec db src =
   match Db.exec db src with
   | Ok r -> r
@@ -229,7 +271,7 @@ let run_cycle ~seed =
     else ignore (Catalog.insert_object cat ~class_name:"ScanC" (gen_row rng))
   done;
   let queries = ref 0 and checks = ref 0 and rows = ref 0 in
-  let grouped_checks = ref 0 and grouped_violations = ref 0 in
+  let grouped_checks = ref 0 and grouped_violations = ref 0 and image_checks = ref 0 in
   let violations = ref [] in
   let violation ~grouped message =
     if grouped then incr grouped_violations;
@@ -277,6 +319,14 @@ let run_cycle ~seed =
             violation ~grouped
               (Printf.sprintf "%s: %d rows, oracle %d (%s)" src (List.length got)
                  (List.length oracle) (first_diff got oracle));
+          (match Catalog.pax_store cat "ScanC" with
+          | Some ps ->
+              incr image_checks;
+              Pax_store.materialize ps;
+              List.iter
+                (fun m -> violation ~grouped:false (Printf.sprintf "after %s: %s" src m))
+                (image_mismatches ps (Catalog.own_extent cat "ScanC"))
+          | None -> violation ~grouped:false "ScanC has no PAX segment");
           if grouped then begin
             incr grouped_checks;
             match ordered_diff db src with
@@ -291,7 +341,8 @@ let run_cycle ~seed =
         ("checks", !checks);
         ("oracle rows", !rows);
         ("grouped checks", !grouped_checks);
-        ("grouped violations", !grouped_violations)
+        ("grouped violations", !grouped_violations);
+        ("image checks", !image_checks)
       ];
     violations = List.rev !violations
   }

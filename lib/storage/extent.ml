@@ -152,11 +152,10 @@ let delete t ?txn slot =
 let scan t ~f =
   let view =
     match Version_store.active_view (versions t) with
-    | Some _
-      when not (Version_store.has_file (versions t) ~file:(Heap_file.file_id t.file))
-      ->
-        None
-    | v -> v
+    | Some view
+      when Version_store.diverges (versions t) view ~file:(Heap_file.file_id t.file) ->
+        Some view
+    | Some _ | None -> None
   in
   match view with
   | None ->

@@ -87,18 +87,6 @@ let current_stamp t = t.stamp
    whenever no versioned history exists. *)
 let is_empty t = Hashtbl.length t.table = 0
 
-(* Per-file refinement of the same invariant, for whole-extent scans:
-   no entry for [file] means no slot of that file has diverged from
-   any live view. O(live entries), paid once per scan instead of a
-   resolution per record. *)
-exception Found_file
-
-let has_file t ~file =
-  try
-    Hashtbl.iter (fun (f, _) _ -> if f = file then raise Found_file) t.table;
-    false
-  with Found_file -> true
-
 let bump_stamp t lsn = if lsn > t.stamp then t.stamp <- lsn
 
 let with_commit_stamp t lsn f =
@@ -307,6 +295,22 @@ let note_read t = t.c_reads <- t.c_reads + 1
 let visible_cur view = function
   | Committed s -> s <= view.v_stamp
   | Pending tx -> ( match view.v_txn with Some own -> own = tx | None -> false)
+
+(* Per-view refinement of [is_empty], for whole-extent scans: when
+   every entry of [file] has a current version [view] can see, [read]
+   returns the heap value for every slot and [hidden_slots] is empty,
+   so the raw heap is the view. Committed history that only older
+   snapshots still need does not count. O(live entries), paid once per
+   scan instead of a resolution per record. *)
+exception Diverged
+
+let diverges t view ~file =
+  try
+    Hashtbl.iter
+      (fun (f, _) e -> if f = file && not (visible_cur view e.cur) then raise Diverged)
+      t.table;
+    false
+  with Diverged -> true
 
 let rec walk_older view = function
   | [] -> None

@@ -44,11 +44,6 @@ val is_empty : t -> bool
     the heap (GC keeps an entry alive while any live snapshot still
     needs its chain), so readers may skip per-record resolution. *)
 
-val has_file : t -> file:int -> bool
-(** Any versioned history for this heap file? [false] lets a scan take
-    the raw heap path under an open view — same invariant as
-    {!is_empty}, refined per file. *)
-
 val bump_stamp : t -> int -> unit
 (** Raises the clock to at least the argument (replica bootstrap sets
     it to the snapshot LSN). Never lowers it. *)
@@ -108,6 +103,14 @@ val read : t -> view -> file:int -> slot:int ->
     below the snapshot stamp ([None] = the slot did not exist then).
     Must be consulted even when the slot directory misses — a committed
     delete leaves history only the chain remembers. *)
+
+val diverges : t -> view -> file:int -> bool
+(** Does any slot of this heap file hold a current version the view
+    cannot see (a later commit, or another transaction's pending
+    write)? [false] means every {!read} under the view returns the
+    heap value and {!hidden_slots} is empty, so a scan may take the raw
+    heap path — same invariant as {!is_empty}, refined per file and
+    per view. *)
 
 val hidden_slots : t -> view -> file:int -> present:(int -> bool) ->
   (int * Mood_model.Value.t) list

@@ -41,6 +41,8 @@ grep -q '"join"' BENCH_micro.json || { echo "BENCH_micro.json: no join section";
 grep -q '"scan"' BENCH_micro.json || { echo "BENCH_micro.json: no scan section"; exit 1; }
 grep -q '"pax_vs_row_speedup"' BENCH_micro.json \
   || { echo "BENCH_micro.json: no pax_vs_row_speedup"; exit 1; }
+grep -q '"pax_vectorized_after_insert"' BENCH_micro.json \
+  || { echo "BENCH_micro.json: no pax_vectorized_after_insert"; exit 1; }
 grep -q '"grouped_pax_vs_row_speedup"' BENCH_micro.json \
   || { echo "BENCH_micro.json: no grouped_pax_vs_row_speedup"; exit 1; }
 

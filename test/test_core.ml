@@ -101,6 +101,25 @@ let test_explain_contains_dictionaries () =
   let text2 = Db.explain db "SELECT v FROM Vehicle v WHERE v.weight + 1 = 4" in
   Alcotest.(check bool) "OtherSelInfo present" true (Helpers.contains text2 "OtherSelInfo")
 
+(* CREATE INDEX over MOODSQL registers the new B+-tree in the live
+   statistics: on the REPL demo database, Example 8.1's terminal
+   selection probes it without another ANALYZE. *)
+let test_create_index_feeds_statistics () =
+  let db = fresh () in
+  Mood_workload.Vehicle.define_schema (Db.catalog db);
+  ignore (Mood_workload.Vehicle.generate ~catalog:(Db.catalog db) ~scale:0.01 ());
+  Db.analyze db;
+  (* The plan text with layout whitespace squeezed out. *)
+  let plan () =
+    String.concat ""
+      (String.split_on_char ' '
+         (String.concat "" (String.split_on_char '\n' (Db.explain db Mood_workload.Vehicle.example_81))))
+  in
+  let probe = "INDSEL(BIND(Company,c)" in
+  Alcotest.(check bool) "no index, no INDSEL" false (Helpers.contains (plan ()) probe);
+  ignore (ok db "CREATE BTREE INDEX ON Company (name)");
+  Alcotest.(check bool) "the new index is probed" true (Helpers.contains (plan ()) probe)
+
 let test_transaction_commit_and_abort () =
   let db = fresh () in
   ignore (ok db "CREATE CLASS Acc TUPLE (n Integer)");
@@ -755,6 +774,8 @@ let suites =
         Alcotest.test_case "method lifecycle" `Quick test_method_lifecycle_via_sql;
         Alcotest.test_case "error reporting" `Quick test_error_reporting_keeps_server_alive;
         Alcotest.test_case "explain" `Quick test_explain_contains_dictionaries;
+        Alcotest.test_case "CREATE INDEX feeds the statistics" `Quick
+          test_create_index_feeds_statistics;
         Alcotest.test_case "transactions" `Quick test_transaction_commit_and_abort;
         Alcotest.test_case "checkpoint/recover" `Quick test_checkpoint_and_recover;
         Alcotest.test_case "scopes" `Quick test_scope_controls_function_cache;

@@ -531,6 +531,87 @@ let test_join_edge_kept_when_reference_unchanged () =
   Alcotest.(check int) "one edge into the maker" 1
     (List.length (Join_index.Binary.backward jx ~d:maker))
 
+(* A PAX class read under snapshots: one that diverges from the heap
+   patches its batches (old values, rows deleted since, none inserted
+   since) and agrees with the row engine; a fresh read that can see
+   every committed write takes the unpatched batches. *)
+let test_pax_scan_under_snapshot () =
+  let db = Db.create () in
+  ignore (ok db "CREATE CLASS Gauge TUPLE (id Integer, v Integer, tag String(32)) LAYOUT PAX");
+  for i = 1 to 300 do
+    ignore (ok db (Printf.sprintf "new Gauge <%d, %d, 'g%d'>" i (i * 10) (i mod 7)))
+  done;
+  let pairs values =
+    List.sort compare
+      (List.map
+         (function
+           | Value.Tuple [ (_, Value.Int id); (_, Value.Int v) ] -> (id, v)
+           | v -> Alcotest.failf "unexpected row %s" (Value.to_string v))
+         values)
+  in
+  let src = "SELECT g.id, g.v FROM Gauge g" in
+  let fresh () = pairs (rows db src) in
+  let in_txn txn =
+    match Db.exec_in_txn db txn src with
+    | Ok (Db.Rows r) -> pairs (Executor.result_values r)
+    | Ok _ | Error _ -> Alcotest.failf "%S failed inside the transaction" src
+  in
+  let engines read =
+    ignore (ok db "SET SCAN_FORCE VECTOR");
+    let vector = read () in
+    ignore (ok db "SET SCAN_FORCE ROW");
+    let row = read () in
+    Alcotest.(check (list (pair int int))) "vectorized scan = row scan" row vector;
+    vector
+  in
+  let patched () = Mood_column.Scan_metrics.m.Mood_column.Scan_metrics.mvcc_patched in
+  let pages =
+    match Catalog.pax_store (Db.catalog db) "Gauge" with
+    | Some ps ->
+        Mood_column.Pax_store.materialize ps;
+        List.length (Mood_column.Pax_store.page_images ps)
+    | None -> Alcotest.fail "Gauge has no PAX segment"
+  in
+  Alcotest.(check bool) "several PAX pages" true (pages >= 3);
+  let before = fresh () in
+  Fun.protect
+    ~finally:(fun () -> ignore (ok db "SET SCAN_FORCE DEFAULT"))
+    (fun () ->
+      let a = Db.begin_session_txn db in
+      Alcotest.(check (list (pair int int))) "A at BEGIN" before (engines (fun () -> in_txn a));
+      let b = Db.begin_session_txn db in
+      txn_exec db b "UPDATE Gauge g SET v = g.v + 1 WHERE g.id <= 40";
+      txn_exec db b "DELETE FROM Gauge g WHERE g.id > 100 AND g.id <= 130";
+      txn_exec db b "new Gauge <301, 3010, 'late'>";
+      txn_exec db b "new Gauge <302, 3020, 'late'>";
+      Db.commit_session_txn db b;
+      let after_b =
+        List.sort compare
+          (List.filter_map
+             (fun (id, v) ->
+               if id > 100 && id <= 130 then None
+               else if id <= 40 then Some (id, v + 1)
+               else Some (id, v))
+             before
+          @ [ (301, 3010); (302, 3020) ])
+      in
+      (* B's history stays while A's snapshot is open, but a fresh view
+         sees all of it: the heap is that view, nothing is patched. *)
+      let p0 = patched () in
+      Alcotest.(check (list (pair int int))) "fresh read after B" after_b (engines fresh);
+      Alcotest.(check int) "no row patched for a view that sees the heap" 0 (patched () - p0);
+      let c = Db.begin_session_txn db in
+      txn_exec db c "UPDATE Gauge g SET v = 0 WHERE g.id > 200 AND g.id <= 220";
+      let p1 = patched () in
+      Alcotest.(check (list (pair int int)))
+        "A keeps its snapshot: old values, deleted rows, no new rows" before
+        (engines (fun () -> in_txn a));
+      Alcotest.(check bool) "A's scan is patched" true (patched () > p1);
+      Alcotest.(check (list (pair int int)))
+        "a fresh read sees B's commit, not C's pending writes" after_b (engines fresh);
+      Db.commit_session_txn db a;
+      Db.commit_session_txn db c)
+
 let suites =
   [ ( "mvcc.index_postings",
       [ Alcotest.test_case "update keeps an unchanged posting" `Quick
@@ -555,6 +636,7 @@ let suites =
           test_gc_respects_open_snapshots;
         Alcotest.test_case "differential oracle" `Quick test_differential_oracle;
         Alcotest.test_case "indexed path terminal under a rename" `Quick
-          test_indexed_terminal_under_rename
+          test_indexed_terminal_under_rename;
+        Alcotest.test_case "PAX scan under a snapshot" `Quick test_pax_scan_under_snapshot
       ] )
   ]
