@@ -7,6 +7,8 @@ module Btree = Mood_storage.Btree
 module Hash = Mood_storage.Hash_index
 module Join_index = Mood_storage.Join_index
 module Version_store = Mood_storage.Version_store
+module Heap_file = Mood_storage.Heap_file
+module Wal = Mood_storage.Wal
 module Pax = Mood_column.Pax
 module Pax_store = Mood_column.Pax_store
 module Stats = Mood_cost.Stats
@@ -545,12 +547,13 @@ let index_has ix key oid =
   in
   List.exists (Oid.equal oid) postings
 
-(* Index maintenance after an UPDATE (the object's value went from [old]
-   to [next]) or a DELETE ([next = None]). Only attributes whose value
-   changed are touched: an unchanged key's posting is the live one.
-   New postings and join-index edges go in at once, unless the index
-   already holds them — the removal of the same pair may still be
-   pending (a key that goes A -> B -> A inside one transaction).
+(* Index maintenance after a write took the object's value from [old]
+   to [next] ([None] = absent: an INSERT has no [old], a DELETE no
+   [next]). Only attributes whose value changed are touched: an
+   unchanged key's posting is the live one. New postings and join-index
+   edges go in at once, unless the index already holds them — the
+   removal of the same pair may still be pending (a key that goes
+   A -> B -> A inside one transaction).
 
    Old postings and edges are removed through the version store so
    snapshot readers can still reach superseded versions via the index
@@ -566,7 +569,7 @@ let reindex_object t ?txn class_name ext oid ~old ~next =
     match field v attr with Some k when k <> Value.Null -> Some k | Some _ | None -> None
   in
   let refs v attr = match field v attr with Some v -> refs_of_value v | None -> [] in
-  let changed (attr, _) = not (Option.equal Value.equal (field (Some old) attr) (field next attr)) in
+  let changed (attr, _) = not (Option.equal Value.equal (field old attr) (field next attr)) in
   let indexes = List.filter changed (covering_indexes t class_name)
   and join_indexes = List.filter changed (covering_join_indexes t class_name) in
   List.iter
@@ -587,7 +590,7 @@ let reindex_object t ?txn class_name ext oid ~old ~next =
         let current = Extent.raw_get ext (Oid.slot oid) in
         List.iter
           (fun (attr, ix) ->
-            match key (Some old) attr with
+            match key old attr with
             | Some k when not (Option.equal Value.equal (key current attr) (Some k)) ->
                 index_delete ix k oid
             | Some _ | None -> ())
@@ -599,7 +602,7 @@ let reindex_object t ?txn class_name ext oid ~old ~next =
               (fun d ->
                 if not (List.exists (Oid.equal d) kept) then
                   ignore (Join_index.Binary.remove jx ~c:oid ~d))
-              (refs (Some old) attr))
+              (refs old attr))
           join_indexes)
 
 let insert_object t ?txn ~class_name value =
@@ -634,7 +637,8 @@ let update_object t ?txn oid value =
           | Some old ->
               let normalized = normalize t e.name value in
               let ok = Extent.update ext ?txn ~slot:(Oid.slot oid) normalized in
-              if ok then reindex_object t ?txn e.name ext oid ~old ~next:(Some normalized);
+              if ok then
+                reindex_object t ?txn e.name ext oid ~old:(Some old) ~next:(Some normalized);
               ok
         end
     end
@@ -650,10 +654,46 @@ let delete_object t ?txn oid =
           | None -> false
           | Some old ->
               let ok = Extent.delete ext ?txn (Oid.slot oid) in
-              if ok then reindex_object t ?txn e.name ext oid ~old ~next:None;
+              if ok then reindex_object t ?txn e.name ext oid ~old:(Some old) ~next:None;
               ok
         end
     end
+
+(* The class whose own extent is heap file [file]. *)
+let entry_of_file t file =
+  List.find_map
+    (fun name ->
+      match (entry t name).extent with
+      | Some ext when Heap_file.file_id (Extent.heap ext) = file -> Some (entry t name, ext)
+      | Some _ | None -> None)
+    t.order
+
+let extent_of_file t file = Option.map snd (entry_of_file t file)
+
+(* Record-level undo: the slot a logged write touched goes back to the
+   write's before-image (absent for an INSERT), and the indexes follow
+   it through [reindex_object], as after any other write. *)
+let undo_write t record =
+  let restore file payload ~existed =
+    match entry_of_file t file with
+    | None -> ()
+    | Some (e, ext) ->
+        let slot, before = Extent.decode payload in
+        let old = Extent.raw_get ext slot and next = if existed then Some before else None in
+        (match (old, next) with
+        | Some _, Some v -> ignore (Extent.update ext ~slot v)
+        | None, Some v -> Extent.insert_at ext ~slot v
+        | Some _, None -> ignore (Extent.delete ext slot)
+        | None, None -> ());
+        reindex_object t e.name ext (Oid.make ~class_id:e.id ~slot) ~old ~next
+  in
+  match record with
+  | Wal.Insert { file; payload; _ } -> restore file payload ~existed:false
+  | Wal.Update { file; before; _ } | Wal.Delete { file; before; _ } ->
+      restore file before ~existed:true
+  | Wal.Begin _ | Wal.Commit _ | Wal.Abort _ | Wal.Checkpoint _ | Wal.Prepare _
+  | Wal.Decision _ ->
+      ()
 
 let classes_in_scope t ~every ~minus name =
   let base = if every then name :: descendants t name else [ name ] in
@@ -1070,6 +1110,53 @@ let apply_stats_hints t stats =
           in
           Pax_store.set_hints p hints)
     t.by_name
+
+(* Every secondary index against the data it covers: the structure's
+   own invariants, then exactly one posting for each non-null
+   (value, object) pair of the class's deep extent and no other. The
+   heap is read raw, so the equality is exact only while no snapshot
+   is open — until the last one closes, superseded postings stay for
+   it. *)
+let validate_indexes t =
+  let indexes =
+    List.sort (fun (a, _) (b, _) -> compare a b)
+      (Hashtbl.fold (fun key ix acc -> (key, ix) :: acc) t.indexes [])
+  in
+  List.concat_map
+    (fun ((cls, attr), ix) ->
+      let bad fmt = Printf.ksprintf (Printf.sprintf "index %s(%s): %s" cls attr) fmt in
+      let structural, search, entries =
+        match ix with
+        | Btree_index bt ->
+            (Btree.validate bt, (fun key -> Btree.search bt ~key), (Btree.stats bt).Btree.entries)
+        | Hash_index h -> (Hash.validate h, (fun key -> Hash.search h ~key), Hash.entries h)
+      in
+      let pairs =
+        List.concat_map
+          (fun c ->
+            let e = entry t c in
+            match e.extent with
+            | None -> []
+            | Some ext ->
+                List.filter_map
+                  (fun slot ->
+                    match Option.bind (Extent.raw_get ext slot) (fun v -> Value.tuple_get v attr) with
+                    | Some k when k <> Value.Null -> Some (k, Oid.make ~class_id:e.id ~slot)
+                    | Some _ | None -> None)
+                  (Extent.slots ext))
+          (classes_in_scope t ~every:true ~minus:[] cls)
+      in
+      List.map (bad "%s") structural
+      @ List.filter_map
+          (fun (k, oid) ->
+            match List.length (List.filter (Oid.equal oid) (search k)) with
+            | 1 -> None
+            | n -> Some (bad "%d postings of %s under %s, want 1" n (Oid.to_string oid) (Value.to_string k)))
+          pairs
+      @
+      if entries = List.length pairs then []
+      else [ bad "%d postings for %d indexed values" entries (List.length pairs) ])
+    indexes
 
 let render_system_catalog t =
   let buf = Buffer.create 512 in

@@ -170,6 +170,17 @@ val update_object : t -> ?txn:int -> Mood_model.Oid.t -> Mood_model.Value.t -> b
 
 val delete_object : t -> ?txn:int -> Mood_model.Oid.t -> bool
 
+val extent_of_file : t -> int -> Mood_storage.Extent.t option
+(** The class extent stored in the heap file with this id — how a
+    logged record, which names its file, finds its extent. *)
+
+val undo_write : t -> Mood_storage.Wal.record -> unit
+(** Compensates one logged data record, as a live abort does: the slot
+    goes back to the record's before-image (an INSERT's slot is
+    emptied) and the secondary and join indexes follow as after any
+    other write. Control records, and records of a heap file no class
+    owns, are ignored. *)
+
 val extent_oids : t -> ?every:bool -> ?minus:string list -> string -> Mood_model.Oid.t list
 (** The instances of a class. With [every] (default true) instances of
     subclasses are included (IS-A); [minus] excludes the deep extents of
@@ -268,6 +279,14 @@ val replace_extent_contents : t -> string -> (int * Mood_model.Value.t) list -> 
 val rebuild_indexes : t -> unit
 (** Discards and rebuilds every secondary, join and path index from the
     stored data. *)
+
+val validate_indexes : t -> string list
+(** [[]] when every secondary index is healthy, else one message per
+    problem: a B+-tree or hash structure failing its own [validate],
+    or postings that differ from the non-null [(value, oid)] pairs of
+    the indexed class's deep extent. Exact only while no snapshot is
+    open (superseded postings wait for the snapshots that may still
+    read them). Join and path indexes are not checked. *)
 
 val render_system_catalog : t -> string
 (** Dump of the MoodsType / MoodsAttribute / MoodsFunction extents as

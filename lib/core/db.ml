@@ -975,59 +975,40 @@ let class_files t =
       else None)
     (Catalog.all_classes t.cat)
 
-(* Undo helpers: find the extent owning a heap file and compensate
-   using the slot recorded inside the logged payload. *)
-let extent_of_file t file =
-  List.find_map
-    (fun (info : Catalog.class_info) ->
-      if info.Catalog.kind = Catalog.Class then begin
-        let ext = Catalog.own_extent t.cat info.Catalog.class_name in
-        if Mood_storage.Heap_file.file_id (Mood_storage.Extent.heap ext) = file then
-          Some ext
-        else None
-      end
-      else None)
-    (Catalog.all_classes t.cat)
-
-let slot_of_payload payload =
-  match Mood_model.Codec.decode payload with
-  | Value.Tuple [ ("#slot", Value.Int slot); ("#value", value) ] -> (slot, value)
-  | _ -> failwith "Db: corrupt WAL payload"
+(* Heap-only undo for recovery and replica bootstrap: their indexes are
+   stale until the rebuild that ends them, so keeping postings in step
+   could only trip over stale ones (a unique B+-tree rejects a key a
+   stale posting still holds). Find the extent owning a heap file and
+   compensate using the slot recorded inside the logged payload. A live
+   abort undoes through [Catalog.undo_write], indexes included. *)
+let extent_of_file t file = Catalog.extent_of_file t.cat file
 
 let undo_insert t ~file ~payload =
   match extent_of_file t file with
   | None -> ()
   | Some ext ->
-      let slot, _ = slot_of_payload payload in
+      let slot, _ = Mood_storage.Extent.decode payload in
       ignore (Mood_storage.Extent.delete ext slot)
 
 let undo_delete t ~file ~before =
   match extent_of_file t file with
   | None -> ()
   | Some ext ->
-      let slot, value = slot_of_payload before in
+      let slot, value = Mood_storage.Extent.decode before in
       (try Mood_storage.Extent.insert_at ext ~slot value with Invalid_argument _ -> ())
 
 let undo_update t ~file ~before =
   match extent_of_file t file with
   | None -> ()
   | Some ext ->
-      let slot, value = slot_of_payload before in
+      let slot, value = Mood_storage.Extent.decode before in
       ignore (Mood_storage.Extent.update ext ~slot value)
 
 let finish_txn t txn = t.active_txns <- List.filter (fun id -> id <> txn) t.active_txns
 
-(* Compensate a transaction's logged effects, newest first. *)
-let compensate t txn =
-  let wal = Store.wal t.st in
-  List.iter
-    (fun record ->
-      match record with
-      | Wal.Insert { file; payload; _ } -> undo_insert t ~file ~payload
-      | Wal.Delete { file; before; _ } -> undo_delete t ~file ~before
-      | Wal.Update { file; before; _ } -> undo_update t ~file ~before
-      | Wal.Begin _ | Wal.Commit _ | Wal.Abort _ | Wal.Checkpoint _ | Wal.Prepare _ | Wal.Decision _ -> ())
-    (Wal.undo_records wal txn)
+(* Compensate a transaction's logged effects, newest first, indexes
+   included. *)
+let compensate t txn = List.iter (Catalog.undo_write t.cat) (Wal.undo_records (Store.wal t.st) txn)
 
 (* ------------------------------------------------------------------ *)
 (* Session transactions: the server's BEGIN/COMMIT/ABORT surface.
@@ -1217,7 +1198,7 @@ let redo_upsert t ~file payload =
   match extent_of_file t file with
   | None -> ()
   | Some ext ->
-      let slot, value = slot_of_payload payload in
+      let slot, value = Mood_storage.Extent.decode payload in
       if not (Mood_storage.Extent.update ext ~slot value) then
         Mood_storage.Extent.insert_at ext ~slot value
 
@@ -1229,7 +1210,7 @@ let redo_record t record =
       match extent_of_file t file with
       | None -> ()
       | Some ext ->
-          let slot, _ = slot_of_payload before in
+          let slot, _ = Mood_storage.Extent.decode before in
           ignore (Mood_storage.Extent.delete ext slot))
   | Wal.Begin _ | Wal.Commit _ | Wal.Abort _ | Wal.Checkpoint _ | Wal.Prepare _ | Wal.Decision _ -> ()
 
@@ -1260,10 +1241,13 @@ let apply_undo = undo_record
 
 let recover t =
   (* Spill partitions orphaned by the crash are dead weight: drop them
-     (and their buffered pages) before replaying history. *)
+     (and their buffered pages) before replaying history. The crashed
+     sessions' locks and snapshots died with them. *)
   Store.purge_temp_files t.st;
+  Lock.reset (Store.locks t.st);
   let wal = Store.wal t.st in
   let vs = versions t in
+  Version_store.drop_snapshots vs;
   let checkpoint_lsn =
     match t.last_checkpoint with
     | Some (snap, lsn) ->
@@ -1323,8 +1307,11 @@ let recover t =
                | _ -> None)
              undo)
       in
-      ignore
-        (with_locks t (Session s) (List.map (fun cls -> (cls, Lock.Exclusive)) classes) ignore);
+      (match with_locks t (Session s) (List.map (fun cls -> (cls, Lock.Exclusive)) classes) ignore with
+      | Ok () -> ()
+      | Error _ ->
+          failwith
+            (Printf.sprintf "Db.recover: in-doubt transaction %d cannot re-take its extent locks" txn));
       (* Re-chain the MVCC pre-images: the redo pass ran without
          version tracking, so the in-doubt after-images sit in the
          heap with no chain — a snapshot SELECT would read data whose
@@ -1343,10 +1330,10 @@ let recover t =
           in
           match r with
           | Wal.Insert { file; payload; _ } ->
-              let slot, _ = slot_of_payload payload in
+              let slot, _ = Mood_storage.Extent.decode payload in
               mint ~file ~slot None
           | Wal.Update { file; before; _ } | Wal.Delete { file; before; _ } ->
-              let slot, value = slot_of_payload before in
+              let slot, value = Mood_storage.Extent.decode before in
               mint ~file ~slot (Some value)
           | _ -> ())
         (List.rev undo);

@@ -1,32 +1,29 @@
-(* Deterministic multi-node two-phase-commit simulation.
+(* Deterministic two-phase-commit simulation over three shard [Db.t]s.
 
-   Three participant shards (each its own store/WAL/lock manager/table,
-   keys placed by [key mod 3]) run a seeded workload of global
-   transactions against one pure Model oracle. A transaction that
-   touched a single shard commits with an ordinary log force; one that
-   touched several runs 2PC: every leg force-writes a [Prepare], the
-   coordinator force-writes a [Decision] to its own log (presumed
-   abort: only commit decisions are logged), then delivers per-leg
-   [Commit] records. A seeded fuse crashes the whole cluster at any of
-   the protocol's intermediate sites — before/after a vote, before the
-   decision, before the decision force, mid-delivery — after which
-   every shard loses its dirty frames and unpersisted log tail,
-   recovers through the ARIES-lite pass, and resolves its in-doubt
-   transactions from the coordinator's durable decision log (absent
-   gid = presumed aborted). The union of recovered shard contents must
-   equal the oracle's committed bindings, whose commit point is the
-   decision record reaching the coordinator's durable prefix.
+   Keys are placed by [key mod 3]; each shard runs the harness schema.
+   Global transactions run session transactions on the shards they
+   touch. One that touched a single shard commits locally; one that
+   touched several runs the router's protocol: a force-written
+   allocation fence in the coordinator's [Decision_log], a PREPARE per
+   leg ([Db.prepare_session_txn]), the force-written commit decision,
+   then a DECIDE per leg ([Db.decide_txn]). A seeded fuse crashes the
+   whole cluster at any of the protocol's intermediate sites, after
+   which every shard loses its dirty frames and unpersisted log tail
+   and runs [Db.recover]; the coordinator reopens its log, replays it,
+   and decides each shard's in-doubt transactions ([Db.indoubt_txns]):
+   a logged commit commits, anything else is presumed aborted. The
+   union of the shards' contents must equal the oracle's committed
+   bindings, whose commit point is the decision reaching the log.
 
-   [sabotage] skips the decision-log replay and resolves every
-   in-doubt transaction as presumed-abort — with the fuse forced to
-   blow right after a durable commit decision, committed effects are
-   wrongly undone and the oracle must notice, proving it has teeth. *)
+   [sabotage] blows the fuse right after a durable commit decision and
+   resolves every in-doubt gid as abort, ignoring the replayed log. *)
 
 module Prng = Mood_util.Prng
+module Db = Mood.Db
 module Store = Mood_storage.Store
 module Buffer_pool = Mood_storage.Buffer_pool
 module Wal = Mood_storage.Wal
-module Lock = Mood_storage.Lock_manager
+module Decision_log = Mood_shard.Decision_log
 
 exception Crash of string
 
@@ -34,9 +31,7 @@ let shard_count = 3
 let key_space = 60
 let max_open_txns = 3
 
-(* One shard-local transaction of a global one: its lock-manager
-   handle is also its WAL transaction id on that shard. *)
-type leg = { l_shard : int; l_txn : Lock.txn; mutable l_keys : int list }
+type leg = { l_shard : int; l_txn : Db.session_txn }
 type gtxn = { g_id : int; mutable g_legs : leg list; mutable g_ops : int }
 
 let cycle ~sabotage ~seed =
@@ -44,14 +39,10 @@ let cycle ~sabotage ~seed =
   let p_work = Prng.split root in
   let p_fault = Prng.split root in
   let buffer_capacity = 4 + Prng.int p_fault ~bound:12 in
-  let stores =
-    Array.init shard_count (fun _ -> Store.create ~buffer_capacity ())
-  in
-  let wals = Array.map Store.wal stores in
-  let locks = Array.map Store.locks stores in
-  let tables = Array.map (fun store -> Table.create ~store ()) stores in
-  let cps : Table.checkpoint option array = Array.make shard_count None in
-  let coord = Wal.create () in
+  let shards = Array.init shard_count (fun _ -> Harness.sim_db ~buffer_capacity) in
+  let path = Filename.temp_file "mood_sim_2pc" ".log" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  let dlog, _ = Decision_log.open_ ~path in
   let model = Model.create () in
   (* The fuse counts 2PC protocol sites, not workload steps: every
      intermediate state of the commit protocol is a reachable crash
@@ -73,9 +64,7 @@ let cycle ~sabotage ~seed =
           if !n <= 0 then raise (Crash name)
       | None -> ()
   in
-  let step_budget =
-    if sabotage then 600 else 1 + Prng.int p_fault ~bound:250
-  in
+  let step_budget = if sabotage then 600 else 1 + Prng.int p_fault ~bound:250 in
   let open_g : gtxn list ref = ref [] in
   let next_gid = ref 1 in
   let steps = ref 0 in
@@ -88,72 +77,66 @@ let cycle ~sabotage ~seed =
     match List.find_opt (fun l -> l.l_shard = shard) g.g_legs with
     | Some l -> l
     | None ->
-        let l_txn = Lock.begin_txn locks.(shard) in
-        ignore (Wal.append wals.(shard) (Wal.Begin (Lock.txn_id l_txn)));
-        let leg = { l_shard = shard; l_txn; l_keys = [] } in
+        let leg = { l_shard = shard; l_txn = Db.begin_session_txn shards.(shard) } in
         g.g_legs <- leg :: g.g_legs;
         leg
   in
-  let release g =
-    List.iter (fun l -> Lock.release_all locks.(l.l_shard) l.l_txn) g.g_legs;
-    open_g := List.filter (fun o -> o != g) !open_g
+  let finish g = open_g := List.filter (fun o -> o != g) !open_g in
+  let decide l ~gid ~commit =
+    let want = if commit then `Committed else `Aborted in
+    if Db.decide_txn shards.(l.l_shard) ~gid ~commit <> want then
+      failwith (Printf.sprintf "shard %d: decide gid %d went astray" l.l_shard gid)
   in
   let do_abort g =
-    List.iter
-      (fun l -> Table.abort tables.(l.l_shard) ~txn:(Lock.txn_id l.l_txn))
-      g.g_legs;
+    List.iter (fun l -> Db.abort_session_txn shards.(l.l_shard) l.l_txn) g.g_legs;
     Model.abort model g.g_id;
     incr aborts;
-    release g
+    finish g
   in
   let do_commit g =
-    let legs =
-      List.sort (fun a b -> compare a.l_shard b.l_shard) g.g_legs
-    in
-    match legs with
+    match List.sort (fun a b -> compare a.l_shard b.l_shard) g.g_legs with
     | [] ->
-        (* Read-free, write-free transaction: nothing to make durable. *)
         Model.commit model g.g_id;
-        release g
+        finish g
     | [ l ] ->
-        (* Single shard touched: ordinary one-phase commit. *)
-        ignore (Wal.append wals.(l.l_shard) (Wal.Commit (Lock.txn_id l.l_txn)));
+        (* Single shard touched: its local commit is the commit. *)
+        let db = shards.(l.l_shard) in
+        let ticket = Db.commit_session_txn_nodurable db l.l_txn in
         site (Printf.sprintf "part%d_before_commit_force" l.l_shard);
-        Wal.flush wals.(l.l_shard);
+        ignore (Wal.force_group (Store.wal (Db.store db)) ticket);
         Model.commit model g.g_id;
         incr commits_1pc;
-        release g
+        finish g
     | legs ->
-        let gid = g.g_id in
+        let gid = !next_gid in
+        incr next_gid;
+        (* The allocation fence: the gid's verdict is abort until a
+           commit decision supersedes it. *)
+        Decision_log.append dlog ~gid ~commit:false;
         List.iter
           (fun l ->
             site (Printf.sprintf "part%d_before_prepare" l.l_shard);
-            ignore
-              (Wal.append wals.(l.l_shard)
-                 (Wal.Prepare { txn = Lock.txn_id l.l_txn; gid }));
-            Wal.flush wals.(l.l_shard);
+            (match Db.prepare_session_txn shards.(l.l_shard) l.l_txn ~gid with
+            | Ok () -> ()
+            | Error m -> failwith m);
             site (Printf.sprintf "part%d_after_prepare" l.l_shard))
           legs;
         if Prng.int p_work ~bound:12 = 0 then begin
           (* Unanimous yes but the coordinator aborts anyway (client
-             rollback after prepare). Presumed abort: no decision record,
-             just Abort deliveries; a crash mid-delivery leaves the rest
-             in-doubt and the absent gid resolves them to abort. *)
+             rollback after prepare); a crash mid-delivery leaves the
+             rest in doubt, and the fence resolves them to abort. *)
           Model.abort model g.g_id;
           incr aborts;
           List.iter
             (fun l ->
               site (Printf.sprintf "part%d_in_abort_decide" l.l_shard);
-              Table.abort tables.(l.l_shard) ~txn:(Lock.txn_id l.l_txn);
-              Wal.flush wals.(l.l_shard))
+              decide l ~gid ~commit:false)
             legs;
-          release g
+          finish g
         end
         else begin
           site "coord_before_decision";
-          ignore (Wal.append coord (Wal.Decision { gid; commit = true }));
-          site "coord_before_decision_force";
-          Wal.flush coord;
+          Decision_log.append dlog ~gid ~commit:true;
           (* Commit point: the decision is durable. Everything after
              this line — including a crash before any delivery — must
              still converge to a committed transaction. *)
@@ -163,12 +146,9 @@ let cycle ~sabotage ~seed =
           List.iter
             (fun l ->
               site (Printf.sprintf "part%d_in_decide" l.l_shard);
-              ignore
-                (Wal.append wals.(l.l_shard)
-                   (Wal.Commit (Lock.txn_id l.l_txn)));
-              Wal.flush wals.(l.l_shard))
+              decide l ~gid ~commit:true)
             legs;
-          release g
+          finish g
         end
   in
   let random_data () =
@@ -179,150 +159,111 @@ let cycle ~sabotage ~seed =
   let do_op g =
     let key = Prng.int p_work ~bound:key_space in
     let shard = key mod shard_count in
+    let cls = Harness.class_of key in
     let leg = leg_for g shard in
-    let granted =
-      if List.mem key leg.l_keys then `Ok
-      else
-        match
-          Lock.acquire locks.(shard) leg.l_txn ("key:" ^ string_of_int key)
-            Lock.Exclusive
-        with
-        | Lock.Granted ->
-            leg.l_keys <- key :: leg.l_keys;
-            `Ok
-        | Lock.Would_block -> `Busy
-        | Lock.Deadlock -> `Deadlock
+    let stmt, mirror =
+      match Model.find_live model key with
+      | None ->
+          let data = random_data () in
+          ( Printf.sprintf "new %s <%d, '%s'>" cls key data,
+            fun () -> Model.insert model ~txn:g.g_id ~key ~data )
+      | Some _ when Prng.bool p_work ->
+          let data = random_data () in
+          ( Printf.sprintf "UPDATE %s s SET data = '%s' WHERE s.k = %d" cls data key,
+            fun () -> Model.update model ~txn:g.g_id ~key ~data )
+      | Some _ ->
+          ( Printf.sprintf "DELETE FROM %s s WHERE s.k = %d" cls key,
+            fun () -> Model.delete model ~txn:g.g_id ~key )
     in
-    match granted with
-    | `Busy -> () (* held by another global transaction: skip this op *)
-    | `Deadlock ->
+    match Db.exec_in_txn shards.(shard) leg.l_txn stmt with
+    | Ok _ ->
+        g.g_ops <- g.g_ops + 1;
+        mirror ()
+    | Error Db.Txn_busy -> () (* held by another global transaction: skip *)
+    | Error Db.Txn_deadlock ->
         incr deadlocks;
         do_abort g
-    | `Ok -> (
-        g.g_ops <- g.g_ops + 1;
-        let txn = Lock.txn_id leg.l_txn in
-        match Model.find_live model key with
-        | None ->
-            let data = random_data () in
-            Table.insert tables.(shard) ~txn ~key ~data;
-            Model.insert model ~txn:g.g_id ~key ~data
-        | Some _ ->
-            if Prng.bool p_work then begin
-              let data = random_data () in
-              Table.update tables.(shard) ~txn ~key ~data;
-              Model.update model ~txn:g.g_id ~key ~data
-            end
-            else begin
-              Table.delete tables.(shard) ~txn ~key;
-              Model.delete model ~txn:g.g_id ~key
-            end)
-  in
-  let do_checkpoint () =
-    let s = Prng.int p_work ~bound:shard_count in
-    let active =
-      List.concat_map
-        (fun g ->
-          List.filter_map
-            (fun l ->
-              if l.l_shard = s then Some (Lock.txn_id l.l_txn) else None)
-            g.g_legs)
-        !open_g
-    in
-    cps.(s) <- Some (Table.checkpoint tables.(s) ~active);
-    incr checkpoints
+    | Error (Db.Txn_fail m | Db.Txn_redirect m) -> failwith (stmt ^ ": " ^ m)
   in
   let crash_point = ref "op-budget" in
-  (try
-     while true do
-       if !steps >= step_budget then raise (Crash "op-budget");
-       incr steps;
-       if Prng.int p_work ~bound:25 = 0 then do_checkpoint ()
-       else begin
-         if
-           !open_g = []
-           || List.length !open_g < max_open_txns
-              && Prng.int p_work ~bound:4 = 0
-         then begin
-           let g = { g_id = !next_gid; g_legs = []; g_ops = 0 } in
-           incr next_gid;
-           Model.begin_txn model g.g_id;
-           open_g := g :: !open_g
-         end;
-         let g =
-           List.nth !open_g (Prng.int p_work ~bound:(List.length !open_g))
-         in
-         if g.g_ops > 0 && Prng.int p_work ~bound:5 = 0 then
-           if Prng.int p_work ~bound:4 = 0 then do_abort g else do_commit g
-         else do_op g
-       end
-     done
-   with Crash point -> crash_point := point);
+  let live =
+    Harness.guard "workload" (fun () ->
+        (try
+           while true do
+             if !steps >= step_budget then raise (Crash "op-budget");
+             incr steps;
+             if Prng.int p_work ~bound:25 = 0 then begin
+               Db.checkpoint shards.(Prng.int p_work ~bound:shard_count);
+               incr checkpoints
+             end
+             else begin
+               if
+                 !open_g = []
+                 || List.length !open_g < max_open_txns && Prng.int p_work ~bound:4 = 0
+               then begin
+                 let g = { g_id = !next_gid; g_legs = []; g_ops = 0 } in
+                 incr next_gid;
+                 Model.begin_txn model g.g_id;
+                 open_g := g :: !open_g
+               end;
+               let g = List.nth !open_g (Prng.int p_work ~bound:(List.length !open_g)) in
+               if g.g_ops > 0 && Prng.int p_work ~bound:5 = 0 then
+                 if Prng.int p_work ~bound:4 = 0 then do_abort g else do_commit g
+               else do_op g
+             end
+           done
+         with Crash point -> crash_point := point);
+        [])
+  in
   (* The cluster-wide crash: every shard loses dirty frames and its
-     unpersisted log tail, the coordinator loses unpersisted decisions,
-     the oracle discards every pending transaction. Commit points were
-     applied to the model strictly after the matching force, so no
-     limbo remains to resolve. *)
-  Array.iter (fun store -> ignore (Buffer_pool.crash (Store.buffer store))) stores;
-  Array.iter (fun wal -> ignore (Wal.lose_unpersisted wal)) wals;
-  ignore (Wal.lose_unpersisted coord);
+     unpersisted log tail, the oracle discards every pending
+     transaction. The decision log forced every append, so it loses
+     nothing; the coordinator restarts by replaying it. *)
+  Array.iter
+    (fun db ->
+      let store = Db.store db in
+      ignore (Buffer_pool.crash (Store.buffer store));
+      ignore (Wal.lose_unpersisted (Store.wal store)))
+    shards;
+  Decision_log.close dlog;
   Model.crash model;
-  let durable_decisions = Wal.decisions coord in
   let indoubt = ref 0 in
   let resolved_commits = ref 0 in
   let resolved_aborts = ref 0 in
-  let violations =
-    try
-      let union = ref [] in
-      let checks = ref [] in
-      for s = 0 to shard_count - 1 do
-        let recovered, analysis =
-          Table.recover ~wal:wals.(s) ~checkpoint:cps.(s) ()
+  let index_checks = ref 0 in
+  let post =
+    Harness.guard "recovery" (fun () ->
+        let dlog, replayed = Decision_log.open_ ~path in
+        Fun.protect ~finally:(fun () -> Decision_log.close dlog) @@ fun () ->
+        (* Replay folds oldest first: a commit decision supersedes the
+           gid's allocation fence. *)
+        let committed gid =
+          List.fold_left (fun acc (g, c) -> if g = gid then c else acc) false replayed
         in
-        (* In-doubt resolution: recovery redid the prepared effects;
-           a durable commit decision keeps them (log the Commit), an
-           absent gid is presumed aborted (compensate and log Abort).
-           Sabotage ignores the decision log — the broken coordinator. *)
-        Hashtbl.iter
-          (fun txn gid ->
-            incr indoubt;
-            let commit =
-              (not sabotage)
-              && List.exists (fun (g, c) -> g = gid && c) durable_decisions
-            in
-            if commit then begin
-              incr resolved_commits;
-              ignore (Wal.append wals.(s) (Wal.Commit txn))
-            end
-            else begin
-              incr resolved_aborts;
-              List.iter (Table.apply_undo recovered)
-                (Wal.undo_records wals.(s) txn);
-              ignore (Wal.append wals.(s) (Wal.Abort txn))
-            end)
-          analysis.Wal.a_indoubt;
-        Wal.flush wals.(s);
-        union := Table.contents recovered @ !union;
-        checks :=
-          !checks
-          @ List.map (Printf.sprintf "shard %d: %s" s) (Table.check recovered)
-      done;
-      let got = List.sort compare !union in
-      let want = Model.committed_bindings model in
-      let mismatch =
-        if got = want then []
-        else begin
-          let render bindings =
-            String.concat "; "
-              (List.map (fun (k, d) -> Printf.sprintf "%d=%S" k d) bindings)
-          in
-          [ Printf.sprintf
-              "recovered shard union diverges from oracle: recovered {%s} \
-               oracle {%s}"
-              (render got) (render want) ]
-        end
-      in
-      mismatch @ !checks
-    with e -> [ Printf.sprintf "recovery raised %s" (Printexc.to_string e) ]
+        let per_shard =
+          List.concat
+            (List.mapi
+               (fun s db ->
+                 ignore (Db.recover db);
+                 List.iter
+                   (fun (gid, _) ->
+                     incr indoubt;
+                     let commit = (not sabotage) && committed gid in
+                     match Db.decide_txn db ~gid ~commit with
+                     | `Committed -> incr resolved_commits
+                     | `Aborted -> incr resolved_aborts
+                     | `Unknown -> failwith (Printf.sprintf "in-doubt gid %d unknown" gid))
+                   (Db.indoubt_txns db);
+                 incr index_checks;
+                 let problems = Harness.check_indexes db in
+                 let refused = Harness.probe_write db in
+                 List.map (Printf.sprintf "shard %d: %s" s) (problems @ refused))
+               (Array.to_list shards))
+        in
+        Harness.against_oracle "recovered shard union"
+          (List.sort compare (List.concat_map Harness.contents (Array.to_list shards)))
+          (Model.committed_bindings model)
+        @ per_shard)
   in
   { Phase.seed;
     site = !crash_point;
@@ -335,9 +276,10 @@ let cycle ~sabotage ~seed =
         ("checkpoints", !checkpoints);
         ("in-doubt", !indoubt);
         ("resolved commit", !resolved_commits);
-        ("resolved abort", !resolved_aborts)
+        ("resolved abort", !resolved_aborts);
+        ("index checks", !index_checks)
       ];
-    violations
+    violations = live @ post
   }
 
 let phase = { Phase.name = "2pc"; cycle; caught = Phase.violated }

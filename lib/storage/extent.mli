@@ -19,6 +19,10 @@ val insert_at : t -> ?txn:int -> slot:int -> Mood_model.Value.t -> unit
 (** Stores an object under a caller-chosen slot (recovery, restore).
     Raises [Invalid_argument] when the slot is live. *)
 
+val decode : string -> int * Mood_model.Value.t
+(** The slot and value a logged [Insert]/[Update]/[Delete] payload (or
+    before/after image) carries. Raises [Failure] on a corrupt one. *)
+
 val get : t -> int -> Mood_model.Value.t option
 (** Random page access, resolved through the ambient snapshot view when
     one is installed. *)

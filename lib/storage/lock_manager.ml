@@ -128,6 +128,11 @@ let release_all t txn =
      transaction's locks can retry right now instead of on a timer. *)
   match t.on_release with Some f -> f () | None -> ()
 
+let reset t =
+  Hashtbl.reset t.locks;
+  Hashtbl.reset t.waits_for;
+  t.active <- []
+
 let holders t resource =
   match Hashtbl.find_opt t.locks resource with Some r -> !r | None -> []
 

@@ -46,6 +46,11 @@ val set_release_hook : t -> (unit -> unit) -> unit
 
 val clear_release_hook : t -> unit
 
+val reset : t -> unit
+(** Crash restart: forgets every lock, wait and live transaction. The
+    holders died with the crash; transaction ids and the outcome
+    counters keep counting. *)
+
 val holders : t -> resource -> (int * mode) list
 (** For inspection and tests. *)
 

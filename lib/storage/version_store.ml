@@ -374,6 +374,8 @@ let reset t =
    stamps must never regress, even across recovery or a replica
    bootstrap, or closed history would leak into old snapshots. *)
 
+let drop_snapshots t = Hashtbl.reset t.snapshots
+
 let snapshots_open t = Hashtbl.length t.snapshots
 
 let metrics t =

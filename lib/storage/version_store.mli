@@ -146,6 +146,11 @@ val reset : t -> unit
     heap wholesale) but keeps the clock and counters — stamps must
     never regress. *)
 
+val drop_snapshots : t -> unit
+(** Crash restart: unregisters every open snapshot. Their readers died
+    with the crash, so GC and deferred index removals stop waiting for
+    them. *)
+
 val snapshots_open : t -> int
 
 val metrics : t -> (string * int) list

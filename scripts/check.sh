@@ -86,6 +86,16 @@ SIM_CONTROLS="$(grep '^mood_sim: .* negative control caught' "$SIM_OUT" \
   | sed 's/ negative control caught.*//' | sort -u | wc -l)"
 [ "$SIM_CONTROLS" -eq 7 ] \
   || { echo "crash_sim: $SIM_CONTROLS phases caught their negative control, want 7"; exit 1; }
+# The recovery, replication, MVCC and 2PC phases run the shipped Db and
+# check its indexes against the data (Catalog.validate_indexes). A
+# phase whose report counts no index checks has stopped validating.
+SIM_FLAT="$(tr '\n' ' ' < "$SIM_OUT")"
+for P in recovery replication mvcc 2pc; do
+  CHECKS="$(printf '%s' "$SIM_FLAT" | sed 's/mood_sim: /\n&/g' \
+    | grep "^mood_sim: $P, seeds" | grep -o '[0-9]* index checks' | grep -o '^[0-9]*')"
+  [ "${CHECKS:-0}" -gt 0 ] \
+    || { echo "crash_sim: the $P phase reported no index checks"; exit 1; }
+done
 rm -f "$SIM_OUT"
 
 echo "== EXPLAIN ANALYZE smoke =="

@@ -177,6 +177,55 @@ let test_checkpoint_and_recover () =
   Alcotest.(check (list int)) "committed survive, loser and unlogged gone"
     [ 1; 2 ] values
 
+(* Db.recover starts from what the crash left: the locks and snapshots
+   of the sessions that died are gone, and an in-doubt transaction
+   re-takes its extent lock and gives it back at its decision. *)
+let test_recover_forgets_crashed_sessions () =
+  let setup () =
+    let db = fresh () in
+    ignore (ok db "CREATE CLASS Acc TUPLE (n Integer)");
+    ignore (ok db "CREATE HASH INDEX ON Acc (n)");
+    db
+  in
+  let crash db =
+    let st = Db.store db in
+    ignore (Mood_storage.Buffer_pool.crash (Mood_storage.Store.buffer st));
+    ignore (Mood_storage.Wal.lose_unpersisted (Mood_storage.Store.wal st));
+    ignore (Db.recover db)
+  in
+  (* One statement in its own session transaction: committed when
+     granted, [false] when not. *)
+  let write db stmt =
+    let s = Db.begin_session_txn db in
+    match Db.exec_in_txn db s stmt with
+    | Ok _ ->
+        Db.commit_session_txn db s;
+        true
+    | Error _ ->
+        Db.abort_session_txn db s;
+        false
+  in
+  let db = setup () in
+  Alcotest.(check bool) "committed write" true (write db "new Acc <1>");
+  let crashed = Db.begin_session_txn db in
+  ignore (Db.exec_in_txn db crashed "new Acc <2>");
+  crash db;
+  Alcotest.(check bool) "write after restart" true
+    (write db "UPDATE Acc a SET n = 3 WHERE a.n = 1");
+  Alcotest.(check (list string)) "superseded posting removed" []
+    (Catalog.validate_indexes (Db.catalog db));
+  let db = setup () in
+  let prepared = Db.begin_session_txn db in
+  ignore (Db.exec_in_txn db prepared "new Acc <1>");
+  (match Db.prepare_session_txn db prepared ~gid:7 with
+  | Ok () -> ()
+  | Error m -> Alcotest.fail m);
+  crash db;
+  Alcotest.(check (list int)) "in doubt" [ 7 ] (List.map fst (Db.indoubt_txns db));
+  Alcotest.(check bool) "in doubt, the extent stays locked" false (write db "new Acc <2>");
+  ignore (Db.decide_txn db ~gid:7 ~commit:true);
+  Alcotest.(check bool) "write after the decision" true (write db "new Acc <2>")
+
 let test_scope_controls_function_cache () =
   let db = fresh () in
   ignore (ok db "CREATE CLASS S TUPLE (x Integer)");
@@ -778,6 +827,8 @@ let suites =
           test_create_index_feeds_statistics;
         Alcotest.test_case "transactions" `Quick test_transaction_commit_and_abort;
         Alcotest.test_case "checkpoint/recover" `Quick test_checkpoint_and_recover;
+        Alcotest.test_case "recover forgets crashed sessions" `Quick
+          test_recover_forgets_crashed_sessions;
         Alcotest.test_case "scopes" `Quick test_scope_controls_function_cache;
         Alcotest.test_case "analyze/io" `Quick test_analyze_and_io_measurement;
         Alcotest.test_case "named objects" `Quick test_named_objects_via_sql;

@@ -392,15 +392,21 @@ let test_server_replication_end_to_end () =
 let test_sim_repl_clean_sweep () =
   let r = Test_sim.clean_sweep Harness.replication ~quota:60 ~base_seed:5000 in
   Test_sim.exercised r
-    [ "commits"; "applied on the replica"; "replica crashes"; "redeliveries"; "bootstraps" ]
+    [ "commits";
+      "applied on the replica";
+      "replica crashes";
+      "redeliveries";
+      "bootstraps";
+      "index checks"
+    ]
 
 let test_sim_repl_deterministic () =
   Test_sim.check_reproducible Harness.replication ~quota:1 ~base_seed:99
 
 let test_sim_repl_detects_skipped_scrub () =
-  (* Same seeds as the clean sweep, bootstrap deliberately broken (the
-     in-flight transactions' effects stay in the installed image): the
-     sweep must surface divergence. *)
+  (* Same seeds as the clean sweep, snapshots stripped of their
+     in-flight transactions (so their effects stay in the installed
+     image): the sweep must surface divergence. *)
   ignore (Test_sim.sabotaged_sweep Harness.replication ~quota:60 ~base_seed:5000)
 
 let suites =

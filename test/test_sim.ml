@@ -3,15 +3,16 @@
    Every phase must reproduce from its seed, come back violation-free
    on clean seeds, and have its negative control caught — the oracle
    has teeth. The per-phase sweeps pin that each phase exercises the
-   machinery it exists to check; a recovery with the undo pass
-   deliberately skipped is also caught in a handcrafted scenario. *)
+   machinery it exists to check; a recovery whose loser is handed a
+   forged Commit is also caught in a handcrafted scenario. *)
 
 module Phase = Mood_sim.Phase
 module Harness = Mood_sim.Harness
-module Table = Mood_sim.Table
-module Model = Mood_sim.Model
+module Db = Mood.Db
+module Catalog = Mood_catalog.Catalog
 module Store = Mood_storage.Store
 module Wal = Mood_storage.Wal
+module Buffer_pool = Mood_storage.Buffer_pool
 
 (* Helpers shared with the phase tests in test_repl, test_column and
    test_executor. *)
@@ -64,85 +65,95 @@ let test_harness_clean_run () =
       "deadlock victims";
       "checkpoints";
       "lost frames";
-      "lost log records"
+      "lost log records";
+      "index checks"
     ]
 
 let test_harness_deterministic () =
   check_reproducible Harness.recovery ~quota:1 ~base_seed:77
 
 let test_harness_detects_skipped_undo () =
-  (* Same seeds as the clean run, recovery broken: the sweep must
-     surface violations. *)
+  (* Same seeds as the clean run, with a forged Commit for every
+     transaction open at the crash, so recovery skips their undo: the
+     sweep must surface violations. *)
   ignore (sabotaged_sweep Harness.recovery ~quota:60 ~base_seed:1000)
 
+(* One statement in a session transaction, which must be granted. *)
+let exec db s stmt =
+  match Db.exec_in_txn db s stmt with
+  | Ok _ -> ()
+  | Error _ -> Alcotest.failf "%s: refused" stmt
+
+let in_txn db stmts ~commit =
+  let s = Db.begin_session_txn db in
+  List.iter (exec db s) stmts;
+  if commit then Db.commit_session_txn db s else Db.abort_session_txn db s
+
+let indexes_healthy what db =
+  Alcotest.(check (list string)) what [] (Catalog.validate_indexes (Db.catalog db))
+
 let test_skip_undo_handcrafted () =
-  (* Transaction 2 inserts, a checkpoint is taken while it is active
+  (* A transaction inserts, a checkpoint is taken while it is open
      (steal: its uncommitted insert is baked into the base image), the
      crash arrives before it ever commits. Correct recovery undoes it;
-     a recovery without the undo pass leaves it visible. *)
-  let store = Store.create ~buffer_capacity:16 () in
-  let wal = Store.wal store in
-  let table = Table.create ~store () in
-  let model = Model.create () in
-  ignore (Wal.append wal (Wal.Begin 1));
-  Model.begin_txn model 1;
-  Table.insert table ~txn:1 ~key:1 ~data:"committed";
-  Model.insert model ~txn:1 ~key:1 ~data:"committed";
-  ignore (Wal.append wal (Wal.Commit 1));
-  Wal.flush wal;
-  Model.commit model 1;
-  ignore (Wal.append wal (Wal.Begin 2));
-  Model.begin_txn model 2;
-  Table.insert table ~txn:2 ~key:2 ~data:"loser";
-  Model.insert model ~txn:2 ~key:2 ~data:"loser";
-  let cp = Table.checkpoint table ~active:[ 2 ] in
-  ignore (Wal.lose_unpersisted wal);
-  Model.crash model;
-  let recovered, analysis = Table.recover ~wal ~checkpoint:(Some cp) () in
-  Alcotest.(check bool) "txn 2 is a loser" true
-    (Hashtbl.mem analysis.Wal.a_losers 2);
+     a Commit forged for it makes recovery skip that undo. *)
+  let crash_and_recover ~forge =
+    let db = Harness.sim_db ~buffer_capacity:16 in
+    in_txn db [ "new SimB <1, 'committed'>" ] ~commit:true;
+    let loser = Db.begin_session_txn db in
+    exec db loser "new SimA <2, 'loser'>";
+    Db.checkpoint db;
+    let wal = Store.wal (Db.store db) in
+    ignore (Buffer_pool.crash (Store.buffer (Db.store db)));
+    ignore (Wal.lose_unpersisted wal);
+    if forge then begin
+      ignore (Wal.append wal (Wal.Commit (Db.session_txn_id loser)));
+      Wal.flush wal
+    end;
+    let analysis = Db.recover db in
+    (db, Hashtbl.mem analysis.Wal.a_losers (Db.session_txn_id loser))
+  in
+  let db, is_loser = crash_and_recover ~forge:false in
+  Alcotest.(check bool) "the open insert is a loser" true is_loser;
   Alcotest.(check (list (pair int string))) "undo scrubbed the loser"
-    [ (1, "committed") ] (Table.contents recovered);
-  Alcotest.(check (list string)) "recovered table healthy" []
-    (Table.check recovered);
-  let broken, _ = Table.recover ~skip_undo:true ~wal ~checkpoint:(Some cp) () in
-  Alcotest.(check bool) "skipping undo leaves the loser visible" true
-    (Table.contents broken <> Model.committed_bindings model)
+    [ (1, "committed") ] (Harness.contents db);
+  indexes_healthy "recovered indexes healthy" db;
+  let forged, _ = crash_and_recover ~forge:true in
+  Alcotest.(check (list (pair int string))) "a forged commit keeps the loser"
+    [ (1, "committed"); (2, "loser") ] (Harness.contents forged)
 
 let test_table_check_standalone () =
-  (* The invariant checker doubles as a standalone structural test on
-     a live (never crashed) table. *)
-  let store = Store.create ~buffer_capacity:16 () in
-  let wal = Store.wal store in
-  let table = Table.create ~store () in
-  ignore (Wal.append wal (Wal.Begin 1));
-  for k = 0 to 30 do
-    Table.insert table ~txn:1 ~key:k ~data:(Printf.sprintf "d%d" k)
-  done;
-  for k = 0 to 30 do
-    if k mod 3 = 0 then Table.delete table ~txn:1 ~key:k
-    else if k mod 3 = 1 then
-      Table.update table ~txn:1 ~key:k ~data:(Printf.sprintf "d%d'" k)
-  done;
-  Alcotest.(check (list string)) "live table healthy" [] (Table.check table);
-  Alcotest.(check int) "survivors" 20 (List.length (Table.contents table))
+  (* The index check on a live (never crashed) database, after
+     committed inserts, updates and deletes and an aborted mix. *)
+  let db = Harness.sim_db ~buffer_capacity:16 in
+  let on k fmt = Printf.sprintf fmt (Harness.class_of k) in
+  in_txn db (List.init 31 (fun k -> on k "new %s <%d, 'd%d'>" k k)) ~commit:true;
+  in_txn db
+    (List.filter_map
+       (fun k ->
+         if k mod 3 = 0 then Some (on k "DELETE FROM %s s WHERE s.k = %d" k)
+         else if k mod 3 = 1 then Some (on k "UPDATE %s s SET data = 'e%d' WHERE s.k = %d" k k)
+         else None)
+       (List.init 31 Fun.id))
+    ~commit:true;
+  in_txn db
+    [ "UPDATE SimB s SET data = 'gone' WHERE s.k = 1";
+      "DELETE FROM SimA s WHERE s.k = 2";
+      "new SimA <40, 'gone'>"
+    ]
+    ~commit:false;
+  indexes_healthy "live indexes healthy" db;
+  Alcotest.(check int) "survivors" 20 (List.length (Harness.contents db))
 
 let test_table_abort_compensates () =
-  let store = Store.create ~buffer_capacity:16 () in
-  let wal = Store.wal store in
-  let table = Table.create ~store () in
-  ignore (Wal.append wal (Wal.Begin 1));
-  Table.insert table ~txn:1 ~key:1 ~data:"keep";
-  ignore (Wal.append wal (Wal.Commit 1));
-  Wal.flush wal;
-  ignore (Wal.append wal (Wal.Begin 2));
-  Table.insert table ~txn:2 ~key:2 ~data:"drop";
-  Table.update table ~txn:2 ~key:1 ~data:"dirty";
-  Table.delete table ~txn:2 ~key:1;
-  Table.abort table ~txn:2;
+  (* An aborted INSERT and UPDATE leave no posting behind. *)
+  let db = Harness.sim_db ~buffer_capacity:16 in
+  in_txn db [ "new SimB <1, 'keep'>" ] ~commit:true;
+  in_txn db [ "new SimA <2, 'drop'>"; "UPDATE SimB s SET data = 'dirty' WHERE s.k = 1" ]
+    ~commit:false;
   Alcotest.(check (list (pair int string))) "rolled back to committed state"
-    [ (1, "keep") ] (Table.contents table);
-  Alcotest.(check (list string)) "indexes compensated" [] (Table.check table)
+    [ (1, "keep") ] (Harness.contents db);
+  indexes_healthy "indexes compensated" db
 
 (* ------------------------------------------------------------------ *)
 (* Two-phase-commit cycles (crash_sim phase 5, fast subset)            *)
@@ -152,7 +163,8 @@ module Two_pc = Mood_sim.Two_pc
 let test_two_pc_clean_run () =
   let r = clean_sweep Two_pc.phase ~quota:40 ~base_seed:500 in
   (* The sweep must actually cross shards and leave survivors in doubt. *)
-  exercised r [ "two-phase commits"; "one-phase commits"; "aborts"; "in-doubt" ]
+  exercised r
+    [ "two-phase commits"; "one-phase commits"; "aborts"; "in-doubt"; "index checks" ]
 
 let test_two_pc_deterministic () = check_reproducible Two_pc.phase ~quota:3 ~base_seed:91
 
