@@ -49,7 +49,39 @@ let query_fixture () =
   Db.analyze db;
   db
 
+(* The record codecs on their own: 2,500 two-int rows as the heap
+   stores them (slot-tagged tuples) and as 14 PAX pages of 180 rows. *)
+module Codec = Mood_model.Codec
+module Pax = Mood_column.Pax
+
+let codec_rows = 2500
+and codec_rows_per_page = 180
+
+let codec_fixture () =
+  let rng = Prng.create ~seed:5 in
+  let rows =
+    Array.init codec_rows (fun i ->
+        Value.Tuple [ ("id", Value.Int i); ("weight", Value.Int (500 + Prng.int rng ~bound:2500)) ])
+  in
+  let records =
+    Array.mapi (fun slot v -> Value.Tuple [ ("#slot", Value.Int slot); ("#value", v) ]) rows
+  in
+  let schema = [| ("id", Pax.KInt); ("weight", Pax.KInt) |] in
+  let page_chunks =
+    List.init
+      ((codec_rows + codec_rows_per_page - 1) / codec_rows_per_page)
+      (fun p ->
+        let start = p * codec_rows_per_page in
+        let len = min codec_rows_per_page (codec_rows - start) in
+        (Array.init len (fun i -> start + i), Array.sub rows start len))
+  in
+  let encode_pages () =
+    List.map (fun (slots, rows) -> Pax.encode_page ~schema ~hints:[] ~slots ~rows) page_chunks
+  in
+  (records, Array.map Codec.encode records, schema, encode_pages, encode_pages ())
+
 let tests () =
+  let records, encoded, pax_schema, encode_pages, pages = codec_fixture () in
   let db_f, oid = funcmgr_fixture () in
   let scope = Db.scope db_f in
   let funcs = Db.functions db_f in
@@ -109,7 +141,16 @@ let tests () =
            List.iter (fun row -> ignore (interpreted_pred exec_env row)) pred_rows));
     Test.make ~name:"algebra: heap sort with merging (2000 elems)"
       (Staged.stage (fun () ->
-           ignore (Heap.sort_with_runs ~cmp:Int.compare ~run_length:256 sort_input)))
+           ignore (Heap.sort_with_runs ~cmp:Int.compare ~run_length:256 sort_input)));
+    Test.make ~name:"codec: heap record encode (2500 rows)"
+      (Staged.stage (fun () -> Array.iter (fun r -> ignore (Codec.encode r)) records));
+    Test.make ~name:"codec: heap record decode (2500 rows)"
+      (Staged.stage (fun () -> Array.iter (fun s -> ignore (Codec.decode s)) encoded));
+    Test.make ~name:"codec: pax page encode (2500 rows)"
+      (Staged.stage (fun () -> ignore (encode_pages ())));
+    Test.make ~name:"codec: pax page decode (2500 rows)"
+      (Staged.stage (fun () ->
+           List.iter (fun p -> ignore (Pax.decode_page ~schema:pax_schema p)) pages))
   ]
 
 (* ---------------- measurement ---------------- *)

@@ -56,15 +56,9 @@ let add_u8 buf v = Buffer.add_char buf (Char.chr (v land 0xFF))
 
 let add_u32 buf v =
   if v < 0 || v > 0xFFFFFFFF then corrupt "u32 out of range: %d" v;
-  add_u8 buf (v lsr 24);
-  add_u8 buf ((v lsr 16) land 0xFF);
-  add_u8 buf ((v lsr 8) land 0xFF);
-  add_u8 buf (v land 0xFF)
+  Buffer.add_int32_be buf (Int32.of_int v)
 
-let add_i64 buf v =
-  for byte = 7 downto 0 do
-    add_u8 buf (Int64.to_int (Int64.shift_right_logical v (8 * byte)) land 0xFF)
-  done
+let add_int buf v = Buffer.add_int64_be buf (Int64.of_int v)
 
 let add_str buf s =
   add_u32 buf (String.length s);
@@ -83,21 +77,34 @@ let read_u8 cur =
 
 let read_u32 cur =
   need cur 4;
-  let v = ref 0 in
-  for _ = 1 to 4 do
-    v := (!v lsl 8) lor Char.code cur.data.[cur.pos];
-    cur.pos <- cur.pos + 1
-  done;
-  !v
+  let v = Int32.to_int (String.get_int32_be cur.data cur.pos) land 0xFFFFFFFF in
+  cur.pos <- cur.pos + 4;
+  v
 
-let read_i64 cur =
+let read_int cur =
   need cur 8;
-  let v = ref 0L in
-  for _ = 1 to 8 do
-    v := Int64.logor (Int64.shift_left !v 8) (Int64.of_int (Char.code cur.data.[cur.pos]));
-    cur.pos <- cur.pos + 1
+  let v = Int64.to_int (String.get_int64_be cur.data cur.pos) in
+  cur.pos <- cur.pos + 8;
+  v
+
+(* [n] consecutive 8-byte big-endian words, one bounds check for all. *)
+let read_ints cur n =
+  need cur (8 * n);
+  let out = Array.make n 0 in
+  for i = 0 to n - 1 do
+    out.(i) <- Int64.to_int (String.get_int64_be cur.data (cur.pos + (8 * i)))
   done;
-  !v
+  cur.pos <- cur.pos + (8 * n);
+  out
+
+let read_floats cur n =
+  need cur (8 * n);
+  let out = Array.create_float n in
+  for i = 0 to n - 1 do
+    out.(i) <- Int64.float_of_bits (String.get_int64_be cur.data (cur.pos + (8 * i)))
+  done;
+  cur.pos <- cur.pos + (8 * n);
+  out
 
 let read_str cur =
   let n = read_u32 cur in
@@ -122,10 +129,11 @@ let null_bits values =
   let bits = Batch.fresh_nullbits n in
   let any = ref false in
   for i = 0 to n - 1 do
-    if values.(i) = Value.Null then begin
-      Batch.set_null bits i;
-      any := true
-    end
+    match values.(i) with
+    | Value.Null ->
+        Batch.set_null bits i;
+        any := true
+    | _ -> ()
   done;
   (bits, !any)
 
@@ -139,9 +147,9 @@ let add_nulls buf ~n ~bits ~any =
    minipage to the generic codec otherwise — pages must round-trip any
    value the heap can hold. *)
 let all_match values p =
-  Array.for_all (fun v -> v = Value.Null || p v) values
+  Array.for_all (function Value.Null -> true | v -> p v) values
 
-let rle_runs ints =
+let rle_runs (ints : int array) =
   let n = Array.length ints in
   if n = 0 then 0
   else begin
@@ -168,7 +176,7 @@ let encode_int_minipage buf values =
     for i = 1 to n do
       if i = n || ints.(i) <> ints.(!start) then begin
         add_u32 buf (i - !start);
-        add_i64 buf (Int64.of_int ints.(!start));
+        add_int buf ints.(!start);
         start := i
       end
     done
@@ -177,7 +185,7 @@ let encode_int_minipage buf values =
     add_u8 buf tag_int_plain;
     add_u32 buf n;
     add_nulls buf ~n ~bits ~any;
-    Array.iter (fun i -> add_i64 buf (Int64.of_int i)) ints
+    Array.iter (add_int buf) ints
   end
 
 let encode_float_minipage buf values =
@@ -188,8 +196,8 @@ let encode_float_minipage buf values =
   add_nulls buf ~n ~bits ~any;
   Array.iter
     (function
-      | Value.Float f -> add_i64 buf (Int64.bits_of_float f)
-      | _ -> add_i64 buf 0L)
+      | Value.Float f -> Buffer.add_int64_be buf (Int64.bits_of_float f)
+      | _ -> Buffer.add_int64_be buf 0L)
     values
 
 let encode_str_minipage buf ~hint values =
@@ -202,16 +210,17 @@ let encode_str_minipage buf ~hint values =
   let dict_size = ref 0 in
   Array.iteri
     (fun i v ->
-      if v <> Value.Null then begin
-        let s = str_of v in
-        match Hashtbl.find_opt table s with
-        | Some c -> codes.(i) <- c
-        | None ->
-            Hashtbl.add table s !dict_size;
-            dict := s :: !dict;
-            codes.(i) <- !dict_size;
-            incr dict_size
-      end)
+      match v with
+      | Value.Null -> ()
+      | v -> (
+          let s = str_of v in
+          match Hashtbl.find_opt table s with
+          | Some c -> codes.(i) <- c
+          | None ->
+              Hashtbl.add table s !dict_size;
+              dict := s :: !dict;
+              codes.(i) <- !dict_size;
+              incr dict_size))
     values;
   let use_dict =
     match hint with
@@ -237,7 +246,7 @@ let encode_str_minipage buf ~hint values =
     add_u8 buf tag_str_plain;
     add_u32 buf n;
     add_nulls buf ~n ~bits ~any;
-    Array.iter (fun v -> add_str buf (if v = Value.Null then "" else str_of v)) values
+    Array.iter (fun v -> add_str buf (str_of v)) values
   end
 
 let encode_generic_minipage buf values =
@@ -278,8 +287,7 @@ let decode_minipage cur ~n =
   if count <> n then corrupt "minipage row count %d, page says %d" count n;
   let nulls = read_nulls cur ~n in
   let data =
-    if tag = tag_int_plain then
-      Batch.Ints (Array.init n (fun _ -> Int64.to_int (read_i64 cur)))
+    if tag = tag_int_plain then Batch.Ints (read_ints cur n)
     else if tag = tag_int_rle then begin
       let runs = read_u32 cur in
       Scan_metrics.m.Scan_metrics.rle_runs <- Scan_metrics.m.Scan_metrics.rle_runs + runs;
@@ -287,7 +295,7 @@ let decode_minipage cur ~n =
       let filled = ref 0 in
       for _ = 1 to runs do
         let len = read_u32 cur in
-        let v = Int64.to_int (read_i64 cur) in
+        let v = read_int cur in
         if !filled + len > n then corrupt "RLE overflow";
         for i = !filled to !filled + len - 1 do
           out.(i) <- v
@@ -297,8 +305,7 @@ let decode_minipage cur ~n =
       if !filled <> n then corrupt "RLE underflow: %d of %d rows" !filled n;
       Batch.Ints out
     end
-    else if tag = tag_float_plain then
-      Batch.Floats (Array.init n (fun _ -> Int64.float_of_bits (read_i64 cur)))
+    else if tag = tag_float_plain then Batch.Floats (read_floats cur n)
     else if tag = tag_str_plain then begin
       let strs = Array.init (max 1 n) (fun i -> if i < n then read_str cur else "") in
       Batch.Strs { codes = Array.init n (fun i -> i); dict = strs }
@@ -361,7 +368,7 @@ let encode_page ~schema ~hints ~slots ~rows =
 let decode_page ~schema s =
   let len = String.length s in
   if len < 8 then corrupt "short page (%d bytes)" len;
-  if not (String.equal (String.sub s 0 4) magic) then corrupt "bad magic";
+  if not (String.starts_with ~prefix:magic s) then corrupt "bad magic";
   let cur = { data = s; pos = 4 } in
   let sum = read_u32 cur in
   if sum <> checksum s ~pos:8 then corrupt "checksum mismatch";

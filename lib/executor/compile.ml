@@ -110,7 +110,7 @@ let rec expr (e : Ast.expr) : expr_fn =
       let key = Ast.expr_to_string agg in
       fun _env row ->
         begin
-          match List.assoc_opt "#agg" row with
+          match Value.assoc_name "#agg" row with
           | Some item -> begin
               match Value.tuple_get item.Collection.value key with
               | Some v -> v

@@ -39,7 +39,7 @@ let rec navigate env value attrs =
       | Value.Set elements | Value.List elements ->
           List.concat_map (fun e -> navigate env e (attr :: rest)) elements
       | Value.Tuple fields -> begin
-          match List.assoc_opt attr fields with
+          match Value.assoc_name attr fields with
           | Some v -> navigate env v rest
           | None -> eval_error "no attribute %s in %s" attr (Value.to_string value)
         end
@@ -56,7 +56,7 @@ let item_ref (item : Collection.item) =
   | None -> item.Collection.value
 
 let lookup_var row var =
-  match List.assoc_opt var row with
+  match Value.assoc_name var row with
   | Some item -> item
   | None -> eval_error "unbound range variable %s" var
 
@@ -123,7 +123,7 @@ let rec expr env row e =
       (* Aggregate values are precomputed per group by the executor's
          GROUP stage and carried in the row's [#agg] pseudo-binding. *)
       let key = Ast.expr_to_string agg in
-      match List.assoc_opt "#agg" row with
+      match Value.assoc_name "#agg" row with
       | Some item -> begin
           match Value.tuple_get item.Collection.value key with
           | Some v -> v

@@ -798,7 +798,7 @@ and pointer_join_lazy env left_rows lv path rv s =
      hash-partition cost formulas model. *)
   List.concat_map
     (fun l ->
-      match List.assoc_opt lv l with
+      match Value.assoc_name lv l with
       | None -> []
       | Some item ->
           List.filter_map
@@ -812,14 +812,14 @@ and pointer_join_materialized env left_rows lv path rv right_rows =
   let by_oid = Hashtbl.create 64 in
   List.iter
     (fun r ->
-      match List.assoc_opt rv r with
+      match Value.assoc_name rv r with
       | Some ({ Collection.oid = Some oid; _ } : Collection.item) ->
           Hashtbl.replace by_oid oid r
       | Some _ | None -> ())
     right_rows;
   List.concat_map
     (fun l ->
-      match List.assoc_opt lv l with
+      match Value.assoc_name lv l with
       | None -> []
       | Some item ->
           List.filter_map
@@ -851,13 +851,13 @@ and backward_join env left_rows lv path rv right_rows =
      right row, since those come from the visible extent. *)
   List.concat_map
     (fun l ->
-      match List.assoc_opt lv l with
+      match Value.assoc_name lv l with
       | None -> []
       | Some item ->
           let targets = last_hop_oids env item path in
           List.filter_map
             (fun r ->
-              match List.assoc_opt rv r with
+              match Value.assoc_name rv r with
               | Some ({ Collection.oid = Some oid; _ } : Collection.item)
                 when List.exists (Oid.equal oid) targets ->
                   Some (l @ r)

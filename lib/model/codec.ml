@@ -11,14 +11,9 @@ and tag_set = '\008'
 and tag_list = '\009'
 and tag_ref = '\010'
 
-let add_int64 buf v =
-  for byte = 7 downto 0 do
-    let shift = 8 * byte in
-    Buffer.add_char buf
-      (Char.chr (Int64.to_int (Int64.logand (Int64.shift_right_logical v shift) 0xFFL)))
-  done
-
-let add_int buf v = add_int64 buf (Int64.of_int v)
+(* Fixed-width integers are 8 bytes, big-endian; an [Int] is stored
+   sign-extended to 64 bits. *)
+let add_int buf v = Buffer.add_int64_be buf (Int64.of_int v)
 
 let add_string buf s =
   add_int buf (String.length s);
@@ -32,10 +27,10 @@ let rec add_value buf v =
       add_int buf i
   | Value.Long l ->
       Buffer.add_char buf tag_long;
-      add_int64 buf l
+      Buffer.add_int64_be buf l
   | Value.Float f ->
       Buffer.add_char buf tag_float;
-      add_int64 buf (Int64.bits_of_float f)
+      Buffer.add_int64_be buf (Int64.bits_of_float f)
   | Value.Str s ->
       Buffer.add_char buf tag_str;
       add_string buf s
@@ -71,28 +66,39 @@ let encode v =
   add_value buf v;
   Buffer.contents buf
 
-let encoded_size v = String.length (encode v)
+(* Mirrors [add_value]: a tag byte, 8 bytes per integer, count or
+   length prefix. *)
+let rec encoded_size = function
+  | Value.Null -> 1
+  | Value.Int _ | Value.Long _ | Value.Float _ -> 9
+  | Value.Str s -> 9 + String.length s
+  | Value.Char _ | Value.Bool _ -> 2
+  | Value.Tuple fields ->
+      List.fold_left (fun acc (name, v) -> acc + 8 + String.length name + encoded_size v) 9 fields
+  | Value.Set xs | Value.List xs -> List.fold_left (fun acc v -> acc + encoded_size v) 9 xs
+  | Value.Ref _ -> 17
 
 type cursor = { data : string; mutable pos : int }
 
+let truncated () = failwith "Codec.decode: truncated"
+
 let read_char cur =
-  if cur.pos >= String.length cur.data then failwith "Codec.decode: truncated";
+  if cur.pos >= String.length cur.data then truncated ();
   let c = cur.data.[cur.pos] in
   cur.pos <- cur.pos + 1;
   c
 
-let read_int64 cur =
-  let v = ref 0L in
-  for _ = 1 to 8 do
-    v := Int64.logor (Int64.shift_left !v 8) (Int64.of_int (Char.code (read_char cur)))
-  done;
-  !v
+let[@inline] read_int64 cur =
+  let pos = cur.pos in
+  if pos > String.length cur.data - 8 then truncated ();
+  cur.pos <- pos + 8;
+  String.get_int64_be cur.data pos
 
 let read_int cur = Int64.to_int (read_int64 cur)
 
 let read_string cur =
   let n = read_int cur in
-  if n < 0 || cur.pos + n > String.length cur.data then
+  if n < 0 || n > String.length cur.data - cur.pos then
     failwith "Codec.decode: bad string length";
   let s = String.sub cur.data cur.pos n in
   cur.pos <- cur.pos + n;
@@ -133,6 +139,7 @@ let rec read_value cur =
   else if tag = tag_ref then begin
     let class_id = read_int cur in
     let slot = read_int cur in
+    if class_id < 0 || slot < 0 then failwith "Codec.decode: negative OID component";
     Value.Ref (Oid.make ~class_id ~slot)
   end
   else failwith (Printf.sprintf "Codec.decode: unknown tag %d" (Char.code tag))

@@ -156,9 +156,13 @@ and pp_comma : 'a. (Format.formatter -> 'a -> unit) -> Format.formatter -> 'a li
 
 let to_string v = Format.asprintf "%a" pp v
 
+let rec assoc_name name = function
+  | [] -> None
+  | (n, x) :: rest -> if String.equal n name then Some x else assoc_name name rest
+
 let tuple_get v name =
   match v with
-  | Tuple fields -> List.assoc_opt name fields
+  | Tuple fields -> assoc_name name fields
   | Null | Int _ | Long _ | Float _ | Str _ | Char _ | Bool _ | Set _ | List _
   | Ref _ ->
       None

@@ -47,6 +47,10 @@ val pp : Format.formatter -> t -> unit
 
 val to_string : t -> string
 
+val assoc_name : string -> (string * 'a) list -> 'a option
+(** [List.assoc_opt] for names, compared with [String.equal] rather
+    than polymorphic [compare]; the first binding wins. *)
+
 val tuple_get : t -> string -> t option
 (** Attribute projection on [Tuple] values; [None] elsewhere. *)
 

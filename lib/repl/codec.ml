@@ -25,15 +25,13 @@ type payload = Batch of batch | Snapshot of snapshot
 (* Writers                                                             *)
 
 let put_u32 b n =
-  Buffer.add_char b (Char.chr ((n lsr 24) land 0xff));
-  Buffer.add_char b (Char.chr ((n lsr 16) land 0xff));
-  Buffer.add_char b (Char.chr ((n lsr 8) land 0xff));
-  Buffer.add_char b (Char.chr (n land 0xff))
+  if n < 0 || n > 0xFFFF_FFFF then invalid_arg (Printf.sprintf "Codec.put_u32: %d is not a u32" n);
+  Buffer.add_int32_be b (Int32.of_int n)
 
 (* 63-bit OCaml ints fit; microsecond timestamps need more than u32. *)
 let put_u64 b n =
-  put_u32 b ((n lsr 32) land 0xffffffff);
-  put_u32 b (n land 0xffffffff)
+  if n < 0 then invalid_arg (Printf.sprintf "Codec.put_u64: %d is negative" n);
+  Buffer.add_int64_be b (Int64.of_int n)
 
 let put_str b s =
   put_u32 b (String.length s);
@@ -79,15 +77,15 @@ let encode_snapshot snap =
 
 let read_u32 s pos =
   if !pos + 4 > String.length s then raise (Codec_error "truncated u32");
-  let at i = Char.code s.[!pos + i] in
-  let v = (at 0 lsl 24) lor (at 1 lsl 16) lor (at 2 lsl 8) lor at 3 in
+  let v = Int32.to_int (String.get_int32_be s !pos) land 0xFFFF_FFFF in
   pos := !pos + 4;
   v
 
 let read_u64 s pos =
-  let hi = read_u32 s pos in
-  let lo = read_u32 s pos in
-  (hi lsl 32) lor lo
+  if !pos + 8 > String.length s then raise (Codec_error "truncated u64");
+  let v = Int64.to_int (String.get_int64_be s !pos) in
+  pos := !pos + 8;
+  v
 
 let read_str s pos =
   let len = read_u32 s pos in

@@ -10,12 +10,12 @@ type t = {
 
 (* [tag][u32 BE len][payload] *)
 let write_entry oc tag payload =
-  output_char oc tag;
   let n = String.length payload in
-  output_char oc (Char.chr ((n lsr 24) land 0xff));
-  output_char oc (Char.chr ((n lsr 16) land 0xff));
-  output_char oc (Char.chr ((n lsr 8) land 0xff));
-  output_char oc (Char.chr (n land 0xff));
+  if n > 0xFFFF_FFFF then invalid_arg "Journal.write_entry: payload longer than a u32";
+  let hdr = Bytes.create 5 in
+  Bytes.set hdr 0 tag;
+  Bytes.set_int32_be hdr 1 (Int32.of_int n);
+  output_bytes oc hdr;
   output_string oc payload
 
 (* The heap-file map, rendered deterministically: replay verifies that
@@ -41,12 +41,7 @@ let read_entry ic =
       match really_input ic hdr 0 4 with
       | exception End_of_file -> None
       | () -> (
-          let n =
-            (Char.code (Bytes.get hdr 0) lsl 24)
-            lor (Char.code (Bytes.get hdr 1) lsl 16)
-            lor (Char.code (Bytes.get hdr 2) lsl 8)
-            lor Char.code (Bytes.get hdr 3)
-          in
+          let n = Int32.to_int (Bytes.get_int32_be hdr 0) land 0xFFFF_FFFF in
           let payload = Bytes.create n in
           match really_input ic payload 0 n with
           | exception End_of_file -> None

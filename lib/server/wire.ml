@@ -43,16 +43,10 @@ let default_max_frame = 4 * 1024 * 1024
 (* Payload encoding                                                    *)
 
 let put_u32 buf n =
-  Buffer.add_char buf (Char.chr ((n lsr 24) land 0xff));
-  Buffer.add_char buf (Char.chr ((n lsr 16) land 0xff));
-  Buffer.add_char buf (Char.chr ((n lsr 8) land 0xff));
-  Buffer.add_char buf (Char.chr (n land 0xff))
+  if n < 0 || n > 0xFFFF_FFFF then invalid_arg (Printf.sprintf "Wire.put_u32: %d is not a u32" n);
+  Buffer.add_int32_be buf (Int32.of_int n)
 
-let get_u32 b off =
-  (Char.code (Bytes.get b off) lsl 24)
-  lor (Char.code (Bytes.get b (off + 1)) lsl 16)
-  lor (Char.code (Bytes.get b (off + 2)) lsl 8)
-  lor Char.code (Bytes.get b (off + 3))
+let get_u32 b off = Int32.to_int (Bytes.get_int32_be b off) land 0xFFFF_FFFF
 
 (* One frame = u32 payload length + payload ('opcode byte' + body). *)
 let frame payload_writer =

@@ -285,10 +285,8 @@ let undo_records t txn =
    log layer owns its own serialization. *)
 
 let buf_u32 b n =
-  Buffer.add_char b (Char.chr ((n lsr 24) land 0xff));
-  Buffer.add_char b (Char.chr ((n lsr 16) land 0xff));
-  Buffer.add_char b (Char.chr ((n lsr 8) land 0xff));
-  Buffer.add_char b (Char.chr (n land 0xff))
+  if n < 0 || n > 0xFFFF_FFFF then invalid_arg (Printf.sprintf "Wal.encode_record: %d is not a u32" n);
+  Buffer.add_int32_be b (Int32.of_int n)
 
 let buf_str b s =
   buf_u32 b (String.length s);
@@ -349,8 +347,7 @@ exception Codec_error of string
    from a raw [String.get]. *)
 let read_u32 s pos =
   if !pos + 4 > String.length s then raise (Codec_error "truncated u32");
-  let at i = Char.code s.[!pos + i] in
-  let v = (at 0 lsl 24) lor (at 1 lsl 16) lor (at 2 lsl 8) lor at 3 in
+  let v = Int32.to_int (String.get_int32_be s !pos) land 0xFFFF_FFFF in
   pos := !pos + 4;
   v
 

@@ -5,4 +5,4 @@ let () =
    @ Test_optimizer.suites @ Test_executor.suites @ Test_core.suites
    @ Test_moodview.suites @ Test_workload.suites @ Test_sim.suites
    @ Test_server.suites @ Test_obs.suites @ Test_repl.suites @ Test_mvcc.suites
-   @ Test_column.suites)
+   @ Test_column.suites @ Test_golden.suites)

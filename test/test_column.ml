@@ -113,6 +113,32 @@ let test_codec_rejects_corruption () =
   (* The checksum covers the whole body, so every flip is caught. *)
   Alcotest.(check int) "every byte flip caught" (String.length page - 4) !caught
 
+(* The truncation rule: every proper prefix of a page raises [Corrupt],
+   both as cut (the checksum catches it) and with the checksum resealed
+   over the cut body (the length checks must catch it then). *)
+let prop_prefix_corrupt =
+  QCheck.Test.make ~name:"every proper prefix of a page raises Corrupt" ~count:40
+    QCheck.small_nat (fun seed ->
+      let rng = Prng.create ~seed in
+      let n = 1 + Prng.int rng ~bound:8 in
+      let rows = Array.init n (fun _ -> gen_tuple rng) in
+      let page = Pax.encode_page ~schema:fuzz_schema ~hints:[] ~slots:(Array.init n Fun.id) ~rows in
+      let corrupt s =
+        match Pax.decode_page ~schema:fuzz_schema s with
+        | exception Pax.Corrupt _ -> true
+        | _ -> false
+      in
+      let resealed s =
+        let b = Bytes.of_string s in
+        if Bytes.length b >= 8 then Bytes.set_int32_be b 4 (Int32.of_int (Pax.checksum s ~pos:8));
+        Bytes.to_string b
+      in
+      List.for_all
+        (fun len ->
+          let prefix = String.sub page 0 len in
+          corrupt prefix && corrupt (resealed prefix))
+        (List.init (String.length page) Fun.id))
+
 let test_rle_pin () =
   (* A constant int column must RLE-encode: its minipage collapses to a
      single run, so the page is far smaller than the same schema over
@@ -497,6 +523,7 @@ let suites =
   [ ( "column",
       [ Alcotest.test_case "codec round-trip fuzz" `Quick test_codec_roundtrip_fuzz;
         Alcotest.test_case "codec rejects corruption" `Quick test_codec_rejects_corruption;
+        QCheck_alcotest.to_alcotest prop_prefix_corrupt;
         Alcotest.test_case "rle pin" `Quick test_rle_pin;
         Alcotest.test_case "rebuild determinism" `Quick test_rebuild_determinism;
         Alcotest.test_case "torn page heals" `Quick test_torn_page_heals;

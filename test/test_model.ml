@@ -186,8 +186,10 @@ let value_gen =
           let atom =
             oneof
               [ return Value.Null;
-                map (fun i -> Value.Int i) small_signed_int;
-                map (fun i -> Value.Long (Int64.of_int i)) small_signed_int;
+                map (fun i -> Value.Int i) int;
+                map (fun i -> Value.Int i) (oneofl [ 0; -1; max_int; min_int ]);
+                map (fun l -> Value.Long l) int64;
+                map (fun l -> Value.Long l) (oneofl [ Int64.max_int; Int64.min_int ]);
                 map (fun f -> Value.Float f) (float_bound_inclusive 1000.);
                 map (fun s -> Value.Str s) (string_size (int_bound 12));
                 map (fun c -> Value.Char c) printable;
@@ -217,12 +219,34 @@ let prop_encoded_size =
   QCheck.Test.make ~name:"encoded_size = length of encoding" ~count:200 arbitrary_value
     (fun v -> Codec.encoded_size v = String.length (Codec.encode v))
 
+(* The truncation rule: a record cut anywhere short of its end is
+   rejected with [Failure], never decoded as something else and never
+   an out-of-bounds read. *)
+let prop_codec_prefix_fails =
+  QCheck.Test.make ~name:"every proper prefix of an encoding fails" ~count:200 arbitrary_value
+    (fun v ->
+      let s = Codec.encode v in
+      List.for_all
+        (fun len ->
+          match Codec.decode (String.sub s 0 len) with
+          | exception Failure _ -> true
+          | _ -> false)
+        (List.init (String.length s) Fun.id))
+
 let test_codec_rejects_garbage () =
   Alcotest.check_raises "trailing" (Failure "Codec.decode: trailing bytes") (fun () ->
       ignore (Codec.decode (Codec.encode (Value.Int 1) ^ "x")));
   (match Codec.decode "\255" with
   | exception Failure _ -> ()
   | _ -> Alcotest.fail "expected failure on unknown tag");
+  (* A negative OID component is malformed input, not a caller error. *)
+  (match Codec.decode ("\010" ^ String.make 8 '\255' ^ String.make 8 '\000') with
+  | exception Failure _ -> ()
+  | _ -> Alcotest.fail "expected failure on a negative OID component");
+  (* A string length of [max_int] must not overflow the bounds check. *)
+  (match Codec.decode "\004\x3f\xff\xff\xff\xff\xff\xff\xffxyz" with
+  | exception Failure _ -> ()
+  | _ -> Alcotest.fail "expected failure on an oversized string length");
   match Codec.decode "" with
   | exception Failure _ -> ()
   | _ -> Alcotest.fail "expected failure on empty input"
@@ -259,6 +283,7 @@ let suites =
     ( "model.codec",
       [ qtest prop_codec_roundtrip;
         qtest prop_encoded_size;
+        qtest prop_codec_prefix_fails;
         Alcotest.test_case "rejects garbage" `Quick test_codec_rejects_garbage
       ] )
   ]

@@ -74,6 +74,34 @@ let test_wal_codec_defensive () =
   | exception Wal.Codec_error _ -> ()
   | _ -> Alcotest.fail "unknown tag accepted"
 
+(* Every u32 field takes exactly 0 .. 2^32-1: the top value round-trips
+   unsigned, and anything outside raises instead of being cut to its
+   low 32 bits (which would decode as a different txn id or LSN). *)
+let test_u32_range () =
+  let top = 0xFFFF_FFFF in
+  Alcotest.(check bool) "top u32 round-trips" true
+    (Wal.decode_record (Wal.encode_record (Wal.Begin top)) = Wal.Begin top);
+  let raises name f =
+    match f () with
+    | exception Invalid_argument _ -> ()
+    | _ -> Alcotest.failf "%s: expected Invalid_argument" name
+  in
+  raises "wal txn 2^32" (fun () -> Wal.encode_record (Wal.Begin (top + 1)));
+  raises "wal negative file" (fun () ->
+      Wal.encode_record
+        (Wal.Insert
+           { txn = 1; file = -1; rid = { Mood_storage.Heap_file.page = 0; slot = 0 };
+             payload = "" }));
+  let batch = { Rcodec.b_term = 1; b_last_lsn = 0; b_sent_us = 0; b_records = [] } in
+  raises "batch lsn 2^32" (fun () -> Rcodec.encode_batch { batch with b_last_lsn = top + 1 });
+  raises "batch negative timestamp" (fun () -> Rcodec.encode_batch { batch with b_sent_us = -1 });
+  raises "wire gid 2^32" (fun () -> Wire.encode_request (Wire.Prepare (top + 1)));
+  match Rcodec.decode (Rcodec.encode_batch { batch with b_term = top; b_sent_us = max_int }) with
+  | Rcodec.Batch b ->
+      Alcotest.(check int) "top term" top b.Rcodec.b_term;
+      Alcotest.(check int) "max_int timestamp" max_int b.Rcodec.b_sent_us
+  | Rcodec.Snapshot _ -> Alcotest.fail "batch decoded as snapshot"
+
 (* ------------------------------------------------------------------ *)
 (* Batch / snapshot blob codec                                         *)
 
@@ -413,6 +441,7 @@ let suites =
   [ ( "repl.codec",
       [ Alcotest.test_case "WAL record roundtrip" `Quick test_wal_record_roundtrip;
         Alcotest.test_case "WAL codec is defensive" `Quick test_wal_codec_defensive;
+        Alcotest.test_case "u32 fields reject out-of-range values" `Quick test_u32_range;
         Alcotest.test_case "batch blob roundtrip" `Quick test_batch_roundtrip;
         Alcotest.test_case "snapshot blob roundtrip" `Quick test_snapshot_roundtrip;
         Alcotest.test_case "wire repl opcodes roundtrip" `Quick
