@@ -254,7 +254,12 @@ let join_methods =
     ("sort_merge", Join_cost.Sort_merge)
   ]
 
-(* [(name, seconds, result rows)] per method, same data, same budget. *)
+module Value_join = Mood_executor.Value_join
+
+let join_counter name = List.assoc name (Value_join.metrics ())
+
+(* [(name, seconds, result rows, partitions spilled, spill bytes)] per
+   method, same data, same budget. *)
 let join_section () =
   let n = join_rows_per_side () in
   let env = join_fixture n in
@@ -270,10 +275,19 @@ let join_section () =
     (fun () ->
       List.map
         (fun (name, m) ->
+          let parts0 = join_counter "join.partitions_spilled"
+          and bytes0 = join_counter "join.spill_bytes" in
           let t0 = Unix.gettimeofday () in
           let rows = List.length (Executor.run env (plan m)).Executor.rows in
-          (name, Unix.gettimeofday () -. t0, rows))
+          let secs = Unix.gettimeofday () -. t0 in
+          ( name,
+            secs,
+            rows,
+            join_counter "join.partitions_spilled" - parts0,
+            join_counter "join.spill_bytes" - bytes0 ))
         join_methods)
+
+let join_secs timings = List.map (fun (name, secs, rows, _, _) -> (name, secs, rows)) timings
 
 let join_speedup timings ~slow ~fast =
   match (List.find_opt (fun (n, _, _) -> n = slow) timings,
@@ -477,14 +491,17 @@ let run_benchmarks () =
     (Printf.sprintf "Join engine: %d x %d skewed equi-join, %d KB budget"
        (join_rows_per_side ()) (join_rows_per_side ()) (join_mem_budget / 1024));
   let timings = join_section () in
+  Printf.printf "%-20s %13s  %14s  %23s  %16s\n" "" "" "" "join.partitions_spilled"
+    "join.spill_bytes";
   List.iter
-    (fun (name, secs, rows) ->
-      Printf.printf "%-20s %10.1f ms  %9d rows\n" name (secs *. 1000.) rows)
+    (fun (name, secs, rows, partitions, bytes) ->
+      Printf.printf "%-20s %10.1f ms  %9d rows  %23d  %16d\n" name (secs *. 1000.) rows
+        partitions bytes)
     timings;
-  (match join_speedup timings ~slow:"nested_loop" ~fast:"grace_hash" with
+  (match join_speedup (join_secs timings) ~slow:"nested_loop" ~fast:"grace_hash" with
   | Some x -> Printf.printf "\ngrace hash vs nested loop:               %8.1fx\n" x
   | None -> ());
-  (match join_speedup timings ~slow:"nested_loop" ~fast:"sort_merge" with
+  (match join_speedup (join_secs timings) ~slow:"nested_loop" ~fast:"sort_merge" with
   | Some x -> Printf.printf "sort-merge vs nested loop:               %8.1fx\n" x
   | None -> ());
   heading
@@ -533,10 +550,12 @@ let run_json ?(path = "BENCH_micro.json") () =
     (Printf.sprintf "    \"rows_per_side\": %d,\n    \"mem_budget_bytes\": %d,\n    \"methods\": [\n"
        (join_rows_per_side ()) join_mem_budget);
   List.iteri
-    (fun i (name, secs, rows) ->
+    (fun i (name, secs, rows, partitions, bytes) ->
       Buffer.add_string buf
-        (Printf.sprintf "      {\"name\": \"%s\", \"ms\": %.1f, \"rows\": %d}%s\n"
-           (json_escape name) (secs *. 1000.) rows
+        (Printf.sprintf
+           "      {\"name\": \"%s\", \"ms\": %.1f, \"rows\": %d, \
+            \"join.partitions_spilled\": %d, \"join.spill_bytes\": %d}%s\n"
+           (json_escape name) (secs *. 1000.) rows partitions bytes
            (if i = List.length timings - 1 then "" else ",")))
     timings;
   let scans = scan_section () in
@@ -561,8 +580,10 @@ let run_json ?(path = "BENCH_micro.json") () =
       ( "funcmgr_compile_speedup",
         speedup rows ~slow:"funcmgr: interpreted invoke"
           ~fast:"funcmgr: compiled+linked invoke" );
-      ("grace_vs_nested_speedup", join_speedup timings ~slow:"nested_loop" ~fast:"grace_hash");
-      ("sort_merge_vs_nested_speedup", join_speedup timings ~slow:"nested_loop" ~fast:"sort_merge");
+      ( "grace_vs_nested_speedup",
+        join_speedup (join_secs timings) ~slow:"nested_loop" ~fast:"grace_hash" );
+      ( "sort_merge_vs_nested_speedup",
+        join_speedup (join_secs timings) ~slow:"nested_loop" ~fast:"sort_merge" );
       ("pax_vs_row_speedup", join_speedup scans ~slow:"row_interpreted" ~fast:"pax_vectorized");
       ( "grouped_pax_vs_row_speedup",
         join_speedup scans ~slow:"grouped_row_compiled" ~fast:"grouped_pax_vectorized" )

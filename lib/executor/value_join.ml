@@ -59,47 +59,89 @@ let metrics () =
 let sabotage_skip_rewind = ref false
 
 (* ------------------------------------------------------------------ *)
-(* Canonical keys.
+(* Canonical keys: binary strings, one kind tag byte first.
 
    [struct_key] is injective w.r.t. [Value.compare] equality (the order
    used INSIDE containers: Str and Char stay distinct, Null equals
    Null, numerics merge). [elem_key] is injective w.r.t.
    [Eval.compare_values] equality (the top-level predicate order: Null
-   never equals anything, Str and Char merge). Strings are
-   length-prefixed so concatenation cannot alias. *)
+   never equals anything, Str and Char merge). A numeric is the 8 bytes
+   of its float, with every NaN folded to one NaN and -0.0 to 0.0,
+   because [Float.compare] equates them; a Ref is its 16 OID bytes.
+   Inside containers strings carry their length and containers their
+   item count, so no concatenation of parts aliases another. *)
 
-let num_key f = if f = 0. then "n:0" else Printf.sprintf "n:%.17g" f
+let canonical_bits f =
+  if Float.is_nan f then 0x7FF8_0000_0000_0000L
+  else if f = 0. then 0L
+  else Int64.bits_of_float f
 
-let str_enc s = Printf.sprintf "%d:%s" (String.length s) s
+let num_key f =
+  let b = Bytes.create 9 in
+  Bytes.set b 0 'n';
+  Bytes.set_int64_be b 1 (canonical_bits f);
+  Bytes.unsafe_to_string b
 
-let rec struct_key (v : Value.t) =
+let ref_key o =
+  let b = Bytes.create 17 in
+  Bytes.set b 0 'r';
+  Bytes.set_int64_be b 1 (Int64.of_int (Oid.class_id o));
+  Bytes.set_int64_be b 9 (Int64.of_int (Oid.slot o));
+  Bytes.unsafe_to_string b
+
+let rec add_struct buf (v : Value.t) =
   match v with
-  | Value.Null -> "z"
-  | Value.Int _ | Value.Long _ | Value.Float _ -> (
-      match Value.as_float v with Some f -> num_key f | None -> "z")
-  | Value.Str s -> "s:" ^ str_enc s
-  | Value.Char c -> "c:" ^ str_enc (String.make 1 c)
-  | Value.Bool b -> if b then "b1" else "b0"
-  | Value.Ref o -> "r:" ^ Oid.to_string o
+  | Value.Null -> Buffer.add_char buf 'z'
+  | Value.Int _ | Value.Long _ | Value.Float _ ->
+      Buffer.add_char buf 'n';
+      Buffer.add_int64_be buf (canonical_bits (Option.get (Value.as_float v)))
+  | Value.Str s ->
+      Buffer.add_char buf 's';
+      Codec.add_string buf s
+  | Value.Char c ->
+      Buffer.add_char buf 'c';
+      Buffer.add_char buf c
+  | Value.Bool b -> Buffer.add_string buf (if b then "b1" else "b0")
+  | Value.Ref o ->
+      Buffer.add_char buf 'r';
+      Codec.add_int buf (Oid.class_id o);
+      Codec.add_int buf (Oid.slot o)
   | Value.Tuple fields ->
-      "t("
-      ^ String.concat "," (List.map (fun (n, x) -> str_enc n ^ "=" ^ struct_key x) fields)
-      ^ ")"
-  | Value.Set xs -> "S(" ^ String.concat "," (List.map struct_key xs) ^ ")"
-  | Value.List xs -> "L(" ^ String.concat "," (List.map struct_key xs) ^ ")"
+      Buffer.add_char buf 't';
+      Codec.add_int buf (List.length fields);
+      List.iter
+        (fun (n, x) ->
+          Codec.add_string buf n;
+          add_struct buf x)
+        fields
+  | Value.Set xs ->
+      Buffer.add_char buf 'S';
+      Codec.add_int buf (List.length xs);
+      List.iter (add_struct buf) xs
+  | Value.List xs ->
+      Buffer.add_char buf 'L';
+      Codec.add_int buf (List.length xs);
+      List.iter (add_struct buf) xs
 
+let struct_key v =
+  let buf = Buffer.create 64 in
+  add_struct buf v;
+  Buffer.contents buf
+
+(* A top-level string is the whole key after its tag, so it needs no
+   length; containers start with 't', 'S' or 'L', apart from every
+   scalar tag. *)
 let elem_key (v : Value.t) =
   match v with
   | Value.Null -> None
-  | Value.Int _ | Value.Long _ | Value.Float _ ->
-      Option.map num_key (Value.as_float v)
-  | Value.Str s -> Some ("s:" ^ str_enc s)
-  | Value.Char c -> Some ("s:" ^ str_enc (String.make 1 c))
+  | Value.Int i -> Some (num_key (float_of_int i))
+  | Value.Long l -> Some (num_key (Int64.to_float l))
+  | Value.Float f -> Some (num_key f)
+  | Value.Str s -> Some ("s" ^ s)
+  | Value.Char c -> Some ("s" ^ String.make 1 c)
   | Value.Bool b -> Some (if b then "b1" else "b0")
-  | Value.Ref o -> Some ("r:" ^ Oid.to_string o)
-  | Value.Tuple _ -> Some ("T:" ^ struct_key v)
-  | Value.Set _ -> Some ("U:" ^ struct_key v)
-  | Value.List _ -> Some ("V:" ^ struct_key v)
+  | Value.Ref o -> Some (ref_key o)
+  | Value.Tuple _ | Value.Set _ | Value.List _ -> Some (struct_key v)
 
 let keys_of_value (v : Value.t) =
   match v with
@@ -108,45 +150,71 @@ let keys_of_value (v : Value.t) =
   | v -> ( match elem_key v with None -> [] | Some k -> [ k ])
 
 (* ------------------------------------------------------------------ *)
-(* Spill (de)serialization: a tagged row round-trips through the value
-   codec, like extent records do. *)
+(* Spill records. An entry (side index, key, row) is framed as the
+   index ([Codec.add_int]), the key ([Codec.add_string]), the number of
+   bindings, then for each binding its variable ([Codec.add_string]),
+   its OID ('\000' for none, or '\001' then class id and slot) and its
+   value ([Codec.add_value], which is self-delimiting). The count makes
+   a record cut at a binding boundary detectable. *)
 
-let value_of_row (row : Eval.row) =
-  Value.List
-    (List.map
-       (fun (var, (it : Collection.item)) ->
-         Value.Tuple
-           [ ("v", Value.Str var);
-             ("c", Value.Int (match it.Collection.oid with Some o -> Oid.class_id o | None -> -1));
-             ("s", Value.Int (match it.Collection.oid with Some o -> Oid.slot o | None -> -1));
-             ("x", it.Collection.value)
-           ])
-       row)
+type entry = int * Eval.row * string
 
-let row_of_value v : Eval.row =
-  match v with
-  | Value.List entries ->
-      List.map
-        (fun e ->
-          match e with
-          | Value.Tuple
-              [ ("v", Value.Str var); ("c", Value.Int c); ("s", Value.Int s); ("x", x) ] ->
-              let oid = if c >= 0 then Some (Oid.make ~class_id:c ~slot:s) else None in
-              (var, { Collection.oid; value = x })
-          | _ -> failwith "Value_join: malformed spill row")
-        entries
-  | _ -> failwith "Value_join: malformed spill row"
+let add_entry buf ((i, row, key) : entry) =
+  Codec.add_int buf i;
+  Codec.add_string buf key;
+  Codec.add_int buf (List.length row);
+  List.iter
+    (fun (var, (it : Collection.item)) ->
+      Codec.add_string buf var;
+      (match it.Collection.oid with
+      | None -> Buffer.add_char buf '\000'
+      | Some o ->
+          Buffer.add_char buf '\001';
+          Codec.add_int buf (Oid.class_id o);
+          Codec.add_int buf (Oid.slot o));
+      Codec.add_value buf it.Collection.value)
+    row
 
-(* One spill record: (side row index, canonical key, row). *)
-let spill_record (i, row, key) =
-  Value.Tuple
-    [ ("i", Value.Int i); ("k", Value.Str key); ("x", value_of_row row) ]
+let entry_bytes ((_, row, key) : entry) =
+  List.fold_left
+    (fun acc (var, (it : Collection.item)) ->
+      acc + 8 + String.length var
+      + (match it.Collection.oid with None -> 1 | Some _ -> 17)
+      + Codec.encoded_size it.Collection.value)
+    (24 + String.length key) row
 
-let spill_record_back v =
-  match v with
-  | Value.Tuple [ ("i", Value.Int i); ("k", Value.Str k); ("x", xv) ] ->
-      (i, row_of_value xv, k)
-  | _ -> failwith "Value_join: malformed spill record"
+let encode_entry e =
+  let buf = Buffer.create (entry_bytes e) in
+  add_entry buf e;
+  Buffer.contents buf
+
+let decode_entry s : entry =
+  let cur = Codec.cursor s in
+  let i = Codec.read_int cur in
+  let key = Codec.read_string cur in
+  let read_oid () =
+    match Codec.read_char cur with
+    | '\000' -> None
+    | '\001' ->
+        let class_id = Codec.read_int cur in
+        let slot = Codec.read_int cur in
+        if class_id < 0 || slot < 0 then failwith "Value_join: negative OID in spill record";
+        Some (Oid.make ~class_id ~slot)
+    | _ -> failwith "Value_join: bad OID tag in spill record"
+  in
+  let[@tail_mod_cons] rec bindings n =
+    if n = 0 then []
+    else
+      let var = Codec.read_string cur in
+      let oid = read_oid () in
+      let value = Codec.read_value cur in
+      (var, { Collection.oid; value }) :: bindings (n - 1)
+  in
+  let n = Codec.read_int cur in
+  if n < 0 then failwith "Value_join: negative binding count in spill record";
+  let row = bindings n in
+  if not (Codec.at_end cur) then failwith "Value_join: trailing bytes in spill record";
+  (i, row, key)
 
 (* ------------------------------------------------------------------ *)
 (* Shared plumbing *)
@@ -156,6 +224,10 @@ type side = { s_rows : Eval.row list; s_key : Compile.expr_fn }
 (* (index, row, canonical keys) — keys computed once per row. *)
 let expand env (s : side) =
   List.mapi (fun i row -> (i, row, keys_of_value (s.s_key env row))) s.s_rows
+
+(* Flatten (i, row, keys) into single-key entries. *)
+let singles entries =
+  List.concat_map (fun (i, row, keys) -> List.map (fun k -> (i, row, k)) keys) entries
 
 (* Emit the pair at most once (nested-loop multiplicity), re-checking
    the full predicate so the key only over-approximates. *)
@@ -167,29 +239,19 @@ let try_emit env pred seen out (li, lrow) (ri, rrow) =
     if pred env merged then out := merged :: !out
   end
 
-let hash_join_tagged env pred seen out lefts rights =
+(* The in-memory hash join over single-key entries: a table over the
+   build side, probed by each left entry as [iter_lefts] yields it. *)
+let hash_join_single env pred seen out iter_lefts rights =
   incr hash_builds;
   let table = Hashtbl.create 64 in
-  List.iter
-    (fun (ri, rrow, rkeys) -> List.iter (fun k -> Hashtbl.add table k (ri, rrow)) rkeys)
-    rights;
-  List.iter
-    (fun (li, lrow, lkeys) ->
+  List.iter (fun (ri, rrow, k) -> Hashtbl.add table k (ri, rrow)) rights;
+  iter_lefts (fun (li, lrow, k) ->
       List.iter
-        (fun k ->
-          List.iter (fun (ri, rrow) -> try_emit env pred seen out (li, lrow) (ri, rrow))
-            (Hashtbl.find_all table k))
-        lkeys)
-    lefts
+        (fun (ri, rrow) -> try_emit env pred seen out (li, lrow) (ri, rrow))
+        (Hashtbl.find_all table k))
 
 (* ------------------------------------------------------------------ *)
 (* Spill partitions *)
-
-(* Flatten (i, row, keys) into single-key entries for partitioning. *)
-let singles entries =
-  List.concat_map (fun (i, row, keys) -> List.map (fun k -> (i, row, k)) keys) entries
-
-let entry_bytes e = Codec.encoded_size (spill_record e)
 
 let sum_bytes entries = List.fold_left (fun acc e -> acc + entry_bytes e) 0 entries
 
@@ -202,9 +264,12 @@ let spill store temps entries =
   temps := hf :: !temps;
   incr partitions_spilled;
   let overflow = ref [] in
+  let buf = Buffer.create 256 in
   List.iter
     (fun e ->
-      let bytes = Codec.encode (spill_record e) in
+      Buffer.clear buf;
+      add_entry buf e;
+      let bytes = Buffer.contents buf in
       spill_bytes := !spill_bytes + String.length bytes;
       try ignore (Heap_file.insert hf bytes)
       with Invalid_argument _ -> overflow := e :: !overflow)
@@ -212,11 +277,17 @@ let spill store temps entries =
   Buffer_pool.flush_file (Store.buffer store) ~file:(Heap_file.file_id hf);
   (hf, List.rev !overflow)
 
-let read_back store (hf, overflow) =
-  let acc = ref [] in
-  Heap_file.scan hf ~f:(fun _rid bytes -> acc := spill_record_back (Codec.decode bytes) :: !acc);
+(* Yields a spilled partition's entries as they are decoded, then
+   releases its file. *)
+let stream_back store (hf, overflow) f =
+  Heap_file.scan hf ~f:(fun _rid bytes -> f (decode_entry bytes));
   Store.release_temp_file store hf;
-  List.rev_append !acc overflow
+  List.iter f overflow
+
+let read_back store spilled =
+  let acc = ref [] in
+  stream_back store spilled (fun e -> acc := e :: !acc);
+  List.rev !acc
 
 (* ------------------------------------------------------------------ *)
 (* Grace hash join *)
@@ -228,24 +299,27 @@ let grace_hash env store pred seen out lefts rights =
   let budget () = max 1 !Join_cost.join_mem_bytes in
   (* Entries here are single-key; a row with a collection key appears
      once per distinct element key, possibly in different partitions —
-     the global (li, ri) dedup keeps the multiset exact. *)
-  let rec go ~salt ~depth lefts rights =
+     the global (li, ri) dedup keeps the multiset exact. The build side
+     is a list, since its size decides between joining and
+     partitioning again; the probe side is an iterator, so a spilled
+     left partition is decoded one record at a time and never held
+     whole. *)
+  let rec go ~salt ~depth iter_lefts rights =
     let build_bytes = sum_bytes rights in
     if build_bytes <= budget () || depth >= max_grace_depth then begin
       if build_bytes > budget () then incr fallbacks;
-      hash_join_tagged env pred seen out
-        (List.map (fun (i, row, k) -> (i, row, [ k ])) lefts)
-        (List.map (fun (i, row, k) -> (i, row, [ k ])) rights)
+      hash_join_single env pred seen out iter_lefts rights
     end
     else begin
       let fanout = min 16 (max 2 ((build_bytes / budget ()) + 1)) in
-      let bucket (_, _, key) = Hashtbl.hash (salt, key) mod fanout in
-      let split entries =
+      let split iter =
         let parts = Array.make fanout [] in
-        List.iter (fun e -> let b = bucket e in parts.(b) <- e :: parts.(b)) entries;
+        iter (fun ((_, _, key) as e) ->
+            let b = Hashtbl.hash (salt, key) mod fanout in
+            parts.(b) <- e :: parts.(b));
         Array.map List.rev parts
       in
-      let lparts = split lefts and rparts = split rights in
+      let lparts = split iter_lefts and rparts = split (fun f -> List.iter f rights) in
       (* Spill every partition of both sides first (the partitioning
          pass), then join partition pairs one at a time. *)
       let spilled =
@@ -253,14 +327,16 @@ let grace_hash env store pred seen out lefts rights =
       in
       Array.iter
         (fun (lspill, rspill) ->
-          let l = read_back store lspill and r = read_back store rspill in
-          go ~salt:(salt + 1) ~depth:(depth + 1) l r)
+          go ~salt:(salt + 1) ~depth:(depth + 1) (stream_back store lspill)
+            (read_back store rspill))
         spilled
     end
   in
   Fun.protect
     ~finally:(fun () -> List.iter (fun hf -> Store.release_temp_file store hf) !temps)
-    (fun () -> go ~salt:0 ~depth:0 (singles lefts) (singles rights))
+    (fun () ->
+      let lefts = singles lefts in
+      go ~salt:0 ~depth:0 (fun f -> List.iter f lefts) (singles rights))
 
 (* ------------------------------------------------------------------ *)
 (* Sort-merge join *)
@@ -366,7 +442,10 @@ let run method_ env ~store ~pred ~left ~right =
   let seen = Hashtbl.create 256 in
   let out = ref [] in
   (match method_ with
-  | Join_cost.Hash_join -> hash_join_tagged env pred seen out (expand env left) (expand env right)
+  | Join_cost.Hash_join ->
+      let rights = singles (expand env right) in
+      let lefts = singles (expand env left) in
+      hash_join_single env pred seen out (fun f -> List.iter f lefts) rights
   | Join_cost.Grace_hash -> grace_hash env store pred seen out (expand env left) (expand env right)
   | Join_cost.Sort_merge -> sort_merge env store pred seen out (expand env left) (expand env right)
   | Join_cost.Fusion_join -> fusion env pred seen out left (expand env right)

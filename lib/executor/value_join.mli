@@ -3,7 +3,7 @@
     attributes.
 
     All algorithms share one correctness architecture: candidate pairs
-    come from a canonical string key with exactly the predicate's
+    come from a canonical binary key with exactly the predicate's
     comparison semantics ([Eval.compare_values] at the top level,
     [Value.compare] inside containers, one-level flattening of
     collection-valued keys like [Eval.cmp_values]); each (left, right)
@@ -36,13 +36,36 @@ val run :
     in-memory fallback) and sort-merge spills its initial runs. *)
 
 val elem_key : Mood_model.Value.t -> string option
-(** Canonical key of one join-key element under [Eval.compare_values]
-    equality: [None] for [Null] (never joins), numerics merged, [Str]
-    and [Char] merged; injective otherwise. Exposed for tests. *)
+(** Canonical key of one join-key element: two elements get the same
+    key exactly when [Eval.compare_values] finds them equal. [None] for
+    [Null] (never joins). Numerics of every kind merge by float value,
+    all NaNs share one key and [-0.0] shares [0.0]'s, as under
+    [Float.compare]; [Str] and [Char] merge. A container gets a
+    structural key under [Value.compare] (inside it [Null] equals
+    [Null] and [Str] and [Char] differ), with the same numeric folding
+    at every depth. The key is a binary string: a kind tag, then the 8
+    bytes of the float, the raw bytes of the string, the 16 bytes of the
+    OID, or length- and count-prefixed parts. *)
 
 val keys_of_value : Mood_model.Value.t -> string list
 (** Key set of a join-key value: collection values flatten one level
     (deduplicated), scalars are singletons, [Null] is empty. *)
+
+type entry = int * Eval.row * string
+(** One spill record: a row's index on its side, one join key of the
+    row, and the row. *)
+
+val encode_entry : entry -> string
+(** The record as a spill partition stores it: the index, the key, the
+    number of bindings, then each binding's variable, OID and
+    [Codec]-encoded value. *)
+
+val decode_entry : string -> entry
+(** Inverse of [encode_entry]; raises [Failure] on a truncated or
+    malformed record. *)
+
+val entry_bytes : entry -> int
+(** [String.length (encode_entry e)], computed without encoding. *)
 
 val metrics : unit -> (string * int) list
 (** Process-wide [join.*] counters: partitions spilled, spill bytes,

@@ -80,6 +80,10 @@ let rec encoded_size = function
 
 type cursor = { data : string; mutable pos : int }
 
+let cursor data = { data; pos = 0 }
+
+let at_end cur = cur.pos >= String.length cur.data
+
 let truncated () = failwith "Codec.decode: truncated"
 
 let read_char cur =
@@ -104,12 +108,13 @@ let read_string cur =
   cur.pos <- cur.pos + n;
   s
 
-(* Reads [n] items left to right; List.init's evaluation order is not a
-   contract we want to depend on for a stateful cursor. *)
-let read_n n read cur =
-  let rec loop i acc = if i = n then List.rev acc else loop (i + 1) (read cur :: acc) in
-  loop 0 []
+let read_count cur =
+  let n = read_int cur in
+  if n < 0 then failwith "Codec.decode: negative count";
+  n
 
+(* Items are read left to right and consed in place ([tail_mod_cons]),
+   so a long collection needs neither stack nor a reversed copy. *)
 let rec read_value cur =
   let tag = read_char cur in
   if tag = tag_null then Value.Null
@@ -119,23 +124,9 @@ let rec read_value cur =
   else if tag = tag_str then Value.Str (read_string cur)
   else if tag = tag_char then Value.Char (read_char cur)
   else if tag = tag_bool then Value.Bool (read_char cur <> '\000')
-  else if tag = tag_tuple then begin
-    let n = read_int cur in
-    let read_field cur =
-      let name = read_string cur in
-      let v = read_value cur in
-      (name, v)
-    in
-    Value.Tuple (read_n n read_field cur)
-  end
-  else if tag = tag_set then begin
-    let n = read_int cur in
-    Value.Set (read_n n read_value cur)
-  end
-  else if tag = tag_list then begin
-    let n = read_int cur in
-    Value.List (read_n n read_value cur)
-  end
+  else if tag = tag_tuple then Value.Tuple (read_fields cur (read_count cur))
+  else if tag = tag_set then Value.Set (read_items cur (read_count cur))
+  else if tag = tag_list then Value.List (read_items cur (read_count cur))
   else if tag = tag_ref then begin
     let class_id = read_int cur in
     let slot = read_int cur in
@@ -144,8 +135,21 @@ let rec read_value cur =
   end
   else failwith (Printf.sprintf "Codec.decode: unknown tag %d" (Char.code tag))
 
+and[@tail_mod_cons] read_fields cur n =
+  if n = 0 then []
+  else
+    let name = read_string cur in
+    let v = read_value cur in
+    (name, v) :: read_fields cur (n - 1)
+
+and[@tail_mod_cons] read_items cur n =
+  if n = 0 then []
+  else
+    let v = read_value cur in
+    v :: read_items cur (n - 1)
+
 let decode s =
-  let cur = { data = s; pos = 0 } in
+  let cur = cursor s in
   let v = read_value cur in
   if cur.pos <> String.length s then failwith "Codec.decode: trailing bytes";
   v

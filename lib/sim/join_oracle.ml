@@ -2,8 +2,9 @@
 
    Each seeded cycle builds a fresh two-class database with skewed,
    duplicate-heavy, null-bearing data over every key shape the join
-   machinery must canonicalize (ints, cross-kind numerics, strings vs
-   chars, flat and nested collections), then runs a battery of join
+   machinery must canonicalize (ints, cross-kind numerics, floats with
+   NaN, -NaN and -0.0, strings vs chars, flat and nested collections),
+   then runs a battery of join
    queries through every algorithm — the plan hint is the [method_]
    field of a directly-constructed [Plan.Join] — and diffs each result
    multiset against the interpreted nested-loop join. Roughly half the
@@ -61,10 +62,19 @@ let gen_nest rng =
 
 let letter rng = Char.chr (Char.code 'a' + zipf rng ~bound:6)
 
+(* Small integers, plus the floats whose bits differ but which
+   [Float.compare] equates: NaN and -NaN, -0.0 and 0.0. *)
+let gen_float rng =
+  match Prng.int rng ~bound:10 with
+  | 0 -> Float.nan
+  | 1 -> Float.neg Float.nan
+  | 2 -> -0.
+  | _ -> float_of_int (zipf rng ~bound:8)
+
 let gen_row rng =
   Value.Tuple
     [ ("kint", maybe_null rng (Value.Int (zipf rng ~bound:8)));
-      ("kfloat", maybe_null rng (Value.Float (float_of_int (zipf rng ~bound:8))));
+      ("kfloat", maybe_null rng (Value.Float (gen_float rng)));
       ("kstr", maybe_null rng (Value.Str (String.make 1 (letter rng))));
       ("kchar", maybe_null rng (Value.Char (letter rng)));
       ("kset", maybe_null rng (gen_set rng));
@@ -80,6 +90,7 @@ let eq l r = Ast.Cmp (Ast.Eq, Ast.Path ("l", [ l ]), Ast.Path ("r", [ r ]))
 let variants rng =
   [ ("kint=kint", eq "kint" "kint");
     ("kint=kfloat", eq "kint" "kfloat");
+    ("kfloat=kfloat", eq "kfloat" "kfloat");
     ("kstr=kchar", eq "kstr" "kchar");
     ("kset=kint", eq "kset" "kint");
     ("kset=kset", eq "kset" "kset");

@@ -2,8 +2,8 @@
 
     Seeded cycles generate a fresh two-class database with skewed,
     duplicate-heavy, null-bearing data over every join-key shape
-    (integers, cross-kind numerics, strings vs chars, flat and nested
-    collections), run a battery of join queries through every algorithm
+    (integers, cross-kind numerics, floats with NaN, -NaN and -0.0,
+    strings vs chars, flat and nested collections), run a battery of join queries through every algorithm
     — nested loop, hash, Grace hash, sort-merge, fusion, each forced by
     plan hint — and diff result multisets against the interpreted
     nested-loop join. About half the queries run under a tiny random

@@ -38,6 +38,14 @@ MOOD_BENCH_JOIN_ROWS="${MOOD_BENCH_JOIN_ROWS:-2000}" \
 MOOD_BENCH_SCAN_ROWS="${MOOD_BENCH_SCAN_ROWS:-20000}" \
   dune exec bench/main.exe -- json
 grep -q '"join"' BENCH_micro.json || { echo "BENCH_micro.json: no join section"; exit 1; }
+# Each join method reports its spill counters, and Grace hash under the
+# 64 KB budget must actually spill.
+for counter in join.partitions_spilled join.spill_bytes; do
+  grep -q "\"$counter\"" BENCH_micro.json \
+    || { echo "BENCH_micro.json: no $counter"; exit 1; }
+done
+grep '"name": "grace_hash"' BENCH_micro.json | grep -q '"join.partitions_spilled": [1-9]' \
+  || { echo "BENCH_micro.json: grace_hash spilled no partitions"; exit 1; }
 grep -q '"scan"' BENCH_micro.json || { echo "BENCH_micro.json: no scan section"; exit 1; }
 grep -q '"pax_vs_row_speedup"' BENCH_micro.json \
   || { echo "BENCH_micro.json: no pax_vs_row_speedup"; exit 1; }
@@ -100,6 +108,13 @@ for P in recovery replication mvcc 2pc; do
   [ "${CHECKS:-0}" -gt 0 ] \
     || { echo "crash_sim: the $P phase reported no index checks"; exit 1; }
 done
+# The join phase runs half its queries under tiny budgets so Grace hash
+# and sort-merge go through their spill records. A record format that
+# stopped overflowing them would leave only the in-memory joins tested.
+SPILLED="$(printf '%s' "$SIM_FLAT" | sed 's/mood_sim: /\n&/g' \
+  | grep "^mood_sim: join, seeds" | grep -o '[0-9]* partitions spilled' | grep -o '^[0-9]*')"
+[ "${SPILLED:-0}" -gt 0 ] \
+  || { echo "crash_sim: the join phase spilled no partitions"; exit 1; }
 rm -f "$SIM_OUT"
 
 echo "== EXPLAIN ANALYZE smoke =="

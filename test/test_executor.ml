@@ -760,7 +760,7 @@ let join_report reports =
    algorithm against the interpreted nested loop. *)
 let test_join_oracle_fast () =
   let r = Test_sim.clean_sweep Join_oracle.phase ~quota:5 ~base_seed:1 in
-  Alcotest.(check int) "checks ran" (5 * 8 * 5) (Mood_sim.Phase.count r.counts "checks")
+  Alcotest.(check int) "checks ran" (5 * 9 * 5) (Mood_sim.Phase.count r.counts "checks")
 
 (* Negative control: with the sort-merge duplicate-key rewind sabotaged
    the oracle must report violations — otherwise it has no teeth. *)
@@ -985,6 +985,120 @@ let test_fusion_collection_edges () =
   agree ~expect:0 "kint=kint disjoint" (keq "kint" "kint");
   agree "knest=knest deep" (keq "knest" "knest")
 
+(* Float.compare equates every NaN and -0.0 with 0.0, so the nested
+   loop pairs L.x = nan with R.x = -nan and 0.0 with -0.0. Each keyed
+   method must find both pairs: on scalar keys, through a set (fusion),
+   and inside nested sets (structural keys). The tiny budget sends
+   Grace hash and sort-merge through their spill records. *)
+let test_nan_and_negative_zero_keys () =
+  let basic b = Mtype.Basic b in
+  let attributes =
+    [ ("x", basic Mtype.Float);
+      ("xs", Mtype.Set (basic Mtype.Float));
+      ("xn", Mtype.Set (Mtype.Set (basic Mtype.Float)))
+    ]
+  in
+  let env, catalog, _ = fresh_join_env ~attributes () in
+  let mk cls f =
+    let x = Value.Float f in
+    ignore
+      (Catalog.insert_object catalog ~class_name:cls
+         (Value.Tuple
+            [ ("x", x); ("xs", Value.set [ x ]); ("xn", Value.set [ Value.set [ x ] ]) ]))
+  in
+  List.iter (mk "EL") [ Float.nan; 0. ];
+  List.iter (mk "ER") [ Float.neg Float.nan; -0. ];
+  let check name methods pred =
+    List.iter
+      (fun m ->
+        let rows = (Executor.run env (vjoin_plan m pred)).Executor.rows in
+        Alcotest.(check int)
+          (Format.asprintf "%s via %a" name Join_cost.pp_method m)
+          2 (List.length rows))
+      (Join_cost.Nested_loop :: methods)
+  in
+  with_join_knobs ~mem:64 (fun () ->
+      check "x=x" [ Join_cost.Hash_join; Join_cost.Grace_hash; Join_cost.Sort_merge ]
+        (keq "x" "x");
+      check "xs=x" [ Join_cost.Fusion_join ] (keq "xs" "x");
+      check "xn=xn"
+        [ Join_cost.Hash_join; Join_cost.Grace_hash; Join_cost.Sort_merge; Join_cost.Fusion_join ]
+        (keq "xn" "xn"))
+
+(* Spill records: rows of several bindings, OIDs present or absent,
+   every value kind, arbitrary bytes in keys and variable names. *)
+let spill_entry_gen =
+  let open QCheck.Gen in
+  let oid =
+    option (map2 (fun c s -> Oid.make ~class_id:c ~slot:s) (int_bound 1000) (int_bound 100_000))
+  in
+  let binding =
+    map3
+      (fun var oid value -> (var, { Collection.oid; value }))
+      (string_size (int_bound 6)) oid Test_model.value_gen
+  in
+  map3
+    (fun i row key -> (i, row, key))
+    (int_bound 1_000_000) (list_size (int_range 1 4) binding) (string_size (int_bound 24))
+
+let arbitrary_spill_entry =
+  let print ((i, row, key) : Value_join.entry) =
+    Printf.sprintf "%d %S %s" i key
+      (String.concat "; "
+         (List.map
+            (fun (var, (it : Collection.item)) ->
+              Printf.sprintf "%S %s %s" var
+                (Option.fold ~none:"-" ~some:Oid.to_string it.Collection.oid)
+                (Value.to_string it.Collection.value))
+            row))
+  in
+  QCheck.make ~print spill_entry_gen
+
+let prop_spill_record_roundtrip =
+  QCheck.Test.make ~name:"spill record round-trip and size" ~count:300 arbitrary_spill_entry
+    (fun ((i, row, key) as e) ->
+      let s = Value_join.encode_entry e in
+      let i', row', key' = Value_join.decode_entry s in
+      Value_join.entry_bytes e = String.length s
+      && i' = i && String.equal key' key
+      && List.equal
+           (fun (v, (a : Collection.item)) (v', (b : Collection.item)) ->
+             String.equal v v'
+             && Option.equal Oid.equal a.Collection.oid b.Collection.oid
+             && Value.compare a.Collection.value b.Collection.value = 0)
+           row row'
+      && String.equal (Value_join.encode_entry (i', row', key')) s)
+
+(* A spill record cut anywhere short of its end is malformed input:
+   [Failure], never a shorter record and never [Invalid_argument]. *)
+let prop_spill_record_prefix_fails =
+  QCheck.Test.make ~name:"every proper prefix of a spill record fails" ~count:100
+    arbitrary_spill_entry (fun e ->
+      let s = Value_join.encode_entry e in
+      List.for_all
+        (fun len ->
+          match Value_join.decode_entry (String.sub s 0 len) with
+          | exception Failure _ -> true
+          | _ -> false)
+        (List.init (String.length s) Fun.id))
+
+let test_spill_record_rejects_garbage () =
+  let item oid = { Collection.oid; value = Value.Int 7 } in
+  let s = Value_join.encode_entry (3, [ ("v", item None) ], "k") in
+  (* index 8, key 8+1, count 8, variable 8+1: the OID tag is at 34 *)
+  let with_byte pos c = String.mapi (fun j x -> if j = pos then c else x) s in
+  let fails name bytes =
+    match Value_join.decode_entry bytes with
+    | exception Failure _ -> ()
+    | _ -> Alcotest.failf "%s: decoded" name
+  in
+  fails "bad OID tag" (with_byte 34 '\002');
+  fails "trailing bytes" (s ^ "x");
+  fails "negative count" (String.mapi (fun j x -> if j >= 17 && j < 25 then '\255' else x) s);
+  let with_oid = Value_join.encode_entry (3, [ ("v", item (Some (Oid.make ~class_id:1 ~slot:2))) ], "k") in
+  fails "negative OID"
+    (String.mapi (fun j x -> if j >= 35 && j < 43 then '\255' else x) with_oid)
+
 let suites =
   [ ( "executor.oracle",
       [ Alcotest.test_case "Example 8.2" `Quick test_example_82_execution;
@@ -1038,6 +1152,11 @@ let suites =
         Alcotest.test_case "memory budget flips method" `Quick
           test_mem_budget_flips_method;
         Alcotest.test_case "ANALYZE flips method" `Quick test_analyze_flips_join_method;
+        Alcotest.test_case "NaN and -0.0 keys" `Quick test_nan_and_negative_zero_keys;
+        QCheck_alcotest.to_alcotest prop_spill_record_roundtrip;
+        QCheck_alcotest.to_alcotest prop_spill_record_prefix_fails;
+        Alcotest.test_case "spill record rejects garbage" `Quick
+          test_spill_record_rejects_garbage;
         Alcotest.test_case "grace budget < one partition" `Quick
           test_grace_budget_below_one_partition;
         Alcotest.test_case "sort-merge dup run > budget" `Quick
