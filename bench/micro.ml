@@ -341,11 +341,15 @@ let scan_fixture n =
   let scope = Fm.enter_scope funcs in
   { Eval.catalog; funcs; scope }
 
-(* [(name, seconds, matching rows)] for the three engines, then the
-   grouped A/B: GROUP BY the dictionary-coded [grp] with COUNT, SUM and
-   AVG, through the row engine's compiled Group over the heap and
-   through the grouped VSCAN over the PAX segment ("matches" is the
-   COUNT summed over the groups). *)
+(* [(name, seconds, matching rows, promoted words per row)] for the
+   three engines, then the grouped A/B: GROUP BY the dictionary-coded
+   [grp] with COUNT, SUM and AVG, through the row engine's compiled
+   Group over the heap and through the grouped VSCAN over the PAX
+   segment ("matches" is the COUNT summed over the groups). Each
+   row-engine plan starts on an empty minor heap and reports the words
+   its run promoted to the major heap per scanned row: a streaming
+   pipeline promotes next to none, a materializing operator a whole
+   row's worth. *)
 let scan_section () =
   let n = scan_rows () in
   let env = scan_fixture n in
@@ -438,16 +442,21 @@ let scan_section () =
         | Some _ | None -> acc)
       0 result.Executor.rows
   in
-  let time ?(count = count_of) name f =
+  let time ?(count = count_of) ?(row_engine = false) name f =
+    if row_engine then Gc.minor ();
+    let promoted0 = (Gc.quick_stat ()).Gc.promoted_words in
     let t0 = Unix.gettimeofday () in
     let c = count (f ()) in
-    (name, Unix.gettimeofday () -. t0, c)
+    let secs = Unix.gettimeofday () -. t0 in
+    let promoted = (Gc.quick_stat ()).Gc.promoted_words -. promoted0 in
+    (name, secs, c, if row_engine then Some (promoted /. float_of_int n) else None)
   in
   let timings =
-    [ time "row_interpreted" (fun () -> Executor.run ~mode:Executor.Interpreted env row_plan);
-      time "row_compiled" (fun () -> Executor.run env row_plan);
+    [ time ~row_engine:true "row_interpreted" (fun () ->
+          Executor.run ~mode:Executor.Interpreted env row_plan);
+      time ~row_engine:true "row_compiled" (fun () -> Executor.run env row_plan);
       time "pax_vectorized" (fun () -> Executor.run env vscan_plan);
-      time ~count:grouped_count_of "grouped_row_compiled" (fun () ->
+      time ~count:grouped_count_of ~row_engine:true "grouped_row_compiled" (fun () ->
           Executor.run env grouped_row_plan);
       time ~count:grouped_count_of "grouped_pax_vectorized" (fun () ->
           Executor.run env grouped_vscan_plan)
@@ -461,6 +470,8 @@ let scan_section () =
        (Value.Tuple [ ("k", Value.Int n); ("grp", Value.Str "g1"); ("w", Value.Float 0.5) ]));
   timings
   @ [ time "pax_vectorized_after_insert" (fun () -> Executor.run env vscan_plan) ]
+
+let scan_secs scans = List.map (fun (name, secs, matches, _) -> (name, secs, matches)) scans
 
 (* ---------------- drivers ---------------- *)
 
@@ -508,10 +519,13 @@ let run_benchmarks () =
     (Printf.sprintf "Scan engine: %d-row filtered aggregate and GROUP BY, row heap vs PAX"
        (scan_rows ()));
   let scans = scan_section () in
+  Printf.printf "%-28s %13s  %17s  %14s\n" "" "" "" "promoted/row";
   List.iter
-    (fun (name, secs, matches) ->
-      Printf.printf "%-28s %10.1f ms  %9d matches\n" name (secs *. 1000.) matches)
+    (fun (name, secs, matches, promoted) ->
+      Printf.printf "%-28s %10.1f ms  %9d matches  %14s\n" name (secs *. 1000.) matches
+        (match promoted with Some p -> Printf.sprintf "%.2f" p | None -> "-"))
     scans;
+  let scans = scan_secs scans in
   (match join_speedup scans ~slow:"row_interpreted" ~fast:"pax_vectorized" with
   | Some x -> Printf.printf "\npax vectorized vs row interpreted:       %8.1fx\n" x
   | None -> ());
@@ -563,12 +577,16 @@ let run_json ?(path = "BENCH_micro.json") () =
   Buffer.add_string buf
     (Printf.sprintf "    \"rows\": %d,\n    \"methods\": [\n" (scan_rows ()));
   List.iteri
-    (fun i (name, secs, matches) ->
+    (fun i (name, secs, matches, promoted) ->
       Buffer.add_string buf
-        (Printf.sprintf "      {\"name\": \"%s\", \"ms\": %.1f, \"matches\": %d}%s\n"
+        (Printf.sprintf "      {\"name\": \"%s\", \"ms\": %.1f, \"matches\": %d%s}%s\n"
            (json_escape name) (secs *. 1000.) matches
+           (match promoted with
+           | Some p -> Printf.sprintf ", \"promoted_words_per_row\": %.2f" p
+           | None -> "")
            (if i = List.length scans - 1 then "" else ",")))
     scans;
+  let scans = scan_secs scans in
   Buffer.add_string buf "    ]\n  },\n  \"derived\": {\n";
   let derived =
     [ ( "plan_cache_speedup",

@@ -554,6 +554,18 @@ let explain t source = render_plan (optimize t source)
    traced plan carries skeleton estimates computed against the
    statistics of the moment, which is the point of the exercise.
    Callers arrange the read ([read]). *)
+type analyzed = {
+  an_optimized : Optimizer.optimized;
+  an_result : Executor.result;
+  an_reports : Executor.op_report list;
+  an_wall : float;  (** seconds *)
+  an_io : float;  (** modeled I/O seconds *)
+  an_batches : int;  (** vectorized batches *)
+  an_vrows : int;  (** rows those batches held *)
+  an_minor_words : float;  (** allocated by the run, tracer included *)
+  an_promoted_words : float;  (** of those, promoted to the major heap *)
+}
+
 let analyzed_core t q =
   let env = optimizer_env t in
   let optimized = Optimizer.optimize env q in
@@ -563,32 +575,44 @@ let analyzed_core t q =
   let io0 = Store.io_elapsed t.st in
   let b0 = Scan_metrics.m.Scan_metrics.batches
   and rs0 = Scan_metrics.m.Scan_metrics.rows_scanned in
+  (* [Gc.minor_words] counts to the word; [Gc.quick_stat]'s copy only
+     moves at a minor collection, which is when words are promoted. *)
+  let minor0 = Gc.minor_words () and promoted0 = (Gc.quick_stat ()).Gc.promoted_words in
   let t0 = Unix.gettimeofday () in
   let result, reports =
     Executor.run_analyzed ~disk:(Store.disk t.st) ~buffer:(Store.buffer t.st)
       (executor_env t) prepared
   in
   let wall = Unix.gettimeofday () -. t0 in
-  let io = Store.io_elapsed t.st -. io0 in
-  let batches = Scan_metrics.m.Scan_metrics.batches - b0
-  and vrows = Scan_metrics.m.Scan_metrics.rows_scanned - rs0 in
+  let minor1 = Gc.minor_words () and promoted1 = (Gc.quick_stat ()).Gc.promoted_words in
   Metrics.incr t.counters.c_explain_analyze;
-  (optimized, result, reports, wall, io, (batches, vrows))
+  { an_optimized = optimized;
+    an_result = result;
+    an_reports = reports;
+    an_wall = wall;
+    an_io = Store.io_elapsed t.st -. io0;
+    an_batches = Scan_metrics.m.Scan_metrics.batches - b0;
+    an_vrows = Scan_metrics.m.Scan_metrics.rows_scanned - rs0;
+    an_minor_words = minor1 -. minor0;
+    an_promoted_words = promoted1 -. promoted0
+  }
 
-let render_analyzed (optimized, result, reports, wall, io, (batches, vrows)) =
+let render_analyzed a =
   let rows =
-    match result.Executor.projected with
+    match a.an_result.Executor.projected with
     | Some vs -> List.length vs
-    | None -> List.length result.Executor.rows
+    | None -> List.length a.an_result.Executor.rows
   in
   let vec =
-    if batches = 0 then ""
-    else Printf.sprintf "vectorized: %d batches, %d rows\n" batches vrows
+    if a.an_batches = 0 then ""
+    else Printf.sprintf "vectorized: %d batches, %d rows\n" a.an_batches a.an_vrows
   in
   Printf.sprintf
-    "%s\n\nactual rows: %d, wall time: %.3f ms, modeled I/O: %.6f s, estimated cost: %.3f s\n%s"
-    (Executor.render_reports reports)
-    rows (wall *. 1000.) io optimized.Optimizer.trace.Optimizer.t_est_cost vec
+    "%s\n\nactual rows: %d, wall time: %.3f ms, modeled I/O: %.6f s, estimated cost: %.3f s, \
+     minor words: %.0f, promoted words: %.0f\n%s"
+    (Executor.render_reports a.an_reports)
+    rows (a.an_wall *. 1000.) a.an_io a.an_optimized.Optimizer.trace.Optimizer.t_est_cost
+    a.an_minor_words a.an_promoted_words vec
 
 (* ------------------------------------------------------------------ *)
 (* Statement entry points                                               *)
@@ -815,8 +839,8 @@ let analyzed t source =
   | Error e -> failwith (statement_error e)
 
 let analyze_query t source =
-  let _, result, reports, _, _, _ = analyzed t source in
-  (result, reports)
+  let a = analyzed t source in
+  (a.an_result, a.an_reports)
 
 let explain_analyze t source = render_analyzed (analyzed t source)
 

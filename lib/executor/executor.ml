@@ -406,9 +406,18 @@ let fetch_simple env (s : csimple) oid =
 (* ------------------------------------------------------------------ *)
 (* Plan evaluation                                                     *)
 
+(* The operator contract: [produce tr env node k] pushes each row the
+   operator makes to its consumer [k], as it makes it, and returns when
+   its input is exhausted. Rows therefore die young: a scan's decoded
+   object is filtered, joined or folded before the next one is read.
+   Only what an operator needs whole is held: a SORT's input, a
+   GROUP's first member and accumulators per group, the right side of
+   a join that probes it, and the value joins' hash builds, sort runs
+   and Grace partitions. *)
+
 (* Per-operator actuals accumulated by a traced run. Charges are
    {e inclusive}: an operator's time and I/O include its inputs', like
-   PostgreSQL's EXPLAIN ANALYZE. *)
+   PostgreSQL's EXPLAIN ANALYZE, but not its consumer's. *)
 type op_stats = {
   mutable st_loops : int;
   mutable st_rows : int;
@@ -424,6 +433,7 @@ type tracer = {
   t_stats : op_stats array; (* indexed by [c_id] *)
   t_disk : Disk.t option;
   t_buffer : Buffer_pool.t option;
+  t_origin : float; (* the clock at the start of the run *)
 }
 
 let fresh_op_stats () =
@@ -437,54 +447,213 @@ let fresh_op_stats () =
     st_buf_misses = 0
   }
 
-let rec rows_of tr env (node : cnode) : Eval.row list =
-  match tr with
-  | None -> eval_op tr env node.c_op
-  | Some t ->
-      let st = t.t_stats.(node.c_id) in
-      let d0 = Option.map Disk.counters t.t_disk in
-      let b0 = Option.map Buffer_pool.stats t.t_buffer in
-      let t0 = Unix.gettimeofday () in
-      let rows = eval_op tr env node.c_op in
-      st.st_time <- st.st_time +. (Unix.gettimeofday () -. t0);
-      st.st_loops <- st.st_loops + 1;
-      st.st_rows <- st.st_rows + List.length rows;
-      (match d0, t.t_disk with
-      | Some before, Some disk ->
-          let after = Disk.counters disk in
-          st.st_seq_reads <-
-            st.st_seq_reads + after.Disk.sequential_reads
-            - before.Disk.sequential_reads;
-          st.st_rnd_reads <-
-            st.st_rnd_reads + after.Disk.random_reads - before.Disk.random_reads;
-          st.st_writes <- st.st_writes + after.Disk.writes - before.Disk.writes
-      | _, _ -> ());
-      (match b0, t.t_buffer with
-      | Some before, Some pool ->
-          let after = Buffer_pool.stats pool in
-          st.st_buf_hits <-
-            st.st_buf_hits + after.Buffer_pool.hits - before.Buffer_pool.hits;
-          st.st_buf_misses <-
-            st.st_buf_misses + after.Buffer_pool.misses - before.Buffer_pool.misses
-      | _, _ -> ());
-      rows
+(* Add [sign] times the clock and the counters into [st]: -1 when the
+   operator's [produce] call starts or its consumer returns, +1 when it
+   hands a row to its consumer or returns, so [st] sums the call's time
+   outside its consumer. The clock is read from the run's origin, so
+   the sums stay small and exact. *)
+let account t st sign =
+  st.st_time <- st.st_time +. (float_of_int sign *. (Unix.gettimeofday () -. t.t_origin));
+  Option.iter
+    (fun disk ->
+      let c = Disk.counters disk in
+      st.st_seq_reads <- st.st_seq_reads + (sign * c.Disk.sequential_reads);
+      st.st_rnd_reads <- st.st_rnd_reads + (sign * c.Disk.random_reads);
+      st.st_writes <- st.st_writes + (sign * c.Disk.writes))
+    t.t_disk;
+  Option.iter
+    (fun pool ->
+      let s = Buffer_pool.stats pool in
+      st.st_buf_hits <- st.st_buf_hits + (sign * s.Buffer_pool.hits);
+      st.st_buf_misses <- st.st_buf_misses + (sign * s.Buffer_pool.misses))
+    t.t_buffer
 
-and eval_op tr env (op : cop) : Eval.row list =
+(* A group's running state for one aggregate: the value a fold over
+   its member list in input order would give, taken one row at a time.
+   The row engine keeps this fold apart from [Vectorize]'s
+   accumulators, which the scan oracle checks against it. *)
+type accum = {
+  mutable ac_n : int; (* COUNT; AVG's numeric count *)
+  mutable ac_fsum : float; (* AVG *)
+  mutable ac_sum : Mood_model.Operand.t option; (* SUM *)
+  mutable ac_best : Value.t option; (* MIN, MAX *)
+}
+
+type group = {
+  g_key : Value.t list;
+  mutable g_first : Eval.row option; (* the first member *)
+  g_accs : accum array; (* one per aggregate *)
+}
+
+let better fn a b =
+  match Eval.compare_values a b with
+  | Some c -> if (fn = Ast.Min && c <= 0) || (fn = Ast.Max && c >= 0) then a else b
+  | None -> a
+
+(* Fold one row in. NULL inner values do not contribute; SUM folds
+   through the operand layer, AVG skips non-numerics, MIN/MAX keep the
+   earlier value on incomparables. *)
+let accumulate env agg acc row =
+  let v = match agg.a_arg with None -> Value.Int 1 | Some f -> f env row in
+  match v, agg.a_fn with
+  | Value.Null, _ -> ()
+  | _, Ast.Count -> acc.ac_n <- acc.ac_n + 1
+  | _, Ast.Sum ->
+      let o = Mood_model.Operand.of_value v in
+      acc.ac_sum <-
+        Some (match acc.ac_sum with None -> o | Some s -> Mood_model.Operand.add s o)
+  | _, Ast.Avg -> begin
+      match Value.as_float v with
+      | None -> ()
+      | Some f ->
+          acc.ac_fsum <- acc.ac_fsum +. f;
+          acc.ac_n <- acc.ac_n + 1
+    end
+  | _, (Ast.Min | Ast.Max) ->
+      acc.ac_best <-
+        Some (match acc.ac_best with None -> v | Some a -> better agg.a_fn a v)
+
+(* Empty inputs give COUNT 0 and NULL for the rest. *)
+let final_value agg acc =
+  match agg.a_fn with
+  | Ast.Count -> Value.Int acc.ac_n
+  | Ast.Sum -> (
+      match acc.ac_sum with None -> Value.Null | Some s -> Mood_model.Operand.to_value s)
+  | Ast.Avg ->
+      if acc.ac_n = 0 then Value.Null
+      else Value.Float (acc.ac_fsum /. float_of_int acc.ac_n)
+  | Ast.Min | Ast.Max -> Option.value acc.ac_best ~default:Value.Null
+
+let new_group aggs key =
+  { g_key = key;
+    g_first = None;
+    g_accs =
+      Array.map (fun _ -> { ac_n = 0; ac_fsum = 0.; ac_sum = None; ac_best = None }) aggs
+  }
+
+let group_row aggs g =
+  let first = Option.value g.g_first ~default:[] in
+  if Array.length aggs = 0 then first
+  else
+    let fields =
+      Array.to_list (Array.mapi (fun i agg -> (agg.a_key, final_value agg g.g_accs.(i))) aggs)
+    in
+    first @ [ ("#agg", { Collection.oid = None; value = Value.Tuple fields }) ]
+
+let compare_rows env keys a b =
+  let rec go = function
+    | [] -> 0
+    | (f, dir) :: rest -> begin
+        let va = f env a and vb = f env b in
+        let c =
+          match Eval.compare_values va vb with
+          | Some c -> c
+          | None -> begin
+              (* Nulls and incomparables sort last. *)
+              match va, vb with
+              | Value.Null, Value.Null -> 0
+              | Value.Null, _ -> 1
+              | _, Value.Null -> -1
+              | _, _ -> 0
+            end
+        in
+        let c = match dir with Ast.Asc -> c | Ast.Desc -> -c in
+        if c <> 0 then c else go rest
+      end
+  in
+  go keys
+
+(* UNION's duplicate identity: each binding's OID, or its value for a
+   transient item. *)
+let dedup_key row =
+  String.concat "|"
+    (List.map
+       (fun (var, (item : Collection.item)) ->
+         var ^ "="
+         ^
+         match item.Collection.oid with
+         | Some oid -> Oid.to_string oid
+         | None -> Value.to_string item.Collection.value)
+       (List.sort (fun (a, _) (b, _) -> String.compare a b) row))
+
+let range_oids bt ~lo ~hi = List.concat_map snd (Btree.range bt ~lo ~hi)
+
+let probe_index index (p : Plan.indexed_pred) =
+  match index, p.Plan.ip_cmp with
+  | Catalog.Btree_index bt, Ast.Eq -> Btree.search bt ~key:p.Plan.ip_constant
+  | Catalog.Btree_index bt, Ast.Lt ->
+      range_oids bt ~lo:Btree.Unbounded ~hi:(Btree.Exclusive p.Plan.ip_constant)
+  | Catalog.Btree_index bt, Ast.Le ->
+      range_oids bt ~lo:Btree.Unbounded ~hi:(Btree.Inclusive p.Plan.ip_constant)
+  | Catalog.Btree_index bt, Ast.Gt ->
+      range_oids bt ~lo:(Btree.Exclusive p.Plan.ip_constant) ~hi:Btree.Unbounded
+  | Catalog.Btree_index bt, Ast.Ge ->
+      range_oids bt ~lo:(Btree.Inclusive p.Plan.ip_constant) ~hi:Btree.Unbounded
+  | Catalog.Btree_index bt, Ast.Ne ->
+      (* Index gives no benefit for <>; full key scan. *)
+      let out = ref [] in
+      Btree.iter bt (fun key postings ->
+          if Value.compare key p.Plan.ip_constant <> 0 then out := postings @ !out);
+      !out
+  | Catalog.Hash_index h, Ast.Eq -> Hash_index.search h ~key:p.Plan.ip_constant
+  | Catalog.Hash_index _, (Ast.Ne | Ast.Lt | Ast.Le | Ast.Gt | Ast.Ge) ->
+      failwith "hash index probed with a non-equality comparison"
+
+(* OIDs reached from [item] along [path]'s last reference hop;
+   intermediate hops are dereferenced (charging random reads), the
+   final hop's identifiers are returned unfetched. *)
+let rec last_hop_oids env (item : Collection.item) = function
+  | [] -> []
+  | [ attr ] -> begin
+      match Value.tuple_get item.Collection.value attr with
+      | Some field -> refs_of_field field
+      | None -> []
+    end
+  | attr :: rest -> begin
+      match Value.tuple_get item.Collection.value attr with
+      | Some field ->
+          List.concat_map
+            (fun oid ->
+              match item_of env oid with
+              | Some next -> last_hop_oids env next rest
+              | None -> [])
+            (refs_of_field field)
+      | None -> []
+    end
+
+let rec produce tr env (node : cnode) (k : Eval.row -> unit) =
+  match tr with
+  | None -> produce_op tr env node.c_op k
+  | Some t ->
+      (* Charge the operator its call minus its consumer: from the
+         call to the first push, from each push's return to the next,
+         and from the last to the return. *)
+      let st = t.t_stats.(node.c_id) in
+      st.st_loops <- st.st_loops + 1;
+      account t st (-1);
+      produce_op tr env node.c_op (fun row ->
+          st.st_rows <- st.st_rows + 1;
+          account t st 1;
+          k row;
+          account t st (-1));
+      account t st 1
+
+(* The rows of [node], in order: for the inputs an operator needs
+   whole. *)
+and collect tr env node =
+  let acc = ref [] in
+  produce tr env node (fun row -> acc := row :: !acc);
+  List.rev !acc
+
+and produce_op tr env (op : cop) k =
   match op with
   | CBind { class_name; var; minus } ->
-      let out = ref [] in
       Catalog.scan_extent env.Eval.catalog ~every:true ~minus class_name
-        ~f:(fun oid value ->
-          out := [ (var, { Collection.oid = Some oid; value }) ] :: !out);
-      List.rev !out
+        ~f:(fun oid value -> k [ (var, { Collection.oid = Some oid; value }) ])
   | CNamed_obj { name; var } -> begin
       match Catalog.named_object env.Eval.catalog name with
       | None -> failwith (Printf.sprintf "unknown named object %s" name)
-      | Some oid -> begin
-          match item_of env oid with
-          | Some item -> [ [ (var, item) ] ]
-          | None -> []
-        end
+      | Some oid -> Option.iter (fun item -> k [ (var, item) ]) (item_of env oid)
     end
   | CInd_sel { simple = s; preds } ->
       let probe (p : Plan.indexed_pred) =
@@ -515,11 +684,11 @@ and eval_op tr env (op : cop) : Eval.row list =
             | None -> false)
           preds
       in
-      List.filter_map
+      List.iter
         (fun oid ->
           match fetch_simple env s oid with
-          | Some item when recheck item -> Some [ (s.c_var, item) ]
-          | Some _ | None -> None)
+          | Some item when recheck item -> k [ (s.c_var, item) ]
+          | Some _ | None -> ())
         (List.sort_uniq Oid.compare candidates)
   | CPath_ind_sel { class_name; var; path; cmp; constant } -> begin
       match Catalog.find_path_index env.Eval.catalog ~class_name ~path with
@@ -540,209 +709,99 @@ and eval_op tr env (op : cop) : Eval.row list =
                 Jx.Path.probe_range px ~lo:Bt.Unbounded ~hi:(Bt.Exclusive constant)
                 @ Jx.Path.probe_range px ~lo:(Bt.Exclusive constant) ~hi:Bt.Unbounded
           in
-          List.filter_map
-            (fun oid -> Option.map (fun item -> [ (var, item) ]) (item_of env oid))
+          List.iter
+            (fun oid -> Option.iter (fun item -> k [ (var, item) ]) (item_of env oid))
             (List.sort_uniq Oid.compare heads)
     end
-  | CSelect { source; pred } ->
-      List.filter (fun row -> pred env row) (rows_of tr env source)
+  | CSelect { source; pred } -> produce tr env source (fun row -> if pred env row then k row)
   | CJoin { left; right; right_simple; method_; pointer; equi; pred } ->
-      join tr env left right right_simple method_ pointer equi pred
-  | CProject { source } -> rows_of tr env source
+      join tr env left right right_simple method_ pointer equi pred k
+  | CProject { source } -> produce tr env source k
   | CGroup { source; by; having; aggregates } ->
-      let input = rows_of tr env source in
+      let aggs = Array.of_list aggregates in
+      let fold g row =
+        if Option.is_none g.g_first then g.g_first <- Some row;
+        Array.iteri (fun i agg -> accumulate env agg g.g_accs.(i) row) aggs
+      in
       let groups =
-        if by = [] then [ ([ Value.Null ], input) ] (* one group, possibly empty *)
-        else group_rows env input by
-      in
-      let rows =
-        List.map
-          (fun (_, members) ->
-            let representative = match members with r :: _ -> r | [] -> [] in
-            if aggregates = [] then representative
-            else begin
-              let fields =
-                List.map (fun agg -> (agg.a_key, compute_aggregate env members agg))
-                  aggregates
+        if by = [] then begin
+          (* one group, possibly empty *)
+          let g = new_group aggs [] in
+          produce tr env source (fold g);
+          [ g ]
+        end
+        else begin
+          (* newest first; found by [Value.equal] on the key *)
+          let groups = ref [] in
+          produce tr env source (fun row ->
+              let key = List.map (fun f -> f env row) by in
+              let g =
+                match List.find_opt (fun g -> List.equal Value.equal g.g_key key) !groups with
+                | Some g -> g
+                | None ->
+                    let g = new_group aggs key in
+                    groups := g :: !groups;
+                    g
               in
-              representative
-              @ [ ("#agg", { Collection.oid = None; value = Value.Tuple fields }) ]
-            end)
-          groups
+              fold g row);
+          List.rev !groups
+        end
       in
-      begin
-        match having with
-        | None -> rows
-        | Some pred -> List.filter (fun row -> pred env row) rows
-      end
+      List.iter
+        (fun g ->
+          let row = group_row aggs g in
+          match having with
+          | Some pred when not (pred env row) -> ()
+          | Some _ | None -> k row)
+        groups
   | CSort { source; keys } ->
-      let input = rows_of tr env source in
       let cmp a b = compare_rows env keys a b in
-      Heap.sort_with_runs ~cmp ~run_length:1024 input
+      List.iter k (Heap.sort_with_runs ~cmp ~run_length:1024 (collect tr env source))
   | CUnion nodes ->
-      let all = List.concat_map (rows_of tr env) nodes in
-      dedup_rows all
-  | CVscan { class_name; var; every; minus; pred; row_pred; keys; aggs; having } -> begin
-      let rows =
-        Vectorize.scan env ~class_name ~var ~every ~minus ~pred ~row_pred ~keys ~aggs
+      let seen = Hashtbl.create 64 in
+      List.iter
+        (fun node ->
+          produce tr env node (fun row ->
+              let key = dedup_key row in
+              if not (Hashtbl.mem seen key) then begin
+                Hashtbl.replace seen key ();
+                k row
+              end))
+        nodes
+  | CVscan { class_name; var; every; minus; pred; row_pred; keys; aggs; having } ->
+      let emit =
+        match having with
+        | None -> k
+        | Some having -> fun row -> if having env row then k row
       in
-      match having with
-      | None -> rows
-      | Some pred -> List.filter (fun row -> pred env row) rows
-    end
-
-(* One aggregate value over a group's member rows. NULL inner values do
-   not contribute; empty inputs give COUNT 0 and NULL for the rest. *)
-and compute_aggregate env members agg =
-  let values =
-    match agg.a_arg with
-    | None -> List.map (fun _ -> Value.Int 1) members
-    | Some f ->
-        List.filter_map
-          (fun row -> match f env row with Value.Null -> None | v -> Some v)
-          members
-  in
-  match agg.a_fn with
-  | Ast.Count -> Value.Int (List.length values)
-  | Ast.Sum -> begin
-      match values with
-      | [] -> Value.Null
-      | first :: rest ->
-          let open Mood_model.Operand in
-          to_value
-            (List.fold_left (fun acc v -> add acc (of_value v)) (of_value first) rest)
-    end
-  | Ast.Avg -> begin
-      let numerics = List.filter_map Value.as_float values in
-      match numerics with
-      | [] -> Value.Null
-      | _ ->
-          Value.Float
-            (List.fold_left ( +. ) 0. numerics /. float_of_int (List.length numerics))
-    end
-  | Ast.Min | Ast.Max ->
-      let better a b =
-        match Eval.compare_values a b with
-        | Some c ->
-            if (agg.a_fn = Ast.Min && c <= 0) || (agg.a_fn = Ast.Max && c >= 0) then a
-            else b
-        | None -> a
-      in
-      begin
-        match values with
-        | [] -> Value.Null
-        | first :: rest -> List.fold_left better first rest
-      end
-
-and probe_index index (p : Plan.indexed_pred) =
-  match index, p.Plan.ip_cmp with
-  | Catalog.Btree_index bt, Ast.Eq -> Btree.search bt ~key:p.Plan.ip_constant
-  | Catalog.Btree_index bt, Ast.Lt ->
-      range_oids bt ~lo:Btree.Unbounded ~hi:(Btree.Exclusive p.Plan.ip_constant)
-  | Catalog.Btree_index bt, Ast.Le ->
-      range_oids bt ~lo:Btree.Unbounded ~hi:(Btree.Inclusive p.Plan.ip_constant)
-  | Catalog.Btree_index bt, Ast.Gt ->
-      range_oids bt ~lo:(Btree.Exclusive p.Plan.ip_constant) ~hi:Btree.Unbounded
-  | Catalog.Btree_index bt, Ast.Ge ->
-      range_oids bt ~lo:(Btree.Inclusive p.Plan.ip_constant) ~hi:Btree.Unbounded
-  | Catalog.Btree_index bt, Ast.Ne ->
-      (* Index gives no benefit for <>; full key scan. *)
-      let out = ref [] in
-      Btree.iter bt (fun key postings ->
-          if Value.compare key p.Plan.ip_constant <> 0 then out := postings @ !out);
-      !out
-  | Catalog.Hash_index h, Ast.Eq -> Hash_index.search h ~key:p.Plan.ip_constant
-  | Catalog.Hash_index _, (Ast.Ne | Ast.Lt | Ast.Le | Ast.Gt | Ast.Ge) ->
-      failwith "hash index probed with a non-equality comparison"
-
-and range_oids bt ~lo ~hi = List.concat_map snd (Btree.range bt ~lo ~hi)
-
-and group_rows env rows by =
-  let groups : (Value.t list * Eval.row list ref) list ref = ref [] in
-  List.iter
-    (fun row ->
-      let key = List.map (fun f -> f env row) by in
-      match
-        List.find_opt
-          (fun (k, _) -> List.length k = List.length key && List.for_all2 Value.equal k key)
-          !groups
-      with
-      | Some (_, members) -> members := row :: !members
-      | None -> groups := (key, ref [ row ]) :: !groups)
-    rows;
-  List.rev_map (fun (k, members) -> (k, List.rev !members)) !groups
-
-and compare_rows env keys a b =
-  let rec go = function
-    | [] -> 0
-    | (f, dir) :: rest -> begin
-        let va = f env a and vb = f env b in
-        let c =
-          match Eval.compare_values va vb with
-          | Some c -> c
-          | None -> begin
-              (* Nulls and incomparables sort last. *)
-              match va, vb with
-              | Value.Null, Value.Null -> 0
-              | Value.Null, _ -> 1
-              | _, Value.Null -> -1
-              | _, _ -> 0
-            end
-        in
-        let c = match dir with Ast.Asc -> c | Ast.Desc -> -c in
-        if c <> 0 then c else go rest
-      end
-  in
-  go keys
-
-and dedup_rows rows =
-  let key row =
-    String.concat "|"
-      (List.map
-         (fun (var, (item : Collection.item)) ->
-           var ^ "="
-           ^
-           match item.Collection.oid with
-           | Some oid -> Oid.to_string oid
-           | None -> Value.to_string item.Collection.value)
-         (List.sort (fun (a, _) (b, _) -> String.compare a b) row))
-  in
-  let seen = Hashtbl.create 64 in
-  List.filter
-    (fun row ->
-      let k = key row in
-      if Hashtbl.mem seen k then false
-      else begin
-        Hashtbl.replace seen k ();
-        true
-      end)
-    rows
+      Vectorize.scan env ~class_name ~var ~every ~minus ~pred ~row_pred ~keys ~aggs ~emit
 
 (* ---------------- Joins ---------------- *)
 
-and join tr env left right right_simple method_ pointer equi pred =
-  let left_rows = rows_of tr env left in
+(* The right side, when a method needs it, is collected before the left
+   side streams. *)
+and join tr env left right right_simple method_ pointer equi pred k =
+  let each_left f = produce tr env left f in
   let nested_loop () =
-    let right_rows = rows_of tr env right in
-    List.concat_map
-      (fun l ->
-        List.filter_map
+    let right_rows = collect tr env right in
+    each_left (fun l ->
+        List.iter
           (fun r ->
             let merged = l @ r in
-            if pred env merged then Some merged else None)
+            if pred env merged then k merged)
           right_rows)
-      left_rows
   in
   match method_ with
   | Join_cost.Hash_join | Join_cost.Grace_hash | Join_cost.Sort_merge
   | Join_cost.Fusion_join -> begin
       match equi with
       | Some (lkey, rkey) ->
-          let right_rows = rows_of tr env right in
+          let right_rows = collect tr env right in
           let store = Catalog.store env.Eval.catalog in
           Value_join.run method_ env ~store ~pred
-            ~left:{ Value_join.s_rows = left_rows; s_key = lkey }
+            ~left:{ Value_join.p_iter = each_left; p_key = lkey }
             ~right:{ Value_join.s_rows = right_rows; s_key = rkey }
+            ~emit:k
       | None ->
           (* No equality conjunct to key on (cross product / pure theta):
              degrade to the nested loop, visibly. *)
@@ -753,117 +812,68 @@ and join tr env left right right_simple method_ pointer equi pred =
   | Join_cost.Forward_traversal | Join_cost.Backward_traversal
   | Join_cost.Binary_join_index | Join_cost.Hash_partition -> begin
       match pointer with
-      | Some (lv, path, rv) -> begin
-          match method_, right_simple with
-          | (Join_cost.Forward_traversal | Join_cost.Hash_partition), Some s ->
-              pointer_join_lazy env left_rows lv path rv s
-          | Join_cost.Binary_join_index, Some s -> bji_join env left_rows lv path rv s
-          | ( (Join_cost.Forward_traversal | Join_cost.Hash_partition
-              | Join_cost.Binary_join_index),
-              None ) ->
-              pointer_join_materialized env left_rows lv path rv (rows_of tr env right)
-          | _, _ ->
-              backward_join env left_rows lv path rv (rows_of tr env right)
-        end
       | None ->
           (* General theta join / cross product: nested loop. *)
           nested_loop ()
+      | Some (lv, path, rv) -> begin
+          (* Each left row with the OIDs its path's last hop reaches. *)
+          let each_targets f =
+            each_left (fun l ->
+                match Value.assoc_name lv l with
+                | None -> ()
+                | Some item -> f l (last_hop_oids env item path))
+          in
+          match method_, right_simple with
+          | ( (Join_cost.Forward_traversal | Join_cost.Hash_partition
+              | Join_cost.Binary_join_index),
+              Some s ) ->
+              (* Fetch each referenced target through the simple source:
+                 this charges the random page reads the forward-traversal
+                 and hash-partition cost formulas model. A binary join
+                 index's forward direction maps C objects to the D
+                 objects the stored pointer names, so it chases the
+                 pointer too; the index serves backward probes
+                 ([Join_index.Binary]). *)
+              each_targets (fun l oids ->
+                  List.iter
+                    (fun oid ->
+                      Option.iter (fun target -> k (l @ [ (rv, target) ])) (fetch_simple env s oid))
+                    oids)
+          | ( (Join_cost.Forward_traversal | Join_cost.Hash_partition
+              | Join_cost.Binary_join_index),
+              None ) ->
+              (* Probe the materialized right rows by OID. *)
+              let by_oid = Hashtbl.create 64 in
+              List.iter
+                (fun r ->
+                  match Value.assoc_name rv r with
+                  | Some ({ Collection.oid = Some oid; _ } : Collection.item) ->
+                      Hashtbl.replace by_oid oid r
+                  | Some _ | None -> ())
+                (collect tr env right);
+              each_targets (fun l oids ->
+                  List.iter
+                    (fun oid -> Option.iter (fun r -> k (l @ r)) (Hashtbl.find_opt by_oid oid))
+                    oids)
+          | _, _ ->
+              (* Scan-and-compare: for each left object's reference set,
+                 compare against every right candidate (the k_c * fan *
+                 k_d comparisons of Section 6.2). The last hop's OIDs are
+                 compared unfetched, as the formula prices them; a
+                 dangling or invisible target matches no right row, since
+                 those come from the visible extent. *)
+              let right_rows = collect tr env right in
+              each_targets (fun l targets ->
+                  List.iter
+                    (fun r ->
+                      match Value.assoc_name rv r with
+                      | Some ({ Collection.oid = Some oid; _ } : Collection.item)
+                        when List.exists (Oid.equal oid) targets ->
+                          k (l @ r)
+                      | Some _ | None -> ())
+                    right_rows)
+        end
     end
-
-(* OIDs reached from [item] along [path]'s last reference hop;
-   intermediate hops are dereferenced (charging random reads), the
-   final hop's identifiers are returned unfetched. *)
-and last_hop_oids env (item : Collection.item) = function
-  | [] -> []
-  | [ attr ] -> begin
-      match Value.tuple_get item.Collection.value attr with
-      | Some field -> refs_of_field field
-      | None -> []
-    end
-  | attr :: rest -> begin
-      match Value.tuple_get item.Collection.value attr with
-      | Some field ->
-          List.concat_map
-            (fun oid ->
-              match item_of env oid with
-              | Some next -> last_hop_oids env next rest
-              | None -> [])
-            (refs_of_field field)
-      | None -> []
-    end
-
-and pointer_join_lazy env left_rows lv path rv s =
-  (* Fetch each referenced target through the simple source: this
-     charges the random page reads the forward-traversal and
-     hash-partition cost formulas model. *)
-  List.concat_map
-    (fun l ->
-      match Value.assoc_name lv l with
-      | None -> []
-      | Some item ->
-          List.filter_map
-            (fun oid ->
-              Option.map (fun target -> l @ [ (rv, target) ]) (fetch_simple env s oid))
-            (last_hop_oids env item path))
-    left_rows
-
-and pointer_join_materialized env left_rows lv path rv right_rows =
-  (* Probe materialized right rows by OID. *)
-  let by_oid = Hashtbl.create 64 in
-  List.iter
-    (fun r ->
-      match Value.assoc_name rv r with
-      | Some ({ Collection.oid = Some oid; _ } : Collection.item) ->
-          Hashtbl.replace by_oid oid r
-      | Some _ | None -> ())
-    right_rows;
-  List.concat_map
-    (fun l ->
-      match Value.assoc_name lv l with
-      | None -> []
-      | Some item ->
-          List.filter_map
-            (fun oid -> Option.map (fun r -> l @ r) (Hashtbl.find_opt by_oid oid))
-            (last_hop_oids env item path))
-    left_rows
-
-and bji_join env left_rows lv path rv s =
-  (* Binary join indexes cover single reference attributes; multi-hop
-     pointer predicates fall back to lazy chasing. *)
-  match path with
-  | [ attr ] -> begin
-      match Catalog.find_join_index env.Eval.catalog ~class_name:s.c_class ~attr with
-      | None -> pointer_join_lazy env left_rows lv path rv s
-      | Some _jx ->
-          (* The forward direction of the index maps C objects to D
-             objects — equivalent to chasing the stored pointer, so the
-             lazy path is reused; the index matters for *backward*
-             probes, exercised via [Join_index.Binary] directly. *)
-          pointer_join_lazy env left_rows lv path rv s
-    end
-  | _ -> pointer_join_lazy env left_rows lv path rv s
-
-and backward_join env left_rows lv path rv right_rows =
-  (* Scan-and-compare: for each left object's reference set, compare
-     against every right candidate (the k_c * fan * k_d comparisons of
-     Section 6.2). The last hop's OIDs are compared unfetched, as the
-     formula prices them; a dangling or invisible target matches no
-     right row, since those come from the visible extent. *)
-  List.concat_map
-    (fun l ->
-      match Value.assoc_name lv l with
-      | None -> []
-      | Some item ->
-          let targets = last_hop_oids env item path in
-          List.filter_map
-            (fun r ->
-              match Value.assoc_name rv r with
-              | Some ({ Collection.oid = Some oid; _ } : Collection.item)
-                when List.exists (Oid.equal oid) targets ->
-                  Some (l @ r)
-              | Some _ | None -> None)
-            right_rows)
-    left_rows
 
 (* ------------------------------------------------------------------ *)
 (* Entry points                                                        *)
@@ -907,7 +917,7 @@ let project_rows env p rows =
     p.p_project
 
 let run_prepared env p =
-  let rows = rows_of None env p.p_root in
+  let rows = collect None env p.p_root in
   { rows; projected = project_rows env p rows }
 
 type op_report = {
@@ -926,8 +936,11 @@ type op_report = {
 
 let run_analyzed ?disk ?buffer env p =
   let stats = Array.init (Array.length p.p_skels) (fun _ -> fresh_op_stats ()) in
-  let tr = Some { t_stats = stats; t_disk = disk; t_buffer = buffer } in
-  let rows = rows_of tr env p.p_root in
+  let tr =
+    Some
+      { t_stats = stats; t_disk = disk; t_buffer = buffer; t_origin = Unix.gettimeofday () }
+  in
+  let rows = collect tr env p.p_root in
   let reports =
     Array.to_list
       (Array.map

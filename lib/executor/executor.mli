@@ -42,12 +42,16 @@ val prepare :
     time. *)
 
 val run_prepared : Eval.env -> prepared -> result
-(** Invoke many: per-row work is closure calls, no AST inspection. *)
+(** Invoke many: per-row work is closure calls, no AST inspection.
+    Operators stream: each pushes its rows to the operator above as it
+    makes them, and only sorts, join build sides and group states are
+    held whole until the top rows are collected into the result. *)
 
 (** One operator's estimated-vs-actual report row from an analyzed run.
     Time and I/O charges are {e inclusive} of the operator's inputs
-    (the PostgreSQL EXPLAIN ANALYZE convention); [r_rows] counts total
-    rows across all [r_loops] invocations. *)
+    (the PostgreSQL EXPLAIN ANALYZE convention) and exclude the
+    operators it pushes its rows to; [r_rows] counts the rows it pushed
+    across all [r_loops] invocations. *)
 type op_report = {
   r_label : string;           (** operator label, [Plan.render] vocabulary *)
   r_depth : int;              (** nesting depth for indentation *)
@@ -70,11 +74,12 @@ val run_analyzed :
   result * op_report list
 (** Traced execution: runs the prepared plan with per-operator
     accounting (rows, loops, wall time, and — when [disk]/[buffer] are
-    supplied — page-level I/O and buffer charges attributed by counter
-    diffs around each operator invocation). Reports come back in
-    pre-order, ready for [render_reports]. Tracing costs two
-    [gettimeofday] calls and a few counter reads per operator
-    invocation; the untraced [run_prepared] path is unchanged. *)
+    supplied — page-level I/O and buffer charges, attributed by counter
+    diffs around each operator's call, less those around each row it
+    hands to its consumer). Reports come back in pre-order, ready for
+    [render_reports]. Tracing reads the clock and counters twice per
+    operator invocation and twice per row an operator pushes; the
+    untraced [run_prepared] path does neither. *)
 
 val render_reports : op_report list -> string
 (** The EXPLAIN ANALYZE operator tree: one line per operator, indented

@@ -220,34 +220,50 @@ let decode_entry s : entry =
 (* Shared plumbing *)
 
 type side = { s_rows : Eval.row list; s_key : Compile.expr_fn }
+type probe = { p_iter : (Eval.row -> unit) -> unit; p_key : Compile.expr_fn }
 
 (* (index, row, canonical keys) — keys computed once per row. *)
 let expand env (s : side) =
   List.mapi (fun i row -> (i, row, keys_of_value (s.s_key env row))) s.s_rows
 
+(* The same triples for the probe side, yielded as its rows arrive. *)
+let expand_iter env (p : probe) f =
+  let i = ref 0 in
+  p.p_iter (fun row ->
+      let li = !i in
+      incr i;
+      f (li, row, keys_of_value (p.p_key env row)))
+
+let to_list iter =
+  let acc = ref [] in
+  iter (fun x -> acc := x :: !acc);
+  List.rev !acc
+
 (* Flatten (i, row, keys) into single-key entries. *)
 let singles entries =
   List.concat_map (fun (i, row, keys) -> List.map (fun k -> (i, row, k)) keys) entries
 
+let singles_iter iter f = iter (fun (i, row, keys) -> List.iter (fun k -> f (i, row, k)) keys)
+
 (* Emit the pair at most once (nested-loop multiplicity), re-checking
    the full predicate so the key only over-approximates. *)
-let try_emit env pred seen out (li, lrow) (ri, rrow) =
+let try_emit env pred seen emit (li, lrow) (ri, rrow) =
   let k = (li, ri) in
   if not (Hashtbl.mem seen k) then begin
     Hashtbl.replace seen k ();
     let merged = lrow @ rrow in
-    if pred env merged then out := merged :: !out
+    if pred env merged then emit merged
   end
 
 (* The in-memory hash join over single-key entries: a table over the
    build side, probed by each left entry as [iter_lefts] yields it. *)
-let hash_join_single env pred seen out iter_lefts rights =
+let hash_join_single env pred seen emit iter_lefts rights =
   incr hash_builds;
   let table = Hashtbl.create 64 in
   List.iter (fun (ri, rrow, k) -> Hashtbl.add table k (ri, rrow)) rights;
   iter_lefts (fun (li, lrow, k) ->
       List.iter
-        (fun (ri, rrow) -> try_emit env pred seen out (li, lrow) (ri, rrow))
+        (fun (ri, rrow) -> try_emit env pred seen emit (li, lrow) (ri, rrow))
         (Hashtbl.find_all table k))
 
 (* ------------------------------------------------------------------ *)
@@ -294,21 +310,22 @@ let read_back store spilled =
 
 let max_grace_depth = 4
 
-let grace_hash env store pred seen out lefts rights =
+let grace_hash env store pred seen emit iter_lefts rights =
   let temps = ref [] in
   let budget () = max 1 !Join_cost.join_mem_bytes in
   (* Entries here are single-key; a row with a collection key appears
      once per distinct element key, possibly in different partitions —
      the global (li, ri) dedup keeps the multiset exact. The build side
      is a list, since its size decides between joining and
-     partitioning again; the probe side is an iterator, so a spilled
-     left partition is decoded one record at a time and never held
-     whole. *)
+     partitioning again; the probe side is an iterator, so the left
+     input streams into the in-memory join or the first split, and a
+     spilled left partition is decoded one record at a time and never
+     held whole. *)
   let rec go ~salt ~depth iter_lefts rights =
     let build_bytes = sum_bytes rights in
     if build_bytes <= budget () || depth >= max_grace_depth then begin
       if build_bytes > budget () then incr fallbacks;
-      hash_join_single env pred seen out iter_lefts rights
+      hash_join_single env pred seen emit iter_lefts rights
     end
     else begin
       let fanout = min 16 (max 2 ((build_bytes / budget ()) + 1)) in
@@ -334,9 +351,7 @@ let grace_hash env store pred seen out lefts rights =
   in
   Fun.protect
     ~finally:(fun () -> List.iter (fun hf -> Store.release_temp_file store hf) !temps)
-    (fun () ->
-      let lefts = singles lefts in
-      go ~salt:0 ~depth:0 (fun f -> List.iter f lefts) (singles rights))
+    (fun () -> go ~salt:0 ~depth:0 (singles_iter iter_lefts) (singles rights))
 
 (* ------------------------------------------------------------------ *)
 (* Sort-merge join *)
@@ -372,11 +387,12 @@ let sort_side store temps entries =
     Heap.merge_sorted ~cmp:key_cmp runs_back
   end
 
-let sort_merge env store pred seen out lefts rights =
+let sort_merge env store pred seen emit iter_lefts rights =
   let temps = ref [] in
   Fun.protect
     ~finally:(fun () -> List.iter (fun hf -> Store.release_temp_file store hf) !temps)
     (fun () ->
+      let lefts = to_list iter_lefts in
       let la = Array.of_list (sort_side store temps (singles lefts)) in
       let ra = Array.of_list (sort_side store temps (singles rights)) in
       let nl = Array.length la and nr = Array.length ra in
@@ -399,7 +415,7 @@ let sort_merge env store pred seen out lefts rights =
             let il, rowl, _ = la.(l) in
             for r = !ri to !re - 1 do
               let ir, rowr, _ = ra.(r) in
-              try_emit env pred seen out (il, rowl) (ir, rowr)
+              try_emit env pred seen emit (il, rowl) (ir, rowr)
             done
           done;
           li := !le;
@@ -413,15 +429,17 @@ let sort_merge env store pred seen out lefts rights =
    navigation and the probe fuse, so the flattened left side is never
    materialized. *)
 
-let fusion env pred seen out (left : side) rights =
+let fusion env pred seen emit (left : probe) rights =
   incr hash_builds;
   let table = Hashtbl.create 64 in
   List.iter
     (fun (ri, rrow, rkeys) -> List.iter (fun k -> Hashtbl.add table k (ri, rrow)) rkeys)
     rights;
-  List.iteri
-    (fun li lrow ->
-      let v = left.s_key env lrow in
+  let li = ref 0 in
+  left.p_iter (fun lrow ->
+      let i = !li in
+      incr li;
+      let v = left.p_key env lrow in
       let elems = match v with Value.Set xs | Value.List xs -> xs | v -> [ v ] in
       List.iter
         (fun e ->
@@ -432,24 +450,20 @@ let fusion env pred seen out (left : side) rights =
               | [] -> ()
               | hits ->
                   incr fusion_hits;
-                  List.iter (fun (ri, rrow) -> try_emit env pred seen out (li, lrow) (ri, rrow)) hits))
+                  List.iter (fun (ri, rrow) -> try_emit env pred seen emit (i, lrow) (ri, rrow)) hits))
         elems)
-    left.s_rows
 
 (* ------------------------------------------------------------------ *)
 
-let run method_ env ~store ~pred ~left ~right =
+let run method_ env ~store ~pred ~left ~right ~emit =
   let seen = Hashtbl.create 256 in
-  let out = ref [] in
-  (match method_ with
+  match method_ with
   | Join_cost.Hash_join ->
       let rights = singles (expand env right) in
-      let lefts = singles (expand env left) in
-      hash_join_single env pred seen out (fun f -> List.iter f lefts) rights
-  | Join_cost.Grace_hash -> grace_hash env store pred seen out (expand env left) (expand env right)
-  | Join_cost.Sort_merge -> sort_merge env store pred seen out (expand env left) (expand env right)
-  | Join_cost.Fusion_join -> fusion env pred seen out left (expand env right)
+      hash_join_single env pred seen emit (singles_iter (expand_iter env left)) rights
+  | Join_cost.Grace_hash -> grace_hash env store pred seen emit (expand_iter env left) (expand env right)
+  | Join_cost.Sort_merge -> sort_merge env store pred seen emit (expand_iter env left) (expand env right)
+  | Join_cost.Fusion_join -> fusion env pred seen emit left (expand env right)
   | Join_cost.Nested_loop | Join_cost.Forward_traversal | Join_cost.Backward_traversal
   | Join_cost.Binary_join_index | Join_cost.Hash_partition ->
-      invalid_arg "Value_join.run: not a value-join method");
-  List.rev !out
+      invalid_arg "Value_join.run: not a value-join method"

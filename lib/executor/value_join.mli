@@ -15,25 +15,37 @@
     surfaced as [join.*] metrics, and crash-injectable. *)
 
 type side = { s_rows : Eval.row list; s_key : Compile.expr_fn }
-(** One join input: its binding rows and the compiled expression
-    producing the join key of a row (a collection-valued key joins
-    through its elements, the predicate's existential semantics). *)
+(** The build (right) side: its binding rows and the compiled
+    expression producing the join key of a row (a collection-valued key
+    joins through its elements, the predicate's existential
+    semantics). *)
+
+type probe = { p_iter : (Eval.row -> unit) -> unit; p_key : Compile.expr_fn }
+(** The probe (left) side: [p_iter f] pushes each of its rows to [f] in
+    order, once per join, and [p_key] is the key expression as for
+    [side]. *)
 
 val run :
   Mood_cost.Join_cost.method_choice ->
   Eval.env ->
   store:Mood_storage.Store.t ->
   pred:Compile.pred_fn ->
-  left:side ->
+  left:probe ->
   right:side ->
-  Eval.row list
+  emit:(Eval.row -> unit) ->
+  unit
 (** Executes [Hash_join], [Grace_hash], [Sort_merge] or [Fusion_join]
     (raises [Invalid_argument] for the pointer methods and
-    [Nested_loop], which keep their existing executor paths). Emitted
-    rows are [left_row @ right_row], each surviving pair exactly once.
-    The memory budget is [Join_cost.join_mem_bytes]; above it, Grace
-    hash partitions recursively (fanout 2–16, depth ≤ 4, then an
-    in-memory fallback) and sort-merge spills its initial runs. *)
+    [Nested_loop], which keep their existing executor paths), passing
+    each result row [left_row @ right_row] to [emit] as it is found,
+    each surviving pair exactly once. The right side is keyed before
+    the left side is pulled. Hash join, Grace hash and fusion consume
+    the left side as it streams (Grace's first split collects it into
+    partitions); sort-merge collects it to sort. The memory budget is
+    [Join_cost.join_mem_bytes]; above it, Grace hash partitions
+    recursively (fanout 2–16, depth ≤ 4, then an in-memory fallback)
+    and sort-merge spills its initial runs. Temp files are released
+    when [run] returns or raises, [emit]'s exceptions included. *)
 
 val elem_key : Mood_model.Value.t -> string option
 (** Canonical key of one join-key element: two elements get the same

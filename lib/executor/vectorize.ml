@@ -580,7 +580,7 @@ let transient_batch_rows = 1024
 
 let scan (env : Eval.env) ~class_name ~var ~every ~minus
     ~(pred : Ast.predicate option) ~(row_pred : Compile.pred_fn option)
-    ~(keys : key_spec list) ~(aggs : agg_spec list) : Eval.row list =
+    ~(keys : key_spec list) ~(aggs : agg_spec list) ~(emit : Eval.row -> unit) =
   let catalog = env.Eval.catalog in
   ignore every;
   (* IS-A: like the row engine's bind, subclass instances are always in
@@ -590,7 +590,6 @@ let scan (env : Eval.env) ~class_name ~var ~every ~minus
   let tbl = create_table aggs in
   (* The zero-key group exists even when no row arrives. *)
   if grouping && keys = [] then ignore (find_group tbl []);
-  let out = ref [] in
   let fallback_batch ~class_id (b : Batch.t) =
     M.m.M.fallback_rows <- M.m.M.fallback_rows + b.Batch.n;
     for i = 0 to b.Batch.n - 1 do
@@ -612,7 +611,7 @@ let scan (env : Eval.env) ~class_name ~var ~every ~minus
                 end)
             g.g_accs
         end
-        else out := row :: !out
+        else emit row
       end
     done
   in
@@ -631,7 +630,7 @@ let scan (env : Eval.env) ~class_name ~var ~every ~minus
           for i = 0 to b.Batch.n - 1 do
             if keep i then begin
               incr kept;
-              out := mk_row ~var ~class_id b i :: !out
+              emit (mk_row ~var ~class_id b i)
             end
           done
       | Some keep -> begin
@@ -685,4 +684,4 @@ let scan (env : Eval.env) ~class_name ~var ~every ~minus
               flush ()
         end)
     classes;
-  if grouping then table_rows tbl else List.rev !out
+  if grouping then List.iter emit (table_rows tbl)

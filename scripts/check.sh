@@ -57,6 +57,16 @@ for row in "heap record encode" "heap record decode" "pax page encode" "pax page
   grep -q "codec: $row (2500 rows)" BENCH_micro.json \
     || { echo "BENCH_micro.json: no codec: $row row"; exit 1; }
 done
+# The row engine streams: a scanned row is filtered and folded before
+# the next is decoded, so it dies in the minor heap. A compiled row
+# plan that promotes 5 or more words per scanned row to the major heap
+# is holding its input again (a materializing operator promotes a
+# whole row's worth, tens of words).
+PROMOTED="$(grep '"name": "row_compiled"' BENCH_micro.json \
+  | grep -o '"promoted_words_per_row": [0-9.]*' | grep -o '[0-9.]*$')"
+[ -n "$PROMOTED" ] || { echo "BENCH_micro.json: no promoted_words_per_row for row_compiled"; exit 1; }
+awk -v p="$PROMOTED" 'BEGIN { exit !(p < 5) }' \
+  || { echo "row_compiled promotes $PROMOTED words per scanned row, want < 5"; exit 1; }
 
 echo "== perfbench selftest =="
 # The end-to-end benchmark's own tests: the rendered-row parser, the
@@ -126,6 +136,8 @@ echo "== EXPLAIN ANALYZE smoke =="
 grep -q "rows=" /tmp/mood_analyze.$$ || { echo "EXPLAIN ANALYZE: no per-node actuals"; exit 1; }
 grep -q "est=" /tmp/mood_analyze.$$ || { echo "EXPLAIN ANALYZE: no estimates"; exit 1; }
 grep -q "actual rows:" /tmp/mood_analyze.$$ || { echo "EXPLAIN ANALYZE: no run totals"; exit 1; }
+grep -q "promoted words: [0-9]" /tmp/mood_analyze.$$ \
+  || { echo "EXPLAIN ANALYZE: no allocation totals"; exit 1; }
 rm -f /tmp/mood_analyze.$$
 
 echo "== server smoke (wire protocol + load) =="

@@ -768,9 +768,11 @@ let test_join_oracle_catches_sabotage () =
   ignore (Test_sim.sabotaged_sweep Join_oracle.phase ~quota:5 ~base_seed:1);
   Alcotest.(check bool) "sabotage restored" false !Value_join.sabotage_skip_rewind
 
-(* Crash mid-spill during a Grace hash join: the join must release every
-   temp partition file on the way out, recovery must find nothing to
-   clean, and a re-run must produce the full result. *)
+(* Failure mid-spill during a Grace hash join — a disk crash while
+   partitions are written, or an error raised by the consumer of its
+   rows while they are live — must release every temp partition file
+   on the way out, recovery must find nothing to clean, and a re-run
+   must produce the full result. *)
 let test_grace_spill_crash_recovery () =
   let attributes =
     [ ("k", Mtype.Basic Mtype.Integer); ("pad", Mtype.Basic (Mtype.String 64)) ]
@@ -785,6 +787,12 @@ let test_grace_spill_crash_recovery () =
   for i = 1 to 120 do row "EL" i done;
   for i = 1 to 120 do row "ER" (i + 1) done;
   let pred = keq "k" "k" in
+  let released what =
+    Alcotest.(check int) ("no orphan temp files after " ^ what) 0
+      (Store.live_temp_files store);
+    Alcotest.(check int) ("no orphan temp frames after " ^ what) 0
+      (Store.temp_resident_frames store)
+  in
   with_join_knobs ~mem:512 (fun () ->
       let expected = join_multiset (Executor.run env (vjoin_plan Join_cost.Grace_hash pred)) in
       Alcotest.(check bool) "join produced rows" true (expected <> []);
@@ -796,12 +804,47 @@ let test_grace_spill_crash_recovery () =
       | exception Disk.Crash -> ()
       | _ -> Alcotest.fail "expected Disk.Crash mid-spill");
       Disk.clear_fault disk;
-      Alcotest.(check int) "no orphan temp files after crash" 0
-        (Store.live_temp_files store);
-      Alcotest.(check int) "no orphan temp frames after crash" 0
-        (Store.temp_resident_frames store);
+      released "crash";
       let again = join_multiset (Executor.run env (vjoin_plan Join_cost.Grace_hash pred)) in
-      Alcotest.(check bool) "re-run after crash matches" true (again = expected))
+      Alcotest.(check bool) "re-run after crash matches" true (again = expected);
+      (* A GROUP above the join whose aggregate divides by zero on the
+         pairs with k = 1: the error is raised inside the join's emit,
+         which a spilling Grace join reaches only after it has written
+         its partitions. *)
+      let grouped agg =
+        Jplan.Group
+          { source = vjoin_plan Join_cost.Grace_hash pred;
+            by = [];
+            having = None;
+            aggregates = [ agg ]
+          }
+      in
+      let k_minus_1 =
+        Ast.Arith (Ast.Sub, Ast.Path ("l", [ "k" ]), Ast.Const (Value.Int 1))
+      in
+      let spilled () = List.assoc "join.partitions_spilled" (Value_join.metrics ()) in
+      let spilled0 = spilled () in
+      (match
+         Executor.run env
+           (grouped
+              (Ast.Aggregate (Ast.Sum, Some (Ast.Arith (Ast.Div, Ast.Const (Value.Int 1), k_minus_1)))))
+       with
+      | exception Eval.Eval_error _ -> ()
+      | _ -> Alcotest.fail "expected division by zero inside the join's emit");
+      Alcotest.(check bool) "the join spilled before the error" true (spilled () > spilled0);
+      released "an error in the join's emit";
+      (match
+         (Executor.run env (grouped (Ast.Aggregate (Ast.Count, None)))).Executor.rows
+       with
+      | [ row ] -> (
+          match List.assoc_opt "#agg" row with
+          | Some { Collection.value = Value.Tuple [ (_, Value.Int n) ]; _ } ->
+              Alcotest.(check int) "re-run after the error counts every pair"
+                (List.length expected) n
+          | _ -> Alcotest.fail "COUNT(*) over the join: no count")
+      | _ -> Alcotest.fail "COUNT(*) over the join: one row expected");
+      let again = join_multiset (Executor.run env (vjoin_plan Join_cost.Grace_hash pred)) in
+      Alcotest.(check bool) "re-run after the error matches" true (again = expected))
 
 (* EXPLAIN ANALYZE pin: under the default budget the optimizer picks the
    canonical hash join for a value equi-join, and the traced actual row
@@ -832,6 +875,80 @@ let test_explain_analyze_hash_join_pin () =
       match jr.Executor.r_est with
       | Some e -> Alcotest.(check bool) "estimate present and positive" true (e > 0.)
       | None -> Alcotest.fail "join estimate missing")
+
+(* EXPLAIN ANALYZE under the push contract: each operator is charged
+   its own produce call minus what its consumer spent, so charges stay
+   inclusive of the inputs. Under a budget that sends the counting join
+   through a spilling Grace hash, the JOIN carries every spill write of
+   the statement and no parent is charged less than its children. *)
+let test_explain_analyze_push_charges () =
+  let d = db () in
+  let src = "SELECT COUNT(*) FROM Vehicle v, VehicleEngine e WHERE v.weight = e.size" in
+  with_join_knobs (fun () ->
+      (match Db.exec d "SET JOIN_MEM 2048" with
+      | Ok _ -> ()
+      | Error m -> Alcotest.fail m);
+      let disk = Store.disk (Db.store d) in
+      let writes () = (Disk.counters disk).Disk.writes in
+      let w0 = writes () in
+      let result, reports = Db.analyze_query d src in
+      let statement_writes = writes () - w0 in
+      let jr = join_report reports in
+      Alcotest.(check bool) "Grace hash chosen" true (label_has jr.Executor.r_label "GRACE_HASH");
+      let cat = Db.catalog d in
+      let ints cls attr =
+        Catalog.extent_oids cat ~every:true ~minus:[] cls
+        |> List.filter_map (fun oid -> Catalog.get_object cat oid)
+        |> List.filter_map (fun v ->
+               match Value.tuple_get v attr with Some (Value.Int n) -> Some n | _ -> None)
+      in
+      let es = ints "VehicleEngine" "size" in
+      let pairs =
+        List.fold_left
+          (fun acc w -> acc + List.length (List.filter (( = ) w) es))
+          0 (ints "Vehicle" "weight")
+      in
+      Alcotest.(check bool) "hand count is non-trivial" true (pairs > 0);
+      Alcotest.(check int) "JOIN rows = hand count" pairs jr.Executor.r_rows;
+      (match List.find_opt (fun r -> r.Executor.r_label = "GROUP") reports with
+      | Some g -> Alcotest.(check int) "GROUP reports one row" 1 g.Executor.r_rows
+      | None -> Alcotest.fail "no GROUP operator in report");
+      List.iter
+        (fun r -> Alcotest.(check int) (r.Executor.r_label ^ " ran once") 1 r.Executor.r_loops)
+        reports;
+      Alcotest.(check bool) "the statement wrote spill pages" true (statement_writes > 0);
+      Alcotest.(check int) "the JOIN is charged every write" statement_writes jr.Executor.r_writes;
+      (* Reports are pre-order: a node's children are the following
+         reports one level deeper, up to the next at its own depth. *)
+      let accesses r = r.Executor.r_buf_hits + r.Executor.r_buf_misses in
+      let rec children depth = function
+        | r :: rest when r.Executor.r_depth > depth ->
+            (if r.Executor.r_depth = depth + 1 then [ r ] else []) @ children depth rest
+        | _ -> []
+      in
+      let rec each = function
+        | [] -> ()
+        | r :: rest ->
+            let kids = children r.Executor.r_depth rest in
+            Alcotest.(check bool)
+              (r.Executor.r_label ^ ": page accesses cover its children's")
+              true
+              (accesses r >= List.fold_left (fun a c -> a + accesses c) 0 kids);
+            each rest
+      in
+      each reports;
+      let prepared = Executor.prepare (Db.optimize d src).Mood_optimizer.Optimizer.plan in
+      let env = Db.executor_env d in
+      let traced, _ =
+        Executor.run_analyzed ~disk ~buffer:(Store.buffer (Db.store d)) env prepared
+      in
+      let plain = Executor.run_prepared env prepared in
+      Alcotest.(check (list string)) "run_analyzed and run_prepared agree"
+        (List.map Value.to_string (Executor.result_values plain))
+        (List.map Value.to_string (Executor.result_values traced));
+      Alcotest.(check (list string)) "and match the analyzed statement"
+        [ Printf.sprintf "<COUNT(*): %d>" pairs ]
+        (List.map Value.to_string (Executor.result_values result)))
 
 (* Shrinking the budget below the build side flips the plan from the
    canonical hash join to a spill-aware method. *)
@@ -1149,6 +1266,8 @@ let suites =
           test_grace_spill_crash_recovery;
         Alcotest.test_case "explain analyze hash pin" `Quick
           test_explain_analyze_hash_join_pin;
+        Alcotest.test_case "explain analyze push charges" `Quick
+          test_explain_analyze_push_charges;
         Alcotest.test_case "memory budget flips method" `Quick
           test_mem_budget_flips_method;
         Alcotest.test_case "ANALYZE flips method" `Quick test_analyze_flips_join_method;
