@@ -310,6 +310,13 @@ let scan_rows () =
   | Some s -> (try max 100 (int_of_string (String.trim s)) with _ -> 100_000)
   | None -> 100_000
 
+(* GROUP BY over many groups: a row-layout class of 5,000 objects with
+   2,200 distinct keys (0.44 per row), so finding each row's group is
+   most of the work. Its size does not follow [scan_rows]. *)
+let many_groups_rows = 5_000
+
+let many_groups_keys = 2_200
+
 let scan_fixture n =
   let store = Store.create ~buffer_capacity:4096 () in
   let catalog = Catalog.create ~store in
@@ -332,6 +339,16 @@ let scan_fixture n =
               ("w", Value.Float (float_of_int (Prng.int rng ~bound:1000) /. 8.))
             ]))
   done;
+  ignore
+    (Catalog.define_class catalog ~name:"ManyGroups"
+       ~attributes:[ ("k", Mtype.Basic Mtype.Integer) ]
+       ());
+  for i = 0 to many_groups_rows - 1 do
+    (* 7919 is prime to the key count: every key occurs, scattered *)
+    ignore
+      (Catalog.insert_object catalog ~class_name:"ManyGroups"
+         (Value.Tuple [ ("k", Value.Int (i * 7919 mod many_groups_keys)) ]))
+  done;
   (* Build the segment up front: the bench times scanning, not the
      one-time encode. *)
   (match Catalog.pax_store catalog "ScanBench" with
@@ -345,7 +362,9 @@ let scan_fixture n =
    three engines, then the grouped A/B: GROUP BY the dictionary-coded
    [grp] with COUNT, SUM and AVG, through the row engine's compiled
    Group over the heap and through the grouped VSCAN over the PAX
-   segment ("matches" is the COUNT summed over the groups). Each
+   segment ("matches" is the COUNT summed over the groups), and the
+   compiled Group over [many_groups_rows] row-layout objects with
+   [many_groups_keys] keys. Each
    row-engine plan starts on an empty minor heap and reports the words
    its run promoted to the major heap per scanned row: a streaming
    pipeline promotes next to none, a materializing operator a whole
@@ -430,6 +449,15 @@ let scan_section () =
         aggregates
       }
   in
+  let many_groups_plan =
+    Jplan.Group
+      { source =
+          Jplan.Bind { class_name = "ManyGroups"; var = "m"; every = false; minus = [] };
+        by = [ Ast.Path ("m", [ "k" ]) ];
+        having = None;
+        aggregates = [ Ast.Aggregate (Ast.Count, None) ]
+      }
+  in
   let grouped_count_of (result : Executor.result) =
     List.fold_left
       (fun acc row ->
@@ -459,7 +487,9 @@ let scan_section () =
       time ~count:grouped_count_of ~row_engine:true "grouped_row_compiled" (fun () ->
           Executor.run env grouped_row_plan);
       time ~count:grouped_count_of "grouped_pax_vectorized" (fun () ->
-          Executor.run env grouped_vscan_plan)
+          Executor.run env grouped_vscan_plan);
+      time ~count:grouped_count_of "grouped_row_many_groups" (fun () ->
+          Executor.run env many_groups_plan)
     ]
   in
   (* One new object, then the same VSCAN: what a write costs the scan

@@ -14,7 +14,6 @@ type t = {
   mutable pages_reused : int;
   mutable batch_cache_hits : int;
   mutable pages_healed : int;
-  mutable fallback_rows : int;
   mutable mvcc_patched : int;
 }
 
@@ -30,7 +29,6 @@ let m =
     pages_reused = 0;
     batch_cache_hits = 0;
     pages_healed = 0;
-    fallback_rows = 0;
     mvcc_patched = 0
   }
 
@@ -46,7 +44,6 @@ let metrics () =
     ("scan.pages_reused", m.pages_reused);
     ("scan.batch_cache_hits", m.batch_cache_hits);
     ("scan.pages_healed", m.pages_healed);
-    ("scan.fallback_rows", m.fallback_rows);
     ("scan.mvcc_patched", m.mvcc_patched)
   ]
 
@@ -62,5 +59,4 @@ let reset () =
   m.pages_reused <- 0;
   m.batch_cache_hits <- 0;
   m.pages_healed <- 0;
-  m.fallback_rows <- 0;
   m.mvcc_patched <- 0

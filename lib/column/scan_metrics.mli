@@ -14,7 +14,6 @@ type t = {
   mutable pages_reused : int;     (** clean PAX pages served from the segment *)
   mutable batch_cache_hits : int; (** scans served from the decoded-batch cache *)
   mutable pages_healed : int;     (** corrupt/torn pages detected and rebuilt *)
-  mutable fallback_rows : int;    (** rows served through the row-engine fallback *)
   mutable mvcc_patched : int;     (** batch rows resolved against the version store *)
 }
 

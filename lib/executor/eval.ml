@@ -60,17 +60,55 @@ let lookup_var row var =
   | Some item -> item
   | None -> eval_error "unbound range variable %s" var
 
+(* A path reaching nothing is [Null], several values a [Set]. *)
+let path_value env item path =
+  match navigate env (item_value item) path with
+  | [] -> Value.Null
+  | [ v ] -> v
+  | many -> Value.Set many
+
+(* NULL propagates; otherwise the [OperandDataType] layer computes,
+   with its run-time type checks. The operator is resolved once, by
+   [arith op]. *)
+let arith op =
+  let f =
+    match op with
+    | Ast.Add -> Operand.add
+    | Ast.Sub -> Operand.sub
+    | Ast.Mul -> Operand.mul
+    | Ast.Div -> Operand.div
+    | Ast.Mod -> Operand.modulo
+  in
+  fun va vb ->
+    match va, vb with
+    | Value.Null, _ | _, Value.Null -> Value.Null
+    | _, _ -> (
+        try Operand.to_value (f (Operand.of_value va) (Operand.of_value vb))
+        with Operand.Type_error m -> eval_error "%s" m)
+
+let negate = function
+  | Value.Int i -> Value.Int (-i)
+  | Value.Long l -> Value.Long (Int64.neg l)
+  | Value.Float f -> Value.Float (-.f)
+  | Value.Null -> Value.Null
+  | v -> eval_error "cannot negate %s" (Value.to_string v)
+
+(* Aggregate values are precomputed per group by the executor's GROUP
+   stage and carried in the row's [#agg] pseudo-binding. *)
+let aggregate_value key row =
+  match Value.assoc_name "#agg" row with
+  | Some item -> begin
+      match Value.tuple_get item.Collection.value key with
+      | Some v -> v
+      | None -> eval_error "aggregate %s not computed for this group" key
+    end
+  | None -> eval_error "aggregate %s outside a grouped query" key
+
 let rec expr env row e =
   match e with
   | Ast.Const v -> v
   | Ast.Path (var, []) -> item_ref (lookup_var row var)
-  | Ast.Path (var, path) -> begin
-      let item = lookup_var row var in
-      match navigate env (item_value item) path with
-      | [] -> Value.Null
-      | [ v ] -> v
-      | many -> Value.Set many
-    end
+  | Ast.Path (var, path) -> path_value env (lookup_var row var) path
   | Ast.Method_call (var, path, name, args) -> begin
       let item = lookup_var row var in
       let receivers =
@@ -95,42 +133,11 @@ let rec expr env row e =
       | [ r ] -> invoke r
       | many -> Value.Set (List.map invoke many)
     end
-  | Ast.Arith (op, a, b) -> begin
+  | Ast.Arith (op, a, b) ->
       let va = expr env row a and vb = expr env row b in
-      if va = Value.Null || vb = Value.Null then Value.Null
-      else begin
-        let f =
-          match op with
-          | Ast.Add -> Operand.add
-          | Ast.Sub -> Operand.sub
-          | Ast.Mul -> Operand.mul
-          | Ast.Div -> Operand.div
-          | Ast.Mod -> Operand.modulo
-        in
-        try Operand.to_value (f (Operand.of_value va) (Operand.of_value vb))
-        with Operand.Type_error m -> eval_error "%s" m
-      end
-    end
-  | Ast.Neg a -> begin
-      match expr env row a with
-      | Value.Int i -> Value.Int (-i)
-      | Value.Long l -> Value.Long (Int64.neg l)
-      | Value.Float f -> Value.Float (-.f)
-      | Value.Null -> Value.Null
-      | v -> eval_error "cannot negate %s" (Value.to_string v)
-    end
-  | Ast.Aggregate (_, _) as agg -> begin
-      (* Aggregate values are precomputed per group by the executor's
-         GROUP stage and carried in the row's [#agg] pseudo-binding. *)
-      let key = Ast.expr_to_string agg in
-      match Value.assoc_name "#agg" row with
-      | Some item -> begin
-          match Value.tuple_get item.Collection.value key with
-          | Some v -> v
-          | None -> eval_error "aggregate %s not computed for this group" key
-        end
-      | None -> eval_error "aggregate %s outside a grouped query" key
-    end
+      arith op va vb
+  | Ast.Neg a -> negate (expr env row a)
+  | Ast.Aggregate (_, _) as agg -> aggregate_value (Ast.expr_to_string agg) row
 
 let compare_values a b =
   match a, b with
@@ -150,14 +157,14 @@ let compare_values a b =
       Some (Value.compare a b)
   | _, _ -> None
 
-let comparison_holds cmp c =
-  match cmp with
-  | Ast.Eq -> c = 0
-  | Ast.Ne -> c <> 0
-  | Ast.Lt -> c < 0
-  | Ast.Le -> c <= 0
-  | Ast.Gt -> c > 0
-  | Ast.Ge -> c >= 0
+(* Resolved once by [comparison_holds cmp]. *)
+let comparison_holds = function
+  | Ast.Eq -> fun c -> c = 0
+  | Ast.Ne -> fun c -> c <> 0
+  | Ast.Lt -> fun c -> c < 0
+  | Ast.Le -> fun c -> c <= 0
+  | Ast.Gt -> fun c -> c > 0
+  | Ast.Ge -> fun c -> c >= 0
 
 (* Existential semantics for multi-valued sides. *)
 let cmp_values cmp va vb =

@@ -38,13 +38,39 @@ val compare_values : Mood_model.Value.t -> Mood_model.Value.t -> int option
 
 (** {1 Building blocks}
 
-    Exposed for the closure compiler ([Compile]), which lowers
-    expressions and predicates into OCaml closures once per plan and
-    needs the same navigation/comparison semantics per row. *)
+    Exposed for the closure compiler ([Compile]) and the batch binder
+    ([Vectorize]), which lower expressions and predicates once per plan
+    or batch and need the same semantics per row. Each is the one copy
+    of its rule: [expr] and [predicate] are built from them too. *)
+
+val arith :
+  Mood_sql.Ast.arith -> Mood_model.Value.t -> Mood_model.Value.t -> Mood_model.Value.t
+(** [arith op] resolves the operator once. [Null] on either side gives
+    [Null]; otherwise the [OperandDataType] layer computes, and its
+    type errors raise [Eval_error]. No fast path: this is the
+    reference [Compile.arith] is checked against. *)
+
+val negate : Mood_model.Value.t -> Mood_model.Value.t
+(** Unary minus on a numeric; [Null] stays [Null]; anything else raises
+    [Eval_error]. *)
+
+val comparison_holds : Mood_sql.Ast.comparison -> int -> bool
+(** [comparison_holds cmp] resolves the operator once and reads a
+    three-way comparison result under it. *)
+
+val aggregate_value : string -> row -> Mood_model.Value.t
+(** The aggregate labelled [key] in the row's [#agg] pseudo-binding,
+    where GROUP and grouped VSCAN put each group's aggregates. Raises
+    [Eval_error] outside a grouped row or for an uncomputed label. *)
 
 val navigate : env -> Mood_model.Value.t -> string list -> Mood_model.Value.t list
 (** All values reached from a value along an attribute path,
     dereferencing references and fanning out over sets/lists. *)
+
+val path_value :
+  env -> Mood_algebra.Collection.item -> string list -> Mood_model.Value.t
+(** The value of a non-empty path from an item: [Null] when it reaches
+    nothing, the one value it reaches, or the [Set] of several. *)
 
 val lookup_var : row -> string -> Mood_algebra.Collection.item
 (** Raises [Eval_error] when the variable is unbound. *)

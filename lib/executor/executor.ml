@@ -173,11 +173,9 @@ and cop =
   | CVscan of {
       class_name : string;
       var : string;
-      every : bool;
       minus : string list;
       pred : Ast.predicate option;  (** bound to column arrays per batch *)
-      row_pred : Compile.pred_fn option;  (** row-engine fallback *)
-      keys : Vectorize.key_spec list;
+      keys : Ast.expr list;
       aggs : Vectorize.agg_spec list;
       having : Compile.pred_fn option;  (** over the group rows *)
     }
@@ -365,27 +363,20 @@ let rec compile_node ctx ~depth (node : Plan.node) : cnode =
             }
       | Plan.Union nodes ->
           CUnion (List.map (compile_node ctx ~depth:(depth + 1)) nodes)
-      | Plan.Vscan { class_name; var; every; minus; pred; by; having; aggregates } ->
+      | Plan.Vscan { class_name; var; every = _; minus; pred; by; having; aggregates } ->
           CVscan
             { class_name;
               var;
-              every;
               minus;
               pred;
-              row_pred = Option.map lower.lpred pred;
-              keys =
-                List.map (fun e -> { Vectorize.k_expr = e; k_row = lower.lexpr e }) by;
+              keys = by;
               having = Option.map lower.lpred having;
               aggs =
                 List.map
                   (fun agg ->
                     match agg with
                     | Ast.Aggregate (fn, inner) ->
-                        { Vectorize.g_key = Ast.expr_to_string agg;
-                          g_fn = fn;
-                          g_arg = inner;
-                          g_row_arg = Option.map lower.lexpr inner
-                        }
+                        { Vectorize.g_key = Ast.expr_to_string agg; g_fn = fn; g_arg = inner }
                     | _ -> failwith "Vscan aggregate is not an aggregate expression")
                   aggregates
             })
@@ -479,16 +470,7 @@ type accum = {
   mutable ac_best : Value.t option; (* MIN, MAX *)
 }
 
-type group = {
-  g_key : Value.t list;
-  mutable g_first : Eval.row option; (* the first member *)
-  g_accs : accum array; (* one per aggregate *)
-}
-
-let better fn a b =
-  match Eval.compare_values a b with
-  | Some c -> if (fn = Ast.Min && c <= 0) || (fn = Ast.Max && c >= 0) then a else b
-  | None -> a
+let fresh_accum _ = { ac_n = 0; ac_fsum = 0.; ac_sum = None; ac_best = None }
 
 (* Fold one row in. NULL inner values do not contribute; SUM folds
    through the operand layer, AVG skips non-numerics, MIN/MAX keep the
@@ -511,7 +493,7 @@ let accumulate env agg acc row =
     end
   | _, (Ast.Min | Ast.Max) ->
       acc.ac_best <-
-        Some (match acc.ac_best with None -> v | Some a -> better agg.a_fn a v)
+        Some (match acc.ac_best with None -> v | Some a -> Group_table.better agg.a_fn a v)
 
 (* Empty inputs give COUNT 0 and NULL for the rest. *)
 let final_value agg acc =
@@ -523,22 +505,6 @@ let final_value agg acc =
       if acc.ac_n = 0 then Value.Null
       else Value.Float (acc.ac_fsum /. float_of_int acc.ac_n)
   | Ast.Min | Ast.Max -> Option.value acc.ac_best ~default:Value.Null
-
-let new_group aggs key =
-  { g_key = key;
-    g_first = None;
-    g_accs =
-      Array.map (fun _ -> { ac_n = 0; ac_fsum = 0.; ac_sum = None; ac_best = None }) aggs
-  }
-
-let group_row aggs g =
-  let first = Option.value g.g_first ~default:[] in
-  if Array.length aggs = 0 then first
-  else
-    let fields =
-      Array.to_list (Array.mapi (fun i agg -> (agg.a_key, final_value agg g.g_accs.(i))) aggs)
-    in
-    first @ [ ("#agg", { Collection.oid = None; value = Value.Tuple fields }) ]
 
 let compare_rows env keys a b =
   let rec go = function
@@ -719,41 +685,28 @@ and produce_op tr env (op : cop) k =
   | CProject { source } -> produce tr env source k
   | CGroup { source; by; having; aggregates } ->
       let aggs = Array.of_list aggregates in
+      let tbl =
+        Group_table.create ~labels:(List.map (fun agg -> agg.a_key) aggregates) ~fresh:fresh_accum
+      in
       let fold g row =
-        if Option.is_none g.g_first then g.g_first <- Some row;
-        Array.iteri (fun i agg -> accumulate env agg g.g_accs.(i) row) aggs
+        Group_table.keep_first g Fun.id row;
+        Array.iteri (fun i agg -> accumulate env agg g.Group_table.accs.(i) row) aggs
       in
-      let groups =
-        if by = [] then begin
-          (* one group, possibly empty *)
-          let g = new_group aggs [] in
-          produce tr env source (fold g);
-          [ g ]
-        end
-        else begin
-          (* newest first; found by [Value.equal] on the key *)
-          let groups = ref [] in
-          produce tr env source (fun row ->
-              let key = List.map (fun f -> f env row) by in
-              let g =
-                match List.find_opt (fun g -> List.equal Value.equal g.g_key key) !groups with
-                | Some g -> g
-                | None ->
-                    let g = new_group aggs key in
-                    groups := g :: !groups;
-                    g
-              in
-              fold g row);
-          List.rev !groups
-        end
-      in
-      List.iter
-        (fun g ->
-          let row = group_row aggs g in
+      begin
+        match by with
+        | [] ->
+            (* one group, possibly empty *)
+            produce tr env source (fold (Group_table.find tbl []))
+        | _ :: _ ->
+            produce tr env source (fun row ->
+                fold (Group_table.find tbl (List.map (fun f -> f env row) by)) row)
+      end;
+      Group_table.iter_rows tbl
+        ~final:(fun i acc -> final_value aggs.(i) acc)
+        (fun row ->
           match having with
           | Some pred when not (pred env row) -> ()
           | Some _ | None -> k row)
-        groups
   | CSort { source; keys } ->
       let cmp a b = compare_rows env keys a b in
       List.iter k (Heap.sort_with_runs ~cmp ~run_length:1024 (collect tr env source))
@@ -768,13 +721,13 @@ and produce_op tr env (op : cop) k =
                 k row
               end))
         nodes
-  | CVscan { class_name; var; every; minus; pred; row_pred; keys; aggs; having } ->
+  | CVscan { class_name; var; minus; pred; keys; aggs; having } ->
       let emit =
         match having with
         | None -> k
         | Some having -> fun row -> if having env row then k row
       in
-      Vectorize.scan env ~class_name ~var ~every ~minus ~pred ~row_pred ~keys ~aggs ~emit
+      Vectorize.scan env ~class_name ~var ~minus ~pred ~keys ~aggs ~emit
 
 (* ---------------- Joins ---------------- *)
 

@@ -9,34 +9,16 @@ module Pax_store = Mood_column.Pax_store
 module M = Mood_column.Scan_metrics
 
 (* The vectorized scan: predicates and the fused GROUP BY evaluated
-   over a batch's column arrays. Every fast path below reproduces the
-   row engine's semantics bit-for-bit — the same Int32-range guard as
-   [Compile], NULL comparing false, arithmetic NULL propagation, the
-   interpreter's float-based numeric comparison outside the guard, the
-   row engine's group equality and group order — because the
-   differential oracle diffs this path against the row engine on the
-   same data. A batch whose shapes cannot be bound falls back to boxed
-   row evaluation (counted in [scan.fallback_rows]). *)
-
-let in32 x = x >= -2147483648 && x <= 2147483647
-
-let holds cmp c =
-  match cmp with
-  | Ast.Eq -> c = 0
-  | Ast.Ne -> c <> 0
-  | Ast.Lt -> c < 0
-  | Ast.Le -> c <= 0
-  | Ast.Gt -> c > 0
-  | Ast.Ge -> c >= 0
-
-(* [c cmp x] has the truth value of [x (flip cmp) c]. *)
-let flip = function
-  | Ast.Eq -> Ast.Eq
-  | Ast.Ne -> Ast.Ne
-  | Ast.Lt -> Ast.Gt
-  | Ast.Le -> Ast.Ge
-  | Ast.Gt -> Ast.Lt
-  | Ast.Ge -> Ast.Le
+   over a batch's column arrays, with the row engine's answers bit for
+   bit, since the differential oracle diffs the two on the same data.
+   Boxed expressions and comparisons take [Compile.arith]/[Compile.cmp]
+   (the one Int32 fast path, then [Eval]'s semantics) and groups the
+   row engine's [Group_table]; the column specializations keep NULL
+   comparing false and the float-based numeric comparison outside
+   [Compile.in32]. Only the accumulators are this module's own: the
+   oracle checks them against the row engine's fold. The binders cover
+   exactly the optimizer's vectorizable grammar, the only shapes a VSCAN
+   carries; any other shape raises [Invalid_argument]. *)
 
 (* ------------------------------------------------------------------ *)
 (* Per-batch expression binding: a boxed cell getter per row index.    *)
@@ -65,105 +47,57 @@ let column_getter (col : Batch.column) : getter =
         if Batch.is_null col i then Value.Null else arr.(i)
       else fun i -> arr.(i)
 
-let rec bind_expr ~var (b : Batch.t) (e : Ast.expr) : getter option =
+(* A shape outside the vectorizable grammar: the optimizer never puts
+   one in a VSCAN. *)
+let unbindable what = invalid_arg ("Vectorize: cannot bind " ^ what)
+
+let rec bind_expr ~var (b : Batch.t) (e : Ast.expr) : getter =
   match e with
-  | Ast.Const v -> Some (fun _ -> v)
-  | Ast.Path (v, [ attr ]) when String.equal v var ->
-      Option.map column_getter (Batch.column b attr)
-  | Ast.Arith (op, x, y) -> begin
-      match bind_expr ~var b x, bind_expr ~var b y with
-      | Some gx, Some gy ->
-          let f =
-            match op with
-            | Ast.Add -> Operand.add
-            | Ast.Sub -> Operand.sub
-            | Ast.Mul -> Operand.mul
-            | Ast.Div -> Operand.div
-            | Ast.Mod -> Operand.modulo
-          in
-          let generic va vb =
-            try Operand.to_value (f (Operand.of_value va) (Operand.of_value vb))
-            with Operand.Type_error m -> Eval.eval_error "%s" m
-          in
-          (* Same exactness argument as [Compile.expr]: Int32-range
-             operands agree between native and Int64 arithmetic; zero
-             divisors take the generic route for identical failures. *)
-          let int_fast =
-            match op with
-            | Ast.Add -> fun x y -> Value.Int (x + y)
-            | Ast.Sub -> fun x y -> Value.Int (x - y)
-            | Ast.Mul -> fun x y -> Value.Int (x * y)
-            | Ast.Div ->
-                fun x y ->
-                  if y = 0 then generic (Value.Int x) (Value.Int y)
-                  else Value.Int (x / y)
-            | Ast.Mod ->
-                fun x y ->
-                  if y = 0 then generic (Value.Int x) (Value.Int y)
-                  else Value.Int (x mod y)
-          in
-          Some
-            (fun i ->
-              match gx i, gy i with
-              | Value.Int x, Value.Int y when in32 x && in32 y -> int_fast x y
-              | Value.Null, _ | _, Value.Null -> Value.Null
-              | va, vb -> generic va vb)
-      | _, _ -> None
+  | Ast.Const v -> fun _ -> v
+  | Ast.Path (v, [ attr ]) when String.equal v var -> begin
+      match Batch.column b attr with
+      | Some col -> column_getter col
+      | None -> unbindable (Ast.expr_to_string e)
     end
+  | Ast.Arith (op, x, y) ->
+      let gx = bind_expr ~var b x and gy = bind_expr ~var b y and f = Compile.arith op in
+      fun i -> f (gx i) (gy i)
   | Ast.Neg x ->
-      Option.map
-        (fun gx i ->
-          match gx i with
-          | Value.Int v -> Value.Int (-v)
-          | Value.Long l -> Value.Long (Int64.neg l)
-          | Value.Float f -> Value.Float (-.f)
-          | Value.Null -> Value.Null
-          | v -> Eval.eval_error "cannot negate %s" (Value.to_string v))
-        (bind_expr ~var b x)
-  | Ast.Path _ | Ast.Method_call _ | Ast.Aggregate _ -> None
+      let gx = bind_expr ~var b x in
+      fun i -> Eval.negate (gx i)
+  | Ast.Path _ | Ast.Method_call _ | Ast.Aggregate _ -> unbindable (Ast.expr_to_string e)
 
 (* ------------------------------------------------------------------ *)
 (* Per-batch predicate binding                                         *)
 
-(* Column-vs-constant comparison, specialized by column representation.
-   Outside the specializations the generic closure mirrors the compiled
-   row predicate exactly. *)
+(* Column-vs-constant comparison, specialized by column representation;
+   [None] outside the specializations, where [Compile.cmp] applies. *)
 let cmp_column_const cmp (col : Batch.column) (c : Value.t) : (int -> bool) option =
+  let holds = Eval.comparison_holds cmp in
   match col.Batch.data, c with
   | _, Value.Null ->
       (* NULL compares false against everything, every operator. *)
       Some (fun _ -> false)
   | Batch.Ints arr, Value.Int ci ->
-      let cf = float_of_int ci and c32 = in32 ci in
+      let cf = float_of_int ci and c32 = Compile.in32 ci in
       Some
         (fun i ->
           (not (Batch.is_null col i))
           &&
           let x = arr.(i) in
-          if c32 && in32 x then holds cmp (Int.compare x ci)
-          else holds cmp (Float.compare (float_of_int x) cf))
-  | Batch.Ints arr, Value.Long l ->
-      let cf = Int64.to_float l in
+          if c32 && Compile.in32 x then holds (Int.compare x ci)
+          else holds (Float.compare (float_of_int x) cf))
+  | Batch.Ints arr, (Value.Long _ | Value.Float _) ->
+      let cf = Option.get (Value.as_float c) in
       Some
         (fun i ->
           (not (Batch.is_null col i))
-          && holds cmp (Float.compare (float_of_int arr.(i)) cf))
-  | Batch.Ints arr, Value.Float cf ->
-      Some
-        (fun i ->
-          (not (Batch.is_null col i))
-          && holds cmp (Float.compare (float_of_int arr.(i)) cf))
+          && holds (Float.compare (float_of_int arr.(i)) cf))
   | Batch.Floats arr, (Value.Int _ | Value.Long _ | Value.Float _) ->
-      let cf =
-        match c with
-        | Value.Int i -> float_of_int i
-        | Value.Long l -> Int64.to_float l
-        | Value.Float f -> f
-        | _ -> assert false
-      in
+      let cf = Option.get (Value.as_float c) in
       Some
         (fun i ->
-          (not (Batch.is_null col i)) && holds cmp (Float.compare arr.(i) cf))
+          (not (Batch.is_null col i)) && holds (Float.compare arr.(i) cf))
   | Batch.Strs { codes; dict }, (Value.Str _ | Value.Char _) ->
       (* One verdict per dictionary code: the per-row compare collapses
          to an array read. Correct even when the "dictionary" is the
@@ -175,7 +109,7 @@ let cmp_column_const cmp (col : Batch.column) (c : Value.t) : (int -> bool) opti
         | Value.Char ch -> String.make 1 ch
         | _ -> assert false
       in
-      let verdict = Array.map (fun d -> holds cmp (String.compare d cs)) dict in
+      let verdict = Array.map (fun d -> holds (String.compare d cs)) dict in
       Some
         (fun i ->
           (not (Batch.is_null col i))
@@ -193,80 +127,61 @@ let cmp_column_const cmp (col : Batch.column) (c : Value.t) : (int -> bool) opti
       Some (fun _ -> false)
   | Batch.Values _, _ -> None
 
-let rec bind_pred ~var (b : Batch.t) (p : Ast.predicate) : (int -> bool) option =
+let rec bind_pred ~var (b : Batch.t) (p : Ast.predicate) : int -> bool =
   match p with
-  | Ast.Ptrue -> Some (fun _ -> true)
-  | Ast.Pfalse -> Some (fun _ -> false)
-  | Ast.And (x, y) -> begin
-      match bind_pred ~var b x, bind_pred ~var b y with
-      | Some px, Some py -> Some (fun i -> px i && py i)
-      | _, _ -> None
-    end
-  | Ast.Or (x, y) -> begin
-      match bind_pred ~var b x, bind_pred ~var b y with
-      | Some px, Some py -> Some (fun i -> px i || py i)
-      | _, _ -> None
-    end
+  | Ast.Ptrue -> fun _ -> true
+  | Ast.Pfalse -> fun _ -> false
+  | Ast.And (x, y) ->
+      let px = bind_pred ~var b x and py = bind_pred ~var b y in
+      fun i -> px i && py i
+  | Ast.Or (x, y) ->
+      let px = bind_pred ~var b x and py = bind_pred ~var b y in
+      fun i -> px i || py i
   | Ast.Not inner ->
-      Option.map (fun pi i -> not (pi i)) (bind_pred ~var b inner)
-  | Ast.Is_null (Ast.Path (v, [ attr ]), negated) when String.equal v var -> begin
-      match Batch.column b attr with
-      | Some col ->
-          (* A boxed cell is Null exactly when the bitmap says so,
-             except generic cells that decode to Null with a clear bit
-             — route those through the getter. *)
-          begin
-            match col.Batch.data with
-            | Batch.Values _ ->
-                let g = column_getter col in
-                Some
-                  (fun i ->
-                    let isn = match g i with Value.Null -> true | _ -> false in
-                    if negated then not isn else isn)
-            | Batch.Ints _ | Batch.Floats _ | Batch.Strs _ ->
-                if negated then Some (fun i -> not (Batch.is_null col i))
-                else Some (fun i -> Batch.is_null col i)
+      let pi = bind_pred ~var b inner in
+      fun i -> not (pi i)
+  | Ast.Is_null (e, negated) -> begin
+      (* A typed cell is NULL exactly when the bitmap says so. A boxed
+         cell can decode to NULL with a clear bit, so boxed columns and
+         other expressions go through the getter. *)
+      let typed_column =
+        match e with
+        | Ast.Path (v, [ attr ]) when String.equal v var -> begin
+            match Batch.column b attr with
+            | Some ({ Batch.data = Batch.Ints _ | Batch.Floats _ | Batch.Strs _; _ } as col)
+              ->
+                Some col
+            | Some { Batch.data = Batch.Values _; _ } | None -> None
           end
-      | None -> None
+        | _ -> None
+      in
+      match typed_column with
+      | Some col ->
+          if negated then fun i -> not (Batch.is_null col i) else fun i -> Batch.is_null col i
+      | None ->
+          let g = bind_expr ~var b e in
+          fun i ->
+            let isn = match g i with Value.Null -> true | _ -> false in
+            if negated then not isn else isn
     end
-  | Ast.Is_null (e, negated) ->
-      Option.map
-        (fun g i ->
-          let isn = match g i with Value.Null -> true | _ -> false in
-          if negated then not isn else isn)
-        (bind_expr ~var b e)
-  | Ast.Cmp (cmp, Ast.Path (v, [ attr ]), Ast.Const c) when String.equal v var
-    -> begin
-      match Batch.column b attr with
-      | Some col -> begin
-          match cmp_column_const cmp col c with
-          | Some f -> Some f
-          | None -> bind_cmp_generic ~var b cmp (Ast.Path (v, [ attr ])) (Ast.Const c)
-        end
-      | None -> None
+  | Ast.Cmp (cmp, x, y) -> begin
+      let column_const cmp attr c =
+        Option.bind (Batch.column b attr) (fun col -> cmp_column_const cmp col c)
+      in
+      let special =
+        match x, y with
+        | Ast.Path (v, [ attr ]), Ast.Const c when String.equal v var -> column_const cmp attr c
+        | Ast.Const c, Ast.Path (v, [ attr ]) when String.equal v var ->
+            (* [c cmp x] has the truth value of [x (mirror cmp) c]. *)
+            column_const (Ast.mirror cmp) attr c
+        | _, _ -> None
+      in
+      match special with
+      | Some f -> f
+      | None ->
+          let gx = bind_expr ~var b x and gy = bind_expr ~var b y and f = Compile.cmp cmp in
+          fun i -> f (gx i) (gy i)
     end
-  | Ast.Cmp (cmp, Ast.Const c, Ast.Path (v, [ attr ])) when String.equal v var
-    -> begin
-      match Batch.column b attr with
-      | Some col -> begin
-          match cmp_column_const (flip cmp) col c with
-          | Some f -> Some f
-          | None -> bind_cmp_generic ~var b cmp (Ast.Const c) (Ast.Path (v, [ attr ]))
-        end
-      | None -> None
-    end
-  | Ast.Cmp (cmp, x, y) -> bind_cmp_generic ~var b cmp x y
-
-and bind_cmp_generic ~var b cmp x y =
-  match bind_expr ~var b x, bind_expr ~var b y with
-  | Some gx, Some gy ->
-      Some
-        (fun i ->
-          match gx i, gy i with
-          | Value.Int a, Value.Int c when in32 a && in32 c ->
-              holds cmp (Int.compare a c)
-          | va, vb -> Eval.cmp_values cmp va vb)
-  | _, _ -> None
 
 (* ------------------------------------------------------------------ *)
 (* Fused aggregation: accumulators                                     *)
@@ -275,12 +190,7 @@ type agg_spec = {
   g_key : string;  (** the [#agg] field label *)
   g_fn : Ast.agg_fn;
   g_arg : Ast.expr option;
-  g_row_arg : Compile.expr_fn option;  (** row-engine fallback *)
 }
-
-(* A GROUP BY key: bound to column arrays per batch, with its row
-   lowering for fallback rows. *)
-type key_spec = { k_expr : Ast.expr; k_row : Compile.expr_fn }
 
 (* One accumulator per aggregate and group, shared across batches and
    classes. Integer SUM runs unboxed until a non-Int value (or the row
@@ -329,19 +239,17 @@ let push_sum_int acc x =
       if not acc.a_iseen then begin
         acc.a_iseen <- true;
         acc.a_isum <- x;
-        acc.a_i64 <- not (in32 x)
+        acc.a_i64 <- not (Compile.in32 x)
       end
       else begin
         let s = acc.a_isum + x in
         acc.a_isum <- s;
-        acc.a_i64 <- acc.a_i64 || (not (in32 x)) || not (in32 s)
+        acc.a_i64 <- acc.a_i64 || (not (Compile.in32 x)) || not (Compile.in32 s)
       end
 
-let better fn a b =
-  match Eval.compare_values a b with
-  | Some c ->
-      if (fn = Ast.Min && c <= 0) || (fn = Ast.Max && c >= 0) then a else b
-  | None -> a
+let push_avg acc f =
+  acc.a_fsum <- acc.a_fsum +. f;
+  acc.a_n <- acc.a_n + 1
 
 (* Fold one (non-NULL) argument value in, with the interpreter's
    semantics: AVG skips non-numerics, MIN/MAX keep the earlier value on
@@ -354,19 +262,13 @@ let push_value acc v =
       | Value.Int x when acc.a_op = None -> push_sum_int acc x
       | v -> push_sum_generic acc v
     end
-  | Ast.Avg -> begin
-      match Value.as_float v with
-      | None -> ()
-      | Some f ->
-          acc.a_fsum <- acc.a_fsum +. f;
-          acc.a_n <- acc.a_n + 1
-    end
+  | Ast.Avg -> ( match Value.as_float v with Some f -> push_avg acc f | None -> ())
   | Ast.Min | Ast.Max ->
       acc.a_best <-
         Some
           (match acc.a_best with
           | None -> v
-          | Some a -> better acc.spec.g_fn a v)
+          | Some a -> Group_table.better acc.spec.g_fn a v)
 
 let final_value acc =
   match acc.spec.g_fn with
@@ -388,131 +290,38 @@ let final_value acc =
 (* Per-batch push closure for one aggregate, applied to the
    accumulator of the row's group: unboxed column loops for
    COUNT/SUM/AVG over numeric minipages, boxed getter otherwise. *)
-let bind_push ~var (b : Batch.t) (spec : agg_spec) : (accum -> int -> unit) option =
+let bind_push ~var (b : Batch.t) (spec : agg_spec) : accum -> int -> unit =
   match spec.g_arg, spec.g_fn with
-  | None, Ast.Count -> Some (fun acc _ -> acc.a_n <- acc.a_n + 1)
-  | None, _ -> Some (fun acc _ -> push_value acc (Value.Int 1))
+  | None, Ast.Count -> fun acc _ -> acc.a_n <- acc.a_n + 1
+  | None, _ -> fun acc _ -> push_value acc (Value.Int 1)
   | Some e, fn -> begin
       let fast =
-        match e, fn with
-        | Ast.Path (v, [ attr ]), (Ast.Count | Ast.Sum | Ast.Avg)
-          when String.equal v var -> begin
-            match Batch.column b attr with
-            | Some ({ Batch.data = Batch.Ints arr; _ } as col) ->
+        match e with
+        | Ast.Path (v, [ attr ]) when String.equal v var -> begin
+            match Batch.column b attr, fn with
+            | Some ({ Batch.data = Batch.Ints _ | Batch.Floats _; _ } as col), Ast.Count ->
+                Some (fun acc i -> if not (Batch.is_null col i) then acc.a_n <- acc.a_n + 1)
+            | Some ({ Batch.data = Batch.Ints arr; _ } as col), Ast.Sum ->
+                Some (fun acc i -> if not (Batch.is_null col i) then push_sum_int acc arr.(i))
+            | Some ({ Batch.data = Batch.Ints arr; _ } as col), Ast.Avg ->
                 Some
-                  (match fn with
-                  | Ast.Count ->
-                      fun acc i ->
-                        if not (Batch.is_null col i) then acc.a_n <- acc.a_n + 1
-                  | Ast.Sum ->
-                      fun acc i ->
-                        if not (Batch.is_null col i) then push_sum_int acc arr.(i)
-                  | Ast.Avg ->
-                      fun acc i ->
-                        if not (Batch.is_null col i) then begin
-                          acc.a_fsum <- acc.a_fsum +. float_of_int arr.(i);
-                          acc.a_n <- acc.a_n + 1
-                        end
-                  | Ast.Min | Ast.Max -> assert false)
-            | Some ({ Batch.data = Batch.Floats arr; _ } as col) -> begin
-                match fn with
-                | Ast.Count ->
-                    Some
-                      (fun acc i ->
-                        if not (Batch.is_null col i) then acc.a_n <- acc.a_n + 1)
-                | Ast.Avg ->
-                    Some
-                      (fun acc i ->
-                        if not (Batch.is_null col i) then begin
-                          acc.a_fsum <- acc.a_fsum +. arr.(i);
-                          acc.a_n <- acc.a_n + 1
-                        end)
-                | Ast.Sum | Ast.Min | Ast.Max -> None
-              end
-            | Some _ | None -> None
+                  (fun acc i ->
+                    if not (Batch.is_null col i) then push_avg acc (float_of_int arr.(i)))
+            | Some ({ Batch.data = Batch.Floats arr; _ } as col), Ast.Avg ->
+                Some (fun acc i -> if not (Batch.is_null col i) then push_avg acc arr.(i))
+            | _, _ -> None
           end
-        | _, _ -> None
+        | _ -> None
       in
       match fast with
-      | Some f -> Some f
+      | Some f -> f
       | None ->
-          Option.map
-            (fun g acc i ->
-              match g i with Value.Null -> () | v -> push_value acc v)
-            (bind_expr ~var b e)
+          let g = bind_expr ~var b e in
+          fun acc i -> match g i with Value.Null -> () | v -> push_value acc v
     end
 
-let bind_pushes ~var b specs =
-  let rec go bound i =
-    if i < 0 then Some (Array.of_list bound)
-    else
-      match bind_push ~var b specs.(i) with
-      | Some p -> go (p :: bound) (i - 1)
-      | None -> None
-  in
-  go [] (Array.length specs - 1)
-
 (* ------------------------------------------------------------------ *)
-(* Fused aggregation: the group table                                  *)
-
-(* Group identity is the row engine's: [Value.equal] over the key list,
-   under which Int, Long and Float compare by numeric value. The hash
-   must agree with it, so a numeric hashes by its float value
-   ([Hashtbl.hash] on a float folds -0.0 into 0.0 and all NaNs
-   together, as [Float.compare] does). *)
-let mix h x = ((h * 31) + x) land max_int
-
-let rec hash_value (v : Value.t) =
-  match v with
-  | Value.Null -> 0
-  | Value.Int i -> Hashtbl.hash (float_of_int i)
-  | Value.Long l -> Hashtbl.hash (Int64.to_float l)
-  | Value.Float f -> Hashtbl.hash f
-  | Value.Str s -> Hashtbl.hash s
-  | Value.Char c -> mix 3 (Char.code c)
-  | Value.Bool b -> mix 4 (Bool.to_int b)
-  | Value.Tuple fields ->
-      List.fold_left
-        (fun h (name, x) -> mix (mix h (Hashtbl.hash name)) (hash_value x))
-        5 fields
-  | Value.Set xs -> List.fold_left (fun h x -> mix h (hash_value x)) 6 xs
-  | Value.List xs -> List.fold_left (fun h x -> mix h (hash_value x)) 7 xs
-  | Value.Ref o -> mix 8 (Oid.hash o)
-
-let hash_key key = List.fold_left (fun h v -> mix h (hash_value v)) 0 key
-
-module Key_table = Hashtbl.Make (struct
-  type t = Value.t list
-
-  let equal = List.equal Value.equal
-  let hash = hash_key
-end)
-
-type group = {
-  mutable g_rep : Eval.row;  (* first member in scan order; [] until one arrives *)
-  g_accs : accum array;  (* one per aggregate *)
-}
-
-type table = {
-  t_specs : agg_spec array;
-  t_index : group Key_table.t;
-  mutable t_groups : group list;  (* newest first *)
-}
-
-let create_table aggs =
-  { t_specs = Array.of_list aggs; t_index = Key_table.create 16; t_groups = [] }
-
-(* [t_groups] keeps groups in order of first appearance (newest
-   first), so the output order is the row engine's [Group] over the
-   same scan. *)
-let find_group tbl key =
-  match Key_table.find_opt tbl.t_index key with
-  | Some g -> g
-  | None ->
-      let g = { g_rep = []; g_accs = Array.map fresh_accum tbl.t_specs } in
-      Key_table.add tbl.t_index key g;
-      tbl.t_groups <- g :: tbl.t_groups;
-      g
+(* Fused aggregation: groups                                           *)
 
 (* Per-batch binding of row index to group. No keys: the one group,
    found once. A single dictionary-coded string key: codes map to
@@ -522,49 +331,33 @@ let find_group tbl key =
    filled through the string value. Every other key shape — boxed
    columns from MVCC patching and transient batches included — goes
    through the table with boxed key values. *)
-let bind_group ~var (b : Batch.t) tbl (keys : key_spec list) : (int -> group) option =
+let bind_group ~var (b : Batch.t) tbl (keys : Ast.expr list) : int -> accum Group_table.group =
   let single_column =
     match keys with
-    | [ { k_expr = Ast.Path (v, [ attr ]); _ } ] when String.equal v var ->
-        Batch.column b attr
+    | [ Ast.Path (v, [ attr ]) ] when String.equal v var -> Batch.column b attr
     | _ -> None
   in
   match keys, single_column with
   | [], _ ->
-      let g = find_group tbl [] in
-      Some (fun _ -> g)
+      let g = Group_table.find tbl [] in
+      fun _ -> g
   | _, Some ({ Batch.data = Batch.Strs { codes; dict }; _ } as col) ->
       let by_code = Array.make (Array.length dict) None in
-      let null_group = lazy (find_group tbl [ Value.Null ]) in
-      Some
-        (fun i ->
-          if Batch.is_null col i then Lazy.force null_group
-          else begin
-            let c = codes.(i) in
-            match by_code.(c) with
-            | Some g -> g
-            | None ->
-                let g = find_group tbl [ Value.Str dict.(c) ] in
-                by_code.(c) <- Some g;
-                g
-          end)
+      let null_group = lazy (Group_table.find tbl [ Value.Null ]) in
+      fun i ->
+        if Batch.is_null col i then Lazy.force null_group
+        else begin
+          let c = codes.(i) in
+          match by_code.(c) with
+          | Some g -> g
+          | None ->
+              let g = Group_table.find tbl [ Value.Str dict.(c) ] in
+              by_code.(c) <- Some g;
+              g
+        end
   | _, _ ->
-      let getters = List.filter_map (fun k -> bind_expr ~var b k.k_expr) keys in
-      if List.compare_lengths getters keys <> 0 then None
-      else Some (fun i -> find_group tbl (List.map (fun g -> g i) getters))
-
-let table_rows tbl =
-  let no_aggs = Array.length tbl.t_specs = 0 in
-  List.rev_map
-    (fun g ->
-      if no_aggs then g.g_rep
-      else
-        let fields =
-          Array.to_list
-            (Array.map (fun acc -> (acc.spec.g_key, final_value acc)) g.g_accs)
-        in
-        g.g_rep @ [ ("#agg", { Collection.oid = None; value = Value.Tuple fields }) ])
-    tbl.t_groups
+      let getters = List.map (bind_expr ~var b) keys in
+      fun i -> Group_table.find tbl (List.map (fun g -> g i) getters)
 
 (* ------------------------------------------------------------------ *)
 (* The scan driver                                                     *)
@@ -578,80 +371,47 @@ let mk_row ~var ~class_id (b : Batch.t) i =
 
 let transient_batch_rows = 1024
 
-let scan (env : Eval.env) ~class_name ~var ~every ~minus
-    ~(pred : Ast.predicate option) ~(row_pred : Compile.pred_fn option)
-    ~(keys : key_spec list) ~(aggs : agg_spec list) ~(emit : Eval.row -> unit) =
+let scan (env : Eval.env) ~class_name ~var ~minus ~(pred : Ast.predicate option)
+    ~(keys : Ast.expr list) ~(aggs : agg_spec list) ~(emit : Eval.row -> unit) =
   let catalog = env.Eval.catalog in
-  ignore every;
   (* IS-A: like the row engine's bind, subclass instances are always in
      scope — the AST's EVERY flag is display-only; [minus] excludes. *)
   let classes = Catalog.classes_in_scope catalog ~every:true ~minus class_name in
   let grouping = keys <> [] || aggs <> [] in
-  let tbl = create_table aggs in
-  (* The zero-key group exists even when no row arrives. *)
-  if grouping && keys = [] then ignore (find_group tbl []);
-  let fallback_batch ~class_id (b : Batch.t) =
-    M.m.M.fallback_rows <- M.m.M.fallback_rows + b.Batch.n;
-    for i = 0 to b.Batch.n - 1 do
-      let row = mk_row ~var ~class_id b i in
-      let ok = match row_pred with None -> true | Some p -> p env row in
-      if ok then begin
-        M.m.M.rows_after_filter <- M.m.M.rows_after_filter + 1;
-        if grouping then begin
-          let g = find_group tbl (List.map (fun k -> k.k_row env row) keys) in
-          (match g.g_rep with [] -> g.g_rep <- row | _ :: _ -> ());
-          Array.iter
-            (fun acc ->
-              match acc.spec.g_row_arg with
-              | None -> push_value acc (Value.Int 1)
-              | Some f -> begin
-                  match f env row with
-                  | Value.Null -> ()
-                  | v -> push_value acc v
-                end)
-            g.g_accs
-        end
-        else emit row
-      end
-    done
+  let specs = Array.of_list aggs in
+  let tbl =
+    Group_table.create
+      ~labels:(List.map (fun spec -> spec.g_key) aggs)
+      ~fresh:(fun i -> fresh_accum specs.(i))
   in
+  (* The zero-key group exists even when no row arrives. *)
+  if grouping && keys = [] then ignore (Group_table.find tbl []);
   let process_batch ~class_id (b : Batch.t) =
     M.m.M.rows_scanned <- M.m.M.rows_scanned + b.Batch.n;
-    let vp =
-      match pred with
-      | None -> Some (fun _ -> true)
-      | Some p -> bind_pred ~var b p
-    in
+    let keep = match pred with None -> fun _ -> true | Some p -> bind_pred ~var b p in
     let kept = ref 0 in
-    begin
-      match vp with
-      | None -> fallback_batch ~class_id b
-      | Some keep when not grouping ->
-          for i = 0 to b.Batch.n - 1 do
-            if keep i then begin
-              incr kept;
-              emit (mk_row ~var ~class_id b i)
-            end
-          done
-      | Some keep -> begin
-          match bind_group ~var b tbl keys, bind_pushes ~var b tbl.t_specs with
-          | Some group_of, Some pushes ->
-              let npush = Array.length pushes in
-              for i = 0 to b.Batch.n - 1 do
-                if keep i then begin
-                  incr kept;
-                  let g = group_of i in
-                  (match g.g_rep with
-                  | [] -> g.g_rep <- mk_row ~var ~class_id b i
-                  | _ :: _ -> ());
-                  let accs = g.g_accs in
-                  for j = 0 to npush - 1 do
-                    pushes.(j) accs.(j) i
-                  done
-                end
-              done
-          | _, _ -> fallback_batch ~class_id b
+    if not grouping then
+      for i = 0 to b.Batch.n - 1 do
+        if keep i then begin
+          incr kept;
+          emit (mk_row ~var ~class_id b i)
         end
+      done
+    else begin
+      let group_of = bind_group ~var b tbl keys in
+      let pushes = Array.map (bind_push ~var b) specs in
+      let member = mk_row ~var ~class_id b in
+      for i = 0 to b.Batch.n - 1 do
+        if keep i then begin
+          incr kept;
+          let g = group_of i in
+          Group_table.keep_first g member i;
+          let accs = g.Group_table.accs in
+          for j = 0 to Array.length pushes - 1 do
+            pushes.(j) accs.(j) i
+          done
+        end
+      done
     end;
     M.m.M.rows_after_filter <- M.m.M.rows_after_filter + !kept
   in
@@ -684,4 +444,4 @@ let scan (env : Eval.env) ~class_name ~var ~every ~minus
               flush ()
         end)
     classes;
-  if grouping then List.iter emit (table_rows tbl)
+  if grouping then Group_table.iter_rows tbl ~final:(fun _ acc -> final_value acc) emit

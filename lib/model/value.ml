@@ -76,6 +76,26 @@ and compare_assoc xs ys =
 
 let equal a b = compare a b = 0
 
+(* Agrees with [equal]: a numeric hashes by its float value
+   ([Hashtbl.hash] on a float folds -0.0 into 0.0 and all NaNs
+   together, as [Float.compare] does). *)
+let mix h x = ((h * 31) + x) land max_int
+
+let rec hash v =
+  match v with
+  | Null -> 0
+  | Int i -> Hashtbl.hash (float_of_int i)
+  | Long l -> Hashtbl.hash (Int64.to_float l)
+  | Float f -> Hashtbl.hash f
+  | Str s -> Hashtbl.hash s
+  | Char c -> mix 3 (Stdlib.Char.code c)
+  | Bool b -> mix 4 (Stdlib.Bool.to_int b)
+  | Tuple fields ->
+      List.fold_left (fun h (name, x) -> mix (mix h (Hashtbl.hash name)) (hash x)) 5 fields
+  | Set xs -> List.fold_left (fun h x -> mix h (hash x)) 6 xs
+  | List xs -> List.fold_left (fun h x -> mix h (hash x)) 7 xs
+  | Ref o -> mix 8 (Oid.hash o)
+
 let set elements = Set (List.sort_uniq compare elements)
 
 module Pair_set = Set.Make (struct

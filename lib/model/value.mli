@@ -30,6 +30,10 @@ val compare : t -> t -> int
 val equal : t -> t -> bool
 (** Shallow equality: [compare a b = 0]. *)
 
+val hash : t -> int
+(** A hash that agrees with [equal]: equal values hash alike, so
+    [Int 2], [Long 2L] and [Float 2.] do, and so do [-0.0] and [0.0]. *)
+
 val deep_equal : deref:(Oid.t -> t option) -> t -> t -> bool
 (** Deep equality check used by [DupElim] on extents (Table 3):
     references are chased through [deref]; cycles are handled by

@@ -658,7 +658,10 @@ let plan_and_term env bindings (from_items : Ast.from_item list) term trace_sink
 (* Whether the batch compiler can run an expression over column arrays:
    constants, single-step attribute reads of the scan variable, and
    arithmetic over those. Method calls, multi-hop paths and bare [.self]
-   references stay on the row engine. *)
+   references stay on the row engine. [Vectorize] binds exactly this
+   grammar (with [vectorizable_pred] and [vectorizable_agg]) and has no
+   row fallback, so these checks must guard every VSCAN built,
+   [SCAN_FORCE VECTOR] included: any other shape raises there. *)
 let rec vectorizable_expr ~var = function
   | Ast.Const _ -> true
   | Ast.Path (v, [ _ ]) -> String.equal v var

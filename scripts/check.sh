@@ -53,6 +53,8 @@ grep -q '"pax_vectorized_after_insert"' BENCH_micro.json \
   || { echo "BENCH_micro.json: no pax_vectorized_after_insert"; exit 1; }
 grep -q '"grouped_pax_vs_row_speedup"' BENCH_micro.json \
   || { echo "BENCH_micro.json: no grouped_pax_vs_row_speedup"; exit 1; }
+grep -q '"grouped_row_many_groups"' BENCH_micro.json \
+  || { echo "BENCH_micro.json: no grouped_row_many_groups"; exit 1; }
 for row in "heap record encode" "heap record decode" "pax page encode" "pax page decode"; do
   grep -q "codec: $row (2500 rows)" BENCH_micro.json \
     || { echo "BENCH_micro.json: no codec: $row row"; exit 1; }

@@ -14,7 +14,7 @@ module Batch = Mood_column.Batch
 module Scan_metrics = Mood_column.Scan_metrics
 module Heap_file = Mood_storage.Heap_file
 module Scan_oracle = Mood_sim.Scan_oracle
-module Vectorize = Mood_executor.Vectorize
+module Group_table = Mood_executor.Group_table
 module Plan = Mood_optimizer.Plan
 module Optimizer = Mood_optimizer.Optimizer
 module Prng = Mood_util.Prng
@@ -373,12 +373,12 @@ let test_pax_end_to_end () =
 (* The group table's hash must agree with the row engine's group
    equality ([Value.equal] over the key list). *)
 let test_group_hash_agrees_with_equal () =
-  let tbl = Vectorize.create_table [] in
+  let tbl = Group_table.create ~labels:[] ~fresh:ignore in
   let same what a b =
     Alcotest.(check bool) (what ^ ": equal") true (List.equal Value.equal a b);
-    Alcotest.(check int) (what ^ ": hash") (Vectorize.hash_key a) (Vectorize.hash_key b);
+    Alcotest.(check int) (what ^ ": hash") (Group_table.hash_key a) (Group_table.hash_key b);
     Alcotest.(check bool) (what ^ ": one group") true
-      (Vectorize.find_group tbl a == Vectorize.find_group tbl b)
+      (Group_table.find tbl a == Group_table.find tbl b)
   in
   same "Int/Long" [ Value.Int 3 ] [ Value.Long 3L ];
   same "Int/Float" [ Value.Int 3 ] [ Value.Float 3.0 ];
@@ -389,9 +389,9 @@ let test_group_hash_agrees_with_equal () =
     [ Value.set [ Value.Int 1; Value.Int 2 ] ]
     [ Value.set [ Value.Float 2.; Value.Long 1L ] ];
   Alcotest.(check bool) "Str/Char: two groups" true
-    (Vectorize.find_group tbl [ Value.Str "a" ] != Vectorize.find_group tbl [ Value.Char 'a' ]);
+    (Group_table.find tbl [ Value.Str "a" ] != Group_table.find tbl [ Value.Char 'a' ]);
   Alcotest.(check bool) "NULL/0: two groups" true
-    (Vectorize.find_group tbl [ Value.Null ] != Vectorize.find_group tbl [ Value.Int 0 ]);
+    (Group_table.find tbl [ Value.Null ] != Group_table.find tbl [ Value.Int 0 ]);
   (* Random numeric keys: equal under [Value.equal] implies equal hash. *)
   let rng = Prng.create ~seed:5 in
   let numeric () =
@@ -404,9 +404,37 @@ let test_group_hash_agrees_with_equal () =
   for _ = 1 to 500 do
     let a = [ numeric (); numeric () ] and b = [ numeric (); numeric () ] in
     if List.equal Value.equal a b then
-      Alcotest.(check int) "random equal keys hash alike" (Vectorize.hash_key a)
-        (Vectorize.hash_key b)
-  done
+      Alcotest.(check int) "random equal keys hash alike" (Group_table.hash_key a)
+        (Group_table.hash_key b)
+  done;
+  (* Through the table's rows, as both engines emit them: groups in
+     order of first appearance, each with its first member and its
+     fold. Member [i] is the [i]th row in. *)
+  let tbl = Group_table.create ~labels:[ "COUNT(*)" ] ~fresh:(fun _ -> ref 0) in
+  let member i =
+    [ ("m", { Mood_algebra.Collection.oid = None; value = Value.Int i }) ]
+  in
+  List.iteri
+    (fun i key ->
+      let g = Group_table.find tbl [ key ] in
+      Group_table.keep_first g member i;
+      incr g.Group_table.accs.(0))
+    [ Value.Str "b"; Value.Str "a"; Value.Int 2; Value.Str "b"; Value.Float 2.0;
+      Value.Str "c"; Value.Str "a" ];
+  let rows = ref [] in
+  Group_table.iter_rows tbl
+    ~final:(fun _ n -> Value.Int !n)
+    (fun row ->
+      rows :=
+        String.concat ", "
+          (List.map
+             (fun (var, it) -> var ^ "=" ^ Value.to_string it.Mood_algebra.Collection.value)
+             row)
+        :: !rows);
+  Alcotest.(check (list string)) "first appearance, first member"
+    [ "m=0, #agg=<COUNT(*): 2>"; "m=1, #agg=<COUNT(*): 2>"; "m=2, #agg=<COUNT(*): 2>";
+      "m=5, #agg=<COUNT(*): 1>" ]
+    (List.rev !rows)
 
 let rec plan_nodes (node : Plan.node) =
   node
@@ -483,7 +511,8 @@ let test_grouped_fusion_plan () =
 
 (* Shapes the vectorized scan cannot group keep the row engine's
    GROUP: a row-layout class, a method-call key, a method-call
-   aggregate argument. *)
+   aggregate argument. Predicates it cannot bind stay out of VSCAN even
+   when vectors are forced, so the scan needs no row fallback. *)
 let test_grouped_fusion_limits () =
   let db = company_db () in
   let keeps_group src =
@@ -504,7 +533,31 @@ let test_grouped_fusion_limits () =
   let vector = Mood_executor.Executor.result_values (Db.query db src) in
   ignore (ok db "SET SCAN_FORCE DEFAULT");
   Alcotest.(check (list string)) "transient batches agree"
-    (List.map Value.to_string row) (List.map Value.to_string vector)
+    (List.map Value.to_string row) (List.map Value.to_string vector);
+  let answers force src =
+    ignore (ok db ("SET SCAN_FORCE " ^ force));
+    let values = Mood_executor.Executor.result_values (Db.query db src) in
+    ignore (ok db "SET SCAN_FORCE DEFAULT");
+    List.map Value.to_string values
+  in
+  List.iter
+    (fun where ->
+      let src = "SELECT c.name FROM Firm c WHERE " ^ where ^ " ORDER BY c.name" in
+      ignore (ok db "SET SCAN_FORCE VECTOR");
+      let plan = (Db.optimize db src).Optimizer.plan in
+      ignore (ok db "SET SCAN_FORCE DEFAULT");
+      List.iter
+        (function
+          | Plan.Vscan { pred = Some p; _ } ->
+              Alcotest.(check bool) (src ^ ": no method call in a VSCAN") false
+                (Helpers.contains (Mood_sql.Ast.predicate_to_string p) "band()")
+          | _ -> ())
+        (plan_nodes plan);
+      let vector = answers "VECTOR" src in
+      Alcotest.(check bool) (src ^ ": some rows") true (vector <> []);
+      Alcotest.(check (list string)) (src ^ ": forced vector = forced row")
+        (answers "ROW" src) vector)
+    [ "c.band() > 1"; "c.staff > 3 AND c.band() > 1" ]
 
 (* ------------------------------------------------------------------ *)
 (* Differential oracle                                                 *)
