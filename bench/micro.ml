@@ -245,7 +245,13 @@ let join_fixture n =
   done;
   let funcs = Fm.create ~catalog in
   let scope = Fm.enter_scope funcs in
-  { Eval.catalog; funcs; scope }
+  { Eval.catalog;
+    funcs;
+    scope;
+    join_mem_bytes = join_mem_budget;
+    metrics = Mood_obs.Metrics.create ();
+    skip_rewind = false
+  }
 
 let join_methods =
   [ ("nested_loop", Join_cost.Nested_loop);
@@ -256,7 +262,8 @@ let join_methods =
 
 module Value_join = Mood_executor.Value_join
 
-let join_counter name = List.assoc name (Value_join.metrics ())
+let join_counter env field =
+  Mood_obs.Metrics.value (field (Value_join.counters env.Eval.metrics))
 
 (* [(name, seconds, result rows, partitions spilled, spill bytes)] per
    method, same data, same budget. *)
@@ -268,24 +275,16 @@ let join_section () =
   let plan method_ =
     Jplan.Join { left = bind "BenchL" "l"; right = bind "BenchR" "r"; method_; pred }
   in
-  let saved = !Join_cost.join_mem_bytes in
-  Join_cost.join_mem_bytes := join_mem_budget;
-  Fun.protect
-    ~finally:(fun () -> Join_cost.join_mem_bytes := saved)
-    (fun () ->
-      List.map
-        (fun (name, m) ->
-          let parts0 = join_counter "join.partitions_spilled"
-          and bytes0 = join_counter "join.spill_bytes" in
-          let t0 = Unix.gettimeofday () in
-          let rows = List.length (Executor.run env (plan m)).Executor.rows in
-          let secs = Unix.gettimeofday () -. t0 in
-          ( name,
-            secs,
-            rows,
-            join_counter "join.partitions_spilled" - parts0,
-            join_counter "join.spill_bytes" - bytes0 ))
-        join_methods)
+  let parts (c : Value_join.counters) = c.Value_join.partitions_spilled
+  and bytes (c : Value_join.counters) = c.Value_join.spill_bytes in
+  List.map
+    (fun (name, m) ->
+      let parts0 = join_counter env parts and bytes0 = join_counter env bytes in
+      let t0 = Unix.gettimeofday () in
+      let rows = List.length (Executor.run env (plan m)).Executor.rows in
+      let secs = Unix.gettimeofday () -. t0 in
+      (name, secs, rows, join_counter env parts - parts0, join_counter env bytes - bytes0))
+    join_methods
 
 let join_secs timings = List.map (fun (name, secs, rows, _, _) -> (name, secs, rows)) timings
 
@@ -356,7 +355,13 @@ let scan_fixture n =
   | None -> failwith "ScanBench has no PAX segment");
   let funcs = Fm.create ~catalog in
   let scope = Fm.enter_scope funcs in
-  { Eval.catalog; funcs; scope }
+  { Eval.catalog;
+    funcs;
+    scope;
+    join_mem_bytes = Join_cost.default_join_mem_bytes;
+    metrics = Mood_obs.Metrics.create ();
+    skip_rewind = false
+  }
 
 (* [(name, seconds, matching rows, promoted words per row)] for the
    three engines, then the grouped A/B: GROUP BY the dictionary-coded

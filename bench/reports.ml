@@ -30,7 +30,11 @@ let heading title =
 let paper_env () =
   let cat = Catalog.create ~store:(Store.create ()) in
   Vehicle.define_schema cat;
-  { Dicts.catalog = cat; stats = Vehicle.paper_stats (); params = Io_cost.default_params }
+  { Dicts.catalog = cat;
+    stats = Vehicle.paper_stats ();
+    params = Io_cost.default_params;
+    settings = Dicts.default_settings
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Tables 1-7: algebra return types, probed from the implementation     *)

@@ -183,7 +183,11 @@ let index_selection () =
   let env =
     let cat = Catalog.create ~store:(Store.create ()) in
     Vehicle.define_schema cat;
-    { Dicts.catalog = cat; stats = Vehicle.paper_stats (); params = Io_cost.default_params }
+    { Dicts.catalog = cat;
+      stats = Vehicle.paper_stats ();
+      params = Io_cost.default_params;
+      settings = Dicts.default_settings
+    }
   in
   Stats.set_class env.Dicts.stats "Sweep"
     { Stats.cardinality = 100000; nbpages = 5000; obj_size = 200 };
@@ -427,7 +431,11 @@ let greedy_vs_exhaustive () =
   for case = 1 to n_cases do
     let env =
       let cat = Catalog.create ~store:(Store.create ()) in
-      { Dicts.catalog = cat; stats = Stats.create (); params = Io_cost.default_params }
+      { Dicts.catalog = cat;
+        stats = Stats.create ();
+        params = Io_cost.default_params;
+        settings = Dicts.default_settings
+      }
     in
     let depth = 3 + Prng.int rng ~bound:2 in
     let classes = List.init depth (fun i -> Printf.sprintf "C%d_%d" case i) in

@@ -35,11 +35,6 @@ let kind_of_type = function
    verdict from class-level distinct/rows and average width. *)
 type enc_hint = Auto | Prefer_dict | No_dict
 
-(* Negative control for the differential oracle: encode minipages with
-   a zeroed null bitmap, so NULLs resurface as 0 / "" / stale bytes.
-   The oracle must catch the divergence — proof it has teeth. *)
-let sabotage_null_bitmap = ref false
-
 let magic = "PAX1"
 
 let tag_int_plain = 0
@@ -137,11 +132,9 @@ let null_bits values =
   done;
   (bits, !any)
 
-let add_nulls buf ~n ~bits ~any =
+let add_nulls buf ~bits ~any =
   add_u8 buf (if any then 1 else 0);
-  if any then
-    if !sabotage_null_bitmap then Buffer.add_string buf (String.make ((n + 7) / 8) '\000')
-    else Buffer.add_bytes buf bits
+  if any then Buffer.add_bytes buf bits
 
 (* All non-null values conform to the claimed shape? Demote the whole
    minipage to the generic codec otherwise — pages must round-trip any
@@ -170,7 +163,7 @@ let encode_int_minipage buf values =
   if n > 0 && (4 + (runs * 12)) < n * 8 then begin
     add_u8 buf tag_int_rle;
     add_u32 buf n;
-    add_nulls buf ~n ~bits ~any;
+    add_nulls buf ~bits ~any;
     add_u32 buf runs;
     let start = ref 0 in
     for i = 1 to n do
@@ -184,7 +177,7 @@ let encode_int_minipage buf values =
   else begin
     add_u8 buf tag_int_plain;
     add_u32 buf n;
-    add_nulls buf ~n ~bits ~any;
+    add_nulls buf ~bits ~any;
     Array.iter (add_int buf) ints
   end
 
@@ -193,7 +186,7 @@ let encode_float_minipage buf values =
   let bits, any = null_bits values in
   add_u8 buf tag_float_plain;
   add_u32 buf n;
-  add_nulls buf ~n ~bits ~any;
+  add_nulls buf ~bits ~any;
   Array.iter
     (function
       | Value.Float f -> Buffer.add_int64_be buf (Int64.bits_of_float f)
@@ -229,15 +222,16 @@ let encode_str_minipage buf ~hint values =
     | Auto -> n >= 8 && !dict_size * 2 <= n
   in
   if use_dict then begin
-    (* Code 0 must resolve even for NULL rows (the sabotage control
-       reads them), so an all-null page still carries one entry. *)
+    (* Code 0 must resolve even for NULL rows (a reader that loses the
+       null bitmap, like the scan oracle's control, reads them), so an
+       all-null page still carries one entry. *)
     if !dict_size = 0 then begin
       dict := [ "" ];
       dict_size := 1
     end;
     add_u8 buf tag_str_dict;
     add_u32 buf n;
-    add_nulls buf ~n ~bits ~any;
+    add_nulls buf ~bits ~any;
     add_u32 buf !dict_size;
     List.iter (add_str buf) (List.rev !dict);
     Array.iter (fun c -> add_u32 buf c) codes
@@ -245,7 +239,7 @@ let encode_str_minipage buf ~hint values =
   else begin
     add_u8 buf tag_str_plain;
     add_u32 buf n;
-    add_nulls buf ~n ~bits ~any;
+    add_nulls buf ~bits ~any;
     Array.iter (fun v -> add_str buf (str_of v)) values
   end
 
@@ -254,7 +248,7 @@ let encode_generic_minipage buf values =
   let bits, any = null_bits values in
   add_u8 buf tag_generic;
   add_u32 buf n;
-  add_nulls buf ~n ~bits ~any;
+  add_nulls buf ~bits ~any;
   Array.iter (fun v -> add_str buf (Codec.encode v)) values
 
 let encode_minipage buf ~kind ~hint values =

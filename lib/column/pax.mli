@@ -18,10 +18,6 @@ val kind_of_type : Mtype.t -> akind
     explicit verdict from class-level distinct/rows. *)
 type enc_hint = Auto | Prefer_dict | No_dict
 
-val sabotage_null_bitmap : bool ref
-(** Negative control: encode pages with zeroed null bitmaps so NULLs
-    resurface as 0 / "" — the differential oracle must catch it. *)
-
 val checksum : string -> pos:int -> int
 
 val encode_page :

@@ -308,8 +308,8 @@ let build_page t live kept =
   Pax.encode_page ~schema:t.schema ~hints:t.hints ~slots:live ~rows:(Array.map row live)
 
 (* The batch always comes from decoding the stored image — a single
-   code path, so metrics, corruption detection and the sabotage
-   control all act on what the page actually holds. *)
+   code path, so metrics and corruption detection act on what the page
+   actually holds. *)
 let batch_of_page t page =
   let decode image = Pax.decode_page ~schema:t.schema image in
   let rebuild () =

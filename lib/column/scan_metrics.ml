@@ -1,6 +1,7 @@
-(* Process-wide accounting for the columnar read path, mirroring the
-   [join.*] and [mvcc.*] counter families: the hot loops bump plain
-   ints, the metrics registry pulls a snapshot when asked. *)
+(* Accounting for the columnar read path: the hot loops bump plain
+   ints, each database's metrics registry pulls a snapshot when asked.
+   Process-wide only because the benchmark's replay reads [m] directly;
+   it moves into the registry with the next benchmark change. *)
 
 type t = {
   mutable batches : int;
@@ -46,17 +47,3 @@ let metrics () =
     ("scan.pages_healed", m.pages_healed);
     ("scan.mvcc_patched", m.mvcc_patched)
   ]
-
-let reset () =
-  m.batches <- 0;
-  m.rows_scanned <- 0;
-  m.rows_after_filter <- 0;
-  m.dict_hits <- 0;
-  m.rle_runs <- 0;
-  m.bytes_decoded <- 0;
-  m.pages_built <- 0;
-  m.rows_reread <- 0;
-  m.pages_reused <- 0;
-  m.batch_cache_hits <- 0;
-  m.pages_healed <- 0;
-  m.mvcc_patched <- 0

@@ -1,6 +1,7 @@
 (** Counters for the columnar scan path, surfaced as the [scan.*]
-    metrics family. Process-wide, like the [join.*] counters: the hot
-    loops have no registry handle to thread through. *)
+    metrics family. Process-wide, so two databases in one process share
+    them: the benchmark's replay reads [m] directly, and moving it into
+    each database's registry is a benchmark change. *)
 
 type t = {
   mutable batches : int;          (** column batches produced *)
@@ -20,5 +21,3 @@ type t = {
 val m : t
 
 val metrics : unit -> (string * int) list
-
-val reset : unit -> unit

@@ -124,6 +124,9 @@ type t = {
   mutable on_ddl : (string -> unit) option;
       (* statement journal hook: called with the source text of every
          successful schema statement (under the caller's kernel lock) *)
+  mutable settings : Dicts.settings;
+      (* SET JOIN_FORCE / SCAN_FORCE / JOIN_MEM, shared by every
+         session of this database *)
 }
 
 type exec_result =
@@ -179,7 +182,8 @@ let create ?disk_params ?buffer_capacity ?(plan_cache_capacity = 64)
       term = 1;
       snapshot_reads = true;
       prepared = [];
-      on_ddl = None
+      on_ddl = None;
+      settings = Dicts.default_settings
     }
   in
   Version_store.set_tracking (Store.versions st) true;
@@ -219,7 +223,6 @@ let create ?disk_params ?buffer_capacity ?(plan_cache_capacity = 64)
         ("locks.deadlocks", c.Lock.deadlocks);
         ("locks.resources", Lock.resource_count (Store.locks st))
       ]);
-  Metrics.register_source metrics Io_cost.est_charges;
   Metrics.register_source metrics (fun () ->
       [ ("slow_log.entries", List.length t.slow_log) ]);
   Metrics.register_source metrics (fun () ->
@@ -229,11 +232,12 @@ let create ?disk_params ?buffer_capacity ?(plan_cache_capacity = 64)
         ("repl.is_primary", match t.role with Primary -> 1 | _ -> 0)
       ]);
   Metrics.register_source metrics (fun () -> Version_store.metrics (Store.versions st));
+  (* Interned now, so STATS lists join.* before the first join. *)
+  ignore (Value_join.counters metrics);
   Metrics.register_source metrics (fun () ->
-      Value_join.metrics ()
-      @ [ ("join.mem_bytes", !Join_cost.join_mem_bytes);
-          ("join.live_temp_files", Store.live_temp_files st)
-        ]);
+      [ ("join.mem_bytes", t.settings.Dicts.join_mem_bytes);
+        ("join.live_temp_files", Store.live_temp_files st)
+      ]);
   Metrics.register_source metrics (fun () -> Scan_metrics.metrics ());
   t
 
@@ -286,9 +290,20 @@ let set_stats t stats =
   purge_stale_plans t
 
 let optimizer_env t =
-  { Dicts.catalog = t.cat; stats = t.statistics; params = Io_cost.default_params }
+  { Dicts.catalog = t.cat;
+    stats = t.statistics;
+    params = Io_cost.default_params;
+    settings = t.settings
+  }
 
-let executor_env t = { Eval.catalog = t.cat; funcs = t.funcs; scope = t.session_scope }
+let executor_env t =
+  { Eval.catalog = t.cat;
+    funcs = t.funcs;
+    scope = t.session_scope;
+    join_mem_bytes = t.settings.Dicts.join_mem_bytes;
+    metrics = t.metrics;
+    skip_rewind = false
+  }
 
 let io_elapsed t = Store.io_elapsed t.st
 
@@ -618,40 +633,37 @@ let render_analyzed a =
 (* Statement entry points                                               *)
 
 (* [SET JOIN_FORCE <method|DEFAULT>], [SET SCAN_FORCE <ROW|VECTOR|DEFAULT>]
-   and [SET JOIN_MEM <bytes>]: the planner knobs the differential
-   oracles and the smoke tests drive. Each invalidates cached plans
-   (the choice is part of planning) by bumping the statistics epoch.
-   Returns the acknowledgment text. *)
+   and [SET JOIN_MEM <bytes>]: the planner settings of this database,
+   which the differential oracles and the smoke tests drive. Each
+   invalidates cached plans (the choice is part of planning) by bumping
+   the statistics epoch. Returns the acknowledgment text. *)
 let apply_setting t name value =
   let default = String.uppercase_ascii value = "DEFAULT" in
-  let ack =
+  let s = t.settings in
+  let settings, ack =
     match String.uppercase_ascii name with
-    | "JOIN_FORCE" when default ->
-        Join_cost.forced_method := None;
-        "JOIN_FORCE=DEFAULT"
+    | "JOIN_FORCE" when default -> ({ s with Dicts.join_force = None }, "JOIN_FORCE=DEFAULT")
     | "JOIN_FORCE" -> (
         match Join_cost.method_of_string value with
         | Some m ->
-            Join_cost.forced_method := Some m;
-            Format.asprintf "JOIN_FORCE=%a" Join_cost.pp_method m
+            ( { s with Dicts.join_force = Some m },
+              Format.asprintf "JOIN_FORCE=%a" Join_cost.pp_method m )
         | None -> failwith ("unknown join method: " ^ value))
-    | "SCAN_FORCE" when default ->
-        Scan_cost.forced := None;
-        "SCAN_FORCE=DEFAULT"
+    | "SCAN_FORCE" when default -> ({ s with Dicts.scan_force = None }, "SCAN_FORCE=DEFAULT")
     | "SCAN_FORCE" -> (
         match Scan_cost.choice_of_string value with
         | Some c ->
-            Scan_cost.forced := Some c;
-            Format.asprintf "SCAN_FORCE=%a" Scan_cost.pp_choice c
+            ( { s with Dicts.scan_force = Some c },
+              Format.asprintf "SCAN_FORCE=%a" Scan_cost.pp_choice c )
         | None -> failwith ("unknown scan choice: " ^ value))
     | "JOIN_MEM" -> (
         match int_of_string_opt value with
         | Some bytes when bytes > 0 ->
-            Join_cost.join_mem_bytes := bytes;
-            Printf.sprintf "JOIN_MEM=%d" bytes
+            ({ s with Dicts.join_mem_bytes = bytes }, Printf.sprintf "JOIN_MEM=%d" bytes)
         | Some _ | None -> failwith ("JOIN_MEM expects a positive byte count, got: " ^ value))
     | _ -> failwith ("unknown setting: " ^ name)
   in
+  t.settings <- settings;
   t.stats_epoch <- t.stats_epoch + 1;
   ack
 

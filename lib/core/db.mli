@@ -60,7 +60,13 @@ val set_stats : t -> Mood_cost.Stats.t -> unit
 (** Installs an explicit snapshot (e.g. the paper's Tables 13–15). *)
 
 val optimizer_env : t -> Mood_optimizer.Dicts.env
+(** Carries the database's planner settings ([SET JOIN_FORCE],
+    [SCAN_FORCE], [JOIN_MEM]), which every session shares and no other
+    database sees. *)
+
 val executor_env : t -> Mood_executor.Eval.env
+(** Carries the [JOIN_MEM] budget and the database's registry, where
+    [join.*] counts. *)
 
 val set_snapshot_reads : t -> bool -> unit
 (** On (the default), SELECTs — standalone and inside session
@@ -409,15 +415,14 @@ val new_scope : t -> unit
 
     Every kernel counter flows through one {!Mood_obs.Metrics} registry
     per database: statement counters are incremented directly; the
-    buffer pool, plan cache, simulated disk, WAL, lock manager and the
-    cost model's estimate-side charge buckets are absorbed as pull
-    sources, read only at snapshot time so their hot paths stay
-    untouched. *)
+    buffer pool, plan cache, simulated disk, WAL and lock manager are
+    absorbed as pull sources, read only at snapshot time so their hot
+    paths stay untouched. *)
 
 val metrics : t -> Mood_obs.Metrics.t
 (** The database's metrics registry (counters under [stmt.*],
     [buffer.*], [plan_cache.*], [disk.*], [wal.*], [locks.*],
-    [cost_est.*], [slow_log.*]). *)
+    [join.*], [scan.*], [slow_log.*]). *)
 
 val metrics_snapshot : t -> Mood_obs.Metrics.snapshot
 (** [Metrics.snapshot (metrics t)]: every counter as sorted

@@ -17,7 +17,10 @@ type params = {
 val default_params : params
 
 val seqcost : params -> int -> float
-(** [SEQCOST(b) = s + r + b*ebt]; 0 when [b <= 0]. *)
+(** [SEQCOST(b) = s + r + b*ebt]; 0 when [b <= 0]. It also prices a
+    columnar scan's sweep over [b] PAX segment pages (the attribute
+    minipages are contiguous), so the scan formulas share one sequential
+    cost. *)
 
 val rndcost : params -> float -> float
 (** [RNDCOST(b) = b * (s + r + btt)]. Accepts fractional page counts
@@ -32,24 +35,8 @@ val indcost : params -> Stats.index_stats -> k:int -> float
 val rngxcost : params -> Stats.index_stats -> fract:float -> float
 (** [RNGXCOST(fract) = fract * leaves * (s + r + btt)]. *)
 
-val mpscost : params -> int -> float
-(** [MPSCOST(b) = s + r + b*ebt]: one sequential sweep over [b] PAX
-    segment pages (the attribute minipages of a columnar scan); 0 when
-    [b <= 0]. Charged to its own bucket so estimate accounting can
-    tell columnar from row scans. *)
-
 val deccost : params -> bytes:int -> float
 (** Decompression CPU for decoding [bytes] of dictionary/RLE-encoded
     minipage payload: [bytes/1024 * cpu_cost]. *)
-
-val est_charges : unit -> (string * int) list
-(** Estimate-side accounting, one bucket per cost formula: how many
-    times SEQCOST/RNDCOST/INDCOST/RNGXCOST were consulted and the total
-    estimated time (microseconds) each handed out. Process-wide and
-    covering every candidate the optimizer prices, not just chosen
-    plans. Keys are ["cost_est.<formula>.calls"/".sum_us"], shaped for
-    [Metrics.register_source]. *)
-
-val reset_est_charges : unit -> unit
 
 val pp_params : Format.formatter -> params -> unit

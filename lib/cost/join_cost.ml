@@ -15,10 +15,6 @@ type method_choice =
 
 let default_join_mem_bytes = 262144
 
-let join_mem_bytes = ref default_join_mem_bytes
-
-let forced_method : method_choice option ref = ref None
-
 let fan stats (e : edge) =
   match Stats.ref_stats stats ~cls:e.cls ~attr:e.attr with
   | Some r -> r.Stats.fan
@@ -108,7 +104,7 @@ type value_side = {
 let block_size (params : Io_cost.params) =
   max 1 params.Io_cost.disk.Mood_storage.Disk.block_size
 
-let mem_pages params = max 1 (!join_mem_bytes / block_size params)
+let mem_pages params ~mem_bytes = max 1 (mem_bytes / block_size params)
 
 (* Pages this side occupies, scaled by the fraction of the class that
    actually enters the join; a memory-resident temp still pays one
@@ -157,8 +153,8 @@ let grace_passes ~pages ~mem =
   in
   go pages 0
 
-let grace_hash_cost params stats ~(right : value_side) ~scan_l ~scan_r ~k_l ~k_r
-    ~pages_l ~pages_r ~mem =
+let grace_hash_cost params stats ~mem_bytes ~(right : value_side) ~scan_l ~scan_r ~k_l
+    ~k_r ~pages_l ~pages_r ~mem =
   let passes = grace_passes ~pages:pages_r ~mem in
   (* Each pass rewrites both inputs: read + write, charged sequentially
      through the simulated disk (spill files live in the buffer pool). *)
@@ -171,7 +167,7 @@ let grace_hash_cost params stats ~(right : value_side) ~scan_l ~scan_r ~k_l ~k_r
     match side_dist stats right with
     | Some dist ->
         let dup_bytes = k_r /. float_of_int dist *. side_row_bytes stats right in
-        if dup_bytes > float_of_int !join_mem_bytes then
+        if dup_bytes > float_of_int mem_bytes then
           8. *. (seq_pages params pages_l +. seq_pages params pages_r)
         else 0.
     | None -> 0.
@@ -195,45 +191,42 @@ let fusion_elem_fan = 4.
 let fusion_join_cost params ~scan_l ~scan_r ~k_l ~k_r =
   scan_l +. scan_r +. (((k_l *. fusion_elem_fan) +. k_r) *. params.Io_cost.cpu_cost)
 
-let cheapest_value params stats ~(left : value_side) ~(right : value_side)
+let cheapest_value params stats ~mem_bytes ~(left : value_side) ~(right : value_side)
     ~l_collection =
-  match !forced_method with
-  | Some m -> (m, 0.)
-  | None ->
-      let k_l = Float.max 0. left.v_rows and k_r = Float.max 0. right.v_rows in
-      let pages_l = side_pages stats left and pages_r = side_pages stats right in
-      let scan_l = seq_pages params pages_l and scan_r = seq_pages params pages_r in
-      let mem = mem_pages params in
-      let candidates =
-        if l_collection then
-          [ (Nested_loop, Some (nested_loop_cost params ~scan_l ~scan_r ~k_l ~k_r));
-            (Fusion_join, Some (fusion_join_cost params ~scan_l ~scan_r ~k_l ~k_r));
-            (Sort_merge,
-             Some (sort_merge_cost params ~scan_l ~scan_r ~k_l ~k_r ~pages_l ~pages_r ~mem))
-          ]
-        else
-          [ (Nested_loop, Some (nested_loop_cost params ~scan_l ~scan_r ~k_l ~k_r));
-            (Hash_join, hash_join_cost params ~scan_l ~scan_r ~k_l ~k_r ~pages_r ~mem);
-            (Grace_hash,
-             Some
-               (grace_hash_cost params stats ~right ~scan_l ~scan_r ~k_l ~k_r ~pages_l
-                  ~pages_r ~mem));
-            (Sort_merge,
-             Some (sort_merge_cost params ~scan_l ~scan_r ~k_l ~k_r ~pages_l ~pages_r ~mem))
-          ]
-      in
-      let best =
-        List.fold_left
-          (fun acc (m, cost) ->
-            match cost, acc with
-            | None, _ -> acc
-            | Some c, None -> Some (m, c)
-            | Some c, Some (_, best_c) -> if c < best_c then Some (m, c) else acc)
-          None candidates
-      in
-      (match best with
-      | Some choice -> choice
-      | None -> assert false (* nested loop is always available *))
+  let k_l = Float.max 0. left.v_rows and k_r = Float.max 0. right.v_rows in
+  let pages_l = side_pages stats left and pages_r = side_pages stats right in
+  let scan_l = seq_pages params pages_l and scan_r = seq_pages params pages_r in
+  let mem = mem_pages params ~mem_bytes in
+  let candidates =
+    if l_collection then
+      [ (Nested_loop, Some (nested_loop_cost params ~scan_l ~scan_r ~k_l ~k_r));
+        (Fusion_join, Some (fusion_join_cost params ~scan_l ~scan_r ~k_l ~k_r));
+        (Sort_merge,
+         Some (sort_merge_cost params ~scan_l ~scan_r ~k_l ~k_r ~pages_l ~pages_r ~mem))
+      ]
+    else
+      [ (Nested_loop, Some (nested_loop_cost params ~scan_l ~scan_r ~k_l ~k_r));
+        (Hash_join, hash_join_cost params ~scan_l ~scan_r ~k_l ~k_r ~pages_r ~mem);
+        (Grace_hash,
+         Some
+           (grace_hash_cost params stats ~mem_bytes ~right ~scan_l ~scan_r ~k_l ~k_r ~pages_l
+              ~pages_r ~mem));
+        (Sort_merge,
+         Some (sort_merge_cost params ~scan_l ~scan_r ~k_l ~k_r ~pages_l ~pages_r ~mem))
+      ]
+  in
+  let best =
+    List.fold_left
+      (fun acc (m, cost) ->
+        match cost, acc with
+        | None, _ -> acc
+        | Some c, None -> Some (m, c)
+        | Some c, Some (_, best_c) -> if c < best_c then Some (m, c) else acc)
+      None candidates
+  in
+  match best with
+  | Some choice -> choice
+  | None -> assert false (* nested loop is always available *)
 
 let pp_method ppf m =
   Format.pp_print_string ppf

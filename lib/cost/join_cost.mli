@@ -46,18 +46,8 @@ type method_choice =
   | Fusion_join      (** Odra-style fusion join over collection attributes *)
 
 val default_join_mem_bytes : int
-(** Default memory budget for value joins: 256 KiB. *)
-
-val join_mem_bytes : int ref
-(** Memory budget (bytes) available to a value join's build/sort space.
-    Below it, hash joins stay in memory; above it, Grace partitioning and
-    external-sort runs spill through the simulated disk. Settable at
-    runtime via [SET JOIN_MEM <bytes>]. *)
-
-val forced_method : method_choice option ref
-(** When [Some m], [cheapest_value] returns [m] unconditionally — the
-    plan-hint escape hatch behind [SET JOIN_FORCE <method>] that the
-    differential join oracle drives. *)
+(** Default memory budget for value joins (256 KiB): what a database's
+    [SET JOIN_MEM] holds until it is set. *)
 
 val cheapest :
   Io_cost.params ->
@@ -81,17 +71,20 @@ type value_side = {
 val cheapest_value :
   Io_cost.params ->
   Stats.t ->
+  mem_bytes:int ->
   left:value_side ->
   right:value_side ->
   l_collection:bool ->
   method_choice * float
-(** The minimum-cost value-join method. Candidates are nested loop, hash
-    join (only when the right side fits [join_mem_bytes]), Grace hash
-    (spill passes plus a skew term when the heaviest duplicate group
-    overflows the budget) and sort-merge; when [l_collection] (the left
-    key is a collection attribute) the hash family is replaced by the
-    fusion join. A [forced_method] short-circuits everything. Ties break
-    nested, hash/fusion, grace, sort-merge. *)
+(** The minimum-cost value-join method under a memory budget of
+    [mem_bytes] for the join's build/sort space (a database's
+    [SET JOIN_MEM]). Candidates are nested loop, hash join (only when the
+    right side fits the budget), Grace hash (spill passes plus a skew
+    term when the heaviest duplicate group overflows the budget) and
+    sort-merge; when [l_collection] (the left key is a collection
+    attribute) the hash family is replaced by the fusion join. Ties break
+    nested, hash/fusion, grace, sort-merge. [SET JOIN_FORCE] is the
+    optimizer's to apply; this function only prices. *)
 
 val pp_method : Format.formatter -> method_choice -> unit
 (** Prints the paper's plan-operator spelling: [FORWARD_TRAVERSAL],

@@ -2,13 +2,11 @@
    vectorized batch scan over a class's PAX segment. The row scan pays
    SEQCOST over the heap pages plus one CPUCOST per row for the
    interpreted predicate/aggregate touch; the vectorized scan pays
-   MPSCOST over the (compressed) segment pages, DECCOST for decoding,
+   SEQCOST over the (compressed) segment pages, DECCOST for decoding,
    and an amortized per-row CPU touch — batch loops over unboxed column
    arrays retire rows far cheaper than the interpreter. *)
 
 type choice = Row_scan | Vectorized
-
-let forced : choice option ref = ref None
 
 (* Per-row CPU discount of the vectorized loop relative to the
    interpreter: tight array loops with compiled predicates. *)
@@ -30,15 +28,15 @@ let vectorized_scan params stats ~cls =
   in
   let block = max 1 params.Io_cost.disk.Mood_storage.Disk.block_size in
   let bytes = seg_pages * block in
-  Io_cost.mpscost params seg_pages
+  Io_cost.seqcost params seg_pages
   +. Io_cost.deccost params ~bytes
   +. (rows /. vector_cpu_discount *. params.Io_cost.cpu_cost)
 
 (* [pax] says whether the class scans from a PAX segment. A row-layout
    class can still be vectorized (transient batching) but gains no I/O,
    so only a forced hint selects it there. *)
-let choose params stats ~cls ~pax =
-  match !forced with
+let choose params stats ~forced ~cls ~pax =
+  match forced with
   | Some Row_scan -> (Row_scan, row_scan params stats ~cls)
   | Some Vectorized -> (Vectorized, vectorized_scan params stats ~cls)
   | None ->

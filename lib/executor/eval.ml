@@ -10,7 +10,14 @@ exception Eval_error of string
 
 let eval_error fmt = Format.kasprintf (fun m -> raise (Eval_error m)) fmt
 
-type env = { catalog : Catalog.t; funcs : Fm.t; scope : Fm.scope }
+type env = {
+  catalog : Catalog.t;
+  funcs : Fm.t;
+  scope : Fm.scope;
+  join_mem_bytes : int;
+  metrics : Mood_obs.Metrics.t;
+  skip_rewind : bool;
+}
 
 type row = (string * Collection.item) list
 

@@ -12,6 +12,11 @@ type env = {
   catalog : Mood_catalog.Catalog.t;
   funcs : Mood_funcmgr.Function_manager.t;
   scope : Mood_funcmgr.Function_manager.scope;
+  join_mem_bytes : int;  (** the value joins' budget: the database's [SET JOIN_MEM] *)
+  metrics : Mood_obs.Metrics.t;  (** where [join.*] counts: the database's registry *)
+  skip_rewind : bool;
+      (** the join oracle's fault: sort-merge skips its duplicate-key
+          rewind. [false] everywhere else. *)
 }
 
 type row = (string * Mood_algebra.Collection.item) list

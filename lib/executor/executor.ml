@@ -758,7 +758,7 @@ and join tr env left right right_simple method_ pointer equi pred k =
       | None ->
           (* No equality conjunct to key on (cross product / pure theta):
              degrade to the nested loop, visibly. *)
-          incr Value_join.fallbacks;
+          Mood_obs.Metrics.incr (Value_join.counters env.Eval.metrics).Value_join.fallbacks;
           nested_loop ()
     end
   | Join_cost.Nested_loop -> nested_loop ()

@@ -16,8 +16,9 @@
 
    Spills go through [Store.new_temp_file]: real heap files whose pages
    flow through the buffer pool and simulated disk, so partitioning
-   passes are charged, observable ([join.*] metrics) and
-   crash-injectable (the spill flush is a deterministic write stream). *)
+   passes are charged, observable (the [join.*] counters of the
+   registry in [Eval.env]) and crash-injectable (the spill flush is a
+   deterministic write stream). *)
 
 module Value = Mood_model.Value
 module Oid = Mood_model.Oid
@@ -28,35 +29,29 @@ module Heap_file = Mood_storage.Heap_file
 module Buffer_pool = Mood_storage.Buffer_pool
 module Join_cost = Mood_cost.Join_cost
 module Heap = Mood_util.Heap
+module Metrics = Mood_obs.Metrics
 
 (* ------------------------------------------------------------------ *)
-(* Metrics *)
+(* Counters *)
 
-let partitions_spilled = ref 0
-let spill_bytes = ref 0
-let merge_passes = ref 0
-let fusion_hits = ref 0
-let hash_builds = ref 0
-let fallbacks = ref 0
+type counters = {
+  partitions_spilled : Metrics.counter;
+  spill_bytes : Metrics.counter;
+  merge_passes : Metrics.counter;
+  fusion_hits : Metrics.counter;
+  hash_builds : Metrics.counter;
+  fallbacks : Metrics.counter;
+}
 
-let reset_metrics () =
-  partitions_spilled := 0;
-  spill_bytes := 0;
-  merge_passes := 0;
-  fusion_hits := 0;
-  hash_builds := 0;
-  fallbacks := 0
-
-let metrics () =
-  [ ("join.partitions_spilled", !partitions_spilled);
-    ("join.spill_bytes", !spill_bytes);
-    ("join.merge_passes", !merge_passes);
-    ("join.fusion_hits", !fusion_hits);
-    ("join.hash_builds", !hash_builds);
-    ("join.fallbacks", !fallbacks)
-  ]
-
-let sabotage_skip_rewind = ref false
+let counters metrics =
+  let c = Metrics.counter metrics in
+  { partitions_spilled = c "join.partitions_spilled";
+    spill_bytes = c "join.spill_bytes";
+    merge_passes = c "join.merge_passes";
+    fusion_hits = c "join.fusion_hits";
+    hash_builds = c "join.hash_builds";
+    fallbacks = c "join.fallbacks"
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Canonical keys: binary strings, one kind tag byte first.
@@ -257,8 +252,8 @@ let try_emit env pred seen emit (li, lrow) (ri, rrow) =
 
 (* The in-memory hash join over single-key entries: a table over the
    build side, probed by each left entry as [iter_lefts] yields it. *)
-let hash_join_single env pred seen emit iter_lefts rights =
-  incr hash_builds;
+let hash_join_single c env pred seen emit iter_lefts rights =
+  Metrics.incr c.hash_builds;
   let table = Hashtbl.create 64 in
   List.iter (fun (ri, rrow, k) -> Hashtbl.add table k (ri, rrow)) rights;
   iter_lefts (fun (li, lrow, k) ->
@@ -275,10 +270,10 @@ let sum_bytes entries = List.fold_left (fun acc e -> acc + entry_bytes e) 0 entr
    hit the simulated disk deterministically (where crash injection can
    sever them). Records too large for a page stay in the in-memory
    overflow list. Returns (file, overflow). *)
-let spill store temps entries =
+let spill c store temps entries =
   let hf = Store.new_temp_file store in
   temps := hf :: !temps;
-  incr partitions_spilled;
+  Metrics.incr c.partitions_spilled;
   let overflow = ref [] in
   let buf = Buffer.create 256 in
   List.iter
@@ -286,7 +281,7 @@ let spill store temps entries =
       Buffer.clear buf;
       add_entry buf e;
       let bytes = Buffer.contents buf in
-      spill_bytes := !spill_bytes + String.length bytes;
+      Metrics.add c.spill_bytes (String.length bytes);
       try ignore (Heap_file.insert hf bytes)
       with Invalid_argument _ -> overflow := e :: !overflow)
     entries;
@@ -310,9 +305,9 @@ let read_back store spilled =
 
 let max_grace_depth = 4
 
-let grace_hash env store pred seen emit iter_lefts rights =
+let grace_hash c env store pred seen emit iter_lefts rights =
   let temps = ref [] in
-  let budget () = max 1 !Join_cost.join_mem_bytes in
+  let budget = max 1 env.Eval.join_mem_bytes in
   (* Entries here are single-key; a row with a collection key appears
      once per distinct element key, possibly in different partitions —
      the global (li, ri) dedup keeps the multiset exact. The build side
@@ -323,12 +318,12 @@ let grace_hash env store pred seen emit iter_lefts rights =
      held whole. *)
   let rec go ~salt ~depth iter_lefts rights =
     let build_bytes = sum_bytes rights in
-    if build_bytes <= budget () || depth >= max_grace_depth then begin
-      if build_bytes > budget () then incr fallbacks;
-      hash_join_single env pred seen emit iter_lefts rights
+    if build_bytes <= budget || depth >= max_grace_depth then begin
+      if build_bytes > budget then Metrics.incr c.fallbacks;
+      hash_join_single c env pred seen emit iter_lefts rights
     end
     else begin
-      let fanout = min 16 (max 2 ((build_bytes / budget ()) + 1)) in
+      let fanout = min 16 (max 2 ((build_bytes / budget) + 1)) in
       let split iter =
         let parts = Array.make fanout [] in
         iter (fun ((_, _, key) as e) ->
@@ -340,7 +335,8 @@ let grace_hash env store pred seen emit iter_lefts rights =
       (* Spill every partition of both sides first (the partitioning
          pass), then join partition pairs one at a time. *)
       let spilled =
-        Array.init fanout (fun b -> (spill store temps lparts.(b), spill store temps rparts.(b)))
+        Array.init fanout (fun b ->
+            (spill c store temps lparts.(b), spill c store temps rparts.(b)))
       in
       Array.iter
         (fun (lspill, rspill) ->
@@ -361,11 +357,11 @@ let key_cmp (_, _, a) (_, _, b) = String.compare a b
 (* Sorts single-key entries; when the side overflows the budget the
    initial runs spill to temp files and merge back (one extra
    read+write pass, charged through the disk). *)
-let sort_side store temps entries =
-  let budget = max 1 !Join_cost.join_mem_bytes in
+let sort_side c env store temps entries =
+  let budget = max 1 env.Eval.join_mem_bytes in
   if sum_bytes entries <= budget then Heap.sort_with_runs ~cmp:key_cmp ~run_length:512 entries
   else begin
-    incr merge_passes;
+    Metrics.incr c.merge_passes;
     let runs = ref [] and current = ref [] and current_bytes = ref 0 in
     let close_run () =
       if !current <> [] then begin
@@ -382,19 +378,19 @@ let sort_side store temps entries =
         current_bytes := !current_bytes + b)
       entries;
     close_run ();
-    let spilled = List.rev_map (fun run -> spill store temps run) !runs in
+    let spilled = List.rev_map (fun run -> spill c store temps run) !runs in
     let runs_back = List.map (fun s -> List.sort key_cmp (read_back store s)) spilled in
     Heap.merge_sorted ~cmp:key_cmp runs_back
   end
 
-let sort_merge env store pred seen emit iter_lefts rights =
+let sort_merge c env store pred seen emit iter_lefts rights =
   let temps = ref [] in
   Fun.protect
     ~finally:(fun () -> List.iter (fun hf -> Store.release_temp_file store hf) !temps)
     (fun () ->
       let lefts = to_list iter_lefts in
-      let la = Array.of_list (sort_side store temps (singles lefts)) in
-      let ra = Array.of_list (sort_side store temps (singles rights)) in
+      let la = Array.of_list (sort_side c env store temps (singles lefts)) in
+      let ra = Array.of_list (sort_side c env store temps (singles rights)) in
       let nl = Array.length la and nr = Array.length ra in
       let key (_, _, k) = k in
       let li = ref 0 and ri = ref 0 in
@@ -410,7 +406,7 @@ let sort_merge env store pred seen emit iter_lefts rights =
           let le = ref !li and re = ref !ri in
           while !le < nl && String.equal (key la.(!le)) k do incr le done;
           while !re < nr && String.equal (key ra.(!re)) k do incr re done;
-          let l_last = if !sabotage_skip_rewind then !li else !le - 1 in
+          let l_last = if env.Eval.skip_rewind then !li else !le - 1 in
           for l = !li to l_last do
             let il, rowl, _ = la.(l) in
             for r = !ri to !re - 1 do
@@ -429,8 +425,8 @@ let sort_merge env store pred seen emit iter_lefts rights =
    navigation and the probe fuse, so the flattened left side is never
    materialized. *)
 
-let fusion env pred seen emit (left : probe) rights =
-  incr hash_builds;
+let fusion c env pred seen emit (left : probe) rights =
+  Metrics.incr c.hash_builds;
   let table = Hashtbl.create 64 in
   List.iter
     (fun (ri, rrow, rkeys) -> List.iter (fun k -> Hashtbl.add table k (ri, rrow)) rkeys)
@@ -449,7 +445,7 @@ let fusion env pred seen emit (left : probe) rights =
               match Hashtbl.find_all table k with
               | [] -> ()
               | hits ->
-                  incr fusion_hits;
+                  Metrics.incr c.fusion_hits;
                   List.iter (fun (ri, rrow) -> try_emit env pred seen emit (i, lrow) (ri, rrow)) hits))
         elems)
 
@@ -457,13 +453,16 @@ let fusion env pred seen emit (left : probe) rights =
 
 let run method_ env ~store ~pred ~left ~right ~emit =
   let seen = Hashtbl.create 256 in
+  let c = counters env.Eval.metrics in
   match method_ with
   | Join_cost.Hash_join ->
       let rights = singles (expand env right) in
-      hash_join_single env pred seen emit (singles_iter (expand_iter env left)) rights
-  | Join_cost.Grace_hash -> grace_hash env store pred seen emit (expand_iter env left) (expand env right)
-  | Join_cost.Sort_merge -> sort_merge env store pred seen emit (expand_iter env left) (expand env right)
-  | Join_cost.Fusion_join -> fusion env pred seen emit left (expand env right)
+      hash_join_single c env pred seen emit (singles_iter (expand_iter env left)) rights
+  | Join_cost.Grace_hash ->
+      grace_hash c env store pred seen emit (expand_iter env left) (expand env right)
+  | Join_cost.Sort_merge ->
+      sort_merge c env store pred seen emit (expand_iter env left) (expand env right)
+  | Join_cost.Fusion_join -> fusion c env pred seen emit left (expand env right)
   | Join_cost.Nested_loop | Join_cost.Forward_traversal | Join_cost.Backward_traversal
   | Join_cost.Binary_join_index | Join_cost.Hash_partition ->
       invalid_arg "Value_join.run: not a value-join method"

@@ -12,7 +12,8 @@
     interpreted nested loop — which the differential join oracle
     ([Mood_sim.Join_oracle]) pins. Spills run through
     [Store.new_temp_file] heap files: charged by the simulated disk,
-    surfaced as [join.*] metrics, and crash-injectable. *)
+    counted in the [join.*] counters of [Eval.env]'s registry, and
+    crash-injectable. *)
 
 type side = { s_rows : Eval.row list; s_key : Compile.expr_fn }
 (** The build (right) side: its binding rows and the compiled
@@ -42,9 +43,11 @@ val run :
     the left side is pulled. Hash join, Grace hash and fusion consume
     the left side as it streams (Grace's first split collects it into
     partitions); sort-merge collects it to sort. The memory budget is
-    [Join_cost.join_mem_bytes]; above it, Grace hash partitions
-    recursively (fanout 2–16, depth ≤ 4, then an in-memory fallback)
-    and sort-merge spills its initial runs. Temp files are released
+    [env.join_mem_bytes]; above it, Grace hash partitions recursively
+    (fanout 2–16, depth ≤ 4, then an in-memory fallback) and
+    sort-merge spills its initial runs. [env.skip_rewind] injects the
+    join oracle's fault into sort-merge. The [join.*] counters of
+    [env.metrics] are looked up once per call. Temp files are released
     when [run] returns or raises, [emit]'s exceptions included. *)
 
 val elem_key : Mood_model.Value.t -> string option
@@ -79,19 +82,18 @@ val decode_entry : string -> entry
 val entry_bytes : entry -> int
 (** [String.length (encode_entry e)], computed without encoding. *)
 
-val metrics : unit -> (string * int) list
-(** Process-wide [join.*] counters: partitions spilled, spill bytes,
-    merge passes, fusion hits, hash builds, in-memory fallbacks —
-    shaped for [Metrics.register_source]. *)
+type counters = {
+  partitions_spilled : Mood_obs.Metrics.counter;
+  spill_bytes : Mood_obs.Metrics.counter;
+  merge_passes : Mood_obs.Metrics.counter;
+  fusion_hits : Mood_obs.Metrics.counter;
+  hash_builds : Mood_obs.Metrics.counter;
+  fallbacks : Mood_obs.Metrics.counter;
+      (** also bumped by the executor when a forced value-join method
+          meets no usable equality conjunct and runs the nested loop *)
+}
+(** The [join.*] counters. They count only while their registry is
+    enabled. *)
 
-val reset_metrics : unit -> unit
-
-val fallbacks : int ref
-(** The [join.fallbacks] counter — also bumped by the executor when a
-    forced value-join method meets a predicate with no usable equality
-    conjunct and degrades to the nested loop. *)
-
-val sabotage_skip_rewind : bool ref
-(** Test-only fault: when set, sort-merge pairs only the first left row
-    of a duplicate-key block (the classic missing-rewind bug). The
-    differential oracle must catch this. *)
+val counters : Mood_obs.Metrics.t -> counters
+(** The registry's [join.*] counters, created on first use. *)

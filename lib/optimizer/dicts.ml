@@ -7,8 +7,18 @@ module Io_cost = Mood_cost.Io_cost
 module Sel = Mood_cost.Selectivity
 module Path_cost = Mood_cost.Path_cost
 module Table = Mood_util.Text_table
+module Join_cost = Mood_cost.Join_cost
 
-type env = { catalog : Catalog.t; stats : Stats.t; params : Io_cost.params }
+type settings = {
+  join_force : Join_cost.method_choice option;
+  scan_force : Mood_cost.Scan_cost.choice option;
+  join_mem_bytes : int;
+}
+
+let default_settings =
+  { join_force = None; scan_force = None; join_mem_bytes = Join_cost.default_join_mem_bytes }
+
+type env = { catalog : Catalog.t; stats : Stats.t; params : Io_cost.params; settings : settings }
 
 type imm_entry = {
   i_var : string;

@@ -6,10 +6,24 @@
     read them. The [render_*] functions print the dictionaries in the
     paper's table layout (Table 16 is [render_path] on Example 8.1). *)
 
+type settings = {
+  join_force : Mood_cost.Join_cost.method_choice option;
+      (** [SET JOIN_FORCE]: the method of every explicit equality join *)
+  scan_force : Mood_cost.Scan_cost.choice option;  (** [SET SCAN_FORCE] *)
+  join_mem_bytes : int;  (** [SET JOIN_MEM]: a value join's memory budget *)
+}
+(** One database's planner settings: [Db.t] holds them and [SET]
+    replaces them. Planning reads them here; execution gets the budget
+    through [Eval.env]. *)
+
+val default_settings : settings
+(** Nothing forced, [Join_cost.default_join_mem_bytes]. *)
+
 type env = {
   catalog : Mood_catalog.Catalog.t;
   stats : Mood_cost.Stats.t;
   params : Mood_cost.Io_cost.params;
+  settings : settings;
 }
 
 type imm_entry = {

@@ -439,9 +439,8 @@ let apply_explicit_join p (left : Classify.side) cmp (right : Classify.side) pre
             ~right_accessed:rcomp.accessed ~left_in_memory:lcomp.in_memory ~hop:last_hop
         in
         (* A forced method (SET JOIN_FORCE) overrides the costed pick on
-           this explicit edge too — the oracle drives every algorithm
-           through the same queries. *)
-        let method_ = Option.value ~default:method_ !Join_cost.forced_method in
+           this explicit edge, which keeps its computed cost. *)
+        let method_ = Option.value ~default:method_ p.env.Dicts.settings.Dicts.join_force in
         p.cost <- p.cost +. jc;
         let join_pred =
           Ast.Cmp
@@ -479,9 +478,13 @@ let apply_explicit_join p (left : Classify.side) cmp (right : Classify.side) pre
           { Join_cost.v_cls = cls; v_rows = k_of_var p var; v_attr = last_attr path }
         in
         let method_, jc =
-          match cmp with
-          | Ast.Eq ->
+          match cmp, p.env.Dicts.settings with
+          | Ast.Eq, { Dicts.join_force = Some m; _ } ->
+              (* SET JOIN_FORCE: the forced edge is priced at nothing. *)
+              (m, 0.)
+          | Ast.Eq, { Dicts.join_force = None; join_mem_bytes; _ } ->
               Join_cost.cheapest_value p.env.Dicts.params p.env.Dicts.stats
+                ~mem_bytes:join_mem_bytes
                 ~left:(side_of lcls left.Classify.var left.Classify.path)
                 ~right:(side_of rcls right.Classify.var right.Classify.path)
                 ~l_collection
@@ -711,8 +714,8 @@ let try_vscan env node =
       else begin
         let pax = all_pax env ~class_name ~every ~minus in
         match
-          Mood_cost.Scan_cost.choose env.Dicts.params env.Dicts.stats ~cls:class_name
-            ~pax
+          Mood_cost.Scan_cost.choose env.Dicts.params env.Dicts.stats
+            ~forced:env.Dicts.settings.Dicts.scan_force ~cls:class_name ~pax
         with
         | Mood_cost.Scan_cost.Vectorized, _ ->
             Some

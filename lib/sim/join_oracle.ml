@@ -13,8 +13,10 @@
    paths.
 
    [sabotage] runs the battery with the sort-merge duplicate-key
-   rewind disabled ([Value_join.sabotage_skip_rewind]) — the oracle
-   must catch the classic missing-rewind bug, proving it has teeth. *)
+   rewind disabled (the [skip_rewind] field of the cycle's [Eval.env])
+   — the oracle must catch the classic missing-rewind bug, proving it
+   has teeth. The fault sits inside sort-merge, where no write from
+   outside the join can reach, so the env carries it. *)
 
 module Store = Mood_storage.Store
 module Catalog = Mood_catalog.Catalog
@@ -30,6 +32,7 @@ module Join_cost = Mood_cost.Join_cost
 module Ast = Mood_sql.Ast
 module Prng = Mood_util.Prng
 module Collection = Mood_algebra.Collection
+module Metrics = Mood_obs.Metrics
 
 let basic b = Mtype.Basic b
 
@@ -141,10 +144,7 @@ let first_diff got want =
   in
   go got want
 
-let spilled () =
-  Option.value ~default:0 (List.assoc_opt "join.partitions_spilled" (Value_join.metrics ()))
-
-let run_cycle ~seed =
+let run_cycle ~sabotage ~seed =
   let rng = Prng.create ~seed in
   let store = Store.create ~buffer_capacity:64 () in
   let catalog = Catalog.create ~store in
@@ -158,63 +158,53 @@ let run_cycle ~seed =
   done;
   let funcs = Fm.create ~catalog in
   let scope = Fm.enter_scope funcs in
-  let env = { Eval.catalog; funcs; scope } in
-  let saved_mem = !Join_cost.join_mem_bytes in
-  let spilled0 = spilled () in
+  let metrics = Metrics.create () in
   let queries = ref 0 and checks = ref 0 and rows = ref 0 in
   let violations = ref [] in
-  Fun.protect
-    ~finally:(fun () -> Join_cost.join_mem_bytes := saved_mem)
-    (fun () ->
+  List.iter
+    (fun (name, pred) ->
+      incr queries;
+      (* Half the queries under a tiny budget: the spill paths are
+         part of the contract, not a special case. *)
+      let join_mem_bytes =
+        if Prng.bool rng then 256 + Prng.int rng ~bound:2048
+        else Join_cost.default_join_mem_bytes
+      in
+      let env =
+        { Eval.catalog; funcs; scope; join_mem_bytes; metrics; skip_rewind = sabotage }
+      in
+      let plan method_ =
+        Plan.Join { left = bind "JoinL" "l"; right = bind "JoinR" "r"; method_; pred }
+      in
+      let oracle = multiset (Executor.run ~mode:Interpreted env (plan Join_cost.Nested_loop)) in
+      rows := !rows + List.length oracle;
       List.iter
-        (fun (name, pred) ->
-          incr queries;
-          (* Half the queries under a tiny budget: the spill paths are
-             part of the contract, not a special case. *)
-          Join_cost.join_mem_bytes :=
-            (if Prng.bool rng then 256 + Prng.int rng ~bound:2048 else saved_mem);
-          let plan method_ =
-            Plan.Join { left = bind "JoinL" "l"; right = bind "JoinR" "r"; method_; pred }
-          in
-          let oracle =
-            multiset (Executor.run ~mode:Interpreted env (plan Join_cost.Nested_loop))
-          in
-          rows := !rows + List.length oracle;
-          List.iter
-            (fun m ->
-              incr checks;
-              let got = multiset (Executor.run env (plan m)) in
-              if got <> oracle then
-                violations :=
-                  Format.asprintf "%s via %a: %d rows, oracle %d (%s) [mem=%d]" name
-                    Join_cost.pp_method m (List.length got) (List.length oracle)
-                    (first_diff got oracle) !Join_cost.join_mem_bytes
-                  :: !violations)
-            algorithms;
-          if Store.live_temp_files store <> 0 then
+        (fun m ->
+          incr checks;
+          let got = multiset (Executor.run env (plan m)) in
+          if got <> oracle then
             violations :=
-              Printf.sprintf "%s leaked %d temp files" name (Store.live_temp_files store)
+              Format.asprintf "%s via %a: %d rows, oracle %d (%s) [mem=%d]" name
+                Join_cost.pp_method m (List.length got) (List.length oracle)
+                (first_diff got oracle) join_mem_bytes
               :: !violations)
-        (variants rng));
+        algorithms;
+      if Store.live_temp_files store <> 0 then
+        violations :=
+          Printf.sprintf "%s leaked %d temp files" name (Store.live_temp_files store)
+          :: !violations)
+    (variants rng);
   { Phase.seed;
     site = Printf.sprintf "JoinL=%d JoinR=%d rows" n_l n_r;
     counts =
       [ ("queries", !queries);
         ("checks", !checks);
         ("oracle rows", !rows);
-        ("partitions spilled", spilled () - spilled0)
+        ( "partitions spilled",
+          Metrics.value (Value_join.counters metrics).Value_join.partitions_spilled )
       ];
     violations = List.rev !violations
   }
 
 let phase =
-  { Phase.name = "join";
-    cycle =
-      (fun ~sabotage ~seed ->
-        let saved = !Value_join.sabotage_skip_rewind in
-        Value_join.sabotage_skip_rewind := sabotage;
-        Fun.protect
-          ~finally:(fun () -> Value_join.sabotage_skip_rewind := saved)
-          (fun () -> run_cycle ~seed));
-    caught = Phase.violated
-  }
+  { Phase.name = "join"; cycle = run_cycle; caught = Phase.violated }

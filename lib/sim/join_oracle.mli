@@ -12,6 +12,7 @@
 
 val phase : Phase.t
 (** Counts queries, (query, algorithm) checks, oracle rows and
-    partitions spilled. Sabotage disables the sort-merge duplicate-key
-    rewind for the cycle ([Value_join.sabotage_skip_rewind]), a real
+    partitions spilled (from the cycle's own metrics registry).
+    Sabotage disables the sort-merge duplicate-key rewind for the cycle
+    (the [skip_rewind] field of the [Eval.env] it builds), a real
     multiplicity bug the oracle must catch. *)

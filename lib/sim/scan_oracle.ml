@@ -22,9 +22,12 @@
    ([image_mismatches]): incremental page rebuilds must write what a
    rebuild from scratch would.
 
-   [sabotage] runs the battery with null bitmaps zeroed at encode
-   time ([Pax.sabotage_null_bitmap]): NULLs come back as 0 / "" from
-   the columnar side only, which the oracle must catch. *)
+   [sabotage] injects a fault from outside the scan code: right before
+   each vectorized query it zeroes the null bitmaps of the segment's
+   decoded batches, which the next scan reuses from the batch cache.
+   NULLs come back as 0 / "" from the columnar side only, which the
+   oracle must catch; pages rebuilt from such a batch also fail the
+   image check. *)
 
 module Db = Mood.Db
 module Catalog = Mood_catalog.Catalog
@@ -34,8 +37,8 @@ module Executor = Mood_executor.Executor
 module Plan = Mood_optimizer.Plan
 module Optimizer = Mood_optimizer.Optimizer
 module Collection = Mood_algebra.Collection
-module Scan_cost = Mood_cost.Scan_cost
 module Pax = Mood_column.Pax
+module Batch = Mood_column.Batch
 module Pax_store = Mood_column.Pax_store
 module Extent = Mood_storage.Extent
 module Prng = Mood_util.Prng
@@ -250,12 +253,21 @@ let image_mismatches ps ext =
       | None, _ -> Some (Printf.sprintf "page %d: no image" idx))
     (List.sort_uniq compare (List.map fst got @ List.map fst want))
 
+(* The negative control: every cached decoded batch of [ps] forgets its
+   NULLs. *)
+let zero_null_bitmaps ps =
+  Pax_store.iter_batches ps ~f:(fun batch ->
+      Array.iter
+        (fun (_, (col : Batch.column)) ->
+          Bytes.fill col.Batch.nulls 0 (Bytes.length col.Batch.nulls) '\000')
+        batch.Batch.columns)
+
 let exec db src =
   match Db.exec db src with
   | Ok r -> r
   | Error m -> failwith (Printf.sprintf "scan oracle: %S failed: %s" src m)
 
-let run_cycle ~seed =
+let run_cycle ~sabotage ~seed =
   let rng = Prng.create ~seed in
   let db = Db.create () in
   ignore
@@ -277,63 +289,60 @@ let run_cycle ~seed =
     if grouped then incr grouped_violations;
     violations := message :: !violations
   in
-  let saved = !Scan_cost.forced in
-  Fun.protect
-    ~finally:(fun () -> Scan_cost.forced := saved)
-    (fun () ->
-      List.iter
-        (fun (kind, src) ->
-          incr queries;
-          (* DML between queries: dirty pages so rebuilds interleave
-             with scans; occasional ANALYZE flips dictionary hints. *)
-          (match Prng.int rng ~bound:4 with
-          | 0 ->
-              ignore
-                (exec db
-                   (Printf.sprintf
-                      "UPDATE ScanC s SET aint = s.aint + 1 WHERE s.dlow = %d"
-                      (zipf rng ~bound:3)))
-          | 1 ->
-              ignore
-                (exec db
-                   (Printf.sprintf "DELETE FROM ScanC s WHERE s.aint = %d"
-                      (zipf rng ~bound:10)))
-          | 2 -> ignore (Catalog.insert_object cat ~class_name:"ScanC" (gen_row rng))
-          | _ -> ());
-          let forced_analyze =
-            match kind with
-            | Grouped_clean { analyze } ->
-                Db.gc_versions db;
-                analyze
-            | Plain | Grouped -> false
-          in
-          if Prng.int rng ~bound:5 = 0 || forced_analyze then Db.analyze db;
-          let grouped = kind <> Plain in
-          ignore (exec db "SET SCAN_FORCE ROW");
-          let oracle = multiset (Db.query db src) in
-          rows := !rows + List.length oracle;
-          ignore (exec db "SET SCAN_FORCE VECTOR");
-          incr checks;
-          let got = multiset (Db.query db src) in
-          if got <> oracle then
-            violation ~grouped
-              (Printf.sprintf "%s: %d rows, oracle %d (%s)" src (List.length got)
-                 (List.length oracle) (first_diff got oracle));
-          (match Catalog.pax_store cat "ScanC" with
-          | Some ps ->
-              incr image_checks;
-              Pax_store.materialize ps;
-              List.iter
-                (fun m -> violation ~grouped:false (Printf.sprintf "after %s: %s" src m))
-                (image_mismatches ps (Catalog.own_extent cat "ScanC"))
-          | None -> violation ~grouped:false "ScanC has no PAX segment");
-          if grouped then begin
-            incr grouped_checks;
-            match ordered_diff db src with
-            | None -> ()
-            | Some d -> violation ~grouped (Printf.sprintf "%s: ordered vs unfused, %s" src d)
-          end)
-        (variants rng));
+  List.iter
+    (fun (kind, src) ->
+      incr queries;
+      (* DML between queries: dirty pages so rebuilds interleave
+         with scans; occasional ANALYZE flips dictionary hints. *)
+      (match Prng.int rng ~bound:4 with
+      | 0 ->
+          ignore
+            (exec db
+               (Printf.sprintf
+                  "UPDATE ScanC s SET aint = s.aint + 1 WHERE s.dlow = %d"
+                  (zipf rng ~bound:3)))
+      | 1 ->
+          ignore
+            (exec db
+               (Printf.sprintf "DELETE FROM ScanC s WHERE s.aint = %d"
+                  (zipf rng ~bound:10)))
+      | 2 -> ignore (Catalog.insert_object cat ~class_name:"ScanC" (gen_row rng))
+      | _ -> ());
+      let forced_analyze =
+        match kind with
+        | Grouped_clean { analyze } ->
+            Db.gc_versions db;
+            analyze
+        | Plain | Grouped -> false
+      in
+      if Prng.int rng ~bound:5 = 0 || forced_analyze then Db.analyze db;
+      let grouped = kind <> Plain in
+      ignore (exec db "SET SCAN_FORCE ROW");
+      let oracle = multiset (Db.query db src) in
+      rows := !rows + List.length oracle;
+      ignore (exec db "SET SCAN_FORCE VECTOR");
+      if sabotage then Option.iter zero_null_bitmaps (Catalog.pax_store cat "ScanC");
+      incr checks;
+      let got = multiset (Db.query db src) in
+      if got <> oracle then
+        violation ~grouped
+          (Printf.sprintf "%s: %d rows, oracle %d (%s)" src (List.length got)
+             (List.length oracle) (first_diff got oracle));
+      (match Catalog.pax_store cat "ScanC" with
+      | Some ps ->
+          incr image_checks;
+          Pax_store.materialize ps;
+          List.iter
+            (fun m -> violation ~grouped:false (Printf.sprintf "after %s: %s" src m))
+            (image_mismatches ps (Catalog.own_extent cat "ScanC"))
+      | None -> violation ~grouped:false "ScanC has no PAX segment");
+      if grouped then begin
+        incr grouped_checks;
+        match ordered_diff db src with
+        | None -> ()
+        | Some d -> violation ~grouped (Printf.sprintf "%s: ordered vs unfused, %s" src d)
+      end)
+    (variants rng);
   { Phase.seed;
     site = Printf.sprintf "%d rows loaded" n;
     counts =
@@ -351,12 +360,6 @@ let run_cycle ~seed =
    that the fused grouped aggregation reads the null bitmaps too. *)
 let phase =
   { Phase.name = "scan";
-    cycle =
-      (fun ~sabotage ~seed ->
-        let saved = !Pax.sabotage_null_bitmap in
-        Pax.sabotage_null_bitmap := sabotage;
-        Fun.protect
-          ~finally:(fun () -> Pax.sabotage_null_bitmap := saved)
-          (fun () -> run_cycle ~seed));
+    cycle = run_cycle;
     caught = (fun o -> Phase.count o.Phase.counts "grouped violations" > 0)
   }

@@ -28,7 +28,8 @@ val phase : Phase.t
     rows, GROUP BY queries also compared in order against the unfused
     plan, the violations those grouped queries raised, and image
     checks ({!image_mismatches} after each vectorized query). Sabotage
-    encodes PAX pages with zeroed null bitmaps for the cycle
-    ([Pax.sabotage_null_bitmap]) — NULLs resurface as zeros and empty
-    strings; the negative control must catch it on a GROUP BY
+    is injected from outside the scan code: before each vectorized
+    query the cycle zeroes the null bitmaps of the segment's cached
+    decoded batches, so NULLs resurface as zeros and empty strings on
+    the columnar side; the negative control must catch it on a GROUP BY
     query. *)

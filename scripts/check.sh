@@ -22,6 +22,13 @@ wait_port() {
   done
 }
 
+echo "== no process globals in lib/ =="
+# Planner settings, counters and fault hooks belong to a database (or
+# to the env a caller builds), never to a toplevel ref, atomic or hash
+# table that every database in the process would share.
+globals="$(grep -rnE '^let [a-z_0-9]+ *(:[^=]*)?= *(ref\b|Atomic\.make|Hashtbl\.create)' lib --include='*.ml' || true)"
+[ -z "$globals" ] || { echo "process-global state in lib/:"; echo "$globals"; exit 1; }
+
 echo "== dune build @all =="
 dune build @all
 
@@ -168,8 +175,9 @@ grep -q "^stmt.select " /tmp/mood_top.$$ || { echo "STATS: no kernel counters"; 
 rm -f /tmp/mood_top.$$
 # Join engine over the wire: force each algorithm through the SET
 # JOIN_FORCE knob, EXPLAIN ANALYZE the same value equi-join, and pin
-# the operator label plus per-node actuals. The knob is kernel-global,
-# so it is reset to DEFAULT afterwards.
+# the operator label plus per-node actuals. The setting belongs to the
+# server's database, so every session shares it: it is reset to DEFAULT
+# afterwards.
 SPORT="$(cat "$SMOKE_PORT_FILE")"
 for METHOD in HASH_JOIN GRACE_HASH SORT_MERGE FUSION_JOIN NESTED_LOOP; do
   ./_build/default/bin/mood_cli.exe sql "127.0.0.1:$SPORT" \
@@ -194,8 +202,9 @@ grep -Eq "^join\.live_temp_files +0\$" /tmp/mood_join_top.$$ \
 rm -f /tmp/mood_join_top.$$
 # Columnar engine over the wire: create a PAX-layout class, force the
 # vectorized scan, and pin the VSCAN operator with its batch totals in
-# EXPLAIN ANALYZE plus the scan.* counters in STATS. The knob is
-# kernel-global, so it is reset to DEFAULT afterwards.
+# EXPLAIN ANALYZE plus the scan.* counters in STATS. The setting belongs
+# to the server's database, so every session shares it: it is reset to
+# DEFAULT afterwards.
 ./_build/default/bin/mood_cli.exe sql "127.0.0.1:$SPORT" \
   "CREATE CLASS PaxSmoke TUPLE (k Integer, tag String(8)) LAYOUT PAX" > /dev/null
 for K in 1 2 3 4 5 6 7 8; do

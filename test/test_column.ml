@@ -209,35 +209,32 @@ let test_rebuild_determinism () =
     | m :: _ -> Alcotest.failf "after %s: %s" what m
   in
   ignore (ok db "SET SCAN_FORCE VECTOR");
-  Fun.protect
-    ~finally:(fun () -> ignore (ok db "SET SCAN_FORCE DEFAULT"))
-    (fun () ->
-      let reread0 = Scan_metrics.m.Scan_metrics.rows_reread in
-      ignore (ok db "UPDATE PaxT p SET w = 0.5 WHERE p.k = 3");
-      scan_and_check "an update";
-      Alcotest.(check int) "the rebuild re-reads only the written row" 1
-        (Scan_metrics.m.Scan_metrics.rows_reread - reread0);
-      ignore (ok db "UPDATE PaxT p SET name = 'tin' WHERE p.k > 90 AND p.k < 300");
-      scan_and_check "an update across pages";
-      ignore
-        (ok db
-           (Printf.sprintf "DELETE FROM PaxT p WHERE p.k > %d AND p.k <= %d" rpp (2 * rpp)));
-      scan_and_check "a delete that empties a page";
-      ignore (ok db "new PaxT <401, 'tail', 1.5>");
-      scan_and_check "an insert into the tail page";
-      Mood_storage.Extent.insert_at ext ~slot:(rpp + 3)
-        (Value.Tuple [ ("k", Value.Int 0); ("name", Value.Str "gap"); ("w", Value.Float 2.5) ]);
-      scan_and_check "an insert into a gap";
-      ignore (ok db "UPDATE PaxT p SET k = p.k + 1000 WHERE p.name = 'gap' OR p.k = 2");
-      ignore (ok db "DELETE FROM PaxT p WHERE p.k = 5");
-      scan_and_check "an update and a delete on one page";
-      (* Negative control: a write the hook never sees leaves a stale
-         image, and the comparison must report it. *)
-      Mood_storage.Extent.set_mutation_hook ext None;
-      ignore (ok db "UPDATE PaxT p SET w = 9.5 WHERE p.k = 7");
-      ignore (ok db "SELECT COUNT(*) FROM PaxT p");
-      Alcotest.(check bool) "an unhooked update is reported" true
-        (Scan_oracle.image_mismatches ps ext <> []))
+  let reread0 = Scan_metrics.m.Scan_metrics.rows_reread in
+  ignore (ok db "UPDATE PaxT p SET w = 0.5 WHERE p.k = 3");
+  scan_and_check "an update";
+  Alcotest.(check int) "the rebuild re-reads only the written row" 1
+    (Scan_metrics.m.Scan_metrics.rows_reread - reread0);
+  ignore (ok db "UPDATE PaxT p SET name = 'tin' WHERE p.k > 90 AND p.k < 300");
+  scan_and_check "an update across pages";
+  ignore
+    (ok db
+       (Printf.sprintf "DELETE FROM PaxT p WHERE p.k > %d AND p.k <= %d" rpp (2 * rpp)));
+  scan_and_check "a delete that empties a page";
+  ignore (ok db "new PaxT <401, 'tail', 1.5>");
+  scan_and_check "an insert into the tail page";
+  Mood_storage.Extent.insert_at ext ~slot:(rpp + 3)
+    (Value.Tuple [ ("k", Value.Int 0); ("name", Value.Str "gap"); ("w", Value.Float 2.5) ]);
+  scan_and_check "an insert into a gap";
+  ignore (ok db "UPDATE PaxT p SET k = p.k + 1000 WHERE p.name = 'gap' OR p.k = 2");
+  ignore (ok db "DELETE FROM PaxT p WHERE p.k = 5");
+  scan_and_check "an update and a delete on one page";
+  (* Negative control: a write the hook never sees leaves a stale
+     image, and the comparison must report it. *)
+  Mood_storage.Extent.set_mutation_hook ext None;
+  ignore (ok db "UPDATE PaxT p SET w = 9.5 WHERE p.k = 7");
+  ignore (ok db "SELECT COUNT(*) FROM PaxT p");
+  Alcotest.(check bool) "an unhooked update is reported" true
+    (Scan_oracle.image_mismatches ps ext <> [])
 
 let test_torn_page_heals () =
   let db, ps = pax_db () in
@@ -266,7 +263,6 @@ let test_torn_page_heals () =
   let healed0 = Scan_metrics.m.Scan_metrics.pages_healed in
   ignore (ok db "SET SCAN_FORCE VECTOR");
   let r = Db.query db "SELECT COUNT(*), SUM(p.k) FROM PaxT p" in
-  ignore (ok db "SET SCAN_FORCE DEFAULT");
   (match Mood_executor.Executor.result_values r with
   | [ Value.Tuple fields ] ->
       Alcotest.(check bool) "count survives torn pages" true
@@ -503,7 +499,6 @@ let test_grouped_fusion_plan () =
   Alcotest.(check (list string)) "row plan: COUNT once" [ "COUNT(*)" ]
     (List.map Mood_sql.Ast.expr_to_string (plan_aggregates row_plan));
   let row = Mood_executor.Executor.result_values (Db.query db benchmark_group_by) in
-  ignore (ok db "SET SCAN_FORCE DEFAULT");
   Alcotest.(check (list string)) "same ordered answer"
     (List.map Value.to_string row) (List.map Value.to_string vector);
   Alcotest.(check bool) "HAVING filtered some groups" true

@@ -401,6 +401,47 @@ let test_query_rejects_non_select () =
   | exception Failure _ -> ()
   | _ -> Alcotest.fail "query accepted DDL"
 
+(* Two databases in one process: SET on one changes neither the plans
+   nor the STATS of the other, and a join on one counts only in its own
+   registry. *)
+let twin_db () =
+  let db = fresh () in
+  ignore (ok db "CREATE CLASS Emp TUPLE (dept Integer, pad String(32)) LAYOUT PAX");
+  ignore (ok db "CREATE CLASS Dept TUPLE (id Integer, name String(16))");
+  for i = 1 to 300 do
+    ignore (ok db (Printf.sprintf "new Emp <%d, 'emp-%026d'>" (i mod 20) i))
+  done;
+  for i = 0 to 19 do
+    ignore (ok db (Printf.sprintf "new Dept <%d, 'dept-%d'>" i i))
+  done;
+  Db.analyze db;
+  db
+
+let test_two_dbs_keep_their_settings () =
+  let a = twin_db () and b = twin_db () in
+  let join = "SELECT e FROM Emp e, Dept d WHERE e.dept = d.id" in
+  let scan = "SELECT COUNT(*) FROM Emp e WHERE e.dept > 3" in
+  let stat db name = List.assoc name (Db.metrics_snapshot db) in
+  let b_join = Db.explain b join and b_scan = Db.explain b scan in
+  Alcotest.(check bool) "B costs the join: not sort-merge" false
+    (Helpers.contains b_join "SORT_MERGE");
+  Alcotest.(check bool) "B scans its PAX class with a VSCAN" true (Helpers.contains b_scan "VSCAN");
+  List.iter
+    (fun s -> ignore (ok a s))
+    [ "SET JOIN_FORCE SORT_MERGE"; "SET JOIN_MEM 2048"; "SET SCAN_FORCE ROW" ];
+  Alcotest.(check bool) "A runs the forced sort-merge" true
+    (Helpers.contains (Db.explain a join) "SORT_MERGE");
+  Alcotest.(check bool) "A scans rows" false (Helpers.contains (Db.explain a scan) "VSCAN");
+  Alcotest.(check int) "A's budget" 2048 (stat a "join.mem_bytes");
+  Alcotest.(check string) "B's join plan is unchanged" b_join (Db.explain b join);
+  Alcotest.(check string) "B's scan plan is unchanged" b_scan (Db.explain b scan);
+  Alcotest.(check int) "B's budget is the default" 262144 (stat b "join.mem_bytes");
+  ignore (ok a "SET JOIN_FORCE GRACE_HASH");
+  let rows db = List.length (Executor.result_values (Db.query db join)) in
+  Alcotest.(check int) "both answer alike" (rows b) (rows a);
+  Alcotest.(check bool) "A's Grace join spilled" true (stat a "join.partitions_spilled" > 0);
+  Alcotest.(check int) "B spilled nothing" 0 (stat b "join.partitions_spilled")
+
 (* ---------------- plan cache ---------------- *)
 
 module Plan_cache = Mood.Plan_cache
@@ -769,8 +810,8 @@ let render = function
 (* The same script through [exec] on one database and through
    [exec_in_txn], one committed transaction per statement, on an
    identical one: the same rendered results and the same statement and
-   plan-cache counters. The planner knobs are process-global, so the
-   runs go one after the other and the script ends on DEFAULT. *)
+   plan-cache counters. The script ends on DEFAULT, so the SET leaves
+   both databases as it found them. *)
 let test_contexts_share_one_pipeline () =
   let script =
     [ "SELECT i.n FROM Item i WHERE i.n > 1";
@@ -837,7 +878,9 @@ let suites =
         Alcotest.test_case "script error handling" `Quick test_exec_script_stops_at_error;
         Alcotest.test_case "IS NULL execution" `Quick test_is_null_execution;
         Alcotest.test_case "statement locking" `Quick test_statement_level_locking;
-        Alcotest.test_case "query non-select" `Quick test_query_rejects_non_select
+        Alcotest.test_case "query non-select" `Quick test_query_rejects_non_select;
+        Alcotest.test_case "two databases keep their own settings" `Quick
+          test_two_dbs_keep_their_settings
       ] );
     ( "core.plan_cache",
       [ Alcotest.test_case "hits and DML" `Quick test_plan_cache_hits_and_dml;

@@ -703,28 +703,37 @@ module Disk = Mood_storage.Disk
 module Mtype = Mood_model.Mtype
 module Jplan = Mood_optimizer.Plan
 
-(* The join knobs are process-global: every test that touches them must
-   restore them, or later tests (and the shared plan cache) see stale
-   budgets/forced methods. *)
-let with_join_knobs ?mem f =
-  let m0 = !Join_cost.join_mem_bytes and f0 = !Join_cost.forced_method in
-  Option.iter (fun m -> Join_cost.join_mem_bytes := m) mem;
-  Fun.protect
-    ~finally:(fun () ->
-      Join_cost.join_mem_bytes := m0;
-      Join_cost.forced_method := f0)
-    f
-
 (* A fresh throwaway database (EL/ER classes) so edge-case datasets and
-   fault injection never touch the shared db. *)
-let fresh_join_env ~attributes () =
+   fault injection never touch the shared db. [mem] is the value joins'
+   budget. *)
+let fresh_join_env ?(mem = Join_cost.default_join_mem_bytes) ~attributes () =
   let store = Store.create ~buffer_capacity:64 () in
   let catalog = Catalog.create ~store in
   ignore (Catalog.define_class catalog ~name:"EL" ~attributes ());
   ignore (Catalog.define_class catalog ~name:"ER" ~attributes ());
   let funcs = Mood_funcmgr.Function_manager.create ~catalog in
   let scope = Mood_funcmgr.Function_manager.enter_scope funcs in
-  ({ Eval.catalog; funcs; scope }, catalog, store)
+  ( { Eval.catalog;
+      funcs;
+      scope;
+      join_mem_bytes = mem;
+      metrics = Mood_obs.Metrics.create ();
+      skip_rewind = false
+    },
+    catalog,
+    store )
+
+let join_counter env field = Mood_obs.Metrics.value (field (Value_join.counters env.Eval.metrics))
+
+(* The shared database's settings go back to the defaults after [f]. *)
+let with_join_mem d bytes f =
+  let set b =
+    match Db.exec d (Printf.sprintf "SET JOIN_MEM %d" b) with
+    | Ok _ -> ()
+    | Error m -> Alcotest.fail m
+  in
+  set bytes;
+  Fun.protect ~finally:(fun () -> set Join_cost.default_join_mem_bytes) f
 
 let vjoin_plan method_ pred =
   let bind class_name var = Jplan.Bind { class_name; var; every = false; minus = [] } in
@@ -765,8 +774,7 @@ let test_join_oracle_fast () =
 (* Negative control: with the sort-merge duplicate-key rewind sabotaged
    the oracle must report violations — otherwise it has no teeth. *)
 let test_join_oracle_catches_sabotage () =
-  ignore (Test_sim.sabotaged_sweep Join_oracle.phase ~quota:5 ~base_seed:1);
-  Alcotest.(check bool) "sabotage restored" false !Value_join.sabotage_skip_rewind
+  ignore (Test_sim.sabotaged_sweep Join_oracle.phase ~quota:5 ~base_seed:1)
 
 (* Failure mid-spill during a Grace hash join — a disk crash while
    partitions are written, or an error raised by the consumer of its
@@ -777,7 +785,7 @@ let test_grace_spill_crash_recovery () =
   let attributes =
     [ ("k", Mtype.Basic Mtype.Integer); ("pad", Mtype.Basic (Mtype.String 64)) ]
   in
-  let env, catalog, store = fresh_join_env ~attributes () in
+  let env, catalog, store = fresh_join_env ~mem:512 ~attributes () in
   let row cls i =
     ignore
       (Catalog.insert_object catalog ~class_name:cls
@@ -793,58 +801,57 @@ let test_grace_spill_crash_recovery () =
     Alcotest.(check int) ("no orphan temp frames after " ^ what) 0
       (Store.temp_resident_frames store)
   in
-  with_join_knobs ~mem:512 (fun () ->
-      let expected = join_multiset (Executor.run env (vjoin_plan Join_cost.Grace_hash pred)) in
-      Alcotest.(check bool) "join produced rows" true (expected <> []);
-      Alcotest.(check int) "clean run leaves no temps" 0 (Store.live_temp_files store);
-      let disk = Store.disk store in
-      Disk.inject_fault disk ~crash_after_writes:3
-        ~prng:(Mood_util.Prng.create ~seed:99) ();
-      (match Executor.run env (vjoin_plan Join_cost.Grace_hash pred) with
-      | exception Disk.Crash -> ()
-      | _ -> Alcotest.fail "expected Disk.Crash mid-spill");
-      Disk.clear_fault disk;
-      released "crash";
-      let again = join_multiset (Executor.run env (vjoin_plan Join_cost.Grace_hash pred)) in
-      Alcotest.(check bool) "re-run after crash matches" true (again = expected);
-      (* A GROUP above the join whose aggregate divides by zero on the
-         pairs with k = 1: the error is raised inside the join's emit,
-         which a spilling Grace join reaches only after it has written
-         its partitions. *)
-      let grouped agg =
-        Jplan.Group
-          { source = vjoin_plan Join_cost.Grace_hash pred;
-            by = [];
-            having = None;
-            aggregates = [ agg ]
-          }
-      in
-      let k_minus_1 =
-        Ast.Arith (Ast.Sub, Ast.Path ("l", [ "k" ]), Ast.Const (Value.Int 1))
-      in
-      let spilled () = List.assoc "join.partitions_spilled" (Value_join.metrics ()) in
-      let spilled0 = spilled () in
-      (match
-         Executor.run env
-           (grouped
-              (Ast.Aggregate (Ast.Sum, Some (Ast.Arith (Ast.Div, Ast.Const (Value.Int 1), k_minus_1)))))
-       with
-      | exception Eval.Eval_error _ -> ()
-      | _ -> Alcotest.fail "expected division by zero inside the join's emit");
-      Alcotest.(check bool) "the join spilled before the error" true (spilled () > spilled0);
-      released "an error in the join's emit";
-      (match
-         (Executor.run env (grouped (Ast.Aggregate (Ast.Count, None)))).Executor.rows
-       with
-      | [ row ] -> (
-          match List.assoc_opt "#agg" row with
-          | Some { Collection.value = Value.Tuple [ (_, Value.Int n) ]; _ } ->
-              Alcotest.(check int) "re-run after the error counts every pair"
-                (List.length expected) n
-          | _ -> Alcotest.fail "COUNT(*) over the join: no count")
-      | _ -> Alcotest.fail "COUNT(*) over the join: one row expected");
-      let again = join_multiset (Executor.run env (vjoin_plan Join_cost.Grace_hash pred)) in
-      Alcotest.(check bool) "re-run after the error matches" true (again = expected))
+  let expected = join_multiset (Executor.run env (vjoin_plan Join_cost.Grace_hash pred)) in
+  Alcotest.(check bool) "join produced rows" true (expected <> []);
+  Alcotest.(check int) "clean run leaves no temps" 0 (Store.live_temp_files store);
+  let disk = Store.disk store in
+  Disk.inject_fault disk ~crash_after_writes:3
+    ~prng:(Mood_util.Prng.create ~seed:99) ();
+  (match Executor.run env (vjoin_plan Join_cost.Grace_hash pred) with
+  | exception Disk.Crash -> ()
+  | _ -> Alcotest.fail "expected Disk.Crash mid-spill");
+  Disk.clear_fault disk;
+  released "crash";
+  let again = join_multiset (Executor.run env (vjoin_plan Join_cost.Grace_hash pred)) in
+  Alcotest.(check bool) "re-run after crash matches" true (again = expected);
+  (* A GROUP above the join whose aggregate divides by zero on the
+     pairs with k = 1: the error is raised inside the join's emit,
+     which a spilling Grace join reaches only after it has written
+     its partitions. *)
+  let grouped agg =
+    Jplan.Group
+      { source = vjoin_plan Join_cost.Grace_hash pred;
+        by = [];
+        having = None;
+        aggregates = [ agg ]
+      }
+  in
+  let k_minus_1 =
+    Ast.Arith (Ast.Sub, Ast.Path ("l", [ "k" ]), Ast.Const (Value.Int 1))
+  in
+  let spilled () = join_counter env (fun c -> c.Value_join.partitions_spilled) in
+  let spilled0 = spilled () in
+  (match
+     Executor.run env
+       (grouped
+          (Ast.Aggregate (Ast.Sum, Some (Ast.Arith (Ast.Div, Ast.Const (Value.Int 1), k_minus_1)))))
+   with
+  | exception Eval.Eval_error _ -> ()
+  | _ -> Alcotest.fail "expected division by zero inside the join's emit");
+  Alcotest.(check bool) "the join spilled before the error" true (spilled () > spilled0);
+  released "an error in the join's emit";
+  (match
+     (Executor.run env (grouped (Ast.Aggregate (Ast.Count, None)))).Executor.rows
+   with
+  | [ row ] -> (
+      match List.assoc_opt "#agg" row with
+      | Some { Collection.value = Value.Tuple [ (_, Value.Int n) ]; _ } ->
+          Alcotest.(check int) "re-run after the error counts every pair"
+            (List.length expected) n
+      | _ -> Alcotest.fail "COUNT(*) over the join: no count")
+  | _ -> Alcotest.fail "COUNT(*) over the join: one row expected");
+  let again = join_multiset (Executor.run env (vjoin_plan Join_cost.Grace_hash pred)) in
+  Alcotest.(check bool) "re-run after the error matches" true (again = expected)
 
 (* EXPLAIN ANALYZE pin: under the default budget the optimizer picks the
    canonical hash join for a value equi-join, and the traced actual row
@@ -852,29 +859,28 @@ let test_grace_spill_crash_recovery () =
 let test_explain_analyze_hash_join_pin () =
   let d = db () in
   let src = "SELECT v FROM Vehicle v, VehicleEngine e WHERE v.weight = e.size" in
-  with_join_knobs (fun () ->
-      let _, reports = Db.analyze_query d src in
-      let jr = join_report reports in
-      Alcotest.(check bool) "hash join chosen" true
-        (label_has jr.Executor.r_label "JOIN[HASH_JOIN]");
-      let cat = Db.catalog d in
-      let ints cls attr =
-        Catalog.extent_oids cat ~every:true ~minus:[] cls
-        |> List.filter_map (fun oid -> Catalog.get_object cat oid)
-        |> List.filter_map (fun v ->
-               match Value.tuple_get v attr with Some (Value.Int n) -> Some n | _ -> None)
-      in
-      let vw = ints "Vehicle" "weight" and es = ints "VehicleEngine" "size" in
-      let expected =
-        List.fold_left
-          (fun acc w -> acc + List.length (List.filter (( = ) w) es))
-          0 vw
-      in
-      Alcotest.(check bool) "hand count is non-trivial" true (expected > 0);
-      Alcotest.(check int) "actual join rows = hand count" expected jr.Executor.r_rows;
-      match jr.Executor.r_est with
-      | Some e -> Alcotest.(check bool) "estimate present and positive" true (e > 0.)
-      | None -> Alcotest.fail "join estimate missing")
+  let _, reports = Db.analyze_query d src in
+  let jr = join_report reports in
+  Alcotest.(check bool) "hash join chosen" true
+    (label_has jr.Executor.r_label "JOIN[HASH_JOIN]");
+  let cat = Db.catalog d in
+  let ints cls attr =
+    Catalog.extent_oids cat ~every:true ~minus:[] cls
+    |> List.filter_map (fun oid -> Catalog.get_object cat oid)
+    |> List.filter_map (fun v ->
+           match Value.tuple_get v attr with Some (Value.Int n) -> Some n | _ -> None)
+  in
+  let vw = ints "Vehicle" "weight" and es = ints "VehicleEngine" "size" in
+  let expected =
+    List.fold_left
+      (fun acc w -> acc + List.length (List.filter (( = ) w) es))
+      0 vw
+  in
+  Alcotest.(check bool) "hand count is non-trivial" true (expected > 0);
+  Alcotest.(check int) "actual join rows = hand count" expected jr.Executor.r_rows;
+  match jr.Executor.r_est with
+  | Some e -> Alcotest.(check bool) "estimate present and positive" true (e > 0.)
+  | None -> Alcotest.fail "join estimate missing"
 
 (* EXPLAIN ANALYZE under the push contract: each operator is charged
    its own produce call minus what its consumer spent, so charges stay
@@ -884,10 +890,7 @@ let test_explain_analyze_hash_join_pin () =
 let test_explain_analyze_push_charges () =
   let d = db () in
   let src = "SELECT COUNT(*) FROM Vehicle v, VehicleEngine e WHERE v.weight = e.size" in
-  with_join_knobs (fun () ->
-      (match Db.exec d "SET JOIN_MEM 2048" with
-      | Ok _ -> ()
-      | Error m -> Alcotest.fail m);
+  with_join_mem d 2048 (fun () ->
       let disk = Store.disk (Db.store d) in
       let writes () = (Disk.counters disk).Disk.writes in
       let w0 = writes () in
@@ -955,13 +958,9 @@ let test_explain_analyze_push_charges () =
 let test_mem_budget_flips_method () =
   let d = db () in
   let src = "SELECT v FROM Vehicle v, VehicleEngine e WHERE v.weight = e.size" in
-  with_join_knobs (fun () ->
-      let lbl0 = (join_report (snd (Db.analyze_query d src))).Executor.r_label in
-      Alcotest.(check bool) "roomy budget: canonical hash" true
-        (label_has lbl0 "JOIN[HASH_JOIN]");
-      (match Db.exec d "SET JOIN_MEM 2048" with
-      | Ok _ -> ()
-      | Error m -> Alcotest.fail m);
+  let lbl0 = (join_report (snd (Db.analyze_query d src))).Executor.r_label in
+  Alcotest.(check bool) "roomy budget: canonical hash" true (label_has lbl0 "JOIN[HASH_JOIN]");
+  with_join_mem d 2048 (fun () ->
       let lbl1 = (join_report (snd (Db.analyze_query d src))).Executor.r_label in
       Alcotest.(check bool) "tiny budget: in-memory hash abandoned" false
         (label_has lbl1 "JOIN[HASH_JOIN]");
@@ -984,24 +983,23 @@ let test_analyze_flips_join_method () =
   add "FlipL" 500;
   add "FlipR" 8;
   Db.analyze d;
-  with_join_knobs (fun () ->
-      (match Db.exec d "SET JOIN_MEM 4096" with
-      | Ok _ -> ()
-      | Error m -> Alcotest.fail m);
-      let src = "SELECT l FROM FlipL l, FlipR r WHERE l.k = r.k" in
-      let label () = (join_report (snd (Db.analyze_query d src))).Executor.r_label in
-      Alcotest.(check bool) "tiny build side: hash join" true
-        (label_has (label ()) "JOIN[HASH_JOIN]");
-      add "FlipR" 4000;
-      (* stats are stale: the planner still believes the build side fits *)
-      Alcotest.(check bool) "stale stats keep hash join" true
-        (label_has (label ()) "JOIN[HASH_JOIN]");
-      Db.analyze d;
-      let lbl = label () in
-      Alcotest.(check bool) "ANALYZE abandons in-memory hash" false
-        (label_has lbl "JOIN[HASH_JOIN]");
-      Alcotest.(check bool) "ANALYZE picks a spill-aware method" true
-        (label_has lbl "GRACE_HASH" || label_has lbl "SORT_MERGE"))
+  (match Db.exec d "SET JOIN_MEM 4096" with
+  | Ok _ -> ()
+  | Error m -> Alcotest.fail m);
+  let src = "SELECT l FROM FlipL l, FlipR r WHERE l.k = r.k" in
+  let label () = (join_report (snd (Db.analyze_query d src))).Executor.r_label in
+  Alcotest.(check bool) "tiny build side: hash join" true
+    (label_has (label ()) "JOIN[HASH_JOIN]");
+  add "FlipR" 4000;
+  (* stats are stale: the planner still believes the build side fits *)
+  Alcotest.(check bool) "stale stats keep hash join" true
+    (label_has (label ()) "JOIN[HASH_JOIN]");
+  Db.analyze d;
+  let lbl = label () in
+  Alcotest.(check bool) "ANALYZE abandons in-memory hash" false
+    (label_has lbl "JOIN[HASH_JOIN]");
+  Alcotest.(check bool) "ANALYZE picks a spill-aware method" true
+    (label_has lbl "GRACE_HASH" || label_has lbl "SORT_MERGE")
 
 (* One hot key: every row hashes to the same partition, which can never
    fit the budget — recursive partitioning must bottom out (depth cap +
@@ -1010,7 +1008,7 @@ let test_grace_budget_below_one_partition () =
   let attributes =
     [ ("k", Mtype.Basic Mtype.Integer); ("pad", Mtype.Basic (Mtype.String 64)) ]
   in
-  let env, catalog, store = fresh_join_env ~attributes () in
+  let env, catalog, store = fresh_join_env ~mem:256 ~attributes () in
   let row cls i =
     ignore
       (Catalog.insert_object catalog ~class_name:cls
@@ -1019,18 +1017,14 @@ let test_grace_budget_below_one_partition () =
   for i = 1 to 80 do row "EL" i done;
   for i = 1 to 80 do row "ER" i done;
   let pred = keq "k" "k" in
-  let nested =
-    with_join_knobs (fun () ->
-        join_multiset (Executor.run env (vjoin_plan Join_cost.Nested_loop pred)))
-  in
+  let nested = join_multiset (Executor.run env (vjoin_plan Join_cost.Nested_loop pred)) in
   Alcotest.(check int) "cartesian block size" (80 * 80) (List.length nested);
-  with_join_knobs ~mem:256 (fun () ->
-      let spilled0 = List.assoc "join.partitions_spilled" (Value_join.metrics ()) in
-      let grace = join_multiset (Executor.run env (vjoin_plan Join_cost.Grace_hash pred)) in
-      let spilled1 = List.assoc "join.partitions_spilled" (Value_join.metrics ()) in
-      Alcotest.(check bool) "partitions spilled" true (spilled1 > spilled0);
-      Alcotest.(check bool) "grace matches nested loop" true (grace = nested);
-      Alcotest.(check int) "no temp leak" 0 (Store.live_temp_files store))
+  let spilled () = join_counter env (fun c -> c.Value_join.partitions_spilled) in
+  let spilled0 = spilled () in
+  let grace = join_multiset (Executor.run env (vjoin_plan Join_cost.Grace_hash pred)) in
+  Alcotest.(check bool) "partitions spilled" true (spilled () > spilled0);
+  Alcotest.(check bool) "grace matches nested loop" true (grace = nested);
+  Alcotest.(check int) "no temp leak" 0 (Store.live_temp_files store)
 
 (* A single duplicate-key run larger than the whole sort budget: the
    external sort must spill runs and the merge must still produce the
@@ -1039,7 +1033,7 @@ let test_sort_merge_dup_run_over_budget () =
   let attributes =
     [ ("k", Mtype.Basic Mtype.Integer); ("pad", Mtype.Basic (Mtype.String 64)) ]
   in
-  let env, catalog, _store = fresh_join_env ~attributes () in
+  let env, catalog, _store = fresh_join_env ~mem:512 ~attributes () in
   let row cls i =
     ignore
       (Catalog.insert_object catalog ~class_name:cls
@@ -1048,17 +1042,13 @@ let test_sort_merge_dup_run_over_budget () =
   for i = 1 to 60 do row "EL" i done;
   for i = 1 to 60 do row "ER" i done;
   let pred = keq "k" "k" in
-  let nested =
-    with_join_knobs (fun () ->
-        join_multiset (Executor.run env (vjoin_plan Join_cost.Nested_loop pred)))
-  in
-  with_join_knobs ~mem:512 (fun () ->
-      let passes0 = List.assoc "join.merge_passes" (Value_join.metrics ()) in
-      let sm = join_multiset (Executor.run env (vjoin_plan Join_cost.Sort_merge pred)) in
-      let passes1 = List.assoc "join.merge_passes" (Value_join.metrics ()) in
-      Alcotest.(check bool) "external sort ran" true (passes1 > passes0);
-      Alcotest.(check int) "duplicate block cartesian" (60 * 60) (List.length sm);
-      Alcotest.(check bool) "sort-merge matches nested loop" true (sm = nested))
+  let nested = join_multiset (Executor.run env (vjoin_plan Join_cost.Nested_loop pred)) in
+  let passes () = join_counter env (fun c -> c.Value_join.merge_passes) in
+  let passes0 = passes () in
+  let sm = join_multiset (Executor.run env (vjoin_plan Join_cost.Sort_merge pred)) in
+  Alcotest.(check bool) "external sort ran" true (passes () > passes0);
+  Alcotest.(check int) "duplicate block cartesian" (60 * 60) (List.length sm);
+  Alcotest.(check bool) "sort-merge matches nested loop" true (sm = nested)
 
 (* Fusion join over collection attributes: empty, singleton, duplicate
    and deeply nested collections, plus nulls on both sides, all agree
@@ -1115,7 +1105,7 @@ let test_nan_and_negative_zero_keys () =
       ("xn", Mtype.Set (Mtype.Set (basic Mtype.Float)))
     ]
   in
-  let env, catalog, _ = fresh_join_env ~attributes () in
+  let env, catalog, _ = fresh_join_env ~mem:64 ~attributes () in
   let mk cls f =
     let x = Value.Float f in
     ignore
@@ -1134,13 +1124,11 @@ let test_nan_and_negative_zero_keys () =
           2 (List.length rows))
       (Join_cost.Nested_loop :: methods)
   in
-  with_join_knobs ~mem:64 (fun () ->
-      check "x=x" [ Join_cost.Hash_join; Join_cost.Grace_hash; Join_cost.Sort_merge ]
-        (keq "x" "x");
-      check "xs=x" [ Join_cost.Fusion_join ] (keq "xs" "x");
-      check "xn=xn"
-        [ Join_cost.Hash_join; Join_cost.Grace_hash; Join_cost.Sort_merge; Join_cost.Fusion_join ]
-        (keq "xn" "xn"))
+  check "x=x" [ Join_cost.Hash_join; Join_cost.Grace_hash; Join_cost.Sort_merge ] (keq "x" "x");
+  check "xs=x" [ Join_cost.Fusion_join ] (keq "xs" "x");
+  check "xn=xn"
+    [ Join_cost.Hash_join; Join_cost.Grace_hash; Join_cost.Sort_merge; Join_cost.Fusion_join ]
+    (keq "xn" "xn")
 
 (* Spill records: rows of several bindings, OIDs present or absent,
    every value kind, arbitrary bytes in keys and variable names. *)

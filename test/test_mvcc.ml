@@ -574,43 +574,40 @@ let test_pax_scan_under_snapshot () =
   in
   Alcotest.(check bool) "several PAX pages" true (pages >= 3);
   let before = fresh () in
-  Fun.protect
-    ~finally:(fun () -> ignore (ok db "SET SCAN_FORCE DEFAULT"))
-    (fun () ->
-      let a = Db.begin_session_txn db in
-      Alcotest.(check (list (pair int int))) "A at BEGIN" before (engines (fun () -> in_txn a));
-      let b = Db.begin_session_txn db in
-      txn_exec db b "UPDATE Gauge g SET v = g.v + 1 WHERE g.id <= 40";
-      txn_exec db b "DELETE FROM Gauge g WHERE g.id > 100 AND g.id <= 130";
-      txn_exec db b "new Gauge <301, 3010, 'late'>";
-      txn_exec db b "new Gauge <302, 3020, 'late'>";
-      Db.commit_session_txn db b;
-      let after_b =
-        List.sort compare
-          (List.filter_map
-             (fun (id, v) ->
-               if id > 100 && id <= 130 then None
-               else if id <= 40 then Some (id, v + 1)
-               else Some (id, v))
-             before
-          @ [ (301, 3010); (302, 3020) ])
-      in
-      (* B's history stays while A's snapshot is open, but a fresh view
-         sees all of it: the heap is that view, nothing is patched. *)
-      let p0 = patched () in
-      Alcotest.(check (list (pair int int))) "fresh read after B" after_b (engines fresh);
-      Alcotest.(check int) "no row patched for a view that sees the heap" 0 (patched () - p0);
-      let c = Db.begin_session_txn db in
-      txn_exec db c "UPDATE Gauge g SET v = 0 WHERE g.id > 200 AND g.id <= 220";
-      let p1 = patched () in
-      Alcotest.(check (list (pair int int)))
-        "A keeps its snapshot: old values, deleted rows, no new rows" before
-        (engines (fun () -> in_txn a));
-      Alcotest.(check bool) "A's scan is patched" true (patched () > p1);
-      Alcotest.(check (list (pair int int)))
-        "a fresh read sees B's commit, not C's pending writes" after_b (engines fresh);
-      Db.commit_session_txn db a;
-      Db.commit_session_txn db c)
+  let a = Db.begin_session_txn db in
+  Alcotest.(check (list (pair int int))) "A at BEGIN" before (engines (fun () -> in_txn a));
+  let b = Db.begin_session_txn db in
+  txn_exec db b "UPDATE Gauge g SET v = g.v + 1 WHERE g.id <= 40";
+  txn_exec db b "DELETE FROM Gauge g WHERE g.id > 100 AND g.id <= 130";
+  txn_exec db b "new Gauge <301, 3010, 'late'>";
+  txn_exec db b "new Gauge <302, 3020, 'late'>";
+  Db.commit_session_txn db b;
+  let after_b =
+    List.sort compare
+      (List.filter_map
+         (fun (id, v) ->
+           if id > 100 && id <= 130 then None
+           else if id <= 40 then Some (id, v + 1)
+           else Some (id, v))
+         before
+      @ [ (301, 3010); (302, 3020) ])
+  in
+  (* B's history stays while A's snapshot is open, but a fresh view
+     sees all of it: the heap is that view, nothing is patched. *)
+  let p0 = patched () in
+  Alcotest.(check (list (pair int int))) "fresh read after B" after_b (engines fresh);
+  Alcotest.(check int) "no row patched for a view that sees the heap" 0 (patched () - p0);
+  let c = Db.begin_session_txn db in
+  txn_exec db c "UPDATE Gauge g SET v = 0 WHERE g.id > 200 AND g.id <= 220";
+  let p1 = patched () in
+  Alcotest.(check (list (pair int int)))
+    "A keeps its snapshot: old values, deleted rows, no new rows" before
+    (engines (fun () -> in_txn a));
+  Alcotest.(check bool) "A's scan is patched" true (patched () > p1);
+  Alcotest.(check (list (pair int int)))
+    "a fresh read sees B's commit, not C's pending writes" after_b (engines fresh);
+  Db.commit_session_txn db a;
+  Db.commit_session_txn db c
 
 let suites =
   [ ( "mvcc.index_postings",

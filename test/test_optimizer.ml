@@ -24,7 +24,8 @@ let paper_env () =
   Mood_workload.Vehicle.define_schema cat;
   { Dicts.catalog = cat;
     stats = Mood_workload.Vehicle.paper_stats ();
-    params = Io_cost.default_params
+    params = Io_cost.default_params;
+    settings = Dicts.default_settings
   }
 
 let optimize env src = Optimizer.optimize env (Parser.parse_query src)
