@@ -271,22 +271,6 @@ let json_escape s =
     s;
   Buffer.contents buf
 
-let starts_with prefix s =
-  String.length s >= String.length prefix
-  && String.sub s 0 (String.length prefix) = prefix
-
-let parse_endpoint spec =
-  if starts_with "unix:" spec then `Unix (String.sub spec 5 (String.length spec - 5))
-  else
-    match String.rindex_opt spec ':' with
-    | None -> failwith ("--endpoint expects HOST:PORT or unix:PATH, got " ^ spec)
-    | Some i -> (
-        let host = String.sub spec 0 i in
-        let port = String.sub spec (i + 1) (String.length spec - i - 1) in
-        match int_of_string_opt port with
-        | Some p -> `Tcp ((if host = "" then "127.0.0.1" else host), p)
-        | None -> failwith ("--endpoint: bad port in " ^ spec))
-
 let run host port unix_path sessions ops seed write_pct txn_pct read_ratio endpoints
     router insert_only baseline idle_sessions out =
   let write_pct =
@@ -312,12 +296,7 @@ let run host port unix_path sessions ops seed write_pct txn_pct read_ratio endpo
     | eps -> Array.of_list eps
   in
   let n_eps = Array.length eps in
-  let connect_spec spec =
-    match parse_endpoint spec with
-    | `Unix path -> Client.connect_unix ~path ()
-    | `Tcp (host, port) -> Client.connect ~host ~port ()
-  in
-  let connect_ep epi = connect_spec eps.(epi) in
+  let connect_ep epi = Client.connect_endpoint eps.(epi) in
   let results = Array.init sessions (fun _ -> fresh_result ~n_eps ()) in
   (* Dedicated sessions bracket the run with per-endpoint STATS
      snapshots. On a single endpoint the delta of the server's
@@ -328,7 +307,7 @@ let run host port unix_path sessions ops seed write_pct txn_pct read_ratio endpo
      client), so the snapshots feed the per-endpoint breakdown and the
      repl.* lag report instead. *)
   let stats_clients =
-    Array.map (fun spec -> try Some (connect_spec spec) with _ -> None) eps
+    Array.map (fun spec -> try Some (Client.connect_endpoint spec) with _ -> None) eps
   in
   let stat rows name = Option.value ~default:0 (List.assoc_opt name rows) in
   let snap () =
@@ -454,7 +433,7 @@ let run host port unix_path sessions ops seed write_pct txn_pct read_ratio endpo
     List.sort_uniq compare
       (List.filter_map
          (fun (k, _) ->
-           if starts_with "shard" k then
+           if String.starts_with ~prefix:"shard" k then
              match String.index_opt k '.' with
              | Some dot -> int_of_string_opt (String.sub k 5 (dot - 5))
              | None -> None
@@ -497,7 +476,7 @@ let run host port unix_path sessions ops seed write_pct txn_pct read_ratio endpo
             (List.filter
                (fun (k, _) ->
                  List.exists
-                   (fun p -> starts_with p k)
+                   (fun prefix -> String.starts_with ~prefix k)
                    [ "server."; "stmt."; "plan_cache."; "buffer."; "locks.deadlocks";
                      "repl."; "mvcc."
                    ])

@@ -24,11 +24,6 @@ module Qm = Mood_moodview.Query_manager
 module Wire = Mood_server.Wire
 module Client = Mood_server.Client
 
-let starts_with prefix s =
-  String.length s >= String.length prefix && String.sub s 0 (String.length prefix) = prefix
-
-let strip s = String.trim s
-
 let repl ~with_demo () =
   let db = Db.create () in
   if with_demo then begin
@@ -46,25 +41,27 @@ let repl ~with_demo () =
     match In_channel.input_line stdin with
     | None -> ()
     | Some line ->
-        let line = strip line in
+        let line = String.trim line in
         if line = "" then loop ()
         else if line = ".quit" || line = ".exit" then ()
         else begin
           begin
             if line = ".schema" then print_string (View.schema_browser view)
-            else if starts_with ".class " line then
+            else if String.starts_with ~prefix:".class " line then
               print_string
-                (View.class_designer view (strip (String.sub line 7 (String.length line - 7))))
-            else if starts_with ".explain " line then begin
+                (View.class_designer view
+                   (String.trim (String.sub line 7 (String.length line - 7))))
+            else if String.starts_with ~prefix:".explain " line then begin
               match
-                Db.explain db (strip (String.sub line 9 (String.length line - 9)))
+                Db.explain db (String.trim (String.sub line 9 (String.length line - 9)))
               with
               | text -> print_endline text
               | exception e -> Printf.printf "error: %s\n" (Printexc.to_string e)
             end
-            else if starts_with ".analyze " line then begin
+            else if String.starts_with ~prefix:".analyze " line then begin
               match
-                Db.explain_analyze db (strip (String.sub line 9 (String.length line - 9)))
+                Db.explain_analyze db
+                  (String.trim (String.sub line 9 (String.length line - 9)))
               with
               | text -> print_endline text
               | exception e -> Printf.printf "error: %s\n" (Printexc.to_string e)
@@ -101,32 +98,15 @@ let render_response = function
       Printf.sprintf "WRONG_SHARD: shard %d owns this key; retry at %s" ws_shard ws_addr
   | Wire.Blob b -> Printf.sprintf "(%d-byte replication blob)" (String.length b)
 
-let parse_endpoint spec =
-  if starts_with "unix:" spec then
-    `Unix (String.sub spec 5 (String.length spec - 5))
-  else
-    match String.rindex_opt spec ':' with
-    | None -> failwith ("--connect expects HOST:PORT or unix:PATH, got " ^ spec)
-    | Some i -> (
-        let host = String.sub spec 0 i in
-        let port = String.sub spec (i + 1) (String.length spec - i - 1) in
-        match int_of_string_opt port with
-        | Some p -> `Tcp ((if host = "" then "127.0.0.1" else host), p)
-        | None -> failwith ("--connect: bad port in " ^ spec))
-
 let remote_repl spec =
-  let client =
-    match parse_endpoint spec with
-    | `Unix path -> Client.connect_unix ~path ()
-    | `Tcp (host, port) -> Client.connect ~host ~port ()
-  in
+  let client = Client.connect_endpoint spec in
   Printf.printf "Connected to mood_server at %s. .quit exits, .ping checks.\n" spec;
   let rec loop () =
     print_string "mood> ";
     match In_channel.input_line stdin with
     | None -> Client.quit client
     | Some line -> (
-        let line = strip line in
+        let line = String.trim line in
         if line = "" then loop ()
         else if line = ".quit" || line = ".exit" then Client.quit client
         else begin
@@ -266,11 +246,7 @@ let top_cmd =
   in
   let run spec =
     match
-      let client =
-        match parse_endpoint spec with
-        | `Unix path -> Client.connect_unix ~path ()
-        | `Tcp (host, port) -> Client.connect ~host ~port ()
-      in
+      let client = Client.connect_endpoint spec in
       let info = Client.server_info client in
       let rows = Client.stats client in
       Client.quit client;
@@ -294,14 +270,10 @@ let top_cmd =
        ~doc:
          "One-shot dump from a running mood_server or mood_router: the node's \
           role and term (from the HELLO handshake) followed by the STATS \
-          counters — server statement, abort and group-commit counters, \
-          session counters and the kernel metrics snapshot")
+          counters — this session's counters, then the node's metrics \
+          snapshot, which holds the server's statement, abort and \
+          group-commit counters with the kernel's")
     Term.(const run $ endpoint)
-
-let connect_to spec =
-  match parse_endpoint spec with
-  | `Unix path -> Client.connect_unix ~path ()
-  | `Tcp (host, port) -> Client.connect ~host ~port ()
 
 let promote_cmd =
   let endpoint =
@@ -324,7 +296,7 @@ let promote_cmd =
   in
   let run spec fence =
     match
-      let client = connect_to spec in
+      let client = Client.connect_endpoint spec in
       let reply = Client.promote client in
       Client.quit client;
       reply
@@ -348,7 +320,7 @@ let promote_cmd =
             prerr_endline "warning: could not parse the new term; not fencing"
         | Some old_spec, Some term -> (
             match
-              let old_client = connect_to old_spec in
+              let old_client = Client.connect_endpoint old_spec in
               let reply = Client.fence old_client ~term ~primary:spec in
               Client.quit old_client;
               reply
@@ -388,7 +360,7 @@ let sql_cmd =
   in
   let run spec stmt =
     match
-      let client = connect_to spec in
+      let client = Client.connect_endpoint spec in
       let reply = Client.exec client stmt in
       Client.quit client;
       reply

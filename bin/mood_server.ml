@@ -80,11 +80,13 @@ let run host port unix_path demo demo_schema scale port_file lock_timeout
   prerr_endline "mood_server: shutting down";
   Server.shutdown server;
   Option.iter Mood_server.Journal.detach jnl;
-  let st = Server.stats server in
+  let snapshot = Db.metrics_snapshot db in
+  let stat name = Option.value ~default:0 (List.assoc_opt name snapshot) in
   Printf.eprintf
     "mood_server: %d session(s) served, %d statement(s), %d deadlock abort(s), %d disconnect abort(s), %d protocol error(s)\n%!"
-    st.Server.sessions_opened st.Server.statements
-    st.Server.deadlock_aborts st.Server.disconnect_aborts st.Server.protocol_errors;
+    (stat "server.sessions_opened") (stat "server.statements")
+    (stat "server.deadlock_aborts") (stat "server.disconnect_aborts")
+    (stat "server.protocol_errors");
   match Server.audit server with
   | Ok () ->
       prerr_endline "mood_server: clean shutdown";

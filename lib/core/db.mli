@@ -296,8 +296,10 @@ val set_ddl_hook : t -> (string -> unit) option -> unit
     statements and re-execute them before reapplying logged records. *)
 
 val active_transactions : t -> int list
-(** Transactions currently inside [transaction] — the table a
-    checkpoint records. *)
+(** Ids of the open transactions — the table a checkpoint records:
+    those inside [transaction], session transactions begun and not
+    yet committed or aborted (prepared ones included), and in-doubt
+    transactions [recover] brought back prepared. *)
 
 val checkpoint : t -> unit
 (** Sharp ARIES-lite checkpoint: forces dirty buffer pages and the log,
@@ -422,11 +424,13 @@ val new_scope : t -> unit
 val metrics : t -> Mood_obs.Metrics.t
 (** The database's metrics registry (counters under [stmt.*],
     [buffer.*], [plan_cache.*], [disk.*], [wal.*], [locks.*],
-    [join.*], [scan.*], [slow_log.*]). *)
+    [join.*], [scan.*], [slow_log.*]; a wire server serving the
+    database adds [server.*], and a replica's applier [repl.*]). *)
 
 val metrics_snapshot : t -> Mood_obs.Metrics.snapshot
 (** [Metrics.snapshot (metrics t)]: every counter as sorted
-    [(name, value)] rows — the payload of the server's STATS opcode. *)
+    [(name, value)] rows — the server's STATS opcode sends these after
+    the asking session's own rows. *)
 
 val set_metrics_enabled : t -> bool -> unit
 (** Arms/disarms push counters (pull sources are unaffected — they

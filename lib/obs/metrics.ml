@@ -1,9 +1,9 @@
 (* Instance-based metrics registry. Counters/histograms hold a pointer
    to the registry's shared enabled cell so a disabled registry costs
-   one bool load per event. Sources are pulled at snapshot time and
-   re-baselined on reset, which lets pre-existing component counters
-   (buffer pool, disk, plan cache, ...) participate in snapshot/diff
-   semantics without being writable from here. *)
+   one bool load per event. Sources are pulled at snapshot time, which
+   lets pre-existing component counters (buffer pool, disk, plan
+   cache, ...) participate in snapshot/diff semantics without being
+   writable from here. *)
 
 type shared = { mutable on : bool }
 
@@ -23,7 +23,6 @@ type t = {
   counters : (string, counter) Hashtbl.t;
   histograms : (string, histogram) Hashtbl.t;
   mutable sources : (unit -> (string * int) list) list;
-  baseline : (string, int) Hashtbl.t; (* source values at last reset *)
 }
 
 type snapshot = (string * int) list
@@ -32,8 +31,7 @@ let create ?(enabled = true) () =
   { shared = { on = enabled };
     counters = Hashtbl.create 32;
     histograms = Hashtbl.create 8;
-    sources = [];
-    baseline = Hashtbl.create 32
+    sources = []
   }
 
 let set_enabled t b = t.shared.on <- b
@@ -112,16 +110,7 @@ let snapshot t : snapshot =
   let rows = ref [] in
   Hashtbl.iter (fun _ c -> rows := (c.c_name, c.c_value) :: !rows) t.counters;
   Hashtbl.iter (fun _ h -> rows := histogram_rows h @ !rows) t.histograms;
-  List.iter
-    (fun source ->
-      List.iter
-        (fun (name, v) ->
-          let base =
-            match Hashtbl.find_opt t.baseline name with Some b -> b | None -> 0
-          in
-          rows := (name, v - base) :: !rows)
-        (source ()))
-    t.sources;
+  List.iter (fun source -> rows := source () @ !rows) t.sources;
   List.sort (fun (a, _) (b, _) -> String.compare a b) !rows
 
 let diff ~before ~after =
@@ -131,19 +120,6 @@ let diff ~before ~after =
       | Some b -> (name, v - b)
       | None -> (name, v))
     after
-
-let reset t =
-  Hashtbl.iter (fun _ c -> c.c_value <- 0) t.counters;
-  Hashtbl.iter
-    (fun _ h ->
-      Array.fill h.h_counts 0 (Array.length h.h_counts) 0;
-      h.h_count <- 0;
-      h.h_sum <- 0.)
-    t.histograms;
-  List.iter
-    (fun source ->
-      List.iter (fun (name, v) -> Hashtbl.replace t.baseline name v) (source ()))
-    t.sources
 
 let render (s : snapshot) =
   String.concat "\n" (List.map (fun (name, v) -> Printf.sprintf "%s %d" name v) s)

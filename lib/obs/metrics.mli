@@ -15,7 +15,14 @@
     single mutable-bool test — no allocation, no hashing.
 
     Snapshots are association lists sorted by key, which makes
-    [render] output stable and [diff] a linear merge. *)
+    [render] output stable and [diff] a linear merge.
+
+    A registry takes no lock. Each counter and histogram has one
+    writing thread, or is written only under one mutex, so no
+    increment is lost; a snapshot taken meanwhile reads each cell as
+    it stands. Interning ([counter], [histogram]) and
+    [register_source] change the registry itself: do them before any
+    thread that snapshots the registry is running. *)
 
 type t
 
@@ -41,7 +48,7 @@ val incr : counter -> unit
 
 val add : counter -> int -> unit
 val value : counter -> int
-(** Raw counter value net of the last [reset]. *)
+(** The counter's current value. *)
 
 val histogram : t -> ?buckets:float list -> string -> histogram
 (** Interned lookup-or-create. [buckets] are upper bounds in seconds,
@@ -54,23 +61,19 @@ val observe : histogram -> float -> unit
 val register_source : t -> (unit -> (string * int) list) -> unit
 (** Registers a pull source: called at every [snapshot], it returns
     current [(name, value)] pairs for counters maintained elsewhere.
-    [reset] re-baselines sources so their snapshot values restart at
-    zero without touching the underlying component. *)
+    A caller that wants the change over an interval takes two
+    snapshots and {!diff}s them. *)
 
 type snapshot = (string * int) list
 (** Sorted by name, ascending. *)
 
 val snapshot : t -> snapshot
 (** Counters, histogram aggregates ([.count], [.sum_us], [.le_*] and
-    [.le_inf] cumulative buckets) and all source values, net of the
-    last [reset]. *)
+    [.le_inf] cumulative buckets) and all source values. *)
 
 val diff : before:snapshot -> after:snapshot -> snapshot
 (** Per-key [after - before]; keys missing from [before] count from 0,
     keys missing from [after] are dropped. *)
-
-val reset : t -> unit
-(** Zeroes counters and histograms and re-baselines sources. *)
 
 val render : snapshot -> string
 (** One ["name value"] line per entry, machine-parseable. *)

@@ -46,9 +46,9 @@ let hello t =
       t.open_ <- false;
       raise (Wire.Protocol_error "HELLO: unexpected response")
 
-let connect ?(host = "127.0.0.1") ?(handshake = true) ~port () =
-  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  (try Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_of_string host, port))
+let connect_addr ?(handshake = true) addr =
+  let fd = Unix.socket (Unix.domain_of_sockaddr addr) Unix.SOCK_STREAM 0 in
+  (try Unix.connect fd addr
    with e ->
      Unix.close fd;
      raise e);
@@ -56,15 +56,28 @@ let connect ?(host = "127.0.0.1") ?(handshake = true) ~port () =
   if handshake then hello t;
   t
 
-let connect_unix ?(handshake = true) ~path () =
-  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  (try Unix.connect fd (Unix.ADDR_UNIX path)
-   with e ->
-     Unix.close fd;
-     raise e);
-  let t = { cfd = fd; open_ = true; info = None } in
-  if handshake then hello t;
-  t
+let connect ?(host = "127.0.0.1") ?handshake ~port () =
+  connect_addr ?handshake (Unix.ADDR_INET (Unix.inet_addr_of_string host, port))
+
+let connect_unix ?handshake ~path () = connect_addr ?handshake (Unix.ADDR_UNIX path)
+
+let endpoint spec =
+  let bad () =
+    failwith ("endpoint must be HOST:PORT (HOST an IP address) or unix:PATH, got " ^ spec)
+  in
+  if String.starts_with ~prefix:"unix:" spec then
+    Unix.ADDR_UNIX (String.sub spec 5 (String.length spec - 5))
+  else
+    match String.rindex_opt spec ':' with
+    | None -> bad ()
+    | Some i -> (
+        let host = if i = 0 then "127.0.0.1" else String.sub spec 0 i in
+        let port = String.sub spec (i + 1) (String.length spec - i - 1) in
+        match (Unix.inet_addr_of_string host, int_of_string port) with
+        | addr, port -> Unix.ADDR_INET (addr, port)
+        | exception Failure _ -> bad ())
+
+let connect_endpoint spec = connect_addr (endpoint spec)
 
 let exec t sql = request t (Wire.Exec sql)
 let query t sql = request t (Wire.Query sql)
@@ -126,5 +139,3 @@ let quit t =
      with Disconnected | Wire.Protocol_error _ | Unix.Unix_error _ -> ());
     close t
   end
-
-let fd t = t.cfd

@@ -17,6 +17,14 @@ val connect : ?host:string -> ?handshake:bool -> port:int -> unit -> t
 
 val connect_unix : ?handshake:bool -> path:string -> unit -> t
 
+val endpoint : string -> Unix.sockaddr
+(** Parses an endpoint spec: [HOST:PORT], where HOST is an IP address
+    and an empty HOST means 127.0.0.1, or [unix:PATH]. Raises
+    [Failure] naming the spec when it is neither. *)
+
+val connect_endpoint : string -> t
+(** Connects to [endpoint spec] and sends the handshake. *)
+
 val request : t -> Wire.request -> Wire.response
 (** Sends one frame, reads one frame. *)
 
@@ -28,10 +36,11 @@ val abort : t -> Wire.response
 val ping : t -> Wire.response
 
 val stats : t -> (string * int) list
-(** Sends [Stats] and parses the ["name value"] reply rows: server
-    counters ([server.*]), this session's counters ([session.*]) and
-    the kernel metrics snapshot. Raises [Failure] on an [Err] reply and
-    {!Wire.Protocol_error} on any other response shape. *)
+(** Sends [Stats] and parses the ["name value"] reply rows: this
+    session's counters ([session.*]) first, then the node's metrics
+    snapshot in key order, which holds the server's counters
+    ([server.*]) with the kernel's. Raises [Failure] on an [Err] reply
+    and {!Wire.Protocol_error} on any other response shape. *)
 
 (** {2 Replication calls} — thin wrappers returning the raw response;
     the caller interprets [Err]/[Redirect] (stale term, fenced node)
@@ -68,6 +77,3 @@ val quit : t -> unit
 val close : t -> unit
 (** Closes the socket without the QUIT handshake — from the server's
     point of view, an abrupt disconnect. Idempotent. *)
-
-val fd : t -> Unix.file_descr
-(** For tests that need to tear the connection apart mid-frame. *)

@@ -9,38 +9,17 @@ type t = {
   apply : Apply.t;
   primary : string;
   poll_interval : float;
+  (* Only the applier thread writes these, or PROMOTE's thread once
+     it has joined the applier. *)
   lag_s : Metrics.histogram;
-  c_pulls : int Atomic.t;
-  c_reconnects : int Atomic.t;
+  pulls : Metrics.counter;
+  reconnects : Metrics.counter;
   mutable need_bootstrap : bool;
   mutable client : Client.t option;
   mutable thread : Thread.t option;
   mutable stop_flag : bool;
   mutable last_error : string option;
 }
-
-let with_kernel t f =
-  Mutex.lock t.kernel;
-  match f () with
-  | v ->
-      Mutex.unlock t.kernel;
-      v
-  | exception e ->
-      Mutex.unlock t.kernel;
-      raise e
-
-let parse_endpoint spec =
-  if String.length spec > 5 && String.sub spec 0 5 = "unix:" then
-    `Unix (String.sub spec 5 (String.length spec - 5))
-  else
-    match String.rindex_opt spec ':' with
-    | None -> failwith ("replica-of expects HOST:PORT or unix:PATH, got " ^ spec)
-    | Some i -> (
-        let host = String.sub spec 0 i in
-        let port = String.sub spec (i + 1) (String.length spec - i - 1) in
-        match int_of_string_opt port with
-        | Some p -> `Tcp ((if host = "" then "127.0.0.1" else host), p)
-        | None -> failwith ("replica-of: bad port in " ^ spec))
 
 let disconnect t =
   (match t.client with Some c -> Client.close c | None -> ());
@@ -50,13 +29,9 @@ let connected t =
   match t.client with
   | Some c -> Some c
   | None -> (
-      match
-        match parse_endpoint t.primary with
-        | `Unix path -> Client.connect_unix ~path ()
-        | `Tcp (host, port) -> Client.connect ~host ~port ()
-      with
+      match Client.connect_endpoint t.primary with
       | c ->
-          Atomic.incr t.c_reconnects;
+          Metrics.incr t.reconnects;
           t.client <- Some c;
           Some c
       | exception e ->
@@ -76,7 +51,7 @@ let bootstrap t c =
   | Wire.Blob blob -> (
       match Codec.decode blob with
       | Codec.Snapshot snap ->
-          with_kernel t (fun () -> Apply.install_snapshot t.apply snap);
+          Mutex.protect t.kernel (fun () -> Apply.install_snapshot t.apply snap);
           t.need_bootstrap <- false;
           t.last_error <- None;
           true
@@ -96,15 +71,14 @@ let bootstrap t c =
 (* One pull round trip. [`More] means records flowed and more may be
    pending — pull again without sleeping. *)
 let pull t c =
-  Atomic.incr t.c_pulls;
+  Metrics.incr t.pulls;
   match
     Client.repl_pull c ~term:(Apply.term t.apply) ~after:(Apply.applied_lsn t.apply)
   with
   | Wire.Blob blob -> (
       match Codec.decode blob with
       | Codec.Batch batch -> (
-          let outcome = with_kernel t (fun () -> Apply.apply_batch t.apply batch) in
-          match outcome with
+          match Mutex.protect t.kernel (fun () -> Apply.apply_batch t.apply batch) with
           | `Applied ->
               observe_lag t;
               t.last_error <- None;
@@ -168,8 +142,8 @@ let start ~db ~kernel ~primary ~poll_interval () =
       primary;
       poll_interval;
       lag_s = Metrics.histogram metrics "repl.lag_s";
-      c_pulls = Atomic.make 0;
-      c_reconnects = Atomic.make 0;
+      pulls = Metrics.counter metrics "repl.pulls";
+      reconnects = Metrics.counter metrics "repl.reconnects";
       need_bootstrap = true;
       client = None;
       thread = None;
@@ -183,9 +157,7 @@ let start ~db ~kernel ~primary ~poll_interval () =
         ("repl.pending_txns", Apply.pending_txns t.apply);
         ("repl.commits_applied", Apply.commits_applied t.apply);
         ("repl.records_applied", Apply.records_applied t.apply);
-        ("repl.bootstraps", Apply.bootstraps t.apply);
-        ("repl.pulls", Atomic.get t.c_pulls);
-        ("repl.reconnects", Atomic.get t.c_reconnects)
+        ("repl.bootstraps", Apply.bootstraps t.apply)
       ]);
   t.thread <- Some (Thread.create loop t);
   t
@@ -218,10 +190,8 @@ let promote t =
   else begin
     final_drain t;
     disconnect t;
-    let new_term = with_kernel t (fun () -> Apply.promote t.apply) in
+    let new_term = Mutex.protect t.kernel (fun () -> Apply.promote t.apply) in
     Ok new_term
   end
-
-let apply t = t.apply
 
 let last_error t = t.last_error

@@ -10,11 +10,14 @@
     thread — it backs off one poll tick and reconnects; a primary
     whose log regressed (restart) triggers a fresh bootstrap.
 
-    Lag metrics are registered on the database's metrics registry as
-    pull sources ([repl.applied_lsn], [repl.lag_records],
-    [repl.pending_txns], [repl.pulls], [repl.reconnects],
-    [repl.bootstraps], plus the [repl.lag_s] histogram), so the STATS
-    opcode and [mood top] report them with no extra plumbing. *)
+    Its metrics live in the database's registry, so the STATS opcode
+    and [mood top] report them with no extra plumbing: the applier's
+    state through one pull source ([repl.applied_lsn],
+    [repl.lag_records], [repl.pending_txns], [repl.commits_applied],
+    [repl.records_applied], [repl.bootstraps]), and its events as the
+    [repl.pulls] and [repl.reconnects] counters and the [repl.lag_s]
+    histogram. Only the applier thread writes those, or PROMOTE's
+    thread once {!promote} has joined the applier. *)
 
 type t
 
@@ -25,9 +28,12 @@ val start :
   poll_interval:float ->
   unit ->
   t
-(** Marks the database as [Replica primary] and spawns the poll
-    thread. [primary] is HOST:PORT or unix:PATH; [kernel] must be the
-    same mutex the server serializes statement execution with. *)
+(** Marks the database as [Replica primary], interns the metrics and
+    registers the source above, then spawns the poll thread. [primary]
+    is HOST:PORT or unix:PATH ({!Client.connect_endpoint}); [kernel]
+    must be the same mutex the server serializes statement execution
+    with. Call it before any other thread snapshots the database's
+    registry. *)
 
 val stop : t -> unit
 (** Signals the thread and joins it. Idempotent. *)
@@ -38,8 +44,5 @@ val promote : t -> (int, string) result
     losers and are dropped, the term is bumped, the role flips to
     [Primary]. Returns the new term. [Error] only when the node never
     completed a bootstrap — there is no consistent image to promote. *)
-
-val apply : t -> Mood_repl.Apply.t
-(** The underlying applier, for tests and diagnostics. *)
 
 val last_error : t -> string option

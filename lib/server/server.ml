@@ -5,6 +5,7 @@ module Executor = Mood_executor.Executor
 module Lock = Mood_storage.Lock_manager
 module Store = Mood_storage.Store
 module Wal = Mood_storage.Wal
+module Metrics = Mood_obs.Metrics
 
 type config = {
   host : string;
@@ -70,17 +71,6 @@ type job = {
          session transaction is used instead *)
 }
 
-type stats = {
-  sessions_opened : int;
-  sessions_active : int;
-  statements : int;
-  deadlock_aborts : int;
-  timeout_aborts : int;
-  disconnect_aborts : int;
-  protocol_errors : int;
-  redirects : int;
-}
-
 type t = {
   database : Db.t;
   config : config;
@@ -112,22 +102,23 @@ type t = {
   mutable gc_pending : int;   (* highest ticket asked for *)
   mutable gc_durable : int;   (* highest ticket known durable *)
   mutable gc_stop : bool;
-  mutable gc_fail : exn option;  (* last force failure, until a force succeeds *)
   mutable gc_commits : int;   (* tickets submitted *)
-  mutable gc_released : int;  (* tickets released by finished batches *)
   mutable gc_batches : int;   (* shared forces performed *)
   mutable gc_max_batch : int; (* most commits released by one force *)
   mutable log_writer : Thread.t option;
   mutable stopped : bool;
-  c_statements : int Atomic.t;
-  c_deadlock : int Atomic.t;
-  c_timeout : int Atomic.t;
-  c_disconnect : int Atomic.t;
-  c_protocol : int Atomic.t;
-  c_redirects : int Atomic.t;
-  c_prepares : int Atomic.t;
-  c_decides : int Atomic.t;
-  c_wrong_shard : int Atomic.t;
+  (* The event counters, interned in the database's registry by
+     [start]. Only the reactor writes them, as it does every
+     [Session.t] field (server.mli lists every counter's writer). *)
+  m_statements : Metrics.counter;
+  m_deadlock : Metrics.counter;
+  m_timeout : Metrics.counter;
+  m_disconnect : Metrics.counter;
+  m_protocol : Metrics.counter;
+  m_redirects : Metrics.counter;
+  m_prepares : Metrics.counter;
+  m_decides : Metrics.counter;
+  m_wrong_shard : Metrics.counter;
   mutable repl : Replication.t option;  (* streaming thread on a replica *)
   mutable shard_map : (int * int * string array) option;
       (* (map version, own shard index, addresses in shard order):
@@ -174,22 +165,13 @@ let pay_io t forces_before =
   end
 
 let with_kernel t f =
-  Mutex.lock t.kernel;
-  let f0 = if t.config.commit_latency > 0. then wal_forces t else 0 in
-  match f () with
-  | v ->
-      pay_io t f0;
-      Mutex.unlock t.kernel;
-      v
-  | exception e ->
-      pay_io t f0;
-      Mutex.unlock t.kernel;
-      raise e
+  Mutex.protect t.kernel (fun () ->
+      let f0 = if t.config.commit_latency > 0. then wal_forces t else 0 in
+      Fun.protect ~finally:(fun () -> pay_io t f0) f)
 
-(* The per-statement accounting, once for every executed request,
-   whichever thread finishes it. (The session fields are safe to touch
-   from the log-writer too: a session has at most one request in
-   flight, and this is its completion.) *)
+(* The per-statement accounting, once for every executed request. It
+   runs on the reactor: for a reply finished elsewhere, when the
+   reactor takes it from the completion list. *)
 let account t job resp =
   let session = job.jconn.c_session in
   session.Session.statements <- session.Session.statements + 1;
@@ -197,17 +179,14 @@ let account t job resp =
   | Wire.Rows rows ->
       session.Session.rows_returned <- session.Session.rows_returned + List.length rows
   | _ -> ());
-  Atomic.incr t.c_statements
+  Metrics.incr t.m_statements
 
 (* Hand a reply finished on another thread (a group-committed ACK, a
-   PROMOTE) to the reactor: only the reactor touches sockets. The poke
-   is a level trigger — a full pipe means the reactor is already
-   awake. *)
+   PROMOTE) to the reactor: only the reactor touches sockets and
+   counts statements. The poke is a level trigger — a full pipe means
+   the reactor is already awake. *)
 let deliver t job resp =
-  account t job resp;
-  Mutex.lock t.comp_m;
-  t.completions <- (job, resp) :: t.completions;
-  Mutex.unlock t.comp_m;
+  Mutex.protect t.comp_m (fun () -> t.completions <- (job, resp) :: t.completions);
   poke t.wake_w
 
 (* ------------------------------------------------------------------ *)
@@ -226,13 +205,12 @@ let log_writer_loop t =
     if t.gc_pending > t.gc_durable then begin
       let target = t.gc_pending in
       Mutex.unlock t.gc_m;
-      Mutex.lock t.kernel;
       let paid, durable, fail =
-        match Wal.force_group wal target with
-        | paid -> (paid, Wal.persisted_last_lsn wal, None)
-        | exception e -> (false, Wal.persisted_last_lsn wal, Some e)
+        Mutex.protect t.kernel (fun () ->
+            match Wal.force_group wal target with
+            | paid -> (paid, Wal.persisted_last_lsn wal, None)
+            | exception e -> (false, Wal.persisted_last_lsn wal, Some e))
       in
-      Mutex.unlock t.kernel;
       if paid && t.config.commit_latency > 0. then
         Unix.sleepf t.config.commit_latency;
       Mutex.lock t.gc_m;
@@ -247,7 +225,6 @@ let log_writer_loop t =
       let errs =
         match fail with
         | Some e ->
-            t.gc_fail <- fail;
             if t.gc_pending > t.gc_durable then t.gc_pending <- t.gc_durable;
             t.gc_waiters <- [];
             List.map
@@ -258,13 +235,11 @@ let log_writer_loop t =
                     ^ Printexc.to_string e) ))
               kept
         | None ->
-            t.gc_fail <- None;
             t.gc_waiters <- kept;
             []
       in
       t.gc_batches <- t.gc_batches + 1;
       let batch = List.length covered in
-      t.gc_released <- t.gc_released + batch;
       if batch > t.gc_max_batch then t.gc_max_batch <- batch;
       Mutex.unlock t.gc_m;
       List.iter (fun (job, resp, _) -> deliver t job resp) covered;
@@ -298,8 +273,7 @@ let commit_txn t job txn resp =
      until the NEXT committer triggers a batch, which on a quiescing
      server never comes. *)
   let durable = lsn <= t.gc_durable in
-  if durable then t.gc_released <- t.gc_released + 1
-  else begin
+  if not durable then begin
     if lsn > t.gc_pending then t.gc_pending <- lsn;
     t.gc_waiters <- (job, resp, lsn) :: t.gc_waiters;
     Condition.signal t.gc_work
@@ -349,7 +323,7 @@ let wrong_shard t sql =
       then begin
         let owner = Wire.placement_hash key mod Array.length addrs in
         if owner <> self then begin
-          Atomic.incr t.c_wrong_shard;
+          Metrics.incr t.m_wrong_shard;
           Some (Wire.Wrong_shard { ws_shard = owner; ws_addr = addrs.(owner) })
         end
         else None
@@ -417,7 +391,7 @@ let attempt_statement t job ~query sql =
     resp
   in
   let give_up counter reason =
-    Atomic.incr counter;
+    Metrics.incr counter;
     `Reply (rollback (Wire.Aborted reason))
   in
   match with_kernel t (fun () -> Db.exec_in_txn t.database txn sql) with
@@ -437,8 +411,8 @@ let attempt_statement t job ~query sql =
       | _ -> finish (render_result r))
   | Error Db.Txn_busy ->
       if Unix.gettimeofday () < job.jdeadline then `Park
-      else give_up t.c_timeout "lock timeout"
-  | Error Db.Txn_deadlock -> give_up t.c_deadlock "deadlock"
+      else give_up t.m_timeout "lock timeout"
+  | Error Db.Txn_deadlock -> give_up t.m_deadlock "deadlock"
   | Error (Db.Txn_fail m) ->
       (* Statement error: an open session transaction survives it (the
          client decides whether to COMMIT or ABORT); an autocommit
@@ -448,7 +422,7 @@ let attempt_statement t job ~query sql =
       (* NOT_PRIMARY: nothing executed, nothing locked. An open session
          transaction keeps its reads; an autocommit statement has an
          empty transaction to fold up. *)
-      Atomic.incr t.c_redirects;
+      Metrics.incr t.m_redirects;
       `Reply
         (if autocommit then rollback (Wire.Redirect addr) else Wire.Redirect addr)
 
@@ -517,36 +491,10 @@ let execute t job =
   | Wire.Stats ->
       (* Run like any statement (under the kernel lock), so the
          counters it reports are a consistent cut: no statement is
-         mid-flight in the kernel while the snapshot is taken. *)
-      let kernel_rows = with_kernel t (fun () -> Db.metrics_snapshot t.database) in
-      let gc_batches, gc_commits, gc_max_batch =
-        Mutex.lock t.gc_m;
-        let v = (t.gc_batches, t.gc_commits, t.gc_max_batch) in
-        Mutex.unlock t.gc_m;
-        v
-      in
-      let lines =
-        [ Printf.sprintf "server.sessions_active %d" (Session.count t.registry);
-          Printf.sprintf "server.sessions_opened %d" (Session.total_opened t.registry);
-          Printf.sprintf "server.statements %d" (Atomic.get t.c_statements);
-          Printf.sprintf "server.deadlock_aborts %d" (Atomic.get t.c_deadlock);
-          Printf.sprintf "server.timeout_aborts %d" (Atomic.get t.c_timeout);
-          Printf.sprintf "server.disconnect_aborts %d" (Atomic.get t.c_disconnect);
-          Printf.sprintf "server.protocol_errors %d" (Atomic.get t.c_protocol);
-          Printf.sprintf "server.redirects %d" (Atomic.get t.c_redirects);
-          Printf.sprintf "server.prepares %d" (Atomic.get t.c_prepares);
-          Printf.sprintf "server.decides %d" (Atomic.get t.c_decides);
-          Printf.sprintf "server.wrong_shard_redirects %d" (Atomic.get t.c_wrong_shard);
-          Printf.sprintf "server.gc_batches %d" gc_batches;
-          Printf.sprintf "server.gc_commits %d" gc_commits;
-          Printf.sprintf "server.gc_max_batch %d" gc_max_batch;
-          Printf.sprintf "session.statements %d" session.Session.statements;
-          Printf.sprintf "session.rows_returned %d" session.Session.rows_returned;
-          Printf.sprintf "session.aborts %d" session.Session.aborts
-        ]
-        @ List.map (fun (k, v) -> Printf.sprintf "%s %d" k v) kernel_rows
-      in
-      `Reply (Wire.Rows lines)
+         mid-flight in the kernel while the snapshot is taken. The
+         server's own rows are in the snapshot (see [start]). *)
+      let snapshot = with_kernel t (fun () -> Db.metrics_snapshot t.database) in
+      `Reply (Wire.Rows (Session.stats_rows session snapshot))
   | Wire.Ping -> `Reply Wire.Pong (* normally answered inline by the reactor *)
   | Wire.Quit -> `Reply Wire.Bye
   | Wire.Hello v -> `Reply (hello_response t v) (* normally answered inline *)
@@ -557,7 +505,7 @@ let execute t job =
           match session.Session.txn with
           | None -> `Reply (Wire.Err "PREPARE: no open transaction")
           | Some txn -> (
-              Atomic.incr t.c_prepares;
+              Metrics.incr t.m_prepares;
               match
                 with_kernel t (fun () -> Db.prepare_session_txn t.database txn ~gid)
               with
@@ -567,7 +515,7 @@ let execute t job =
       match requires_v2 session "DECIDE" with
       | Some err -> `Reply err
       | None ->
-          Atomic.incr t.c_decides;
+          Metrics.incr t.m_decides;
           let outcome =
             with_kernel t (fun () ->
                 Db.decide_txn t.database ~gid:d_gid ~commit:d_commit)
@@ -694,7 +642,7 @@ let teardown t (session : Session.t) =
            its gid — until a DECIDE (over any connection) resolves it. *)
         ()
       else begin
-        Atomic.incr t.c_disconnect;
+        Metrics.incr t.m_disconnect;
         with_kernel t (fun () -> Db.abort_session_txn t.database txn)
       end
   | _ -> ());
@@ -773,7 +721,7 @@ let reactor_loop t =
   (* Framing violation: count it, reply best-effort, hang up. The
      stream is unsynchronized, so pending bytes are dropped. *)
   let protocol_fail c m =
-    Atomic.incr t.c_protocol;
+    Metrics.incr t.m_protocol;
     c.c_pending <- "";
     c.c_close <- true;
     set_out c (Wire.Err ("protocol error: " ^ m))
@@ -797,7 +745,7 @@ let reactor_loop t =
             flush_out c
         | `Would_block -> () (* select re-arms the write set *)
         | `Closed ->
-            Atomic.incr t.c_protocol;
+            Metrics.incr t.m_protocol;
             teardown_conn c
     end
   in
@@ -916,14 +864,14 @@ let reactor_loop t =
     | `Eof ->
         if c.c_pending <> "" then begin
           (* EOF mid-frame: torn, same counter as any framing fault *)
-          Atomic.incr t.c_protocol;
+          Metrics.incr t.m_protocol;
           c.c_close <- true;
           set_out c (Wire.Err "protocol error: torn frame");
           flush_out c
         end
         else teardown_conn c
     | `Closed ->
-        Atomic.incr t.c_protocol;
+        Metrics.incr t.m_protocol;
         teardown_conn c
     | `Would_block -> ()
   in
@@ -935,6 +883,7 @@ let reactor_loop t =
     Mutex.unlock t.comp_m;
     List.iter
       (fun (job, resp) ->
+        account t job resp;
         let c = job.jconn in
         if c.c_state = `Executing then begin
           set_out c resp;
@@ -1046,6 +995,10 @@ let reactor_loop t =
 (* Lifecycle                                                           *)
 
 let start ?(config = default_config) database =
+  (* The registry cannot drop a source: a second server on this
+     database would list every server.* row twice. *)
+  if List.mem_assoc "server.statements" (Db.metrics_snapshot database) then
+    invalid_arg "Server.start: the database already has a server";
   (* A peer hanging up mid-write must be an EPIPE error, not a fatal
      signal. Writes already map it to a closed-connection result. *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
@@ -1058,6 +1011,8 @@ let start ?(config = default_config) database =
     | None -> None
   in
   let unix_l = Option.map (fun path -> listen_unix ~path) config.unix_path in
+  let metrics = Db.metrics database in
+  let counter name = Metrics.counter metrics ("server." ^ name) in
   let t =
     { database;
       config;
@@ -1081,22 +1036,20 @@ let start ?(config = default_config) database =
       gc_pending = 0;
       gc_durable = 0;
       gc_stop = false;
-      gc_fail = None;
       gc_commits = 0;
-      gc_released = 0;
       gc_batches = 0;
       gc_max_batch = 0;
       log_writer = None;
       stopped = false;
-      c_statements = Atomic.make 0;
-      c_deadlock = Atomic.make 0;
-      c_timeout = Atomic.make 0;
-      c_disconnect = Atomic.make 0;
-      c_protocol = Atomic.make 0;
-      c_redirects = Atomic.make 0;
-      c_prepares = Atomic.make 0;
-      c_decides = Atomic.make 0;
-      c_wrong_shard = Atomic.make 0;
+      m_statements = counter "statements";
+      m_deadlock = counter "deadlock_aborts";
+      m_timeout = counter "timeout_aborts";
+      m_disconnect = counter "disconnect_aborts";
+      m_protocol = counter "protocol_errors";
+      m_redirects = counter "redirects";
+      m_prepares = counter "prepares";
+      m_decides = counter "decides";
+      m_wrong_shard = counter "wrong_shard_redirects";
       repl = None;
       shard_map = None
     }
@@ -1105,31 +1058,35 @@ let start ?(config = default_config) database =
      commits, aborts and tears down), so marking the release is enough —
      the reactor retries its parked statements before it next sleeps. *)
   Lock.set_release_hook (Store.locks (Db.store database)) (fun () -> t.released <- true);
+  (* The rest of the server's rows: state the session registry and the
+     log-writer keep anyway. The gc_* values are read under [gc_m], one
+     consistent cut; STATS takes this under the kernel lock, and the
+     log-writer never holds [gc_m] while it waits for the kernel. *)
+  Metrics.register_source metrics (fun () ->
+      ("server.sessions_active", Session.count t.registry)
+      :: ("server.sessions_opened", Session.total_opened t.registry)
+      :: Mutex.protect t.gc_m (fun () ->
+             [ ("server.gc_batches", t.gc_batches);
+               ("server.gc_commits", t.gc_commits);
+               ("server.gc_max_batch", t.gc_max_batch)
+             ]));
+  (* Every cell is interned and every source registered before the
+     first thread starts: a STATS snapshot iterates the registry, so
+     nothing may be added to it while one can run. The replica comes
+     first, so it registers its metrics before any thread is up. *)
+  t.repl <-
+    Option.map
+      (fun primary ->
+        Replication.start ~db:database ~kernel:t.kernel ~primary
+          ~poll_interval:config.poll_interval ())
+      config.replica_of;
   t.log_writer <- Some (Thread.create log_writer_loop t);
   t.reactor <- Some (Thread.create reactor_loop t);
-  (match config.replica_of with
-  | Some primary ->
-      t.repl <-
-        Some
-          (Replication.start ~db:database ~kernel:t.kernel ~primary
-             ~poll_interval:config.poll_interval ())
-  | None -> ());
   t
 
 let port t = t.tcp_port
 
 let db t = t.database
-
-let stats t =
-  { sessions_opened = Session.total_opened t.registry;
-    sessions_active = Session.count t.registry;
-    statements = Atomic.get t.c_statements;
-    deadlock_aborts = Atomic.get t.c_deadlock;
-    timeout_aborts = Atomic.get t.c_timeout;
-    disconnect_aborts = Atomic.get t.c_disconnect;
-    protocol_errors = Atomic.get t.c_protocol;
-    redirects = Atomic.get t.c_redirects
-  }
 
 let shutdown t =
   if not t.stopped then begin
@@ -1154,10 +1111,9 @@ let shutdown t =
     | Some path -> ( try Unix.unlink path with Unix.Unix_error _ -> ())
     | None -> ());
     (* No committer can be waiting any more: stop the log-writer. *)
-    Mutex.lock t.gc_m;
-    t.gc_stop <- true;
-    Condition.signal t.gc_work;
-    Mutex.unlock t.gc_m;
+    Mutex.protect t.gc_m (fun () ->
+        t.gc_stop <- true;
+        Condition.signal t.gc_work);
     Option.iter Thread.join t.log_writer;
     t.log_writer <- None;
     Lock.clear_release_hook (Store.locks (Db.store t.database));

@@ -40,6 +40,14 @@
       completion list and a wake pipe; it never touches a socket.
     - Disconnects (clean or torn) abort the session's open transaction
       through the WAL compensation path and release all its locks.
+    - {b Counters} live in the served database's metrics registry
+      ({!Mood.Db.metrics}), next to the kernel's, and each has one
+      writer: the reactor writes the [server.*] event counters and
+      every session's counters, the log-writer's group-commit state is
+      written under its mutex and read by a pull source, kernel
+      counters are written under the kernel lock, and a replica's
+      applier writes only [repl.*]. STATS is {!Session.stats_rows}
+      over one registry snapshot taken under the kernel lock.
 
     Graceful {!shutdown} stops accepting, tears down idle sessions,
     answers in-flight and parked statements, aborts orphaned
@@ -80,33 +88,32 @@ val default_config : config
 
 type t
 
-type stats = {
-  sessions_opened : int;
-  sessions_active : int;
-  statements : int;          (** requests executed (PING, HELLO and QUIT
-                                 are answered inline and not counted) *)
-  deadlock_aborts : int;     (** transactions aborted as deadlock victims *)
-  timeout_aborts : int;      (** transactions aborted on lock timeout *)
-  disconnect_aborts : int;   (** orphaned transactions aborted at teardown *)
-  protocol_errors : int;     (** sessions torn down on framing violations *)
-  redirects : int;           (** write statements refused with [Redirect]
-                                 because this node is a replica *)
-}
-
 val start : ?config:config -> Mood.Db.t -> t
-(** Binds, listens and spawns the reactor and log-writer threads
-    (plus the applier on a replica). The caller keeps ownership of the
-    [Db.t] but must stop touching it from other threads until
-    [shutdown] (the server serializes all access behind its kernel
-    lock). Raises [Unix.Unix_error] when binding fails. *)
+(** Binds, listens, adds the server's metrics to the database's
+    registry and spawns the reactor and log-writer threads (plus the
+    applier on a replica, whose metrics are registered first). The
+    caller keeps ownership of the [Db.t] but must stop touching it
+    from other threads until [shutdown] (the server serializes all
+    access behind its kernel lock). A database is served by at most
+    one server, even after [shutdown]: a second [start] on it raises
+    [Invalid_argument], since it would register its rows twice. Raises
+    [Unix.Unix_error] when binding fails.
+
+    The registry then also holds the [server.*] rows: [statements]
+    (requests executed; PING, HELLO and QUIT are answered inline and
+    not counted), [deadlock_aborts], [timeout_aborts],
+    [disconnect_aborts] (orphans aborted at teardown),
+    [protocol_errors] (sessions torn down on framing violations),
+    [redirects] (writes refused because this node is a replica),
+    [prepares], [decides], [wrong_shard_redirects], [sessions_active],
+    [sessions_opened], and the group-commit [gc_commits] (commits
+    handed to the log-writer), [gc_batches] (shared forces) and
+    [gc_max_batch] (most commits one force released). The event
+    counters follow {!Mood.Db.set_metrics_enabled} like the kernel's;
+    the source rows do not. *)
 
 val port : t -> int option
 (** The actually bound TCP port (resolves [Some 0]). *)
-
-val stats : t -> stats
-(** The wire STATS surface additionally reports the group-commit
-    batching counters [server.gc_batches], [server.gc_commits],
-    [server.gc_max_batch]. *)
 
 val db : t -> Mood.Db.t
 

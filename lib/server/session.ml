@@ -21,18 +21,8 @@ type registry = {
 
 let create_registry () = { m = Mutex.create (); next_id = 1; live = []; opened = 0 }
 
-let with_lock r f =
-  Mutex.lock r.m;
-  match f () with
-  | v ->
-      Mutex.unlock r.m;
-      v
-  | exception e ->
-      Mutex.unlock r.m;
-      raise e
-
 let register r ~fd ~peer =
-  with_lock r (fun () ->
+  Mutex.protect r.m (fun () ->
       let s =
         { id = r.next_id;
           fd;
@@ -51,7 +41,7 @@ let register r ~fd ~peer =
       s)
 
 let remove_and_close r s =
-  with_lock r (fun () ->
+  Mutex.protect r.m (fun () ->
       if s.alive then begin
         s.alive <- false;
         r.live <- List.filter (fun other -> other.id <> s.id) r.live;
@@ -59,12 +49,20 @@ let remove_and_close r s =
       end)
 
 let shutdown_read r s =
-  with_lock r (fun () ->
+  Mutex.protect r.m (fun () ->
       if s.alive then
         try Unix.shutdown s.fd Unix.SHUTDOWN_RECEIVE with Unix.Unix_error _ -> ())
 
-let count r = with_lock r (fun () -> List.length r.live)
+let count r = Mutex.protect r.m (fun () -> List.length r.live)
 
-let total_opened r = with_lock r (fun () -> r.opened)
+let total_opened r = Mutex.protect r.m (fun () -> r.opened)
 
-let snapshot r = with_lock r (fun () -> r.live)
+let snapshot r = Mutex.protect r.m (fun () -> r.live)
+
+let stats_rows s snapshot =
+  List.map
+    (fun (k, v) -> Printf.sprintf "%s %d" k v)
+    (("session.statements", s.statements)
+    :: ("session.rows_returned", s.rows_returned)
+    :: ("session.aborts", s.aborts)
+    :: snapshot)

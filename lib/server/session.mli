@@ -4,7 +4,8 @@
     peer quits, disconnects, or commits a protocol violation. It
     carries the connection's identity (id, peer name), its current
     transaction (at most one — the wire protocol has no nesting) and
-    its statement counters. The registry is the server's authoritative
+    its statement counters, which only the thread serving the
+    connection writes. The registry is the server's authoritative
     view of who is connected: shutdown walks it to wake blocked
     readers, and the leak audit checks it drains to zero.
 
@@ -51,3 +52,9 @@ val total_opened : registry -> int
 
 val snapshot : registry -> t list
 (** The live sessions at this instant (shutdown iterates this). *)
+
+val stats_rows : t -> Mood_obs.Metrics.snapshot -> string list
+(** A STATS reply's rows, ["name value"] each: the session's
+    [session.statements], [session.rows_returned] and
+    [session.aborts], then the node's registry [snapshot]. The one
+    place the server and the router render them. *)

@@ -39,6 +39,9 @@ type t = {
          resolver — not left to the next brand-new leg's handshake *)
   mutable next_gid : int;
   metrics : Metrics.t;
+  metrics_m : Mutex.t;
+      (* every session handler and the resolver count into the shard.*
+         counters below, so each increment takes this lock *)
   m_routed : Metrics.counter;
   m_scattered : Metrics.counter;
   m_prepares : Metrics.counter;
@@ -58,21 +61,13 @@ type t = {
   mutable stopped : bool;
 }
 
-let with_coord t f =
-  Mutex.lock t.coord_m;
-  match f () with
-  | v ->
-      Mutex.unlock t.coord_m;
-      v
-  | exception e ->
-      Mutex.unlock t.coord_m;
-      raise e
+let count t c = Mutex.protect t.metrics_m (fun () -> Metrics.incr c)
 
 (* Undelivered-decision bookkeeping: a DECIDE that found its shard down
    is queued under the shard's index until some connection gets it
    through. *)
 let note_undelivered t i gid =
-  with_coord t (fun () ->
+  Mutex.protect t.coord_m (fun () ->
       let set =
         match Hashtbl.find_opt t.pending_decides i with
         | Some s -> s
@@ -84,13 +79,13 @@ let note_undelivered t i gid =
       Hashtbl.replace set gid ())
 
 let pending_for t i =
-  with_coord t (fun () ->
+  Mutex.protect t.coord_m (fun () ->
       match Hashtbl.find_opt t.pending_decides i with
       | None -> []
       | Some s -> Hashtbl.fold (fun gid () acc -> gid :: acc) s [])
 
 let clear_pending t i gid =
-  with_coord t (fun () ->
+  Mutex.protect t.coord_m (fun () ->
       match Hashtbl.find_opt t.pending_decides i with
       | None -> ()
       | Some s ->
@@ -98,7 +93,7 @@ let clear_pending t i gid =
           if Hashtbl.length s = 0 then Hashtbl.remove t.pending_decides i)
 
 let shards_with_pending t =
-  with_coord t (fun () ->
+  Mutex.protect t.coord_m (fun () ->
       Hashtbl.fold (fun i _ acc -> i :: acc) t.pending_decides [])
 
 (* ------------------------------------------------------------------ *)
@@ -116,15 +111,6 @@ type conn = {
 
 exception Shard_unavailable of int * string
 
-let parse_addr addr =
-  match String.rindex_opt addr ':' with
-  | None -> failwith ("shard address must be HOST:PORT, got " ^ addr)
-  | Some i -> (
-      let host = String.sub addr 0 i in
-      match int_of_string_opt (String.sub addr (i + 1) (String.length addr - i - 1)) with
-      | Some port -> (host, port)
-      | None -> failwith ("shard address must be HOST:PORT, got " ^ addr))
-
 (* Resolve a reconnecting shard's in-doubt transactions from the
    decision log: a logged commit is replayed, anything else is
    presumed aborted. Gids belonging to a 2PC currently in flight are
@@ -133,7 +119,7 @@ let resolve_indoubt t leg gids =
   List.iter
     (fun gid ->
       let verdict =
-        with_coord t (fun () ->
+        Mutex.protect t.coord_m (fun () ->
             if Hashtbl.mem t.inflight gid then None
             else Some (Hashtbl.find_opt t.decisions gid = Some true))
       in
@@ -141,7 +127,7 @@ let resolve_indoubt t leg gids =
       | None -> ()
       | Some commit ->
           ignore (Client.decide leg ~gid ~commit);
-          Metrics.incr t.m_indoubt)
+          count t t.m_indoubt)
     gids
 
 (* Push decisions the shard missed (it was down at DECIDE time)
@@ -154,10 +140,10 @@ let drain_pending t c i =
   List.iter
     (fun gid ->
       let commit =
-        with_coord t (fun () -> Hashtbl.find_opt t.decisions gid = Some true)
+        Mutex.protect t.coord_m (fun () -> Hashtbl.find_opt t.decisions gid = Some true)
       in
       ignore (Client.decide c ~gid ~commit);
-      Metrics.incr t.m_indoubt;
+      count t t.m_indoubt;
       clear_pending t i gid)
     (pending_for t i)
 
@@ -173,9 +159,8 @@ let leg t conn i =
   | Some c -> c
   | None ->
       let addr = t.shards.(i) in
-      let host, port = parse_addr addr in
       let c =
-        try Client.connect ~host ~port ()
+        try Client.connect_endpoint addr
         with Unix.Unix_error _ | Failure _ -> raise (Shard_unavailable (i, addr))
       in
       (* Identity handshake: install the shard map and collect the
@@ -294,10 +279,10 @@ let route_creation t conn ~query sql key =
       ensure_begun t conn i;
       match on_leg t conn i (if query then Wire.Query sql else Wire.Exec sql) with
       | Wire.Wrong_shard { ws_shard; _ } ->
-          Metrics.incr t.m_redirects;
+          count t t.m_redirects;
           go ws_shard (attempts + 1)
       | resp ->
-          Metrics.incr t.m_routed;
+          count t t.m_routed;
           resp
     end
   in
@@ -305,7 +290,7 @@ let route_creation t conn ~query sql key =
 
 (* Scatter-gather over every shard, in shard order. *)
 let scatter t conn ~query sql =
-  Metrics.incr t.m_scattered;
+  count t t.m_scattered;
   Array.to_list
     (Array.mapi
        (fun i _ ->
@@ -358,7 +343,7 @@ let commit_cluster t conn =
           (Printf.sprintf "shard %d (%s) lost before commit: presumed aborted" i addr))
   | legs ->
       let gid =
-        with_coord t (fun () ->
+        Mutex.protect t.coord_m (fun () ->
             let gid = t.next_gid in
             t.next_gid <- gid + 1;
             (* Durable allocation fence, forced BEFORE the first
@@ -374,7 +359,7 @@ let commit_cluster t conn =
             gid)
       in
       let finish resp =
-        with_coord t (fun () -> Hashtbl.remove t.inflight gid);
+        Mutex.protect t.coord_m (fun () -> Hashtbl.remove t.inflight gid);
         resp
       in
       (* Phase one: collect votes. Any failure — an error, a lost
@@ -388,7 +373,7 @@ let commit_cluster t conn =
                 Wire.Err (Printf.sprintf "shard unavailable (%s)" addr)
             with
             | Wire.Ok_result _ ->
-                Metrics.incr t.m_prepares;
+                count t t.m_prepares;
                 (i :: prepared, failures)
             | resp -> (prepared, (i, resp) :: failures))
           ([], []) legs
@@ -408,7 +393,7 @@ let commit_cluster t conn =
           (fun (i, _) ->
             try ignore (on_leg t conn i Wire.Abort) with Shard_unavailable _ -> ())
           failures;
-        Metrics.incr t.m_aborts;
+        count t t.m_aborts;
         let i, resp = List.hd (List.rev failures) in
         finish
           (Wire.Aborted
@@ -418,7 +403,7 @@ let commit_cluster t conn =
         (* Every vote is yes: force the commit decision to the log
            BEFORE any DECIDE leaves — from here the transaction is
            committed whatever happens to us or to the shards. *)
-        with_coord t (fun () ->
+        Mutex.protect t.coord_m (fun () ->
             Decision_log.append t.dlog ~gid ~commit:true;
             Hashtbl.replace t.decisions gid true);
         let undelivered =
@@ -432,7 +417,7 @@ let commit_cluster t conn =
                 true)
             legs
         in
-        Metrics.incr t.m_commits;
+        count t t.m_commits;
         finish
           (Wire.Ok_result
              (if undelivered = [] then
@@ -501,17 +486,7 @@ let dispatch t conn ~query sql =
 (* Requests                                                            *)
 
 let stats_rows t conn =
-  let own =
-    List.map
-      (fun (k, v) -> Printf.sprintf "%s %d" k v)
-      (Metrics.snapshot t.metrics)
-    @ [ Printf.sprintf "router.sessions_active %d" (Session.count t.registry);
-        Printf.sprintf "router.sessions_opened %d" (Session.total_opened t.registry);
-        Printf.sprintf "session.statements %d" conn.session.Session.statements;
-        Printf.sprintf "session.rows_returned %d" conn.session.Session.rows_returned;
-        Printf.sprintf "session.aborts %d" conn.session.Session.aborts
-      ]
-  in
+  let own = Session.stats_rows conn.session (Metrics.snapshot t.metrics) in
   (* Per-shard counters, namespaced by shard index — the scatter half
      of STATS. A dead shard is one row, not an error. *)
   let shard_rows =
@@ -643,9 +618,7 @@ let sockaddr_name = function
   | Unix.ADDR_UNIX p -> "unix:" ^ p
 
 let record_handler t th =
-  Mutex.lock t.handlers_m;
-  t.handlers <- th :: t.handlers;
-  Mutex.unlock t.handlers_m
+  Mutex.protect t.handlers_m (fun () -> t.handlers <- th :: t.handlers)
 
 let acceptor_loop t =
   let rec loop () =
@@ -685,8 +658,7 @@ let resolver_tick t =
   List.iter
     (fun i ->
       try
-        let host, port = parse_addr t.shards.(i) in
-        let c = Client.connect ~host ~port () in
+        let c = Client.connect_endpoint t.shards.(i) in
         Fun.protect
           ~finally:(fun () -> Client.quit c)
           (fun () ->
@@ -725,6 +697,9 @@ let resolve_host host =
 
 let start (config : config) =
   if config.shards = [] then failwith "mood_router: at least one shard is required";
+  (* A malformed address is a configuration error: refuse it here, not
+     as an unavailable shard on every statement. *)
+  List.iter (fun spec -> ignore (Client.endpoint spec)) config.shards;
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
   let dlog, replayed = Decision_log.open_ ~path:config.decision_log in
   let decisions = Hashtbl.create 64 in
@@ -758,6 +733,7 @@ let start (config : config) =
          announced commits. *)
       next_gid = Decision_log.max_gid replayed + 1;
       metrics;
+      metrics_m = Mutex.create ();
       m_routed = Metrics.counter metrics "shard.routed";
       m_scattered = Metrics.counter metrics "shard.scattered";
       m_prepares = Metrics.counter metrics "shard.prepares";
@@ -777,6 +753,10 @@ let start (config : config) =
       stopped = false
     }
   in
+  Metrics.register_source metrics (fun () ->
+      [ ("router.sessions_active", Session.count t.registry);
+        ("router.sessions_opened", Session.total_opened t.registry)
+      ]);
   t.acceptor <- Some (Thread.create acceptor_loop t);
   t.resolver <- Some (Thread.create resolver_loop t);
   t
@@ -795,10 +775,7 @@ let shutdown t =
     Option.iter Thread.join t.resolver;
     (try Unix.close t.lfd with Unix.Unix_error _ -> ());
     List.iter (Session.shutdown_read t.registry) (Session.snapshot t.registry);
-    Mutex.lock t.handlers_m;
-    let handlers = t.handlers in
-    Mutex.unlock t.handlers_m;
-    List.iter Thread.join handlers;
+    List.iter Thread.join (Mutex.protect t.handlers_m (fun () -> t.handlers));
     Decision_log.close t.dlog;
     (try Unix.close t.stop_r with Unix.Unix_error _ -> ());
     try Unix.close t.stop_w with Unix.Unix_error _ -> ()

@@ -24,8 +24,9 @@
       barrier so the gid is never reallocated while a shard may still
       hold it PREPAREd), then PREPARE everywhere, force the commit
       decision, then DECIDE everywhere;
-    - STATS merges the router's own [shard.*] counters with every
-      shard's counter snapshot, prefixed ["shard<i>."].
+    - STATS is the asking session's [session.*] rows, then the
+      router's own registry ({!metrics}), then every shard's counter
+      snapshot, prefixed ["shard<i>."].
 
     In-doubt resolution rides the connection handshake: every shard
     leg the router opens installs the shard map, and the shard's reply
@@ -45,7 +46,8 @@
 type config = {
   host : string;
   port : int option;       (** [Some 0] binds an ephemeral port *)
-  shards : string list;    (** HOST:PORT per shard, in shard order *)
+  shards : string list;    (** HOST:PORT or unix:PATH per shard, in
+                               shard order *)
   decision_log : string;   (** coordinator log path *)
   max_frame : int;
 }
@@ -58,16 +60,21 @@ type t
 
 val start : config -> t
 (** Replays the decision log, binds the listener and starts accepting.
-    Raises [Failure] when [shards] is empty. Shards are {e not}
+    Raises [Failure] when [shards] is empty or names a malformed
+    address ({!Mood_server.Client.endpoint}). Shards are {e not}
     contacted here — legs connect lazily, so the cluster may come up
     in any order. *)
 
 val port : t -> int option
 
 val metrics : t -> Mood_obs.Metrics.t
-(** The router's registry: [shard.routed], [shard.scattered],
-    [shard.prepares], [shard.commits_2pc], [shard.aborts_2pc],
-    [shard.indoubt_recovered], [shard.wrong_shard_redirects]. *)
+(** The router's registry: the counters [shard.routed],
+    [shard.scattered], [shard.prepares], [shard.commits_2pc],
+    [shard.aborts_2pc], [shard.indoubt_recovered] and
+    [shard.wrong_shard_redirects], which every session handler and the
+    resolver increment under one mutex, and the session registry's
+    [router.sessions_active] and [router.sessions_opened] as a pull
+    source. *)
 
 val shutdown : t -> unit
 (** Stops accepting, wakes and joins every session handler (aborting

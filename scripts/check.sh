@@ -166,11 +166,21 @@ wait_port "$SMOKE_PORT_FILE" "$SERVER_PID" server
 MOOD_LOAD_QUOTA="${MOOD_LOAD_QUOTA:-160}" ./_build/default/bin/load_gen.exe \
   --port "$(cat "$SMOKE_PORT_FILE")" --sessions 8
 # STATS over the wire while the daemon is still up: the one-shot
-# counter dump must include the server and kernel namespaces. (The
-# load generator above already enforced snapshot consistency.)
+# counter dump must list every server and session row exactly once (a
+# source registered twice would list its rows twice) and include the
+# kernel namespace. (The load generator above already enforced
+# snapshot consistency.)
 ./_build/default/bin/mood_cli.exe top "127.0.0.1:$(cat "$SMOKE_PORT_FILE")" \
   > /tmp/mood_top.$$
-grep -q "^server.statements " /tmp/mood_top.$$ || { echo "STATS: no server counters"; exit 1; }
+for K in server.deadlock_aborts server.decides server.disconnect_aborts \
+  server.gc_batches server.gc_commits server.gc_max_batch server.prepares \
+  server.protocol_errors server.redirects server.sessions_active \
+  server.sessions_opened server.statements server.timeout_aborts \
+  server.wrong_shard_redirects session.statements session.rows_returned \
+  session.aborts; do
+  N="$(awk -v k="$K" '$1 == k { n++ } END { print n + 0 }' /tmp/mood_top.$$)"
+  [ "$N" -eq 1 ] || { echo "STATS: $K listed $N times"; exit 1; }
+done
 grep -q "^stmt.select " /tmp/mood_top.$$ || { echo "STATS: no kernel counters"; exit 1; }
 rm -f /tmp/mood_top.$$
 # Join engine over the wire: force each algorithm through the SET
@@ -361,6 +371,8 @@ done
 ./_build/default/bin/mood_cli.exe top "127.0.0.1:$RPORT" > /tmp/mood_repl_top.$$
 grep -q "^repl.applied_lsn " /tmp/mood_repl_top.$$ || { echo "STATS: no repl.applied_lsn"; exit 1; }
 grep -q "^repl.lag_records " /tmp/mood_repl_top.$$ || { echo "STATS: no repl.lag_records"; exit 1; }
+grep -q "^repl.pulls " /tmp/mood_repl_top.$$ || { echo "STATS: no repl.pulls"; exit 1; }
+grep -q "^repl.reconnects " /tmp/mood_repl_top.$$ || { echo "STATS: no repl.reconnects"; exit 1; }
 SNAP_BEFORE="$(awk '$1 == "mvcc.last_snapshot_lsn" { print $2 }' /tmp/mood_repl_top.$$)"
 [ -n "$SNAP_BEFORE" ] || { echo "STATS: no mvcc.last_snapshot_lsn on replica"; exit 1; }
 rm -f /tmp/mood_repl_top.$$
@@ -469,6 +481,8 @@ done
 ./_build/default/bin/mood_cli.exe top "127.0.0.1:$RTPORT" > "$SHARD_DIR/rtop"
 grep -q "^shard.routed " "$SHARD_DIR/rtop" || { echo "STATS: no router counters"; exit 1; }
 grep -q "^shard.prepares " "$SHARD_DIR/rtop" || { echo "STATS: no 2PC counters"; exit 1; }
+grep -q "^router.sessions_active " "$SHARD_DIR/rtop" \
+  || { echo "STATS: no router session counters"; exit 1; }
 grep -q "^shard0.stmt.select " "$SHARD_DIR/rtop" \
   || { echo "STATS: no merged per-shard counters"; exit 1; }
 kill -TERM "$ROUTER_PID"

@@ -1,5 +1,5 @@
 (* The metrics registry: counters, histograms, pull sources,
-   snapshot/diff/reset semantics, and the disabled no-op path. *)
+   snapshot/diff semantics, and the disabled no-op path. *)
 
 module Metrics = Mood_obs.Metrics
 
@@ -36,7 +36,7 @@ let test_disabled_freezes () =
   Metrics.incr c;
   Alcotest.(check int) "re-enabled counts again" 2 (Metrics.value c)
 
-let test_source_and_reset () =
+let test_source_and_diff () =
   let live = ref 10 in
   let t = Metrics.create () in
   Metrics.register_source t (fun () -> [ ("component.events", !live) ]);
@@ -48,15 +48,16 @@ let test_source_and_reset () =
   live := 25;
   Alcotest.(check int) "source tracks the component" 25
     (snap_value (Metrics.snapshot t) "component.events");
-  (* reset re-baselines the source without touching the component *)
-  Metrics.reset t;
-  Alcotest.(check int) "component untouched by reset" 25 !live;
-  let s = Metrics.snapshot t in
-  Alcotest.(check int) "source restarts at zero" 0 (snap_value s "component.events");
-  Alcotest.(check int) "counter zeroed" 0 (snap_value s "pushed");
+  (* a baseline snapshot measures change without touching the component *)
+  let before = Metrics.snapshot t in
+  let since () = Metrics.diff ~before ~after:(Metrics.snapshot t) in
+  Alcotest.(check int) "component untouched by snapshots" 25 !live;
+  let d = since () in
+  Alcotest.(check int) "source delta starts at zero" 0 (snap_value d "component.events");
+  Alcotest.(check int) "counter delta starts at zero" 0 (snap_value d "pushed");
   live := 31;
-  Alcotest.(check int) "post-reset delta only" 6
-    (snap_value (Metrics.snapshot t) "component.events")
+  Alcotest.(check int) "delta since the baseline only" 6
+    (snap_value (since ()) "component.events")
 
 let test_snapshot_sorted_and_diff () =
   let t = Metrics.create () in
@@ -112,7 +113,7 @@ let suites =
   [ ( "obs.metrics",
       [ Alcotest.test_case "counter basics" `Quick test_counter_basics;
         Alcotest.test_case "disabled is a no-op" `Quick test_disabled_freezes;
-        Alcotest.test_case "sources and reset" `Quick test_source_and_reset;
+        Alcotest.test_case "sources and diff" `Quick test_source_and_diff;
         Alcotest.test_case "snapshot sort and diff" `Quick test_snapshot_sorted_and_diff;
         Alcotest.test_case "histogram buckets" `Quick test_histogram;
         Alcotest.test_case "render" `Quick test_render

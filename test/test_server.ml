@@ -305,6 +305,12 @@ let with_server ?(config = base_config) ?(setup = fun _ -> ()) f =
       | Error m -> Alcotest.failf "leak audit failed: %s" m)
     (fun () -> f server port)
 
+(* A server counter as it stands in the served database's registry. *)
+let server_stat server name =
+  match List.assoc_opt name (Db.metrics_snapshot (Server.db server)) with
+  | Some v -> v
+  | None -> Alcotest.failf "metrics snapshot is missing %s" name
+
 let seed_accounts db =
   match
     Db.exec_script db
@@ -406,9 +412,8 @@ let test_disconnect_releases_locks () =
       (match expect_rows "post" (Client.query c2 "SELECT a.n FROM Acct a") with
       | [ row ] -> Alcotest.(check int) "orphan write rolled back" 101 (cell_int row)
       | rows -> Alcotest.failf "bad row count: [%s]" (String.concat ";" rows));
-      let stats = Server.stats server in
       Alcotest.(check bool) "disconnect abort counted" true
-        (stats.Server.disconnect_aborts >= 1);
+        (server_stat server "server.disconnect_aborts" >= 1);
       Client.quit c2)
 
 (* Deterministic two-session deadlock: opposite lock orders on two
@@ -446,8 +451,8 @@ let test_deadlock_victim () =
       expect_ok "victim retries" (Client.begin_txn victim);
       expect_ok "victim reruns" (Client.exec victim "UPDATE Acct a SET n = 42");
       expect_ok "victim commits" (Client.commit victim);
-      let stats = Server.stats server in
-      Alcotest.(check int) "one deadlock abort" 1 stats.Server.deadlock_aborts;
+      Alcotest.(check int) "one deadlock abort" 1
+        (server_stat server "server.deadlock_aborts");
       Client.quit c1;
       Client.quit c2)
 
@@ -474,9 +479,8 @@ let test_malformed_frames () =
       attack "\x00\x00\x00\x05Zoops";       (* unknown opcode *)
       attack "\x00\x00\x00\x0aQ";           (* torn payload, then EOF *)
       attack "\x00\x00";                    (* torn length prefix *)
-      let stats = Server.stats server in
       Alcotest.(check bool) "violations counted" true
-        (stats.Server.protocol_errors >= 3);
+        (server_stat server "server.protocol_errors" >= 3);
       (* The server is still healthy for well-behaved clients. *)
       let c = Client.connect ~port () in
       (match expect_rows "still serving" (Client.query c "SELECT a.n FROM Acct a") with
@@ -486,10 +490,10 @@ let test_malformed_frames () =
       (* Attackers' sessions must all be gone (no leaked handlers). *)
       let deadline = Unix.gettimeofday () +. 2.0 in
       let rec settle () =
-        if (Server.stats server).Server.sessions_active > 0 then
+        let active = server_stat server "server.sessions_active" in
+        if active > 0 then
           if Unix.gettimeofday () > deadline then
-            Alcotest.failf "%d session(s) leaked"
-              (Server.stats server).Server.sessions_active
+            Alcotest.failf "%d session(s) leaked" active
           else begin Thread.delay 0.01; settle () end
       in
       settle ())
@@ -503,9 +507,9 @@ let test_shutdown_aborts_open_txn () =
       expect_ok "begin" (Client.begin_txn c);
       expect_ok "write" (Client.exec c "UPDATE Acct a SET n = 0");
       Server.shutdown server;
-      let stats = Server.stats server in
-      Alcotest.(check bool) "orphan aborted" true (stats.Server.disconnect_aborts >= 1);
-      Alcotest.(check int) "sessions drained" 0 stats.Server.sessions_active;
+      Alcotest.(check bool) "orphan aborted" true
+        (server_stat server "server.disconnect_aborts" >= 1);
+      Alcotest.(check int) "sessions drained" 0 (server_stat server "server.sessions_active");
       (* The kernel survives with the write rolled back. *)
       let r = Db.query (Server.db server) "SELECT a.n FROM Acct a" in
       let vs = Mood_executor.Executor.result_values r in
@@ -552,7 +556,7 @@ let test_lock_timeout () =
       | Some r -> Alcotest.failf "c2: expected ABORTED, got %s" (response_label r)
       | None -> Alcotest.fail "c2 got no reply");
       Alcotest.(check bool) "waited out the deadline" true (!waited >= 0.3);
-      Alcotest.(check int) "one timeout abort" 1 (Server.stats server).Server.timeout_aborts;
+      Alcotest.(check int) "one timeout abort" 1 (server_stat server "server.timeout_aborts");
       expect_ok "c1 still commits" (Client.commit c1);
       Alcotest.(check int) "c1's write landed, c2's did not" 101 (acct_balance server);
       List.iter Client.quit [ c1; c2; c3 ])
@@ -577,7 +581,8 @@ let test_shutdown_answers_parked_waiter () =
       Server.shutdown server;
       Thread.join waiter;
       expect_ok "parked statement answered" !c2_reply;
-      Alcotest.(check int) "orphan aborted" 1 (Server.stats server).Server.disconnect_aborts;
+      Alcotest.(check int) "orphan aborted" 1
+        (server_stat server "server.disconnect_aborts");
       Alcotest.(check int) "orphan rolled back, waiter applied" 101 (acct_balance server);
       Client.close c1;
       Client.close c2)
@@ -615,8 +620,17 @@ let test_explain_analyze_past_writer () =
       Client.quit writer;
       Client.quit reader)
 
+(* Every server.* row STATS lists, in key order; the server keeps them
+   in its database's registry. *)
+let server_keys =
+  [ "server.deadlock_aborts"; "server.decides"; "server.disconnect_aborts";
+    "server.gc_batches"; "server.gc_commits"; "server.gc_max_batch";
+    "server.prepares"; "server.protocol_errors"; "server.redirects";
+    "server.sessions_active"; "server.sessions_opened"; "server.statements";
+    "server.timeout_aborts"; "server.wrong_shard_redirects" ]
+
 let test_stats_surface () =
-  with_server ~setup:seed_accounts (fun _server port ->
+  with_server ~setup:seed_accounts (fun server port ->
       let c = Client.connect ~port () in
       let stat rows name =
         match List.assoc_opt name rows with
@@ -633,12 +647,34 @@ let test_stats_surface () =
       Alcotest.(check bool) "plan cache included" true
         (List.mem_assoc "plan_cache.hits" s0);
       ignore (expect_rows "select" (Client.query c "SELECT a.n FROM Acct a"));
+      (* autocommit: its reply waits for the log-writer's force *)
+      expect_ok "update" (Client.exec c "UPDATE Acct a SET n = a.n + 1");
       let s1 = Client.stats c in
-      (* the SELECT and the first STATS both count as statements *)
-      Alcotest.(check int) "statements advanced by 2" 2
+      (* the first STATS, the SELECT and the deferred UPDATE each count
+         once *)
+      Alcotest.(check int) "statements advanced by 3" 3
         (stat s1 "server.statements" - stat s0 "server.statements");
-      Alcotest.(check int) "session sees its own statements" 2
+      Alcotest.(check int) "session sees its own statements" 3
         (stat s1 "session.statements" - stat s0 "session.statements");
+      (* The registry holds the same server rows, once each; it reads
+         one more statement, since a STATS request is counted after
+         its reply is built. *)
+      let snapshot = Db.metrics_snapshot (Server.db server) in
+      List.iter
+        (fun key ->
+          let once rows =
+            List.length (List.filter (fun (k, _) -> k = key) rows) = 1
+          in
+          Alcotest.(check bool) (key ^ " listed once by STATS") true (once s1);
+          Alcotest.(check bool) (key ^ " in the registry once") true (once snapshot);
+          let extra = if key = "server.statements" then 1 else 0 in
+          Alcotest.(check int) (key ^ " as STATS showed it") (stat s1 key + extra)
+            (stat snapshot key))
+        server_keys;
+      Alcotest.(check (list string)) "no other server rows" server_keys
+        (List.filter
+           (fun k -> String.length k > 7 && String.sub k 0 7 = "server.")
+           (List.map fst snapshot));
       Alcotest.(check int) "kernel counted the SELECT" 1
         (stat s1 "stmt.select" - stat s0 "stmt.select");
       Alcotest.(check bool) "rows flowed back" true
@@ -653,6 +689,40 @@ let test_stats_surface () =
         (stat s2 "server.statements" > stat s1 "server.statements");
       Client.quit c2;
       Client.quit c)
+
+(* Every client takes one endpoint parser: HOST:PORT (an empty host is
+   127.0.0.1) and unix:PATH reach the same server, and a malformed spec
+   is refused with one message. *)
+let test_endpoint_specs () =
+  let path = Filename.temp_file "mood_endpoint" ".sock" in
+  let config = { base_config with Server.unix_path = Some path } in
+  with_server ~config (fun _server port ->
+      List.iter
+        (fun spec ->
+          let c = Client.connect_endpoint spec in
+          (match Client.ping c with
+          | Wire.Pong -> ()
+          | r -> Alcotest.failf "%s: %s" spec (response_label r));
+          Client.quit c)
+        [ Printf.sprintf "127.0.0.1:%d" port; Printf.sprintf ":%d" port; "unix:" ^ path ];
+      List.iter
+        (fun spec ->
+          Alcotest.check_raises spec
+            (Failure
+               ("endpoint must be HOST:PORT (HOST an IP address) or unix:PATH, got " ^ spec))
+            (fun () -> ignore (Client.connect_endpoint spec)))
+        [ "nope"; "127.0.0.1:http" ])
+
+(* The registry cannot drop a source, so a database is served once: a
+   second start, even after the first server shut down, is refused
+   before it binds anything. *)
+let test_one_server_per_database () =
+  let db = Db.create () in
+  let server = Server.start ~config:base_config db in
+  Server.shutdown server;
+  Alcotest.check_raises "second start"
+    (Invalid_argument "Server.start: the database already has a server")
+    (fun () -> ignore (Server.start ~config:base_config db))
 
 (* Group commit: every COMMIT's force goes through the log-writer (the
    gc_* STATS rows advance) and the ACK is durable. *)
@@ -720,7 +790,7 @@ let expect_ok_containing label sub = function
 (* Full participant cycle over the wire: vote, decide commit, and the
    idempotent re-decide of a forgotten gid. *)
 let test_prepare_then_decide () =
-  with_server ~setup:seed_accounts (fun server port ->
+  with_server ~setup:seed_accounts (fun _server port ->
       let c = Client.connect ~port () in
       (match Client.prepare c ~gid:41 with
       | Wire.Err m ->
@@ -750,8 +820,6 @@ let test_prepare_then_decide () =
       expect_ok_containing "re-decide" "UNKNOWN 42" (Client.decide c ~gid:42 ~commit:true);
       expect_ok_containing "unknown gid" "UNKNOWN 99"
         (Client.decide c ~gid:99 ~commit:false);
-      let st = Server.stats server in
-      ignore st;
       Client.quit c)
 
 (* The vote is a durable promise: an abrupt client disconnect must NOT
@@ -891,6 +959,24 @@ let with_cluster ?(shards = 3) f =
 (* One client against a 3-shard cluster: DDL broadcast, hash-routed
    creations, scatter-gather reads, a cross-shard autocommit update
    running as a 2PC transaction, and the router's stats surface. *)
+(* A malformed shard address is refused at start, before the decision
+   log is opened, not answered as an unavailable shard per statement. *)
+let test_router_refuses_bad_shard () =
+  let dlog = Filename.temp_file "mood_router" ".decisions" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove dlog)
+    (fun () ->
+      Alcotest.check_raises "bogus shard"
+        (Failure
+           "endpoint must be HOST:PORT (HOST an IP address) or unix:PATH, got bogus")
+        (fun () ->
+          ignore
+            (Router.start
+               { Router.default_config with
+                 Router.shards = [ "127.0.0.1:1"; "bogus" ];
+                 decision_log = dlog
+               })))
+
 let test_router_end_to_end () =
   with_cluster (fun router port ->
       let c = Client.connect ~port () in
@@ -1149,6 +1235,9 @@ let suites =
         Alcotest.test_case "EXPLAIN ANALYZE past a writer" `Quick
           test_explain_analyze_past_writer;
         Alcotest.test_case "STATS surface" `Quick test_stats_surface;
+        Alcotest.test_case "endpoint specs" `Quick test_endpoint_specs;
+        Alcotest.test_case "one server per database" `Quick
+          test_one_server_per_database;
         Alcotest.test_case "group commit" `Quick test_group_commit;
         Alcotest.test_case "lock timeout" `Quick test_lock_timeout;
         Alcotest.test_case "shutdown answers a parked waiter" `Quick
@@ -1162,6 +1251,8 @@ let suites =
           test_prepared_survives_disconnect;
         Alcotest.test_case "wrong shard enforced" `Quick test_wrong_shard_enforced;
         Alcotest.test_case "journal roundtrip" `Quick test_journal_roundtrip;
+        Alcotest.test_case "router refuses a bad shard" `Quick
+          test_router_refuses_bad_shard;
         Alcotest.test_case "router end to end" `Quick test_router_end_to_end;
         Alcotest.test_case "decision log allocation fence" `Quick
           test_decision_log_allocation_fence;
