@@ -16,7 +16,7 @@ let run host port shards decision_log port_file =
     exit 2
   end;
   let config =
-    { Router.default_config with Router.host; port = Some port; shards; decision_log }
+    { Router.host; port = Some port; shards; decision_log }
   in
   let router = Router.start config in
   let bound = Option.value ~default:0 (Router.port router) in

@@ -12,9 +12,8 @@ module Db = Mood.Db
 module Server = Mood_server.Server
 
 let run host port unix_path demo demo_schema scale port_file lock_timeout
-    replica_of poll_interval no_snapshot_reads journal commit_latency =
+    replica_of poll_interval journal commit_latency =
   let db = Db.create () in
-  if no_snapshot_reads then Db.set_snapshot_reads db false;
   (* A replica's schema and contents come from the primary's bootstrap
      snapshot, never from local preloading. *)
   if demo && replica_of = None then begin
@@ -44,8 +43,7 @@ let run host port unix_path demo demo_schema scale port_file lock_timeout
       journal
   in
   let config =
-    { Server.default_config with
-      Server.host;
+    { Server.host;
       port = Some port;
       unix_path;
       lock_timeout;
@@ -173,16 +171,6 @@ let journal =
            recovery — committed effects and in-doubt 2PC transactions \
            survive a kill). Restart with the same preload flags.")
 
-let no_snapshot_reads =
-  Arg.(
-    value
-    & flag
-    & info [ "no-snapshot-reads" ]
-        ~doc:
-          "Disable MVCC snapshot reads: SELECTs take shared statement \
-           locks (the pre-MVCC strict-2PL behaviour). Baseline mode for \
-           before/after benchmarking.")
-
 let commit_latency =
   Arg.(
     value
@@ -200,7 +188,6 @@ let cmd =
        ~doc:"MOOD network server: concurrent MOODSQL over the wire protocol")
     Term.(
       const run $ host $ port $ unix_path $ demo $ demo_schema $ scale $ port_file
-      $ lock_timeout $ replica_of $ poll_interval $ no_snapshot_reads $ journal
-      $ commit_latency)
+      $ lock_timeout $ replica_of $ poll_interval $ journal $ commit_latency)
 
 let () = exit (Cmd.eval' cmd)

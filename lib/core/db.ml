@@ -24,11 +24,11 @@ module Scan_metrics = Mood_column.Scan_metrics
 module Metrics = Mood_obs.Metrics
 module Version_store = Mood_storage.Version_store
 
-(* A fully planned SELECT, ready to re-execute: the parsed query (for
-   statement locks), the optimizer output (for explain/traces) and the
-   closure-compiled plan. Plans hold no object data, so DML never
-   invalidates them — only schema/index/statistics changes do, via the
-   epoch the cache entry is stamped with. *)
+(* A fully planned SELECT, ready to re-execute: the parsed query (the
+   statement a hit stands for), the optimizer output (for
+   explain/traces) and the closure-compiled plan. Plans hold no object
+   data, so DML never invalidates them — only schema/index/statistics
+   changes do, via the epoch the cache entry is stamped with. *)
 type cached_plan = {
   cp_query : Ast.query;
   cp_optimized : Optimizer.optimized;
@@ -74,10 +74,11 @@ type session_txn = {
   stxn_lock : Lock.txn;
   mutable stxn_open : bool;
   stxn_view : Version_store.view option;
-      (* snapshot captured at BEGIN (when MVCC reads are on): every
-         read in the transaction (SELECT, EXPLAIN ANALYZE) sees this
-         view — repeatable, lock-free — plus the transaction's own
-         pending writes *)
+      (* snapshot captured at BEGIN: every read in the transaction
+         (SELECT, EXPLAIN ANALYZE, NAME's query) sees this view —
+         repeatable, lock-free — plus the transaction's own pending
+         writes. [None] only for the in-doubt transactions [recover]
+         brings back, which run no statement. *)
   mutable stxn_prepared : int option;
       (* the coordinator's gid once PREPAREd: the transaction is frozen
          (no further statements, survives client disconnect) until a
@@ -91,8 +92,8 @@ type txn_error =
   | Txn_redirect of string
 
 (* Where a statement runs: on its own, or inside a session transaction.
-   The only things that differ are who owns the extent locks and when
-   they are released, which snapshot a read uses, and whether DML
+   The only things that differ are who owns a write's extent locks and
+   when they are released, which snapshot a read uses, and whether DML
    carries a transaction id. *)
 type context = Statement | Session of session_txn
 
@@ -114,9 +115,6 @@ type t = {
   mutable slow_log : slow_query list; (* newest first, bounded *)
   mutable role : role;
   mutable term : int;  (* replication term — grows monotonically *)
-  mutable snapshot_reads : bool;
-      (* SELECTs read MVCC snapshots instead of taking shared locks;
-         off = the pre-MVCC strict-2PL read path (baseline mode) *)
   mutable prepared : (int * session_txn) list;
       (* gid -> prepared transaction: the participant side of 2PC.
          Entries survive client disconnects and are rebuilt by
@@ -145,9 +143,8 @@ type exec_result =
 
 let slow_log_capacity = 64
 
-let create ?disk_params ?buffer_capacity ?(plan_cache_capacity = 64)
-    ?(metrics_enabled = true) () =
-  let st = Store.create ?disk_params ?buffer_capacity () in
+let create ?buffer_capacity ?(plan_cache_capacity = 64) ?(metrics_enabled = true) () =
+  let st = Store.create ?buffer_capacity () in
   let cat = Catalog.create ~store:st in
   let funcs = Fm.create ~catalog:cat in
   let metrics = Metrics.create ~enabled:metrics_enabled () in
@@ -180,7 +177,6 @@ let create ?disk_params ?buffer_capacity ?(plan_cache_capacity = 64)
       slow_log = [];
       role = Primary;
       term = 1;
-      snapshot_reads = true;
       prepared = [];
       on_ddl = None;
       settings = Dicts.default_settings
@@ -389,48 +385,38 @@ let optimize t source =
   let q = Parser.parse_query source in
   Optimizer.optimize (optimizer_env t) q
 
-(* Statement-granularity two-phase locking: a read shares the extents
-   it ranges over, DML takes them exclusively. Single-session use never
-   conflicts with itself — conflicts surface against other sessions'
-   transactions, administrative locks or the Function Manager's
-   shared-object rebuilds, which use the same lock manager. *)
+(* Statement-granularity two-phase locking for writers: DML and a
+   layout change take the extents they write exclusively, the class's
+   subclasses included. Reads take no lock — they read snapshots
+   ([read]). Conflicts surface against other sessions' writes,
+   administrative locks or the Function Manager's shared-object
+   rebuilds, which use the same lock manager. *)
 let statement_locks t stmt =
   let deep cls = cls :: Catalog.descendants t.cat cls in
   match stmt with
-  | Ast.Select q | Ast.Explain { ex_query = q; _ } | Ast.Name_object { nm_query = q; _ } ->
-      List.concat_map
-        (fun (item : Ast.from_item) ->
-          if item.Ast.named then []
-          else List.map (fun c -> (c, Lock.Shared)) (deep item.Ast.class_name))
-        q.Ast.from
-  | Ast.New_object { no_class; _ } -> [ (no_class, Lock.Exclusive) ]
-  | Ast.Update { up_class; _ } ->
-      List.map (fun c -> (c, Lock.Exclusive)) (deep up_class)
-  | Ast.Delete { de_class; _ } ->
-      List.map (fun c -> (c, Lock.Exclusive)) (deep de_class)
-  | Ast.Alter_class_layout { al_class; _ } ->
-      List.map (fun c -> (c, Lock.Exclusive)) (deep al_class)
-  | Ast.Create_class _ | Ast.Create_index _ | Ast.Define_method _ | Ast.Drop_method _
-  | Ast.Drop_name _ | Ast.Set _ ->
+  | Ast.New_object { no_class; _ } -> [ no_class ]
+  | Ast.Update { up_class = cls; _ }
+  | Ast.Delete { de_class = cls; _ }
+  | Ast.Alter_class_layout { al_class = cls; _ } ->
+      deep cls
+  | Ast.Select _ | Ast.Explain _ | Ast.Name_object _ | Ast.Create_class _
+  | Ast.Create_index _ | Ast.Define_method _ | Ast.Drop_method _ | Ast.Drop_name _
+  | Ast.Set _ ->
       []
 
 let versions t = Store.versions t.st
 
-let set_snapshot_reads t on = t.snapshot_reads <- on
-
-let snapshot_reads_enabled t = t.snapshot_reads
-
 let context_txn = function Statement -> None | Session s -> Some s.stxn_id
 
-(* The one place extent locks are taken. A [Statement] takes a lock
-   transaction of its own and releases it when the statement ends,
-   however it ends. A [Session] grows the session's lock transaction,
-   held until commit/abort (strict 2PL); a conflict leaves the locks
-   granted so far in place — incremental acquisition is what makes a
-   cross-session deadlock detectable. [Txn_busy]: retry the statement;
-   [Txn_deadlock]: this transaction is the victim. *)
-let with_locks t ctx wanted run =
-  if wanted = [] then Ok (run ())
+(* The one place extent locks are taken, always exclusively. A
+   [Statement] takes a lock transaction of its own and releases it when
+   the statement ends, however it ends. A [Session] grows the session's
+   lock transaction, held until commit/abort (strict 2PL); a conflict
+   leaves the locks granted so far in place — incremental acquisition
+   is what makes a cross-session deadlock detectable. [Txn_busy]: retry
+   the statement; [Txn_deadlock]: this transaction is the victim. *)
+let with_locks t ctx classes run =
+  if classes = [] then Ok (run ())
   else begin
     let locks = Store.locks t.st in
     let owner, release =
@@ -442,29 +428,28 @@ let with_locks t ctx wanted run =
     in
     let rec acquire = function
       | [] -> Ok (run ())
-      | (cls, mode) :: rest -> (
-          match Lock.acquire locks owner ("extent:" ^ cls) mode with
+      | cls :: rest -> (
+          match Lock.acquire locks owner ("extent:" ^ cls) Lock.Exclusive with
           | Lock.Granted -> acquire rest
           | Lock.Would_block -> Error Txn_busy
           | Lock.Deadlock -> Error Txn_deadlock)
     in
-    Fun.protect ~finally:release (fun () -> acquire wanted)
+    Fun.protect ~finally:release (fun () -> acquire classes)
   end
 
-(* How a read sees the data; the first that applies wins:
-   - the session's BEGIN snapshot: repeatable for the transaction's
-     lifetime, plus its own pending writes, and never [Txn_busy];
-   - a snapshot of its own when MVCC reads are on: it captures the
-     commit clock, resolves every extent access through version
-     visibility, and is closed afterwards so GC can advance;
-   - shared statement locks (the pre-MVCC baseline). *)
-let read t ctx stmt run =
+(* How a read sees the data. Inside a session transaction: the BEGIN
+   snapshot, repeatable for the transaction's lifetime, plus its own
+   pending writes. Otherwise a snapshot of its own: it captures the
+   commit clock, resolves every extent access through version
+   visibility, and is closed afterwards so GC can advance. Either way
+   no lock is taken, so a read never waits. *)
+let read t ctx run =
   let vs = versions t in
   match ctx with
   | Session { stxn_view = Some view; _ } ->
       Version_store.note_read vs;
-      Ok (Version_store.with_view vs view run)
-  | (Statement | Session _) when t.snapshot_reads ->
+      Version_store.with_view vs view run
+  | Statement | Session _ ->
       let view = Version_store.open_snapshot vs ?txn:(context_txn ctx) () in
       Fun.protect
         ~finally:(fun () ->
@@ -472,17 +457,17 @@ let read t ctx stmt run =
           Version_store.drain_removals vs)
         (fun () ->
           Version_store.note_read vs;
-          Ok (Version_store.with_view vs view run))
-  | Statement | Session _ -> with_locks t ctx (statement_locks t stmt) run
+          Version_store.with_view vs view run)
 
 (* What a statement may touch, and how. Plain EXPLAIN and SET read no
    data. Everything else writes: on a replica (or a fenced ex-primary)
    it is refused with the primary's address — a retryable routing
    outcome, nothing executed or locked. [NAME ... AS SELECT] reads to
-   find its object but writes the name table, so it counts as a write. *)
+   find its object but writes the name table, so it counts as a write;
+   only its query runs under [read] ([execute]). *)
 let access t ctx stmt run =
   match stmt with
-  | Ast.Select _ | Ast.Explain { ex_analyze = true; _ } -> read t ctx stmt run
+  | Ast.Select _ | Ast.Explain { ex_analyze = true; _ } -> Ok (read t ctx run)
   | Ast.Explain { ex_analyze = false; _ } | Ast.Set _ -> Ok (run ())
   | Ast.Create_class _ | Ast.Alter_class_layout _ | Ast.Create_index _
   | Ast.New_object _ | Ast.Update _ | Ast.Delete _ | Ast.Define_method _
@@ -773,7 +758,11 @@ let execute t ctx ~cache ~key stmt hit =
       Method_dropped (xm_class, xm_name)
   | Ast.Name_object { nm_name; nm_query } -> begin
       let optimized = Optimizer.optimize (optimizer_env t) nm_query in
-      let result = Executor.run (executor_env t) optimized.Optimizer.plan in
+      (* The name check and insert stay outside the view: under a
+         snapshot, a name another session bound since would look free. *)
+      let result =
+        read t ctx (fun () -> Executor.run (executor_env t) optimized.Optimizer.plan)
+      in
       match Executor.result_oids result with
       | [ oid ] ->
           Catalog.name_object t.cat ~name:nm_name oid;
@@ -846,9 +835,7 @@ let query ?cache t source =
 let analyzed t source =
   let q = Parser.parse_query source in
   Typecheck.check_statement ~catalog:t.cat (Ast.Select q);
-  match read t Statement (Ast.Select q) (fun () -> analyzed_core t q) with
-  | Ok analyzed -> analyzed
-  | Error e -> failwith (statement_error e)
+  read t Statement (fun () -> analyzed_core t q)
 
 let analyze_query t source =
   let a = analyzed t source in
@@ -1057,14 +1044,10 @@ let begin_session_txn t =
   t.next_txn <- txn + 1;
   t.active_txns <- txn :: t.active_txns;
   ignore (Wal.append (Store.wal t.st) (Wal.Begin txn));
-  let view =
-    if t.snapshot_reads then Some (Version_store.open_snapshot (versions t) ~txn ())
-    else None
-  in
   { stxn_id = txn;
     stxn_lock = Lock.begin_txn (Store.locks t.st);
     stxn_open = true;
-    stxn_view = view;
+    stxn_view = Some (Version_store.open_snapshot (versions t) ~txn ());
     stxn_prepared = None
   }
 
@@ -1343,7 +1326,7 @@ let recover t =
                | _ -> None)
              undo)
       in
-      (match with_locks t (Session s) (List.map (fun cls -> (cls, Lock.Exclusive)) classes) ignore with
+      (match with_locks t (Session s) classes ignore with
       | Ok () -> ()
       | Error _ ->
           failwith

@@ -30,7 +30,6 @@ type exec_result =
           est-vs-actual report *)
 
 val create :
-  ?disk_params:Mood_storage.Disk.params ->
   ?buffer_capacity:int ->
   ?plan_cache_capacity:int ->
   ?metrics_enabled:bool ->
@@ -68,16 +67,6 @@ val executor_env : t -> Mood_executor.Eval.env
 (** Carries the [JOIN_MEM] budget and the database's registry, where
     [join.*] counts. *)
 
-val set_snapshot_reads : t -> bool -> unit
-(** On (the default), SELECTs — standalone and inside session
-    transactions — read MVCC snapshots with zero lock-manager traffic:
-    a snapshot captures the commit clock and resolves every extent
-    access through the version chains, while writers keep strict 2PL
-    among themselves. Off restores the pre-MVCC behaviour (shared
-    statement locks), the baseline for before/after measurements. *)
-
-val snapshot_reads_enabled : t -> bool
-
 val read_only_text : string -> bool
 (** Statement text that cannot mutate anything (SELECT / EXPLAIN
     [ANALYZE] forms) — the server's autocommit fast path runs these
@@ -96,12 +85,14 @@ val exec : ?cache:bool -> t -> string -> (exec_result, string) result
     Only the first kind counts in [stmt.error].
 
     [exec] and {!exec_in_txn} are two contexts of one statement
-    pipeline. Standalone, a statement takes extent locks on a lock
-    transaction of its own and releases them when it ends; a read uses
-    a snapshot of its own when snapshot reads are on, shared locks
-    otherwise. Writes are not WAL-logged. [SET name value] and
-    [EXPLAIN [ANALYZE] SELECT ...] are statements like any other;
-    EXPLAIN ANALYZE reads the way its SELECT reads.
+    pipeline. Every read (SELECT, EXPLAIN ANALYZE, the query of
+    [NAME x AS SELECT ...]) reads an MVCC snapshot and takes no lock:
+    the snapshot captures the commit clock and resolves every extent
+    access through the version chains. Only writes lock, always
+    exclusively; standalone, a write takes its extent locks on a lock
+    transaction of its own and releases them when it ends. Writes are
+    not WAL-logged. [SET name value] and [EXPLAIN [ANALYZE] SELECT ...]
+    are statements like any other.
 
     SELECT statements go through the {e compile-once hot path}: the
     parsed, typechecked, optimized and closure-compiled plan is cached
@@ -136,10 +127,9 @@ val explain_analyze : t -> string -> string
     and renders the est-vs-actual operator tree (rows, loops, wall
     time, page-level I/O and buffer charges per node) followed by run
     totals — the text [exec] returns for [EXPLAIN ANALYZE SELECT ...].
-    Reads the way a standalone SELECT reads (a snapshot of its own when
-    snapshot reads are on, shared locks otherwise). Always plans fresh —
-    never served from the plan cache. Raises [Failure] on a lock
-    conflict, [Parse_error]/[Type_error] on a bad query. *)
+    Reads the way a standalone SELECT reads: a snapshot of its own, no
+    lock. Always plans fresh — never served from the plan cache.
+    Raises [Parse_error]/[Type_error] on a bad query. *)
 
 val analyze_query :
   t -> string -> Mood_executor.Executor.result * Mood_executor.Executor.op_report list
@@ -189,9 +179,9 @@ val transaction : t -> (int -> 'a) -> 'a
     The open-ended counterpart of [transaction], built for the network
     server's BEGIN/COMMIT/ABORT statements: the transaction spans many
     [exec_in_txn] calls, DML inside it is WAL-logged under its id, and
-    statement locks follow strict two-phase locking — they accumulate
+    its write locks follow strict two-phase locking — they accumulate
     on the session's lock-manager transaction and are only released by
-    [commit_session_txn]/[abort_session_txn].
+    [commit_session_txn]/[abort_session_txn]. Its reads take none.
 
     {b Thread-safety:} [t] is single-threaded — the plan cache, buffer
     pool LRU, catalog hash tables and the statistics snapshot are all
@@ -204,8 +194,8 @@ type session_txn
 
 type txn_error =
   | Txn_busy
-      (** A statement lock is held by another live transaction; the
-          wait is registered in the waits-for graph. Locks granted so
+      (** A write's statement lock is held by another live
+          transaction; the wait is registered in the waits-for graph. Locks granted so
           far stay held (2PL growth). Retry the same statement. *)
   | Txn_deadlock
       (** Waiting would close a waits-for cycle: this transaction is
@@ -222,7 +212,8 @@ type txn_error =
 
 val begin_session_txn : t -> session_txn
 (** Appends [Begin] to the WAL, registers the transaction as active
-    (checkpoints record it) and opens a lock-manager transaction. *)
+    (checkpoints record it), opens a lock-manager transaction and
+    captures the snapshot every read in the transaction sees. *)
 
 val session_txn_id : session_txn -> int
 
@@ -233,12 +224,11 @@ val exec_in_txn : t -> session_txn -> string -> (exec_result, txn_error) result
     checked to be open and not prepared. SELECTs share the compiled
     plan cache (prepared-statement reuse across sessions and
     statements); DML is WAL-logged under the transaction's id so
-    [abort_session_txn] compensates it. Statement locks are acquired on
-    the session's lock transaction and {e not} released when the
-    statement finishes. A read (SELECT or EXPLAIN ANALYZE) uses the
-    BEGIN snapshot when one was captured — no locks, never
-    [Txn_busy] — else a snapshot of its own when snapshot reads are on,
-    else shared locks. *)
+    [abort_session_txn] compensates it. A write's exclusive locks are
+    acquired on the session's lock transaction and {e not} released
+    when the statement finishes. A read (SELECT, EXPLAIN ANALYZE,
+    NAME's query) uses the snapshot captured at BEGIN — no locks,
+    never [Txn_busy]. *)
 
 val commit_session_txn : t -> session_txn -> unit
 (** Appends [Commit], forces the log, and releases every lock. Raises

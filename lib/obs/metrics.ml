@@ -11,7 +11,6 @@ type counter = { c_name : string; mutable c_value : int; c_shared : shared }
 
 type histogram = {
   h_name : string;
-  h_bounds : float array; (* upper bounds, seconds, ascending *)
   h_counts : int array;   (* one per bound, plus overflow at the end *)
   mutable h_count : int;
   mutable h_sum : float;  (* seconds *)
@@ -49,17 +48,16 @@ let incr c = if c.c_shared.on then c.c_value <- c.c_value + 1
 let add c n = if c.c_shared.on then c.c_value <- c.c_value + n
 let value c = c.c_value
 
-let default_buckets = [ 0.0001; 0.001; 0.01; 0.1; 1.; 10. ]
+(* Every histogram's upper bounds, seconds, ascending: a latency
+   ladder from 100µs to 10s. *)
+let bounds = [| 0.0001; 0.001; 0.01; 0.1; 1.; 10. |]
 
-let histogram t ?(buckets = default_buckets) name =
+let histogram t name =
   match Hashtbl.find_opt t.histograms name with
   | Some h -> h
   | None ->
-      let bounds = Array.of_list buckets in
-      Array.sort compare bounds;
       let h =
         { h_name = name;
-          h_bounds = bounds;
           h_counts = Array.make (Array.length bounds + 1) 0;
           h_count = 0;
           h_sum = 0.;
@@ -71,9 +69,9 @@ let histogram t ?(buckets = default_buckets) name =
 
 let observe h v =
   if h.h_shared.on then begin
-    let n = Array.length h.h_bounds in
+    let n = Array.length bounds in
     let i = ref 0 in
-    while !i < n && v > h.h_bounds.(!i) do
+    while !i < n && v > bounds.(!i) do
       i := !i + 1
     done;
     h.h_counts.(!i) <- h.h_counts.(!i) + 1;
@@ -98,8 +96,8 @@ let histogram_rows h =
   Array.iteri
     (fun i n ->
       cum := !cum + n;
-      if i < Array.length h.h_bounds then
-        rows := (h.h_name ^ "." ^ bound_label h.h_bounds.(i), !cum) :: !rows)
+      if i < Array.length bounds then
+        rows := (h.h_name ^ "." ^ bound_label bounds.(i), !cum) :: !rows)
     h.h_counts;
   (h.h_name ^ ".count", h.h_count)
   :: (h.h_name ^ ".sum_us", micros h.h_sum)

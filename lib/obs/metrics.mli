@@ -50,10 +50,9 @@ val add : counter -> int -> unit
 val value : counter -> int
 (** The counter's current value. *)
 
-val histogram : t -> ?buckets:float list -> string -> histogram
-(** Interned lookup-or-create. [buckets] are upper bounds in seconds,
-    sorted ascending; the default is a latency ladder from 100µs to
-    10s. Buckets are fixed at first creation. *)
+val histogram : t -> string -> histogram
+(** Interned lookup-or-create. Every histogram buckets by the same
+    upper bounds in seconds: a latency ladder from 100µs to 10s. *)
 
 val observe : histogram -> float -> unit
 (** Records one observation (seconds) when the registry is enabled. *)

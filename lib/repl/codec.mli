@@ -1,12 +1,13 @@
 (** Serialization of the two replication payloads carried in wire
     [Blob] responses: the streaming record batch and the bootstrap
-    snapshot. Same framing discipline as the wire protocol and the WAL
-    record codec — big-endian u32 integers, u32-length-prefixed
-    strings — so a truncated or foreign blob fails with
-    {!Wal.Codec_error}-style defensiveness, not an array-bounds
+    snapshot, built from the WAL record codec's primitives — big-endian
+    u32 integers, u32-length-prefixed strings — so a truncated or
+    foreign blob fails with {!Codec_error}, not an array-bounds
     exception. *)
 
 exception Codec_error of string
+(** {!Mood_storage.Wal.Codec_error} itself: a handler for either
+    catches both. *)
 
 type batch = {
   b_term : int;      (** the answering primary's replication term *)

@@ -56,26 +56,34 @@ let connect_addr ?(handshake = true) addr =
   if handshake then hello t;
   t
 
-let connect ?(host = "127.0.0.1") ?handshake ~port () =
-  connect_addr ?handshake (Unix.ADDR_INET (Unix.inet_addr_of_string host, port))
+let connect ?handshake ~port () =
+  connect_addr ?handshake (Unix.ADDR_INET (Unix.inet_addr_loopback, port))
 
 let connect_unix ?handshake ~path () = connect_addr ?handshake (Unix.ADDR_UNIX path)
 
+let resolve_host host =
+  try Unix.inet_addr_of_string host
+  with Failure _ -> (
+    try (Unix.gethostbyname host).Unix.h_addr_list.(0)
+    with Not_found -> failwith ("cannot resolve host " ^ host))
+
+let sockaddr_name = function
+  | Unix.ADDR_INET (a, p) -> Printf.sprintf "%s:%d" (Unix.string_of_inet_addr a) p
+  | Unix.ADDR_UNIX p -> "unix:" ^ p
+
 let endpoint spec =
-  let bad () =
-    failwith ("endpoint must be HOST:PORT (HOST an IP address) or unix:PATH, got " ^ spec)
-  in
+  let bad () = failwith ("endpoint must be HOST:PORT or unix:PATH, got " ^ spec) in
   if String.starts_with ~prefix:"unix:" spec then
     Unix.ADDR_UNIX (String.sub spec 5 (String.length spec - 5))
   else
     match String.rindex_opt spec ':' with
     | None -> bad ()
     | Some i -> (
-        let host = if i = 0 then "127.0.0.1" else String.sub spec 0 i in
-        let port = String.sub spec (i + 1) (String.length spec - i - 1) in
-        match (Unix.inet_addr_of_string host, int_of_string port) with
-        | addr, port -> Unix.ADDR_INET (addr, port)
-        | exception Failure _ -> bad ())
+        match int_of_string_opt (String.sub spec (i + 1) (String.length spec - i - 1)) with
+        | None -> bad ()
+        | Some port ->
+            let host = if i = 0 then "127.0.0.1" else String.sub spec 0 i in
+            Unix.ADDR_INET (resolve_host host, port))
 
 let connect_endpoint spec = connect_addr (endpoint spec)
 

@@ -9,18 +9,29 @@ exception Disconnected
 
 type t
 
-val connect : ?host:string -> ?handshake:bool -> port:int -> unit -> t
-(** TCP; [host] defaults to 127.0.0.1. [handshake] (default true)
+val connect : ?handshake:bool -> port:int -> unit -> t
+(** TCP to 127.0.0.1. [handshake] (default true)
     sends [Hello] with {!Wire.protocol_version} before returning and
     raises [Failure] with the server's explanation on a version
     mismatch — pass [~handshake:false] to speak to v0 servers. *)
 
 val connect_unix : ?handshake:bool -> path:string -> unit -> t
 
+val resolve_host : string -> Unix.inet_addr
+(** An IP address as written, else the first address
+    [Unix.gethostbyname] finds for the name. Raises [Failure] when the
+    name does not resolve. The one resolver of clients, servers and
+    the router. *)
+
+val sockaddr_name : Unix.sockaddr -> string
+(** [IP:PORT] or [unix:PATH]: how the session registries name a
+    peer. *)
+
 val endpoint : string -> Unix.sockaddr
-(** Parses an endpoint spec: [HOST:PORT], where HOST is an IP address
-    and an empty HOST means 127.0.0.1, or [unix:PATH]. Raises
-    [Failure] naming the spec when it is neither. *)
+(** Parses an endpoint spec: [HOST:PORT], where HOST is resolved by
+    {!resolve_host} and an empty HOST means 127.0.0.1, or [unix:PATH].
+    Raises [Failure] naming the spec when it is neither, and
+    {!resolve_host}'s [Failure] when HOST does not resolve. *)
 
 val connect_endpoint : string -> t
 (** Connects to [endpoint spec] and sends the handshake. *)

@@ -11,7 +11,6 @@ type config = {
   host : string;
   port : int option;
   unix_path : string option;
-  max_frame : int;
   lock_timeout : float;
   replica_of : string option;
   poll_interval : float;
@@ -22,7 +21,6 @@ let default_config =
   { host = "127.0.0.1";
     port = Some 0;
     unix_path = None;
-    max_frame = Wire.default_max_frame;
     lock_timeout = 10.0;
     replica_of = None;
     commit_latency = 0.;
@@ -358,15 +356,10 @@ let attempt_statement t job ~query sql =
   match prepared_frozen session with
   | Some err -> `Reply err
   | None ->
-  (* Autocommit read fast path: with MVCC snapshot reads on, a
-     read-only statement outside any transaction needs no WAL
-     Begin/Commit, no log force and no lock transaction — it runs on a
-     throwaway snapshot and can never park. *)
-  if
-    session.Session.txn = None && job.jtxn = None
-    && Db.read_only_text sql
-    && Db.snapshot_reads_enabled t.database
-  then
+  (* Autocommit read fast path: a read-only statement outside any
+     transaction needs no WAL Begin/Commit, no log force and no lock
+     transaction — it runs on a throwaway snapshot and can never park. *)
+  if session.Session.txn = None && job.jtxn = None && Db.read_only_text sql then
     match with_kernel t (fun () -> Db.exec t.database sql) with
     | Ok (Db.Rows _ as r) -> `Reply (render_result r)
     | Ok _ when query -> `Reply (Wire.Err "QUERY expects a SELECT statement")
@@ -652,21 +645,11 @@ let teardown t (session : Session.t) =
 (* ------------------------------------------------------------------ *)
 (* Listeners                                                           *)
 
-let sockaddr_name = function
-  | Unix.ADDR_INET (a, p) -> Printf.sprintf "%s:%d" (Unix.string_of_inet_addr a) p
-  | Unix.ADDR_UNIX p -> "unix:" ^ p
-
-let resolve_host host =
-  try Unix.inet_addr_of_string host
-  with Failure _ -> (
-    try (Unix.gethostbyname host).Unix.h_addr_list.(0)
-    with Not_found -> failwith ("mood_server: cannot resolve host " ^ host))
-
 let listen_tcp ~host ~port =
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   (try
      Unix.setsockopt fd Unix.SO_REUSEADDR true;
-     Unix.bind fd (Unix.ADDR_INET (resolve_host host, port));
+     Unix.bind fd (Unix.ADDR_INET (Client.resolve_host host, port));
      Unix.listen fd 256;
      Unix.set_nonblock fd
    with e ->
@@ -805,10 +788,10 @@ let reactor_loop t =
             lor (Char.code pend.[2] lsl 8)
             lor Char.code pend.[3]
           in
-          if len > t.config.max_frame then
+          if len > Wire.max_frame then
             protocol_fail c
               (Printf.sprintf "frame of %d bytes exceeds the %d-byte limit" len
-                 t.config.max_frame)
+                 Wire.max_frame)
           else if len = 0 then protocol_fail c "empty frame"
           else if n >= 4 + len then begin
             let payload = Bytes.of_string (String.sub pend 4 len) in
@@ -896,7 +879,7 @@ let reactor_loop t =
     match Unix.accept lfd with
     | fd, addr ->
         Unix.set_nonblock fd;
-        let session = Session.register t.registry ~fd ~peer:(sockaddr_name addr) in
+        let session = Session.register t.registry ~fd ~peer:(Client.sockaddr_name addr) in
         Hashtbl.replace conns fd
           { c_session = session;
             c_state = `Reading;

@@ -59,7 +59,6 @@ type config = {
   port : int option;         (** [Some 0] binds an ephemeral port; [None]
                                  disables TCP *)
   unix_path : string option; (** optional unix-domain listener *)
-  max_frame : int;           (** request-frame size limit *)
   lock_timeout : float;      (** seconds a statement may wait for locks
                                  before its transaction is aborted *)
   replica_of : string option;
@@ -82,9 +81,8 @@ type config = {
 }
 
 val default_config : config
-(** 127.0.0.1, ephemeral TCP port, no unix socket, 4 MiB frames, 10 s
-    lock timeout, no replication, 50 ms poll tick, no emulated commit
-    latency. *)
+(** 127.0.0.1, ephemeral TCP port, no unix socket, 10 s lock timeout,
+    no replication, 50 ms poll tick, no emulated commit latency. *)
 
 type t
 

@@ -37,7 +37,7 @@ type response =
   | Blob of string
   | Wrong_shard of { ws_shard : int; ws_addr : string }
 
-let default_max_frame = 4 * 1024 * 1024
+let max_frame = 4 * 1024 * 1024
 
 (* ------------------------------------------------------------------ *)
 (* Payload encoding                                                    *)
@@ -326,7 +326,7 @@ let rec write_nb fd b off len =
   | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> `Would_block
   | exception Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> `Closed
 
-let read_frame ?(max_frame = default_max_frame) fd =
+let read_frame fd =
   match read_exactly fd 4 with
   | `Eof -> None
   | `Bytes prefix ->
@@ -344,9 +344,9 @@ let write_request fd req = write_frame fd (encode_request req)
 
 let write_response fd resp = write_frame fd (encode_response resp)
 
-let read_request ?max_frame fd = Option.map decode_request (read_frame ?max_frame fd)
+let read_request fd = Option.map decode_request (read_frame fd)
 
-let read_response ?max_frame fd = Option.map decode_response (read_frame ?max_frame fd)
+let read_response fd = Option.map decode_response (read_frame fd)
 
 (* ------------------------------------------------------------------ *)
 (* Placement. Router and shard must compute the same owner for an

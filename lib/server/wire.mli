@@ -112,8 +112,8 @@ type response =
           verbatim at shard [ws_shard] ([ws_addr]); nothing executed.
           Clients self-heal after shard-map changes by following it. *)
 
-val default_max_frame : int
-(** 4 MiB. *)
+val max_frame : int
+(** The frame size limit every reader enforces: 4 MiB. *)
 
 (** {2 Pure codecs} (unit-testable without sockets) *)
 
@@ -132,7 +132,7 @@ val decode_response : bytes -> response
 val write_frame : Unix.file_descr -> bytes -> unit
 (** Writes the whole buffer, looping over partial writes. *)
 
-val read_frame : ?max_frame:int -> Unix.file_descr -> bytes option
+val read_frame : Unix.file_descr -> bytes option
 (** Reads one frame's payload. [None] on clean EOF at a frame
     boundary; {!Protocol_error} on torn prefix/payload, oversized
     frame, or connection reset. Loops over partial reads. *)
@@ -140,8 +140,8 @@ val read_frame : ?max_frame:int -> Unix.file_descr -> bytes option
 val write_request : Unix.file_descr -> request -> unit
 val write_response : Unix.file_descr -> response -> unit
 
-val read_request : ?max_frame:int -> Unix.file_descr -> request option
-val read_response : ?max_frame:int -> Unix.file_descr -> response option
+val read_request : Unix.file_descr -> request option
+val read_response : Unix.file_descr -> response option
 
 (** {2 Nonblocking stream I/O}
 

@@ -8,15 +8,13 @@ type config = {
   port : int option;
   shards : string list;
   decision_log : string;
-  max_frame : int;
 }
 
 let default_config =
   { host = "127.0.0.1";
     port = Some 0;
     shards = [];
-    decision_log = "mood_router.decisions";
-    max_frame = Wire.default_max_frame
+    decision_log = "mood_router.decisions"
   }
 
 type t = {
@@ -563,7 +561,7 @@ let handle_connection t (session : Session.t) =
   let fd = session.Session.fd in
   (try
      let rec loop () =
-       match Wire.read_request ~max_frame:t.config.max_frame fd with
+       match Wire.read_request fd with
        | None -> ()
        | Some Wire.Quit -> Wire.write_response fd Wire.Bye
        | Some (Wire.Hello v) ->
@@ -613,10 +611,6 @@ let handle_connection t (session : Session.t) =
 (* ------------------------------------------------------------------ *)
 (* Lifecycle                                                           *)
 
-let sockaddr_name = function
-  | Unix.ADDR_INET (a, p) -> Printf.sprintf "%s:%d" (Unix.string_of_inet_addr a) p
-  | Unix.ADDR_UNIX p -> "unix:" ^ p
-
 let record_handler t th =
   Mutex.protect t.handlers_m (fun () -> t.handlers <- th :: t.handlers)
 
@@ -633,7 +627,7 @@ let acceptor_loop t =
             | fd, addr ->
                 Unix.clear_nonblock fd;
                 let session =
-                  Session.register t.registry ~fd ~peer:(sockaddr_name addr)
+                  Session.register t.registry ~fd ~peer:(Client.sockaddr_name addr)
                 in
                 record_handler t (Thread.create (handle_connection t) session)
             | exception
@@ -689,12 +683,6 @@ let resolver_loop t =
   in
   loop ()
 
-let resolve_host host =
-  try Unix.inet_addr_of_string host
-  with Failure _ -> (
-    try (Unix.gethostbyname host).Unix.h_addr_list.(0)
-    with Not_found -> failwith ("mood_router: cannot resolve host " ^ host))
-
 let start (config : config) =
   if config.shards = [] then failwith "mood_router: at least one shard is required";
   (* A malformed address is a configuration error: refuse it here, not
@@ -708,7 +696,7 @@ let start (config : config) =
   (try
      Unix.setsockopt lfd Unix.SO_REUSEADDR true;
      Unix.bind lfd
-       (Unix.ADDR_INET (resolve_host config.host, Option.value ~default:0 config.port));
+       (Unix.ADDR_INET (Client.resolve_host config.host, Option.value ~default:0 config.port));
      Unix.listen lfd 64;
      Unix.set_nonblock lfd
    with e ->

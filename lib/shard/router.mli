@@ -49,7 +49,6 @@ type config = {
   shards : string list;    (** HOST:PORT or unix:PATH per shard, in
                                shard order *)
   decision_log : string;   (** coordinator log path *)
-  max_frame : int;
 }
 
 val default_config : config

@@ -36,16 +36,12 @@ type fault = {
 }
 
 type t = {
-  params : params;
   mutable counters : counters;
   mutable fault : fault option;
   torn : (int * int, unit) Hashtbl.t;
 }
 
-let create ?(params = default_params) () =
-  { params; counters = zero_counters; fault = None; torn = Hashtbl.create 8 }
-
-let params t = t.params
+let create () = { counters = zero_counters; fault = None; torn = Hashtbl.create 8 }
 
 let inject_fault t ~crash_after_writes ?(torn_page_prob = 0.) ~prng () =
   if crash_after_writes <= 0 then invalid_arg "Disk.inject_fault: crash_after_writes <= 0";
@@ -82,7 +78,7 @@ let check_write_fault t page =
       end
 
 let read_random t =
-  let p = t.params in
+  let p = default_params in
   let c = t.counters in
   t.counters <-
     { c with
@@ -92,7 +88,7 @@ let read_random t =
     }
 
 let read_sequential t ~first =
-  let p = t.params in
+  let p = default_params in
   let c = t.counters in
   let position = if first then p.seek +. p.rot else 0. in
   t.counters <-
@@ -104,7 +100,7 @@ let read_sequential t ~first =
 
 let write_page ?page t =
   check_write_fault t page;
-  let p = t.params in
+  let p = default_params in
   let c = t.counters in
   t.counters <-
     { c with

@@ -32,9 +32,8 @@ type counters = {
   elapsed : float;      (** total modeled time, seconds *)
 }
 
-val create : ?params:params -> unit -> t
-
-val params : t -> params
+val create : unit -> t
+(** A disk charged at {!default_params}. *)
 
 val read_random : t -> unit
 (** One random page read: charges [s + r + btt]. *)

@@ -12,8 +12,8 @@ type t = {
 
 let page_header = 96
 
-let create ?(disk_params = Disk.default_params) ?(buffer_capacity = 256) () =
-  let disk = Disk.create ~params:disk_params () in
+let create ?(buffer_capacity = 256) () =
+  let disk = Disk.create () in
   { disk;
     buffer = Buffer_pool.create ~disk ~capacity:buffer_capacity;
     locks = Lock_manager.create ();
@@ -33,7 +33,7 @@ let wal t = t.wal
 
 let versions t = t.versions
 
-let page_capacity t = (Disk.params t.disk).Disk.block_size - page_header
+let page_capacity _ = Disk.default_params.Disk.block_size - page_header
 
 let alloc_files t n =
   let id = t.next_file in

@@ -5,7 +5,7 @@
 
 type t
 
-val create : ?disk_params:Disk.params -> ?buffer_capacity:int -> unit -> t
+val create : ?buffer_capacity:int -> unit -> t
 (** [buffer_capacity] defaults to 256 frames. *)
 
 val disk : t -> Disk.t

@@ -48,6 +48,15 @@ let clear_persist_hook t =
 
 let rec drop n l = if n = 0 then l else match l with [] -> [] | _ :: rest -> drop (n - 1) rest
 
+(* The [n] newest entries of a newest-first log, oldest first: walks
+   only those [n], however long the log. *)
+let newest n log =
+  let rec take n acc = function
+    | entry :: rest when n > 0 -> take (n - 1) (entry :: acc) rest
+    | _ -> acc
+  in
+  take n [] log
+
 let flush t =
   t.forces <- t.forces + 1;
   match t.on_persist with
@@ -56,9 +65,7 @@ let flush t =
       (* Persist record by record, oldest first, advancing the watermark
          only after the device accepted the write: a crash raised by the
          hook leaves a correctly truncated (torn) log tail. *)
-      let unpersisted =
-        List.rev (List.filteri (fun i _ -> i < t.count - t.persisted) t.log)
-      in
+      let unpersisted = newest (t.count - t.persisted) t.log in
       List.iter
         (fun (_, record) ->
           hook record;
@@ -262,16 +269,6 @@ let recover ?checkpoint_lsn ?(redo = fun _ -> ()) ?(undo = fun _ -> ()) t =
     plist;
   a
 
-let replay t ~apply =
-  let all = records_with_lsn t in
-  let committed = committed_set all in
-  List.iter
-    (fun (_, record) ->
-      match txn_of record with
-      | Some id when is_data record && Hashtbl.mem committed id -> apply record
-      | _ -> ())
-    all
-
 let undo_records t txn =
   List.filter_map
     (fun (_, record) ->
@@ -282,10 +279,11 @@ let undo_records t txn =
 (* Binary record codec — the unit of replication shipping. Tag byte
    per variant, u32 big-endian integers, u32-length-prefixed strings:
    the same framing discipline as the wire protocol, kept here so the
-   log layer owns its own serialization. *)
+   log layer owns its own serialization. The replication codec builds
+   its payloads from the same primitives. *)
 
 let buf_u32 b n =
-  if n < 0 || n > 0xFFFF_FFFF then invalid_arg (Printf.sprintf "Wal.encode_record: %d is not a u32" n);
+  if n < 0 || n > 0xFFFF_FFFF then invalid_arg (Printf.sprintf "Wal.buf_u32: %d is not a u32" n);
   Buffer.add_int32_be b (Int32.of_int n)
 
 let buf_str b s =

@@ -162,14 +162,6 @@ val recover :
     surviving suffix of history). Under strict two-phase locking the
     two passes never touch the same object out of order. *)
 
-val replay :
-  t ->
-  apply:(record -> unit) ->
-  unit
-(** Legacy redo-only pass over the whole log: feeds every record
-    belonging to a *committed* transaction to [apply], in log order
-    (no checkpoint bounding, no undo). *)
-
 val undo_records : t -> int -> record list
 (** The data records of the given transaction, newest first — what an
     abort must compensate. Includes unpersisted records (a live abort
@@ -184,6 +176,21 @@ val undo_records : t -> int -> record list
 exception Codec_error of string
 (** Raised by the decoders on truncated, oversized or unknown input —
     never a bare [Invalid_argument] from an out-of-bounds read. *)
+
+val buf_u32 : Buffer.t -> int -> unit
+(** Appends a big-endian u32. Raises [Invalid_argument] outside
+    [0, 0xFFFF_FFFF]. *)
+
+val buf_str : Buffer.t -> string -> unit
+(** Appends a u32 length, then the bytes. *)
+
+val read_u32 : string -> int ref -> int
+(** Reads a big-endian u32 at [!pos] and advances the cursor; raises
+    {!Codec_error} when fewer than four bytes remain. *)
+
+val read_str : string -> int ref -> string
+(** Reads a u32-length-prefixed string at [!pos] and advances the
+    cursor; raises {!Codec_error} on a truncated string. *)
 
 val encode_record : record -> string
 

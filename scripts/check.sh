@@ -291,10 +291,9 @@ wait "$IDLE_PID" || { echo "server shutdown was not clean"; exit 1; }
 rm -f "$IDLE_PORT_FILE"
 
 echo "== snapshot-read smoke (MVCC, read-heavy) =="
-# A default-mode server (snapshot reads on) under the read-heavy mix:
-# reads must ride the lock-free path — zero busy retries and zero
-# deadlock aborts attributable to reads — and the mvcc.* counters must
-# surface through STATS. A marker write after the run proves snapshot
+# A server under the read-heavy mix: reads must ride the lock-free
+# path — zero busy retries and zero deadlock aborts attributable to
+# reads — and the mvcc.* counters must surface through STATS. A marker write after the run proves snapshot
 # reads did not cost writers anything: it lands and reads back.
 MVCC_PORT_FILE="$(mktemp)"
 ./_build/default/bin/mood_server.exe --demo --port 0 \
@@ -316,9 +315,26 @@ grep -q "^mvcc.versions_created " /tmp/mood_mvcc_top.$$ \
 rm -f /tmp/mood_mvcc_top.$$
 ./_build/default/bin/mood_cli.exe sql "127.0.0.1:$MPORT" \
   "NEW VehicleEngine <990003, 8>" > /dev/null
+# Reads take no lock: a SELECT, an EXPLAIN ANALYZE and NAME's query
+# leave locks.grants where the marker write left it.
+lock_grants() {
+  ./_build/default/bin/mood_cli.exe top "127.0.0.1:$MPORT" \
+    | awk '$1 == "locks.grants" { print $2 }'
+}
+GRANTS_BEFORE="$(lock_grants)"
+[ -n "$GRANTS_BEFORE" ] || { echo "STATS: no locks.grants"; exit 1; }
 MARKER="$(./_build/default/bin/mood_cli.exe sql "127.0.0.1:$MPORT" \
   "SELECT e FROM VehicleEngine e WHERE e.size = 990003" | wc -l)"
 [ "$MARKER" -eq 1 ] || { echo "marker write lost under snapshot reads"; exit 1; }
+./_build/default/bin/mood_cli.exe sql "127.0.0.1:$MPORT" \
+  "EXPLAIN ANALYZE SELECT e FROM VehicleEngine e WHERE e.size = 990003" > /dev/null \
+  || { echo "EXPLAIN ANALYZE failed"; exit 1; }
+./_build/default/bin/mood_cli.exe sql "127.0.0.1:$MPORT" \
+  "NAME mvcc_marker AS SELECT e FROM VehicleEngine e WHERE e.size = 990003" > /dev/null \
+  || { echo "NAME failed"; exit 1; }
+GRANTS_AFTER="$(lock_grants)"
+[ "$GRANTS_AFTER" = "$GRANTS_BEFORE" ] \
+  || { echo "reads took locks: locks.grants $GRANTS_BEFORE -> $GRANTS_AFTER"; exit 1; }
 kill -TERM "$MVCC_PID"
 wait "$MVCC_PID" || { echo "server shutdown was not clean"; exit 1; }
 rm -f "$MVCC_PORT_FILE"

@@ -361,39 +361,43 @@ let test_is_null_execution () =
 
 let test_statement_level_locking () =
   let db = fresh () in
-  (* Baseline (pre-MVCC) mode: SELECTs take shared statement locks.
-     With snapshot reads on, reads bypass the lock manager entirely —
-     covered by the mvcc suite. *)
-  Db.set_snapshot_reads db false;
   Mood_workload.Vehicle.define_schema (Db.catalog db);
   ignore (ok db "new Vehicle <1, 1000, NULL, NULL>");
-  (* an administrative exclusive lock on the extent blocks queries *)
+  (* Writers lock; a read takes no lock and answers from its snapshot
+     under every lock below. *)
+  let reads () =
+    Alcotest.(check int) "SELECT answers" 1
+      (List.length (Db.query db "SELECT v FROM Vehicle v").Executor.rows)
+  in
+  (* an administrative exclusive lock on the extent blocks writers *)
   let locks = Mood_storage.Store.locks (Db.store db) in
   let admin = Mood_storage.Lock_manager.begin_txn locks in
   Alcotest.(check bool) "admin lock" true
     (Mood_storage.Lock_manager.acquire locks admin "extent:Vehicle"
        Mood_storage.Lock_manager.Exclusive
     = Mood_storage.Lock_manager.Granted);
-  expect_error db "SELECT v FROM Vehicle v";
+  reads ();
   expect_error db "UPDATE Vehicle v SET weight = 1 WHERE v.id = 1";
-  (* a shared administrative lock allows reads but blocks writers *)
+  (* a shared administrative lock blocks writers too *)
   Mood_storage.Lock_manager.release_all locks admin;
   let reader = Mood_storage.Lock_manager.begin_txn locks in
   Alcotest.(check bool) "shared lock" true
     (Mood_storage.Lock_manager.acquire locks reader "extent:Vehicle"
        Mood_storage.Lock_manager.Shared
     = Mood_storage.Lock_manager.Granted);
-  ignore (ok db "SELECT v FROM Vehicle v");
+  reads ();
   expect_error db "DELETE FROM Vehicle v WHERE v.id = 1";
-  (* a subclass extent lock also blocks deep queries on the superclass *)
+  (* a subclass extent lock blocks deep writes on the superclass *)
   Mood_storage.Lock_manager.release_all locks reader;
   let sub = Mood_storage.Lock_manager.begin_txn locks in
   ignore
     (Mood_storage.Lock_manager.acquire locks sub "extent:JapaneseAuto"
        Mood_storage.Lock_manager.Exclusive);
-  expect_error db "SELECT v FROM Vehicle v";
+  reads ();
+  expect_error db "UPDATE Vehicle v SET weight = 1 WHERE v.id = 1";
+  expect_error db "DELETE FROM Vehicle v WHERE v.id = 1";
   Mood_storage.Lock_manager.release_all locks sub;
-  ignore (ok db "SELECT v FROM Vehicle v")
+  ignore (ok db "UPDATE Vehicle v SET weight = 1 WHERE v.id = 1")
 
 let test_query_rejects_non_select () =
   let db = fresh () in

@@ -108,17 +108,31 @@ let test_repeatable_snapshot () =
     "fresh snapshot sees the latest" [ 202 ]
     (ints db "SELECT a.bal FROM Acct a WHERE a.id = 2")
 
-(* Readers never touch the lock manager: a SELECT inside a concurrent
-   transaction succeeds while a writer holds the extent exclusively,
-   and keeps its own begin-time view across the writer's commit. *)
+(* Readers never touch the lock manager: while a writer holds the
+   extent exclusively, a SELECT inside a concurrent transaction, a
+   standalone SELECT, EXPLAIN ANALYZE and NAME's query all answer
+   without a single lock grant, and the transaction keeps its own
+   begin-time view across the writer's commit. *)
 let test_readers_do_not_block () =
   let db = fresh_accounts () in
   let r = Db.begin_session_txn db in
   let w = Db.begin_session_txn db in
   txn_exec db w "UPDATE Acct a SET bal = 0 WHERE a.id = 1";
+  let grants () = List.assoc "locks.grants" (Db.metrics_snapshot db) in
+  let granted = grants () in
   Alcotest.(check (list int))
     "read under a foreign X lock" [ 100; 200 ]
     (txn_ints db r "SELECT a.bal FROM Acct a");
+  Alcotest.(check (list int))
+    "standalone read under a foreign X lock" [ 100; 200 ]
+    (ints db "SELECT a.bal FROM Acct a");
+  (match ok db "EXPLAIN ANALYZE SELECT a FROM Acct a" with
+  | Db.Explained _ -> ()
+  | _ -> Alcotest.fail "EXPLAIN ANALYZE: no report");
+  (match ok db "NAME rich AS SELECT a FROM Acct a WHERE a.id = 2" with
+  | Db.Object_named ("rich", _) -> ()
+  | _ -> Alcotest.fail "NAME: no object named");
+  Alcotest.(check int) "reads took no lock" granted (grants ());
   Db.commit_session_txn db w;
   Alcotest.(check (list int))
     "writer's commit stays invisible" [ 100; 200 ]

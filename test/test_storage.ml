@@ -513,10 +513,11 @@ let test_wal_replay_committed_only () =
   ignore (Wal.append wal (Wal.Insert { txn = 2; file = 0; rid = rid 0 1; payload = "b" }));
   Wal.flush wal;
   let applied = ref [] in
-  Wal.replay wal ~apply:(fun r ->
-      match r with
-      | Wal.Insert { payload; _ } -> applied := payload :: !applied
-      | _ -> ());
+  ignore
+    (Wal.recover wal ~redo:(fun r ->
+         match r with
+         | Wal.Insert { payload; _ } -> applied := payload :: !applied
+         | _ -> ()));
   Alcotest.(check (list string)) "only committed effects" [ "a" ] !applied
 
 let test_wal_crash_loses_unpersisted () =
@@ -597,15 +598,16 @@ let test_extent_wal_recovery () =
   (* txn 2 never commits; rebuild from log *)
   let store2 = fresh_store () in
   let ext2 = Extent.create ~store:store2 () in
-  Wal.replay wal ~apply:(fun record ->
-      match record with
-      | Wal.Insert { payload; _ } -> begin
-          match Mood_model.Codec.decode payload with
-          | Value.Tuple [ ("#slot", Value.Int slot); ("#value", v) ] ->
-              Extent.insert_at ext2 ~slot v
-          | _ -> Alcotest.fail "unexpected payload shape"
-        end
-      | _ -> ());
+  ignore
+    (Wal.recover wal ~redo:(fun record ->
+         match record with
+         | Wal.Insert { payload; _ } -> begin
+             match Mood_model.Codec.decode payload with
+             | Value.Tuple [ ("#slot", Value.Int slot); ("#value", v) ] ->
+                 Extent.insert_at ext2 ~slot v
+             | _ -> Alcotest.fail "unexpected payload shape"
+           end
+         | _ -> ()));
   Alcotest.(check int) "one object recovered" 1 (Extent.count ext2);
   Alcotest.(check bool) "the committed one" true (Extent.get ext2 s1 = Some (Value.Int 10))
 
