@@ -99,16 +99,32 @@ type value_side = {
   v_cls : string;          (* class name; "" when the side is a temp *)
   v_rows : float;          (* k: rows entering the join on this side *)
   v_attr : string option;  (* join attribute, for dist(A,C) skew stats *)
+  v_bytes : float;         (* memory footprint: what the join holds of the side *)
 }
+
+(* One value-join entry as [Value_join] holds and spills it: its side
+   index, key length and binding count (8 bytes each) and the key, then
+   per binding the variable (an 8-byte length and its bytes), the OID
+   (a tag byte, then class id and slot, 8 bytes each) and the value in
+   [Codec]'s encoding. A kept object is a [Codec] tuple: a tag byte and
+   an 8-byte count, then per attribute its name (8-byte length and
+   bytes) and value. *)
+let entry_bytes ~key ~bindings = 24 + key + bindings
+
+let binding_bytes ~var ~oid ~value = 8 + String.length var + (if oid then 17 else 1) + value
+
+let kept_bytes attrs =
+  List.fold_left (fun acc (name, value) -> acc + 8 + String.length name + value) 9 attrs
 
 let block_size (params : Io_cost.params) =
   max 1 params.Io_cost.disk.Mood_storage.Disk.block_size
 
 let mem_pages params ~mem_bytes = max 1 (mem_bytes / block_size params)
 
-(* Pages this side occupies, scaled by the fraction of the class that
-   actually enters the join; a memory-resident temp still pays one
-   sequential page per ~32 rows so the formulas stay comparable. *)
+(* Heap pages a scan of this side reads, scaled by the fraction of the
+   class that actually enters the join; a memory-resident temp still
+   pays one sequential page per ~32 rows so the formulas stay
+   comparable. *)
 let side_pages stats (s : value_side) =
   if s.v_rows <= 0. then 0.
   else
@@ -118,10 +134,10 @@ let side_pages stats (s : value_side) =
         Float.max 1. (fraction *. float_of_int cs.Stats.nbpages)
     | _ -> Float.max 1. (s.v_rows /. 32.)
 
-let side_row_bytes stats (s : value_side) =
-  match Stats.class_stats stats s.v_cls with
-  | Some cs when cs.Stats.obj_size > 0 -> float_of_int cs.Stats.obj_size
-  | _ -> 100.
+(* Pages of the side's footprint: what a build, a sort run or a spill
+   partition holds and writes. *)
+let footprint_pages params (s : value_side) =
+  if s.v_rows <= 0. then 0. else Float.max 1. (s.v_bytes /. float_of_int (block_size params))
 
 let side_dist stats (s : value_side) =
   match s.v_attr with
@@ -137,10 +153,10 @@ let nested_loop_cost params ~scan_l ~scan_r ~k_l ~k_r =
   (* Right side is materialized once (the executor does not rescan). *)
   scan_l +. scan_r +. (k_l *. k_r *. params.Io_cost.cpu_cost)
 
-let hash_join_cost params ~scan_l ~scan_r ~k_l ~k_r ~pages_r ~mem =
+let hash_join_cost params ~mem_bytes ~scan_l ~scan_r ~k_l ~k_r ~(right : value_side) =
   (* Canonical in-memory hash: applicable only when the build side
      (right) fits the budget. Build + probe are one CPU touch per row. *)
-  if pages_r > float_of_int mem then None
+  if right.v_bytes > float_of_int mem_bytes then None
   else Some (scan_l +. scan_r +. ((k_l +. k_r) *. params.Io_cost.cpu_cost))
 
 (* Partitioning passes until every partition of [pages] fits [mem]
@@ -153,12 +169,14 @@ let grace_passes ~pages ~mem =
   in
   go pages 0
 
-let grace_hash_cost params stats ~mem_bytes ~(right : value_side) ~scan_l ~scan_r ~k_l
-    ~k_r ~pages_l ~pages_r ~mem =
-  let passes = grace_passes ~pages:pages_r ~mem in
-  (* Each pass rewrites both inputs: read + write, charged sequentially
-     through the simulated disk (spill files live in the buffer pool). *)
-  let spill = 2. *. float_of_int passes *. (seq_pages params pages_l +. seq_pages params pages_r) in
+let grace_hash_cost params stats ~mem_bytes ~(left : value_side) ~(right : value_side) ~scan_l
+    ~scan_r ~k_l ~k_r ~mem =
+  let fp_l = footprint_pages params left and fp_r = footprint_pages params right in
+  let passes = grace_passes ~pages:fp_r ~mem in
+  (* Each pass rewrites both footprints: read + write, charged
+     sequentially through the simulated disk (spill files live in the
+     buffer pool). *)
+  let spill = 2. *. float_of_int passes *. (seq_pages params fp_l +. seq_pages params fp_r) in
   let cpu = 1.5 *. (k_l +. k_r) *. params.Io_cost.cpu_cost in
   (* Skew term: when the heaviest duplicate group cannot fit the budget,
      recursive partitioning burns its depth without converging and falls
@@ -166,22 +184,23 @@ let grace_hash_cost params stats ~mem_bytes ~(right : value_side) ~scan_l ~scan_
   let skew =
     match side_dist stats right with
     | Some dist ->
-        let dup_bytes = k_r /. float_of_int dist *. side_row_bytes stats right in
+        let dup_bytes = right.v_bytes /. float_of_int dist in
         if dup_bytes > float_of_int mem_bytes then
-          8. *. (seq_pages params pages_l +. seq_pages params pages_r)
+          8. *. (seq_pages params fp_l +. seq_pages params fp_r)
         else 0.
     | None -> 0.
   in
   scan_l +. scan_r +. spill +. cpu +. skew
 
-let sort_merge_cost params ~scan_l ~scan_r ~k_l ~k_r ~pages_l ~pages_r ~mem =
-  let side scan pages k =
+let sort_merge_cost params ~(left : value_side) ~(right : value_side) ~scan_l ~scan_r ~k_l
+    ~k_r ~mem =
+  let side scan s k =
+    let pages = footprint_pages params s in
     let sort_io = if pages <= float_of_int mem then 0. else 2. *. seq_pages params pages in
     let cmp = if k > 1. then k *. (Float.log k /. Float.log 2.) else 0. in
     scan +. sort_io +. (cmp *. params.Io_cost.cpu_cost)
   in
-  side scan_l pages_l k_l +. side scan_r pages_r k_r
-  +. ((k_l +. k_r) *. params.Io_cost.cpu_cost)
+  side scan_l left k_l +. side scan_r right k_r +. ((k_l +. k_r) *. params.Io_cost.cpu_cost)
 
 (* Odra-style fusion join: streams the left side, probing a hash of the
    right once per collection element — no materialization of the
@@ -194,25 +213,23 @@ let fusion_join_cost params ~scan_l ~scan_r ~k_l ~k_r =
 let cheapest_value params stats ~mem_bytes ~(left : value_side) ~(right : value_side)
     ~l_collection =
   let k_l = Float.max 0. left.v_rows and k_r = Float.max 0. right.v_rows in
-  let pages_l = side_pages stats left and pages_r = side_pages stats right in
-  let scan_l = seq_pages params pages_l and scan_r = seq_pages params pages_r in
+  let scan_l = seq_pages params (side_pages stats left)
+  and scan_r = seq_pages params (side_pages stats right) in
   let mem = mem_pages params ~mem_bytes in
+  let sort_merge = (Sort_merge, Some (sort_merge_cost params ~left ~right ~scan_l ~scan_r ~k_l ~k_r ~mem)) in
   let candidates =
     if l_collection then
       [ (Nested_loop, Some (nested_loop_cost params ~scan_l ~scan_r ~k_l ~k_r));
         (Fusion_join, Some (fusion_join_cost params ~scan_l ~scan_r ~k_l ~k_r));
-        (Sort_merge,
-         Some (sort_merge_cost params ~scan_l ~scan_r ~k_l ~k_r ~pages_l ~pages_r ~mem))
+        sort_merge
       ]
     else
       [ (Nested_loop, Some (nested_loop_cost params ~scan_l ~scan_r ~k_l ~k_r));
-        (Hash_join, hash_join_cost params ~scan_l ~scan_r ~k_l ~k_r ~pages_r ~mem);
+        (Hash_join, hash_join_cost params ~mem_bytes ~scan_l ~scan_r ~k_l ~k_r ~right);
         (Grace_hash,
          Some
-           (grace_hash_cost params stats ~mem_bytes ~right ~scan_l ~scan_r ~k_l ~k_r ~pages_l
-              ~pages_r ~mem));
-        (Sort_merge,
-         Some (sort_merge_cost params ~scan_l ~scan_r ~k_l ~k_r ~pages_l ~pages_r ~mem))
+           (grace_hash_cost params stats ~mem_bytes ~left ~right ~scan_l ~scan_r ~k_l ~k_r ~mem));
+        sort_merge
       ]
   in
   let best =

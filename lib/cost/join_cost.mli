@@ -65,8 +65,29 @@ type value_side = {
   v_cls : string;          (** class name; [""] when the side is a temp *)
   v_rows : float;          (** k: rows entering the join on this side *)
   v_attr : string option;  (** join attribute, for dist(A,C) skew stats *)
+  v_bytes : float;
+      (** memory footprint: the bytes of the [v_rows] entries the join
+          holds of this side, each [entry_bytes] *)
 }
-(** One input of a value (non-pointer) equi-join. *)
+(** One input of a value (non-pointer) equi-join. Its scan reads the
+    class's heap pages, scaled by the fraction of the class that enters
+    the join; its build, sort runs and spill partitions hold its
+    footprint, which the optimizer computes from what the statement
+    reads of each object ([Mood_optimizer.Plan.reads]). *)
+
+val entry_bytes : key:int -> bindings:int -> int
+(** Bytes of one value-join entry as [Mood_executor.Value_join] holds
+    and spills it, from its canonical key's length and the sum of its
+    bindings' [binding_bytes]. The executor's budget checks and the
+    optimizer's footprints both use this formula. *)
+
+val binding_bytes : var:string -> oid:bool -> value:int -> int
+(** One binding of an entry: its variable, whether it carries an OID,
+    and the [Codec]-encoded size of its value. *)
+
+val kept_bytes : (string * int) list -> int
+(** The [Codec]-encoded size of an object cut to some attributes, from
+    each kept attribute's name and encoded value size. *)
 
 val cheapest_value :
   Io_cost.params ->
@@ -78,10 +99,13 @@ val cheapest_value :
   method_choice * float
 (** The minimum-cost value-join method under a memory budget of
     [mem_bytes] for the join's build/sort space (a database's
-    [SET JOIN_MEM]). Candidates are nested loop, hash join (only when the
-    right side fits the budget), Grace hash (spill passes plus a skew
-    term when the heaviest duplicate group overflows the budget) and
-    sort-merge; when [l_collection] (the left key is a collection
+    [SET JOIN_MEM]). Each side pays its scan pages; the build, the
+    spills and the sort runs are sized by its footprint. Candidates are
+    nested loop, hash join (only when the right side's footprint fits
+    the budget), Grace hash (spill passes over both footprints plus a
+    skew term when the heaviest duplicate group overflows the budget)
+    and sort-merge (its runs spill when a footprint exceeds the
+    budget); when [l_collection] (the left key is a collection
     attribute) the hash family is replaced by the fusion join. Ties break
     nested, hash/fusion, grace, sort-merge. [SET JOIN_FORCE] is the
     optimizer's to apply; this function only prices. *)

@@ -159,6 +159,9 @@ and cop =
           (** compiled (left key, right key) of the first equality
               conjunct splitting across the sides — the probe key of the
               value joins (the full predicate is still re-applied) *)
+      keep : Value_join.keep * Value_join.keep;
+          (** what the value joins' (left, right) entries keep of each
+              object: the statement's [Plan.reads] *)
       pred : Compile.pred_fn;
     }
   | CProject of { source : cnode }
@@ -218,6 +221,7 @@ let compile_agg lower agg =
 type compile_ctx = {
   lower : lowering;
   ctx_card : (Plan.node -> float) option;
+  ctx_reads : Plan.reads;
   mutable next_id : int;
   mutable skels_rev : op_skel list;
 }
@@ -335,6 +339,11 @@ let rec compile_node ctx ~depth (node : Plan.node) : cnode =
               (fun (a, b) -> (lower.lexpr a, lower.lexpr b))
               (equi_pred ~left_vars:(Plan.vars left) ~right_vars:(Plan.vars right) pred)
           in
+          let keep side =
+            List.filter_map
+              (fun var -> Option.map (fun attrs -> (var, attrs)) (ctx.ctx_reads var))
+              (Plan.vars side)
+          in
           let cleft = compile_node ctx ~depth:(depth + 1) left in
           let cright = compile_node ctx ~depth:(depth + 1) right in
           CJoin
@@ -344,6 +353,7 @@ let rec compile_node ctx ~depth (node : Plan.node) : cnode =
               method_;
               pointer;
               equi;
+              keep = (keep left, keep right);
               pred = lower.lpred pred
             }
       | Plan.Project { source; items = _ } ->
@@ -680,8 +690,8 @@ and produce_op tr env (op : cop) k =
             (List.sort_uniq Oid.compare heads)
     end
   | CSelect { source; pred } -> produce tr env source (fun row -> if pred env row then k row)
-  | CJoin { left; right; right_simple; method_; pointer; equi; pred } ->
-      join tr env left right right_simple method_ pointer equi pred k
+  | CJoin { left; right; right_simple; method_; pointer; equi; keep; pred } ->
+      join tr env left right right_simple method_ pointer equi keep pred k
   | CProject { source } -> produce tr env source k
   | CGroup { source; by; having; aggregates } ->
       let aggs = Array.of_list aggregates in
@@ -733,7 +743,7 @@ and produce_op tr env (op : cop) k =
 
 (* The right side, when a method needs it, is collected before the left
    side streams. *)
-and join tr env left right right_simple method_ pointer equi pred k =
+and join tr env left right right_simple method_ pointer equi (l_keep, r_keep) pred k =
   let each_left f = produce tr env left f in
   let nested_loop () =
     let right_rows = collect tr env right in
@@ -749,11 +759,10 @@ and join tr env left right right_simple method_ pointer equi pred k =
   | Join_cost.Fusion_join -> begin
       match equi with
       | Some (lkey, rkey) ->
-          let right_rows = collect tr env right in
           let store = Catalog.store env.Eval.catalog in
           Value_join.run method_ env ~store ~pred
-            ~left:{ Value_join.p_iter = each_left; p_key = lkey }
-            ~right:{ Value_join.s_rows = right_rows; s_key = rkey }
+            ~left:{ Value_join.rows = each_left; key = lkey; keep = l_keep }
+            ~right:{ Value_join.rows = produce tr env right; key = rkey; keep = r_keep }
             ~emit:k
       | None ->
           (* No equality conjunct to key on (cross product / pure theta):
@@ -840,7 +849,12 @@ let rec top_projection = function
 
 let prepare ?(mode = Compiled) ?card node =
   let ctx =
-    { lower = lowering_of mode; ctx_card = card; next_id = 0; skels_rev = [] }
+    { lower = lowering_of mode;
+      ctx_card = card;
+      ctx_reads = Plan.reads node;
+      next_id = 0;
+      skels_rev = []
+    }
   in
   let root = compile_node ctx ~depth:0 node in
   { p_root = root;

@@ -171,12 +171,14 @@ let add_entry buf ((i, row, key) : entry) =
     row
 
 let entry_bytes ((_, row, key) : entry) =
-  List.fold_left
-    (fun acc (var, (it : Collection.item)) ->
-      acc + 8 + String.length var
-      + (match it.Collection.oid with None -> 1 | Some _ -> 17)
-      + Codec.encoded_size it.Collection.value)
-    (24 + String.length key) row
+  Join_cost.entry_bytes ~key:(String.length key)
+    ~bindings:
+      (List.fold_left
+         (fun acc (var, (it : Collection.item)) ->
+           acc
+           + Join_cost.binding_bytes ~var ~oid:(Option.is_some it.Collection.oid)
+               ~value:(Codec.encoded_size it.Collection.value))
+         0 row)
 
 let encode_entry e =
   let buf = Buffer.create (entry_bytes e) in
@@ -214,25 +216,50 @@ let decode_entry s : entry =
 (* ------------------------------------------------------------------ *)
 (* Shared plumbing *)
 
-type side = { s_rows : Eval.row list; s_key : Compile.expr_fn }
-type probe = { p_iter : (Eval.row -> unit) -> unit; p_key : Compile.expr_fn }
+type keep = (string * string list) list
+type side = { rows : (Eval.row -> unit) -> unit; key : Compile.expr_fn; keep : keep }
 
-(* (index, row, canonical keys) — keys computed once per row. *)
-let expand env (s : side) =
-  List.mapi (fun i row -> (i, row, keys_of_value (s.s_key env row))) s.s_rows
+(* A kept object: its OID and the attributes the statement reads, in
+   the object's own order. A transient (non-tuple) value stays whole. *)
+let trim_item attrs (it : Collection.item) =
+  match it.Collection.value with
+  | Value.Tuple fields ->
+      let kept (a, _) = List.exists (String.equal a) attrs in
+      { it with Collection.value = Value.Tuple (List.filter kept fields) }
+  | _ -> it
 
-(* The same triples for the probe side, yielded as its rows arrive. *)
-let expand_iter env (p : probe) f =
+let trim keep row =
+  match keep with
+  | [] -> row
+  | _ ->
+      let attrs_of var = List.find_map (fun (v, attrs) -> if String.equal v var then Some attrs else None) in
+      List.map
+        (fun ((var, it) as binding) ->
+          match attrs_of var keep with Some attrs -> (var, trim_item attrs it) | None -> binding)
+        row
+
+(* The one entry-building path of every method: (index, row, canonical
+   keys) for each row as the side pushes it, the keys computed once
+   from the whole row, the row then cut to what the statement reads.
+   [held] is whether the method holds the entries: a probe row that
+   only streams past a hash table (hash join, fusion) is never held,
+   and cutting it would cost without saving memory. *)
+let expand_iter env ~held (s : side) f =
+  let keep = if held then s.keep else [] in
   let i = ref 0 in
-  p.p_iter (fun row ->
-      let li = !i in
+  s.rows (fun row ->
+      let n = !i in
       incr i;
-      f (li, row, keys_of_value (p.p_key env row)))
+      f (n, trim keep row, keys_of_value (s.key env row)))
 
 let to_list iter =
   let acc = ref [] in
   iter (fun x -> acc := x :: !acc);
   List.rev !acc
+
+(* A build side: keyed and cut as it arrives, so its whole rows die
+   young. *)
+let expand env s = to_list (expand_iter env ~held:true s)
 
 (* Flatten (i, row, keys) into single-key entries. *)
 let singles entries =
@@ -425,29 +452,21 @@ let sort_merge c env store pred seen emit iter_lefts rights =
    navigation and the probe fuse, so the flattened left side is never
    materialized. *)
 
-let fusion c env pred seen emit (left : probe) rights =
+let fusion c env pred seen emit iter_lefts rights =
   Metrics.incr c.hash_builds;
   let table = Hashtbl.create 64 in
   List.iter
     (fun (ri, rrow, rkeys) -> List.iter (fun k -> Hashtbl.add table k (ri, rrow)) rkeys)
     rights;
-  let li = ref 0 in
-  left.p_iter (fun lrow ->
-      let i = !li in
-      incr li;
-      let v = left.p_key env lrow in
-      let elems = match v with Value.Set xs | Value.List xs -> xs | v -> [ v ] in
+  iter_lefts (fun (li, lrow, lkeys) ->
       List.iter
-        (fun e ->
-          match elem_key e with
-          | None -> ()
-          | Some k -> (
-              match Hashtbl.find_all table k with
-              | [] -> ()
-              | hits ->
-                  Metrics.incr c.fusion_hits;
-                  List.iter (fun (ri, rrow) -> try_emit env pred seen emit (i, lrow) (ri, rrow)) hits))
-        elems)
+        (fun k ->
+          match Hashtbl.find_all table k with
+          | [] -> ()
+          | hits ->
+              Metrics.incr c.fusion_hits;
+              List.iter (fun (ri, rrow) -> try_emit env pred seen emit (li, lrow) (ri, rrow)) hits)
+        lkeys)
 
 (* ------------------------------------------------------------------ *)
 
@@ -457,12 +476,15 @@ let run method_ env ~store ~pred ~left ~right ~emit =
   match method_ with
   | Join_cost.Hash_join ->
       let rights = singles (expand env right) in
-      hash_join_single c env pred seen emit (singles_iter (expand_iter env left)) rights
+      hash_join_single c env pred seen emit
+        (singles_iter (expand_iter env ~held:false left))
+        rights
   | Join_cost.Grace_hash ->
-      grace_hash c env store pred seen emit (expand_iter env left) (expand env right)
+      grace_hash c env store pred seen emit (expand_iter env ~held:true left) (expand env right)
   | Join_cost.Sort_merge ->
-      sort_merge c env store pred seen emit (expand_iter env left) (expand env right)
-  | Join_cost.Fusion_join -> fusion c env pred seen emit left (expand env right)
+      sort_merge c env store pred seen emit (expand_iter env ~held:true left) (expand env right)
+  | Join_cost.Fusion_join ->
+      fusion c env pred seen emit (expand_iter env ~held:false left) (expand env right)
   | Join_cost.Nested_loop | Join_cost.Forward_traversal | Join_cost.Backward_traversal
   | Join_cost.Binary_join_index | Join_cost.Hash_partition ->
       invalid_arg "Value_join.run: not a value-join method"

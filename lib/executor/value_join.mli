@@ -15,23 +15,25 @@
     counted in the [join.*] counters of [Eval.env]'s registry, and
     crash-injectable. *)
 
-type side = { s_rows : Eval.row list; s_key : Compile.expr_fn }
-(** The build (right) side: its binding rows and the compiled
-    expression producing the join key of a row (a collection-valued key
-    joins through its elements, the predicate's existential
-    semantics). *)
+type keep = (string * string list) list
+(** What a side's entries keep of its objects: for each listed
+    variable, its item's OID and only these attributes of its value
+    ([Mood_optimizer.Plan.reads]); an unlisted variable keeps its whole
+    object. *)
 
-type probe = { p_iter : (Eval.row -> unit) -> unit; p_key : Compile.expr_fn }
-(** The probe (left) side: [p_iter f] pushes each of its rows to [f] in
-    order, once per join, and [p_key] is the key expression as for
-    [side]. *)
+type side = { rows : (Eval.row -> unit) -> unit; key : Compile.expr_fn; keep : keep }
+(** One input: [rows f] pushes each of its rows to [f] in order, once
+    per join; [key] is the compiled expression producing the join key
+    of a row (a collection-valued key joins through its elements, the
+    predicate's existential semantics); [keep] is what its entries keep
+    of its objects. *)
 
 val run :
   Mood_cost.Join_cost.method_choice ->
   Eval.env ->
   store:Mood_storage.Store.t ->
   pred:Compile.pred_fn ->
-  left:probe ->
+  left:side ->
   right:side ->
   emit:(Eval.row -> unit) ->
   unit
@@ -39,10 +41,17 @@ val run :
     (raises [Invalid_argument] for the pointer methods and
     [Nested_loop], which keep their existing executor paths), passing
     each result row [left_row @ right_row] to [emit] as it is found,
-    each surviving pair exactly once. The right side is keyed before
-    the left side is pulled. Hash join, Grace hash and fusion consume
-    the left side as it streams (Grace's first split collects it into
-    partitions); sort-merge collects it to sort. The memory budget is
+    each surviving pair exactly once. The right (build) side is pulled
+    and keyed before the left (probe) side. Every method builds its
+    entries one way: a row's keys come from its whole bindings, then
+    the row is cut to its side's [keep], so the budget checks, the hash
+    tables, the sort runs and the spill records hold only what the
+    statement reads. Build rows are always cut; probe rows are cut
+    where the method holds them (Grace partitions, sort-merge runs),
+    not where they only stream past a hash table (hash join, fusion).
+    Hash join, Grace hash and fusion consume the left side as it
+    streams (Grace's first split collects it into partitions);
+    sort-merge collects it to sort. The memory budget is
     [env.join_mem_bytes]; above it, Grace hash partitions recursively
     (fanout 2–16, depth ≤ 4, then an in-memory fallback) and
     sort-merge spills its initial runs. [env.skip_rewind] injects the
@@ -80,7 +89,8 @@ val decode_entry : string -> entry
     malformed record. *)
 
 val entry_bytes : entry -> int
-(** [String.length (encode_entry e)], computed without encoding. *)
+(** [String.length (encode_entry e)], computed without encoding by
+    [Mood_cost.Join_cost.entry_bytes]. *)
 
 type counters = {
   partitions_spilled : Mood_obs.Metrics.counter;

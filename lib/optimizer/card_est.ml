@@ -7,21 +7,7 @@ let card (env : Dicts.env) cls = float_of_int (Stats.cardinality env.Dicts.stats
 (* var -> class bindings visible in a subtree. Named objects bind a
    variable without a statically known class; they are simply absent
    and their predicates take the default selectivity. *)
-let rec bindings (node : Plan.node) acc =
-  match node with
-  | Plan.Bind { class_name; var; _ }
-  | Plan.Path_ind_sel { class_name; var; _ }
-  | Plan.Vscan { class_name; var; _ } ->
-      (var, class_name) :: acc
-  | Plan.Named_obj _ -> acc
-  | Plan.Ind_sel { source; _ }
-  | Plan.Select { source; _ }
-  | Plan.Project { source; _ }
-  | Plan.Group { source; _ }
-  | Plan.Sort { source; _ } ->
-      bindings source acc
-  | Plan.Join { left; right; _ } -> bindings left (bindings right acc)
-  | Plan.Union nodes -> List.fold_left (fun acc n -> bindings n acc) acc nodes
+let bindings = Plan.var_classes
 
 let flip = function
   | Ast.Eq -> Ast.Eq
@@ -34,7 +20,9 @@ let flip = function
 (* Selectivity of a row predicate under the visible bindings. Atomic
    comparisons against constants go through the Section 4.1 formulas;
    multi-hop paths through the path-selectivity formula; anything else
-   takes the 1/3 default. *)
+   through OtherSelInfo's [Dicts.other_selectivity]: an equality
+   between two variables' attribute paths from their dist, the rest the
+   1/3 default. *)
 let rec pred_sel env scope (p : Ast.predicate) =
   let clamp f = Float.max 0. (Float.min 1. f) in
   match p with
@@ -59,7 +47,8 @@ let rec pred_sel env scope (p : Ast.predicate) =
       path_cmp_sel env scope v path cmp c
   | Ast.Cmp (cmp, Ast.Const c, Ast.Path (v, path)) ->
       path_cmp_sel env scope v path (flip cmp) c
-  | Ast.Cmp _ | Ast.Is_null _ -> Dicts.default_other_selectivity
+  | Ast.Cmp _ -> Dicts.other_selectivity env ~bindings:scope p
+  | Ast.Is_null _ -> Dicts.default_other_selectivity
 
 and path_cmp_sel env scope v path cmp c =
   match List.assoc_opt v scope, path with
@@ -157,7 +146,7 @@ let rec estimate env (node : Plan.node) =
       if by = [] && aggregates = [] then filtered
       else group_estimate env scope ~input:filtered by having
   | Plan.Ind_sel { source; preds } ->
-      let scope = bindings source [] in
+      let scope = bindings source in
       let sel (p : Plan.indexed_pred) =
         match scope with
         | (_, cls) :: _ ->
@@ -175,10 +164,10 @@ let rec estimate env (node : Plan.node) =
       in
       k *. s
   | Plan.Select { source; pred; _ } ->
-      estimate env source *. pred_sel env (bindings source []) pred
+      estimate env source *. pred_sel env (bindings source) pred
   | Plan.Join { left; right; pred; method_ = _ } -> begin
       let k_l = estimate env left and k_r = estimate env right in
-      let scope = bindings node [] in
+      let scope = bindings node in
       let fallback () = k_l *. k_r *. pred_sel env scope pred in
       match pointer_pred pred with
       | Some (lv, path, rv) -> begin
@@ -190,5 +179,5 @@ let rec estimate env (node : Plan.node) =
     end
   | Plan.Project { source; _ } | Plan.Sort { source; _ } -> estimate env source
   | Plan.Group { source; by; having; aggregates = _ } ->
-      group_estimate env (bindings source []) ~input:(estimate env source) by having
+      group_estimate env (bindings source) ~input:(estimate env source) by having
   | Plan.Union nodes -> List.fold_left (fun acc n -> acc +. estimate env n) 0. nodes

@@ -79,6 +79,30 @@ let atomic_selectivity env ~cls ~attr cmp constant =
       base *. s.Stats.notnull
     end
 
+(* dist of a path's last attribute, on the class that hosts it. *)
+let terminal_dist env cls path =
+  match Catalog.resolve_path env.catalog ~class_name:cls ~path with
+  | Some (_ :: _ as steps) -> begin
+      let host, _ = List.nth steps (List.length steps - 1) in
+      match Stats.attr_stats env.stats ~cls:host ~attr:(List.nth path (List.length path - 1)) with
+      | Some s when s.Stats.dist > 0 -> Some s.Stats.dist
+      | Some _ | None -> None
+    end
+  | Some [] | None -> None
+
+let other_selectivity env ~bindings (p : Ast.predicate) =
+  match p with
+  | Ast.Cmp (Ast.Eq, Ast.Path (lv, (_ :: _ as lpath)), Ast.Path (rv, (_ :: _ as rpath)))
+    when not (String.equal lv rv) -> begin
+      let dist v path =
+        Option.bind (List.assoc_opt v bindings) (fun cls -> terminal_dist env cls path)
+      in
+      match dist lv lpath, dist rv rpath with
+      | Some a, Some b -> 1. /. float_of_int (max a b)
+      | _, _ -> default_other_selectivity
+    end
+  | _ -> default_other_selectivity
+
 let imm_entry env ~var ~cls ~attr cmp constant =
   let selectivity = atomic_selectivity env ~cls ~attr cmp constant in
   let seq_cost = Io_cost.seqcost env.params (Stats.nbpages env.stats cls) in
@@ -163,7 +187,7 @@ let render_imm entries =
   Table.render table
 
 let render_other entries =
-  let table = Table.create ~header:[ "Predicate"; "Selectivity (default)" ] in
+  let table = Table.create ~header:[ "Predicate"; "Selectivity" ] in
   List.iter
     (fun e ->
       Table.add_row table

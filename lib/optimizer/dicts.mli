@@ -55,11 +55,21 @@ type path_entry = {
 
 type other_entry = {
   o_pred : Mood_sql.Ast.predicate;
-  o_selectivity : float;  (** the default guess for unestimatable predicates *)
+  o_selectivity : float;  (** [other_selectivity] of the predicate *)
 }
 
 val default_other_selectivity : float
 (** 1/3 — the traditional guess for opaque predicates. *)
+
+val other_selectivity :
+  env -> bindings:(string * string) list -> Mood_sql.Ast.predicate -> float
+(** The selectivity of a predicate the Section 4.1 formulas do not
+    cover, under [bindings] (variable to class). An equality between
+    two range variables' attribute paths, [l.a = r.b], takes System R's
+    1 / max(dist(a), dist(b)), each [dist] read on the class hosting
+    the path's last attribute; anything else, or an unknown [dist],
+    takes [default_other_selectivity]. OtherSelInfo and
+    [Card_est] both read it. *)
 
 val atomic_selectivity :
   env -> cls:string -> attr:string -> Mood_sql.Ast.comparison -> Mood_model.Value.t -> float
@@ -91,5 +101,5 @@ val render_path : path_entry list -> string
 
 val render_other : other_entry list -> string
 (** OtherSelInfo — "the data structure for this dictionary is also the
-    same as that of ImmSelInfo" (Section 7); selectivities are the
-    default guess. *)
+    same as that of ImmSelInfo" (Section 7); selectivities are
+    [other_selectivity]'s. *)

@@ -42,6 +42,7 @@ type component = {
 type planning = {
   env : Dicts.env;
   bindings : (string * string) list; (* var -> class *)
+  reads : Plan.reads; (* what the statement reads through each variable *)
   mutable components : component list;
   mutable taken : string list;       (* used variable names *)
   mutable cost : float;
@@ -359,6 +360,70 @@ let apply_path_with_forward_traversal p ~var (entry : Dicts.path_entry) =
   | [] -> ()
 
 (* ------------------------------------------------------------------ *)
+(* Value-join footprints                                               *)
+
+(* The [Codec]-encoded bytes of attribute [attr] of [cls]'s objects, from
+   its type and [Stats.avg_width] (the payload width of its non-null
+   values): a tag byte, a string's 8-byte length, the payload; a null
+   is its tag byte alone. [None] when [cls] has no such attribute. *)
+let attr_bytes (env : Dicts.env) cls attr =
+  let module Mtype = Mood_model.Mtype in
+  Option.map
+    (fun ty ->
+      match ty, Stats.attr_stats env.Dicts.stats ~cls ~attr with
+      | Mtype.Basic b, Some s ->
+          let length = match b with Mtype.String _ -> 8. | _ -> 0. in
+          Float.to_int
+            (Float.round
+               ((s.Stats.notnull *. (1. +. length +. s.Stats.avg_width)) +. (1. -. s.Stats.notnull)))
+      | Mtype.Reference _, _ -> 17
+      | (Mtype.Set _ | Mtype.List _), _ -> begin
+          match Stats.ref_stats env.Dicts.stats ~cls ~attr with
+          | Some r -> 9 + Float.to_int (Float.round (17. *. r.Stats.fan))
+          | None -> 9 + Mtype.byte_size ty
+        end
+      | (Mtype.Basic _ | Mtype.Tuple _), _ -> 9 + Mtype.byte_size ty)
+    (Catalog.attribute_type env.Dicts.catalog ~class_name:cls ~attr)
+
+(* The canonical key of a join attribute's value, as [Value_join]
+   derives it: a numeric's 8 float bytes, a string's bytes, a
+   reference's OID, after a kind tag. A collection key counts as one of
+   its elements. *)
+let key_bytes (env : Dicts.env) cls path =
+  let module Mtype = Mood_model.Mtype in
+  let rec element = function Mtype.Set ty | Mtype.List ty -> element ty | ty -> ty in
+  match Catalog.resolve_path env.Dicts.catalog ~class_name:cls ~path, List.rev path with
+  | Some (_ :: _ as steps), attr :: _ -> begin
+      let host, ty = List.nth steps (List.length steps - 1) in
+      match element ty with
+      | Mtype.Basic (Mtype.String _) -> (
+          match Stats.attr_stats env.Dicts.stats ~cls:host ~attr with
+          | Some s -> 1 + int_of_float (Float.round s.Stats.avg_width)
+          | None -> 9)
+      | Mtype.Basic (Mtype.Char | Mtype.Boolean) -> 2
+      | Mtype.Reference _ -> 17
+      | Mtype.Basic _ | Mtype.Tuple _ | Mtype.Set _ | Mtype.List _ -> 9
+    end
+  | _, _ -> 9
+
+let side_bytes env reads side ~key:(cls, path) ~k =
+  let binding (var, cls) =
+    let value =
+      match reads var with
+      | None -> (
+          match Stats.class_stats env.Dicts.stats cls with
+          | Some cs -> cs.Stats.obj_size
+          | None -> 0)
+      | Some attrs ->
+          Join_cost.kept_bytes
+            (List.filter_map (fun a -> Option.map (fun b -> (a, b)) (attr_bytes env cls a)) attrs)
+    in
+    Join_cost.binding_bytes ~var ~oid:true ~value
+  in
+  let bindings = List.fold_left (fun acc vc -> acc + binding vc) 0 (Plan.var_classes side) in
+  k *. float_of_int (Join_cost.entry_bytes ~key:(key_bytes env cls path) ~bindings)
+
+(* ------------------------------------------------------------------ *)
 (* Explicit joins                                                      *)
 
 let merge_components p a b plan =
@@ -474,8 +539,13 @@ let apply_explicit_join p (left : Classify.side) cmp (right : Classify.side) pre
                     hops
               | None -> false)
         in
-        let side_of cls var path =
-          { Join_cost.v_cls = cls; v_rows = k_of_var p var; v_attr = last_attr path }
+        let side_of comp cls var path =
+          let k = k_of_var p var in
+          { Join_cost.v_cls = cls;
+            v_rows = k;
+            v_attr = last_attr path;
+            v_bytes = side_bytes p.env p.reads comp.plan ~key:(cls, path) ~k
+          }
         in
         let method_, jc =
           match cmp, p.env.Dicts.settings with
@@ -485,8 +555,8 @@ let apply_explicit_join p (left : Classify.side) cmp (right : Classify.side) pre
           | Ast.Eq, { Dicts.join_force = None; join_mem_bytes; _ } ->
               Join_cost.cheapest_value p.env.Dicts.params p.env.Dicts.stats
                 ~mem_bytes:join_mem_bytes
-                ~left:(side_of lcls left.Classify.var left.Classify.path)
-                ~right:(side_of rcls right.Classify.var right.Classify.path)
+                ~left:(side_of lcomp lcls left.Classify.var left.Classify.path)
+                ~right:(side_of rcomp rcls right.Classify.var right.Classify.path)
                 ~l_collection
           | _ ->
               (* No equality to key on: only the nested loop applies. *)
@@ -505,10 +575,14 @@ let apply_explicit_join p (left : Classify.side) cmp (right : Classify.side) pre
 (* ------------------------------------------------------------------ *)
 (* AND-term planning                                                   *)
 
-let plan_and_term env bindings (from_items : Ast.from_item list) term trace_sink =
+let plan_and_term env bindings reads (from_items : Ast.from_item list) classified trace_sink =
   let p =
     { env;
       bindings;
+      (* A variable the planner generates (a path expression's hop)
+         escapes whole: its bare [.self] in the hop predicate makes it
+         escape in the plan ([Plan.reads]). *)
+      reads = (fun v -> if List.mem_assoc v bindings then reads v else None);
       components = [];
       taken = List.map fst bindings;
       cost = 0.;
@@ -517,7 +591,6 @@ let plan_and_term env bindings (from_items : Ast.from_item list) term trace_sink
       other_dicts = []
     }
   in
-  let classified = Classify.classify_term ~catalog:env.Dicts.catalog ~bindings term in
   let imm_of var =
     List.filter_map
       (function
@@ -640,7 +713,10 @@ let plan_and_term env bindings (from_items : Ast.from_item list) term trace_sink
       | Classify.Other pred ->
           p.other_dicts <-
             p.other_dicts
-            @ [ { Dicts.o_pred = pred; o_selectivity = Dicts.default_other_selectivity } ]
+            @ [ { Dicts.o_pred = pred;
+                  o_selectivity = Dicts.other_selectivity env ~bindings pred
+                }
+              ]
       | Classify.Immediate _ | Classify.Immediate_method _ | Classify.Path_selection _
       | Classify.Explicit_join _ ->
           ())
@@ -776,17 +852,7 @@ let optimize env (q : Ast.query) =
     other_acc := !other_acc @ p.other_dicts;
     cost_acc := !cost_acc +. p.cost
   in
-  let term_plans =
-    List.map (fun term -> fst (plan_and_term env bindings q.Ast.from term sink)) terms
-  in
-  let unioned =
-    match term_plans with
-    | [] ->
-        (* WHERE is FALSE: an empty union. *)
-        Plan.Union []
-    | [ only ] -> only
-    | plans -> Plan.Union plans
-  in
+  let classified = List.map (Classify.classify_term ~catalog:env.Dicts.catalog ~bindings) terms in
   (* Each aggregate once, in first-occurrence order: its label is the
      [#agg] field every reference reads, so a repeat (the same COUNT in
      SELECT and HAVING) would only be computed twice. *)
@@ -807,10 +873,31 @@ let optimize env (q : Ast.query) =
         end)
       aggregates
   in
+  let groups = q.Ast.group_by <> [] || q.Ast.having <> None || aggregates <> [] in
+  (* The reads of the plan this builds ([Plan.reads]): its predicates
+     are the classified terms', its expressions the clauses'. *)
+  let reads =
+    Plan.reads_of
+      ~whole:(q.Ast.select = [] && not groups)
+      (List.map (fun (i : Ast.select_item) -> i.Ast.expr) q.Ast.select
+      @ q.Ast.group_by @ aggregates @ List.map fst q.Ast.order_by)
+      (Option.to_list q.Ast.having @ List.concat_map (List.map Classify.predicate) classified)
+  in
+  let term_plans =
+    List.map (fun c -> fst (plan_and_term env bindings reads q.Ast.from c sink)) classified
+  in
+  let unioned =
+    match term_plans with
+    | [] ->
+        (* WHERE is FALSE: an empty union. *)
+        Plan.Union []
+    | [ only ] -> only
+    | plans -> Plan.Union plans
+  in
   let grouped =
-    if q.Ast.group_by = [] && q.Ast.having = None && aggregates = [] then unioned
-    else
+    if groups then
       Plan.Group { source = unioned; by = q.Ast.group_by; having = q.Ast.having; aggregates }
+    else unioned
   in
   let projected =
     match q.Ast.select with

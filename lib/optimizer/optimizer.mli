@@ -28,6 +28,17 @@ val optimize_statement : Dicts.env -> Mood_sql.Ast.statement -> optimized option
 (** [Some] for SELECT and EXPLAIN statements, [None] for DDL/DML and
     SET (executed without planning). *)
 
+val side_bytes :
+  Dicts.env -> Plan.reads -> Plan.node -> key:string * string list -> k:float -> float
+(** The memory footprint the optimizer gives a value-join side whose
+    plan is [side]: [k] entries of [Mood_cost.Join_cost.entry_bytes],
+    each the canonical key of the path [key] (its range variable's class
+    and the path) and one binding per range variable of [side], whose
+    object keeps the attributes [reads] lists, or the whole object
+    ([Stats.obj_size]) when it escapes. Each kept attribute is sized by
+    its type and [Stats.avg_width], so for fixed-width attributes this
+    is the byte count of the entries [Mood_executor.Value_join] holds. *)
+
 val fresh_var_name : taken:string list -> string -> string
 (** Variable naming for generated binds: the first letter of the
     attribute that reaches the class ([drivetrain] → [d]), suffixed on

@@ -65,6 +65,97 @@ let vars node =
   walk node;
   List.rev !seen
 
+let rec var_classes = function
+  | Bind { class_name; var; _ } | Path_ind_sel { class_name; var; _ } | Vscan { class_name; var; _ }
+    ->
+      [ (var, class_name) ]
+  | Named_obj _ -> []
+  | Ind_sel { source; _ } | Select { source; _ } | Project { source; _ } | Group { source; _ }
+  | Sort { source; _ } ->
+      var_classes source
+  | Join { left; right; _ } -> var_classes left @ var_classes right
+  | Union nodes -> List.concat_map var_classes nodes
+
+type reads = string -> string list option
+
+(* A variable's reads only widen: [None] absorbs every attribute. *)
+let reads_of ~whole exprs preds =
+  if whole then fun _ -> None
+  else begin
+    let seen = Hashtbl.create 8 in
+    let add var attr =
+      match Hashtbl.find_opt seen var, attr with
+      | Some None, _ -> ()
+      | _, None -> Hashtbl.replace seen var None
+      | None, Some a -> Hashtbl.replace seen var (Some [ a ])
+      | Some (Some attrs), Some a ->
+          if not (List.mem a attrs) then Hashtbl.replace seen var (Some (attrs @ [ a ]))
+    in
+    let rec expr = function
+      | Ast.Const _ | Ast.Aggregate (_, None) -> ()
+      | Ast.Path (var, []) -> add var None
+      | Ast.Path (var, attr :: _) -> add var (Some attr)
+      | Ast.Method_call (var, _, _, args) ->
+          add var None;
+          List.iter expr args
+      | Ast.Arith (_, a, b) ->
+          expr a;
+          expr b
+      | Ast.Neg e | Ast.Aggregate (_, Some e) -> expr e
+    and pred = function
+      | Ast.Cmp (_, a, b) ->
+          expr a;
+          expr b
+      | Ast.Is_null (e, _) -> expr e
+      | Ast.And (a, b) | Ast.Or (a, b) ->
+          pred a;
+          pred b
+      | Ast.Not p -> pred p
+      | Ast.Ptrue | Ast.Pfalse -> ()
+    in
+    List.iter expr exprs;
+    List.iter pred preds;
+    fun var -> Option.value ~default:(Some []) (Hashtbl.find_opt seen var)
+  end
+
+let reads node =
+  let exprs = ref [] and preds = ref [] in
+  let add_exprs es = exprs := es @ !exprs and add_pred p = preds := p :: !preds in
+  let rec walk = function
+    | Bind _ | Named_obj _ | Path_ind_sel _ -> ()
+    | Ind_sel { source; _ } -> walk source
+    | Select { source; pred; _ } ->
+        add_pred pred;
+        walk source
+    | Vscan { pred; by; having; aggregates; _ } ->
+        Option.iter add_pred pred;
+        Option.iter add_pred having;
+        add_exprs (by @ aggregates)
+    | Join { left; right; pred; _ } ->
+        add_pred pred;
+        walk left;
+        walk right
+    | Project { source; items } ->
+        add_exprs (List.map (fun (i : Ast.select_item) -> i.Ast.expr) items);
+        walk source
+    | Group { source; by; having; aggregates } ->
+        Option.iter add_pred having;
+        add_exprs (by @ aggregates);
+        walk source
+    | Sort { source; keys } ->
+        add_exprs (List.map fst keys);
+        walk source
+    | Union nodes -> List.iter walk nodes
+  in
+  walk node;
+  let rec whole = function
+    | Sort { source; _ } -> whole source
+    | Project _ | Group _ -> false
+    | Bind _ | Named_obj _ | Ind_sel _ | Path_ind_sel _ | Select _ | Vscan _ | Join _ | Union _ ->
+        true
+  in
+  reads_of ~whole:(whole node) !exprs !preds
+
 (* Render expressions with bare range variables as [var.self] — the
    spelling the paper uses inside join predicates. *)
 let rec expr_str = function

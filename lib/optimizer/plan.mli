@@ -78,6 +78,37 @@ val vars : node -> string list
 (** Range variables bound somewhere under the node, in first-appearance
     order. *)
 
+val var_classes : node -> (string * string) list
+(** The range variables bound under the node with a statically known
+    class ([BIND], [PATH_INDSEL], [VSCAN]; a [NAMED] object has none),
+    each with its class. *)
+
+type reads = string -> string list option
+(** What a statement reads through each of its range variables:
+    [Some attrs], the first attribute of every path from the variable
+    (in first-appearance order; [Some []] when it is not mentioned), or
+    [None] when the whole object escapes. A value join keeps, of each
+    object it holds, its OID and only these attributes
+    ([Mood_executor.Value_join]), and the optimizer sizes the join's
+    sides by the same sets. *)
+
+val reads_of :
+  whole:bool -> Mood_sql.Ast.expr list -> Mood_sql.Ast.predicate list -> reads
+(** The reads of a statement whose expressions and predicates are
+    these. A bare variable ([v], [v.self]) and a method call's receiver
+    escape whole: a method may read any attribute of its object. With
+    [whole], every binding row leaves the statement as it is, so every
+    variable escapes. *)
+
+val reads : node -> reads
+(** [reads_of] over every expression and predicate of the plan, with
+    [whole] unless a PROJECT or GROUP sits on top (under SORTs): a
+    plan without one returns its binding rows, as the hand-built plans
+    of the join oracle, bench/micro and the tests do. For an optimizer
+    plan these are the sets the optimizer sized its value joins by:
+    [reads_of] over its query's clauses and classified predicates, with
+    the variables a path expression generates escaping whole. *)
+
 val render : ?label_joins:bool -> node -> string
 (** Pretty prints. With [label_joins] (default false) every join that
     feeds another join is hoisted into a [Tn : ...] temporary, matching

@@ -10,7 +10,11 @@
    multiset against the interpreted nested-loop join. Roughly half the
    queries run under a tiny randomized memory budget so the Grace and
    sort-merge spill paths are exercised, not just their in-memory fast
-   paths.
+   paths. Each query runs twice: over whole binding rows, and under a
+   PROJECT of one non-key attribute per side, where the value joins'
+   entries keep only the keys, that attribute and the residual
+   conjuncts' [pad] ([Plan.reads]); the projected run compares
+   [Executor.result_values].
 
    [sabotage] runs the battery with the sort-merge duplicate-key
    rewind disabled (the [skip_rewind] field of the cycle's [Eval.env])
@@ -87,6 +91,11 @@ let gen_row rng =
 
 let eq l r = Ast.Cmp (Ast.Eq, Ast.Path ("l", [ l ]), Ast.Path ("r", [ r ]))
 
+(* The attributes a projection may show: any but the residual
+   conjuncts' [pad], so a keep-set that drops what only the predicate
+   reads changes the answer. *)
+let shown = [ "kint"; "kfloat"; "kstr"; "kchar"; "kset"; "knest" ]
+
 (* The query battery: every canonical-key shape, plus residual
    conjuncts before and after the equality (the executor must find the
    equality anywhere in the conjunction and re-apply the rest). *)
@@ -129,6 +138,25 @@ let row_repr (row : Eval.row) =
 
 let multiset (result : Executor.result) =
   List.sort String.compare (List.map row_repr result.Executor.rows)
+
+(* The user-facing rows of a projected run. *)
+let value_multiset (result : Executor.result) =
+  List.sort String.compare (List.map Value.to_string (Executor.result_values result))
+
+(* One attribute per side that is not the side's join key: under a
+   PROJECT of these the value joins' entries keep only the key, this
+   attribute and what the residual conjuncts read. *)
+let projection pred =
+  let rec keys = function
+    | Ast.And (a, b) -> keys a @ keys b
+    | Ast.Cmp (Ast.Eq, Ast.Path ("l", [ a ]), Ast.Path ("r", [ b ])) -> [ ("l", a); ("r", b) ]
+    | _ -> []
+  in
+  List.map
+    (fun var ->
+      let attr = List.find (fun a -> not (List.mem (var, a) (keys pred))) shown in
+      { Ast.expr = Ast.Path (var, [ attr ]); alias = None })
+    [ "l"; "r" ]
 
 (* First row present in one multiset but not the other — the
    reproduction hint a violation prints. *)
@@ -176,19 +204,33 @@ let run_cycle ~sabotage ~seed =
       let plan method_ =
         Plan.Join { left = bind "JoinL" "l"; right = bind "JoinR" "r"; method_; pred }
       in
-      let oracle = multiset (Executor.run ~mode:Interpreted env (plan Join_cost.Nested_loop)) in
-      rows := !rows + List.length oracle;
+      let projected method_ = Plan.Project { source = plan method_; items = projection pred } in
+      (* Whole binding rows, then the same joins under a PROJECT, whose
+         value-join entries keep only what the statement reads. *)
       List.iter
-        (fun m ->
-          incr checks;
-          let got = multiset (Executor.run env (plan m)) in
-          if got <> oracle then
-            violations :=
-              Format.asprintf "%s via %a: %d rows, oracle %d (%s) [mem=%d]" name
-                Join_cost.pp_method m (List.length got) (List.length oracle)
-                (first_diff got oracle) join_mem_bytes
-              :: !violations)
-        algorithms;
+        (fun (shape, plan, multiset) ->
+          let oracle = multiset (Executor.run ~mode:Interpreted env (plan Join_cost.Nested_loop)) in
+          rows := !rows + List.length oracle;
+          List.iter
+            (fun m ->
+              incr checks;
+              let violation what =
+                violations :=
+                  Format.asprintf "%s%s via %a: %s [mem=%d]" name shape Join_cost.pp_method m
+                    what join_mem_bytes
+                  :: !violations
+              in
+              (* An entry that lost an attribute the predicate reads
+                 raises; that is a violation too. *)
+              match multiset (Executor.run env (plan m)) with
+              | got when got <> oracle ->
+                  violation
+                    (Printf.sprintf "%d rows, oracle %d (%s)" (List.length got)
+                       (List.length oracle) (first_diff got oracle))
+              | _ -> ()
+              | exception Eval.Eval_error msg -> violation ("raised " ^ msg))
+            algorithms)
+        [ ("", plan, multiset); (" projected", projected, value_multiset) ];
       if Store.live_temp_files store <> 0 then
         violations :=
           Printf.sprintf "%s leaked %d temp files" name (Store.live_temp_files store)

@@ -6,9 +6,13 @@
     strings vs chars, flat and nested collections), run a battery of join queries through every algorithm
     — nested loop, hash, Grace hash, sort-merge, fusion, each forced by
     plan hint — and diff result multisets against the interpreted
-    nested-loop join. About half the queries run under a tiny random
-    memory budget so the spill paths are part of the contract. A
-    violation is any multiset mismatch or temp-file leak. *)
+    nested-loop join. Each query runs over whole binding rows and
+    again under a PROJECT of one non-key attribute per side, so the
+    value joins hold entries cut to what the statement reads; that run
+    compares [Executor.result_values]. About half the queries run under
+    a tiny random memory budget so the spill paths are part of the
+    contract. A violation is any multiset mismatch or temp-file
+    leak. *)
 
 val phase : Phase.t
 (** Counts queries, (query, algorithm) checks, oracle rows and

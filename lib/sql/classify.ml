@@ -82,6 +82,15 @@ let classify ~catalog ~bindings p =
 let classify_term ~catalog ~bindings term =
   List.map (classify ~catalog ~bindings) term
 
+let predicate = function
+  | Immediate { target; cmp; constant } | Path_selection { target; cmp; constant } ->
+      Ast.Cmp (cmp, Ast.Path (target.var, target.path), Ast.Const constant)
+  | Immediate_method { var; method_name; cmp; constant } ->
+      Ast.Cmp (cmp, Ast.Method_call (var, [], method_name, []), Ast.Const constant)
+  | Explicit_join { left; cmp; right } ->
+      Ast.Cmp (cmp, Ast.Path (left.var, left.path), Ast.Path (right.var, right.path))
+  | Other p -> p
+
 let pp_side ppf { var; path } =
   Format.pp_print_string ppf (Ast.path_to_string var path)
 

@@ -48,4 +48,9 @@ val classify_term :
   Dnf.and_term ->
   classified list
 
+val predicate : classified -> Ast.predicate
+(** The predicate as a plan evaluates it: constant-first comparisons
+    mirrored, and a parameterless method written as a path ([v.m])
+    called ([v.m()]). *)
+
 val pp : Format.formatter -> classified -> unit

@@ -269,11 +269,17 @@ let recover ?checkpoint_lsn ?(redo = fun _ -> ()) ?(undo = fun _ -> ()) t =
     plist;
   a
 
+(* The log is newest first and a transaction logs nothing before its
+   [Begin], so the walk stops there: an abort costs its transaction's
+   age, not the log's. A log without the [Begin] is walked whole. *)
 let undo_records t txn =
-  List.filter_map
-    (fun (_, record) ->
-      if is_data record && txn_of record = Some txn then Some record else None)
-    t.log
+  let rec walk acc = function
+    | [] -> List.rev acc
+    | (_, Begin id) :: _ when id = txn -> List.rev acc
+    | (_, record) :: rest ->
+        walk (if is_data record && txn_of record = Some txn then record :: acc else acc) rest
+  in
+  walk [] t.log
 
 (* ------------------------------------------------------------------ *)
 (* Binary record codec — the unit of replication shipping. Tag byte

@@ -165,7 +165,10 @@ val recover :
 val undo_records : t -> int -> record list
 (** The data records of the given transaction, newest first — what an
     abort must compensate. Includes unpersisted records (a live abort
-    compensates everything it did, flushed or not). *)
+    compensates everything it did, flushed or not). Walks the log only
+    back to the transaction's [Begin], so its cost grows with the
+    transaction's age, not the log's; a log holding no [Begin] for it
+    is walked whole. *)
 
 (** {2 Binary record codec}
 

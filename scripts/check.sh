@@ -22,6 +22,21 @@ wait_port() {
   done
 }
 
+# A failing gate exits at once. Every daemon a smoke left running
+# would keep the script's stdout open, so a caller reading it through
+# a pipe would wait until someone killed the daemon: on a failing
+# exit, kill every PID the smokes recorded. (A passing run has waited
+# for each of them already.)
+cleanup() {
+  [ "$?" -ne 0 ] || return 0
+  for pid in ${SERVER_PID:-} ${IDLE_PID:-} ${IDLE_LOAD_PID:-} ${MVCC_PID:-} \
+    ${PRIMARY_PID:-} ${REPLICA_PID:-} ${SHARD0_PID:-} ${SHARD1_PID:-} ${SHARD2_PID:-} \
+    ${ROUTER_PID:-}; do
+    kill -9 "$pid" 2>/dev/null || true
+  done
+}
+trap cleanup EXIT
+
 echo "== no process globals in lib/ =="
 # Planner settings, counters and fault hooks belong to a database (or
 # to the env a caller builds), never to a toplevel ref, atomic or hash

@@ -407,7 +407,8 @@ let test_query_rejects_non_select () =
 
 (* Two databases in one process: SET on one changes neither the plans
    nor the STATS of the other, and a join on one counts only in its own
-   registry. *)
+   registry. The join selects [d] itself, so its build entries hold
+   whole Dept objects, more than A's 2,048-byte budget. *)
 let twin_db () =
   let db = fresh () in
   ignore (ok db "CREATE CLASS Emp TUPLE (dept Integer, pad String(32)) LAYOUT PAX");
@@ -423,7 +424,7 @@ let twin_db () =
 
 let test_two_dbs_keep_their_settings () =
   let a = twin_db () and b = twin_db () in
-  let join = "SELECT e FROM Emp e, Dept d WHERE e.dept = d.id" in
+  let join = "SELECT e, d FROM Emp e, Dept d WHERE e.dept = d.id" in
   let scan = "SELECT COUNT(*) FROM Emp e WHERE e.dept > 3" in
   let stat db name = List.assoc name (Db.metrics_snapshot db) in
   let b_join = Db.explain b join and b_scan = Db.explain b scan in

@@ -766,10 +766,11 @@ let join_report reports =
   | None -> Alcotest.fail "no JOIN operator in report"
 
 (* Fast version of the crash_sim differential oracle: 5 seeds, every
-   algorithm against the interpreted nested loop. *)
+   algorithm against the interpreted nested loop, over whole rows and
+   under a projection. *)
 let test_join_oracle_fast () =
   let r = Test_sim.clean_sweep Join_oracle.phase ~quota:5 ~base_seed:1 in
-  Alcotest.(check int) "checks ran" (5 * 9 * 5) (Mood_sim.Phase.count r.counts "checks")
+  Alcotest.(check int) "checks ran" (5 * 9 * 5 * 2) (Mood_sim.Phase.count r.counts "checks")
 
 (* Negative control: with the sort-merge duplicate-key rewind sabotaged
    the oracle must report violations — otherwise it has no teeth. *)
@@ -1204,6 +1205,212 @@ let test_spill_record_rejects_garbage () =
   fails "negative OID"
     (String.mapi (fun j x -> if j >= 35 && j < 43 then '\255' else x) with_oid)
 
+(* ---------------- Value joins keep what the statement reads ---------------- *)
+
+(* The plan with every value join run by [m]. *)
+let rec with_value_method m (node : Jplan.node) =
+  let go = with_value_method m in
+  match node with
+  | Jplan.Join { left; right; method_; pred } ->
+      let method_ =
+        match method_ with
+        | Join_cost.Hash_join | Join_cost.Grace_hash | Join_cost.Sort_merge
+        | Join_cost.Fusion_join | Join_cost.Nested_loop ->
+            m
+        | Join_cost.Forward_traversal | Join_cost.Backward_traversal
+        | Join_cost.Binary_join_index | Join_cost.Hash_partition ->
+            method_
+      in
+      Jplan.Join { left = go left; right = go right; method_; pred }
+  | Jplan.Select r -> Jplan.Select { r with source = go r.source }
+  | Jplan.Project r -> Jplan.Project { r with source = go r.source }
+  | Jplan.Group r -> Jplan.Group { r with source = go r.source }
+  | Jplan.Sort r -> Jplan.Sort { r with source = go r.source }
+  | Jplan.Union nodes -> Jplan.Union (List.map go nodes)
+  | Jplan.Ind_sel r -> Jplan.Ind_sel { r with source = go r.source }
+  | Jplan.Bind _ | Jplan.Named_obj _ | Jplan.Path_ind_sel _ | Jplan.Vscan _ -> node
+
+let rec has_value_join (node : Jplan.node) =
+  match node with
+  | Jplan.Join { method_ = Join_cost.Hash_join | Join_cost.Grace_hash | Join_cost.Sort_merge
+                         | Join_cost.Fusion_join; _ } ->
+      true
+  | Jplan.Join { left; right; _ } -> has_value_join left || has_value_join right
+  | Jplan.Select { source; _ } | Jplan.Project { source; _ } | Jplan.Group { source; _ }
+  | Jplan.Sort { source; _ } | Jplan.Ind_sel { source; _ } ->
+      has_value_join source
+  | Jplan.Union nodes -> List.exists has_value_join nodes
+  | Jplan.Bind _ | Jplan.Named_obj _ | Jplan.Path_ind_sel _ | Jplan.Vscan _ -> false
+
+let value_strings r = List.sort String.compare (List.map Value.to_string (Executor.result_values r))
+
+(* Whatever sits above a value join — a method call on a join variable,
+   a path through one, grouping, HAVING and ordering on non-key
+   attributes, a bare variable, a DNF UNION of two joins — every
+   value-join method, with a roomy and a spilling budget, answers as
+   the interpreted nested loop over the same plan. *)
+let test_value_join_keeps_what_is_read () =
+  let d = Db.create ~buffer_capacity:512 () in
+  Mood_workload.Vehicle.define_schema (Db.catalog d);
+  ignore (Mood_workload.Vehicle.generate ~catalog:(Db.catalog d) ~scale:0.01 ());
+  Db.analyze d;
+  (match Db.exec d "DEFINE METHOD Vehicle::lbweight () Integer { return weight * 2; }" with
+  | Ok _ -> ()
+  | Error m -> Alcotest.fail m);
+  let queries =
+    [ "SELECT v.id, v.lbweight() FROM Vehicle v, VehicleEngine e WHERE v.weight = e.size";
+      "SELECT v.id, v.company.name FROM Vehicle v, VehicleEngine e WHERE v.weight = e.size";
+      "SELECT e.cylinders, COUNT(*), MAX(v.id) FROM Vehicle v, VehicleEngine e WHERE \
+       v.weight = e.size GROUP BY e.cylinders HAVING MIN(v.id) >= 0 ORDER BY e.cylinders";
+      "SELECT v FROM Vehicle v, VehicleEngine e WHERE v.weight = e.size";
+      "SELECT v.id, e.cylinders FROM Vehicle v, VehicleEngine e WHERE (v.weight = e.size AND \
+       e.cylinders < 9) OR (v.weight = e.size AND v.id > 10)"
+    ]
+  in
+  List.iter
+    (fun src ->
+      let plan = (Db.optimize d src).Mood_optimizer.Optimizer.plan in
+      Alcotest.(check bool) (src ^ ": plans a value join") true (has_value_join plan);
+      let env = Db.executor_env d in
+      let oracle =
+        value_strings
+          (Executor.run ~mode:Executor.Interpreted env (with_value_method Join_cost.Nested_loop plan))
+      in
+      Alcotest.(check bool) (src ^ ": oracle rows") true (oracle <> []);
+      List.iter
+        (fun mem ->
+          List.iter
+            (fun m ->
+              let got = value_strings (Executor.run { env with Eval.join_mem_bytes = mem } (with_value_method m plan)) in
+              Alcotest.(check (list string))
+                (Format.asprintf "%s via %a, JOIN_MEM %d" src Join_cost.pp_method m mem)
+                oracle got)
+            [ Join_cost.Hash_join; Join_cost.Grace_hash; Join_cost.Sort_merge; Join_cost.Fusion_join ])
+        [ Join_cost.default_join_mem_bytes; 512 ])
+    queries
+
+(* A build side too wide for JOIN_MEM as whole objects fits once its
+   entries keep only the join key: the optimizer plans the in-memory
+   hash join, which spills nothing. Selecting the build side's objects
+   keeps them whole, and the join stays spill-aware. *)
+let test_read_attributes_fit_join_mem () =
+  let d = Db.create ~buffer_capacity:256 () in
+  let ok sql = match Db.exec d sql with Ok _ -> () | Error m -> Alcotest.fail m in
+  ok "CREATE CLASS FitL TUPLE (k Integer, pad String(64))";
+  ok "CREATE CLASS FitR TUPLE (k Integer, pad String(64))";
+  for i = 1 to 300 do ok (Printf.sprintf "new FitL <%d, '%060d'>" (i mod 50) i) done;
+  for i = 1 to 200 do ok (Printf.sprintf "new FitR <%d, '%060d'>" (i mod 50) i) done;
+  Db.analyze d;
+  ok "SET JOIN_MEM 24000";
+  let spilled () = join_counter (Db.executor_env d) (fun c -> c.Value_join.partitions_spilled) in
+  let count = "SELECT COUNT(*) FROM FitL l, FitR r WHERE l.k = r.k" in
+  let before = spilled () in
+  let result, reports = Db.analyze_query d count in
+  Alcotest.(check bool) "read attributes fit: hash join" true
+    (label_has (join_report reports).Executor.r_label "JOIN[HASH_JOIN]");
+  Alcotest.(check string) "every pair counted" "<COUNT(*): 1200>"
+    (String.concat "" (List.map Value.to_string (Executor.result_values result)));
+  Alcotest.(check int) "nothing spilled" before (spilled ());
+  let whole = (join_report (snd (Db.analyze_query d "SELECT r FROM FitL l, FitR r WHERE l.k = r.k"))).Executor.r_label in
+  Alcotest.(check bool) "whole build objects: spill-aware" true
+    (label_has whole "GRACE_HASH" || label_has whole "SORT_MERGE")
+
+(* For fixed-width attributes the optimizer's footprint of a side is
+   exactly the bytes of the entries the join builds from it: each row
+   cut to what the statement reads, keyed by its join attribute. *)
+let test_footprint_matches_entries () =
+  let d = Db.create ~buffer_capacity:256 () in
+  let ok sql = match Db.exec d sql with Ok _ -> () | Error m -> Alcotest.fail m in
+  ok "CREATE CLASS FwL TUPLE (k Integer, x Float, pad Integer)";
+  ok "CREATE CLASS FwR TUPLE (k Integer, y Float, c Char, flag Boolean, pad Integer)";
+  let insert cls fields = ignore (Db.insert d ~class_name:cls (Value.Tuple fields)) in
+  for i = 1 to 120 do
+    insert "FwL"
+      [ ("k", Value.Int (i mod 30)); ("x", Value.Float (float_of_int i)); ("pad", Value.Int i) ]
+  done;
+  for i = 1 to 80 do
+    insert "FwR"
+      [ ("k", Value.Int (i mod 30));
+        ("y", Value.Float (float_of_int i /. 4.));
+        ("c", Value.Char (Char.chr (97 + (i mod 26))));
+        ("flag", Value.Bool (i mod 2 = 0));
+        ("pad", Value.Int i)
+      ]
+  done;
+  Db.analyze d;
+  let plan =
+    (Db.optimize d "SELECT l.x, r.y, r.c, r.flag FROM FwL l, FwR r WHERE l.k = r.k")
+      .Mood_optimizer.Optimizer.plan
+  in
+  let reads = Jplan.reads plan in
+  let rec right_side = function
+    | Jplan.Join { right; _ } -> right
+    | Jplan.Project { source; _ } | Jplan.Sort { source; _ } -> right_side source
+    | _ -> Alcotest.fail "no join at the top of the plan"
+  in
+  let side = right_side plan in
+  let cat = Db.catalog d in
+  let oids = Catalog.extent_oids cat ~every:true ~minus:[] "FwR" in
+  let footprint =
+    Mood_optimizer.Optimizer.side_bytes (Db.optimizer_env d) reads side ~key:("FwR", [ "k" ])
+      ~k:(float_of_int (List.length oids))
+  in
+  let kept = Option.get (reads "r") in
+  let entries =
+    List.mapi
+      (fun i oid ->
+        match Catalog.get_object cat oid with
+        | Some (Value.Tuple fields as v) ->
+            let value = Value.Tuple (List.filter (fun (a, _) -> List.mem a kept) fields) in
+            let key =
+              Option.get (Value_join.elem_key (Option.get (Value.tuple_get v "k")))
+            in
+            String.length (Value_join.encode_entry (i, [ ("r", { Collection.oid = Some oid; value }) ], key))
+        | _ -> Alcotest.fail "FwR object is not a tuple")
+      oids
+  in
+  Alcotest.(check (list string)) "r keeps its key and what is shown" [ "c"; "flag"; "k"; "y" ]
+    (List.sort String.compare kept);
+  Alcotest.(check int) "footprint = entry bytes" (List.fold_left ( + ) 0 entries)
+    (int_of_float footprint)
+
+(* A value join's cardinality comes from the join attributes' distinct
+   counts, 1 / max(dist(a), dist(b)), not the 1/3 default. The data
+   has the olap benchmark's shape at a tenth of its size: 220 weights,
+   30 engine sizes of which 20 meet a weight, 16 cylinder counts. *)
+let test_value_join_estimates () =
+  let d = Db.create ~buffer_capacity:256 () in
+  let ok sql = match Db.exec d sql with Ok _ -> () | Error m -> Alcotest.fail m in
+  ok "CREATE CLASS SelV TUPLE (id Integer, weight Integer)";
+  ok "CREATE CLASS SelE TUPLE (size Integer, cylinders Integer)";
+  for i = 0 to 499 do ok (Printf.sprintf "new SelV <%d, %d>" i (80 + (i * 37 mod 220))) done;
+  for i = 0 to 249 do
+    ok (Printf.sprintf "new SelE <%d, %d>" (100 + (10 * (i mod 30))) (2 * (1 + ((7 * i) + 3) mod 16)))
+  done;
+  Db.analyze d;
+  let rec join_node = function
+    | Jplan.Join _ as j -> j
+    | Jplan.Project { source; _ } | Jplan.Group { source; _ } | Jplan.Sort { source; _ } ->
+        join_node source
+    | _ -> Alcotest.fail "no join in the plan"
+  in
+  let check src actual =
+    let plan = (Db.optimize d src).Mood_optimizer.Optimizer.plan in
+    let est = Mood_optimizer.Card_est.estimate (Db.optimizer_env d) (join_node plan) in
+    let ratio = est /. float_of_int actual in
+    if actual = 0 || ratio > 2. || ratio < 0.5 then
+      Alcotest.failf "%s: estimated %.0f rows, actual %d" src est actual
+  in
+  let count src =
+    match Executor.result_values (Db.query d src) with
+    | [ Value.Tuple [ (_, Value.Int n) ] ] -> n
+    | _ -> Alcotest.fail "COUNT(*) returned no single row"
+  in
+  check "SELECT COUNT(*) FROM SelV v, SelE e WHERE v.weight = e.size"
+    (count "SELECT COUNT(*) FROM SelV v, SelE e WHERE v.weight = e.size");
+  let rows = "SELECT v.id, e.size FROM SelV v, SelE e WHERE v.weight = e.size AND e.cylinders = 2" in
+  check rows (List.length (Executor.result_values (Db.query d rows)))
+
 let suites =
   [ ( "executor.oracle",
       [ Alcotest.test_case "Example 8.2" `Quick test_example_82_execution;
@@ -1268,6 +1475,10 @@ let suites =
           test_grace_budget_below_one_partition;
         Alcotest.test_case "sort-merge dup run > budget" `Quick
           test_sort_merge_dup_run_over_budget;
-        Alcotest.test_case "fusion collection edges" `Quick test_fusion_collection_edges
+        Alcotest.test_case "fusion collection edges" `Quick test_fusion_collection_edges;
+        Alcotest.test_case "entries keep what is read" `Quick test_value_join_keeps_what_is_read;
+        Alcotest.test_case "read attributes fit JOIN_MEM" `Quick test_read_attributes_fit_join_mem;
+        Alcotest.test_case "footprint = entry bytes" `Quick test_footprint_matches_entries;
+        Alcotest.test_case "value-join estimates from dist" `Quick test_value_join_estimates
       ] )
   ]

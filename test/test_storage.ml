@@ -583,6 +583,33 @@ let test_wal_undo_records () =
   | Wal.Update _ :: Wal.Insert _ :: [] -> ()
   | _ -> Alcotest.fail "undo must be newest-first")
 
+(* The walk back to the transaction's [Begin] returns what filtering
+   the whole log did: other transactions' records before and after the
+   [Begin], and their own [Begin]s, change nothing; a transaction whose
+   [Begin] is not in the log still gets every record it wrote. *)
+let test_wal_undo_stops_at_begin () =
+  let wal = Wal.create () in
+  let data txn slot = Wal.Insert { txn; file = 0; rid = rid 0 slot; payload = "p" } in
+  List.iter
+    (fun r -> ignore (Wal.append wal r))
+    [ Wal.Begin 2; data 2 0; data 5 1; Wal.Commit 2; Wal.Begin 3; data 3 2; Wal.Begin 1;
+      data 3 3; data 1 4; Wal.Update { txn = 1; file = 0; rid = rid 0 4; before = "p"; after = "q" };
+      Wal.Begin 4; data 4 5; data 1 6; data 3 7; data 5 8 ];
+  let filtered txn =
+    List.rev
+      (List.filter
+         (fun r -> Wal.txn_of r = Some txn && (match r with Wal.Begin _ | Wal.Commit _ | Wal.Abort _ -> false | _ -> true))
+         (Wal.records wal))
+  in
+  List.iter
+    (fun txn ->
+      Alcotest.(check int) (Printf.sprintf "txn %d: as many records" txn)
+        (List.length (filtered txn)) (List.length (Wal.undo_records wal txn));
+      Alcotest.(check bool) (Printf.sprintf "txn %d: the same records, newest first" txn) true
+        (filtered txn = Wal.undo_records wal txn))
+    [ 1; 2; 3; 4; 5 ];
+  Alcotest.(check int) "txn 1 wrote three records" 3 (List.length (Wal.undo_records wal 1))
+
 let test_extent_wal_recovery () =
   (* Insert through an extent with txn logging, "crash", replay into a
      fresh extent: committed objects reappear. *)
@@ -1179,6 +1206,7 @@ let suites =
         Alcotest.test_case "group-commit tickets" `Quick
           test_wal_group_force_tickets;
         Alcotest.test_case "undo records" `Quick test_wal_undo_records;
+        Alcotest.test_case "undo stops at Begin" `Quick test_wal_undo_stops_at_begin;
         Alcotest.test_case "extent recovery" `Quick test_extent_wal_recovery;
         Alcotest.test_case "LSNs monotonic" `Quick test_wal_lsn_monotonic;
         Alcotest.test_case "recover bounded by checkpoint" `Quick
