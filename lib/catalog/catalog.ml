@@ -670,29 +670,38 @@ let entry_of_file t file =
 
 let extent_of_file t file = Option.map snd (entry_of_file t file)
 
-(* Record-level undo: the slot a logged write touched goes back to the
-   write's before-image (absent for an INSERT), and the indexes follow
-   it through [reindex_object], as after any other write. *)
-let undo_write t record =
-  let restore file payload ~existed =
+type image = Before | After
+
+(* The one way a logged image goes back into its slot: redo puts the
+   [After] image (recovery, the replica's apply), undo the [Before]
+   image (recovery's losers, the replica bootstrap's scrub, a live
+   abort). An INSERT's before-image and a DELETE's after-image are the
+   slot's absence. Putting an image the slot already holds changes
+   nothing, so a rerun converges. With [reindex] the indexes follow the
+   slot through [reindex_object], as after any other write; recovery
+   and the replica rebuild theirs instead. *)
+let put_image t ~reindex image record =
+  let put file payload ~present =
     match entry_of_file t file with
     | None -> ()
     | Some (e, ext) ->
-        let slot, before = Extent.decode payload in
-        let old = Extent.raw_get ext slot and next = if existed then Some before else None in
-        (match (old, next) with
-        | Some _, Some v -> ignore (Extent.update ext ~slot v)
-        | None, Some v -> Extent.insert_at ext ~slot v
-        | Some _, None -> ignore (Extent.delete ext slot)
-        | None, None -> ());
-        reindex_object t e.name ext (Oid.make ~class_id:e.id ~slot) ~old ~next
+        let slot, value = Extent.decode payload in
+        let next = if present then Some value else None in
+        let old = if reindex then Extent.raw_get ext slot else None in
+        (match next with
+        | Some v -> if not (Extent.update ext ~slot v) then Extent.insert_at ext ~slot v
+        | None -> ignore (Extent.delete ext slot));
+        if reindex then reindex_object t e.name ext (Oid.make ~class_id:e.id ~slot) ~old ~next
   in
-  match record with
-  | Wal.Insert { file; payload; _ } -> restore file payload ~existed:false
-  | Wal.Update { file; before; _ } | Wal.Delete { file; before; _ } ->
-      restore file before ~existed:true
-  | Wal.Begin _ | Wal.Commit _ | Wal.Abort _ | Wal.Checkpoint _ | Wal.Prepare _
-  | Wal.Decision _ ->
+  match (image, record) with
+  | After, Wal.Insert { file; payload; _ } -> put file payload ~present:true
+  | Before, Wal.Insert { file; payload; _ } -> put file payload ~present:false
+  | After, Wal.Update { file; after; _ } -> put file after ~present:true
+  | Before, (Wal.Update { file; before; _ } | Wal.Delete { file; before; _ }) ->
+      put file before ~present:true
+  | After, Wal.Delete { file; before; _ } -> put file before ~present:false
+  | _, (Wal.Begin _ | Wal.Commit _ | Wal.Abort _ | Wal.Checkpoint _ | Wal.Prepare _
+       | Wal.Decision _) ->
       ()
 
 let classes_in_scope t ~every ~minus name =
@@ -990,10 +999,7 @@ let create ~store =
   let declare name =
     ignore (define_class t ~name ~attributes:(system_class_attrs name) ())
   in
-  declare moods_type;
-  declare moods_attribute;
-  declare moods_function;
-  declare moods_name;
+  List.iter declare system_class_names;
   t.system_ready <- true;
   (* Self-description: the system classes appear in their own extents. *)
   List.iter
@@ -1001,7 +1007,7 @@ let create ~store =
       let e = entry t name in
       persist_type_row t e;
       List.iter (persist_attribute_row t e) e.attrs)
-    [ moods_type; moods_attribute; moods_function; moods_name ];
+    system_class_names;
   t
 
 (* ------------------------------------------------------------------ *)

@@ -174,12 +174,18 @@ val extent_of_file : t -> int -> Mood_storage.Extent.t option
 (** The class extent stored in the heap file with this id — how a
     logged record, which names its file, finds its extent. *)
 
-val undo_write : t -> Mood_storage.Wal.record -> unit
-(** Compensates one logged data record, as a live abort does: the slot
-    goes back to the record's before-image (an INSERT's slot is
-    emptied) and the secondary and join indexes follow as after any
-    other write. Control records, and records of a heap file no class
-    owns, are ignored. *)
+type image = Before | After
+
+val put_image : t -> reindex:bool -> image -> Mood_storage.Wal.record -> unit
+(** Puts an image a logged data record carries back into the slot the
+    write touched: the [After] image for redo, the [Before] image for
+    undo, where an INSERT's before-image and a DELETE's after-image are
+    the slot's absence. Putting an image the slot already holds changes
+    nothing, so applying a record twice equals applying it once. With
+    [~reindex:true] (a live abort) the secondary and join indexes
+    follow as after any other write; recovery and the replica pass
+    [false] and rebuild their indexes when the pass ends. Control
+    records, and records of a heap file no class owns, are ignored. *)
 
 val extent_oids : t -> ?every:bool -> ?minus:string list -> string -> Mood_model.Oid.t list
 (** The instances of a class. With [every] (default true) instances of
@@ -287,6 +293,10 @@ val validate_indexes : t -> string list
     the indexed class's deep extent. Exact only while no snapshot is
     open (superseded postings wait for the snapshots that may still
     read them). Join and path indexes are not checked. *)
+
+val system_class_names : string list
+(** MoodsType, MoodsAttribute, MoodsFunction and MoodsName: the classes
+    every catalog starts with, which hold its own rows. *)
 
 val render_system_catalog : t -> string
 (** Dump of the MoodsType / MoodsAttribute / MoodsFunction extents as

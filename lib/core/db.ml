@@ -93,8 +93,9 @@ type txn_error =
 
 (* Where a statement runs: on its own, or inside a session transaction.
    The only things that differ are who owns a write's extent locks and
-   when they are released, which snapshot a read uses, and whether DML
-   carries a transaction id. *)
+   when they are released, which snapshot a read uses, and which
+   transaction a data write is logged under: the session's, or, on its
+   own, a one-statement transaction ([in_txn]). *)
 type context = Statement | Session of session_txn
 
 type t = {
@@ -336,13 +337,13 @@ let exec_create_class t ~cc_name ~cc_supers ~cc_attrs ~cc_methods ~cc_layout =
        ~layout:(catalog_layout cc_layout) ());
   Class_created cc_name
 
-let exec_new t ?txn ~no_class ~no_values () =
+let exec_new t ~txn ~no_class ~no_values =
   let attrs = Catalog.attributes t.cat no_class in
   let values = List.map (eval_standalone t []) no_values in
   let fields =
     List.mapi (fun i (name, _) -> (name, Option.value ~default:Value.Null (List.nth_opt values i))) attrs
   in
-  Object_created (Catalog.insert_object t.cat ?txn ~class_name:no_class (Value.Tuple fields))
+  Object_created (Catalog.insert_object t.cat ~txn ~class_name:no_class (Value.Tuple fields))
 
 let matching_oids t ~class_name ~var ~where =
   let env = executor_env t in
@@ -353,7 +354,7 @@ let matching_oids t ~class_name ~var ~where =
       if keep then out := oid :: !out);
   List.rev !out
 
-let exec_update t ?txn ~up_class ~up_var ~up_set ~up_where () =
+let exec_update t ~txn ~up_class ~up_var ~up_set ~up_where =
   let env = executor_env t in
   let victims = matching_oids t ~class_name:up_class ~var:up_var ~where:up_where in
   let touched = ref 0 in
@@ -368,15 +369,15 @@ let exec_update t ?txn ~up_class ~up_var ~up_set ~up_where () =
               (fun acc (attr, e) -> Value.tuple_set acc attr (Eval.expr env row e))
               value up_set
           in
-          if Catalog.update_object t.cat ?txn oid updated then incr touched)
+          if Catalog.update_object t.cat ~txn oid updated then incr touched)
     victims;
   Updated !touched
 
-let exec_delete t ?txn ~de_class ~de_var ~de_where () =
+let exec_delete t ~txn ~de_class ~de_var ~de_where =
   let victims = matching_oids t ~class_name:de_class ~var:de_var ~where:de_where in
   let removed =
     List.fold_left
-      (fun acc oid -> if Catalog.delete_object t.cat ?txn oid then acc + 1 else acc)
+      (fun acc oid -> if Catalog.delete_object t.cat ~txn oid then acc + 1 else acc)
       0 victims
   in
   Deleted removed
@@ -406,10 +407,9 @@ let statement_locks t stmt =
 
 let versions t = Store.versions t.st
 
-let context_txn = function Statement -> None | Session s -> Some s.stxn_id
-
 (* The one place extent locks are taken, always exclusively. A
-   [Statement] takes a lock transaction of its own and releases it when
+   [Statement] (a layout change; a data write always runs in a
+   transaction) takes a lock transaction of its own and releases it when
    the statement ends, however it ends. A [Session] grows the session's
    lock transaction, held until commit/abort (strict 2PL); a conflict
    leaves the locks granted so far in place — incremental acquisition
@@ -429,7 +429,7 @@ let with_locks t ctx classes run =
     let rec acquire = function
       | [] -> Ok (run ())
       | cls :: rest -> (
-          match Lock.acquire locks owner ("extent:" ^ cls) Lock.Exclusive with
+          match Lock.acquire locks owner ("extent:" ^ cls) with
           | Lock.Granted -> acquire rest
           | Lock.Would_block -> Error Txn_busy
           | Lock.Deadlock -> Error Txn_deadlock)
@@ -450,7 +450,7 @@ let read t ctx run =
       Version_store.note_read vs;
       Version_store.with_view vs view run
   | Statement | Session _ ->
-      let view = Version_store.open_snapshot vs ?txn:(context_txn ctx) () in
+      let view = Version_store.open_snapshot vs () in
       Fun.protect
         ~finally:(fun () ->
           Version_store.close_snapshot vs view;
@@ -459,22 +459,137 @@ let read t ctx run =
           Version_store.note_read vs;
           Version_store.with_view vs view run)
 
-(* What a statement may touch, and how. Plain EXPLAIN and SET read no
-   data. Everything else writes: on a replica (or a fenced ex-primary)
-   it is refused with the primary's address — a retryable routing
-   outcome, nothing executed or locked. [NAME ... AS SELECT] reads to
-   find its object but writes the name table, so it counts as a write;
-   only its query runs under [read] ([execute]). *)
+(* ------------------------------------------------------------------ *)
+(* Session transactions: the server's BEGIN/COMMIT/ABORT surface, and
+   the transaction every data write runs in. (The [session_txn] type
+   itself is declared above [t] so the db can carry the 2PC
+   prepared-transaction registry.) *)
+
+let finish_txn t txn = t.active_txns <- List.filter (fun id -> id <> txn) t.active_txns
+
+(* Compensate a transaction's logged effects, newest first, indexes
+   included. *)
+let compensate t txn =
+  List.iter
+    (Catalog.put_image t.cat ~reindex:true Catalog.Before)
+    (Wal.undo_records (Store.wal t.st) txn)
+
+let begin_session_txn t =
+  let txn = t.next_txn in
+  t.next_txn <- txn + 1;
+  t.active_txns <- txn :: t.active_txns;
+  ignore (Wal.append (Store.wal t.st) (Wal.Begin txn));
+  { stxn_id = txn;
+    stxn_lock = Lock.begin_txn (Store.locks t.st);
+    stxn_open = true;
+    stxn_view = Some (Version_store.open_snapshot (versions t) ~txn ());
+    stxn_prepared = None
+  }
+
+let session_txn_id s = s.stxn_id
+
+let session_txn_open s = s.stxn_open
+
+let close_stxn_view t s =
+  match s.stxn_view with
+  | Some v -> Version_store.close_snapshot (versions t) v
+  | None -> ()
+
+let unregister_prepared t s =
+  match s.stxn_prepared with
+  | Some gid -> t.prepared <- List.remove_assoc gid t.prepared
+  | None -> ()
+
+(* The commit splits into a logical half (append the Commit record,
+   stamp versions, release locks) and a durability half (force the
+   log). [commit_session_txn] performs both — one force per commit.
+   [commit_session_txn_nodurable] performs only the logical half and
+   returns the Commit record's LSN as a group-commit ticket: the
+   caller must NOT acknowledge the commit until a covering
+   [Wal.force_group] (anyone's) has made that LSN durable. Early lock
+   release is safe because the log forces in order: a dependent commit
+   can never turn durable before the one it read from. *)
+let commit_session_txn_steps t s ~flush =
+  if not s.stxn_open then invalid_arg "commit_session_txn: transaction already finished";
+  s.stxn_open <- false;
+  unregister_prepared t s;
+  let wal = Store.wal t.st in
+  let lsn = Wal.append wal (Wal.Commit s.stxn_id) in
+  if flush then Wal.flush wal;
+  let vs = versions t in
+  Version_store.commit vs ~txn:s.stxn_id ~lsn;
+  close_stxn_view t s;
+  Version_store.drain_removals vs;
+  finish_txn t s.stxn_id;
+  Lock.release_all (Store.locks t.st) s.stxn_lock;
+  lsn
+
+let commit_session_txn t s = ignore (commit_session_txn_steps t s ~flush:true)
+
+let commit_session_txn_nodurable t s = commit_session_txn_steps t s ~flush:false
+
+let abort_session_txn t s =
+  if not s.stxn_open then invalid_arg "abort_session_txn: transaction already finished";
+  s.stxn_open <- false;
+  unregister_prepared t s;
+  let vs = versions t in
+  close_stxn_view t s;
+  (* Compensation rewrites the heap back to the pre-images the chain
+     already holds — it must not mint fresh versions. *)
+  Version_store.without_tracking vs (fun () -> compensate t s.stxn_id);
+  Version_store.abort vs ~txn:s.stxn_id;
+  ignore (Wal.append (Store.wal t.st) (Wal.Abort s.stxn_id));
+  finish_txn t s.stxn_id;
+  Lock.release_all (Store.locks t.st) s.stxn_lock;
+  Version_store.drain_removals vs
+
+(* A data write runs in a WAL-logged transaction: the session's, or, on
+   its own, a one-statement transaction that commits with a log force
+   when the statement succeeds and aborts on any error, a lock conflict
+   included. *)
+let in_txn t ctx run =
+  match ctx with
+  | Session s -> run s
+  | Statement -> (
+      let s = begin_session_txn t in
+      match run s with
+      | Ok _ as ok ->
+          commit_session_txn t s;
+          ok
+      | Error _ as error ->
+          abort_session_txn t s;
+          error
+      | exception e ->
+          abort_session_txn t s;
+          raise e)
+
+(* What a statement may touch, and how; [run] gets the context it runs
+   in. Plain EXPLAIN and SET read no data. Everything else writes: on a
+   replica (or a fenced ex-primary) it is refused with the primary's
+   address — a retryable routing outcome, nothing executed or locked.
+   NEW, UPDATE and DELETE run in a transaction ([in_txn]). Schema
+   statements run outside any: a shard's journal replays them through
+   [exec] before the log records it holds, and a transaction id minted
+   then could equal a journaled loser's. [NAME ... AS SELECT] reads to
+   find its object but writes the name table, so it counts as a schema
+   statement; only its query runs under [read] ([execute]). *)
 let access t ctx stmt run =
+  let on_primary write =
+    match t.role with
+    | Replica addr | Fenced addr -> Error (Txn_redirect addr)
+    | Primary -> write (statement_locks t stmt)
+  in
   match stmt with
-  | Ast.Select _ | Ast.Explain { ex_analyze = true; _ } -> Ok (read t ctx run)
-  | Ast.Explain { ex_analyze = false; _ } | Ast.Set _ -> Ok (run ())
-  | Ast.Create_class _ | Ast.Alter_class_layout _ | Ast.Create_index _
-  | Ast.New_object _ | Ast.Update _ | Ast.Delete _ | Ast.Define_method _
-  | Ast.Drop_method _ | Ast.Name_object _ | Ast.Drop_name _ -> (
-      match t.role with
-      | Replica addr | Fenced addr -> Error (Txn_redirect addr)
-      | Primary -> with_locks t ctx (statement_locks t stmt) run)
+  | Ast.Select _ | Ast.Explain { ex_analyze = true; _ } -> Ok (read t ctx (fun () -> run ctx))
+  | Ast.Explain { ex_analyze = false; _ } | Ast.Set _ -> Ok (run ctx)
+  | Ast.New_object _ | Ast.Update _ | Ast.Delete _ ->
+      on_primary (fun classes ->
+          in_txn t ctx (fun s ->
+              let ctx = Session s in
+              with_locks t ctx classes (fun () -> run ctx)))
+  | Ast.Create_class _ | Ast.Alter_class_layout _ | Ast.Create_index _ | Ast.Define_method _
+  | Ast.Drop_method _ | Ast.Name_object _ | Ast.Drop_name _ ->
+      on_primary (fun classes -> with_locks t ctx classes (fun () -> run ctx))
 
 (* ------------------------------------------------------------------ *)
 (* The compile-once hot path                                           *)
@@ -705,12 +820,16 @@ let notify_ddl t source r =
   if is_ddl_result r then
     match t.on_ddl with Some hook -> hook source | None -> ()
 
-(* Runs one checked statement under the access [access] arranged; DML
-   inside a session is WAL-logged under its transaction id. [hit] is
-   the plan-cache entry a SELECT was found under; a missed SELECT is
+(* The transaction a data write is logged under: [access] runs every
+   data write in one. *)
+let write_txn = function
+  | Session s -> s.stxn_id
+  | Statement -> invalid_arg "Db: a data write outside a transaction"
+
+(* Runs one checked statement in the context [access] arranged. [hit]
+   is the plan-cache entry a SELECT was found under; a missed SELECT is
    planned here and, when [cache], kept for the next run. *)
 let execute t ctx ~cache ~key stmt hit =
-  let txn = context_txn ctx in
   match stmt with
   | Ast.Select q ->
       let entry =
@@ -745,10 +864,12 @@ let execute t ctx ~cache ~key stmt hit =
           Catalog_stats.register_index t.statistics t.cat ~class_name:cls ~attr:ci_attr)
         (ci_class :: Catalog.descendants t.cat ci_class);
       Index_created (ci_class, ci_attr)
-  | Ast.New_object { no_class; no_values } -> exec_new t ?txn ~no_class ~no_values ()
+  | Ast.New_object { no_class; no_values } ->
+      exec_new t ~txn:(write_txn ctx) ~no_class ~no_values
   | Ast.Update { up_class; up_var; up_set; up_where } ->
-      exec_update t ?txn ~up_class ~up_var ~up_set ~up_where ()
-  | Ast.Delete { de_class; de_var; de_where } -> exec_delete t ?txn ~de_class ~de_var ~de_where ()
+      exec_update t ~txn:(write_txn ctx) ~up_class ~up_var ~up_set ~up_where
+  | Ast.Delete { de_class; de_var; de_where } ->
+      exec_delete t ~txn:(write_txn ctx) ~de_class ~de_var ~de_where
   | Ast.Define_method { dm_class; dm_decl; dm_body } ->
       Fm.define t.funcs ~class_name:dm_class ~signature:(method_signature dm_decl)
         (Fm.Moodc dm_body);
@@ -776,10 +897,10 @@ let execute t ctx ~cache ~key stmt hit =
 
 (* The one statement pipeline behind [exec] and [exec_in_txn]; the
    context decides who owns the locks, which snapshot a read uses and
-   whether DML carries a transaction id. SELECT text probes the plan
-   cache before the parser, so a hit skips parse, typecheck and
-   optimize; anything else is parsed and checked, then dispatched once
-   on the statement. *)
+   which transaction a data write is logged under. SELECT text probes
+   the plan cache before the parser, so a hit skips parse, typecheck
+   and optimize; anything else is parsed and checked, then dispatched
+   once on the statement. *)
 let run_statement t ctx ~cache source =
   purge_stale_plans t;
   let key = Plan_cache.normalize source in
@@ -798,7 +919,7 @@ let run_statement t ctx ~cache source =
                 Typecheck.check_statement ~catalog:t.cat stmt;
                 stmt
           in
-          access t ctx stmt (fun () -> execute t ctx ~cache ~key stmt hit)
+          access t ctx stmt (fun ctx -> execute t ctx ~cache ~key stmt hit)
         with
         | result -> result
         | exception e -> (
@@ -843,12 +964,10 @@ let analyze_query t source =
 
 let explain_analyze t source = render_analyzed (analyzed t source)
 
-let insert t ?txn ~class_name value = Catalog.insert_object t.cat ?txn ~class_name value
+let insert t ~class_name value = Catalog.insert_object t.cat ~class_name value
 
 (* ------------------------------------------------------------------ *)
 (* Schema dump and scripts                                             *)
-
-let system_classes = [ "MoodsType"; "MoodsAttribute"; "MoodsFunction"; "MoodsName" ]
 
 let dump_schema t =
   let buf = Buffer.create 1024 in
@@ -856,7 +975,7 @@ let dump_schema t =
   List.iter
     (fun (info : Catalog.class_info) ->
       let name = info.Catalog.class_name in
-      if not (List.mem name system_classes) then begin
+      if not (List.mem name Catalog.system_class_names) then begin
         pr "CREATE CLASS %s" name;
         (match info.Catalog.superclasses with
         | [] -> ()
@@ -979,14 +1098,9 @@ let restore t snap =
   Catalog.rebuild_indexes t.cat;
   analyze t
 
-(* The concrete faces of [snapshot]/[install_contents], for the
-   replication layer: extent contents and the class <-> heap-file-id
-   correspondence both sides need to translate shipped records (file
-   ids are allocation-order-dependent and differ across nodes). *)
-let class_contents t = snapshot t
-
-let install_class_contents t contents = install_contents t contents
-
+(* The class <-> heap-file-id correspondence both sides of replication
+   need to translate shipped records (file ids are
+   allocation-order-dependent and differ across nodes). *)
 let class_files t =
   List.filter_map
     (fun (info : Catalog.class_info) ->
@@ -997,116 +1111,6 @@ let class_files t =
               (Mood_storage.Extent.heap (Catalog.own_extent t.cat info.Catalog.class_name)) )
       else None)
     (Catalog.all_classes t.cat)
-
-(* Heap-only undo for recovery and replica bootstrap: their indexes are
-   stale until the rebuild that ends them, so keeping postings in step
-   could only trip over stale ones (a unique B+-tree rejects a key a
-   stale posting still holds). Find the extent owning a heap file and
-   compensate using the slot recorded inside the logged payload. A live
-   abort undoes through [Catalog.undo_write], indexes included. *)
-let extent_of_file t file = Catalog.extent_of_file t.cat file
-
-let undo_insert t ~file ~payload =
-  match extent_of_file t file with
-  | None -> ()
-  | Some ext ->
-      let slot, _ = Mood_storage.Extent.decode payload in
-      ignore (Mood_storage.Extent.delete ext slot)
-
-let undo_delete t ~file ~before =
-  match extent_of_file t file with
-  | None -> ()
-  | Some ext ->
-      let slot, value = Mood_storage.Extent.decode before in
-      (try Mood_storage.Extent.insert_at ext ~slot value with Invalid_argument _ -> ())
-
-let undo_update t ~file ~before =
-  match extent_of_file t file with
-  | None -> ()
-  | Some ext ->
-      let slot, value = Mood_storage.Extent.decode before in
-      ignore (Mood_storage.Extent.update ext ~slot value)
-
-let finish_txn t txn = t.active_txns <- List.filter (fun id -> id <> txn) t.active_txns
-
-(* Compensate a transaction's logged effects, newest first, indexes
-   included. *)
-let compensate t txn = List.iter (Catalog.undo_write t.cat) (Wal.undo_records (Store.wal t.st) txn)
-
-(* ------------------------------------------------------------------ *)
-(* Session transactions: the server's BEGIN/COMMIT/ABORT surface.
-   (The [session_txn] type itself is declared above [t] so the db can
-   carry the 2PC prepared-transaction registry, and the statement
-   pipeline above runs statements in its context.) *)
-
-let begin_session_txn t =
-  let txn = t.next_txn in
-  t.next_txn <- txn + 1;
-  t.active_txns <- txn :: t.active_txns;
-  ignore (Wal.append (Store.wal t.st) (Wal.Begin txn));
-  { stxn_id = txn;
-    stxn_lock = Lock.begin_txn (Store.locks t.st);
-    stxn_open = true;
-    stxn_view = Some (Version_store.open_snapshot (versions t) ~txn ());
-    stxn_prepared = None
-  }
-
-let session_txn_id s = s.stxn_id
-
-let session_txn_open s = s.stxn_open
-
-let close_stxn_view t s =
-  match s.stxn_view with
-  | Some v -> Version_store.close_snapshot (versions t) v
-  | None -> ()
-
-let unregister_prepared t s =
-  match s.stxn_prepared with
-  | Some gid -> t.prepared <- List.remove_assoc gid t.prepared
-  | None -> ()
-
-(* The commit splits into a logical half (append the Commit record,
-   stamp versions, release locks) and a durability half (force the
-   log). [commit_session_txn] performs both — one force per commit.
-   [commit_session_txn_nodurable] performs only the logical half and
-   returns the Commit record's LSN as a group-commit ticket: the
-   caller must NOT acknowledge the commit until a covering
-   [Wal.force_group] (anyone's) has made that LSN durable. Early lock
-   release is safe because the log forces in order: a dependent commit
-   can never turn durable before the one it read from. *)
-let commit_session_txn_steps t s ~flush =
-  if not s.stxn_open then invalid_arg "commit_session_txn: transaction already finished";
-  s.stxn_open <- false;
-  unregister_prepared t s;
-  let wal = Store.wal t.st in
-  let lsn = Wal.append wal (Wal.Commit s.stxn_id) in
-  if flush then Wal.flush wal;
-  let vs = versions t in
-  Version_store.commit vs ~txn:s.stxn_id ~lsn;
-  close_stxn_view t s;
-  Version_store.drain_removals vs;
-  finish_txn t s.stxn_id;
-  Lock.release_all (Store.locks t.st) s.stxn_lock;
-  lsn
-
-let commit_session_txn t s = ignore (commit_session_txn_steps t s ~flush:true)
-
-let commit_session_txn_nodurable t s = commit_session_txn_steps t s ~flush:false
-
-let abort_session_txn t s =
-  if not s.stxn_open then invalid_arg "abort_session_txn: transaction already finished";
-  s.stxn_open <- false;
-  unregister_prepared t s;
-  let vs = versions t in
-  close_stxn_view t s;
-  (* Compensation rewrites the heap back to the pre-images the chain
-     already holds — it must not mint fresh versions. *)
-  Version_store.without_tracking vs (fun () -> compensate t s.stxn_id);
-  Version_store.abort vs ~txn:s.stxn_id;
-  ignore (Wal.append (Store.wal t.st) (Wal.Abort s.stxn_id));
-  finish_txn t s.stxn_id;
-  Lock.release_all (Store.locks t.st) s.stxn_lock;
-  Version_store.drain_removals vs
 
 (* ------------------------------------------------------------------ *)
 (* Two-phase commit, participant side. PREPARE force-writes a vote and
@@ -1156,16 +1160,6 @@ let exec_in_txn t s source =
     Error (Txn_fail "transaction is prepared: awaiting coordinator decision")
   else run_statement t (Session s) ~cache:true source
 
-let transaction t f =
-  let s = begin_session_txn t in
-  match f s.stxn_id with
-  | result ->
-      commit_session_txn t s;
-      result
-  | exception e ->
-      abort_session_txn t s;
-      raise e
-
 let active_transactions t = t.active_txns
 
 (* ------------------------------------------------------------------ *)
@@ -1207,56 +1201,19 @@ let checkpoint t =
   Wal.flush wal;
   t.last_checkpoint <- Some (snap, lsn)
 
-(* Redo is an upsert: applying a record whose effect is already present
-   leaves the image unchanged, so replaying the same batch twice (a
-   replica re-pulling after a crash, a recovery rerun) converges instead
-   of raising or dropping operations. The old insert-only form swallowed
-   the [Invalid_argument] from a live slot, which silently skipped the
-   re-application *and* could leave a stale value in place. *)
-let redo_upsert t ~file payload =
-  match extent_of_file t file with
-  | None -> ()
-  | Some ext ->
-      let slot, value = Mood_storage.Extent.decode payload in
-      if not (Mood_storage.Extent.update ext ~slot value) then
-        Mood_storage.Extent.insert_at ext ~slot value
-
-let redo_record t record =
-  match record with
-  | Wal.Insert { file; payload; _ } -> redo_upsert t ~file payload
-  | Wal.Update { file; after; _ } -> redo_upsert t ~file after
-  | Wal.Delete { file; before; _ } -> (
-      match extent_of_file t file with
-      | None -> ()
-      | Some ext ->
-          let slot, _ = Mood_storage.Extent.decode before in
-          ignore (Mood_storage.Extent.delete ext slot))
-  | Wal.Begin _ | Wal.Commit _ | Wal.Abort _ | Wal.Checkpoint _ | Wal.Prepare _ | Wal.Decision _ -> ()
-
-let apply_redo = redo_record
-
 (* Replica-side MVCC hooks: a pulled commit batch applies as one unit
    stamped with the primary's commit LSN, so replica snapshots are
    consistent-as-of-applied_lsn; a bootstrap image bumps the clock to
    the snapshot LSN; scrubbing/undo passes must not mint versions. *)
 let apply_committed t ~lsn records =
   Version_store.with_commit_stamp (versions t) lsn (fun () ->
-      List.iter (fun r -> redo_record t r) records)
+      List.iter (Catalog.put_image t.cat ~reindex:false Catalog.After) records)
 
 let bump_commit_stamp t lsn = Version_store.bump_stamp (versions t) lsn
 
 let without_version_tracking t f = Version_store.without_tracking (versions t) f
 
 let gc_versions t = Version_store.gc (versions t)
-
-let undo_record t record =
-  match record with
-  | Wal.Insert { file; payload; _ } -> undo_insert t ~file ~payload
-  | Wal.Delete { file; before; _ } -> undo_delete t ~file ~before
-  | Wal.Update { file; before; _ } -> undo_update t ~file ~before
-  | Wal.Begin _ | Wal.Commit _ | Wal.Abort _ | Wal.Checkpoint _ | Wal.Prepare _ | Wal.Decision _ -> ()
-
-let apply_undo = undo_record
 
 let recover t =
   (* Spill partitions orphaned by the crash are dead weight: drop them
@@ -1280,7 +1237,9 @@ let recover t =
   in
   let analysis =
     Version_store.without_tracking vs (fun () ->
-        Wal.recover wal ~checkpoint_lsn ~redo:(redo_record t) ~undo:(undo_record t))
+        Wal.recover wal ~checkpoint_lsn
+          ~redo:(Catalog.put_image t.cat ~reindex:false Catalog.After)
+          ~undo:(Catalog.put_image t.cat ~reindex:false Catalog.Before))
   in
   (* Post-crash commits must stamp above everything in the surviving
      log, so snapshots taken before the crash could never (if one
@@ -1343,7 +1302,7 @@ let recover t =
       List.iter
         (fun r ->
           let mint ~file ~slot before =
-            if extent_of_file t file <> None then
+            if Catalog.extent_of_file t.cat file <> None then
               Version_store.record_write vs ~txn ~file ~slot
                 ~before:(fun () -> before) ()
           in

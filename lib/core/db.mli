@@ -89,9 +89,13 @@ val exec : ?cache:bool -> t -> string -> (exec_result, string) result
     [NAME x AS SELECT ...]) reads an MVCC snapshot and takes no lock:
     the snapshot captures the commit clock and resolves every extent
     access through the version chains. Only writes lock, always
-    exclusively; standalone, a write takes its extent locks on a lock
-    transaction of its own and releases them when it ends. Writes are
-    not WAL-logged. [SET name value] and [EXPLAIN [ANALYZE] SELECT ...]
+    exclusively. A data write (NEW, UPDATE, DELETE) is a one-statement
+    transaction: WAL-logged, committed with a log force when the
+    statement succeeds, and aborted, its effects compensated, on any
+    error, a lock conflict included. Schema statements run outside any
+    transaction and are not logged; [ALTER CLASS c SET LAYOUT l] takes
+    its extent locks on a lock transaction of its own and releases them
+    when it ends. [SET name value] and [EXPLAIN [ANALYZE] SELECT ...]
     are statements like any other.
 
     SELECT statements go through the {e compile-once hot path}: the
@@ -154,9 +158,10 @@ val exec_script : t -> string -> (exec_result list, string) result
     (statements already executed stay). DEFINE METHOD bodies may
     contain ';' freely — splitting is brace-aware. *)
 
-type snapshot
-(** A full-database backup: every extent's objects (system classes
-    included, so object names survive), slot-faithful. *)
+type snapshot = (string * (int * Mood_model.Value.t) list) list
+(** A full-database backup: every extent's objects as [(class, (slot,
+    value) list)] (system classes included, so object names survive),
+    slot-faithful. *)
 
 val snapshot : t -> snapshot
 (** The ESM "backup" function at the facade level. The schema itself is
@@ -168,19 +173,13 @@ val restore : t -> snapshot -> unit
     all indexes; statistics are re-derived. Raises [Schema_error] when
     the snapshot mentions a class the database lacks. *)
 
-val transaction : t -> (int -> 'a) -> 'a
-(** Runs the callback with a fresh transaction id; object operations
-    given this id are WAL-logged. Commit (with log force) on return,
-    abort — compensating logged operations — on exception, which is
-    re-raised. *)
-
 (** {2 Session transactions}
 
-    The open-ended counterpart of [transaction], built for the network
-    server's BEGIN/COMMIT/ABORT statements: the transaction spans many
-    [exec_in_txn] calls, DML inside it is WAL-logged under its id, and
-    its write locks follow strict two-phase locking — they accumulate
-    on the session's lock-manager transaction and are only released by
+    Built for the network server's BEGIN/COMMIT/ABORT statements: the
+    transaction spans many [exec_in_txn] calls, DML inside it is
+    WAL-logged under its id, and its write locks follow strict
+    two-phase locking — they accumulate on the session's lock-manager
+    transaction and are only released by
     [commit_session_txn]/[abort_session_txn]. Its reads take none.
 
     {b Thread-safety:} [t] is single-threaded — the plan cache, buffer
@@ -287,9 +286,10 @@ val set_ddl_hook : t -> (string -> unit) option -> unit
 
 val active_transactions : t -> int list
 (** Ids of the open transactions — the table a checkpoint records:
-    those inside [transaction], session transactions begun and not
-    yet committed or aborted (prepared ones included), and in-doubt
-    transactions [recover] brought back prepared. *)
+    session transactions begun and not yet committed or aborted
+    (prepared ones included, and the one-statement transaction of an
+    [exec] data write while it runs), and in-doubt transactions
+    [recover] brought back prepared. *)
 
 val checkpoint : t -> unit
 (** Sharp ARIES-lite checkpoint: forces dirty buffer pages and the log,
@@ -303,9 +303,11 @@ val recover : t -> Mood_storage.Wal.analysis
 (** Crash restart: reinstalls the last checkpoint's base image (or
     empties every extent when no checkpoint was taken), then runs the
     WAL's redo-of-committed / undo-of-losers pass bounded by that
-    checkpoint, rebuilds all indexes and re-derives statistics. Only
-    WAL-logged (transactional) effects after the checkpoint survive —
-    non-transactional modifications are durable only up to the last
+    checkpoint, rebuilds all indexes and re-derives statistics. Every
+    committed data write after the checkpoint survives, made through
+    [exec] or in a session transaction alike. The unlogged writes —
+    [insert], schema statements and writes made straight through
+    [Mood_catalog.Catalog] — are durable only up to the last
     checkpoint. Returns the log analysis (committed set, losers,
     checkpoint position) for inspection.
 
@@ -319,11 +321,12 @@ val recover : t -> Mood_storage.Wal.analysis
 (** {2 Replication surface}
 
     The hooks [Mood_repl] builds on: a role/term pair for routing and
-    fencing, idempotent single-record redo/undo for the replica-side
-    applier, and the concrete extent contents + class-to-heap-file
-    correspondence a bootstrap snapshot ships. All calls follow the
-    same thread-safety rule as everything else on [t]: one caller at a
-    time (the server's kernel lock). *)
+    fencing, batch redo for the replica-side applier (one record at a
+    time, [Mood_catalog.Catalog.put_image]), and the extent contents
+    ({!snapshot}) and class-to-heap-file correspondence a bootstrap
+    snapshot ships. All calls follow the same thread-safety rule as
+    everything else on [t]: one caller at a time (the server's kernel
+    lock). *)
 
 type role =
   | Primary             (** accepts writes *)
@@ -344,26 +347,13 @@ val term : t -> int
 val set_term : t -> int -> unit
 (** Raises [Invalid_argument] when the term would regress. *)
 
-val apply_redo : t -> Mood_storage.Wal.record -> unit
-(** Applies one data record's after-effect to the stored image, as an
-    {e upsert}: a live target slot is overwritten, a missing one is
-    (re)created, a missing delete target is ignored. Applying the same
-    record twice therefore converges — the property the replication
-    stream and repeated crash-recovery both rely on. Begin/Commit/
-    Abort/Checkpoint records are no-ops. Does not touch indexes; call
-    [Mood_catalog.Catalog.rebuild_indexes] after a batch. *)
-
-val apply_undo : t -> Mood_storage.Wal.record -> unit
-(** Compensates one data record (insert removed, delete re-inserted,
-    update restored to its before-image) — the building block for
-    scrubbing an in-flight transaction's effects out of a shipped
-    snapshot image. *)
-
 val apply_committed : t -> lsn:int -> Mood_storage.Wal.record list -> unit
-(** Replica-side batch apply: replays the records ([apply_redo]
-    semantics, in order) with their version-chain entries stamped
-    [Committed lsn] — the primary's commit LSN — so replica snapshot
-    reads are consistent-as-of-[applied_lsn] and report primary LSNs. *)
+(** Replica-side batch apply: puts each record's after-image back
+    ([Mood_catalog.Catalog.put_image], in order, indexes untouched)
+    with its version-chain entries stamped [Committed lsn] — the
+    primary's commit LSN — so replica snapshot reads are
+    consistent-as-of-[applied_lsn] and report primary LSNs. Call
+    [Mood_catalog.Catalog.rebuild_indexes] after a batch. *)
 
 val bump_commit_stamp : t -> int -> unit
 (** Raises the MVCC commit clock to at least the given LSN (never
@@ -374,13 +364,10 @@ val without_version_tracking : t -> (unit -> 'a) -> 'a
 (** Runs [f] with version tracking off: image scrubs and other
     wholesale rewrites must not mint version-chain entries. *)
 
-val class_contents : t -> (string * (int * Mood_model.Value.t) list) list
-(** Every extent's live objects as [(class, (slot, value) list)] —
-    the concrete form of {!snapshot}, for serialization. *)
-
-val install_class_contents : t -> (string * (int * Mood_model.Value.t) list) list -> unit
-(** Slot-faithfully replaces every extent's contents; classes absent
-    from the list are emptied. Indexes are {e not} rebuilt here. *)
+val install_contents : t -> snapshot -> unit
+(** Slot-faithfully replaces every extent's contents, without minting
+    versions; classes absent from the snapshot are emptied. Indexes
+    are {e not} rebuilt here ({!restore} does). *)
 
 val class_files : t -> (string * int) list
 (** [(class, heap file id)] for every extent-owning class. File ids
@@ -388,8 +375,11 @@ val class_files : t -> (string * int) list
     replication layer uses this map on both ends to translate shipped
     records. *)
 
-val insert : t -> ?txn:int -> class_name:string -> Mood_model.Value.t -> Mood_model.Oid.t
-(** Programmatic object creation (type-checked against the catalog). *)
+val insert : t -> class_name:string -> Mood_model.Value.t -> Mood_model.Oid.t
+(** The bulk loader: programmatic object creation, type-checked
+    against the catalog, unlogged and lock-free. What it loads is
+    durable from the next {!checkpoint}; a data write that must survive
+    {!recover} before then goes through [exec]. *)
 
 val io_elapsed : t -> float
 (** Modeled I/O seconds since the last reset — the measurement the

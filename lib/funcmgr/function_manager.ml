@@ -63,7 +63,7 @@ let so_resource class_name = "shared_object:" ^ class_name
 let with_so_lock t class_name f =
   let locks = Store.locks (Catalog.store t.catalog) in
   let txn = Lock.begin_txn locks in
-  match Lock.acquire locks txn (so_resource class_name) Lock.Exclusive with
+  match Lock.acquire locks txn (so_resource class_name) with
   | Lock.Granted ->
       let finish () = Lock.release_all locks txn in
       begin

@@ -37,14 +37,12 @@ let class_presentation db name =
       Buffer.add_char buf '\n';
       Buffer.contents buf
 
-let system_classes = [ "MoodsType"; "MoodsAttribute"; "MoodsFunction" ]
-
 let schema_browser db =
   let catalog = Mood.Db.catalog db in
   let user_classes =
     List.filter
       (fun (info : Catalog.class_info) ->
-        not (List.mem info.Catalog.class_name system_classes))
+        not (List.mem info.Catalog.class_name Catalog.system_class_names))
       (Catalog.all_classes catalog)
   in
   let nodes = List.map (fun (i : Catalog.class_info) -> i.Catalog.class_name) user_classes in

@@ -41,8 +41,9 @@ let records_applied t = t.applied
 let bootstraps t = t.bootstraps
 let last_batch_sent_us t = t.last_sent_us
 
-(* Unknown file ids translate to -1: [Db.apply_redo] finds no extent
-   and skips the record (a class this replica does not know about). *)
+(* Unknown file ids translate to -1: [Catalog.put_image] finds no
+   extent and skips the record (a class this replica does not know
+   about). *)
 let tr t file = Option.value ~default:(-1) (Hashtbl.find_opt t.translate file)
 
 let translate_record t = function
@@ -57,10 +58,10 @@ let adopt_term t term =
     if term > Db.term t.db then Db.set_term t.db term
   end
 
-let system_classes = [ "MoodsType"; "MoodsAttribute"; "MoodsFunction"; "MoodsName" ]
-
 let has_user_classes db =
-  List.exists (fun (cls, _) -> not (List.mem cls system_classes)) (Db.class_files db)
+  List.exists
+    (fun (cls, _) -> not (List.mem cls Catalog.system_class_names))
+    (Db.class_files db)
 
 (* ------------------------------------------------------------------ *)
 (* Bootstrap                                                           *)
@@ -94,7 +95,7 @@ let install_snapshot t (snap : Codec.snapshot) =
         (cls, List.map (fun (slot, bytes) -> (slot, Vcodec.decode bytes)) objects))
       snap.Codec.s_classes
   in
-  Db.install_class_contents t.db contents;
+  Db.install_contents t.db contents;
   (* The sharp image contains the effects of transactions that were in
      flight at the checkpoint. Scrub them (newest first) and re-buffer
      their records: their Commit or Abort arrives in the stream and
@@ -104,7 +105,9 @@ let install_snapshot t (snap : Codec.snapshot) =
       List.iter
         (fun (txn, records) ->
           List.iter
-            (fun r -> Db.apply_undo t.db (translate_record t r))
+            (fun r ->
+              Catalog.put_image (Db.catalog t.db) ~reindex:false Catalog.Before
+                (translate_record t r))
             (List.rev records);
           Hashtbl.replace t.pending txn (List.rev records))
         snap.Codec.s_undo);

@@ -11,10 +11,11 @@
     [Abort] discards the buffer). The replica therefore never holds
     uncommitted effects in its image, which makes promotion's
     undo-of-losers a buffer drop, and makes re-application after a
-    re-pull idempotent together with {!Mood.Db.apply_redo}'s upsert
-    semantics. Shipped records carry the {e primary's} heap-file ids;
-    they are rewritten through the translation map the bootstrap
-    snapshot established before touching the image.
+    re-pull idempotent, since putting a record's image back twice
+    ({!Mood_catalog.Catalog.put_image}) equals putting it back once.
+    Shipped records carry the {e primary's} heap-file ids; they are
+    rewritten through the translation map the bootstrap snapshot
+    established before touching the image.
 
     All calls touching the [Db.t] follow its single-threaded rule —
     the server serializes them behind the kernel lock. *)

@@ -20,7 +20,7 @@ let snapshot db =
       List.map
         (fun (cls, objects) ->
           (cls, List.map (fun (slot, v) -> (slot, Vcodec.encode v)) objects))
-        (Db.class_contents db);
+        (Db.snapshot db);
     s_active = active;
     (* [undo_records] is newest first; the replica wants log order. *)
     s_undo = List.map (fun txn -> (txn, List.rev (Wal.undo_records wal txn))) active

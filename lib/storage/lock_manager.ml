@@ -1,5 +1,3 @@
-type mode = Shared | Exclusive
-
 type resource = string
 
 type outcome = Granted | Would_block | Deadlock
@@ -10,7 +8,7 @@ type counters = { grants : int; waits : int; deadlocks : int }
 
 type t = {
   mutable next_txn : int;
-  locks : (resource, (int * mode) list ref) Hashtbl.t;
+  locks : (resource, int) Hashtbl.t;  (* resource -> its one holder *)
   (* waits_for: txn id -> txn ids it is waiting on *)
   waits_for : (int, int list) Hashtbl.t;
   mutable active : int list;
@@ -43,16 +41,6 @@ let begin_txn t =
 
 let txn_id txn = txn.id
 
-let holders_ref t resource =
-  match Hashtbl.find_opt t.locks resource with
-  | Some r -> r
-  | None ->
-      let r = ref [] in
-      Hashtbl.replace t.locks resource r;
-      r
-
-let compatible requested held = requested = Shared && held = Shared
-
 (* Does a waits-for path lead from [start] back to [target]? *)
 let rec reaches t visited start target =
   if start = target then true
@@ -62,55 +50,33 @@ let rec reaches t visited start target =
     | None -> false
     | Some nexts -> List.exists (fun n -> reaches t (start :: visited) n target) nexts
 
-let acquire t txn resource mode =
-  let granted () =
-    t.c_grants <- t.c_grants + 1;
-    Granted
-  in
-  let held = holders_ref t resource in
-  let mine = List.assoc_opt txn.id !held in
-  let others = List.filter (fun (id, _) -> id <> txn.id) !held in
-  match mine, mode with
-  | Some Exclusive, _ -> granted ()
-  | Some Shared, Shared -> granted ()
-  | Some Shared, Exclusive when others = [] ->
-      held := (txn.id, Exclusive) :: others;
-      granted ()
-  | (Some Shared | None), _ ->
-      let conflict = List.exists (fun (_, m) -> not (compatible mode m)) others in
-      if (not conflict) && (others = [] || mode = Shared) then begin
-        held := (txn.id, mode) :: List.remove_assoc txn.id !held;
-        granted ()
+let acquire t txn resource =
+  match Hashtbl.find_opt t.locks resource with
+  | Some holder when holder <> txn.id ->
+      (* Would waiting close a cycle? Then this txn is the victim. *)
+      if reaches t [] holder txn.id then begin
+        t.c_deadlocks <- t.c_deadlocks + 1;
+        Deadlock
       end
       else begin
-        let blockers = List.map fst others in
-        (* Would waiting close a cycle? Then this txn is the victim. *)
-        if List.exists (fun b -> reaches t [] b txn.id) blockers then begin
-          t.c_deadlocks <- t.c_deadlocks + 1;
-          Deadlock
-        end
-        else begin
-          let existing = Option.value ~default:[] (Hashtbl.find_opt t.waits_for txn.id) in
-          Hashtbl.replace t.waits_for txn.id (List.sort_uniq Int.compare (blockers @ existing));
-          t.c_waits <- t.c_waits + 1;
-          Would_block
-        end
+        let existing = Option.value ~default:[] (Hashtbl.find_opt t.waits_for txn.id) in
+        Hashtbl.replace t.waits_for txn.id (List.sort_uniq Int.compare (holder :: existing));
+        t.c_waits <- t.c_waits + 1;
+        Would_block
       end
+  | Some _ | None ->
+      Hashtbl.replace t.locks resource txn.id;
+      t.c_grants <- t.c_grants + 1;
+      Granted
 
 let counters t = { grants = t.c_grants; waits = t.c_waits; deadlocks = t.c_deadlocks }
 
 let release_all t txn =
-  (* Drop the transaction's holds, and remove resource entries that are
-     drained by it: leaving empty holder lists behind would grow the
-     table without bound across transactions. *)
-  let drained =
-    Hashtbl.fold
-      (fun resource held acc ->
-        held := List.remove_assoc txn.id !held;
-        if !held = [] then resource :: acc else acc)
-      t.locks []
-  in
-  List.iter (Hashtbl.remove t.locks) drained;
+  (* Drop the transaction's holds: their resource entries go with them,
+     so the table never grows across transactions. *)
+  Hashtbl.filter_map_inplace
+    (fun _ holder -> if holder = txn.id then None else Some holder)
+    t.locks;
   Hashtbl.remove t.waits_for txn.id;
   (* Drop waits-for edges pointing at the finished transaction. *)
   let keys = Hashtbl.fold (fun k _ acc -> k :: acc) t.waits_for [] in
@@ -133,8 +99,7 @@ let reset t =
   Hashtbl.reset t.waits_for;
   t.active <- []
 
-let holders t resource =
-  match Hashtbl.find_opt t.locks resource with Some r -> !r | None -> []
+let holder t resource = Hashtbl.find_opt t.locks resource
 
 let resource_count t = Hashtbl.length t.locks
 

@@ -3,16 +3,14 @@
     ESM gives MOOD "controlling data access and concurrency"; MOOD
     itself additionally locks a class's shared object while the Function
     Manager rebuilds it (Section 2). Transactions are explicit tokens;
-    locks are shared or exclusive on named resources (a class extent, an
-    index, a shared-object file). Conflicts either block (reported as
-    [`Would_block]) or, when a cycle arises in the waits-for graph, the
-    requester is chosen as the deadlock victim. *)
+    every lock is exclusive, on a named resource (a class extent, an
+    index, a shared-object file), and has one holder. Conflicts either
+    block (reported as [`Would_block]) or, when a cycle arises in the
+    waits-for graph, the requester is chosen as the deadlock victim. *)
 
 type t
 
 type txn
-
-type mode = Shared | Exclusive
 
 type resource = string
 (** E.g. ["extent:Vehicle"], ["shared_object:Vehicle"]. *)
@@ -25,12 +23,11 @@ val begin_txn : t -> txn
 
 val txn_id : txn -> int
 
-val acquire : t -> txn -> resource -> mode -> outcome
-(** [Granted] also when the transaction already holds a compatible or
-    stronger lock (shared can be upgraded to exclusive when no other
-    holder exists). [Would_block] registers the wait and leaves the
-    waits-for edge in place; a subsequent conflicting [acquire] that
-    closes a cycle returns [Deadlock] (the requester aborts). *)
+val acquire : t -> txn -> resource -> outcome
+(** [Granted] also when the transaction already holds the lock.
+    [Would_block] registers the wait and leaves the waits-for edge in
+    place; a subsequent conflicting [acquire] that closes a cycle
+    returns [Deadlock] (the requester aborts). *)
 
 val release_all : t -> txn -> unit
 (** Commit/abort: drops every lock and wait of the transaction, then
@@ -51,8 +48,9 @@ val reset : t -> unit
     holders died with the crash; transaction ids and the outcome
     counters keep counting. *)
 
-val holders : t -> resource -> (int * mode) list
-(** For inspection and tests. *)
+val holder : t -> resource -> int option
+(** The id of the transaction holding the lock, for inspection and
+    tests. *)
 
 val resource_count : t -> int
 (** Resources with at least one holder tracked in the lock table.
@@ -62,7 +60,7 @@ val resource_count : t -> int
 val active_transactions : t -> int
 
 (** Monotonic outcome counts of [acquire] over the manager's life:
-    every [Granted] (including re-grants and upgrades), every
+    every [Granted] (including re-grants), every
     [Would_block] and every [Deadlock] verdict. *)
 type counters = { grants : int; waits : int; deadlocks : int }
 

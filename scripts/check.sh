@@ -50,6 +50,19 @@ dune build @all
 echo "== dune runtest =="
 dune runtest
 
+echo "== examples =="
+# The five programs under examples/ are built by @all; each must run to
+# a zero exit (well under a second for all five). company_analytics'
+# failing UPDATE must leave every age as it was, which it reports as
+# "rollback held".
+for EX in quickstart vehicle_registry company_analytics spatial_fleet media_library; do
+  EX_OUT="$(./_build/default/examples/$EX.exe)" || { echo "example $EX failed"; exit 1; }
+  if [ "$EX" = company_analytics ]; then
+    printf '%s\n' "$EX_OUT" | grep -q 'rollback held' \
+      || { echo "company_analytics: the failed UPDATE was not rolled back"; exit 1; }
+  fi
+done
+
 echo "== bench smoke (json) =="
 # The join and scan sections are one-shot wall clock, so the smoke
 # shrinks their datasets too (MOOD_BENCH_JOIN_ROWS /

@@ -120,62 +120,164 @@ let test_create_index_feeds_statistics () =
   ignore (ok db "CREATE BTREE INDEX ON Company (name)");
   Alcotest.(check bool) "the new index is probed" true (Helpers.contains (plan ()) probe)
 
+(* One statement inside session transaction [s], which must succeed. *)
+let ok_in db s src =
+  match Db.exec_in_txn db s src with
+  | Ok r -> r
+  | Error _ -> Alcotest.failf "unexpected error on %S in a transaction" src
+
+let acc_values db =
+  Executor.result_values (Db.query db "SELECT a.n FROM Acc a")
+  |> List.concat_map (function Value.Tuple [ (_, Value.Int n) ] -> [ n ] | _ -> [])
+  |> List.sort Int.compare
+
 let test_transaction_commit_and_abort () =
   let db = fresh () in
   ignore (ok db "CREATE CLASS Acc TUPLE (n Integer)");
   (* committed work survives *)
-  Db.transaction db (fun txn ->
-      ignore (Db.insert db ~txn ~class_name:"Acc" (Value.Tuple [ ("n", Value.Int 1) ])));
-  Alcotest.(check int) "committed" 1
-    (List.length (Db.query db "SELECT a FROM Acc a").Executor.rows);
+  let s = Db.begin_session_txn db in
+  ignore (ok_in db s "new Acc <1>");
+  Db.commit_session_txn db s;
+  Alcotest.(check (list int)) "committed" [ 1 ] (acc_values db);
   (* aborted work is compensated *)
-  (match
-     Db.transaction db (fun txn ->
-         ignore (Db.insert db ~txn ~class_name:"Acc" (Value.Tuple [ ("n", Value.Int 2) ]));
-         failwith "boom")
-   with
-  | exception Failure _ -> ()
-  | _ -> Alcotest.fail "exception swallowed");
-  Alcotest.(check int) "rolled back" 1
-    (List.length (Db.query db "SELECT a FROM Acc a").Executor.rows)
+  let s = Db.begin_session_txn db in
+  ignore (ok_in db s "new Acc <2>");
+  ignore (ok_in db s "UPDATE Acc a SET n = 10 WHERE a.n = 1");
+  Db.abort_session_txn db s;
+  Alcotest.(check (list int)) "rolled back" [ 1 ] (acc_values db)
 
 let test_checkpoint_and_recover () =
   let db = fresh () in
   ignore (ok db "CREATE CLASS Acc TUPLE (n Integer)");
-  let add txn n =
-    ignore (Db.insert db ~txn ~class_name:"Acc" (Value.Tuple [ ("n", Value.Int n) ]))
+  let add s n = ignore (ok_in db s (Printf.sprintf "new Acc <%d>" n)) in
+  let committed n =
+    let s = Db.begin_session_txn db in
+    add s n;
+    Db.commit_session_txn db s
   in
   (* n=1 commits before the checkpoint: it lives in the base image. *)
-  Db.transaction db (fun txn -> add txn 1);
+  committed 1;
   (* n=4 is in flight while the checkpoint is taken (steal: the image
      holds its uncommitted insert and lists it as active), then the
-     transaction fails — a loser whose image effects must be undone. *)
-  (match
-     Db.transaction db (fun txn ->
-         add txn 4;
-         Alcotest.(check (list int)) "active table" [ txn ]
-           (Db.active_transactions db);
-         Db.checkpoint db;
-         failwith "crash")
-   with
-  | exception Failure _ -> ()
-  | _ -> Alcotest.fail "exception swallowed");
+     transaction aborts — a loser whose image effects must be undone. *)
+  let loser = Db.begin_session_txn db in
+  add loser 4;
+  Alcotest.(check (list int)) "active table" [ Db.session_txn_id loser ]
+    (Db.active_transactions db);
+  Db.checkpoint db;
+  Db.abort_session_txn db loser;
   (* n=2 commits after the checkpoint: redo must replay it. *)
-  Db.transaction db (fun txn -> add txn 2);
-  (* n=99 is non-transactional: durable only up to the checkpoint. *)
+  committed 2;
+  (* n=99 is a [Db.exec] write, a logged transaction of its own. *)
   ignore (ok db "new Acc <99>");
+  (* n=50 is bulk-loaded: unlogged, durable only from the next
+     checkpoint. *)
+  ignore (Db.insert db ~class_name:"Acc" (Value.Tuple [ ("n", Value.Int 50) ]));
   let analysis = Db.recover db in
   Alcotest.(check bool) "a loser was found" true
     (Hashtbl.length analysis.Mood_storage.Wal.a_losers > 0);
-  let values =
-    Executor.result_values (Db.query db "SELECT a.n FROM Acc a")
-    |> List.concat_map (function
-         | Value.Tuple [ (_, Value.Int n) ] -> [ n ]
-         | _ -> [])
-    |> List.sort Int.compare
-  in
-  Alcotest.(check (list int)) "committed survive, loser and unlogged gone"
-    [ 1; 2 ] values
+  Alcotest.(check (list int)) "committed survive, loser and bulk load gone"
+    [ 1; 2; 99 ] (acc_values db)
+
+(* What a crash leaves: dirty frames and the unforced log tail are
+   gone, then [Db.recover] runs. *)
+let crash db =
+  let st = Db.store db in
+  ignore (Mood_storage.Buffer_pool.crash (Mood_storage.Store.buffer st));
+  ignore (Mood_storage.Wal.lose_unpersisted (Mood_storage.Store.wal st));
+  ignore (Db.recover db)
+
+(* An acknowledged [Db.exec] write is a committed, forced transaction:
+   it survives a crash after the checkpoint. *)
+let test_exec_writes_survive_recover () =
+  let db = fresh () in
+  ignore (ok db "CREATE CLASS Acc TUPLE (n Integer)");
+  Db.checkpoint db;
+  ignore (ok db "new Acc <7>");
+  ignore (ok db "UPDATE Acc a SET n = 8");
+  crash db;
+  Alcotest.(check (list int)) "insert and update redone" [ 8 ] (acc_values db)
+
+(* A [Db.exec] UPDATE that fails midway aborts: the objects it updated
+   before the failure, and their index postings, are put back. *)
+let test_failed_exec_write_rolls_back () =
+  let db = fresh () in
+  ignore (ok db "CREATE CLASS Acc TUPLE (n Integer)");
+  ignore (ok db "CREATE HASH INDEX ON Acc (n)");
+  List.iter (fun n -> ignore (ok db (Printf.sprintf "new Acc <%d>" n))) [ 1; 2; 3; 4 ];
+  expect_error db "UPDATE Acc a SET n = 100 / (a.n - 3)";
+  Alcotest.(check (list int)) "no partial effect" [ 1; 2; 3; 4 ] (acc_values db);
+  Alcotest.(check (list string)) "indexes follow" []
+    (Catalog.validate_indexes (Db.catalog db));
+  Alcotest.(check (list int)) "nothing left open" [] (Db.active_transactions db)
+
+(* A [Db.exec] write refused by another transaction's lock aborts its
+   own transaction: nothing stays open, locked or waiting. *)
+let test_refused_exec_write_cleans_up () =
+  let module Lock = Mood_storage.Lock_manager in
+  let db = fresh () in
+  ignore (ok db "CREATE CLASS Acc TUPLE (n Integer)");
+  ignore (ok db "new Acc <1>");
+  let locks = Mood_storage.Store.locks (Db.store db) in
+  let admin = Lock.begin_txn locks in
+  Alcotest.(check bool) "admin lock" true (Lock.acquire locks admin "extent:Acc" = Lock.Granted);
+  expect_error db "UPDATE Acc a SET n = 2";
+  Alcotest.(check (list int)) "no open transaction" [] (Db.active_transactions db);
+  Alcotest.(check int) "only the blocker's lock transaction" 1 (Lock.active_transactions locks);
+  (match List.rev (Mood_storage.Wal.records (Mood_storage.Store.wal (Db.store db))) with
+  | Mood_storage.Wal.Abort _ :: _ -> ()
+  | _ -> Alcotest.fail "the refused write's transaction did not log its abort");
+  Lock.release_all locks admin;
+  Alcotest.(check int) "no lock held" 0 (Lock.resource_count locks);
+  ignore (ok db "UPDATE Acc a SET n = 2");
+  Alcotest.(check (list int)) "the retry went through" [ 2 ] (acc_values db)
+
+(* The one function that puts a logged image back: for an INSERT, an
+   UPDATE and a DELETE record, undo twice equals undo once and leaves
+   the before state, and redo then undo gives the after state, then the
+   before state again. With [~reindex:true] the indexes follow each
+   step. *)
+let prop_put_image_round_trip =
+  QCheck.Test.make ~name:"put_image: undo is idempotent, redo then undo restores" ~count:60
+    QCheck.(pair (list_of_size Gen.(1 -- 6) small_nat) (pair (int_bound 2) small_nat))
+    (fun (ns, (kind, v)) ->
+      let ns = List.sort_uniq Int.compare ns in
+      let db = fresh () in
+      ignore (ok db "CREATE CLASS Acc TUPLE (n Integer)");
+      ignore (ok db "CREATE HASH INDEX ON Acc (n)");
+      List.iter (fun n -> ignore (ok db (Printf.sprintf "new Acc <%d>" n))) ns;
+      let target = List.hd ns in
+      let image () = List.assoc "Acc" (Db.snapshot db) in
+      let before = image () in
+      ignore
+        (ok db
+           (match kind with
+           | 0 -> Printf.sprintf "new Acc <%d>" v
+           | 1 -> Printf.sprintf "UPDATE Acc a SET n = %d WHERE a.n = %d" v target
+           | _ -> Printf.sprintf "DELETE FROM Acc a WHERE a.n = %d" target));
+      let after = image () in
+      let record =
+        List.find
+          (function
+            | Mood_storage.Wal.Insert _ | Mood_storage.Wal.Update _ | Mood_storage.Wal.Delete _ ->
+                true
+            | _ -> false)
+          (List.rev (Mood_storage.Wal.records (Mood_storage.Store.wal (Db.store db))))
+      in
+      let put img =
+        Catalog.put_image (Db.catalog db) ~reindex:true img record;
+        Catalog.validate_indexes (Db.catalog db) = []
+      in
+      let undone = put Catalog.Before in
+      let once = image () in
+      let undone_twice = put Catalog.Before in
+      let twice = image () in
+      let redone = put Catalog.After in
+      let redo_image = image () in
+      let undone_again = put Catalog.Before in
+      undone && undone_twice && redone && undone_again && once = before && twice = once
+      && redo_image = after
+      && image () = before)
 
 (* Db.recover starts from what the crash left: the locks and snapshots
    of the sessions that died are gone, and an in-doubt transaction
@@ -186,12 +288,6 @@ let test_recover_forgets_crashed_sessions () =
     ignore (ok db "CREATE CLASS Acc TUPLE (n Integer)");
     ignore (ok db "CREATE HASH INDEX ON Acc (n)");
     db
-  in
-  let crash db =
-    let st = Db.store db in
-    ignore (Mood_storage.Buffer_pool.crash (Mood_storage.Store.buffer st));
-    ignore (Mood_storage.Wal.lose_unpersisted (Mood_storage.Store.wal st));
-    ignore (Db.recover db)
   in
   (* One statement in its own session transaction: committed when
      granted, [false] when not. *)
@@ -374,25 +470,14 @@ let test_statement_level_locking () =
   let admin = Mood_storage.Lock_manager.begin_txn locks in
   Alcotest.(check bool) "admin lock" true
     (Mood_storage.Lock_manager.acquire locks admin "extent:Vehicle"
-       Mood_storage.Lock_manager.Exclusive
     = Mood_storage.Lock_manager.Granted);
   reads ();
   expect_error db "UPDATE Vehicle v SET weight = 1 WHERE v.id = 1";
-  (* a shared administrative lock blocks writers too *)
-  Mood_storage.Lock_manager.release_all locks admin;
-  let reader = Mood_storage.Lock_manager.begin_txn locks in
-  Alcotest.(check bool) "shared lock" true
-    (Mood_storage.Lock_manager.acquire locks reader "extent:Vehicle"
-       Mood_storage.Lock_manager.Shared
-    = Mood_storage.Lock_manager.Granted);
-  reads ();
   expect_error db "DELETE FROM Vehicle v WHERE v.id = 1";
   (* a subclass extent lock blocks deep writes on the superclass *)
-  Mood_storage.Lock_manager.release_all locks reader;
+  Mood_storage.Lock_manager.release_all locks admin;
   let sub = Mood_storage.Lock_manager.begin_txn locks in
-  ignore
-    (Mood_storage.Lock_manager.acquire locks sub "extent:JapaneseAuto"
-       Mood_storage.Lock_manager.Exclusive);
+  ignore (Mood_storage.Lock_manager.acquire locks sub "extent:JapaneseAuto");
   reads ();
   expect_error db "UPDATE Vehicle v SET weight = 1 WHERE v.id = 1";
   expect_error db "DELETE FROM Vehicle v WHERE v.id = 1";
@@ -876,6 +961,13 @@ let suites =
           test_create_index_feeds_statistics;
         Alcotest.test_case "transactions" `Quick test_transaction_commit_and_abort;
         Alcotest.test_case "checkpoint/recover" `Quick test_checkpoint_and_recover;
+        Alcotest.test_case "exec writes survive recover" `Quick
+          test_exec_writes_survive_recover;
+        Alcotest.test_case "failed exec write rolls back" `Quick
+          test_failed_exec_write_rolls_back;
+        Alcotest.test_case "refused exec write cleans up" `Quick
+          test_refused_exec_write_cleans_up;
+        QCheck_alcotest.to_alcotest prop_put_image_round_trip;
         Alcotest.test_case "recover forgets crashed sessions" `Quick
           test_recover_forgets_crashed_sessions;
         Alcotest.test_case "scopes" `Quick test_scope_controls_function_cache;

@@ -286,7 +286,7 @@ let test_definition_respects_so_lock () =
   let locks = Store.locks store in
   let txn = Lock.begin_txn locks in
   Alcotest.(check bool) "lock taken" true
-    (Lock.acquire locks txn "shared_object:Vehicle" Lock.Exclusive = Lock.Granted);
+    (Lock.acquire locks txn "shared_object:Vehicle" = Lock.Granted);
   (match
      Fm.define fm ~class_name:"Vehicle" ~signature:(vehicle_sig "lbweight")
        (Fm.Moodc "{ return 1; }")

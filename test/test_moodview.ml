@@ -67,7 +67,9 @@ let test_schema_browser_renders_hierarchy () =
   List.iter
     (fun needle -> Alcotest.(check bool) (needle ^ " shown") true (Helpers.contains text needle))
     [ "[Vehicle]"; "[JapaneseAuto]"; "Vehicle |> Automobile" ];
-  Alcotest.(check bool) "system classes hidden" false (Helpers.contains text "MoodsType")
+  List.iter
+    (fun cls -> Alcotest.(check bool) (cls ^ " hidden") false (Helpers.contains text cls))
+    Catalog.system_class_names
 
 let test_class_presentation () =
   let _, view = vehicle_view () in

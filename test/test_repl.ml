@@ -8,6 +8,7 @@
 module Db = Mood.Db
 module Wal = Mood_storage.Wal
 module Store = Mood_storage.Store
+module Catalog = Mood_catalog.Catalog
 module Wire = Mood_server.Wire
 module Server = Mood_server.Server
 module Client = Mood_server.Client
@@ -172,25 +173,20 @@ let test_wire_repl_roundtrip () =
   | _ -> Alcotest.fail "short Hello accepted"
 
 (* ------------------------------------------------------------------ *)
-(* Double-redo idempotence (the Wal.recover/apply_redo pin)            *)
+(* Double-redo idempotence (the Wal.recover/put_image pin)             *)
 
-(* Autocommit [Db.exec] runs DML without a WAL transaction (nothing to
-   undo, nothing to ship); only session transactions write redo. The
-   server wraps every statement in one, so replication tests that
-   bypass the server must too. *)
-let write db sql =
-  let s = Db.begin_session_txn db in
-  match Db.exec_in_txn db s sql with
-  | Ok _ -> Db.commit_session_txn db s
-  | Error _ ->
-      Db.abort_session_txn db s;
-      Alcotest.failf "write failed: %s" sql
+(* A [Db.exec] data write is a logged transaction of its own, as the
+   server's autocommit statement is, so it ships like one. *)
+let exec_ok db sql =
+  match Db.exec db sql with
+  | Ok _ -> ()
+  | Error m -> Alcotest.failf "%s: %s" sql m
 
 let seed_primary db =
   (match Db.exec db "CREATE CLASS Eng TUPLE (size Integer, cyl Integer)" with
   | Ok _ -> ()
   | Error m -> Alcotest.failf "seed schema failed: %s" m);
-  List.iter (write db)
+  List.iter (exec_ok db)
     [ "NEW Eng <1000, 4>"; "NEW Eng <2000, 8>"; "NEW Eng <3000, 12>";
       "UPDATE Eng e SET size = e.size + 5 WHERE e.cyl = 8";
       "DELETE FROM Eng e WHERE e.cyl = 12" ]
@@ -204,7 +200,7 @@ let test_double_redo_idempotent () =
   (* Two kernels built by the identical script allocate identical heap
      file ids, so the primary's records replay on the twin verbatim.
      Applying the whole redo batch twice must leave the image exactly
-     where one application left it — the upsert pin. *)
+     where one application left it. *)
   let primary = Db.create () in
   seed_primary primary;
   let twin = Db.create () in
@@ -216,23 +212,19 @@ let test_double_redo_idempotent () =
     = List.assoc_opt "Eng" (Db.class_files primary));
   let batch = data_records primary in
   Alcotest.(check bool) "batch has all three kinds" true (List.length batch >= 5);
-  List.iter (Db.apply_redo twin) batch;
-  let once = Db.class_contents twin in
-  List.iter (Db.apply_redo twin) batch;
-  let twice = Db.class_contents twin in
+  let redo = Catalog.put_image (Db.catalog twin) ~reindex:false Catalog.After in
+  List.iter redo batch;
+  let once = Db.snapshot twin in
+  List.iter redo batch;
+  let twice = Db.snapshot twin in
   Alcotest.(check bool) "second application is a no-op" true (once = twice);
   Alcotest.(check bool) "twin matches primary" true
-    (List.assoc "Eng" once = List.assoc "Eng" (Db.class_contents primary))
+    (List.assoc "Eng" once = List.assoc "Eng" (Db.snapshot primary))
 
 (* ------------------------------------------------------------------ *)
 (* Applier state machine (networking-free)                             *)
 
-let exec_ok db sql =
-  match Db.exec db sql with
-  | Ok _ -> ()
-  | Error m -> Alcotest.failf "%s: %s" sql m
-
-let eng_contents db = List.assoc "Eng" (Db.class_contents db)
+let eng_contents db = List.assoc "Eng" (Db.snapshot db)
 
 let test_apply_bootstrap_and_stream () =
   let primary = Db.create () in
@@ -245,7 +237,7 @@ let test_apply_bootstrap_and_stream () =
   Alcotest.(check int) "cursor at snapshot lsn" (Apply.applied_lsn apply)
     (Wal.persisted_last_lsn (Store.wal (Db.store primary)));
   (* Stream a write. *)
-  write primary "NEW Eng <4000, 16>";
+  exec_ok primary "NEW Eng <4000, 16>";
   let batch = Primary.batch primary ~after:(Apply.applied_lsn apply) in
   (match Apply.apply_batch apply batch with
   | `Applied -> ()

@@ -469,36 +469,23 @@ let prop_rtree_matches_naive =
 
 (* ---------------- Lock manager ---------------- *)
 
-let test_lock_compatibility () =
-  let lm = Lock.create () in
-  let t1 = Lock.begin_txn lm and t2 = Lock.begin_txn lm in
-  Alcotest.(check bool) "shared" true (Lock.acquire lm t1 "r" Lock.Shared = Lock.Granted);
-  Alcotest.(check bool) "shared twice" true (Lock.acquire lm t2 "r" Lock.Shared = Lock.Granted);
-  Alcotest.(check bool) "exclusive blocked" true
-    (Lock.acquire lm t2 "r" Lock.Exclusive = Lock.Would_block);
-  Lock.release_all lm t1;
-  Alcotest.(check bool) "upgrade after release" true
-    (Lock.acquire lm t2 "r" Lock.Exclusive = Lock.Granted);
-  Alcotest.(check int) "holders" 1 (List.length (Lock.holders lm "r"))
-
-let test_lock_reentrancy_and_upgrade () =
+let test_lock_reentrancy () =
   let lm = Lock.create () in
   let t = Lock.begin_txn lm in
-  Alcotest.(check bool) "x" true (Lock.acquire lm t "r" Lock.Exclusive = Lock.Granted);
-  Alcotest.(check bool) "x again" true (Lock.acquire lm t "r" Lock.Exclusive = Lock.Granted);
-  Alcotest.(check bool) "s under x" true (Lock.acquire lm t "r" Lock.Shared = Lock.Granted)
+  Alcotest.(check bool) "x" true (Lock.acquire lm t "r" = Lock.Granted);
+  Alcotest.(check bool) "x again" true (Lock.acquire lm t "r" = Lock.Granted)
 
 let test_lock_deadlock_detection () =
   let lm = Lock.create () in
   let t1 = Lock.begin_txn lm and t2 = Lock.begin_txn lm in
-  Alcotest.(check bool) "t1 locks a" true (Lock.acquire lm t1 "a" Lock.Exclusive = Lock.Granted);
-  Alcotest.(check bool) "t2 locks b" true (Lock.acquire lm t2 "b" Lock.Exclusive = Lock.Granted);
-  Alcotest.(check bool) "t1 waits for b" true (Lock.acquire lm t1 "b" Lock.Exclusive = Lock.Would_block);
+  Alcotest.(check bool) "t1 locks a" true (Lock.acquire lm t1 "a" = Lock.Granted);
+  Alcotest.(check bool) "t2 locks b" true (Lock.acquire lm t2 "b" = Lock.Granted);
+  Alcotest.(check bool) "t1 waits for b" true (Lock.acquire lm t1 "b" = Lock.Would_block);
   (* t2 -> a would close the cycle: t2 is the victim *)
   Alcotest.(check bool) "deadlock detected" true
-    (Lock.acquire lm t2 "a" Lock.Exclusive = Lock.Deadlock);
+    (Lock.acquire lm t2 "a" = Lock.Deadlock);
   Lock.release_all lm t2;
-  Alcotest.(check bool) "t1 proceeds" true (Lock.acquire lm t1 "b" Lock.Exclusive = Lock.Granted)
+  Alcotest.(check bool) "t1 proceeds" true (Lock.acquire lm t1 "b" = Lock.Granted)
 
 (* ---------------- WAL ---------------- *)
 
@@ -864,18 +851,17 @@ let test_lock_release_all_drains_table () =
   let lm = Lock.create () in
   let t1 = Lock.begin_txn lm in
   for i = 0 to 99 do
-    match Lock.acquire lm t1 (Printf.sprintf "r%d" i) Lock.Exclusive with
+    match Lock.acquire lm t1 (Printf.sprintf "r%d" i) with
     | Lock.Granted -> ()
     | _ -> Alcotest.fail "uncontended acquire"
   done;
   Alcotest.(check int) "100 resources held" 100 (Lock.resource_count lm);
   Lock.release_all lm t1;
   Alcotest.(check int) "table drained" 0 (Lock.resource_count lm);
-  (* Shared holders on the same resource: releasing one must not drop
-     the entry while the other still holds it. *)
+  (* Releasing one transaction must not drop another's entry. *)
   let t2 = Lock.begin_txn lm and t3 = Lock.begin_txn lm in
-  ignore (Lock.acquire lm t2 "s" Lock.Shared);
-  ignore (Lock.acquire lm t3 "s" Lock.Shared);
+  ignore (Lock.acquire lm t2 "a");
+  ignore (Lock.acquire lm t3 "b");
   Lock.release_all lm t2;
   Alcotest.(check int) "still held by t3" 1 (Lock.resource_count lm);
   Lock.release_all lm t3;
@@ -940,7 +926,7 @@ let test_lock_random_schedules () =
               done_.(idx) <- true;
               progressed := true
           | r :: rest -> (
-              match Lock.acquire lm txns.(idx) r Lock.Exclusive with
+              match Lock.acquire lm txns.(idx) r with
               | Lock.Granted ->
                   (match holder_of r with
                   | Some h when h <> idx ->
@@ -1022,32 +1008,35 @@ let prop_hash_validate_under_churn =
 (* ---------------- Additional properties ---------------- *)
 
 let prop_lock_exclusivity =
-  (* Random acquire/release traffic: whenever a resource has an
-     exclusive holder, it is the only holder. *)
-  let op_gen =
-    QCheck.Gen.(
-      list_size (int_bound 60)
-        (triple (int_bound 3) (int_bound 2) bool))
-  in
+  (* Random acquire/release traffic, checked against a mirror of the
+     grants: a resource is granted to one transaction at a time, and a
+     request waits only behind another transaction's hold. *)
+  let op_gen = QCheck.Gen.(list_size (int_bound 60) (pair (int_bound 3) (int_bound 2))) in
   QCheck.Test.make ~name:"2PL: exclusive holders are alone" ~count:150
     (QCheck.make op_gen)
     (fun ops ->
       let lm = Lock.create () in
       let txns = Array.init 4 (fun _ -> Lock.begin_txn lm) in
       let resources = [| "r0"; "r1"; "r2" |] in
+      let mirror = Array.make 3 None (* resource index -> holder index *) in
       List.for_all
-        (fun (who, what, exclusive) ->
-          let txn = txns.(who) and resource = resources.(what) in
-          let mode = if exclusive then Lock.Exclusive else Lock.Shared in
-          (match Lock.acquire lm txn resource mode with
-          | Lock.Granted | Lock.Would_block -> ()
-          | Lock.Deadlock -> Lock.release_all lm txn);
-          Array.for_all
-            (fun r ->
-              let holders = Lock.holders lm r in
-              (not (List.exists (fun (_, m) -> m = Lock.Exclusive) holders))
-              || List.length holders = 1)
-            resources)
+        (fun (who, what) ->
+          let held_by_other = match mirror.(what) with Some h -> h <> who | None -> false in
+          let consistent =
+            match Lock.acquire lm txns.(who) resources.(what) with
+            | Lock.Granted ->
+                mirror.(what) <- Some who;
+                not held_by_other
+            | Lock.Would_block -> held_by_other
+            | Lock.Deadlock ->
+                Lock.release_all lm txns.(who);
+                Array.iteri (fun r h -> if h = Some who then mirror.(r) <- None) mirror;
+                held_by_other
+          in
+          consistent
+          && Array.for_all2
+               (fun r h -> Lock.holder lm r = Option.map (fun i -> Lock.txn_id txns.(i)) h)
+               resources mirror)
         ops)
 
 let prop_buffer_pool_bounded =
@@ -1186,8 +1175,7 @@ let suites =
         qtest prop_rtree_matches_naive
       ] );
     ( "storage.locks",
-      [ Alcotest.test_case "compatibility" `Quick test_lock_compatibility;
-        Alcotest.test_case "reentrancy" `Quick test_lock_reentrancy_and_upgrade;
+      [ Alcotest.test_case "reentrancy" `Quick test_lock_reentrancy;
         Alcotest.test_case "deadlock" `Quick test_lock_deadlock_detection;
         Alcotest.test_case "release_all drains table" `Quick
           test_lock_release_all_drains_table;
