@@ -363,7 +363,7 @@ let scan_fixture n =
     skip_rewind = false
   }
 
-(* [(name, seconds, matching rows, promoted words per row)] for the
+(* [(name, seconds, matching rows, extra JSON fields)] for the
    three engines, then the grouped A/B: GROUP BY the dictionary-coded
    [grp] with COUNT, SUM and AVG, through the row engine's compiled
    Group over the heap and through the grouped VSCAN over the PAX
@@ -371,9 +371,14 @@ let scan_fixture n =
    compiled Group over [many_groups_rows] row-layout objects with
    [many_groups_keys] keys. Each
    row-engine plan starts on an empty minor heap and reports the words
-   its run promoted to the major heap per scanned row: a streaming
-   pipeline promotes next to none, a materializing operator a whole
-   row's worth. *)
+   its run promoted to the major heap per scanned row
+   ([promoted_words_per_row]): a streaming pipeline promotes next to
+   none, a materializing operator a whole row's worth. The last two
+   runs time the VSCAN after writes: one insert into the tail page, then
+   an update of every 16th row, which dirties every page; the second
+   reports the rows its rebuilds re-read from the heap against the rows
+   updated, and the minor words it allocated per row the rebuilds took
+   from the kept batches instead ([minor_words_per_kept_row]). *)
 let scan_section () =
   let n = scan_rows () in
   let env = scan_fixture n in
@@ -482,7 +487,12 @@ let scan_section () =
     let c = count (f ()) in
     let secs = Unix.gettimeofday () -. t0 in
     let promoted = (Gc.quick_stat ()).Gc.promoted_words -. promoted0 in
-    (name, secs, c, if row_engine then Some (promoted /. float_of_int n) else None)
+    ( name,
+      secs,
+      c,
+      if row_engine then
+        [ ("promoted_words_per_row", Printf.sprintf "%.2f" (promoted /. float_of_int n)) ]
+      else [] )
   in
   let timings =
     [ time ~row_engine:true "row_interpreted" (fun () ->
@@ -500,11 +510,43 @@ let scan_section () =
   (* One new object, then the same VSCAN: what a write costs the scan
      after it — the segment's upkeep for one insert into the tail
      page. The object matches the filter, so one more row counts. *)
+  let catalog = env.Eval.catalog in
   ignore
-    (Catalog.insert_object env.Eval.catalog ~class_name:"ScanBench"
+    (Catalog.insert_object catalog ~class_name:"ScanBench"
        (Value.Tuple [ ("k", Value.Int n); ("grp", Value.Str "g1"); ("w", Value.Float 0.5) ]));
+  let after_insert = time "pax_vectorized_after_insert" (fun () -> Executor.run env vscan_plan) in
+  let updated =
+    List.fold_left
+      (fun acc oid ->
+        if Mood_model.Oid.slot oid mod 16 <> 0 then acc
+        else
+          match Catalog.get_object catalog oid with
+          | Some (Value.Tuple _ as v) ->
+              let w = match Value.tuple_get v "w" with Some (Value.Float w) -> w | _ -> 0. in
+              if Catalog.update_object catalog oid (Value.tuple_set v "w" (Value.Float (w +. 1.)))
+              then acc + 1
+              else acc
+          | Some _ | None -> acc)
+      0
+      (Catalog.extent_oids catalog "ScanBench")
+  in
+  let module M = Mood_column.Scan_metrics in
+  let reread0 = M.m.M.rows_reread and scanned0 = M.m.M.rows_scanned in
+  let words0 = Gc.minor_words () in
+  let name, secs, c, _ = time "pax_vectorized_after_update" (fun () -> Executor.run env vscan_plan) in
+  let words = Gc.minor_words () -. words0 in
+  let reread = M.m.M.rows_reread - reread0 in
+  let kept = M.m.M.rows_scanned - scanned0 - reread in
   timings
-  @ [ time "pax_vectorized_after_insert" (fun () -> Executor.run env vscan_plan) ]
+  @ [ after_insert;
+      ( name,
+        secs,
+        c,
+        [ ("rows_updated", string_of_int updated);
+          ("rows_reread", string_of_int reread);
+          ("minor_words_per_kept_row", Printf.sprintf "%.2f" (words /. float_of_int (max 1 kept)))
+        ] )
+    ]
 
 let scan_secs scans = List.map (fun (name, secs, matches, _) -> (name, secs, matches)) scans
 
@@ -554,11 +596,10 @@ let run_benchmarks () =
     (Printf.sprintf "Scan engine: %d-row filtered aggregate and GROUP BY, row heap vs PAX"
        (scan_rows ()));
   let scans = scan_section () in
-  Printf.printf "%-28s %13s  %17s  %14s\n" "" "" "" "promoted/row";
   List.iter
-    (fun (name, secs, matches, promoted) ->
-      Printf.printf "%-28s %10.1f ms  %9d matches  %14s\n" name (secs *. 1000.) matches
-        (match promoted with Some p -> Printf.sprintf "%.2f" p | None -> "-"))
+    (fun (name, secs, matches, extras) ->
+      Printf.printf "%-28s %10.1f ms  %9d matches  %s\n" name (secs *. 1000.) matches
+        (String.concat ", " (List.map (fun (k, v) -> k ^ " " ^ v) extras)))
     scans;
   let scans = scan_secs scans in
   (match join_speedup scans ~slow:"row_interpreted" ~fast:"pax_vectorized" with
@@ -612,13 +653,12 @@ let run_json ?(path = "BENCH_micro.json") () =
   Buffer.add_string buf
     (Printf.sprintf "    \"rows\": %d,\n    \"methods\": [\n" (scan_rows ()));
   List.iteri
-    (fun i (name, secs, matches, promoted) ->
+    (fun i (name, secs, matches, extras) ->
       Buffer.add_string buf
         (Printf.sprintf "      {\"name\": \"%s\", \"ms\": %.1f, \"matches\": %d%s}%s\n"
            (json_escape name) (secs *. 1000.) matches
-           (match promoted with
-           | Some p -> Printf.sprintf ", \"promoted_words_per_row\": %.2f" p
-           | None -> "")
+           (String.concat ""
+              (List.map (fun (k, v) -> Printf.sprintf ", \"%s\": %s" k v) extras))
            (if i = List.length scans - 1 then "" else ",")))
     scans;
   let scans = scan_secs scans in

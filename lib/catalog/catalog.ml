@@ -62,6 +62,9 @@ type t = {
   indexes : (string * string, index) Hashtbl.t; (* (class, attr) *)
   join_indexes : (string * string, Join_index.Binary.t) Hashtbl.t;
   path_indexes : (string * string list, Join_index.Path.t) Hashtbl.t;
+  stale_paths : (string * string list, unit) Hashtbl.t;
+      (* path indexes a write has outdated since they were built: not
+         planned until [refresh_path_indexes] rebuilds them *)
   mutable system_ready : bool;
   mutable epoch : int;
       (* bumped on every schema or index change: consumers (plan
@@ -352,6 +355,7 @@ let drop_class t name =
       t.path_indexes []
   in
   List.iter (Hashtbl.remove t.path_indexes) doomed_paths;
+  List.iter (Hashtbl.remove t.stale_paths) doomed_paths;
   (* remove the persisted catalog rows (Figure 2.2) *)
   let delete_rows extent_name ~owner_field =
     let ext = system_extent t extent_name in
@@ -442,6 +446,29 @@ let rename_attribute t ~class_name ~old_name ~new_name =
   bump_epoch t;
   refresh_pax_schemas t class_name
 
+let resolve_path t ~class_name ~path =
+  let rec walk current = function
+    | [] -> Some []
+    | attr :: rest -> begin
+        match attribute_type t ~class_name:current ~attr with
+        | None -> None
+        | Some ty -> begin
+            match rest with
+            | [] -> Some [ (current, ty) ]
+            | _ :: _ -> begin
+                match Mtype.referenced_class ty with
+                | None -> None
+                | Some next -> begin
+                    match walk next rest with
+                    | None -> None
+                    | Some tail -> Some ((current, ty) :: tail)
+                  end
+              end
+          end
+      end
+  in
+  if Hashtbl.mem t.by_name class_name then walk class_name path else None
+
 (* ------------------------------------------------------------------ *)
 (* Objects                                                             *)
 
@@ -451,9 +478,9 @@ let own_extent t name =
   | None -> schema_error "%s is a type, not a class: it has no extent" name
 
 (* Normalizes a tuple to the class's effective attribute list: declared
-   order, missing attributes Null, unknown attributes rejected. Both
-   directions of the name matching go through one hash table per call,
-   keeping inserts linear in the attribute count. *)
+   order, missing attributes Null, the first binding of a duplicated
+   field kept, unknown attributes rejected. Attribute lists are short,
+   so both directions of the name matching walk the lists. *)
 let normalize t class_name value =
   let attrs = attributes t class_name in
   let fields =
@@ -461,26 +488,19 @@ let normalize t class_name value =
     | Value.Tuple fields -> fields
     | _ -> schema_error "objects of class %s must be tuples" class_name
   in
-  let by_name = Hashtbl.create (2 * List.length fields + 1) in
-  List.iter (fun (n, v) -> if not (Hashtbl.mem by_name n) then Hashtbl.add by_name n v) fields;
-  let declared = Hashtbl.create (2 * List.length attrs + 1) in
-  List.iter (fun (n, _) -> Hashtbl.replace declared n ()) attrs;
   List.iter
     (fun (n, _) ->
-      if not (Hashtbl.mem declared n) then
-        schema_error "class %s has no attribute %s" class_name n)
+      if not (List.mem_assoc n attrs) then schema_error "class %s has no attribute %s" class_name n)
     fields;
-  let normalized =
-    List.map
-      (fun (n, ty) ->
-        let v = Option.value ~default:Value.Null (Hashtbl.find_opt by_name n) in
-        if not (Value.type_check v ty) then
-          schema_error "attribute %s.%s: value %s does not conform to %s" class_name n
-            (Value.to_string v) (Mtype.to_string ty);
-        (n, v))
-      attrs
-  in
-  Value.Tuple normalized
+  Value.Tuple
+    (List.map
+       (fun (n, ty) ->
+         let v = Option.value ~default:Value.Null (List.assoc_opt n fields) in
+         if not (Value.type_check v ty) then
+           schema_error "attribute %s.%s: value %s does not conform to %s" class_name n
+             (Value.to_string v) (Mtype.to_string ty);
+         (n, v))
+       attrs)
 
 (* Classes (self included) whose declared indexes cover instances of
    [name]: all ancestors. *)
@@ -547,6 +567,35 @@ let index_has ix key oid =
   in
   List.exists (Oid.equal oid) postings
 
+(* The classes whose instances a path index reads: the head class, each
+   class a step of the path references, and their subclasses. *)
+let path_classes t (class_name, path) =
+  match resolve_path t ~class_name ~path with
+  | None -> []
+  | Some steps -> List.concat_map (fun (c, _) -> c :: descendants t c) steps
+
+(* A write to an instance of [class_name] can change what every path
+   index through the class maps, so each such index goes stale — the
+   optimizer stops planning it ([find_path_index]) until
+   [refresh_path_indexes] rebuilds it — and one epoch bump retires the
+   plans that probe it. Nothing to do when every path index is stale
+   already, or there is none. *)
+let stale_path_indexes t class_name =
+  if Hashtbl.length t.path_indexes > Hashtbl.length t.stale_paths then begin
+    let hit =
+      Hashtbl.fold
+        (fun key _ acc ->
+          if (not (Hashtbl.mem t.stale_paths key)) && List.mem class_name (path_classes t key)
+          then key :: acc
+          else acc)
+        t.path_indexes []
+    in
+    if hit <> [] then begin
+      List.iter (fun key -> Hashtbl.replace t.stale_paths key ()) hit;
+      bump_epoch t
+    end
+  end
+
 (* Index maintenance after a write took the object's value from [old]
    to [next] ([None] = absent: an INSERT has no [old], a DELETE no
    [next]). Only attributes whose value changed are touched: an
@@ -564,6 +613,7 @@ let index_has ix key oid =
    aborts. When it runs it re-reads the object's current heap value and
    keeps every posting and edge that value still has. *)
 let reindex_object t ?txn class_name ext oid ~old ~next =
+  stale_path_indexes t class_name;
   let field v attr = Option.bind v (fun v -> Value.tuple_get v attr) in
   let key v attr =
     match field v attr with Some k when k <> Value.Null -> Some k | Some _ | None -> None
@@ -612,6 +662,7 @@ let insert_object t ?txn ~class_name value =
   let slot = Extent.insert ext ?txn normalized in
   let oid = Oid.make ~class_id:e.id ~slot in
   add_index_entries t class_name oid normalized;
+  stale_path_indexes t class_name;
   oid
 
 let get_object t oid =
@@ -831,29 +882,6 @@ let find_join_index t ~class_name ~attr =
 (* ------------------------------------------------------------------ *)
 (* Paths                                                               *)
 
-let resolve_path t ~class_name ~path =
-  let rec walk current = function
-    | [] -> Some []
-    | attr :: rest -> begin
-        match attribute_type t ~class_name:current ~attr with
-        | None -> None
-        | Some ty -> begin
-            match rest with
-            | [] -> Some [ (current, ty) ]
-            | _ :: _ -> begin
-                match Mtype.referenced_class ty with
-                | None -> None
-                | Some next -> begin
-                    match walk next rest with
-                    | None -> None
-                    | Some tail -> Some ((current, ty) :: tail)
-                  end
-              end
-          end
-      end
-  in
-  if Hashtbl.mem t.by_name class_name then walk class_name path else None
-
 (* Follows a path of reference attributes from a stored object to the
    set of terminal attribute values. *)
 let rec follow_path t value = function
@@ -875,6 +903,19 @@ let rec follow_path t value = function
               targets
     end
 
+(* A path index built from the data: each head of the class's deep
+   extent under every terminal value its path reaches. *)
+let build_path_index t ~class_name ~path =
+  let px = Store.new_path_index t.st ~path in
+  List.iter
+    (fun head ->
+      match get_object t head with
+      | Some v ->
+          List.iter (fun terminal -> Join_index.Path.add px ~terminal ~head) (follow_path t v path)
+      | None -> ())
+    (extent_oids t class_name);
+  px
+
 let create_path_index t ~class_name ~path =
   begin
     match resolve_path t ~class_name ~path with
@@ -883,21 +924,24 @@ let create_path_index t ~class_name ~path =
   end;
   if Hashtbl.mem t.path_indexes (class_name, path) then
     schema_error "path index on %s.%s already exists" class_name (String.concat "." path);
-  let px = Store.new_path_index t.st ~path in
-  List.iter
-    (fun head ->
-      match get_object t head with
-      | Some v ->
-          List.iter
-            (fun terminal -> Join_index.Path.add px ~terminal ~head)
-            (follow_path t v path)
-      | None -> ())
-    (extent_oids t class_name);
+  let px = build_path_index t ~class_name ~path in
   Hashtbl.replace t.path_indexes (class_name, path) px;
   bump_epoch t;
   px
 
-let find_path_index t ~class_name ~path = Hashtbl.find_opt t.path_indexes (class_name, path)
+let find_path_index t ~class_name ~path =
+  if Hashtbl.mem t.stale_paths (class_name, path) then None
+  else Hashtbl.find_opt t.path_indexes (class_name, path)
+
+let refresh_path_indexes t =
+  if Hashtbl.length t.stale_paths > 0 then begin
+    Hashtbl.iter
+      (fun ((class_name, path) as key) () ->
+        Hashtbl.replace t.path_indexes key (build_path_index t ~class_name ~path))
+      t.stale_paths;
+    Hashtbl.reset t.stale_paths;
+    bump_epoch t
+  end
 
 let path_indexes t =
   Hashtbl.fold (fun (cls, path) px acc -> (cls, path, px) :: acc) t.path_indexes []
@@ -991,6 +1035,7 @@ let create ~store =
       indexes = Hashtbl.create 16;
       join_indexes = Hashtbl.create 16;
       path_indexes = Hashtbl.create 16;
+      stale_paths = Hashtbl.create 4;
       system_ready = false;
       epoch = 0;
       attrs_memo = Hashtbl.create 64
@@ -1071,19 +1116,10 @@ let rebuild_indexes t =
     join_keys;
   let path_keys = Hashtbl.fold (fun key _ acc -> key :: acc) t.path_indexes [] in
   List.iter
-    (fun (cls, path) ->
-      let px = Store.new_path_index t.st ~path in
-      List.iter
-        (fun head ->
-          match get_object t head with
-          | Some v ->
-              List.iter
-                (fun terminal -> Join_index.Path.add px ~terminal ~head)
-                (follow_path t v path)
-          | None -> ())
-        (extent_oids t cls);
-      Hashtbl.replace t.path_indexes (cls, path) px)
+    (fun ((class_name, path) as key) ->
+      Hashtbl.replace t.path_indexes key (build_path_index t ~class_name ~path))
     path_keys;
+  Hashtbl.reset t.stale_paths;
   bump_epoch t
 
 (* ------------------------------------------------------------------ *)

@@ -244,12 +244,23 @@ val find_join_index : t -> class_name:string -> attr:string -> Mood_storage.Join
 
 val create_path_index : t -> class_name:string -> path:string list -> Mood_storage.Join_index.Path.t
 (** Materializes head-OID -> terminal-value mappings for an existing
-    path of reference attributes ending in an atomic attribute. *)
+    path of reference attributes ending in an atomic attribute. The
+    index is not maintained: any write to an instance of a class on the
+    path (the head class, each class a step references, and their
+    subclasses) — [insert_object], [update_object], [delete_object],
+    [put_image ~reindex:true] — marks it stale, with one epoch bump,
+    until [refresh_path_indexes] or [rebuild_indexes] rebuilds it. *)
 
 val find_path_index : t -> class_name:string -> path:string list -> Mood_storage.Join_index.Path.t option
+(** [None] for a stale path index too: nothing plans or probes it. *)
+
+val refresh_path_indexes : t -> unit
+(** Rebuilds every stale path index from the data, advancing the epoch
+    once when there was one. *)
 
 val path_indexes : t -> (string * string list * Mood_storage.Join_index.Path.t) list
-(** All path indexes as (head class, path, index). *)
+(** All path indexes as (head class, path, index), stale ones
+    included. *)
 
 (** {1 Named objects}
 

@@ -108,42 +108,152 @@ let read_str cur =
   cur.pos <- cur.pos + n;
   s
 
-(* FNV-1a, 32 bit, over [s] from [pos] to the end. *)
+(* FNV-1a, 32 bit, over [s] from [pos] to the end. The low 32 bits of
+   a product depend only on the low 32 bits of its factors, and
+   OCaml's 63-bit products keep them exact, so the mask is applied once,
+   at the end. *)
 let checksum s ~pos =
+  if pos < 0 then invalid_arg "Pax.checksum: negative position";
   let h = ref 0x811c9dc5 in
   for i = pos to String.length s - 1 do
-    h := (!h lxor Char.code s.[i]) * 0x01000193 land 0xFFFFFFFF
+    h := (!h lxor Char.code (String.unsafe_get s i)) * 0x01000193
   done;
-  !h
+  !h land 0xFFFFFFFF
+
+(* ------------------------------------------------------------------ *)
+(* Page columns                                                        *)
+
+let field attr row = match Value.tuple_get row attr with Some v -> v | None -> Value.Null
+
+(* A non-null cell [kind]'s specialized minipage can store. *)
+let fits kind v =
+  match kind, v with
+  | _, Value.Null -> true
+  | KInt, Value.Int _ | KFloat, Value.Float _ | KStr, Value.Str _ -> true
+  | (KInt | KFloat | KStr | KOther), _ -> false
+
+(* One attribute's column over a page's rows: row [j] is base row
+   [from_base.(j)] when that is [>= 0], else the attribute of the tuple
+   [rows.(j)]. Int, float and string attributes get their typed arrays;
+   a column that meets an off-kind cell, and every [KOther] column, is
+   boxed ([Values]), which [encode_batch] writes as the generic
+   minipage, as the page codec always has. A string column's dictionary
+   is the base's followed by the other rows' strings, unordered and
+   possibly repeating: the encoder renumbers it. *)
+let page_column ~n ~from_base ~rows ~attr kind (bcol : Batch.column option) =
+  let cell j =
+    let i = from_base.(j) in
+    if i >= 0 then Batch.cell (Option.get bcol) i else field attr rows.(j)
+  in
+  let base_typed =
+    match kind, bcol with
+    | KInt, Some { Batch.data = Batch.Ints _; _ }
+    | KFloat, Some { Batch.data = Batch.Floats _; _ }
+    | KStr, Some { Batch.data = Batch.Strs _; _ } ->
+        true
+    | _, _ -> false
+  in
+  let rec typed j =
+    j >= n || (((from_base.(j) >= 0 && base_typed) || fits kind (cell j)) && typed (j + 1))
+  in
+  let nulls = Batch.fresh_nullbits n in
+  let any = ref false in
+  let null j =
+    Batch.set_null nulls j;
+    any := true
+  in
+  (* Row [j]'s cell when it is not NULL, unboxed where the column is
+     typed: from the base's array, or the tuple's field. Each loop
+     matches the base column per row rather than calling a closure, so
+     no float is boxed on the way. *)
+  let data =
+    match kind with
+    | KInt when typed 0 ->
+        let a = Array.make n 0 in
+        for j = 0 to n - 1 do
+          let i = from_base.(j) in
+          match bcol with
+          | _ when i < 0 -> (
+              match field attr rows.(j) with Value.Int x -> a.(j) <- x | _ -> null j)
+          | Some col when Batch.is_null col i -> null j
+          | Some { Batch.data = Batch.Ints b; _ } -> a.(j) <- b.(i)
+          | Some col -> ( match Batch.cell col i with Value.Int x -> a.(j) <- x | _ -> null j)
+          | None -> null j
+        done;
+        Batch.Ints a
+    | KFloat when typed 0 ->
+        let a = Array.make n 0. in
+        for j = 0 to n - 1 do
+          let i = from_base.(j) in
+          match bcol with
+          | _ when i < 0 -> (
+              match field attr rows.(j) with Value.Float x -> a.(j) <- x | _ -> null j)
+          | Some col when Batch.is_null col i -> null j
+          | Some { Batch.data = Batch.Floats b; _ } -> a.(j) <- b.(i)
+          | Some col -> (
+              match Batch.cell col i with Value.Float x -> a.(j) <- x | _ -> null j)
+          | None -> null j
+        done;
+        Batch.Floats a
+    | KStr when typed 0 ->
+        let dict = match bcol with Some { Batch.data = Batch.Strs { dict; _ }; _ } -> dict | _ -> [||] in
+        let codes = Array.make n 0 in
+        let extra = ref [] and next = ref (Array.length dict) in
+        let add j = function
+          | Value.Str s ->
+              codes.(j) <- !next;
+              extra := s :: !extra;
+              incr next
+          | _ -> null j
+        in
+        for j = 0 to n - 1 do
+          let i = from_base.(j) in
+          match bcol with
+          | _ when i < 0 -> add j (field attr rows.(j))
+          | Some col when Batch.is_null col i -> null j
+          | Some { Batch.data = Batch.Strs { codes = b; _ }; _ } -> codes.(j) <- b.(i)
+          | Some col -> add j (Batch.cell col i)
+          | None -> null j
+        done;
+        Batch.Strs { codes; dict = Array.append dict (Array.of_list (List.rev !extra)) }
+    | KInt | KFloat | KStr | KOther ->
+        Batch.Values
+          (Array.init n (fun j ->
+               match cell j with
+               | Value.Null ->
+                   null j;
+                   Value.Null
+               | v -> v))
+  in
+  { Batch.data; nulls = (if !any then nulls else Batch.no_nulls) }
+
+let page_columns ~schema ~slots ~base ~from_base ~rows =
+  let n = Array.length slots in
+  if Array.length from_base <> n || Array.length rows <> n then
+    invalid_arg "Pax.page_columns: slots/from_base/rows mismatch";
+  { Batch.n;
+    slots;
+    columns =
+      Array.mapi
+        (fun c (attr, kind) ->
+          let bcol = Option.map (fun (b : Batch.t) -> snd b.Batch.columns.(c)) base in
+          (attr, page_column ~n ~from_base ~rows ~attr kind bcol))
+        schema
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Minipage encode                                                     *)
 
-let null_bits values =
-  let n = Array.length values in
-  let bits = Batch.fresh_nullbits n in
-  let any = ref false in
-  for i = 0 to n - 1 do
-    match values.(i) with
-    | Value.Null ->
-        Batch.set_null bits i;
-        any := true
-    | _ -> ()
-  done;
-  (bits, !any)
+(* The one encoder: each minipage is written straight from a column's
+   arrays, whose NULL rows hold 0, 0.0 or [Null] (as [page_columns] and
+   the decoder build them); a string column's NULL rows are skipped. *)
 
-let add_nulls buf ~bits ~any =
+let add_nulls buf (col : Batch.column) =
+  let any = Bytes.length col.Batch.nulls > 0 && Batch.any_null col.Batch.nulls in
   add_u8 buf (if any then 1 else 0);
-  if any then Buffer.add_bytes buf bits
+  if any then Buffer.add_bytes buf col.Batch.nulls
 
-(* All non-null values conform to the claimed shape? Demote the whole
-   minipage to the generic codec otherwise — pages must round-trip any
-   value the heap can hold. *)
-let all_match values p =
-  Array.for_all (function Value.Null -> true | v -> p v) values
-
-let rle_runs (ints : int array) =
-  let n = Array.length ints in
+let rle_runs ~n (ints : int array) =
   if n = 0 then 0
   else begin
     let runs = ref 1 in
@@ -153,17 +263,15 @@ let rle_runs (ints : int array) =
     !runs
   end
 
-let encode_int_minipage buf values =
-  let n = Array.length values in
-  let bits, any = null_bits values in
-  let ints =
-    Array.map (function Value.Int i -> i | _ -> 0 (* NULL *)) values
-  in
-  let runs = rle_runs ints in
-  if n > 0 && (4 + (runs * 12)) < n * 8 then begin
-    add_u8 buf tag_int_rle;
+let encode_ints buf ~n (col : Batch.column) ints =
+  let header tag =
+    add_u8 buf tag;
     add_u32 buf n;
-    add_nulls buf ~bits ~any;
+    add_nulls buf col
+  in
+  let runs = rle_runs ~n ints in
+  if n > 0 && 4 + (runs * 12) < n * 8 then begin
+    header tag_int_rle;
     add_u32 buf runs;
     let start = ref 0 in
     for i = 1 to n do
@@ -175,91 +283,88 @@ let encode_int_minipage buf values =
     done
   end
   else begin
-    add_u8 buf tag_int_plain;
-    add_u32 buf n;
-    add_nulls buf ~bits ~any;
-    Array.iter (add_int buf) ints
+    header tag_int_plain;
+    for i = 0 to n - 1 do
+      add_int buf ints.(i)
+    done
   end
 
-let encode_float_minipage buf values =
-  let n = Array.length values in
-  let bits, any = null_bits values in
+let encode_floats buf ~n (col : Batch.column) floats =
   add_u8 buf tag_float_plain;
   add_u32 buf n;
-  add_nulls buf ~bits ~any;
-  Array.iter
-    (function
-      | Value.Float f -> Buffer.add_int64_be buf (Int64.bits_of_float f)
-      | _ -> Buffer.add_int64_be buf 0L)
-    values
+  add_nulls buf col;
+  for i = 0 to n - 1 do
+    Buffer.add_int64_be buf (Int64.bits_of_float floats.(i))
+  done
 
-let encode_str_minipage buf ~hint values =
-  let n = Array.length values in
-  let bits, any = null_bits values in
-  let str_of = function Value.Str s -> s | _ -> "" in
-  let codes = Array.make n 0 in
-  let table = Hashtbl.create 64 in
-  let dict = ref [] in
-  let dict_size = ref 0 in
-  Array.iteri
-    (fun i v ->
-      match v with
-      | Value.Null -> ()
-      | v -> (
-          let s = str_of v in
-          match Hashtbl.find_opt table s with
-          | Some c -> codes.(i) <- c
-          | None ->
-              Hashtbl.add table s !dict_size;
-              dict := s :: !dict;
-              codes.(i) <- !dict_size;
-              incr dict_size))
-    values;
-  let use_dict =
-    match hint with
-    | Prefer_dict -> true
-    | No_dict -> false
-    | Auto -> n >= 8 && !dict_size * 2 <= n
+(* The dictionary minipage lists the page's distinct strings in
+   first-seen order; the column's own dictionary may repeat entries, so
+   each of its codes is renumbered once. *)
+let encode_strs buf ~n ~hint (col : Batch.column) ~codes ~dict =
+  let null i = Batch.is_null col i in
+  let header tag =
+    add_u8 buf tag;
+    add_u32 buf n;
+    add_nulls buf col
   in
-  if use_dict then begin
-    (* Code 0 must resolve even for NULL rows (a reader that loses the
-       null bitmap, like the scan oracle's control, reads them), so an
-       all-null page still carries one entry. *)
-    if !dict_size = 0 then begin
-      dict := [ "" ];
-      dict_size := 1
-    end;
-    add_u8 buf tag_str_dict;
-    add_u32 buf n;
-    add_nulls buf ~bits ~any;
-    add_u32 buf !dict_size;
-    List.iter (add_str buf) (List.rev !dict);
-    Array.iter (fun c -> add_u32 buf c) codes
-  end
-  else begin
-    add_u8 buf tag_str_plain;
-    add_u32 buf n;
-    add_nulls buf ~bits ~any;
-    Array.iter (fun v -> add_str buf (str_of v)) values
-  end
+  let plain () =
+    header tag_str_plain;
+    for i = 0 to n - 1 do
+      add_str buf (if null i then "" else dict.(codes.(i)))
+    done
+  in
+  match hint with
+  | No_dict -> plain ()
+  | Auto | Prefer_dict ->
+      let renumbered = Array.make (Array.length dict) (-1) in
+      let table = Hashtbl.create 64 in
+      let page_dict = ref [] and size = ref 0 in
+      let page_codes = Array.make n 0 in
+      for i = 0 to n - 1 do
+        if not (null i) then begin
+          let c = codes.(i) in
+          if renumbered.(c) < 0 then
+            renumbered.(c) <-
+              (let s = dict.(c) in
+               match Hashtbl.find_opt table s with
+               | Some code -> code
+               | None ->
+                   Hashtbl.add table s !size;
+                   page_dict := s :: !page_dict;
+                   incr size;
+                   !size - 1);
+          page_codes.(i) <- renumbered.(c)
+        end
+      done;
+      if hint = Prefer_dict || (n >= 8 && !size * 2 <= n) then begin
+        (* Code 0 must resolve even for NULL rows (a reader that loses
+           the null bitmap, like the scan oracle's control, reads them),
+           so an all-null page still carries one entry. *)
+        if !size = 0 then begin
+          page_dict := [ "" ];
+          size := 1
+        end;
+        header tag_str_dict;
+        add_u32 buf !size;
+        List.iter (add_str buf) (List.rev !page_dict);
+        Array.iter (add_u32 buf) page_codes
+      end
+      else plain ()
 
-let encode_generic_minipage buf values =
-  let n = Array.length values in
-  let bits, any = null_bits values in
+let encode_values buf ~n (col : Batch.column) values =
   add_u8 buf tag_generic;
   add_u32 buf n;
-  add_nulls buf ~bits ~any;
-  Array.iter (fun v -> add_str buf (Codec.encode v)) values
+  add_nulls buf col;
+  for i = 0 to n - 1 do
+    add_str buf (Codec.encode values.(i))
+  done
 
-let encode_minipage buf ~kind ~hint values =
-  match kind with
-  | KInt when all_match values (function Value.Int _ -> true | _ -> false) ->
-      encode_int_minipage buf values
-  | KFloat when all_match values (function Value.Float _ -> true | _ -> false) ->
-      encode_float_minipage buf values
-  | KStr when all_match values (function Value.Str _ -> true | _ -> false) ->
-      encode_str_minipage buf ~hint values
-  | KInt | KFloat | KStr | KOther -> encode_generic_minipage buf values
+let encode_column buf ~n ~hint (col : Batch.column) =
+  match col.Batch.data with
+  | Batch.Ints ints -> encode_ints buf ~n col ints
+  | Batch.Floats floats -> encode_floats buf ~n col floats
+  | Batch.Strs { codes; dict } -> encode_strs buf ~n ~hint col ~codes ~dict
+  | Batch.Values values -> encode_values buf ~n col values
 
 (* ------------------------------------------------------------------ *)
 (* Minipage decode                                                     *)
@@ -332,40 +437,43 @@ let decode_minipage cur ~n =
 (* ------------------------------------------------------------------ *)
 (* Page encode / decode                                                *)
 
+(* The page is written once, into one buffer sized for eight bytes a
+   cell, with its checksum field left zero; the checksum, which covers
+   only the bytes after that field, is patched in place. *)
+let encode_batch ~hints (b : Batch.t) =
+  let n = b.Batch.n in
+  let ncols = Array.length b.Batch.columns in
+  let buf = Buffer.create (64 + (8 * n * (ncols + 1))) in
+  Buffer.add_string buf magic;
+  add_u32 buf 0;
+  add_u32 buf n;
+  add_u32 buf ncols;
+  encode_ints buf ~n { Batch.data = Batch.Ints b.Batch.slots; nulls = Batch.no_nulls }
+    b.Batch.slots;
+  Array.iter
+    (fun (attr, col) ->
+      let hint = match List.assoc_opt attr hints with Some h -> h | None -> Auto in
+      encode_column buf ~n ~hint col)
+    b.Batch.columns;
+  let page = Buffer.to_bytes buf in
+  (* [page] is not shared, and the string view dies with the call. *)
+  let sum = checksum (Bytes.unsafe_to_string page) ~pos:8 in
+  Bytes.set_int32_be page 4 (Int32.of_int sum);
+  Bytes.unsafe_to_string page
+
 let encode_page ~schema ~hints ~slots ~rows =
   let n = Array.length rows in
   if Array.length slots <> n then invalid_arg "Pax.encode_page: slots/rows mismatch";
-  let body = Buffer.create 1024 in
-  add_u32 body n;
-  add_u32 body (Array.length schema);
-  encode_int_minipage body (Array.map (fun s -> Value.Int s) slots);
-  Array.iter
-    (fun (attr, kind) ->
-      let hint =
-        match List.assoc_opt attr hints with Some h -> h | None -> Auto
-      in
-      let values =
-        Array.map
-          (fun row ->
-            match Value.tuple_get row attr with Some v -> v | None -> Value.Null)
-          rows
-      in
-      encode_minipage body ~kind ~hint values)
-    schema;
-  let body = Buffer.contents body in
-  let out = Buffer.create (String.length body + 8) in
-  Buffer.add_string out magic;
-  add_u32 out (checksum body ~pos:0);
-  Buffer.add_string out body;
-  Buffer.contents out
+  encode_batch ~hints
+    (page_columns ~schema ~slots ~base:None ~from_base:(Array.make n (-1)) ~rows)
 
-let decode_page ~schema s =
+(* The page after its checksum field, every structural rule checked as
+   it is read. *)
+let decode_body ~schema s =
   let len = String.length s in
   if len < 8 then corrupt "short page (%d bytes)" len;
   if not (String.starts_with ~prefix:magic s) then corrupt "bad magic";
-  let cur = { data = s; pos = 4 } in
-  let sum = read_u32 cur in
-  if sum <> checksum s ~pos:8 then corrupt "checksum mismatch";
+  let cur = { data = s; pos = 8 } in
   let n = read_u32 cur in
   let ncols = read_u32 cur in
   if ncols <> Array.length schema then
@@ -373,7 +481,7 @@ let decode_page ~schema s =
   let slot_col = decode_minipage cur ~n in
   let slots =
     match slot_col.Batch.data with
-    | Batch.Ints a -> Array.sub a 0 n
+    | Batch.Ints a -> if Array.length a = n then a else Array.sub a 0 n
     | _ -> corrupt "slot vector is not an int minipage"
   in
   let columns =
@@ -383,3 +491,11 @@ let decode_page ~schema s =
   Scan_metrics.m.Scan_metrics.bytes_decoded <-
     Scan_metrics.m.Scan_metrics.bytes_decoded + len;
   { Batch.n; slots; columns }
+
+let decode_page ~schema s =
+  if String.length s >= 8 && String.starts_with ~prefix:magic s
+     && Int32.to_int (String.get_int32_be s 4) land 0xFFFFFFFF <> checksum s ~pos:8
+  then corrupt "checksum mismatch";
+  decode_body ~schema s
+
+let decode_encoded = decode_body

@@ -40,9 +40,10 @@ type state =
       (* image deleted by a write while its decoded view was cached *)
 
 (* What a write leaves of a cached page: [base] still holds every slot
-   not in [written] as the heap does, so the rebuild re-reads only
-   [written]. As volatile as the batch it keeps. *)
-and kept = { base : Batch.t; written : (int, unit) Hashtbl.t }
+   not marked in [written] (one byte per slot of the page, set when the
+   slot is written) as the heap does, so the rebuild re-reads only
+   those. As volatile as the batch it keeps. *)
+and kept = { base : Batch.t; written : Bytes.t }
 
 type page = {
   mutable live : int array;  (* live heap slots of the page, ascending *)
@@ -130,9 +131,11 @@ let store_image t page image =
   let len = String.length image in
   let nchunks = max 1 ((len + cap - 1) / cap) in
   let chunks =
-    Array.init nchunks (fun i ->
-        let pos = i * cap in
-        Heap_file.insert t.seg (String.sub image pos (min cap (len - pos))))
+    if nchunks = 1 then [| Heap_file.insert t.seg image |]
+    else
+      Array.init nchunks (fun i ->
+          let pos = i * cap in
+          Heap_file.insert t.seg (String.sub image pos (min cap (len - pos))))
   in
   page.state <- Built { chunks; batch = None }
 
@@ -218,17 +221,18 @@ let on_write t slot =
       Array.blit live (pos + 1) shrunk pos (n - pos - 1);
       page.live <- shrunk
   | true, true | false, false -> ());
+  let mark written = Bytes.set written (slot mod t.rows_per_page) '\001' in
   (match page.state with
   | Absent -> ()
-  | Written { written; _ } -> Hashtbl.replace written slot ()
+  | Written { written; _ } -> mark written
   | Built { chunks; batch } ->
       let base = if frame_torn t chunks then None else batch in
       delete_chunks t chunks;
       page.state <-
         (match base with
         | Some base ->
-            let written = Hashtbl.create 8 in
-            Hashtbl.replace written slot ();
+            let written = Bytes.make t.rows_per_page '\000' in
+            mark written;
             Written { base; written }
         | None -> Absent));
   if Array.length page.live = 0 then page.state <- Absent
@@ -282,34 +286,48 @@ let refresh_schema t ~attrs =
 (* ------------------------------------------------------------------ *)
 (* Build / decode                                                      *)
 
-(* The rows of the [live] slots: from the kept base where the slot was
-   not written since, from the heap otherwise. Encoding is
-   deterministic over (slots, rows), so either way the image is the
-   one a full rebuild would write. *)
+(* The page image of the [live] slots. With a kept base, one merge over
+   the sorted [live] and base slots takes each slot's cells from the
+   base's column arrays where it was not written since, and re-reads
+   only the rest from the heap; without one, every row is re-read.
+   Encoding is deterministic over the cells, so either way the image is
+   the one a full rebuild would write. *)
 let build_page t live kept =
-  let reread slot =
+  let n = Array.length live in
+  let from_base = Array.make n (-1) and rows = Array.make n Value.Null in
+  let reread j =
     M.m.M.rows_reread <- M.m.M.rows_reread + 1;
-    match Extent.raw_get t.extent slot with
-    | Some v -> v
-    | None -> Value.Null (* raced directory change; cannot happen single-threaded *)
+    match Extent.raw_get t.extent live.(j) with
+    | Some v -> rows.(j) <- v
+    | None -> () (* raced directory change; cannot happen single-threaded *)
   in
-  let row =
+  let base =
     match kept with
-    | None -> reread
+    | None ->
+        for j = 0 to n - 1 do
+          reread j
+        done;
+        None
     | Some { base; written } ->
-        fun slot ->
-          let i = lower_bound base.Batch.slots slot in
-          if Hashtbl.mem written slot
-             || i >= Array.length base.Batch.slots
-             || base.Batch.slots.(i) <> slot
-          then reread slot
-          else Batch.row_value base i
+        let bslots = base.Batch.slots and bn = base.Batch.n in
+        let was_written slot = Bytes.get written (slot mod t.rows_per_page) <> '\000' in
+        let i = ref 0 in
+        for j = 0 to n - 1 do
+          let slot = live.(j) in
+          while !i < bn && bslots.(!i) < slot do incr i done;
+          if !i < bn && bslots.(!i) = slot && not (was_written slot) then from_base.(j) <- !i
+          else reread j
+        done;
+        Some base
   in
-  Pax.encode_page ~schema:t.schema ~hints:t.hints ~slots:live ~rows:(Array.map row live)
+  Pax.encode_batch ~hints:t.hints
+    (Pax.page_columns ~schema:t.schema ~slots:live ~base ~from_base ~rows)
 
 (* The batch always comes from decoding the stored image — a single
    code path, so metrics and corruption detection act on what the page
-   actually holds. *)
+   actually holds. An image built here is decoded before it is ever
+   read back, so its checksum is not recomputed then; every later read
+   of it verifies it. *)
 let batch_of_page t page =
   let decode image = Pax.decode_page ~schema:t.schema image in
   let rebuild () =
@@ -325,7 +343,7 @@ let batch_of_page t page =
     let image = build_page t page.live kept in
     store_image t page image;
     M.m.M.pages_built <- M.m.M.pages_built + 1;
-    decode image
+    Pax.decode_encoded ~schema:t.schema image
   in
   (* Decoded-batch cache: a clean page whose decoded view is still in
      memory skips the image read and decode entirely. Like a buffer

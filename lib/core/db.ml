@@ -17,6 +17,7 @@ module Plan = Mood_optimizer.Plan
 module Card_est = Mood_optimizer.Card_est
 module Executor = Mood_executor.Executor
 module Eval = Mood_executor.Eval
+module Compile = Mood_executor.Compile
 module Value_join = Mood_executor.Value_join
 module Join_cost = Mood_cost.Join_cost
 module Scan_cost = Mood_cost.Scan_cost
@@ -274,6 +275,7 @@ let purge_stale_plans t =
   end
 
 let analyze t =
+  Catalog.refresh_path_indexes t.cat;
   t.statistics <- Catalog_stats.compute t.cat;
   Catalog.apply_stats_hints t.cat t.statistics;
   t.stats_epoch <- t.stats_epoch + 1;
@@ -345,40 +347,59 @@ let exec_new t ~txn ~no_class ~no_values =
   in
   Object_created (Catalog.insert_object t.cat ~txn ~class_name:no_class (Value.Tuple fields))
 
-let matching_oids t ~class_name ~var ~where =
-  let env = executor_env t in
-  let out = ref [] in
-  Catalog.scan_extent t.cat ~every:true class_name ~f:(fun oid value ->
-      let row = [ (var, { Mood_algebra.Collection.oid = Some oid; value }) ] in
-      let keep = match where with None -> true | Some p -> Eval.predicate env row p in
-      if keep then out := oid :: !out);
-  List.rev !out
+(* The targets of an UPDATE or DELETE: [SELECT v FROM C v WHERE ...]
+   planned by the optimizer, so the search gets index probes, compiled
+   predicates and VSCAN like any query. It runs outside any snapshot,
+   under the statement's exclusive extent locks, so it reads what the
+   heap holds now. Each target comes once, as its OID and the row that
+   binds it to the value the plan read, in plan order; the whole plan
+   runs before the first write. *)
+let dml_targets t ~class_name ~var ~where =
+  let q =
+    { Ast.select = [ { Ast.expr = Ast.Path (var, []); alias = None } ];
+      from = [ { Ast.class_name; every = false; minus = []; var; named = false } ];
+      where;
+      group_by = [];
+      having = None;
+      order_by = []
+    }
+  in
+  let optimized = Optimizer.optimize (optimizer_env t) q in
+  let result = Executor.run_prepared (executor_env t) (Executor.prepare optimized.Optimizer.plan) in
+  let seen = Hashtbl.create 64 in
+  List.filter_map
+    (fun row ->
+      match Value.assoc_name var row with
+      | Some ({ Mood_algebra.Collection.oid = Some oid; _ } as item)
+        when not (Hashtbl.mem seen oid) ->
+          Hashtbl.replace seen oid ();
+          Some (oid, [ (var, item) ])
+      | Some _ | None -> None)
+    result.Executor.rows
 
 let exec_update t ~txn ~up_class ~up_var ~up_set ~up_where =
   let env = executor_env t in
-  let victims = matching_oids t ~class_name:up_class ~var:up_var ~where:up_where in
-  let touched = ref 0 in
-  List.iter
-    (fun oid ->
-      match Catalog.get_object t.cat oid with
-      | None -> ()
-      | Some value ->
-          let row = [ (up_var, { Mood_algebra.Collection.oid = Some oid; value }) ] in
-          let updated =
-            List.fold_left
-              (fun acc (attr, e) -> Value.tuple_set acc attr (Eval.expr env row e))
-              value up_set
-          in
-          if Catalog.update_object t.cat ~txn oid updated then incr touched)
-    victims;
-  Updated !touched
+  let sets = List.map (fun (attr, e) -> (attr, Compile.expr e)) up_set in
+  let touched =
+    List.fold_left
+      (fun acc (oid, row) ->
+        let updated =
+          List.fold_left
+            (fun value (attr, f) -> Value.tuple_set value attr (f env row))
+            (Eval.lookup_var row up_var).Mood_algebra.Collection.value sets
+        in
+        if Catalog.update_object t.cat ~txn oid updated then acc + 1 else acc)
+      0
+      (dml_targets t ~class_name:up_class ~var:up_var ~where:up_where)
+  in
+  Updated touched
 
 let exec_delete t ~txn ~de_class ~de_var ~de_where =
-  let victims = matching_oids t ~class_name:de_class ~var:de_var ~where:de_where in
   let removed =
     List.fold_left
-      (fun acc oid -> if Catalog.delete_object t.cat ~txn oid then acc + 1 else acc)
-      0 victims
+      (fun acc (oid, _) -> if Catalog.delete_object t.cat ~txn oid then acc + 1 else acc)
+      0
+      (dml_targets t ~class_name:de_class ~var:de_var ~where:de_where)
   in
   Deleted removed
 

@@ -51,9 +51,10 @@ val stats : t -> Mood_cost.Stats.t
     zero cardinalities and falls back to trivial plans). *)
 
 val analyze : t -> unit
-(** Recomputes statistics from the stored data ([Catalog_stats]) and
-    resets the I/O ledger so the collection scan does not pollute
-    measurements. *)
+(** Rebuilds the path indexes writes have made stale
+    ([Catalog.refresh_path_indexes]), recomputes statistics from the
+    stored data ([Catalog_stats]) and resets the I/O ledger so the
+    collection scan does not pollute measurements. *)
 
 val set_stats : t -> Mood_cost.Stats.t -> unit
 (** Installs an explicit snapshot (e.g. the paper's Tables 13–15). *)
@@ -92,7 +93,11 @@ val exec : ?cache:bool -> t -> string -> (exec_result, string) result
     exclusively. A data write (NEW, UPDATE, DELETE) is a one-statement
     transaction: WAL-logged, committed with a log force when the
     statement succeeds, and aborted, its effects compensated, on any
-    error, a lock conflict included. Schema statements run outside any
+    error, a lock conflict included. An UPDATE or DELETE finds its
+    targets by planning [SELECT v FROM C v WHERE ...] through the
+    optimizer (index probes, compiled predicates, VSCAN) and running it
+    outside any snapshot, under its exclusive extent locks; the SET
+    expressions compile once per statement. Schema statements run outside any
     transaction and are not logged; [ALTER CLASS c SET LAYOUT l] takes
     its extent locks on a lock transaction of its own and releases them
     when it ends. [SET name value] and [EXPLAIN [ANALYZE] SELECT ...]
@@ -105,7 +110,9 @@ val exec : ?cache:bool -> t -> string -> (exec_result, string) result
     are stamped with the schema/statistics epoch — DDL, index
     create/drop, [analyze] and [set_stats] all advance it, lazily
     invalidating every older plan. Data changes (INSERT/UPDATE/DELETE)
-    do not invalidate: plans re-read extents at execution. Pass
+    do not invalidate: plans re-read extents at execution. (The one
+    exception is the first write that makes a path index stale: it
+    advances the epoch so no cached plan probes that index.) Pass
     [~cache:false] to force the cold parse+typecheck+optimize+compile
     pipeline (benchmark baseline, debugging). *)
 

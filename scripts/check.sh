@@ -86,6 +86,21 @@ grep -q '"pax_vs_row_speedup"' BENCH_micro.json \
   || { echo "BENCH_micro.json: no pax_vs_row_speedup"; exit 1; }
 grep -q '"pax_vectorized_after_insert"' BENCH_micro.json \
   || { echo "BENCH_micro.json: no pax_vectorized_after_insert"; exit 1; }
+# After every 16th ScanBench row is updated, the VSCAN rebuilds every
+# page: it must re-read from the heap exactly the rows updated, and
+# take the others from the kept batches' column arrays. Boxing each
+# kept row into a tuple to re-encode it costs about 85 minor words a
+# row; the column merge about 25.
+AFTER_UPDATE="$(grep '"name": "pax_vectorized_after_update"' BENCH_micro.json || true)"
+[ -n "$AFTER_UPDATE" ] || { echo "BENCH_micro.json: no pax_vectorized_after_update"; exit 1; }
+field() { printf '%s\n' "$AFTER_UPDATE" | grep -o "\"$1\": [0-9.]*" | grep -o '[0-9.]*$' || true; }
+REREAD="$(field rows_reread)"
+UPDATED="$(field rows_updated)"
+KEPT_WORDS="$(field minor_words_per_kept_row)"
+[ -n "$REREAD" ] && [ "$REREAD" = "$UPDATED" ] \
+  || { echo "pax_vectorized_after_update re-read $REREAD rows, $UPDATED were updated"; exit 1; }
+awk -v w="$KEPT_WORDS" 'BEGIN { exit !(w < 50) }' \
+  || { echo "pax_vectorized_after_update allocates $KEPT_WORDS minor words per kept row, want < 50"; exit 1; }
 grep -q '"grouped_pax_vs_row_speedup"' BENCH_micro.json \
   || { echo "BENCH_micro.json: no grouped_pax_vs_row_speedup"; exit 1; }
 grep -q '"grouped_row_many_groups"' BENCH_micro.json \

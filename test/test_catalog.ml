@@ -441,10 +441,20 @@ let test_normalize_semantics () =
    with
   | Value.Tuple [ ("a", Value.Int 1); ("b", Value.Int 2) ] -> ()
   | v -> Alcotest.failf "unexpected %s" (Value.to_string v));
-  (* unknown attributes still rejected *)
-  match Catalog.normalize cat "P" (Value.Tuple [ ("zz", Value.Int 0) ]) with
-  | exception Catalog.Schema_error _ -> ()
-  | v -> Alcotest.failf "accepted unknown attr: %s" (Value.to_string v)
+  (* unknown attributes and type mismatches rejected, in these words;
+     an unknown attribute is reported before any mismatch *)
+  let error value =
+    match Catalog.normalize cat "P" value with
+    | exception Catalog.Schema_error m -> m
+    | v -> Alcotest.failf "accepted %s" (Value.to_string v)
+  in
+  Alcotest.(check string) "unknown attribute" "class P has no attribute zz"
+    (error (Value.Tuple [ ("zz", Value.Int 0) ]));
+  Alcotest.(check string) "unknown before mismatch" "class P has no attribute zz"
+    (error (Value.Tuple [ ("a", Value.Str "x"); ("zz", Value.Int 0) ]));
+  Alcotest.(check string) "type mismatch"
+    "attribute P.b: value \"x\" does not conform to Integer"
+    (error (Value.Tuple [ ("a", Value.Int 1); ("b", Value.Str "x") ]))
 
 let suites =
   [ ( "catalog.schema",

@@ -166,6 +166,68 @@ let test_rle_pin () =
   Alcotest.(check bool) "rle runs counted" true
     (Scan_metrics.m.Scan_metrics.rle_runs > runs0)
 
+(* FNV-1a-32 known answers: the page checksum is the published hash. *)
+let test_checksum_known_answers () =
+  List.iter
+    (fun (s, want) -> Alcotest.(check int) (Printf.sprintf "%S" s) want (Pax.checksum s ~pos:0))
+    [ ("", 0x811c9dc5); ("a", 0xe40c292c); ("foobar", 0xbf9cf968) ];
+  Alcotest.(check int) "from a position" 0xe40c292c (Pax.checksum "xya" ~pos:2)
+
+(* A page rebuilt from a kept base batch plus re-read rows encodes to
+   the bytes a full re-encode of its rows gives: base pages under every
+   string hint, off-kind cells on either side (which demote a column to
+   the generic minipage, or promote it back once they are gone), NULLs,
+   deleted and added slots. *)
+let test_merged_rebuild_bytes () =
+  let rng = Prng.create ~seed:19 in
+  let off_kind () =
+    match Prng.int rng ~bound:3 with
+    | 0 -> Value.Long 5L
+    | 1 -> Value.Char 'q'
+    | _ -> Value.Bool true
+  in
+  let cell kind = if Prng.int rng ~bound:12 = 0 then off_kind () else gen_cell rng kind in
+  let tuple () =
+    Value.Tuple (Array.to_list (Array.map (fun (name, kind) -> (name, cell kind)) fuzz_schema))
+  in
+  for round = 1 to 300 do
+    let hints =
+      match Prng.int rng ~bound:3 with
+      | 0 -> [ ("c", Pax.Prefer_dict) ]
+      | 1 -> [ ("c", Pax.No_dict) ]
+      | _ -> []
+    in
+    let encode slots rows = Pax.encode_page ~schema:fuzz_schema ~hints ~slots ~rows in
+    (* the base: every other slot of 0 .. 2m, some rows later rewritten *)
+    let m = Prng.int rng ~bound:80 in
+    let base_slots = Array.init m (fun i -> 2 * i) in
+    let base_rows = Array.init m (fun _ -> tuple ()) in
+    let base = Pax.decode_page ~schema:fuzz_schema (encode base_slots base_rows) in
+    (* the page now: base slots minus some, plus odd slots; rows kept,
+       rewritten or new *)
+    let now = ref [] in
+    for slot = (2 * m) + 3 downto 0 do
+      let in_base = slot mod 2 = 0 && slot < 2 * m in
+      match Prng.int rng ~bound:4 with
+      | 0 when in_base -> () (* deleted *)
+      | 1 | 2 when in_base -> now := (slot, base_rows.(slot / 2), slot / 2) :: !now
+      | _ when in_base || Prng.int rng ~bound:3 = 0 -> now := (slot, tuple (), -1) :: !now
+      | _ -> ()
+    done;
+    let now = Array.of_list !now in
+    let slots = Array.map (fun (slot, _, _) -> slot) now in
+    let rows = Array.map (fun (_, row, _) -> row) now in
+    let from_base = Array.map (fun (_, _, i) -> i) now in
+    let merged =
+      Pax.encode_batch ~hints
+        (Pax.page_columns ~schema:fuzz_schema ~slots ~base:(Some base) ~from_base
+           ~rows:(Array.mapi (fun j row -> if from_base.(j) >= 0 then Value.Null else row) rows))
+    in
+    if not (String.equal merged (encode slots rows)) then
+      Alcotest.failf "round %d: a merged rebuild of %d rows differs from a full encode" round
+        (Array.length slots)
+  done
+
 (* ------------------------------------------------------------------ *)
 (* Derived segment: determinism, torn pages, healing                   *)
 
@@ -573,6 +635,8 @@ let suites =
         Alcotest.test_case "codec rejects corruption" `Quick test_codec_rejects_corruption;
         QCheck_alcotest.to_alcotest prop_prefix_corrupt;
         Alcotest.test_case "rle pin" `Quick test_rle_pin;
+        Alcotest.test_case "checksum known answers" `Quick test_checksum_known_answers;
+        Alcotest.test_case "merged rebuild bytes" `Quick test_merged_rebuild_bytes;
         Alcotest.test_case "rebuild determinism" `Quick test_rebuild_determinism;
         Alcotest.test_case "torn page heals" `Quick test_torn_page_heals;
         Alcotest.test_case "analyze dict chooser" `Quick test_dict_chooser;

@@ -1411,6 +1411,224 @@ let test_value_join_estimates () =
   let rows = "SELECT v.id, e.size FROM SelV v, SelE e WHERE v.weight = e.size AND e.cylinders = 2" in
   check rows (List.length (Executor.result_values (Db.query d rows)))
 
+(* ---------------- DML through the optimizer ---------------- *)
+
+(* The target search UPDATE and DELETE used before they were planned:
+   every object of the deep extent, filtered by the interpreter. *)
+let oracle_targets d ~cls ~var ~where =
+  let env = Db.executor_env d in
+  let out = ref [] in
+  Catalog.scan_extent (Db.catalog d) ~every:true cls ~f:(fun oid value ->
+      let row = [ (var, { Collection.oid = Some oid; value }) ] in
+      if match where with None -> true | Some p -> Eval.predicate env row p then
+        out := (oid, row) :: !out);
+  List.rev !out
+
+(* A statement applied through that oracle, unlogged: the count it
+   reports. *)
+let oracle_dml d src =
+  let cat = Db.catalog d in
+  match Parser.parse src with
+  | Ast.Update { up_class; up_var; up_set; up_where } ->
+      let env = Db.executor_env d in
+      List.fold_left
+        (fun acc (oid, row) ->
+          let value =
+            List.fold_left
+              (fun v (attr, e) -> Value.tuple_set v attr (Eval.expr env row e))
+              (Eval.lookup_var row up_var).Collection.value up_set
+          in
+          if Catalog.update_object cat oid value then acc + 1 else acc)
+        0
+        (oracle_targets d ~cls:up_class ~var:up_var ~where:up_where)
+  | Ast.Delete { de_class; de_var; de_where } ->
+      List.fold_left
+        (fun acc (oid, _) -> if Catalog.delete_object cat oid then acc + 1 else acc)
+        0
+        (oracle_targets d ~cls:de_class ~var:de_var ~where:de_where)
+  | _ -> Alcotest.failf "not a DML statement: %s" src
+
+let dml_db () =
+  let d = Db.create () in
+  List.iter
+    (fun src ->
+      match Db.exec d src with Ok _ -> () | Error m -> Alcotest.failf "%s: %s" src m)
+    [ "CREATE CLASS Part TUPLE (a Integer, b Integer, n Integer, s String(8), pad String(160)) \
+       LAYOUT PAX";
+      "CREATE CLASS SubPart INHERITS FROM Part TUPLE (extra Integer)";
+      "CREATE CLASS Holder TUPLE (part REFERENCE(Part), many SET(REFERENCE(Part)), k Integer)";
+      "CREATE BTREE INDEX ON Part (b)";
+      "DEFINE METHOD Part::twice () Integer { return n * 2; }"
+    ];
+  let part i =
+    [ ("a", Value.Int (i mod 7));
+      ("b", Value.Int (i mod 300));
+      ("n", Value.Int i);
+      ("s", if i mod 11 = 0 then Value.Null else Value.Str (Printf.sprintf "s%d" (i mod 3)));
+      ("pad", Value.Str (String.make 150 (Char.chr (97 + (i mod 26)))))
+    ]
+  in
+  let parts =
+    Array.init 1200 (fun i ->
+        if i mod 6 = 5 then
+          Db.insert d ~class_name:"SubPart" (Value.Tuple (part i @ [ ("extra", Value.Int (i mod 9)) ]))
+        else Db.insert d ~class_name:"Part" (Value.Tuple (part i)))
+  in
+  for i = 0 to 149 do
+    ignore
+      (Db.insert d ~class_name:"Holder"
+         (Value.Tuple
+            [ ("part", Value.Ref parts.(i * 7 mod 1200));
+              ("many", Value.Set (List.map (fun j -> Value.Ref parts.((i + (j * 7)) mod 1200)) [ 0; 1; 2 ]));
+              ("k", Value.Int (i mod 4))
+            ]))
+  done;
+  Db.analyze d;
+  d
+
+(* Each statement runs planned on one database and through the oracle
+   on an identical one; the counts and then every extent must agree.
+   Every UPDATE changes each target (n + 1, extra + 1, ...), so equal
+   states mean equal target sets. The planned side first builds its
+   PAX pages, and each statement dirties them for the next. Part's
+   objects are wide and [b] is selective, so [WHERE p.b = k] probes the
+   B+-tree (an INDSEL, under either forced scan); a second session's
+   snapshot stays open across the UPDATE of [b], so the superseded
+   postings of b = 1 are still in the tree when the next statement
+   probes it. *)
+let test_dml_matches_oracle () =
+  List.iter
+    (fun force ->
+      let planned = dml_db () and oracle = dml_db () in
+      (match Db.exec planned ("SET SCAN_FORCE " ^ force) with
+      | Ok _ -> ()
+      | Error m -> Alcotest.fail m);
+      ignore (Db.query planned "SELECT COUNT(*) FROM Part p WHERE p.n > 0");
+      let reader = Db.begin_session_txn planned in
+      let step src =
+        let want = oracle_dml oracle src in
+        let got =
+          match Db.exec planned src with
+          | Ok (Db.Updated k | Db.Deleted k) -> k
+          | Ok _ -> Alcotest.failf "%s: not a DML result" src
+          | Error m -> Alcotest.failf "%s: %s" src m
+        in
+        Alcotest.(check int) (force ^ ": " ^ src ^ ": count") want got;
+        if Db.snapshot planned <> Db.snapshot oracle then
+          Alcotest.failf "%s: %s: state differs from the oracle's" force src
+      in
+      List.iter step
+        [ (* PAX class (and its row-layout subclass) with dirty pages *)
+          "UPDATE Part p SET n = p.n + 1 WHERE p.a = 3";
+          "UPDATE Part p SET n = p.n + 1, s = 'w' WHERE p.a = 4";
+          "DELETE FROM Part p WHERE p.a = 5 AND p.n > 200";
+          (* the row-layout subclass alone *)
+          "UPDATE SubPart p SET extra = p.extra + 1 WHERE p.extra > 3";
+          "DELETE FROM SubPart p WHERE p.extra = 2";
+          (* B+-tree attribute, old postings held by the open snapshot *)
+          "UPDATE Part p SET b = 99 WHERE p.b = 1";
+          "UPDATE Part p SET n = p.n + 1 WHERE p.b = 1";
+          "UPDATE Part p SET n = p.n + 1 WHERE p.b = 99";
+          "DELETE FROM Part p WHERE p.b = 1";
+          (* path predicates *)
+          "UPDATE Holder h SET k = h.k + 1 WHERE h.part.a = 2";
+          "DELETE FROM Holder h WHERE h.part.b = 7";
+          (* a set-valued path can reach a target more than once *)
+          "UPDATE Holder h SET k = h.k + 1 WHERE h.many.a = 2";
+          "DELETE FROM Holder h WHERE h.many.a = 3";
+          (* method predicate *)
+          "UPDATE Part p SET n = p.n + 1 WHERE p.twice() > 700";
+          "DELETE FROM Part p WHERE p.twice() < 20";
+          (* an object meeting both disjuncts gets one + 1 *)
+          "UPDATE Part p SET n = p.n + 1 WHERE p.a = 1 OR p.b = 8";
+          "DELETE FROM Part p WHERE p.a = 6 OR p.b = 13";
+          (* nothing matches *)
+          "UPDATE Part p SET n = p.n + 1 WHERE p.a = 42";
+          "DELETE FROM Part p WHERE p.n < -5"
+        ];
+      Db.commit_session_txn planned reader;
+      Alcotest.(check (list string)) (force ^ ": indexes") [] (Catalog.validate_indexes (Db.catalog planned)))
+    [ "ROW"; "VECTOR" ]
+
+(* A keyed UPDATE probes the B+-tree on Vehicle(id): its buffer accesses
+   do not grow with the extent. *)
+let test_keyed_update_io_flat () =
+  let accesses n =
+    let d = Db.create () in
+    Mood_workload.Vehicle.define_schema (Db.catalog d);
+    let classes = [| "Vehicle"; "Automobile"; "JapaneseAuto" |] in
+    for i = 0 to n - 1 do
+      ignore
+        (Db.insert d ~class_name:classes.(i mod 3)
+           (Value.Tuple [ ("id", Value.Int i); ("weight", Value.Int (1000 + i)) ]))
+    done;
+    (match Db.exec d "CREATE BTREE INDEX ON Vehicle (id)" with
+    | Ok _ -> ()
+    | Error m -> Alcotest.fail m);
+    Db.analyze d;
+    let buffer_accesses () =
+      let stats = Db.metrics_snapshot d in
+      List.assoc "buffer.hits" stats + List.assoc "buffer.misses" stats
+    in
+    let before = buffer_accesses () in
+    (match Db.exec d "UPDATE Vehicle v SET weight = v.weight + 1 WHERE v.id = 500" with
+    | Ok (Db.Updated 1) -> ()
+    | Ok _ -> Alcotest.fail "the keyed UPDATE did not update one object"
+    | Error m -> Alcotest.fail m);
+    buffer_accesses () - before
+  in
+  let small = accesses 1_000 in
+  Alcotest.(check int) "accesses at 4,000 vehicles = at 1,000" small (accesses 4_000)
+
+(* A path index follows no write: the first write to a class on its
+   path makes it stale, and only ANALYZE rebuilds it. *)
+let test_path_index_goes_stale () =
+  let d = Db.create ~buffer_capacity:512 () in
+  let cat = Db.catalog d in
+  Mood_workload.Vehicle.define_schema cat;
+  ignore (Mood_workload.Vehicle.generate ~catalog:cat ~scale:0.01 ());
+  ignore (Catalog.create_path_index cat ~class_name:"Vehicle" ~path:[ "drivetrain"; "engine"; "cylinders" ]);
+  Db.analyze d;
+  let src = "SELECT v FROM Vehicle v WHERE v.drivetrain.engine.cylinders = 2" in
+  let uses_index () =
+    Helpers.contains (Plan.render (Db.optimize d src).Mood_optimizer.Optimizer.plan) "PATH_INDSEL"
+  in
+  let check_answer what =
+    let want =
+      List.sort Oid.compare
+        (List.map fst
+           (oracle_targets d ~cls:"Vehicle" ~var:"v"
+              ~where:(Parser.parse_query src).Ast.where))
+    in
+    let got = List.sort Oid.compare (Executor.result_oids (Db.query d src)) in
+    Alcotest.(check (list string)) what (List.map Oid.to_string want) (List.map Oid.to_string got);
+    List.length got
+  in
+  Alcotest.(check bool) "planned through the path index" true (uses_index ());
+  Alcotest.(check bool) "some vehicle matches" true (check_answer "fresh index" > 0);
+  (match Db.exec d "UPDATE VehicleEngine e SET cylinders = 99 WHERE e.cylinders = 2" with
+  | Ok (Db.Updated k) when k > 0 -> ()
+  | Ok _ -> Alcotest.fail "no engine updated"
+  | Error m -> Alcotest.fail m);
+  Alcotest.(check bool) "stale index not planned" false (uses_index ());
+  Alcotest.(check int) "no head after the UPDATE" 0 (check_answer "after UPDATE");
+  let engine =
+    Db.insert d ~class_name:"VehicleEngine"
+      (Value.Tuple [ ("size", Value.Int 1000); ("cylinders", Value.Int 2) ])
+  in
+  let drivetrain =
+    Db.insert d ~class_name:"VehicleDriveTrain"
+      (Value.Tuple [ ("engine", Value.Ref engine); ("transmission", Value.Str "manual") ])
+  in
+  ignore
+    (Db.insert d ~class_name:"JapaneseAuto"
+       (Value.Tuple
+          [ ("id", Value.Int 9999); ("weight", Value.Int 900); ("drivetrain", Value.Ref drivetrain) ]));
+  Alcotest.(check int) "the bulk-inserted head" 1 (check_answer "after the bulk insert");
+  Db.analyze d;
+  Alcotest.(check bool) "ANALYZE rebuilds it" true (uses_index ());
+  Alcotest.(check int) "rebuilt index" 1 (check_answer "after ANALYZE")
+
 let suites =
   [ ( "executor.oracle",
       [ Alcotest.test_case "Example 8.2" `Quick test_example_82_execution;
@@ -1480,5 +1698,10 @@ let suites =
         Alcotest.test_case "read attributes fit JOIN_MEM" `Quick test_read_attributes_fit_join_mem;
         Alcotest.test_case "footprint = entry bytes" `Quick test_footprint_matches_entries;
         Alcotest.test_case "value-join estimates from dist" `Quick test_value_join_estimates
+      ] );
+    ( "executor.dml",
+      [ Alcotest.test_case "targets match the oracle" `Quick test_dml_matches_oracle;
+        Alcotest.test_case "keyed update I/O is flat" `Quick test_keyed_update_io_flat;
+        Alcotest.test_case "path index goes stale" `Quick test_path_index_goes_stale
       ] )
   ]
