@@ -1,5 +1,6 @@
 module Ast = Mood_sql.Ast
 module Value = Mood_model.Value
+module Operand = Mood_model.Operand
 module Fm = Mood_funcmgr.Function_manager
 module Collection = Mood_algebra.Collection
 
@@ -8,39 +9,28 @@ type pred_fn = Eval.env -> Eval.row -> bool
 
 let item_value (item : Collection.item) = item.Collection.value
 
-(* The Int32-range guard of the fast paths below. Int32-range operands
-   stay Int through the operand layer (Int64 arithmetic then 63-bit
-   truncation agrees with native int arithmetic), and their numeric
-   comparison via float is exact, so inside the guard native ints give
-   the interpreter's answers. *)
-let in32 x = x >= -2147483648 && x <= 2147483647
-
-(* Anything wider than the guard promotes to Long in the operand layer
-   and takes the generic route; so do zero divisors, so failures are
-   the interpreter's, byte for byte. *)
+(* [Operand.int32_fast] is the one Int32 fast path. Everything outside
+   it, zero divisors and results past Int32 included, takes [Eval]'s
+   route, so values and failures are the interpreter's, byte for byte. *)
 let arith op =
-  let generic = Eval.arith op in
-  let int_fast =
+  let operator =
     match op with
-    | Ast.Add -> fun x y -> Value.Int (x + y)
-    | Ast.Sub -> fun x y -> Value.Int (x - y)
-    | Ast.Mul -> fun x y -> Value.Int (x * y)
-    | Ast.Div ->
-        fun x y -> if y = 0 then generic (Value.Int x) (Value.Int y) else Value.Int (x / y)
-    | Ast.Mod ->
-        fun x y -> if y = 0 then generic (Value.Int x) (Value.Int y) else Value.Int (x mod y)
+    | Ast.Add -> `Add
+    | Ast.Sub -> `Sub
+    | Ast.Mul -> `Mul
+    | Ast.Div -> `Div
+    | Ast.Mod -> `Mod
   in
-  fun va vb ->
-    match va, vb with
-    | Value.Int x, Value.Int y when in32 x && in32 y -> int_fast x y
-    | _, _ -> generic va vb
+  Operand.int32_fast operator (Eval.arith op)
 
-let cmp c =
-  let holds = Eval.comparison_holds c in
-  fun va vb ->
-    match va, vb with
-    | Value.Int x, Value.Int y when in32 x && in32 y -> holds (Int.compare x y)
-    | _, _ -> Eval.cmp_values c va vb
+let cmp c = Operand.int32_compare (Eval.comparison_holds c) (Eval.cmp_values c)
+
+(* Left to right, as [Eval] evaluates a call's arguments. *)
+let rec eval_all env row = function
+  | [] -> []
+  | f :: rest ->
+      let v = f env row in
+      v :: eval_all env row rest
 
 (* One compile-time pass: every [match] on AST constructors below runs
    once per plan; the returned closures dispatch on nothing but data. *)
@@ -51,24 +41,32 @@ let rec expr (e : Ast.expr) : expr_fn =
   | Ast.Path (var, path) -> fun env row -> Eval.path_value env (Eval.lookup_var row var) path
   | Ast.Method_call (var, path, name, args) ->
       let cargs = List.map expr args in
-      fun env row ->
+      let failed message = Eval.eval_error "%s" message in
+      let non_object v =
+        Eval.eval_error "method %s on non-object value %s" name (Value.to_string v)
+      in
+      if path = [] then fun env row ->
+        (* The range variable's own object: the row holds its value, so
+           the bound body runs on it and nothing is fetched again. *)
         let item = Eval.lookup_var row var in
-        let receivers =
-          if path = [] then [ Eval.item_ref item ]
-          else Eval.navigate env (item_value item) path
-        in
-        let arg_values = List.map (fun f -> f env row) cargs in
-        let invoke receiver =
-          match receiver with
-          | Value.Ref oid -> begin
+        let args = eval_all env row cargs in
+        begin
+          match item.Collection.oid with
+          | Some self -> (
               try
-                Fm.invoke env.Eval.funcs ~scope:env.Eval.scope ~self:oid
-                  ~function_name:name ~args:arg_values
-              with Fm.Mood_exception { message; _ } -> Eval.eval_error "%s" message
-            end
-          | other ->
-              Eval.eval_error "method %s on non-object value %s" name
-                (Value.to_string other)
+                Fm.invoke_stored env.Eval.funcs ~scope:env.Eval.scope ~self
+                  ~value:item.Collection.value ~function_name:name ~args
+              with Fm.Mood_exception { message; _ } -> failed message)
+          | None -> non_object item.Collection.value
+        end
+      else fun env row ->
+        let receivers = Eval.navigate env (item_value (Eval.lookup_var row var)) path in
+        let args = eval_all env row cargs in
+        let invoke = function
+          | Value.Ref self -> (
+              try Fm.invoke env.Eval.funcs ~scope:env.Eval.scope ~self ~function_name:name ~args
+              with Fm.Mood_exception { message; _ } -> failed message)
+          | other -> non_object other
         in
         begin
           match receivers with

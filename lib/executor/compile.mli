@@ -11,8 +11,12 @@
     The closures are built from [Eval]'s building blocks (navigation,
     [Eval.arith], [Eval.negate], [Eval.cmp_values]), so they share the
     interpreter's semantics except where [arith] and [cmp] take their
-    Int32 fast path. Those fast paths are the only code of their kind:
-    [Vectorize] binds batch expressions through them too.
+    Int32 fast path, the guard [Mood_model.Operand] shares with the
+    lowered MoodC bodies; [Vectorize] binds batch expressions through
+    them too. A method call on the range variable itself
+    ([v.m()]) runs the body the scope bound for the object's class on
+    the row's value ([Function_manager.invoke_stored]); a call through
+    a path fetches each receiver, as [Eval] does.
     [interpret_expr]/[interpret_predicate] wrap the interpreter behind
     the same types, so an executor can run either lowering and a
     differential test can compare the fast paths with the generic ones
@@ -21,20 +25,17 @@
 type expr_fn = Eval.env -> Eval.row -> Mood_model.Value.t
 type pred_fn = Eval.env -> Eval.row -> bool
 
-val in32 : int -> bool
-(** Whether an [Int] lies in the Int32 range, where native [int]
-    arithmetic and [Int.compare] agree with the operand layer and the
-    interpreter's float-based numeric comparison. *)
-
 val arith :
   Mood_sql.Ast.arith -> Mood_model.Value.t -> Mood_model.Value.t -> Mood_model.Value.t
-(** [arith op] resolves the operator once. Two [Int]s inside [in32]
-    compute natively; everything else, zero divisors included, takes
-    [Eval.arith op], so results and errors are the interpreter's. *)
+(** [arith op] resolves the operator once. [Operand.int32_fast]
+    computes two [Int]s whose result stays inside [Operand.in32];
+    everything else, zero divisors and results past Int32 included,
+    takes [Eval.arith op], so values, constructors and errors are the
+    interpreter's. *)
 
 val cmp : Mood_sql.Ast.comparison -> Mood_model.Value.t -> Mood_model.Value.t -> bool
-(** [cmp c] resolves the comparison once. Two [Int]s inside [in32]
-    compare with [Int.compare]; everything else takes
+(** [cmp c] resolves the comparison once. Two [Int]s inside
+    [Operand.in32] compare with [Int.compare]; everything else takes
     [Eval.cmp_values c]. *)
 
 val expr : Mood_sql.Ast.expr -> expr_fn

@@ -15,7 +15,7 @@ module M = Mood_column.Scan_metrics
    (the one Int32 fast path, then [Eval]'s semantics) and groups the
    row engine's [Group_table]; the column specializations keep NULL
    comparing false and the float-based numeric comparison outside
-   [Compile.in32]. Only the accumulators are this module's own: the
+   [Operand.in32]. Only the accumulators are this module's own: the
    oracle checks them against the row engine's fold. The binders cover
    exactly the optimizer's vectorizable grammar, the only shapes a VSCAN
    carries; any other shape raises [Invalid_argument]. *)
@@ -79,13 +79,13 @@ let cmp_column_const cmp (col : Batch.column) (c : Value.t) : (int -> bool) opti
       (* NULL compares false against everything, every operator. *)
       Some (fun _ -> false)
   | Batch.Ints arr, Value.Int ci ->
-      let cf = float_of_int ci and c32 = Compile.in32 ci in
+      let cf = float_of_int ci and c32 = Operand.in32 ci in
       Some
         (fun i ->
           (not (Batch.is_null col i))
           &&
           let x = arr.(i) in
-          if c32 && Compile.in32 x then holds (Int.compare x ci)
+          if c32 && Operand.in32 x then holds (Int.compare x ci)
           else holds (Float.compare (float_of_int x) cf))
   | Batch.Ints arr, (Value.Long _ | Value.Float _) ->
       let cf = Option.get (Value.as_float c) in
@@ -239,12 +239,12 @@ let push_sum_int acc x =
       if not acc.a_iseen then begin
         acc.a_iseen <- true;
         acc.a_isum <- x;
-        acc.a_i64 <- not (Compile.in32 x)
+        acc.a_i64 <- not (Operand.in32 x)
       end
       else begin
         let s = acc.a_isum + x in
         acc.a_isum <- s;
-        acc.a_i64 <- acc.a_i64 || (not (Compile.in32 x)) || not (Compile.in32 s)
+        acc.a_i64 <- acc.a_i64 || (not (Operand.in32 x)) || not (Operand.in32 s)
       end
 
 let push_avg acc f =

@@ -20,7 +20,7 @@ type native_fn =
 
 type body = Moodc of string | Native of native_fn
 
-type compiled = C_moodc of Moodc.ast * string (* ast + original source *) | C_native of native_fn
+type compiled = C_moodc of Moodc.code * string (* lowered body + original source *) | C_native of native_fn
 
 type shared_object = {
   class_name : string;
@@ -30,22 +30,52 @@ type shared_object = {
 
 type t = {
   catalog : Catalog.t;
+  deref : Oid.t -> Value.t option;  (* the kernel's dereference, handed to every body *)
   shared_objects : (string, shared_object) Hashtbl.t;
+  mutable generation : int;  (* bumped by every [define] and [drop] *)
   mutable load_count : int;
-  mutable next_scope : int;
 }
 
+(* A method bound for one receiver class: the body late binding chose,
+   and the receiver's class, which its errors name. *)
+type binding = { b_class : string; b_body : compiled }
+
+(* (receiver class id, function name, argument count) *)
+module Binding_key = struct
+  type t = { cls : int; fn : string; nargs : int }
+
+  let equal a b = a.cls = b.cls && a.nargs = b.nargs && String.equal a.fn b.fn
+
+  let hash k = (((Hashtbl.hash k.fn * 31) + k.cls) * 31) + k.nargs
+end
+
+module Bindings = Hashtbl.Make (Binding_key)
+
 type scope = {
-  id : int;
   cache : (string, compiled * int) Hashtbl.t; (* signature key -> (fn, version) *)
+  bindings : binding Bindings.t;
+  (* the Function Manager's generation and the catalog epoch the
+     bindings were made under *)
+  mutable bound_generation : int;
+  mutable bound_epoch : int;
 }
 
 let create ~catalog =
-  { catalog; shared_objects = Hashtbl.create 16; load_count = 0; next_scope = 0 }
+  { catalog;
+    deref = Catalog.get_object catalog;
+    shared_objects = Hashtbl.create 16;
+    generation = 0;
+    load_count = 0
+  }
 
 let signature_key ~class_name ~function_name ~param_types =
   Printf.sprintf "%s::%s(%s)" class_name function_name
     (String.concat "," (List.map Mtype.to_string param_types))
+
+(* Whether [key] is a signature of [class_name::function_name], whatever
+   its parameter types. *)
+let signs ~class_name ~function_name key =
+  String.starts_with ~prefix:(Printf.sprintf "%s::%s(" class_name function_name) key
 
 let shared_object t class_name =
   match Hashtbl.find_opt t.shared_objects class_name with
@@ -114,98 +144,106 @@ let define t ~class_name ~(signature : Catalog.method_signature) body =
       in
       if not declared then Catalog.add_method t.catalog ~class_name signature;
       so.functions <- (key, compiled) :: List.remove_assoc key so.functions;
-      so.version <- so.version + 1)
+      so.version <- so.version + 1;
+      t.generation <- t.generation + 1)
 
 let drop t ~class_name ~function_name =
   with_so_lock t class_name (fun () ->
       let so = shared_object t class_name in
-      let prefix = Printf.sprintf "%s::%s(" class_name function_name in
       let survivors =
-        List.filter
-          (fun (key, _) -> not (String.length key >= String.length prefix
-                                && String.equal (String.sub key 0 (String.length prefix)) prefix))
-          so.functions
+        List.filter (fun (key, _) -> not (signs ~class_name ~function_name key)) so.functions
       in
       if List.length survivors = List.length so.functions then
         mood_exception ~class_name ~function_name "function not found in shared object";
       so.functions <- survivors;
       so.version <- so.version + 1;
+      t.generation <- t.generation + 1;
       Catalog.drop_method t.catalog ~class_name ~method_name:function_name)
 
 let enter_scope t =
-  let id = t.next_scope in
-  t.next_scope <- id + 1;
-  { id; cache = Hashtbl.create 8 }
+  { cache = Hashtbl.create 8;
+    bindings = Bindings.create 8;
+    bound_generation = t.generation;
+    bound_epoch = Catalog.epoch t.catalog
+  }
 
-let exit_scope _t scope = Hashtbl.reset scope.cache
+let exit_scope _t scope =
+  Hashtbl.reset scope.cache;
+  Bindings.reset scope.bindings
 
 (* Resolve the owning class of a method: the first class in MRO order
    (self, then superclasses left-to-right, recursively) whose shared
    object defines the signature key for that class. *)
-let rec resolve t class_name function_name nargs =
+let rec resolve t class_name function_name =
   let try_class cls =
     match Catalog.find_class t.catalog cls with
     | None -> None
     | Some _ ->
         let so = shared_object t cls in
-        let found =
-          List.find_opt
-            (fun (key, _) ->
-              let prefix = Printf.sprintf "%s::%s(" cls function_name in
-              String.length key >= String.length prefix
-              && String.equal (String.sub key 0 (String.length prefix)) prefix)
-            so.functions
-        in
-        Option.map (fun (key, compiled) -> (cls, key, compiled, so.version)) found
+        List.find_opt (fun (key, _) -> signs ~class_name:cls ~function_name key) so.functions
+        |> Option.map (fun (key, compiled) -> (key, compiled, so.version))
   in
   match try_class class_name with
   | Some hit -> Some hit
   | None ->
-      let rec first_some = function
-        | [] -> None
-        | super :: rest -> begin
-            match resolve t super function_name nargs with
-            | Some hit -> Some hit
-            | None -> first_some rest
-          end
-      in
-      first_some (Catalog.superclasses t.catalog class_name)
+      List.find_map
+        (fun super -> resolve t super function_name)
+        (Catalog.superclasses t.catalog class_name)
 
 let signature_of t class_name function_name =
   Catalog.find_method t.catalog ~class_name ~method_name:function_name
 
-let load t ~scope ~class_name ~function_name ~nargs =
-  match resolve t class_name function_name nargs with
+let load t ~scope ~class_name ~function_name =
+  match resolve t class_name function_name with
   | None ->
       mood_exception ~class_name ~function_name
         "signature not found in CATALOG for class %s" class_name
-  | Some (owner, key, compiled, version) -> begin
+  | Some (key, compiled, version) -> begin
       (* Scope cache: opened shared objects stay loaded until the scope
          changes; a rebuilt shared object (newer version) is reloaded. *)
       match Hashtbl.find_opt scope.cache key with
       | Some (cached, v) when v = version -> cached
       | Some _ | None ->
           t.load_count <- t.load_count + 1;
-          ignore owner;
           Hashtbl.replace scope.cache key (compiled, version);
           compiled
     end
 
-let check_arity t ~class_name ~function_name ~args =
+let check_arity t ~class_name ~function_name ~nargs =
   match signature_of t class_name function_name with
   | Some m ->
       let expected = List.length m.Catalog.parameters in
-      if expected <> List.length args then
+      if expected <> nargs then
         mood_exception ~class_name ~function_name "expected %d argument(s), got %d"
-          expected (List.length args)
+          expected nargs
   | None -> ()
 
-let run_compiled t ~class_name ~function_name compiled ~self ~args =
-  let deref oid = Catalog.get_object t.catalog oid in
+(* The scope's bindings, emptied first when a [define] or [drop] or a
+   schema change has happened since they were made: each could change
+   what a signature resolves to. *)
+let bindings t scope =
+  let epoch = Catalog.epoch t.catalog in
+  if scope.bound_generation <> t.generation || scope.bound_epoch <> epoch then begin
+    Bindings.reset scope.bindings;
+    scope.bound_generation <- t.generation;
+    scope.bound_epoch <- epoch
+  end;
+  scope.bindings
+
+(* A binding miss: the paper's control flow, once per scope and
+   receiver class. *)
+let bind t ~scope (key : Binding_key.t) ~class_name =
+  check_arity t ~class_name ~function_name:key.fn ~nargs:key.nargs;
+  let b = { b_class = class_name; b_body = load t ~scope ~class_name ~function_name:key.fn } in
+  Bindings.replace scope.bindings key b;
+  b
+
+let call t b ~function_name ~self ~args =
+  let class_name = b.b_class in
   try
-    match compiled with
-    | C_native fn -> fn ~deref ~self ~args
-    | C_moodc (ast, _) -> Moodc.run ast { Moodc.deref; self; args }
+    match b.b_body with
+    | C_native fn -> fn ~deref:t.deref ~self ~args
+    | C_moodc (code, _) -> Moodc.exec code { Moodc.deref = t.deref; self; args }
   with
   | Mood_model.Operand.Type_error msg ->
       mood_exception ~class_name ~function_name "run-time error: %s" msg
@@ -213,42 +251,61 @@ let run_compiled t ~class_name ~function_name compiled ~self ~args =
       mood_exception ~class_name ~function_name "run-time error: division by zero"
   | Failure msg -> mood_exception ~class_name ~function_name "signal: %s" msg
 
+let key ~cls ~function_name ~args =
+  { Binding_key.cls; fn = function_name; nargs = List.length args }
+
 let invoke_on_value t ~scope ~class_name ~self ~function_name ~args =
-  check_arity t ~class_name ~function_name ~args;
-  let compiled =
-    load t ~scope ~class_name ~function_name ~nargs:(List.length args)
+  (* An unknown class has no id; its miss fails in the catalog. *)
+  let cls =
+    match Catalog.find_class t.catalog class_name with Some info -> info.Catalog.class_id | None -> -1
   in
-  run_compiled t ~class_name ~function_name compiled ~self ~args
+  let key = key ~cls ~function_name ~args in
+  let b =
+    match Bindings.find_opt (bindings t scope) key with
+    | Some b -> b
+    | None -> bind t ~scope key ~class_name
+  in
+  call t b ~function_name ~self ~args
+
+let no_class ~function_name oid =
+  mood_exception ~class_name:"?" ~function_name "object %s has no class" (Oid.to_string oid)
+
+let invoke_stored t ~scope ~self ~value ~function_name ~args =
+  let key = key ~cls:(Oid.class_id self) ~function_name ~args in
+  let b =
+    match Bindings.find_opt (bindings t scope) key with
+    | Some b -> b
+    | None -> begin
+        match Catalog.class_of_object t.catalog self with
+        | Some info -> bind t ~scope key ~class_name:info.Catalog.class_name
+        | None -> no_class ~function_name self
+      end
+  in
+  call t b ~function_name ~self:value ~args
 
 let invoke t ~scope ~self ~function_name ~args =
-  match Catalog.class_of_object t.catalog self with
-  | None ->
-      mood_exception ~class_name:"?" ~function_name "object %s has no class"
-        (Oid.to_string self)
-  | Some info -> begin
-      match Catalog.get_object t.catalog self with
-      | None ->
+  match Catalog.get_object t.catalog self with
+  | Some value -> invoke_stored t ~scope ~self ~value ~function_name ~args
+  | None -> begin
+      match Catalog.class_of_object t.catalog self with
+      | None -> no_class ~function_name self
+      | Some info ->
           mood_exception ~class_name:info.Catalog.class_name ~function_name
             "object %s not found" (Oid.to_string self)
-      | Some value ->
-          invoke_on_value t ~scope ~class_name:info.Catalog.class_name ~self:value
-            ~function_name ~args
     end
 
 let invoke_interpreted t ~self ~function_name ~args =
   match Catalog.class_of_object t.catalog self with
-  | None ->
-      mood_exception ~class_name:"?" ~function_name "object %s has no class"
-        (Oid.to_string self)
+  | None -> no_class ~function_name self
   | Some info -> begin
       let class_name = info.Catalog.class_name in
-      match resolve t class_name function_name (List.length args) with
+      match resolve t class_name function_name with
       | None ->
           mood_exception ~class_name ~function_name "signature not found in CATALOG for class %s"
             class_name
-      | Some (_, _, C_native _, _) ->
+      | Some (_, C_native _, _) ->
           mood_exception ~class_name ~function_name "native function cannot be interpreted"
-      | Some (owner, _, C_moodc (_, source), _) -> begin
+      | Some (_, C_moodc (_, source), _) -> begin
           match Catalog.get_object t.catalog self with
           | None ->
               mood_exception ~class_name ~function_name "object %s not found"
@@ -259,9 +316,7 @@ let invoke_interpreted t ~self ~function_name ~args =
                 | Some m -> List.map fst m.Catalog.parameters
                 | None -> []
               in
-              ignore owner;
-              let deref oid = Catalog.get_object t.catalog oid in
-              let env = { Moodc.deref; self = value; args } in
+              let env = { Moodc.deref = t.deref; self = value; args } in
               begin
                 try Moodc.interpret ~params (Moodc.preprocess source) env with
                 | Mood_model.Operand.Type_error msg ->

@@ -63,7 +63,15 @@ type scope
 val enter_scope : t -> scope
 (** A program scope; loaded functions are cached per scope and unloaded
     when it exits (the paper: "function is kept in memory until the
-    scope changes"). *)
+    scope changes").
+
+    Every invocation binds through its scope. The scope keeps, per
+    (receiver class, function name, argument count), the body late
+    binding resolved and the receiver's class. A binding holds until a
+    [define] or [drop] of any class or a schema change (the catalog
+    epoch) empties them all. A miss runs the paper's control flow: the
+    catalog's arity check, the IS-A resolution and the load, which
+    [loads] counts; a hit is one table lookup. *)
 
 val exit_scope : t -> scope -> unit
 
@@ -74,9 +82,22 @@ val invoke :
   function_name:string ->
   args:Mood_model.Value.t list ->
   Mood_model.Value.t
-(** Late-bound invocation on the object [self]. Raises
-    [Mood_exception] when the function cannot be resolved, the argument
+(** Late-bound invocation on the object [self]: fetches it, then
+    [invoke_stored]. Raises [Mood_exception] when the object or its
+    class is missing, the function cannot be resolved, the argument
     count mismatches, or the body fails at run time. *)
+
+val invoke_stored :
+  t ->
+  scope:scope ->
+  self:Mood_model.Oid.t ->
+  value:Mood_model.Value.t ->
+  function_name:string ->
+  args:Mood_model.Value.t list ->
+  Mood_model.Value.t
+(** [invoke] on an object whose value the caller already holds — a
+    scanned row's: binds by the class in [self]'s identifier and runs
+    the body on [value], fetching nothing. *)
 
 val invoke_on_value :
   t ->
@@ -94,10 +115,10 @@ val invoke_interpreted :
   function_name:string ->
   args:Mood_model.Value.t list ->
   Mood_model.Value.t
-(** Strawman mode for the benches: re-preprocess, re-parse and evaluate
-    the stored MoodC source on every call (what a full C++ interpreter
-    inside the kernel would do). Raises [Mood_exception] for native
-    bodies, which cannot be interpreted. *)
+(** Strawman mode for the benches: resolve, re-preprocess, re-parse
+    and walk the stored MoodC source on every call (what a full C++
+    interpreter inside the kernel would do), with no scope. Raises
+    [Mood_exception] for native bodies, which cannot be interpreted. *)
 
 val moodc_sources : t -> (string * string * string) list
 (** Every MoodC body held in the shared objects, as (class name,

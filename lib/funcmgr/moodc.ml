@@ -299,7 +299,7 @@ let rec parse_stmt ps =
   | T_int _ | T_float _ | T_string _ | T_char _ ->
       parse_error "statement cannot start with a literal"
 
-let compile ~params source =
+let parse ~params source =
   let ps = { toks = tokenize source } in
   let rec loop acc =
     match peek ps with
@@ -329,6 +329,42 @@ let rec assoc_param params args name =
   | _ :: ps, _ :: rest -> assoc_param ps rest name
   | _, _ -> None
 
+(* The steps [run] and [lower] share, each with its error. *)
+
+let of_self env name =
+  match Value.tuple_get env.self name with
+  | Some v -> v
+  | None ->
+      raise (Operand.Type_error (Printf.sprintf "unbound identifier %s in method body" name))
+
+let member env base field =
+  let target =
+    match base with
+    | Value.Ref oid -> begin
+        match env.deref oid with
+        | Some v -> v
+        | None ->
+            raise (Operand.Type_error (Printf.sprintf "dangling reference %s" (Oid.to_string oid)))
+      end
+    | other -> other
+  in
+  match Value.tuple_get target field with
+  | Some v -> v
+  | None -> raise (Operand.Type_error (Printf.sprintf "no attribute %s" field))
+
+let negate = function
+  | Value.Int i -> Value.Int (-i)
+  | Value.Long l -> Value.Long (Int64.neg l)
+  | Value.Float f -> Value.Float (-.f)
+  | _ -> raise (Operand.Type_error "unary minus on non-numeric value")
+
+(* Loops are bounded: a method body that spins 10^7 iterations is a
+   runaway, reported as the kernel's Exception rather than a hung
+   server. *)
+let loop_fuel = 10_000_000
+
+let runaway () = raise (Operand.Type_error "while loop exceeded the iteration budget")
+
 let lookup env frame ast name =
   match Hashtbl.find_opt frame name with
   | Some v -> v
@@ -336,14 +372,7 @@ let lookup env frame ast name =
       (* Parameters shadow attributes of self, as in C++. *)
       match assoc_param ast.params env.args name with
       | Some v -> v
-      | None -> begin
-          match Value.tuple_get env.self name with
-          | Some v -> v
-          | None ->
-              raise
-                (Operand.Type_error
-                   (Printf.sprintf "unbound identifier %s in method body" name))
-        end
+      | None -> of_self env name
     end
 
 let binop_eval op a b =
@@ -367,30 +396,8 @@ let rec eval_expr env frame ast e =
   match e with
   | Lit v -> v
   | Ident name -> lookup env frame ast name
-  | Member (e, field) -> begin
-      let base = eval_expr env frame ast e in
-      let target =
-        match base with
-        | Value.Ref oid -> begin
-            match env.deref oid with
-            | Some v -> v
-            | None ->
-                raise (Operand.Type_error (Printf.sprintf "dangling reference %s" (Oid.to_string oid)))
-          end
-        | other -> other
-      in
-      match Value.tuple_get target field with
-      | Some v -> v
-      | None -> raise (Operand.Type_error (Printf.sprintf "no attribute %s" field))
-    end
-  | Unary_minus e -> begin
-      let v = eval_expr env frame ast e in
-      match v with
-      | Value.Int i -> Value.Int (-i)
-      | Value.Long l -> Value.Long (Int64.neg l)
-      | Value.Float f -> Value.Float (-.f)
-      | _ -> raise (Operand.Type_error "unary minus on non-numeric value")
-    end
+  | Member (e, field) -> member env (eval_expr env frame ast e) field
+  | Unary_minus e -> negate (eval_expr env frame ast e)
   | Not e ->
       Operand.to_value (Operand.logical_not (Operand.of_value (eval_expr env frame ast e)))
   | Binop (op, l, r) ->
@@ -408,14 +415,10 @@ let rec exec_stmt env frame ast = function
         | None -> ()
       end
   | While (cond, body) ->
-      (* Loops are bounded: a method body that spins 10^7 iterations is
-         a runaway, reported as the kernel's Exception rather than a
-         hung server. *)
-      let fuel = ref 10_000_000 in
+      let fuel = ref loop_fuel in
       while Value.truthy (eval_expr env frame ast cond) do
         decr fuel;
-        if !fuel <= 0 then
-          raise (Operand.Type_error "while loop exceeded the iteration budget");
+        if !fuel <= 0 then runaway ();
         exec_stmt env frame ast body
       done
   | Block stmts -> List.iter (exec_stmt env frame ast) stmts
@@ -429,4 +432,168 @@ let run ast env =
     Value.Null
   with Returned v -> v
 
-let interpret ~params source env = run (compile ~params source) env
+let interpret ~params source env = run (parse ~params source) env
+
+(* ------------------------------------------------------------------ *)
+(* Lowering to closures                                                *)
+
+(* [lower] resolves every identifier once and turns each node into a
+   closure over its lowered children, so a call dispatches on nothing
+   but data: no frame table, no name lookup in a table, no exception to
+   return. Its semantics are [run]'s, error messages included. Two
+   sentinels stand for the states [run] keeps in its frame table and
+   its [Returned] exception. They are allocated here, at run time, so
+   no value a body computes is physically equal to either. *)
+
+(* A local slot before the body first assigns it: the identifier still
+   means the parameter or attribute it shadows. *)
+let unset = Value.Str (String.make 1 'u')
+
+(* What a statement that did not execute a [return] yields. *)
+let no_return = Value.Str (String.make 1 'r')
+
+type slots = Value.t array
+
+type code = { nslots : int; entry : env -> slots -> Value.t }
+
+let rec index_of name i = function
+  | [] -> None
+  | p :: rest -> if String.equal p name then Some i else index_of name (i + 1) rest
+
+(* Every name a body declares or assigns, in first-appearance order. *)
+let locals_of body =
+  let rec stmt acc = function
+    | Return _ -> acc
+    | If (_, t, e) -> Option.fold ~none:(stmt acc t) ~some:(stmt (stmt acc t)) e
+    | While (_, s) -> stmt acc s
+    | Block ss -> List.fold_left stmt acc ss
+    | Declare (_, v, _) | Assign (v, _) -> if List.mem v acc then acc else acc @ [ v ]
+  in
+  List.fold_left stmt [] body
+
+(* The operand check [Operand.of_value] makes before an operator reads
+   its left side, made before the right side runs. *)
+let check_operand = function
+  | Value.Null | Value.Tuple _ | Value.Set _ | Value.List _ | Value.Ref _ as v ->
+      ignore (Operand.of_value v)
+  | Value.Int _ | Value.Long _ | Value.Float _ | Value.Str _ | Value.Char _ | Value.Bool _ -> ()
+
+let lower_binop op =
+  let generic va vb =
+    Operand.to_value (binop_eval op (Operand.of_value va) (Operand.of_value vb))
+  in
+  let compare holds = Operand.int32_compare (fun c -> Value.Bool (holds c)) generic in
+  match op with
+  | Add -> Operand.int32_fast `Add generic
+  | Sub -> Operand.int32_fast `Sub generic
+  | Mul -> Operand.int32_fast `Mul generic
+  | Div -> Operand.int32_fast `Div generic
+  | Mod -> Operand.int32_fast `Mod generic
+  | Lt -> compare (fun c -> c < 0)
+  | Le -> compare (fun c -> c <= 0)
+  | Gt -> compare (fun c -> c > 0)
+  | Ge -> compare (fun c -> c >= 0)
+  | Eq -> compare (fun c -> c = 0)
+  | Ne -> compare (fun c -> c <> 0)
+  | And -> (
+      fun va vb ->
+        match va, vb with Value.Bool x, Value.Bool y -> Value.Bool (x && y) | _ -> generic va vb)
+  | Or -> (
+      fun va vb ->
+        match va, vb with Value.Bool x, Value.Bool y -> Value.Bool (x || y) | _ -> generic va vb)
+
+let rec lower_expr params locals e : env -> slots -> Value.t =
+  match e with
+  | Lit v -> fun _ _ -> v
+  | Ident name -> begin
+      (* A local, once assigned, then a parameter the call supplied,
+         then an attribute of self. *)
+      let outer =
+        match index_of name 0 params with
+        | Some i -> (
+            fun env _ ->
+              match List.nth_opt env.args i with Some v -> v | None -> of_self env name)
+        | None -> fun env _ -> of_self env name
+      in
+      match index_of name 0 locals with
+      | Some slot ->
+          fun env slots ->
+            let v = slots.(slot) in
+            if v != unset then v else outer env slots
+      | None -> outer
+    end
+  | Member (e, field) ->
+      let base = lower_expr params locals e in
+      fun env slots -> member env (base env slots) field
+  | Unary_minus e ->
+      let operand = lower_expr params locals e in
+      fun env slots -> negate (operand env slots)
+  | Not e -> (
+      let operand = lower_expr params locals e in
+      fun env slots ->
+        match operand env slots with
+        | Value.Bool b -> Value.Bool (not b)
+        | v -> Operand.to_value (Operand.logical_not (Operand.of_value v)))
+  | Binop (op, l, r) ->
+      let left = lower_expr params locals l
+      and right = lower_expr params locals r
+      and f = lower_binop op in
+      fun env slots ->
+        let va = left env slots in
+        check_operand va;
+        f va (right env slots)
+
+(* A statement's closure yields [no_return] unless it executed a
+   [return], whose value it yields. *)
+let rec lower_stmt params locals s : env -> slots -> Value.t =
+  let expr = lower_expr params locals and stmt = lower_stmt params locals in
+  match s with
+  | Return e -> expr e
+  | If (cond, then_branch, else_branch) -> begin
+      let c = expr cond and t = stmt then_branch in
+      match else_branch with
+      | Some e ->
+          let e = stmt e in
+          fun env slots -> if Value.truthy (c env slots) then t env slots else e env slots
+      | None -> fun env slots -> if Value.truthy (c env slots) then t env slots else no_return
+    end
+  | While (cond, body) ->
+      let c = expr cond and b = stmt body in
+      fun env slots ->
+        let rec loop fuel =
+          if not (Value.truthy (c env slots)) then no_return
+          else begin
+            let fuel = fuel - 1 in
+            if fuel <= 0 then runaway ();
+            let r = b env slots in
+            if r == no_return then loop fuel else r
+          end
+        in
+        loop loop_fuel
+  | Block stmts -> sequence (List.map stmt stmts)
+  | Declare (_, var, e) | Assign (var, e) ->
+      let slot = Option.get (index_of var 0 locals) and v = expr e in
+      fun env slots ->
+        slots.(slot) <- v env slots;
+        no_return
+
+and sequence = function
+  | [] -> fun _ _ -> no_return
+  | [ s ] -> s
+  | s :: rest ->
+      let rest = sequence rest in
+      fun env slots ->
+        let r = s env slots in
+        if r == no_return then rest env slots else r
+
+let lower ast =
+  let locals = locals_of ast.body in
+  let entry = sequence (List.map (lower_stmt ast.params locals) ast.body) in
+  { nslots = List.length locals; entry }
+
+let compile ~params source = lower (parse ~params source)
+
+let exec code env =
+  let slots = if code.nslots = 0 then [||] else Array.make code.nslots unset in
+  let r = code.entry env slots in
+  if r == no_return then Value.Null else r

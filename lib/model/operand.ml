@@ -203,3 +203,50 @@ let pp ppf t =
     | P_bool b -> string_of_bool b
   in
   Format.fprintf ppf "%s:%s" (data_type_name t.dtype) value
+
+let in32 x = x >= -2147483648 && x <= 2147483647
+
+(* Returns a two-argument closure, so that a caller applies it directly
+   rather than through a partial application. *)
+let int32_compare verdict generic =
+  let compare va vb =
+    match va, vb with
+    | Value.Int x, Value.Int y when in32 x && in32 y -> verdict (Int.compare x y)
+    | _, _ -> generic va vb
+  in
+  compare
+
+(* Inside the guard the operand layer computes the same number in Int64
+   and keeps it an Int; a product of two Int32s can reach 2^62, which
+   wraps to [min_int] and so fails the result check. Each operator gets
+   its own closure: one closure calling the operator through another
+   made bench/micro's arithmetic-heavy compiled predicate about 10%
+   slower. *)
+let int32_fast op generic =
+  let result r va vb = if in32 r then Value.Int r else generic va vb in
+  match op with
+  | `Add -> (
+      fun va vb ->
+        match va, vb with
+        | Value.Int x, Value.Int y when in32 x && in32 y -> result (x + y) va vb
+        | _, _ -> generic va vb)
+  | `Sub -> (
+      fun va vb ->
+        match va, vb with
+        | Value.Int x, Value.Int y when in32 x && in32 y -> result (x - y) va vb
+        | _, _ -> generic va vb)
+  | `Mul -> (
+      fun va vb ->
+        match va, vb with
+        | Value.Int x, Value.Int y when in32 x && in32 y -> result (x * y) va vb
+        | _, _ -> generic va vb)
+  | `Div -> (
+      fun va vb ->
+        match va, vb with
+        | Value.Int x, Value.Int y when in32 x && in32 y && y <> 0 -> result (x / y) va vb
+        | _, _ -> generic va vb)
+  | `Mod -> (
+      fun va vb ->
+        match va, vb with
+        | Value.Int x, Value.Int y when in32 x && in32 y && y <> 0 -> result (x mod y) va vb
+        | _, _ -> generic va vb)

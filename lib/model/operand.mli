@@ -63,3 +63,34 @@ val logical_not : t -> t
 val pp : Format.formatter -> t -> unit
 
 val data_type_name : data_type -> string
+
+(** {1 The Int32 fast path}
+
+    Shared by every evaluator that computes over [Value.t]s with this
+    layer's semantics: the query executor's compiled closures, its
+    vectorized binders and the lowered MoodC bodies. *)
+
+val in32 : int -> bool
+(** Whether an [Int] lies in the Int32 range. Inside it, native [int]
+    arithmetic whose result lies inside it too gives this layer's
+    answer (its Int16 and Int32 results stay [Value.Int]), and
+    [Int.compare] agrees with its float-based numeric comparison. *)
+
+val int32_compare :
+  (int -> 'a) -> (Value.t -> Value.t -> 'a) -> Value.t -> Value.t -> 'a
+(** [int32_compare verdict generic]: two [Int]s inside [in32] give
+    [verdict] of their [Int.compare]; every other pair goes to
+    [generic]. *)
+
+val int32_fast :
+  [ `Add | `Sub | `Mul | `Div | `Mod ] ->
+  (Value.t -> Value.t -> Value.t) ->
+  Value.t ->
+  Value.t ->
+  Value.t
+(** [int32_fast op generic] resolves [op] once. Two [Int]s inside
+    [in32], with a nonzero divisor for [`Div] and [`Mod], compute
+    natively, and the result is an [Int] when it lies inside [in32]
+    too. Every other pair, a result that leaves the range included,
+    goes to [generic], so values, constructors ([Long] past Int32) and
+    errors are [generic]'s. *)

@@ -611,11 +611,14 @@ let plan_and_term env bindings reads (from_items : Ast.from_item list) classifie
         | _ -> None)
       classified
   in
+  (* A predicate may name its variables more than once ([s.x > s.y]):
+     it is placed by the set of variables it names. *)
+  let vars_of pred = List.sort_uniq String.compare (Ast.predicate_vars pred) in
   let other_preds_of var =
     List.filter_map
       (function
         | Classify.Other pred -> begin
-            match Ast.predicate_vars pred with
+            match vars_of pred with
             | [ v ] when String.equal v var -> Some pred
             | _ -> None
           end
@@ -626,7 +629,7 @@ let plan_and_term env bindings reads (from_items : Ast.from_item list) classifie
     List.filter_map
       (function
         | Classify.Other pred -> begin
-            match List.sort_uniq String.compare (Ast.predicate_vars pred) with
+            match vars_of pred with
             | [] | [ _ ] -> None
             | _ -> Some pred
           end

@@ -120,6 +120,16 @@ PROMOTED="$(grep '"name": "row_compiled"' BENCH_micro.json \
 awk -v p="$PROMOTED" 'BEGIN { exit !(p < 5) }' \
   || { echo "row_compiled promotes $PROMOTED words per scanned row, want < 5"; exit 1; }
 
+# A method call in a WHERE clause binds once per scope and runs on the
+# row's value: beyond the same predicate written inline it allocates 7
+# minor words per row. Binding and fetching the receiver on every call
+# allocated 321.
+EXTRA_WORDS="$(grep -o '"method_pred_extra_words_per_row": [0-9.-]*' BENCH_micro.json \
+  | grep -o '[0-9.-]*$')"
+[ -n "$EXTRA_WORDS" ] || { echo "BENCH_micro.json: no method_pred_extra_words_per_row"; exit 1; }
+awk -v w="$EXTRA_WORDS" 'BEGIN { exit !(w < 50) }' \
+  || { echo "a method predicate allocates $EXTRA_WORDS extra minor words per row, want < 50"; exit 1; }
+
 echo "== perfbench selftest =="
 # The end-to-end benchmark's own tests: the rendered-row parser, the
 # answer oracle with its negative controls, and the exact-count test

@@ -1629,6 +1629,299 @@ let test_path_index_goes_stale () =
   Alcotest.(check bool) "ANALYZE rebuilds it" true (uses_index ());
   Alcotest.(check int) "rebuilt index" 1 (check_answer "after ANALYZE")
 
+(* ---------------- Predicates that name one variable twice ---------------- *)
+
+let exec_ok d sql =
+  match Db.exec d sql with Ok r -> r | Error m -> Alcotest.failf "%s: %s" sql m
+
+(* S holds <1, 10> and <5, 2>. A predicate over one range variable that
+   names it twice reached no operator and every row came back, so DML,
+   which finds its targets through the same plans, touched every
+   object. *)
+let test_same_variable_predicates () =
+  let fresh () =
+    let d = Db.create () in
+    List.iter
+      (fun sql -> ignore (exec_ok d sql))
+      [ "CREATE CLASS S TUPLE (x Integer, y Integer)";
+        "CREATE CLASS T TUPLE (z Integer)";
+        "DEFINE METHOD S::twice () Integer { return x * 2; }";
+        "new S <1, 10>";
+        "new S <5, 2>";
+        "new T <0>"
+      ];
+    d
+  in
+  let d = fresh () in
+  List.iter
+    (fun (where, expected) ->
+      let src = "SELECT s.x FROM S s WHERE " ^ where in
+      let got = List.sort compare (List.map Value.to_string (Executor.result_values (Db.query d src))) in
+      Alcotest.(check (list string)) src (List.map (Printf.sprintf "<s.x: %d>") expected) got)
+    [ ("s.x > s.y", [ 5 ]);
+      ("s.x + s.y > 11", []);
+      ("s.x * s.x > 20", [ 5 ]);
+      ("s.twice() > s.y", [ 5 ]);
+      ("NOT (s.x > s.y)", [ 1 ]);
+      ("s.x > s.y OR s.x > 3", [ 5 ])
+    ];
+  Alcotest.(check int) "with a second range variable" 1
+    (List.length (Executor.result_values (Db.query d "SELECT s.x, t.z FROM S s, T t WHERE s.x > s.y")));
+  let explain = Db.explain d "SELECT s FROM S s WHERE s.x > s.y" in
+  Alcotest.(check bool) "EXPLAIN shows the SELECT" true (Helpers.contains explain "SELECT(BIND(S, s)");
+  (match exec_ok d "DELETE FROM S s WHERE s.x > s.y" with
+  | Db.Deleted n -> Alcotest.(check int) "DELETE removes the match only" 1 n
+  | _ -> Alcotest.fail "DELETE result");
+  let d = fresh () in
+  match exec_ok d "UPDATE S s SET y = 0 WHERE s.x * s.x > 20" with
+  | Db.Updated n -> Alcotest.(check int) "UPDATE touches the match only" 1 n
+  | _ -> Alcotest.fail "UPDATE result"
+
+(* ---------------- The Int32 fast path's result guard ---------------- *)
+
+let int32_edges =
+  [| 0; 1; -1; 2; 7; 46340; 46341; 65536; 2147483647; -2147483647; -2147483648; 2147483648;
+     -2147483649; 4294967296
+  |]
+
+let int32_expr_gen =
+  QCheck.Gen.(
+    let leaf =
+      frequency
+        [ (3, map (fun v -> Ast.Const (Value.Int v)) (oneofa int32_edges));
+          (1, oneofl [ Ast.Path ("s", [ "x" ]); Ast.Path ("s", [ "y" ]) ])
+        ]
+    in
+    let op = oneofl [ Ast.Add; Ast.Sub; Ast.Mul; Ast.Div; Ast.Mod ] in
+    let rec gen n =
+      if n <= 1 then leaf
+      else
+        frequency
+          [ (1, leaf);
+            (4, map3 (fun o a b -> Ast.Arith (o, a, b)) op (gen (n / 2)) (gen (n / 2)));
+            (1, map (fun a -> Ast.Neg a) (gen (n - 1)))
+          ]
+    in
+    map3
+      (fun e c (x, y) -> (e, c, x, y))
+      (int_range 1 6 >>= gen)
+      (oneofl [ Ast.Lt; Ast.Le; Ast.Gt; Ast.Ge; Ast.Eq; Ast.Ne ])
+      (pair (oneofa int32_edges) (oneofa int32_edges)))
+
+(* [Compile] against [Eval] over Int32-edge operands: the same value
+   with the same constructor ([Int] or [Long]), or the same error; and
+   the same verdict for a comparison with zero. *)
+let prop_int32_edges_match_interpreter =
+  QCheck.Test.make ~name:"Int32 edges: compiled = interpreted" ~count:500
+    (QCheck.make
+       ~print:(fun (e, _, x, y) -> Printf.sprintf "%s  [x=%d y=%d]" (Ast.expr_to_string e) x y)
+       int32_expr_gen)
+    (fun (e, c, x, y) ->
+      let env = Db.executor_env (db ()) in
+      let row =
+        [ ("s", { Collection.oid = None; value = Value.Tuple [ ("x", Value.Int x); ("y", Value.Int y) ] }) ]
+      in
+      let outcome f = match f () with v -> Ok v | exception Eval.Eval_error m -> Error m in
+      let pred = Ast.Cmp (c, e, Ast.Const (Value.Int 0)) in
+      outcome (fun () -> Mood_executor.Compile.expr e env row) = outcome (fun () -> Eval.expr env row e)
+      && outcome (fun () -> Mood_executor.Compile.predicate pred env row)
+         = outcome (fun () -> Eval.predicate env row pred))
+
+(* A compiled UPDATE whose result leaves Int32 computes a Long, which an
+   Integer attribute refuses; the failed statement changes nothing. *)
+let test_update_past_int32_refused () =
+  let d = Db.create () in
+  ignore (exec_ok d "CREATE CLASS S TUPLE (x Integer)");
+  ignore (exec_ok d "new S <1>");
+  (match Db.exec d "UPDATE S s SET x = s.x + 2147483647" with
+  | Error m -> Alcotest.(check bool) ("refused: " ^ m) true (Helpers.contains m "does not conform to Integer")
+  | Ok _ -> Alcotest.fail "an Integer attribute took 2147483648");
+  Alcotest.(check (list string)) "unchanged" [ "<s.x: 1>" ]
+    (List.map Value.to_string (Executor.result_values (Db.query d "SELECT s.x FROM S s")))
+
+(* ---------------- Bound method calls ---------------- *)
+
+(* A Vehicle, an Automobile (inherits [lbweight]) and a JapaneseAuto
+   (overrides it); the last Vehicle's weight doubles past Int32 and its
+   company was deleted, so its path receiver dangles; the Automobile has
+   no company. *)
+let method_db () =
+  let d = Db.create ~buffer_capacity:256 () in
+  Mood_workload.Vehicle.define_schema (Db.catalog d);
+  List.iter
+    (fun sql -> ignore (exec_ok d sql))
+    [ "DEFINE METHOD Vehicle::lbweight () Integer { return weight * 2; }";
+      "DEFINE METHOD JapaneseAuto::lbweight () Integer { return weight * 3 + 1; }";
+      "DEFINE METHOD Vehicle::scaled (k Integer) Integer { int w = weight; return w * k + id; }";
+      "DEFINE METHOD Company::tag () String { return location + \"/\" + name; }"
+    ];
+  let company name =
+    Db.insert d ~class_name:"Company"
+      (Value.Tuple [ ("name", Value.Str name); ("location", Value.Str "Ankara"); ("president", Value.Null) ])
+  in
+  let vehicle cls id weight company =
+    ignore
+      (Db.insert d ~class_name:cls
+         (Value.Tuple
+            [ ("id", Value.Int id); ("weight", Value.Int weight); ("drivetrain", Value.Null);
+              ("company", company)
+            ]))
+  in
+  let a = company "A" and b = company "B" and gone = company "Gone" in
+  vehicle "Vehicle" 1 100 (Value.Ref a);
+  vehicle "Automobile" 2 200 Value.Null;
+  vehicle "JapaneseAuto" 3 300 (Value.Ref b);
+  vehicle "Vehicle" 4 1073741824 (Value.Ref gone);
+  (match exec_ok d "DELETE FROM Company c WHERE c.name = 'Gone'" with
+  | Db.Deleted 1 -> ()
+  | _ -> Alcotest.fail "the company was not deleted");
+  d
+
+let render_outcome f =
+  match f () with
+  | r -> String.concat "; " (value_strings r)
+  | exception Eval.Eval_error m -> "error: " ^ m
+
+(* The compiled call and [Executor.Interpreted], which goes through
+   [Fm.invoke], over the same plan. *)
+let check_modes_agree d src =
+  let plan = (Db.optimize d src).Mood_optimizer.Optimizer.plan in
+  let run mode () = Executor.run ~mode (Db.executor_env d) plan in
+  let interpreted = render_outcome (run Executor.Interpreted) in
+  Alcotest.(check string) (src ^ ": compiled = interpreted") interpreted
+    (render_outcome (run Executor.Compiled));
+  interpreted
+
+(* The strawman, per receiver: [invoke_interpreted] re-parses the body. *)
+let strawman d self name args =
+  match Mood_funcmgr.Function_manager.invoke_interpreted (Db.functions d) ~self ~function_name:name ~args with
+  | v -> Value.to_string v
+  | exception Mood_funcmgr.Function_manager.Mood_exception { message; _ } -> "error: " ^ message
+
+let check_three_ways d =
+  List.iter
+    (fun src -> ignore (check_modes_agree d src))
+    [ "SELECT v FROM Vehicle v WHERE v.lbweight() > 500";
+      "SELECT v.id, v.company.tag() FROM Vehicle v WHERE v.id < 4"
+    ];
+  let cat = Db.catalog d in
+  let by_id = Hashtbl.create 8 in
+  List.iter
+    (fun oid ->
+      match Catalog.get_object cat oid with
+      | Some v -> Hashtbl.replace by_id (Value.tuple_get v "id") (oid, v)
+      | None -> ())
+    (Catalog.extent_oids cat "Vehicle");
+  List.iter
+    (fun (call, name, args) ->
+      let rows = check_modes_agree d (Printf.sprintf "SELECT v.id, %s FROM Vehicle v" call) in
+      let expected =
+        Hashtbl.fold
+          (fun id (oid, _) acc ->
+            let id = match id with Some (Value.Int i) -> i | _ -> -1 in
+            Printf.sprintf "<v.id: %d, %s: %s>" id call (strawman d oid name args) :: acc)
+          by_id []
+        |> List.sort String.compare
+      in
+      Alcotest.(check string) (call ^ ": compiled = invoke_interpreted") (String.concat "; " expected) rows)
+    [ ("v.lbweight()", "lbweight", []); ("v.scaled(3)", "scaled", [ Value.Int 3 ]) ];
+  (* Path receivers: NULL gives NULL, a live one its tag, a dangling one
+     the error the strawman gives too. *)
+  let company_of id =
+    match Hashtbl.find_opt by_id (Some (Value.Int id)) with
+    | Some (_, v) -> Value.tuple_get v "company"
+    | None -> None
+  in
+  (match company_of 4 with
+  | Some (Value.Ref gone) ->
+      Alcotest.(check string) "dangling receiver"
+        (strawman d gone "tag" [])
+        (check_modes_agree d "SELECT v.id, v.company.tag() FROM Vehicle v WHERE v.id = 4")
+  | _ -> Alcotest.fail "vehicle 4 has no company reference");
+  match company_of 3 with
+  | Some (Value.Ref b) ->
+      Alcotest.(check string) "live receiver"
+        (Printf.sprintf "<v.id: 3, v.company.tag(): %s>" (strawman d b "tag" []))
+        (check_modes_agree d "SELECT v.id, v.company.tag() FROM Vehicle v WHERE v.id = 3")
+  | _ -> Alcotest.fail "vehicle 3 has no company reference"
+
+let test_bound_call_differential () =
+  let d = method_db () in
+  check_three_ways d;
+  Alcotest.(check string) "the Int32 edge widens to Long" "<v.id: 4, v.lbweight(): 2147483648L>"
+    (check_modes_agree d "SELECT v.id, v.lbweight() FROM Vehicle v WHERE v.id = 4");
+  List.iter
+    (fun cls -> ignore (exec_ok d (Printf.sprintf "ALTER CLASS %s SET LAYOUT PAX" cls)))
+    [ "Vehicle"; "Automobile"; "JapaneseAuto" ];
+  check_three_ways d;
+  (* A method receiver escapes whole from what a statement reads, so the
+     call always has the object's every attribute. *)
+  Alcotest.(check bool) "a receiver is read whole" true
+    (Plan.reads_of ~whole:false [ Ast.Method_call ("v", [], "lbweight", []) ] [] "v" = None);
+  (* Inside a snapshot, the call sees the snapshot's value: another
+     session's committed UPDATE does not show. *)
+  let src = "SELECT v.id, v.lbweight() FROM Vehicle v WHERE v.id = 3" in
+  let before = render_outcome (fun () -> Db.query d src) in
+  let reader = Db.begin_session_txn d in
+  ignore (exec_ok d "UPDATE Vehicle v SET weight = 5 WHERE v.id = 3");
+  (match Db.exec_in_txn d reader src with
+  | Ok (Db.Rows r) -> Alcotest.(check string) "snapshot value" before (String.concat "; " (value_strings r))
+  | Ok _ | Error _ -> Alcotest.fail "snapshot read failed");
+  Db.commit_session_txn d reader;
+  Alcotest.(check string) "the committed value after" "<v.id: 3, v.lbweight(): 16>"
+    (render_outcome (fun () -> Db.query d src))
+
+(* DEFINE METHOD between two runs of a cached plan rebinds: the second
+   run is a plan-cache hit and returns the new body's value. DROP
+   METHOD gives the type checker's error. *)
+let test_redefinition_under_cached_plan () =
+  let d = method_db () in
+  let src = "SELECT v.id, v.lbweight() FROM Vehicle v WHERE v.id = 1" in
+  Alcotest.(check string) "first body" "<v.id: 1, v.lbweight(): 200>"
+    (render_outcome (fun () -> Db.query d src));
+  ignore (exec_ok d "DEFINE METHOD Vehicle::lbweight () Integer { return weight + 7; }");
+  let hits = (Db.plan_cache_stats d).Mood.Plan_cache.hits in
+  Alcotest.(check string) "new body" "<v.id: 1, v.lbweight(): 107>"
+    (render_outcome (fun () -> Db.query d src));
+  Alcotest.(check int) "a plan-cache hit" (hits + 1) (Db.plan_cache_stats d).Mood.Plan_cache.hits;
+  ignore (exec_ok d "DROP METHOD Vehicle::lbweight");
+  match Db.exec d src with
+  | Error m -> Alcotest.(check string) "dropped" "type error: class Vehicle has no method lbweight" m
+  | Ok _ -> Alcotest.fail "a dropped method still ran"
+
+(* A set-valued path fans the call out over every receiver. *)
+let test_set_valued_method_receivers () =
+  let d = Db.create () in
+  ignore
+    (Mood_workload.Chain.build ~catalog:(Db.catalog d)
+       { Mood_workload.Chain.prefix = "M"; head_cardinality = 20; depth = 2; fan = 2;
+         sharing = 1; distinct_values = 6; seed = 8
+       });
+  ignore (exec_ok d "DEFINE METHOD M1::twice () Integer { return v * 2; }");
+  let rows = check_modes_agree d "SELECT p.next.twice() FROM M0 p" in
+  Alcotest.(check bool) "sets of results" true (Helpers.contains rows "{")
+
+(* The call runs on the row's value: the SELECT over the BIND charges
+   the BIND's buffer hits and none per call. *)
+let test_method_call_reads_nothing () =
+  let d = Db.create ~buffer_capacity:256 () in
+  Mood_workload.Vehicle.define_schema (Db.catalog d);
+  ignore (Mood_workload.Vehicle.generate ~catalog:(Db.catalog d) ~scale:0.01 ());
+  ignore (exec_ok d "DEFINE METHOD Vehicle::lbweight () Integer { return weight * 2; }");
+  Db.analyze d;
+  let _, reports =
+    Db.analyze_query d "SELECT COUNT(*), SUM(v.weight) FROM Vehicle v WHERE v.lbweight() > 4000"
+  in
+  let report prefix =
+    match List.find_opt (fun r -> label_has r.Executor.r_label prefix) reports with
+    | Some r -> r
+    | None -> Alcotest.failf "no %s operator" prefix
+  in
+  let select = report "SELECT(v.lbweight()" and bind = report "BIND(Vehicle" in
+  Alcotest.(check bool) "rows were scanned" true (bind.Executor.r_rows > 0);
+  Alcotest.(check int) "buffer hits" bind.Executor.r_buf_hits select.Executor.r_buf_hits;
+  Alcotest.(check int) "buffer misses" bind.Executor.r_buf_misses select.Executor.r_buf_misses
+
 let suites =
   [ ( "executor.oracle",
       [ Alcotest.test_case "Example 8.2" `Quick test_example_82_execution;
@@ -1698,6 +1991,15 @@ let suites =
         Alcotest.test_case "read attributes fit JOIN_MEM" `Quick test_read_attributes_fit_join_mem;
         Alcotest.test_case "footprint = entry bytes" `Quick test_footprint_matches_entries;
         Alcotest.test_case "value-join estimates from dist" `Quick test_value_join_estimates
+      ] );
+    ( "executor.methods",
+      [ Alcotest.test_case "same-variable predicates" `Quick test_same_variable_predicates;
+        QCheck_alcotest.to_alcotest prop_int32_edges_match_interpreter;
+        Alcotest.test_case "UPDATE past Int32 refused" `Quick test_update_past_int32_refused;
+        Alcotest.test_case "bound call differential" `Quick test_bound_call_differential;
+        Alcotest.test_case "redefinition, cached plan" `Quick test_redefinition_under_cached_plan;
+        Alcotest.test_case "set-valued receivers" `Quick test_set_valued_method_receivers;
+        Alcotest.test_case "no buffer hit per call" `Quick test_method_call_reads_nothing
       ] );
     ( "executor.dml",
       [ Alcotest.test_case "targets match the oracle" `Quick test_dml_matches_oracle;
