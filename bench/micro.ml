@@ -422,8 +422,10 @@ let scan_fixture n =
    runs time the VSCAN after writes: one insert into the tail page, then
    an update of every 16th row, which dirties every page; the second
    reports the rows its rebuilds re-read from the heap against the rows
-   updated, and the minor words it allocated per row the rebuilds took
-   from the kept batches instead ([minor_words_per_kept_row]). *)
+   updated, the minor words it allocated per row the rebuilds took
+   from the kept batches instead ([minor_words_per_kept_row]), and the
+   pages the segment's heap file grew by ([segment_pages_added]): a
+   page merged from its kept batch stays in memory, so none. *)
 let scan_section () =
   let n = scan_rows () in
   let env = scan_fixture n in
@@ -576,10 +578,17 @@ let scan_section () =
       (Catalog.extent_oids catalog "ScanBench")
   in
   let module M = Mood_column.Scan_metrics in
+  let segment_pages () =
+    match Catalog.pax_store catalog "ScanBench" with
+    | Some ps -> Mood_storage.Heap_file.page_count (Mood_column.Pax_store.segment ps)
+    | None -> failwith "ScanBench has no PAX segment"
+  in
+  let pages0 = segment_pages () in
   let reread0 = M.m.M.rows_reread and scanned0 = M.m.M.rows_scanned in
   let words0 = Gc.minor_words () in
   let name, secs, c, _ = time "pax_vectorized_after_update" (fun () -> Executor.run env vscan_plan) in
   let words = Gc.minor_words () -. words0 in
+  let pages_added = segment_pages () - pages0 in
   let reread = M.m.M.rows_reread - reread0 in
   let kept = M.m.M.rows_scanned - scanned0 - reread in
   timings
@@ -589,7 +598,8 @@ let scan_section () =
         c,
         [ ("rows_updated", string_of_int updated);
           ("rows_reread", string_of_int reread);
-          ("minor_words_per_kept_row", Printf.sprintf "%.2f" (words /. float_of_int (max 1 kept)))
+          ("minor_words_per_kept_row", Printf.sprintf "%.2f" (words /. float_of_int (max 1 kept)));
+          ("segment_pages_added", string_of_int pages_added)
         ] )
     ]
 

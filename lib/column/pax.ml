@@ -123,6 +123,37 @@ let checksum s ~pos =
 (* ------------------------------------------------------------------ *)
 (* Page columns                                                        *)
 
+(* A string column's codes renumbered into the page dictionary: the
+   distinct strings of its non-null rows in first-seen order, each row
+   coded by its string's position, NULL rows coded 0. Code 0 must
+   resolve even for NULL rows (a reader that loses the null bitmap,
+   like the scan oracle's control, reads them), so an all-null column
+   gets the one entry [""]. The encoder writes this dictionary, and
+   every batch [page_columns] builds carries it, so stale and repeated
+   entries a merge brings in go. *)
+let renumber ~n (col : Batch.column) ~codes ~dict =
+  let renumbered = Array.make (Array.length dict) (-1) in
+  let table = Hashtbl.create 64 in
+  let page_dict = ref [] and size = ref 0 in
+  let page_codes = Array.make n 0 in
+  for i = 0 to n - 1 do
+    if not (Batch.is_null col i) then begin
+      let c = codes.(i) in
+      if renumbered.(c) < 0 then
+        renumbered.(c) <-
+          (let s = dict.(c) in
+           match Hashtbl.find_opt table s with
+           | Some code -> code
+           | None ->
+               Hashtbl.add table s !size;
+               page_dict := s :: !page_dict;
+               incr size;
+               !size - 1);
+      page_codes.(i) <- renumbered.(c)
+    end
+  done;
+  (page_codes, if !size = 0 then [| "" |] else Array.of_list (List.rev !page_dict))
+
 let field attr row = match Value.tuple_get row attr with Some v -> v | None -> Value.Null
 
 (* A non-null cell [kind]'s specialized minipage can store. *)
@@ -137,9 +168,9 @@ let fits kind v =
    [rows.(j)]. Int, float and string attributes get their typed arrays;
    a column that meets an off-kind cell, and every [KOther] column, is
    boxed ([Values]), which [encode_batch] writes as the generic
-   minipage, as the page codec always has. A string column's dictionary
-   is the base's followed by the other rows' strings, unordered and
-   possibly repeating: the encoder renumbers it. *)
+   minipage, as the page codec always has. A string column's codes
+   index the base's dictionary followed by the other rows' strings
+   until [renumber] turns them into the page dictionary. *)
 let page_column ~n ~from_base ~rows ~attr kind (bcol : Batch.column option) =
   let cell j =
     let i = from_base.(j) in
@@ -225,7 +256,12 @@ let page_column ~n ~from_base ~rows ~attr kind (bcol : Batch.column option) =
                    Value.Null
                | v -> v))
   in
-  { Batch.data; nulls = (if !any then nulls else Batch.no_nulls) }
+  let col = { Batch.data; nulls = (if !any then nulls else Batch.no_nulls) } in
+  match data with
+  | Batch.Strs { codes; dict } ->
+      let codes, dict = renumber ~n col ~codes ~dict in
+      { col with Batch.data = Batch.Strs { codes; dict } }
+  | Batch.Ints _ | Batch.Floats _ | Batch.Values _ -> col
 
 let page_columns ~schema ~slots ~base ~from_base ~rows =
   let n = Array.length slots in
@@ -297,11 +333,9 @@ let encode_floats buf ~n (col : Batch.column) floats =
     Buffer.add_int64_be buf (Int64.bits_of_float floats.(i))
   done
 
-(* The dictionary minipage lists the page's distinct strings in
-   first-seen order; the column's own dictionary may repeat entries, so
-   each of its codes is renumbered once. *)
+(* The dictionary minipage is the column's page dictionary ([renumber]),
+   chosen under [Auto] when it holds at most one entry per two rows. *)
 let encode_strs buf ~n ~hint (col : Batch.column) ~codes ~dict =
-  let null i = Batch.is_null col i in
   let header tag =
     add_u8 buf tag;
     add_u32 buf n;
@@ -310,43 +344,18 @@ let encode_strs buf ~n ~hint (col : Batch.column) ~codes ~dict =
   let plain () =
     header tag_str_plain;
     for i = 0 to n - 1 do
-      add_str buf (if null i then "" else dict.(codes.(i)))
+      add_str buf (if Batch.is_null col i then "" else dict.(codes.(i)))
     done
   in
   match hint with
   | No_dict -> plain ()
   | Auto | Prefer_dict ->
-      let renumbered = Array.make (Array.length dict) (-1) in
-      let table = Hashtbl.create 64 in
-      let page_dict = ref [] and size = ref 0 in
-      let page_codes = Array.make n 0 in
-      for i = 0 to n - 1 do
-        if not (null i) then begin
-          let c = codes.(i) in
-          if renumbered.(c) < 0 then
-            renumbered.(c) <-
-              (let s = dict.(c) in
-               match Hashtbl.find_opt table s with
-               | Some code -> code
-               | None ->
-                   Hashtbl.add table s !size;
-                   page_dict := s :: !page_dict;
-                   incr size;
-                   !size - 1);
-          page_codes.(i) <- renumbered.(c)
-        end
-      done;
-      if hint = Prefer_dict || (n >= 8 && !size * 2 <= n) then begin
-        (* Code 0 must resolve even for NULL rows (a reader that loses
-           the null bitmap, like the scan oracle's control, reads them),
-           so an all-null page still carries one entry. *)
-        if !size = 0 then begin
-          page_dict := [ "" ];
-          size := 1
-        end;
+      let page_codes, page_dict = renumber ~n col ~codes ~dict in
+      let size = Array.length page_dict in
+      if hint = Prefer_dict || (n >= 8 && size * 2 <= n) then begin
         header tag_str_dict;
-        add_u32 buf !size;
-        List.iter (add_str buf) (List.rev !page_dict);
+        add_u32 buf size;
+        Array.iter (add_str buf) page_dict;
         Array.iter (add_u32 buf) page_codes
       end
       else plain ()
@@ -467,12 +476,14 @@ let encode_page ~schema ~hints ~slots ~rows =
   encode_batch ~hints
     (page_columns ~schema ~slots ~base:None ~from_base:(Array.make n (-1)) ~rows)
 
-(* The page after its checksum field, every structural rule checked as
-   it is read. *)
-let decode_body ~schema s =
+(* The checksum first, then every structural rule as the body is
+   read. *)
+let decode_page ~schema s =
   let len = String.length s in
   if len < 8 then corrupt "short page (%d bytes)" len;
   if not (String.starts_with ~prefix:magic s) then corrupt "bad magic";
+  if Int32.to_int (String.get_int32_be s 4) land 0xFFFFFFFF <> checksum s ~pos:8 then
+    corrupt "checksum mismatch";
   let cur = { data = s; pos = 8 } in
   let n = read_u32 cur in
   let ncols = read_u32 cur in
@@ -491,11 +502,3 @@ let decode_body ~schema s =
   Scan_metrics.m.Scan_metrics.bytes_decoded <-
     Scan_metrics.m.Scan_metrics.bytes_decoded + len;
   { Batch.n; slots; columns }
-
-let decode_page ~schema s =
-  if String.length s >= 8 && String.starts_with ~prefix:magic s
-     && Int32.to_int (String.get_int32_be s 4) land 0xFFFFFFFF <> checksum s ~pos:8
-  then corrupt "checksum mismatch";
-  decode_body ~schema s
-
-let decode_encoded = decode_body

@@ -35,7 +35,10 @@ val page_columns :
     under [schema]), else the full tuple [rows.(j)]. Int, float and
     string attributes get [Ints], [Floats] and [Strs] arrays; a column
     with an off-kind non-null cell, and every [KOther] column, is
-    [Values]. No row is boxed unless its column is. *)
+    [Values]. No row is boxed unless its column is. A [Strs] column
+    carries the page dictionary the encoder writes: its non-null rows'
+    distinct strings in first-seen order (just [""] when there are
+    none), NULL rows coded 0. *)
 
 val encode_batch : hints:(string * enc_hint) list -> Batch.t -> string
 (** The page encoder: one minipage per column, in column order, written
@@ -62,8 +65,3 @@ val encode_page :
 val decode_page : schema:(string * akind) array -> string -> Batch.t
 (** Raises [Corrupt] on checksum mismatch, truncation, or any
     structural violation. *)
-
-val decode_encoded : schema:(string * akind) array -> string -> Batch.t
-(** [decode_page] of an image {!encode_batch} has just returned, before
-    it has been stored or read back: the same structural checks, without
-    recomputing the checksum it was written with. *)

@@ -13,31 +13,38 @@ module M = Scan_metrics
    writes, WAL logging, MVCC chains and indexes are untouched — while
    each PAX page covers a fixed run of heap slots
    ([page = slot / rows_per_page]) and is rebuilt lazily whenever the
-   extent's mutation hook reports a write in its range. Page images are
-   stored as records of a dedicated heap file, chunked to the page
-   frame, so segment I/O is charged through the same buffer pool and
-   simulated disk as everything else. A page whose image fails its
-   checksum — or whose frame the simulated disk reports torn — is
+   extent's mutation hook reports a write in its range. A page built
+   from the heap stores its image as records of a dedicated heap file,
+   chunked to the page frame, so segment I/O is charged through the
+   same buffer pool and simulated disk as everything else. A stored
+   image is read back only once its batch is forgotten; one that fails
+   its checksum — or whose frame the simulated disk reports torn — is
    rebuilt from the row heap on the spot: the layout self-heals.
 
    Upkeep is proportional to the write: the hook keeps each page's
-   live-slot array current, and a page whose decoded batch was cached
-   when a write landed keeps that batch, so its rebuild re-reads from
-   the heap only the slots written since. *)
+   live-slot array current, and a page whose batch was in memory when a
+   write landed keeps that batch, so its rebuild re-reads from the heap
+   only the slots written since. Like a dirty page in a buffer pool, a
+   page so merged stays in memory as its batch: it writes no image,
+   which nothing would read back before a restart drops it. *)
 
 type state =
   | Absent
   | Built of {
       chunks : Heap_file.rid array;
       mutable batch : Batch.t option;
-          (* decoded view of the image, valid until the extent mutation
-             hook or a reported tear drops it — the in-memory columnar
-             cache that makes repeated scans decode-free. Volatile: a
-             restart (or [drop_cached_batches]) forgets it, after which
-             the image is re-read and re-verified. *)
+          (* the columns the image was encoded from, or its decoded view
+             once re-read, valid until the extent mutation hook or a
+             reported tear drops it — the in-memory columnar cache that
+             makes repeated scans decode-free. Volatile: a restart (or
+             [drop_cached_batches]) forgets it, after which the image is
+             re-read and re-verified. *)
     }
   | Written of kept
-      (* image deleted by a write while its decoded view was cached *)
+      (* image deleted by a write while its batch was in memory *)
+  | Merged of Batch.t
+      (* rebuilt from a kept batch: in memory only, no image, no frames,
+         as volatile as [Built]'s batch *)
 
 (* What a write leaves of a cached page: [base] still holds every slot
    not marked in [written] (one byte per slot of the page, set when the
@@ -126,7 +133,10 @@ let invalidate_all t =
 
 let chunk_capacity t = Store.page_capacity t.store - Page.slot_overhead
 
-let store_image t page image =
+(* Encode [batch], the columns of a page built from the heap, and store
+   the image; the batch stays cached. *)
+let store_image t page batch =
+  let image = Pax.encode_batch ~hints:t.hints batch in
   let cap = max 256 (chunk_capacity t) in
   let len = String.length image in
   let nchunks = max 1 ((len + cap - 1) / cap) in
@@ -137,7 +147,7 @@ let store_image t page image =
           let pos = i * cap in
           Heap_file.insert t.seg (String.sub image pos (min cap (len - pos))))
   in
-  page.state <- Built { chunks; batch = None }
+  page.state <- Built { chunks; batch = Some batch }
 
 (* An un-consumed tear on any of the page's chunk frames. *)
 let frame_torn t chunks =
@@ -156,7 +166,7 @@ let drop_cached_batches t =
     (fun page ->
       match page.state with
       | Built b -> b.batch <- None
-      | Written _ -> page.state <- Absent
+      | Written _ | Merged _ -> page.state <- Absent
       | Absent -> ())
     t.pages
 
@@ -164,7 +174,7 @@ type image = Missing | Torn | Image of string
 
 let load_image t page =
   match page.state with
-  | Absent | Written _ -> Missing
+  | Absent | Written _ | Merged _ -> Missing
   | Built { chunks; _ } ->
       let seg_file = Heap_file.file_id t.seg in
       let torn = Disk.torn_pages (Store.disk t.store) in
@@ -198,10 +208,9 @@ let load_image t page =
 (* Mutation hook                                                       *)
 
 (* The extent calls back once a write to [slot] is in place: the page's
-   live slots follow the directory, and its image goes. A decoded
-   batch the cache could still serve stays behind as the rebuild's
-   base, with the slot marked written; a page left without live slots
-   keeps nothing. *)
+   live slots follow the directory, and its image goes. A batch the
+   cache could still serve stays behind as the rebuild's base, with the
+   slot marked written; a page left without live slots keeps nothing. *)
 let on_write t slot =
   let idx = slot / t.rows_per_page in
   ensure_page t idx;
@@ -222,19 +231,19 @@ let on_write t slot =
       page.live <- shrunk
   | true, true | false, false -> ());
   let mark written = Bytes.set written (slot mod t.rows_per_page) '\001' in
+  let keep base =
+    let written = Bytes.make t.rows_per_page '\000' in
+    mark written;
+    page.state <- Written { base; written }
+  in
   (match page.state with
   | Absent -> ()
   | Written { written; _ } -> mark written
-  | Built { chunks; batch } ->
+  | Merged base -> keep base
+  | Built { chunks; batch } -> (
       let base = if frame_torn t chunks then None else batch in
       delete_chunks t chunks;
-      page.state <-
-        (match base with
-        | Some base ->
-            let written = Bytes.make t.rows_per_page '\000' in
-            mark written;
-            Written { base; written }
-        | None -> Absent));
+      match base with Some base -> keep base | None -> page.state <- Absent));
   if Array.length page.live = 0 then page.state <- Absent
 
 let on_mutate t = function
@@ -286,13 +295,13 @@ let refresh_schema t ~attrs =
 (* ------------------------------------------------------------------ *)
 (* Build / decode                                                      *)
 
-(* The page image of the [live] slots. With a kept base, one merge over
+(* The columns of the [live] slots. With a kept base, one merge over
    the sorted [live] and base slots takes each slot's cells from the
    base's column arrays where it was not written since, and re-reads
    only the rest from the heap; without one, every row is re-read.
-   Encoding is deterministic over the cells, so either way the image is
-   the one a full rebuild would write. *)
-let build_page t live kept =
+   Either way the columns, string dictionaries included, are the ones
+   a full rebuild would make, so they encode to the same image. *)
+let page_batch t live kept =
   let n = Array.length live in
   let from_base = Array.make n (-1) and rows = Array.make n Value.Null in
   let reread j =
@@ -320,65 +329,59 @@ let build_page t live kept =
         done;
         Some base
   in
-  Pax.encode_batch ~hints:t.hints
-    (Pax.page_columns ~schema:t.schema ~slots:live ~base ~from_base ~rows)
+  Pax.page_columns ~schema:t.schema ~slots:live ~base ~from_base ~rows
 
-(* The batch always comes from decoding the stored image — a single
-   code path, so metrics and corruption detection act on what the page
-   actually holds. An image built here is decoded before it is ever
-   read back, so its checksum is not recomputed then; every later read
-   of it verifies it. *)
+(* Build the page wholly from the heap and store its image. *)
+let build_from_heap t page =
+  (match page.state with
+  | Built { chunks; _ } -> delete_chunks t chunks
+  | Absent | Written _ | Merged _ -> ());
+  page.state <- Absent;
+  let batch = page_batch t page.live None in
+  store_image t page batch;
+  M.m.M.pages_built <- M.m.M.pages_built + 1;
+  batch
+
+(* The page's batch. A batch in memory is served as it is: like a
+   buffer pool, an in-memory view is not re-verified against the
+   durable bytes. A written page is merged from its kept batch and
+   stays in memory; a page without a batch reads its stored image back,
+   checksum verified, and one without a clean image is built from the
+   heap. *)
 let batch_of_page t page =
-  let decode image = Pax.decode_page ~schema:t.schema image in
-  let rebuild () =
-    let kept =
-      match page.state with
-      | Built { chunks; _ } ->
-          delete_chunks t chunks;
-          None
-      | Written kept -> Some kept
-      | Absent -> None
-    in
-    page.state <- Absent;
-    let image = build_page t page.live kept in
-    store_image t page image;
-    M.m.M.pages_built <- M.m.M.pages_built + 1;
-    Pax.decode_encoded ~schema:t.schema image
+  let hit batch =
+    M.m.M.batch_cache_hits <- M.m.M.batch_cache_hits + 1;
+    batch
   in
-  (* Decoded-batch cache: a clean page whose decoded view is still in
-     memory skips the image read and decode entirely. Like a buffer
-     pool, an in-memory view is not re-verified against the durable
-     bytes — checksums run whenever the image is actually (re)read,
-     i.e. after a mutation, a tear, or a cache drop. *)
+  let heal () =
+    M.m.M.pages_healed <- M.m.M.pages_healed + 1;
+    build_from_heap t page
+  in
   match page.state with
+  | Merged batch -> hit batch
   | Built { chunks; batch = Some batch }
     when (not (frame_torn t chunks))
          && Array.length batch.Batch.slots = Array.length page.live ->
-      M.m.M.batch_cache_hits <- M.m.M.batch_cache_hits + 1;
+      hit batch
+  | Written kept ->
+      let batch = page_batch t page.live (Some kept) in
+      page.state <- Merged batch;
+      M.m.M.pages_built <- M.m.M.pages_built + 1;
       batch
-  | _ ->
-      let batch =
-        match load_image t page with
-        | Missing -> rebuild ()
-        | Torn ->
-            M.m.M.pages_healed <- M.m.M.pages_healed + 1;
-            rebuild ()
-        | Image image -> (
-            match decode image with
-            | batch when Array.length batch.Batch.slots = Array.length page.live ->
-                M.m.M.pages_reused <- M.m.M.pages_reused + 1;
-                batch
-            | _ ->
-                M.m.M.pages_healed <- M.m.M.pages_healed + 1;
-                rebuild ()
-            | exception Pax.Corrupt _ ->
-                M.m.M.pages_healed <- M.m.M.pages_healed + 1;
-                rebuild ())
-      in
-      (match page.state with
-      | Built built -> built.batch <- Some batch
-      | Absent | Written _ -> ());
-      batch
+  | Absent | Built _ -> (
+      match load_image t page with
+      | Missing -> build_from_heap t page
+      | Torn -> heal ()
+      | Image image -> (
+          match Pax.decode_page ~schema:t.schema image with
+          | batch when Array.length batch.Batch.slots = Array.length page.live ->
+              M.m.M.pages_reused <- M.m.M.pages_reused + 1;
+              (match page.state with
+              | Built built -> built.batch <- Some batch
+              | Absent | Written _ | Merged _ -> ());
+              batch
+          | _ -> heal ()
+          | exception Pax.Corrupt _ -> heal ()))
 
 (* ------------------------------------------------------------------ *)
 (* Scanning                                                            *)
@@ -446,13 +449,16 @@ let iter_batches t ~f =
 let materialize t = iter_batches t ~f:(fun _ -> ())
 
 (* Clean page images and their chunk placement, for the scan oracle
-   (byte-identical rebuild) and the torn-page tests. *)
+   (byte-identical rebuild) and the torn-page tests. A merged page's
+   image is encoded here, not stored. *)
 let page_images t =
   let images = ref [] in
   iter_pages t (fun idx page ->
-      match load_image t page with
-      | Image image -> images := (idx, image) :: !images
-      | Missing | Torn -> ());
+      let add image = images := (idx, image) :: !images in
+      match page.state with
+      | Merged batch -> add (Pax.encode_batch ~hints:t.hints batch)
+      | Absent | Built _ | Written _ -> (
+          match load_image t page with Image image -> add image | Missing | Torn -> ()));
   List.rev !images
 
 let chunk_rids t =
@@ -461,7 +467,7 @@ let chunk_rids t =
        (fun idx page ->
          match page.state with
          | Built { chunks; _ } -> [ (idx, Array.to_list chunks) ]
-         | Absent | Written _ -> [])
+         | Absent | Written _ | Merged _ -> [])
        (Array.to_list t.pages))
 
 let segment t = t.seg

@@ -1,15 +1,17 @@
 (** Per-class PAX segment: a derived columnar mirror of a row extent.
 
-    The row heap stays authoritative; this store keeps one encoded PAX
-    page per fixed run of heap slots, persisted (chunked to the page
-    frame) in its own heap file so segment I/O flows through the buffer
-    pool and simulated disk. The extent's mutation hook keeps each
+    The row heap stays authoritative; this store keeps one PAX page
+    per fixed run of heap slots. A page built from the heap is encoded
+    and persisted (chunked to the page frame) in its own heap file, so
+    segment I/O flows through the buffer pool and simulated disk, and
+    its columns stay cached. The extent's mutation hook keeps each
     page's live slots current and drops the written page's image; the
-    next scan rebuilds it, re-reading from the heap only the rows
-    written since its decoded batch was cached. Corrupt or torn images
-    self-heal from the row heap. [iter_batches] applies MVCC snapshot
-    visibility per batch when the reader's view diverges from the
-    heap. *)
+    next scan merges the page from its cached batch, re-reading from
+    the heap only the rows written since, and keeps the merged batch in
+    memory without writing an image. A stored image is read back only
+    after {!drop_cached_batches}; corrupt or torn images self-heal from
+    the row heap. [iter_batches] applies MVCC snapshot visibility per
+    batch when the reader's view diverges from the heap. *)
 
 type t
 
@@ -41,8 +43,8 @@ val rows_per_page : t -> int
     frame. *)
 
 val iter_batches : t -> f:(Batch.t -> unit) -> unit
-(** Scan the class batch-at-a-time: decode (building or healing as
-    needed) each PAX page with live slots, resolve MVCC visibility if
+(** Scan the class batch-at-a-time: take each PAX page with live slots
+    from memory (merging, decoding, building or healing as needed), resolve MVCC visibility if
     the reader's view diverges from the heap, and hand the batch to
     [f]. Batch rows are in slot order; a trailing batch carries
     snapshot-visible rows the heap no longer holds. *)
@@ -55,16 +57,17 @@ val invalidate_all : t -> unit
     next scan rebuilds each page wholly from the heap. *)
 
 val drop_cached_batches : t -> unit
-(** Forget the in-memory decoded views (they are volatile — a restart
-    loses them) so the next scan re-reads and re-verifies the stored
-    images, and rebuilds written pages wholly from the heap.
+(** Forget the in-memory batches (they are volatile — a restart loses
+    them) so the next scan re-reads and re-verifies the stored images,
+    and rebuilds written and merged pages wholly from the heap.
     Fault-injection tests use this to model tears that happen while
     the image is out of memory. *)
 
 val page_images : t -> (int * string) list
 (** Clean encoded page images of the pages with live slots, by page
-    index — the scan oracle compares these byte-for-byte with a full
-    re-encode of the heap. *)
+    index: a built page's stored image, a merged page's batch encoded
+    on demand (not stored) — the scan oracle compares these
+    byte-for-byte with a full re-encode of the heap. *)
 
 val chunk_rids : t -> (int * Mood_storage.Heap_file.rid list) list
 (** Chunk placement per built page, for torn-page fault tests. *)

@@ -147,18 +147,27 @@ let define t ~class_name ~(signature : Catalog.method_signature) body =
       so.version <- so.version + 1;
       t.generation <- t.generation + 1)
 
+(* Every check runs before the shared object changes. The catalog
+   signature goes only when the class declares it: an override of an
+   inherited signature has none of its own, and its callers fall back
+   to the inherited body. *)
 let drop t ~class_name ~function_name =
   with_so_lock t class_name (fun () ->
+      let own =
+        List.exists
+          (fun (m : Catalog.method_signature) -> String.equal m.Catalog.method_name function_name)
+          (Catalog.own_methods t.catalog class_name)
+      in
       let so = shared_object t class_name in
       let survivors =
         List.filter (fun (key, _) -> not (signs ~class_name ~function_name key)) so.functions
       in
       if List.length survivors = List.length so.functions then
         mood_exception ~class_name ~function_name "function not found in shared object";
+      if own then Catalog.drop_method t.catalog ~class_name ~method_name:function_name;
       so.functions <- survivors;
       so.version <- so.version + 1;
-      t.generation <- t.generation + 1;
-      Catalog.drop_method t.catalog ~class_name ~method_name:function_name)
+      t.generation <- t.generation + 1)
 
 let enter_scope t =
   { cache = Hashtbl.create 8;

@@ -365,6 +365,13 @@ let loop_fuel = 10_000_000
 
 let runaway () = raise (Operand.Type_error "while loop exceeded the iteration budget")
 
+(* An [if] or [while] condition: anything but a Boolean is a run-time
+   type error, which the Function Manager reports as the kernel's
+   Exception. *)
+let condition = function
+  | Value.Bool b -> b
+  | _ -> raise (Operand.Type_error "condition did not evaluate to a Boolean")
+
 let lookup env frame ast name =
   match Hashtbl.find_opt frame name with
   | Some v -> v
@@ -408,7 +415,7 @@ let rec eval_expr env frame ast e =
 let rec exec_stmt env frame ast = function
   | Return e -> raise (Returned (eval_expr env frame ast e))
   | If (cond, then_branch, else_branch) ->
-      if Value.truthy (eval_expr env frame ast cond) then exec_stmt env frame ast then_branch
+      if condition (eval_expr env frame ast cond) then exec_stmt env frame ast then_branch
       else begin
         match else_branch with
         | Some s -> exec_stmt env frame ast s
@@ -416,7 +423,7 @@ let rec exec_stmt env frame ast = function
       end
   | While (cond, body) ->
       let fuel = ref loop_fuel in
-      while Value.truthy (eval_expr env frame ast cond) do
+      while condition (eval_expr env frame ast cond) do
         decr fuel;
         if !fuel <= 0 then runaway ();
         exec_stmt env frame ast body
@@ -554,14 +561,14 @@ let rec lower_stmt params locals s : env -> slots -> Value.t =
       match else_branch with
       | Some e ->
           let e = stmt e in
-          fun env slots -> if Value.truthy (c env slots) then t env slots else e env slots
-      | None -> fun env slots -> if Value.truthy (c env slots) then t env slots else no_return
+          fun env slots -> if condition (c env slots) then t env slots else e env slots
+      | None -> fun env slots -> if condition (c env slots) then t env slots else no_return
     end
   | While (cond, body) ->
       let c = expr cond and b = stmt body in
       fun env slots ->
         let rec loop fuel =
-          if not (Value.truthy (c env slots)) then no_return
+          if not (condition (c env slots)) then no_return
           else begin
             let fuel = fuel - 1 in
             if fuel <= 0 then runaway ();

@@ -90,17 +90,22 @@ grep -q '"pax_vectorized_after_insert"' BENCH_micro.json \
 # page: it must re-read from the heap exactly the rows updated, and
 # take the others from the kept batches' column arrays. Boxing each
 # kept row into a tuple to re-encode it costs about 85 minor words a
-# row; the column merge about 25.
+# row; the column merge about 25. A page merged from its kept batch
+# stays in memory, so the scan stores no image: the segment's heap
+# file must not grow (storing every rebuilt page's image grew it).
 AFTER_UPDATE="$(grep '"name": "pax_vectorized_after_update"' BENCH_micro.json || true)"
 [ -n "$AFTER_UPDATE" ] || { echo "BENCH_micro.json: no pax_vectorized_after_update"; exit 1; }
 field() { printf '%s\n' "$AFTER_UPDATE" | grep -o "\"$1\": [0-9.]*" | grep -o '[0-9.]*$' || true; }
 REREAD="$(field rows_reread)"
 UPDATED="$(field rows_updated)"
 KEPT_WORDS="$(field minor_words_per_kept_row)"
+PAGES_ADDED="$(field segment_pages_added)"
 [ -n "$REREAD" ] && [ "$REREAD" = "$UPDATED" ] \
   || { echo "pax_vectorized_after_update re-read $REREAD rows, $UPDATED were updated"; exit 1; }
 awk -v w="$KEPT_WORDS" 'BEGIN { exit !(w < 50) }' \
   || { echo "pax_vectorized_after_update allocates $KEPT_WORDS minor words per kept row, want < 50"; exit 1; }
+[ "$PAGES_ADDED" = "0" ] \
+  || { echo "pax_vectorized_after_update added ${PAGES_ADDED:-?} segment pages, want 0"; exit 1; }
 grep -q '"grouped_pax_vs_row_speedup"' BENCH_micro.json \
   || { echo "BENCH_micro.json: no grouped_pax_vs_row_speedup"; exit 1; }
 grep -q '"grouped_row_many_groups"' BENCH_micro.json \

@@ -173,11 +173,57 @@ let test_checksum_known_answers () =
     [ ("", 0x811c9dc5); ("a", 0xe40c292c); ("foobar", 0xbf9cf968) ];
   Alcotest.(check int) "from a position" 0xe40c292c (Pax.checksum "xya" ~pos:2)
 
+(* [got] holds [want]'s slots and, column for column, the same kind of
+   array, null bits and cells. *)
+let same_cells what (want : Batch.t) (got : Batch.t) =
+  if want.Batch.n <> got.Batch.n || want.Batch.slots <> got.Batch.slots then
+    Alcotest.failf "%s: slots differ" what;
+  let kind (col : Batch.column) =
+    match col.Batch.data with
+    | Batch.Ints _ -> "ints"
+    | Batch.Floats _ -> "floats"
+    | Batch.Strs _ -> "strs"
+    | Batch.Values _ -> "values"
+  in
+  Array.iteri
+    (fun c (attr, wcol) ->
+      let gattr, gcol = got.Batch.columns.(c) in
+      if attr <> gattr || kind wcol <> kind gcol then
+        Alcotest.failf "%s: column %d is %s %s, want %s %s" what c gattr (kind gcol) attr (kind wcol);
+      for i = 0 to want.Batch.n - 1 do
+        if Batch.is_null wcol i <> Batch.is_null gcol i
+           || Value.compare (Batch.cell wcol i) (Batch.cell gcol i) <> 0
+        then
+          Alcotest.failf "%s: %s[%d] is %s, want %s" what attr i
+            (Value.to_string (Batch.cell gcol i))
+            (Value.to_string (Batch.cell wcol i))
+      done)
+    want.Batch.columns
+
+(* Every string column of [b] carries a dictionary without repeats. *)
+let no_repeated_entry what (b : Batch.t) =
+  Array.iter
+    (fun (attr, (col : Batch.column)) ->
+      match col.Batch.data with
+      | Batch.Strs { dict; _ } ->
+          if List.length (List.sort_uniq String.compare (Array.to_list dict)) <> Array.length dict
+          then Alcotest.failf "%s: column %s repeats a dictionary entry" what attr
+      | Batch.Ints _ | Batch.Floats _ | Batch.Values _ -> ())
+    b.Batch.columns
+
+(* A batch the segment keeps is the batch its image decodes to. *)
+let check_kept_batch what ~hints b =
+  same_cells what (Pax.decode_page ~schema:fuzz_schema (Pax.encode_batch ~hints b)) b;
+  no_repeated_entry what b
+
 (* A page rebuilt from a kept base batch plus re-read rows encodes to
    the bytes a full re-encode of its rows gives: base pages under every
    string hint, off-kind cells on either side (which demote a column to
    the generic minipage, or promote it back once they are gone), NULLs,
-   deleted and added slots. *)
+   deleted and added slots. The base is the decoded image or the
+   columns of a page built from the heap, and the merged batch, like
+   a heap-built one, is the batch its image decodes to, with no
+   repeated dictionary entry. *)
 let test_merged_rebuild_bytes () =
   let rng = Prng.create ~seed:19 in
   let off_kind () =
@@ -198,11 +244,17 @@ let test_merged_rebuild_bytes () =
       | _ -> []
     in
     let encode slots rows = Pax.encode_page ~schema:fuzz_schema ~hints ~slots ~rows in
+    let heap_built slots rows =
+      Pax.page_columns ~schema:fuzz_schema ~slots ~base:None
+        ~from_base:(Array.make (Array.length slots) (-1)) ~rows
+    in
     (* the base: every other slot of 0 .. 2m, some rows later rewritten *)
     let m = Prng.int rng ~bound:80 in
     let base_slots = Array.init m (fun i -> 2 * i) in
     let base_rows = Array.init m (fun _ -> tuple ()) in
-    let base = Pax.decode_page ~schema:fuzz_schema (encode base_slots base_rows) in
+    let built = heap_built base_slots base_rows in
+    check_kept_batch (Printf.sprintf "round %d, heap-built base" round) ~hints built;
+    let decoded = Pax.decode_page ~schema:fuzz_schema (encode base_slots base_rows) in
     (* the page now: base slots minus some, plus odd slots; rows kept,
        rewritten or new *)
     let now = ref [] in
@@ -218,14 +270,21 @@ let test_merged_rebuild_bytes () =
     let slots = Array.map (fun (slot, _, _) -> slot) now in
     let rows = Array.map (fun (_, row, _) -> row) now in
     let from_base = Array.map (fun (_, _, i) -> i) now in
-    let merged =
-      Pax.encode_batch ~hints
-        (Pax.page_columns ~schema:fuzz_schema ~slots ~base:(Some base) ~from_base
-           ~rows:(Array.mapi (fun j row -> if from_base.(j) >= 0 then Value.Null else row) rows))
-    in
-    if not (String.equal merged (encode slots rows)) then
-      Alcotest.failf "round %d: a merged rebuild of %d rows differs from a full encode" round
-        (Array.length slots)
+    let full = encode slots rows in
+    List.iter
+      (fun (what, base) ->
+        let what = Printf.sprintf "round %d, %s base" round what in
+        let merged =
+          Pax.page_columns ~schema:fuzz_schema ~slots ~base:(Some base) ~from_base
+            ~rows:(Array.mapi (fun j row -> if from_base.(j) >= 0 then Value.Null else row) rows)
+        in
+        if not (String.equal (Pax.encode_batch ~hints merged) full) then
+          Alcotest.failf "%s: a merged rebuild of %d rows differs from a full encode" what
+            (Array.length slots);
+        check_kept_batch what ~hints merged)
+      [ ("decoded", decoded); ("heap-built", built) ];
+    check_kept_batch (Printf.sprintf "round %d, heap-built page" round) ~hints
+      (heap_built slots rows)
   done
 
 (* ------------------------------------------------------------------ *)
@@ -297,6 +356,42 @@ let test_rebuild_determinism () =
   ignore (ok db "SELECT COUNT(*) FROM PaxT p");
   Alcotest.(check bool) "an unhooked update is reported" true
     (Scan_oracle.image_mismatches ps ext <> [])
+
+(* After set-up, a write and the scan after it store no PAX image: the
+   page merged from its kept batch stays in memory. So 200 rounds of a
+   one-value UPDATE (whose target search is a VSCAN) and a VSCAN leave
+   the segment with the pages and records set-up left, and every batch
+   it serves is the batch its image decodes to. *)
+let test_segment_stops_growing () =
+  let db, ps = pax_db () in
+  ignore (ok db "SET SCAN_FORCE VECTOR");
+  Pax_store.materialize ps;
+  let seg = Pax_store.segment ps in
+  let pages0 = Heap_file.page_count seg and records0 = Heap_file.record_count seg in
+  let built0 = Scan_metrics.m.Scan_metrics.pages_built in
+  for round = 1 to 200 do
+    ignore
+      (ok db
+         (Printf.sprintf "UPDATE PaxT p SET w = %d.5 WHERE p.k = %d" round (1 + (round * 37 mod 400))));
+    ignore (ok db "SELECT COUNT(*) FROM PaxT p WHERE p.w > 1.0")
+  done;
+  Alcotest.(check bool) "every round merged a page" true
+    (Scan_metrics.m.Scan_metrics.pages_built - built0 >= 200);
+  Alcotest.(check bool)
+    (Printf.sprintf "segment pages %d, set-up left %d" (Heap_file.page_count seg) pages0)
+    true
+    (Heap_file.page_count seg <= pages0);
+  Alcotest.(check bool)
+    (Printf.sprintf "segment records %d, set-up left %d" (Heap_file.record_count seg) records0)
+    true
+    (Heap_file.record_count seg <= records0);
+  let schema = Pax_store.schema ps and hints = Pax_store.hints ps in
+  Pax_store.iter_batches ps ~f:(fun b ->
+      same_cells "served batch" (Pax.decode_page ~schema (Pax.encode_batch ~hints b)) b;
+      no_repeated_entry "served batch" b);
+  match Scan_oracle.image_mismatches ps (Catalog.own_extent (Db.catalog db) "PaxT") with
+  | [] -> ()
+  | m :: _ -> Alcotest.failf "after 200 rounds: %s" m
 
 let test_torn_page_heals () =
   let db, ps = pax_db () in
@@ -638,6 +733,7 @@ let suites =
         Alcotest.test_case "checksum known answers" `Quick test_checksum_known_answers;
         Alcotest.test_case "merged rebuild bytes" `Quick test_merged_rebuild_bytes;
         Alcotest.test_case "rebuild determinism" `Quick test_rebuild_determinism;
+        Alcotest.test_case "segment stops growing" `Quick test_segment_stops_growing;
         Alcotest.test_case "torn page heals" `Quick test_torn_page_heals;
         Alcotest.test_case "analyze dict chooser" `Quick test_dict_chooser;
         Alcotest.test_case "pax end to end" `Quick test_pax_end_to_end;

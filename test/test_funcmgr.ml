@@ -160,9 +160,9 @@ let prop_moodc_arithmetic_matches_ocaml =
    name, or unbound) and assigned without a declaration; parameters
    that shadow attributes, called with fewer arguments than parameters
    at times; member access through a live and a dangling
-   reference; if, counted while loops and loops whose condition is not
-   a Boolean; && and || over non-Booleans; zero divisors; Int32-edge
-   literals. *)
+   reference; if, counted while loops, and ifs and loops whose
+   condition is not a Boolean; && and || over non-Booleans; zero
+   divisors; Int32-edge literals. *)
 let moodc_target = Mood_model.Oid.make ~class_id:5 ~slot:0
 
 let moodc_dangling = Mood_model.Oid.make ~class_id:5 ~slot:1
@@ -240,6 +240,8 @@ let moodc_stmt_gen =
           [ (4, leaf);
             (2, map2 (Printf.sprintf "if (%s) %s") bool_e (gen (n / 2)));
             (2, map3 (Printf.sprintf "if (%s) %s else %s") bool_e (gen (n / 2)) (gen (n / 2)));
+            (* an integer condition: a run-time type error, not a crash *)
+            (1, map2 (Printf.sprintf "if (%s) %s") int_e (gen (n / 2)));
             (2, map (fun ss -> "{ " ^ String.concat " " ss ^ " }") (list_size (int_range 0 3) (gen (n / 2))));
             (* A counter per nesting depth: a nested loop that reset its
                enclosing loop's counter could spin to the runaway bound. *)
@@ -292,6 +294,29 @@ let prop_lowered_matches_run =
       | Ok x, Ok y -> compare x y = 0
       | Error x, Error y -> String.equal x y
       | Ok _, Error _ | Error _, Ok _ -> false)
+
+(* A condition that is not a Boolean is a run-time type error, the
+   same from the AST walk and the lowered closures. *)
+let test_non_boolean_condition () =
+  let self = Value.Tuple [ ("x", Value.Int 3) ] in
+  let env = { Moodc.deref = (fun _ -> None); self; args = [] } in
+  List.iter
+    (fun body ->
+      let ast = Moodc.parse ~params:[] (Moodc.preprocess body) in
+      List.iter
+        (fun (what, run) ->
+          match run () with
+          | exception Mood_model.Operand.Type_error msg ->
+              Alcotest.(check string) (what ^ ": " ^ body) "condition did not evaluate to a Boolean"
+                msg
+          | v -> Alcotest.failf "%s of %s returned %s" what body (Value.to_string v))
+        [ ("AST walk", fun () -> Moodc.run ast env);
+          ("lowered", fun () -> Moodc.exec (Moodc.lower ast) env)
+        ])
+    [ "{ if (x) return 1; return 2; }";
+      "{ if (x) return 1; else return 2; }";
+      "{ while (x) { x = x - 1; } return 0; }"
+    ]
 
 (* A loop gets 10^7 - 1 iterations; the next one is the runaway. *)
 let test_lowered_runaway_loop () =
@@ -523,6 +548,73 @@ let test_invoke_on_transient_value () =
   in
   Alcotest.(check bool) "resolved through IS-A" true (result = Value.Int 10)
 
+let db_ok db src =
+  match Mood.Db.exec db src with
+  | Ok r -> r
+  | Error m -> Alcotest.failf "unexpected error on %S: %s" src m
+
+let values_of db src =
+  List.map Value.to_string
+    (Mood_executor.Executor.result_values (Mood.Db.query ~cache:false db src))
+
+(* DROP METHOD of an override whose signature the class inherits: the
+   class declares no catalog signature of its own, so only the body
+   goes, and its callers run the inherited one. A second drop fails
+   and changes nothing. *)
+let test_drop_inherited_override () =
+  let db = Mood.Db.create () in
+  List.iter
+    (fun src -> ignore (db_ok db src))
+    [ "CREATE CLASS A TUPLE (x Integer)";
+      "CREATE CLASS B INHERITS FROM A TUPLE (y Integer)";
+      "DEFINE METHOD A::f () Integer { return 1; }";
+      "DEFINE METHOD B::f () Integer { return 2; }";
+      "new A <5>";
+      "new B <6, 7>"
+    ];
+  let b_f () = values_of db "SELECT b.f() FROM B b" in
+  Alcotest.(check (list string)) "the override runs" [ "<b.f(): 2>" ] (b_f ());
+  (match db_ok db "DROP METHOD B::f" with
+  | Mood.Db.Method_dropped ("B", "f") -> ()
+  | _ -> Alcotest.fail "drop result");
+  Alcotest.(check (list string)) "the inherited body runs" [ "<b.f(): 1>" ] (b_f ());
+  let cat = Mood.Db.catalog db in
+  Alcotest.(check bool) "A keeps its signature" true
+    (Catalog.own_methods cat "A" <> [] && Catalog.find_method cat ~class_name:"B" ~method_name:"f" <> None);
+  (match Mood.Db.exec db "DROP METHOD B::f" with
+  | Error m ->
+      Alcotest.(check bool) "second drop: not found" true
+        (Helpers.contains m "function not found in shared object")
+  | Ok _ -> Alcotest.fail "second drop accepted");
+  Alcotest.(check (list string)) "unchanged by the failed drop" [ "<b.f(): 1>" ] (b_f ());
+  Alcotest.(check (list string)) "A's own call" [ "<a.f(): 1>"; "<a.f(): 1>" ]
+    (values_of db "SELECT a.f() FROM A a")
+
+(* A MoodC condition that is not a Boolean fails the statement with a
+   run-time error, as a division by zero does, and the database serves
+   the next statement. *)
+let test_non_boolean_condition_via_sql () =
+  let db = Mood.Db.create () in
+  List.iter
+    (fun src -> ignore (db_ok db src))
+    [ "CREATE CLASS S TUPLE (x Integer)";
+      "DEFINE METHOD S::g () Integer { if (x) return 1; return 2; }";
+      "DEFINE METHOD S::h () Integer { while (x) { x = 0; } return 1; }";
+      "DEFINE METHOD S::z () Integer { return x / 0; }";
+      "new S <3>"
+    ];
+  List.iter
+    (fun (src, want) ->
+      match Mood.Db.exec db src with
+      | Error m -> Alcotest.(check bool) (src ^ ": " ^ m) true (Helpers.contains m want)
+      | Ok _ -> Alcotest.failf "%s succeeded" src)
+    [ ("SELECT s.g() FROM S s", "run-time error: condition did not evaluate to a Boolean");
+      ("SELECT s.h() FROM S s", "run-time error: condition did not evaluate to a Boolean");
+      ("SELECT s.z() FROM S s", "run-time error: division by zero")
+    ];
+  Alcotest.(check (list string)) "the next statement runs" [ "<s.x: 3>" ]
+    (values_of db "SELECT s.x FROM S s")
+
 let test_catalog_signature_registration () =
   let _, cat, fm = setup () in
   Fm.define fm ~class_name:"Employee"
@@ -546,7 +638,8 @@ let suites =
         Alcotest.test_case "no return" `Quick test_moodc_no_return_yields_null;
         QCheck_alcotest.to_alcotest prop_moodc_arithmetic_matches_ocaml;
         QCheck_alcotest.to_alcotest prop_lowered_matches_run;
-        Alcotest.test_case "lowered runaway loop" `Quick test_lowered_runaway_loop
+        Alcotest.test_case "lowered runaway loop" `Quick test_lowered_runaway_loop;
+        Alcotest.test_case "non-Boolean condition" `Quick test_non_boolean_condition
       ] );
     ( "funcmgr.manager",
       [ Alcotest.test_case "signature key" `Quick test_signature_key;
@@ -561,6 +654,9 @@ let suites =
         Alcotest.test_case "interpreted = compiled" `Quick test_interpreted_matches_compiled;
         Alcotest.test_case "shared-object locking" `Quick test_definition_respects_so_lock;
         Alcotest.test_case "transient receivers" `Quick test_invoke_on_transient_value;
-        Alcotest.test_case "catalog registration" `Quick test_catalog_signature_registration
+        Alcotest.test_case "catalog registration" `Quick test_catalog_signature_registration;
+        Alcotest.test_case "drop an inherited override" `Quick test_drop_inherited_override;
+        Alcotest.test_case "non-Boolean condition via SQL" `Quick
+          test_non_boolean_condition_via_sql
       ] )
   ]
