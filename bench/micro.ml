@@ -49,39 +49,25 @@ let query_fixture () =
   Db.analyze db;
   db
 
-(* The record codecs on their own: 2,500 two-int rows as the heap
-   stores them (slot-tagged tuples) and as 14 PAX pages of 180 rows. *)
+(* The record codec on its own: 2,500 two-int rows as the heap stores
+   them (slot-tagged tuples). *)
 module Codec = Mood_model.Codec
-module Pax = Mood_column.Pax
 
 let codec_rows = 2500
-and codec_rows_per_page = 180
 
 let codec_fixture () =
   let rng = Prng.create ~seed:5 in
-  let rows =
-    Array.init codec_rows (fun i ->
-        Value.Tuple [ ("id", Value.Int i); ("weight", Value.Int (500 + Prng.int rng ~bound:2500)) ])
-  in
   let records =
-    Array.mapi (fun slot v -> Value.Tuple [ ("#slot", Value.Int slot); ("#value", v) ]) rows
+    Array.init codec_rows (fun i ->
+        let v =
+          Value.Tuple [ ("id", Value.Int i); ("weight", Value.Int (500 + Prng.int rng ~bound:2500)) ]
+        in
+        Value.Tuple [ ("#slot", Value.Int i); ("#value", v) ])
   in
-  let schema = [| ("id", Pax.KInt); ("weight", Pax.KInt) |] in
-  let page_chunks =
-    List.init
-      ((codec_rows + codec_rows_per_page - 1) / codec_rows_per_page)
-      (fun p ->
-        let start = p * codec_rows_per_page in
-        let len = min codec_rows_per_page (codec_rows - start) in
-        (Array.init len (fun i -> start + i), Array.sub rows start len))
-  in
-  let encode_pages () =
-    List.map (fun (slots, rows) -> Pax.encode_page ~schema ~hints:[] ~slots ~rows) page_chunks
-  in
-  (records, Array.map Codec.encode records, schema, encode_pages, encode_pages ())
+  (records, Array.map Codec.encode records)
 
 let tests () =
-  let records, encoded, pax_schema, encode_pages, pages = codec_fixture () in
+  let records, encoded = codec_fixture () in
   let db_f, oid = funcmgr_fixture () in
   let scope = Db.scope db_f in
   let funcs = Db.functions db_f in
@@ -150,12 +136,7 @@ let tests () =
     Test.make ~name:"codec: heap record encode (2500 rows)"
       (Staged.stage (fun () -> Array.iter (fun r -> ignore (Codec.encode r)) records));
     Test.make ~name:"codec: heap record decode (2500 rows)"
-      (Staged.stage (fun () -> Array.iter (fun s -> ignore (Codec.decode s)) encoded));
-    Test.make ~name:"codec: pax page encode (2500 rows)"
-      (Staged.stage (fun () -> ignore (encode_pages ())));
-    Test.make ~name:"codec: pax page decode (2500 rows)"
-      (Staged.stage (fun () ->
-           List.iter (fun p -> ignore (Pax.decode_page ~schema:pax_schema p)) pages))
+      (Staged.stage (fun () -> Array.iter (fun s -> ignore (Codec.decode s)) encoded))
   ]
 
 (* ---------------- method predicate allocation (one-shot) ---------------- *)
@@ -422,10 +403,8 @@ let scan_fixture n =
    runs time the VSCAN after writes: one insert into the tail page, then
    an update of every 16th row, which dirties every page; the second
    reports the rows its rebuilds re-read from the heap against the rows
-   updated, the minor words it allocated per row the rebuilds took
-   from the kept batches instead ([minor_words_per_kept_row]), and the
-   pages the segment's heap file grew by ([segment_pages_added]): a
-   page merged from its kept batch stays in memory, so none. *)
+   updated, and the minor words it allocated per row the rebuilds took
+   from the kept batches instead ([minor_words_per_kept_row]). *)
 let scan_section () =
   let n = scan_rows () in
   let env = scan_fixture n in
@@ -578,17 +557,10 @@ let scan_section () =
       (Catalog.extent_oids catalog "ScanBench")
   in
   let module M = Mood_column.Scan_metrics in
-  let segment_pages () =
-    match Catalog.pax_store catalog "ScanBench" with
-    | Some ps -> Mood_storage.Heap_file.page_count (Mood_column.Pax_store.segment ps)
-    | None -> failwith "ScanBench has no PAX segment"
-  in
-  let pages0 = segment_pages () in
   let reread0 = M.m.M.rows_reread and scanned0 = M.m.M.rows_scanned in
   let words0 = Gc.minor_words () in
   let name, secs, c, _ = time "pax_vectorized_after_update" (fun () -> Executor.run env vscan_plan) in
   let words = Gc.minor_words () -. words0 in
-  let pages_added = segment_pages () - pages0 in
   let reread = M.m.M.rows_reread - reread0 in
   let kept = M.m.M.rows_scanned - scanned0 - reread in
   timings
@@ -598,8 +570,7 @@ let scan_section () =
         c,
         [ ("rows_updated", string_of_int updated);
           ("rows_reread", string_of_int reread);
-          ("minor_words_per_kept_row", Printf.sprintf "%.2f" (words /. float_of_int (max 1 kept)));
-          ("segment_pages_added", string_of_int pages_added)
+          ("minor_words_per_kept_row", Printf.sprintf "%.2f" (words /. float_of_int (max 1 kept)))
         ] )
     ]
 

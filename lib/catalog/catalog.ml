@@ -9,9 +9,7 @@ module Join_index = Mood_storage.Join_index
 module Version_store = Mood_storage.Version_store
 module Heap_file = Mood_storage.Heap_file
 module Wal = Mood_storage.Wal
-module Pax = Mood_column.Pax
 module Pax_store = Mood_column.Pax_store
-module Stats = Mood_cost.Stats
 
 exception Schema_error of string
 
@@ -1121,37 +1119,6 @@ let rebuild_indexes t =
     path_keys;
   Hashtbl.reset t.stale_paths;
   bump_epoch t
-
-(* ------------------------------------------------------------------ *)
-(* ANALYZE-driven encoding hints                                       *)
-
-(* Dictionary-encode a string attribute only when it is demonstrably
-   low-cardinality: the page-local dictionary pays one extra string
-   table per minipage, so it must be amortized by repetition. *)
-let dict_hint ~rows ~dist =
-  if rows > 0 && dist * 4 <= rows then Pax.Prefer_dict else Pax.No_dict
-
-let apply_stats_hints t stats =
-  Hashtbl.iter
-    (fun name e ->
-      match e.pax with
-      | None -> ()
-      | Some p ->
-          let rows = Stats.cardinality stats name in
-          let hints =
-            List.filter_map
-              (fun (attr, ty) ->
-                match Pax.kind_of_type ty with
-                | Pax.KStr -> begin
-                    match Stats.attr_stats stats ~cls:name ~attr with
-                    | Some a -> Some (attr, dict_hint ~rows ~dist:a.Stats.dist)
-                    | None -> Some (attr, Pax.Auto)
-                  end
-                | Pax.KInt | Pax.KFloat | Pax.KOther -> None)
-              (effective_attrs t name)
-          in
-          Pax_store.set_hints p hints)
-    t.by_name
 
 (* Every secondary index against the data it covers: the structure's
    own invariants, then exactly one posting for each non-null

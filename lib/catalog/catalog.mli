@@ -49,10 +49,10 @@ val epoch : t -> int
 
 type layout = Row | Pax
 (** Physical page layout of a class's extent. [Row] is the classic
-    slotted-record heap; [Pax] additionally maintains a derived columnar
-    mirror (attribute minipages, dictionary / RLE compression) that the
-    vectorized scan operators read. The row heap stays authoritative
-    either way. *)
+    slotted-record heap; [Pax] additionally keeps a derived, in-memory
+    columnar mirror (per-attribute column batches, string attributes
+    dictionary-coded per page) that the vectorized scan operators read.
+    The row heap stays authoritative either way. *)
 
 val define_class :
   t ->
@@ -84,12 +84,6 @@ val set_layout : t -> string -> layout -> unit
 
 val pax_store : t -> string -> Mood_column.Pax_store.t option
 (** The columnar mirror, present iff the class's layout is [Pax]. *)
-
-val apply_stats_hints : t -> Mood_cost.Stats.t -> unit
-(** Feed ANALYZE output to the PAX encoder: string attributes with a
-    measured low distinct/rows ratio are dictionary-encoded, proven
-    high-cardinality ones are not ([dist * 4 <= rows] draws the line;
-    unmeasured attributes stay on per-page auto-detection). *)
 
 val add_method : t -> class_name:string -> method_signature -> unit
 val drop_method : t -> class_name:string -> method_name:string -> unit

@@ -277,14 +277,12 @@ let purge_stale_plans t =
 let analyze t =
   Catalog.refresh_path_indexes t.cat;
   t.statistics <- Catalog_stats.compute t.cat;
-  Catalog.apply_stats_hints t.cat t.statistics;
   t.stats_epoch <- t.stats_epoch + 1;
   purge_stale_plans t;
   Store.reset_io t.st
 
 let set_stats t stats =
   t.statistics <- stats;
-  Catalog.apply_stats_hints t.cat stats;
   t.stats_epoch <- t.stats_epoch + 1;
   purge_stale_plans t
 

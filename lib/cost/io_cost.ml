@@ -42,8 +42,3 @@ let rngxcost p (ix : Stats.index_stats) ~fract =
    unit buys ~1 KB of decoding. *)
 let deccost p ~bytes =
   if bytes <= 0 then 0. else float_of_int bytes /. 1024. *. p.cpu_cost
-
-let pp_params ppf p =
-  Format.fprintf ppf
-    "B=%d btt=%.4fs ebt=%.4fs r=%.4fs s=%.4fs cpu=%.2e s/cmp" p.disk.Disk.block_size
-    p.disk.Disk.btt p.disk.Disk.ebt p.disk.Disk.rot p.disk.Disk.seek p.cpu_cost

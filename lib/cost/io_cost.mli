@@ -38,5 +38,3 @@ val rngxcost : params -> Stats.index_stats -> fract:float -> float
 val deccost : params -> bytes:int -> float
 (** Decompression CPU for decoding [bytes] of dictionary/RLE-encoded
     minipage payload: [bytes/1024 * cpu_cost]. *)
-
-val pp_params : Format.formatter -> params -> unit

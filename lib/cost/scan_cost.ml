@@ -4,7 +4,13 @@
    interpreted predicate/aggregate touch; the vectorized scan pays
    SEQCOST over the (compressed) segment pages, DECCOST for decoding,
    and an amortized per-row CPU touch — batch loops over unboxed column
-   arrays retire rows far cheaper than the interpreter. *)
+   arrays retire rows far cheaper than the interpreter.
+
+   The segment those two terms price no longer exists: a PAX page is
+   held in memory as its column batch, built from the heap rows, and is
+   neither stored nor decoded. The formula stays as it is because a
+   change to it changes plans; recalibrating it belongs with the cost
+   model's audit (ROADMAP item 4). *)
 
 type choice = Row_scan | Vectorized
 
@@ -12,8 +18,7 @@ type choice = Row_scan | Vectorized
    interpreter: tight array loops with compiled predicates. *)
 let vector_cpu_discount = 16.
 
-(* Dictionary + RLE typically shrink the scanned attribute bytes; the
-   estimator assumes a modest ratio until ANALYZE-fed hints say more. *)
+(* The assumed size of the segment relative to the heap. *)
 let compression_ratio = 0.6
 
 let row_scan params stats ~cls =

@@ -1,11 +1,14 @@
 (** Scan-method choice: row (tuple-at-a-time, interpreted) vs
     vectorized (batch-at-a-time over the class's PAX segment).
 
-    The vectorized formula charges [SEQCOST] over the compressed
-    segment (one sequential minipage sweep) and the layout-aware
-    [DECCOST] (dictionary/RLE decode), plus a per-row CPU touch
-    discounted for the tight compiled batch loop; the row formula is
-    the classic [SEQCOST + rows * CPUCOST]. *)
+    The vectorized formula charges [SEQCOST] over a compressed segment
+    of 0.6 times the heap's pages and [DECCOST] for decoding it, plus a
+    per-row CPU touch discounted for the tight compiled batch loop; the
+    row formula is the classic [SEQCOST + rows * CPUCOST]. The segment
+    is priced as if it were disk-resident, though the PAX pages are
+    held in memory as column batches built from the heap and nothing
+    is read or decoded; the formula is kept so that plans do not
+    change. *)
 
 type choice = Row_scan | Vectorized
 

@@ -941,10 +941,6 @@ let render_reports reports =
 
 let run ?mode env node = run_prepared env (prepare ?mode node)
 
-let run_query env opt_env q =
-  let optimized = Optimizer.optimize opt_env q in
-  run env optimized.Optimizer.plan
-
 let result_values r =
   match r.projected with
   | Some values -> values

@@ -89,9 +89,6 @@ val render_reports : op_report list -> string
 val run : ?mode:mode -> Eval.env -> Mood_optimizer.Plan.node -> result
 (** [prepare] + [run_prepared]. *)
 
-val run_query : Eval.env -> Mood_optimizer.Dicts.env -> Mood_sql.Ast.query -> result
-(** Optimize then run. *)
-
 val result_values : result -> Mood_model.Value.t list
 (** The user-facing rows: projected tuples, or for bare binding rows
     the tuple of each variable's value (references for stored

@@ -70,24 +70,7 @@ let is_atomic = function
   | Basic _ -> true
   | Tuple _ | Set _ | List _ | Reference _ -> false
 
-let attribute t name =
-  match t with
-  | Tuple attrs -> List.assoc_opt name attrs
-  | Basic _ | Set _ | List _ | Reference _ -> None
-
 let rec referenced_class = function
   | Reference cls -> Some cls
   | Set ty | List ty -> referenced_class ty
   | Basic _ | Tuple _ -> None
-
-let default_value_spec = function
-  | Basic Integer -> `Int
-  | Basic Long_integer -> `Long
-  | Basic Float -> `Float
-  | Basic (String _) -> `String
-  | Basic Char -> `Char
-  | Basic Boolean -> `Bool
-  | Tuple _ -> `Tuple
-  | Set _ -> `Set
-  | List _ -> `List
-  | Reference _ -> `Ref

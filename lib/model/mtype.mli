@@ -40,13 +40,6 @@ val is_atomic : t -> bool
 (** True for basic types — the attributes on which "immediate"
     selections and conventional indexes are defined. *)
 
-val attribute : t -> string -> t option
-(** [attribute t name] is the type of attribute [name] if [t] is a tuple
-    type that declares it. *)
-
 val referenced_class : t -> string option
 (** The class named by a [Reference] (looking through [Set]/[List] of
     references, as path expressions do). *)
-
-val default_value_spec : t -> [ `Int | `Long | `Float | `String | `Char | `Bool | `Tuple | `Set | `List | `Ref ]
-(** Coarse kind used by generic display and codecs. *)

@@ -921,10 +921,3 @@ let optimize env (q : Ast.query) =
         t_est_cost = !cost_acc
       }
   }
-
-let optimize_statement env = function
-  | Ast.Select q | Ast.Explain { ex_query = q; _ } -> Some (optimize env q)
-  | Ast.Create_class _ | Ast.Alter_class_layout _ | Ast.Create_index _
-  | Ast.New_object _ | Ast.Update _ | Ast.Delete _ | Ast.Define_method _
-  | Ast.Drop_method _ | Ast.Name_object _ | Ast.Drop_name _ | Ast.Set _ ->
-      None

@@ -24,10 +24,6 @@ type optimized = { plan : Plan.node; trace : trace }
 val optimize : Dicts.env -> Mood_sql.Ast.query -> optimized
 (** Raises [Mood_sql.Typecheck.Type_error] on ill-typed queries. *)
 
-val optimize_statement : Dicts.env -> Mood_sql.Ast.statement -> optimized option
-(** [Some] for SELECT and EXPLAIN statements, [None] for DDL/DML and
-    SET (executed without planning). *)
-
 val side_bytes :
   Dicts.env -> Plan.reads -> Plan.node -> key:string * string list -> k:float -> float
 (** The memory footprint the optimizer gives a value-join side whose

@@ -59,8 +59,6 @@ let connect_addr ?(handshake = true) addr =
 let connect ?handshake ~port () =
   connect_addr ?handshake (Unix.ADDR_INET (Unix.inet_addr_loopback, port))
 
-let connect_unix ?handshake ~path () = connect_addr ?handshake (Unix.ADDR_UNIX path)
-
 let resolve_host host =
   try Unix.inet_addr_of_string host
   with Failure _ -> (

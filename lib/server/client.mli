@@ -15,8 +15,6 @@ val connect : ?handshake:bool -> port:int -> unit -> t
     raises [Failure] with the server's explanation on a version
     mismatch — pass [~handshake:false] to speak to v0 servers. *)
 
-val connect_unix : ?handshake:bool -> path:string -> unit -> t
-
 val resolve_host : string -> Unix.inet_addr
 (** An IP address as written, else the first address
     [Unix.gethostbyname] finds for the name. Raises [Failure] when the

@@ -74,5 +74,3 @@ let snapshot_expected t id =
   Option.map IntMap.bindings (Hashtbl.find_opt t.snapshots id)
 
 let forget_snapshot t id = Hashtbl.remove t.snapshots id
-
-let committed_count t = IntMap.cardinal t.committed

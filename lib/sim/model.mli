@@ -41,8 +41,6 @@ val committed_bindings : t -> (int * string) list
 (** Ascending by key — the exact contents a correct recovery must
     reproduce. *)
 
-val committed_count : t -> int
-
 (** {2 Per-snapshot expectations (MVCC cycles)}
 
     An MVCC snapshot must keep returning the committed state as of its

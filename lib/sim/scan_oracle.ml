@@ -5,9 +5,9 @@
    and runs every query in the battery twice — row engine forced, then
    vectorized engine forced — diffing result multisets. Interleaved
    UPDATE/DELETE/NEW statements and ANALYZE calls keep the PAX segment
-   invalidating, rebuilding and re-encoding under changed dictionary
-   hints mid-cycle, so the derived-cache machinery is on the hook for
-   every comparison, not just the first scan.
+   invalidating, merging and rebuilding mid-cycle, so the derived-cache
+   machinery is on the hook for every comparison, not just the first
+   scan.
 
    Grouped queries select only their keys and aggregates: any other
    item takes its group's first member, and the first member in scan
@@ -17,17 +17,15 @@
    the fused aggregation must reproduce the row engine's group order
    and representatives, not just its multiset.
 
-   After every vectorized query the segment's page images are also
-   checked byte for byte against a full re-encode of the heap
-   ([image_mismatches]): incremental page rebuilds must write what a
-   rebuild from scratch would.
+   After every vectorized query the segment's cached batches are also
+   checked against a fresh build from the heap ([batch_mismatches]):
+   incremental page merges must hold what a build from scratch would.
 
    [sabotage] injects a fault from outside the scan code: right before
    each vectorized query it zeroes the null bitmaps of the segment's
-   decoded batches, which the next scan reuses from the batch cache.
-   NULLs come back as 0 / "" from the columnar side only, which the
-   oracle must catch; pages rebuilt from such a batch also fail the
-   image check. *)
+   cached batches, which the next scan reuses. NULLs come back as 0 /
+   "" from the columnar side only, which the oracle must catch; the
+   batch check catches every sabotaged batch that bore a NULL. *)
 
 module Db = Mood.Db
 module Catalog = Mood_catalog.Catalog
@@ -43,8 +41,8 @@ module Pax_store = Mood_column.Pax_store
 module Extent = Mood_storage.Extent
 module Prng = Mood_util.Prng
 
-(* Skewed small domain: duplicates dominate, so dictionary and RLE
-   minipages are the norm and selection vectors stay dense. *)
+(* Skewed small domain: duplicates dominate, so string dictionaries
+   stay small and selection vectors stay dense. *)
 let zipf rng ~bound = min (Prng.int rng ~bound) (Prng.int rng ~bound)
 
 let maybe_null rng v = if Prng.int rng ~bound:100 < 15 then Value.Null else v
@@ -90,11 +88,10 @@ type kind =
           first), after a forced ANALYZE when [analyze] *)
 
 (* The string-key GROUP BY opens the battery, before the cycle's forced
-   ANALYZE, and closes it after: the dictionary hints move from the
-   per-page [Auto] choice to the ANALYZE verdict. Both runs collect
-   versions first, so no batch arrives MVCC-patched (boxed) and the
-   key is read from string minipages. Over seeds 1..200, 52 cycles
-   group it from plain and from dictionary minipages. *)
+   ANALYZE, and closes it after, over pages merged by the writes in
+   between. Both runs collect versions first, so no batch arrives
+   MVCC-patched (boxed) and the key is read from the string column's
+   page dictionary. *)
 let string_group = "SELECT s.cstr, COUNT(*), SUM(s.aint), MIN(s.lng) FROM ScanC s GROUP BY s.cstr"
 
 (* The battery: plain scans, every comparison family the batch
@@ -218,11 +215,13 @@ let ordered_diff db src =
     if got = want then None else Some (first_diff got want)
   end
 
-(* Every page image of [ps] against [Pax.encode_page] over the heap
+(* Every cached batch of [ps] against [Pax.page_columns] over the heap
    rows of its page's live slots, the pages taken from the extent
-   directory: one message per page that differs, is missing, or has
-   no live slot. The segment must be fully built (scan it first). *)
-let image_mismatches ps ext =
+   directory: one message per page whose batch differs, is missing, or
+   has no live slot. [page_columns] writes canonical NULL cells and
+   bitmaps, so structural equality is exact. The segment must be fully
+   built (scan it first). *)
+let batch_mismatches ps ext =
   let rows_per_page = Pax_store.rows_per_page ps in
   let want =
     List.fold_left
@@ -234,27 +233,27 @@ let image_mismatches ps ext =
       [] (Extent.slots ext)
     |> List.rev_map (fun (idx, slots) ->
            let slots = Array.of_list (List.rev slots) in
+           let n = Array.length slots in
            let rows =
              Array.map
                (fun slot -> Option.value ~default:Value.Null (Extent.raw_get ext slot))
                slots
            in
            ( idx,
-             Pax.encode_page ~schema:(Pax_store.schema ps) ~hints:(Pax_store.hints ps)
-               ~slots ~rows ))
+             Pax.page_columns ~schema:(Pax_store.schema ps) ~slots ~base:None
+               ~from_base:(Array.make n (-1)) ~rows ))
   in
-  let got = Pax_store.page_images ps in
+  let got = Pax_store.page_batches ps in
   List.filter_map
     (fun idx ->
       match List.assoc_opt idx got, List.assoc_opt idx want with
-      | Some g, Some w when String.equal g w -> None
-      | Some _, Some _ -> Some (Printf.sprintf "page %d: image differs from a full re-encode" idx)
-      | Some _, None -> Some (Printf.sprintf "page %d: image without live slots" idx)
-      | None, _ -> Some (Printf.sprintf "page %d: no image" idx))
+      | Some (Some g), Some w when compare g w = 0 -> None
+      | Some (Some _), Some _ -> Some (Printf.sprintf "page %d: batch differs from a fresh build" idx)
+      | Some (Some _), None -> Some (Printf.sprintf "page %d: batch without live slots" idx)
+      | (Some None | None), _ -> Some (Printf.sprintf "page %d: no batch" idx))
     (List.sort_uniq compare (List.map fst got @ List.map fst want))
 
-(* The negative control: every cached decoded batch of [ps] forgets its
-   NULLs. *)
+(* The negative control: every cached batch of [ps] forgets its NULLs. *)
 let zero_null_bitmaps ps =
   Pax_store.iter_batches ps ~f:(fun batch ->
       Array.iter
@@ -283,7 +282,7 @@ let run_cycle ~sabotage ~seed =
     else ignore (Catalog.insert_object cat ~class_name:"ScanC" (gen_row rng))
   done;
   let queries = ref 0 and checks = ref 0 and rows = ref 0 in
-  let grouped_checks = ref 0 and grouped_violations = ref 0 and image_checks = ref 0 in
+  let grouped_checks = ref 0 and grouped_violations = ref 0 and batch_checks = ref 0 in
   let violations = ref [] in
   let violation ~grouped message =
     if grouped then incr grouped_violations;
@@ -293,7 +292,7 @@ let run_cycle ~sabotage ~seed =
     (fun (kind, src) ->
       incr queries;
       (* DML between queries: dirty pages so rebuilds interleave
-         with scans; occasional ANALYZE flips dictionary hints. *)
+         with scans; occasional ANALYZE refreshes the statistics. *)
       (match Prng.int rng ~bound:4 with
       | 0 ->
           ignore
@@ -330,11 +329,11 @@ let run_cycle ~sabotage ~seed =
              (List.length oracle) (first_diff got oracle));
       (match Catalog.pax_store cat "ScanC" with
       | Some ps ->
-          incr image_checks;
+          incr batch_checks;
           Pax_store.materialize ps;
           List.iter
             (fun m -> violation ~grouped:false (Printf.sprintf "after %s: %s" src m))
-            (image_mismatches ps (Catalog.own_extent cat "ScanC"))
+            (batch_mismatches ps (Catalog.own_extent cat "ScanC"))
       | None -> violation ~grouped:false "ScanC has no PAX segment");
       if grouped then begin
         incr grouped_checks;
@@ -351,7 +350,7 @@ let run_cycle ~sabotage ~seed =
         ("oracle rows", !rows);
         ("grouped checks", !grouped_checks);
         ("grouped violations", !grouped_violations);
-        ("image checks", !image_checks)
+        ("batch checks", !batch_checks)
       ];
     violations = List.rev !violations
   }

@@ -58,8 +58,6 @@ let fault_armed t = t.fault <> None
 
 let torn_pages t = Hashtbl.fold (fun k () acc -> k :: acc) t.torn []
 
-let clear_torn t = Hashtbl.reset t.torn
-
 let check_write_fault t page =
   match t.fault with
   | None -> ()

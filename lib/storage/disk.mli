@@ -74,8 +74,6 @@ val fault_armed : t -> bool
 val torn_pages : t -> (int * int) list
 (** Pages whose last write was severed by a crash. *)
 
-val clear_torn : t -> unit
-
 val counters : t -> counters
 
 val reset_counters : t -> unit

@@ -102,6 +102,3 @@ let clear t =
   t.page_count <- 0;
   t.record_count <- 0;
   Buffer_pool.invalidate t.buffer ~file:t.file_id
-
-let rid_compare a b =
-  match Int.compare a.page b.page with 0 -> Int.compare a.slot b.slot | c -> c

@@ -45,5 +45,3 @@ val record_count : t -> int
 
 val clear : t -> unit
 (** Empties the file and drops its buffered pages. *)
-
-val rid_compare : rid -> rid -> int

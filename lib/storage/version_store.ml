@@ -77,8 +77,6 @@ let without_tracking t f =
   t.tracking <- false;
   Fun.protect ~finally:(fun () -> t.tracking <- prev) f
 
-let current_stamp t = t.stamp
-
 (* The read fast path's precondition: GC only drops an entry once its
    current version is visible to every open snapshot, so an empty
    table means no slot anywhere has diverged from any live view — the
@@ -276,12 +274,6 @@ let open_snapshot t ?txn () =
   v
 
 let close_snapshot t v = Hashtbl.remove t.snapshots v.v_id
-
-let view_id v = v.v_id
-
-let view_stamp v = v.v_stamp
-
-let view_inflight v = v.v_inflight
 
 let active_view t = t.view
 

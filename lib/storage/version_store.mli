@@ -37,8 +37,6 @@ val without_tracking : t -> (unit -> 'a) -> 'a
 (** Runs [f] with tracking disabled: compensation, recovery and image
     installs rewrite the heap without minting versions. *)
 
-val current_stamp : t -> int
-
 val is_empty : t -> bool
 (** No versioned history at all — every open snapshot's view equals
     the heap (GC keeps an entry alive while any live snapshot still
@@ -80,12 +78,6 @@ val open_snapshot : t -> ?txn:int -> unit -> view
     keeps every version it can still see. *)
 
 val close_snapshot : t -> view -> unit
-
-val view_id : view -> int
-
-val view_stamp : view -> int
-
-val view_inflight : view -> int list
 
 val active_view : t -> view option
 

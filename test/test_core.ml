@@ -179,6 +179,40 @@ let test_checkpoint_and_recover () =
   Alcotest.(check (list int)) "committed survive, loser and bulk load gone"
     [ 1; 2; 99 ] (acc_values db)
 
+(* The PAX segment is derived and volatile: [Db.recover] rebuilds every
+   extent from the checkpoint image and the log, and the pages a scan
+   cached before it must not survive. After it, the vectorized scan
+   answers what the row scan does, and every page holds what a fresh
+   build from the heap gives. *)
+let test_pax_rebuilt_after_recover () =
+  let db = fresh () in
+  ignore (ok db "CREATE CLASS Meter TUPLE (k Integer, tag String(8), w Float) LAYOUT PAX");
+  for k = 1 to 600 do
+    ignore (ok db (Printf.sprintf "new Meter <%d, 't%d', %d.5>" k (k mod 3) (k mod 7)))
+  done;
+  Db.checkpoint db;
+  ignore (ok db "new Meter <601, 'late', 1.5>");
+  ignore (ok db "UPDATE Meter m SET w = 9.5 WHERE m.k <= 40");
+  ignore (ok db "DELETE FROM Meter m WHERE m.k > 300 AND m.k <= 330");
+  let loser = Db.begin_session_txn db in
+  ignore (ok_in db loser "UPDATE Meter m SET tag = 'lost' WHERE m.k > 500");
+  ignore (ok_in db loser "new Meter <602, 'lost', 2.5>");
+  ignore (ok db "SET SCAN_FORCE VECTOR");
+  ignore (Db.query db "SELECT COUNT(*) FROM Meter m WHERE m.w > 1.0");
+  ignore (ok db "SET SCAN_FORCE DEFAULT");
+  ignore (Db.recover db);
+  let count src =
+    match Executor.result_values (Db.query db src) with
+    | [ Value.Tuple [ (_, Value.Int n) ] ] -> n
+    | _ -> Alcotest.failf "%S: not one count" src
+  in
+  Alcotest.(check int) "winners kept, loser gone" 571 (count "SELECT COUNT(*) FROM Meter m");
+  Helpers.pax_matches_heap db ~cls:"Meter"
+    [ "SELECT m.k, m.tag, m.w FROM Meter m WHERE m.w > 5.0";
+      "SELECT m.tag, COUNT(*), SUM(m.k) FROM Meter m GROUP BY m.tag";
+      "SELECT COUNT(*) FROM Meter m WHERE m.tag = 'lost'"
+    ]
+
 (* What a crash leaves: dirty frames and the unforced log tail are
    gone, then [Db.recover] runs. *)
 let crash db =
@@ -968,6 +1002,8 @@ let suites =
         Alcotest.test_case "refused exec write cleans up" `Quick
           test_refused_exec_write_cleans_up;
         QCheck_alcotest.to_alcotest prop_put_image_round_trip;
+        Alcotest.test_case "PAX pages rebuilt after recover" `Quick
+          test_pax_rebuilt_after_recover;
         Alcotest.test_case "recover forgets crashed sessions" `Quick
           test_recover_forgets_crashed_sessions;
         Alcotest.test_case "scopes" `Quick test_scope_controls_function_cache;

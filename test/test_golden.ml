@@ -1,16 +1,13 @@
 (* Golden bytes for the on-disk and on-wire formats: the heap-record
-   codec, one PAX page per minipage kind, a WAL update record, a
-   replication batch and a wire frame. The expected hex was taken from
-   the byte-at-a-time codecs these formats started with; an encoder
-   rewrite must reproduce it exactly, or pages and logs written before
-   it would stop decoding. Every mismatch of a group is reported in one
+   codec, a WAL update record, a replication batch and a wire frame.
+   The expected hex was taken from the byte-at-a-time codecs these
+   formats started with; an encoder rewrite must reproduce it exactly,
+   or pages and logs written before it would stop decoding. Every mismatch of a group is reported in one
    failure, with the actual hex. *)
 
 module Value = Mood_model.Value
 module Oid = Mood_model.Oid
 module Codec = Mood_model.Codec
-module Pax = Mood_column.Pax
-module Batch = Mood_column.Batch
 module Wal = Mood_storage.Wal
 module Heap_file = Mood_storage.Heap_file
 module Rcodec = Mood_repl.Codec
@@ -81,75 +78,6 @@ let test_codec () =
     codec_cases
 
 (* ------------------------------------------------------------------ *)
-(* PAX pages: one single-attribute page per minipage kind, each with
-   NULL cells                                                          *)
-
-let pax_page kind hints cells =
-  let schema = [| ("a", kind) |] in
-  let rows = Array.of_list (List.map (fun v -> Value.Tuple [ ("a", v) ]) cells) in
-  let slots = Array.init (Array.length rows) (fun i -> 3 * i) in
-  ((kind, cells), Pax.encode_page ~schema ~hints ~slots ~rows)
-
-let pax_cases =
-  let i n = Value.Int n and f x = Value.Float x and s x = Value.Str x in
-  [ ( "int plain",
-      pax_page Pax.KInt [] [ i 0; i (-1); Value.Null; i max_int; i min_int; i 42 ],
-      "50415831c29e53a8000000060000000100000000060000000000000000000000\
-       00000000000300000000000000060000000000000009000000000000000c0000\
-       00000000000f000000000601040000000000000000ffffffffffffffff000000\
-       00000000003fffffffffffffffc000000000000000000000000000002a" );
-    ( "int rle",
-      pax_page Pax.KInt []
-        [ i 7; i 7; i 7; Value.Null; i 7; i 7; i 9; i 9; i 9; i 9 ],
-      "50415831d54e4b500000000a00000001000000000a0000000000000000000000\
-       00000000000300000000000000060000000000000009000000000000000c0000\
-       00000000000f0000000000000012000000000000001500000000000000180000\
-       00000000001b010000000a010800000000040000000300000000000000070000\
-       0001000000000000000000000002000000000000000700000004000000000000\
-       0009" );
-    ( "float",
-      pax_page Pax.KFloat [] [ f 1.5; Value.Null; f (-0.); f infinity; f quiet_nan ],
-      "50415831032efc49000000050000000100000000050000000000000000000000\
-       00000000000300000000000000060000000000000009000000000000000c0200\
-       00000501023ff8000000000000000000000000000080000000000000007ff000\
-       00000000007ff8000000000000" );
-    ( "str plain",
-      pax_page Pax.KStr [ ("a", Pax.No_dict) ] [ s "ab"; Value.Null; s ""; s "a\000c" ],
-      "50415831f2b61c8e000000040000000100000000040000000000000000000000\
-       0000000000030000000000000006000000000000000903000000040102000000\
-       026162000000000000000000000003610063" );
-    ( "str dict",
-      pax_page Pax.KStr [ ("a", Pax.Prefer_dict) ]
-        [ s "x"; s "y"; Value.Null; s "x"; s "x"; s "y" ],
-      "50415831f4aec8f9000000060000000100000000060000000000000000000000\
-       00000000000300000000000000060000000000000009000000000000000c0000\
-       00000000000f0400000006010400000002000000017800000001790000000000\
-       00000100000000000000000000000000000001" );
-    ( "generic",
-      pax_page Pax.KOther []
-        [ Value.Long 5L; Value.Null; Value.set [ Value.Int 1 ]; Value.Bool true ],
-      "50415831e2303c33000000040000000100000000040000000000000000000000\
-       0000000000030000000000000006000000000000000905000000040102000000\
-       0902000000000000000500000001000000001208000000000000000101000000\
-       0000000001000000020601" )
-  ]
-
-let test_pax () =
-  check_group "Pax.encode_page" (List.map (fun (name, (_, page), want) -> (name, page, want)) pax_cases);
-  (* The golden pages decode to the cells and slots they were taken from. *)
-  List.iter
-    (fun (name, ((kind, cells), _), want) ->
-      let b = Pax.decode_page ~schema:[| ("a", kind) |] (unhex want) in
-      let col = snd b.Batch.columns.(0) in
-      List.iteri
-        (fun r v ->
-          if Value.compare (Batch.cell col r) v <> 0 || b.Batch.slots.(r) <> 3 * r then
-            Alcotest.failf "Pax.decode_page of golden %s: row %d gave %s" name r
-              (Value.to_string (Batch.cell col r)))
-        cells)
-    pax_cases
-
-(* ------------------------------------------------------------------ *)
 (* Log and wire framing                                                *)
 
 let update =
@@ -185,7 +113,6 @@ let test_wal_and_wire () =
 let suites =
   [ ( "golden",
       [ Alcotest.test_case "codec bytes" `Quick test_codec;
-        Alcotest.test_case "pax page bytes" `Quick test_pax;
         Alcotest.test_case "wal and wire bytes" `Quick test_wal_and_wire
       ] )
   ]

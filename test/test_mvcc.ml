@@ -583,7 +583,7 @@ let test_pax_scan_under_snapshot () =
     match Catalog.pax_store (Db.catalog db) "Gauge" with
     | Some ps ->
         Mood_column.Pax_store.materialize ps;
-        List.length (Mood_column.Pax_store.page_images ps)
+        List.length (Mood_column.Pax_store.page_batches ps)
     | None -> Alcotest.fail "Gauge has no PAX segment"
   in
   Alcotest.(check bool) "several PAX pages" true (pages >= 3);

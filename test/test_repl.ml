@@ -303,6 +303,55 @@ let test_apply_in_flight_txn_resolution () =
     (eng_contents replica = eng_contents primary);
   Alcotest.(check int) "pending drained" 0 (Apply.pending_txns apply)
 
+(* A replica's PAX segment is derived from its own heap: a snapshot
+   install clears every extent, so the pages cached before it go, and
+   each applied batch writes through the extent hook. After both, the
+   vectorized scan answers what the row scan does and every page holds
+   what a fresh build from the heap gives. The replica already has the
+   schema, as a re-bootstrapped replica does, so its class is PAX too,
+   and it holds more rows than the snapshot brings: the pages past the
+   snapshot's last slot must go with the clear. *)
+let test_apply_pax_pages_follow () =
+  let schema = "CREATE CLASS Meter TUPLE (k Integer, tag String(8), w Float) LAYOUT PAX" in
+  let primary = Db.create () in
+  exec_ok primary schema;
+  for k = 1 to 400 do
+    exec_ok primary (Printf.sprintf "NEW Meter <%d, 't%d', %d.5>" k (k mod 3) (k mod 7))
+  done;
+  let replica = Db.create () in
+  exec_ok replica schema;
+  for k = 1 to 700 do
+    exec_ok replica (Printf.sprintf "NEW Meter <%d, 'stale', 9.5>" k)
+  done;
+  exec_ok replica "SET SCAN_FORCE VECTOR";
+  ignore (Db.query replica "SELECT COUNT(*) FROM Meter m");
+  let apply = Apply.create replica in
+  Apply.install_snapshot apply (Primary.snapshot primary);
+  let queries =
+    [ "SELECT m.k, m.tag, m.w FROM Meter m WHERE m.w > 5.0";
+      "SELECT m.tag, COUNT(*), SUM(m.k) FROM Meter m GROUP BY m.tag";
+      "SELECT COUNT(*) FROM Meter m WHERE m.tag = 'stale'"
+    ]
+  in
+  let same_rows () =
+    Alcotest.(check bool) "replica image = primary image" true
+      (List.assoc "Meter" (Db.snapshot replica) = List.assoc "Meter" (Db.snapshot primary))
+  in
+  same_rows ();
+  Helpers.pax_matches_heap replica ~cls:"Meter" queries;
+  List.iter
+    (fun writes ->
+      List.iter (exec_ok primary) writes;
+      match Apply.apply_batch apply (Primary.batch primary ~after:(Apply.applied_lsn apply)) with
+      | `Applied ->
+          same_rows ();
+          Helpers.pax_matches_heap replica ~cls:"Meter" queries
+      | _ -> Alcotest.fail "batch refused")
+    [ [ "NEW Meter <401, 'late', 1.5>"; "UPDATE Meter m SET w = 9.5 WHERE m.k <= 40" ];
+      [ "DELETE FROM Meter m WHERE m.k > 200 AND m.k <= 230" ];
+      [ "UPDATE Meter m SET tag = 'moved' WHERE m.k > 350"; "NEW Meter <402, 'late', 2.5>" ]
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* Wire-level integration: primary + replica servers                   *)
 
@@ -445,7 +494,9 @@ let suites =
         Alcotest.test_case "bootstrap, stream, promote" `Quick
           test_apply_bootstrap_and_stream;
         Alcotest.test_case "in-flight txn scrubbed then resolved" `Quick
-          test_apply_in_flight_txn_resolution
+          test_apply_in_flight_txn_resolution;
+        Alcotest.test_case "PAX pages follow the applied stream" `Quick
+          test_apply_pax_pages_follow
       ] );
     ( "repl.server",
       [ Alcotest.test_case "primary + replica end to end" `Quick
